@@ -12,15 +12,14 @@
 //! Every public `CubeList` operation routes through a thread-local arena
 //! automatically (see [`crate::CubeList::subtract`]), so existing callers
 //! pool without code changes. Hot loops that want isolated accounting —
-//! the redundancy pre-pass, the micro benchmark — hold their own arena
-//! and call the `*_in` variants.
+//! the redundancy pre-pass — hold their own arena and call the `*_in`
+//! variants.
 
 use crate::Ternary;
 
 /// Counters describing how well a [`CubeArena`] is amortising allocations.
 ///
-/// Surfaced as observability gauges (`arena_*`) and in the committed
-/// `BENCH_micro.json` report; see DESIGN.md §16.
+/// Surfaced as observability gauges (`arena_*`); see DESIGN.md §16.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Fresh buffers created because the pool was empty. In steady state

@@ -22,7 +22,7 @@ pub fn with_thread_arena<R>(f: impl FnOnce(&mut CubeArena) -> R) -> R {
 }
 
 /// Snapshot of the thread-local arena's counters, for observability
-/// gauges and the micro benchmark.
+/// gauges and the benchmark's `acl.arena.*` metrics.
 pub fn thread_arena_stats() -> crate::ArenaStats {
     with_thread_arena(|a| a.stats())
 }

@@ -85,7 +85,7 @@ pub fn remove_redundant(policy: &Policy) -> RemovalReport {
 ///
 /// The arena's [`crate::ArenaStats`] afterwards describe exactly this
 /// removal's allocation behaviour — the hook used by the observability
-/// gauges and the committed micro benchmark.
+/// gauges.
 pub fn remove_redundant_with(policy: &Policy, arena: &mut CubeArena) -> RemovalReport {
     let mut current = policy.clone();
     let mut all_removed: Vec<(RuleId, Rule, RedundancyKind)> = Vec::new();

@@ -7,7 +7,7 @@ use flowplace_rng::StdRng;
 use flowplace_bench::experiments::{default_options, QUICK_TIME_LIMIT};
 use flowplace_bench::{build_instance, ScenarioConfig};
 use flowplace_classbench::{Generator, Profile};
-use flowplace_core::{incremental, Objective, RulePlacer};
+use flowplace_core::{incremental, Objective, RulePlacer, SolveCtx};
 use flowplace_routing::shortest;
 use flowplace_topo::EntryPortId;
 
@@ -55,6 +55,7 @@ fn bench(c: &mut Criterion) {
                 vec![(ingress, generator.policy(20, 1000), vec![route])],
                 &options,
                 Objective::TotalRules,
+                SolveCtx::default(),
             )
             .expect("fresh ingress")
         })
@@ -79,6 +80,7 @@ fn bench(c: &mut Criterion) {
                 new_routes,
                 &options,
                 Objective::TotalRules,
+                SolveCtx::default(),
             )
             .expect("policy exists")
         })

@@ -4,7 +4,8 @@ use std::time::{Duration, Instant};
 
 use flowplace_core::encode_sat::SatEncoding;
 use flowplace_core::{
-    incremental, verify, DependencyEncoding, Objective, PlacementOptions, RulePlacer, SolveStatus,
+    incremental, verify, DependencyEncoding, Objective, PlacementOptions, RulePlacer, SolveCtx,
+    SolveStatus,
 };
 use flowplace_milp::MipOptions;
 use flowplace_rng::StdRng;
@@ -346,6 +347,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
             additions,
             &options,
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .expect("ingresses are fresh");
         rows.push(IncRow {
@@ -382,6 +384,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
                 new_routes,
                 &options,
                 Objective::TotalRules,
+                SolveCtx::default(),
             )
             .expect("ingress has a policy");
             total += out.elapsed;

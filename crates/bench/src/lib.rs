@@ -25,16 +25,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
-pub mod delegation;
 pub mod experiments;
 pub mod harness;
-pub mod incremental;
-pub mod micro;
-pub mod pipeline;
 pub mod report;
-pub mod sat;
 pub mod scenario;
-pub mod shard;
 
 pub use scenario::{build_instance, ScenarioConfig};

@@ -234,1021 +234,6 @@ pub fn sharing_rows_csv(rows: &[SharingRow]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------
-// BENCH_pipeline.json schema validation
-// ---------------------------------------------------------------------
-//
-// The workspace is dependency-free, so the validator carries its own
-// minimal JSON reader: enough of RFC 8259 to parse the documents the
-// pipeline benchmark emits (objects, arrays, strings with the escapes we
-// produce, numbers, booleans, null). It is a checker, not a general
-// library — unknown escapes and non-UTF-8 input are rejected.
-
-/// Parsed JSON value (internal to the schema validator).
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, held as `f64`.
-    Num(f64),
-    /// String literal.
-    Str(String),
-    /// Array.
-    Arr(Vec<Json>),
-    /// Object, insertion-ordered.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing garbage at byte {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek()? == b {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            pairs.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            let b = *self.bytes.get(self.pos).ok_or("unterminated string")?;
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = *self.bytes.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| "non-ASCII \\u escape".to_string())?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "bad \\u escape".to_string())?;
-                            self.pos += 4;
-                            out.push(char::from_u32(cp).ok_or("surrogate \\u escape unsupported")?);
-                        }
-                        _ => return Err(format!("unknown escape '\\{}'", esc as char)),
-                    }
-                }
-                _ => {
-                    // Consume the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = match b {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    let s = std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8".to_string())?;
-                    out.push_str(s);
-                    self.pos = start + len;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap_or("");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number at byte {start}"))
-    }
-}
-
-/// The schema tag [`validate_pipeline_json`] requires (re-exported from
-/// [`crate::pipeline::SCHEMA`] so the two cannot drift).
-pub const PIPELINE_SCHEMA: &str = crate::pipeline::SCHEMA;
-
-const PIPELINE_ROW_NUM_FIELDS: &[&str] = &[
-    "rules",
-    "threads",
-    "serial_ms",
-    "parallel_ms",
-    "stage_depgraphs_ms",
-    "stage_candidates_ms",
-    "stage_solve_ms",
-    "speedup",
-];
-
-const PIPELINE_STATUSES: &[&str] = &["optimal", "feasible", "infeasible", "timeout"];
-
-/// Validates a `BENCH_pipeline.json` document against the
-/// `flowplace.bench.pipeline.v1` schema: the tag itself, the run
-/// parameters, and every row's fields, types, and value ranges. Returns
-/// a human-readable reason on the first violation. CI runs this on the
-/// smoke-mode artifact so schema drift fails the build rather than the
-/// downstream consumers.
-pub fn validate_pipeline_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != PIPELINE_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {PIPELINE_SCHEMA:?}"
-        ));
-    }
-    for field in ["threads", "samples", "time_limit_ms"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("field {field:?} must be positive, got {v}"));
-        }
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        for field in ["scenario", "engine"] {
-            row.get(field)
-                .and_then(Json::as_str)
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| ctx(format!("missing non-empty string {field:?}")))?;
-        }
-        for field in ["serial_status", "parallel_status"] {
-            let s = row
-                .get(field)
-                .and_then(Json::as_str)
-                .ok_or_else(|| ctx(format!("missing string {field:?}")))?;
-            if !PIPELINE_STATUSES.contains(&s) {
-                return Err(ctx(format!("{field:?} has unknown status {s:?}")));
-            }
-        }
-        for field in PIPELINE_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and >= 0, got {v}")));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// BENCH_incremental.json schema validation
-// ---------------------------------------------------------------------
-
-/// The schema tag [`validate_incremental_json`] requires (re-exported
-/// from [`crate::incremental::SCHEMA`] so the two cannot drift).
-pub const INCREMENTAL_SCHEMA: &str = crate::incremental::SCHEMA;
-
-const INCREMENTAL_ROW_NUM_FIELDS: &[&str] = &[
-    "rules",
-    "epochs",
-    "rounds",
-    "cold_ms",
-    "warm_ms",
-    "speedup",
-    "memo_hits",
-    "memo_misses",
-    "depgraphs_reused",
-    "candidates_reused",
-];
-
-/// Validates a `BENCH_incremental.json` document against the
-/// `flowplace.bench.incremental.v1` schema: the tag itself, the run
-/// parameters, the headline geometric-mean speedup, and every row's
-/// fields, types, and value ranges — including the `identical` flags
-/// that certify the warm path matched the cold path byte for byte.
-/// Returns a human-readable reason on the first violation.
-pub fn validate_incremental_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != INCREMENTAL_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {INCREMENTAL_SCHEMA:?}"
-        ));
-    }
-    for field in ["rounds", "geomean_speedup"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("field {field:?} must be positive, got {v}"));
-        }
-    }
-    match doc.get("identical") {
-        Some(Json::Bool(_)) => {}
-        _ => return Err("missing boolean field \"identical\"".into()),
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        row.get("scenario")
-            .and_then(Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| ctx("missing non-empty string \"scenario\"".into()))?;
-        match row.get("identical") {
-            Some(Json::Bool(_)) => {}
-            _ => return Err(ctx("missing boolean field \"identical\"".into())),
-        }
-        for field in INCREMENTAL_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and >= 0, got {v}")));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// BENCH_cache.json schema validation
-// ---------------------------------------------------------------------
-
-/// The schema tag [`validate_cache_json`] requires (re-exported from
-/// [`crate::cache::SCHEMA`] so the two cannot drift).
-pub const CACHE_SCHEMA: &str = crate::cache::SCHEMA;
-
-const CACHE_ROW_NUM_FIELDS: &[&str] = &[
-    "rules",
-    "cache_capacity",
-    "capacity_pct",
-    "flows",
-    "lookups",
-    "hits",
-    "misses",
-    "hit_rate",
-    "inserts",
-    "evictions",
-    "resolves",
-    "miss_batches",
-    "miss_latency_ms",
-    "dep_violations",
-];
-
-/// Validates a `BENCH_cache.json` document against the
-/// `flowplace.bench.cache.v1` schema: the tag itself, the stream
-/// parameters, and every row's fields, types, and value ranges. The
-/// dependency-safety contract is part of the schema: `dep_violations`
-/// must be zero at the top level and in every row, and `hit_rate` must
-/// lie in `[0, 1]`. Returns a human-readable reason on the first
-/// violation.
-pub fn validate_cache_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != CACHE_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {CACHE_SCHEMA:?}"
-        ));
-    }
-    for field in ["rate", "duration_ms", "zipf"] {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-        if v <= 0.0 {
-            return Err(format!("field {field:?} must be positive, got {v}"));
-        }
-    }
-    let total_violations = doc
-        .get("dep_violations")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"dep_violations\"")?;
-    if total_violations != 0.0 {
-        return Err(format!(
-            "dependency-safety contract broken: dep_violations = {total_violations}"
-        ));
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        for field in ["scenario", "policy"] {
-            row.get(field)
-                .and_then(Json::as_str)
-                .filter(|s| !s.is_empty())
-                .ok_or_else(|| ctx(format!("missing non-empty string {field:?}")))?;
-        }
-        for field in CACHE_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and >= 0, got {v}")));
-            }
-        }
-        let hit_rate = row.get("hit_rate").and_then(Json::as_num).unwrap_or(0.0);
-        if hit_rate > 1.0 {
-            return Err(ctx(format!("\"hit_rate\" must be <= 1, got {hit_rate}")));
-        }
-        let violations = row
-            .get("dep_violations")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        if violations != 0.0 {
-            return Err(ctx(format!(
-                "dependency-safety contract broken: dep_violations = {violations}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// BENCH_delegation.json schema validation
-// ---------------------------------------------------------------------
-
-/// The schema tag [`validate_delegation_json`] requires (re-exported
-/// from [`crate::delegation::SCHEMA`] so the two cannot drift).
-pub const DELEGATION_SCHEMA: &str = crate::delegation::SCHEMA;
-
-const DELEGATION_ROW_NUM_FIELDS: &[&str] = &[
-    "rules",
-    "pressure_pct",
-    "victims",
-    "revoked_switches",
-    "dropall_baseline",
-    "dropall_delegated",
-    "avoided",
-    "avoidance_rate",
-    "delegations",
-    "delegated_entries",
-    "stub_entries",
-    "overhead_pct",
-    "failclosed_violations",
-];
-
-/// Validates a `BENCH_delegation.json` document against the
-/// `flowplace.bench.delegation.v1` schema: the tag itself, the
-/// aggregate drop-all counts, and every row's fields, types, and value
-/// ranges. The robustness contract is part of the schema:
-/// `failclosed_violations` must be zero at the top level and in every
-/// row, no row may fail *more* closed with the rung enabled than
-/// without, `avoidance_rate` must lie in `[0, 1]`, and in aggregate
-/// the rung must strictly reduce drop-all events whenever the baseline
-/// produced any. Returns a human-readable reason on the first
-/// violation.
-pub fn validate_delegation_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != DELEGATION_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {DELEGATION_SCHEMA:?}"
-        ));
-    }
-    let mut totals = [0.0f64; 2];
-    for (slot, field) in ["dropall_baseline", "dropall_delegated"].iter().enumerate() {
-        let v = doc
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("missing numeric field {field:?}"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("field {field:?} must be finite and >= 0, got {v}"));
-        }
-        totals[slot] = v;
-    }
-    let total_violations = doc
-        .get("failclosed_violations")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"failclosed_violations\"")?;
-    if total_violations != 0.0 {
-        return Err(format!(
-            "fail-closed contract broken: failclosed_violations = {total_violations}"
-        ));
-    }
-    if totals[0] > 0.0 && totals[1] >= totals[0] {
-        return Err(format!(
-            "delegation must strictly reduce drop-all events: baseline {} vs delegated {}",
-            totals[0], totals[1]
-        ));
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        row.get("scenario")
-            .and_then(Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| ctx("missing non-empty string \"scenario\"".into()))?;
-        for field in DELEGATION_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and >= 0, got {v}")));
-            }
-        }
-        let baseline = row
-            .get("dropall_baseline")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        let delegated = row
-            .get("dropall_delegated")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        if delegated > baseline {
-            return Err(ctx(format!(
-                "the rung must never fail more closed: baseline {baseline} vs delegated {delegated}"
-            )));
-        }
-        let rate = row
-            .get("avoidance_rate")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        if rate > 1.0 {
-            return Err(ctx(format!("\"avoidance_rate\" must be <= 1, got {rate}")));
-        }
-        let violations = row
-            .get("failclosed_violations")
-            .and_then(Json::as_num)
-            .unwrap_or(0.0);
-        if violations != 0.0 {
-            return Err(ctx(format!(
-                "fail-closed contract broken: failclosed_violations = {violations}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// BENCH_sat.json schema validation
-// ---------------------------------------------------------------------
-
-/// The schema tag [`validate_sat_json`] requires (re-exported from
-/// [`crate::sat::SCHEMA`] so the two cannot drift).
-pub const SAT_SCHEMA: &str = crate::sat::SCHEMA;
-
-const SAT_ROW_NUM_FIELDS: &[&str] = &[
-    "rules",
-    "baseline_ms",
-    "modern_ms",
-    "speedup",
-    "baseline_conflicts",
-    "conflicts",
-    "restarts",
-    "blocked_restarts",
-    "db_reductions",
-    "learnt",
-    "learnt_deleted",
-    "mean_lbd",
-];
-
-const SAT_STATUSES: &[&str] = &["optimal", "feasible", "infeasible", "timeout"];
-
-/// Validates a `BENCH_sat.json` document against the
-/// `flowplace.bench.sat.v1` schema: the tag, the run parameters, and
-/// every row's fields, types, and ranges — **including** the `identical`
-/// flags, which must all be `true`: the modern CDCL configuration must
-/// decode the exact placement the baseline configuration decodes on
-/// every scenario, or the document is rejected. Per-scenario counter
-/// values (restarts, reductions) are range-checked but deliberately not
-/// required to be nonzero — the CI smoke runs only the smallest
-/// scenario, where the adaptive machinery may legitimately never
-/// trigger. The proof the machinery *works* is the mandatory `stress`
-/// block (a pigeonhole solve under the modern configuration): its
-/// verdict must be `"unsat"` and its `restarts` and `db_reductions`
-/// counters must both be ≥ 1.
-pub fn validate_sat_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SAT_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {SAT_SCHEMA:?}"
-        ));
-    }
-    let samples = doc
-        .get("samples")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"samples\"")?;
-    if samples <= 0.0 {
-        return Err(format!("field \"samples\" must be positive, got {samples}"));
-    }
-    match doc.get("identical") {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => {
-            return Err("placement identity broken: top-level \"identical\" is false".into())
-        }
-        _ => return Err("missing boolean field \"identical\"".into()),
-    }
-    let stress = doc.get("stress").ok_or("missing object field \"stress\"")?;
-    let verdict = stress
-        .get("verdict")
-        .and_then(Json::as_str)
-        .ok_or("stress: missing string \"verdict\"")?;
-    if verdict != "unsat" {
-        return Err(format!(
-            "stress: pigeonhole verdict must be \"unsat\", got {verdict:?}"
-        ));
-    }
-    for field in [
-        "pigeons",
-        "holes",
-        "solve_ms",
-        "conflicts",
-        "restarts",
-        "blocked_restarts",
-        "db_reductions",
-        "learnt",
-        "learnt_deleted",
-        "mean_lbd",
-    ] {
-        let v = stress
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("stress: missing numeric field {field:?}"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!(
-                "stress: {field:?} must be finite and >= 0, got {v}"
-            ));
-        }
-        if (field == "restarts" || field == "db_reductions") && v < 1.0 {
-            return Err(format!(
-                "stress: {field:?} must be >= 1 (the modern CDCL machinery must demonstrably fire), got {v}"
-            ));
-        }
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        row.get("scenario")
-            .and_then(Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| ctx("missing non-empty string \"scenario\"".into()))?;
-        let status = row
-            .get("status")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ctx("missing string \"status\"".into()))?;
-        if !SAT_STATUSES.contains(&status) {
-            return Err(ctx(format!("\"status\" has unknown status {status:?}")));
-        }
-        match row.get("identical") {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => {
-                return Err(ctx(
-                    "placement identity broken: baseline and modern arms diverged".into(),
-                ))
-            }
-            _ => return Err(ctx("missing boolean field \"identical\"".into())),
-        }
-        for field in SAT_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and >= 0, got {v}")));
-            }
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// BENCH_micro.json schema validation
-// ---------------------------------------------------------------------
-
-/// The schema tag [`validate_micro_json`] requires (re-exported from
-/// [`crate::micro::SCHEMA`] so the two cannot drift).
-pub const MICRO_SCHEMA: &str = crate::micro::SCHEMA;
-
-const MICRO_ROW_NUM_FIELDS: &[&str] = &["before", "after", "ratio"];
-
-/// Validates a `BENCH_micro.json` document against the
-/// `flowplace.bench.micro.v1` schema: the tag itself, the run
-/// parameters, the arena counters, and every row's fields, types, and
-/// value ranges. Two contracts are part of the schema:
-///
-/// * every bench of [`crate::micro::REQUIRED_BENCHES`] must be present;
-/// * the deterministic `redundancy_alloc` row must show a real
-///   allocation reduction (`after < before`, and the arena must have
-///   served more requests from the pool than from the allocator).
-///
-/// Returns a human-readable reason on the first violation.
-pub fn validate_micro_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != MICRO_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {MICRO_SCHEMA:?}"
-        ));
-    }
-    let samples = doc
-        .get("samples")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"samples\"")?;
-    if samples < 1.0 {
-        return Err(format!("field \"samples\" must be >= 1, got {samples}"));
-    }
-    let mode = doc
-        .get("mode")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"mode\"")?;
-    if mode != "smoke" && mode != "full" {
-        return Err(format!(
-            "field \"mode\" must be \"smoke\" or \"full\", got {mode:?}"
-        ));
-    }
-    let arena = doc.get("arena").ok_or("missing object field \"arena\"")?;
-    let arena_num = |field: &str| -> Result<f64, String> {
-        let v = arena
-            .get(field)
-            .and_then(Json::as_num)
-            .ok_or_else(|| format!("arena: missing numeric field {field:?}"))?;
-        if !v.is_finite() || v < 0.0 {
-            return Err(format!("arena: {field:?} must be finite and >= 0, got {v}"));
-        }
-        Ok(v)
-    };
-    let allocations = arena_num("allocations")?;
-    let reuse_hits = arena_num("reuse_hits")?;
-    arena_num("peak_bytes")?;
-    if reuse_hits <= allocations {
-        return Err(format!(
-            "arena reuse contract broken: reuse_hits ({reuse_hits}) must exceed allocations ({allocations})"
-        ));
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    let mut seen: Vec<String> = Vec::new();
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        let bench = row
-            .get("bench")
-            .and_then(Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| ctx("missing non-empty string \"bench\"".into()))?;
-        seen.push(bench.to_string());
-        row.get("unit")
-            .and_then(Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| ctx("missing non-empty string \"unit\"".into()))?;
-        for field in MICRO_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v <= 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and > 0, got {v}")));
-            }
-        }
-        if bench == "redundancy_alloc" {
-            let before = row.get("before").and_then(Json::as_num).unwrap_or(0.0);
-            let after = row.get("after").and_then(Json::as_num).unwrap_or(0.0);
-            if after >= before {
-                return Err(ctx(format!(
-                    "allocation-reduction contract broken: after ({after}) must be < before ({before})"
-                )));
-            }
-        }
-    }
-    for required in crate::micro::REQUIRED_BENCHES {
-        if !seen.iter().any(|b| b == required) {
-            return Err(format!("missing required bench row {required:?}"));
-        }
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// BENCH_shard.json schema validation
-// ---------------------------------------------------------------------
-
-/// The schema tag [`validate_shard_json`] requires (re-exported from
-/// [`crate::shard::SCHEMA`] so the two cannot drift).
-pub const SHARD_SCHEMA: &str = crate::shard::SCHEMA;
-
-const SHARD_ROW_NUM_FIELDS: &[&str] = &[
-    "rules",
-    "tenants",
-    "shards",
-    "events",
-    "epochs",
-    "elapsed_ms",
-    "events_per_sec",
-    "p99_epoch_us",
-    "routes_skipped",
-    "routes_full",
-    "overgrants",
-];
-
-/// Validates a `BENCH_shard.json` document against the
-/// `flowplace.bench.shard.v1` schema: the tag, the `mode`, and every
-/// row's fields, types, and ranges — **including** two hard gates.
-/// First, every row's `identical` flag must be `true`: the sharded
-/// controller must replay byte-identically to the unsharded one on
-/// every (scenario, shards) cell, or the document is rejected (same
-/// for any nonzero `overgrants` count — the arbiter never grants a
-/// switch beyond its capacity on a consistent run). Second, on full
-/// (non-smoke) documents the `clb-4k` scenario must carry both a
-/// `shards = 1` and a `shards = 4` row, and the 4-shard event
-/// throughput must be at least **2×** the 1-shard throughput — the
-/// scoped-verification payoff the shard runtime exists for. Smoke
-/// documents (`"mode": "smoke"`) skip only the throughput gate.
-pub fn validate_shard_json(text: &str) -> Result<(), String> {
-    let doc = JsonParser::parse(text)?;
-    let schema = doc
-        .get("schema")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"schema\"")?;
-    if schema != SHARD_SCHEMA {
-        return Err(format!(
-            "schema mismatch: got {schema:?}, want {SHARD_SCHEMA:?}"
-        ));
-    }
-    let mode = doc
-        .get("mode")
-        .and_then(Json::as_str)
-        .ok_or("missing string field \"mode\"")?;
-    if mode != "smoke" && mode != "full" {
-        return Err(format!(
-            "field \"mode\" must be \"smoke\" or \"full\", got {mode:?}"
-        ));
-    }
-    match doc.get("identical") {
-        Some(Json::Bool(true)) => {}
-        Some(Json::Bool(false)) => {
-            return Err("determinism contract broken: top-level \"identical\" is false".into())
-        }
-        _ => return Err("missing boolean field \"identical\"".into()),
-    }
-    let overgrants = doc
-        .get("overgrants")
-        .and_then(Json::as_num)
-        .ok_or("missing numeric field \"overgrants\"")?;
-    if overgrants != 0.0 {
-        return Err(format!(
-            "capacity contract broken: overgrants = {overgrants}"
-        ));
-    }
-    let rows = match doc.get("rows") {
-        Some(Json::Arr(rows)) => rows,
-        _ => return Err("missing array field \"rows\"".into()),
-    };
-    if rows.is_empty() {
-        return Err("\"rows\" must be non-empty".into());
-    }
-    let mut eps_4k = [None::<f64>; 2]; // [shards=1, shards=4]
-    for (i, row) in rows.iter().enumerate() {
-        let ctx = |msg: String| format!("rows[{i}]: {msg}");
-        let scenario = row
-            .get("scenario")
-            .and_then(Json::as_str)
-            .filter(|s| !s.is_empty())
-            .ok_or_else(|| ctx("missing non-empty string \"scenario\"".into()))?;
-        for field in SHARD_ROW_NUM_FIELDS {
-            let v = row
-                .get(field)
-                .and_then(Json::as_num)
-                .ok_or_else(|| ctx(format!("missing numeric field {field:?}")))?;
-            if !v.is_finite() || v < 0.0 {
-                return Err(ctx(format!("{field:?} must be finite and >= 0, got {v}")));
-            }
-        }
-        match row.get("identical") {
-            Some(Json::Bool(true)) => {}
-            Some(Json::Bool(false)) => {
-                return Err(ctx(
-                    "determinism contract broken: \"identical\" is false".into()
-                ))
-            }
-            _ => return Err(ctx("missing boolean field \"identical\"".into())),
-        }
-        let row_overgrants = row.get("overgrants").and_then(Json::as_num).unwrap_or(0.0);
-        if row_overgrants != 0.0 {
-            return Err(ctx(format!(
-                "capacity contract broken: overgrants = {row_overgrants}"
-            )));
-        }
-        let shards = row.get("shards").and_then(Json::as_num).unwrap_or(0.0);
-        if shards < 1.0 {
-            return Err(ctx(format!("\"shards\" must be >= 1, got {shards}")));
-        }
-        if scenario == "clb-4k" {
-            let eps = row
-                .get("events_per_sec")
-                .and_then(Json::as_num)
-                .unwrap_or(0.0);
-            if shards == 1.0 {
-                eps_4k[0] = Some(eps);
-            } else if shards == 4.0 {
-                eps_4k[1] = Some(eps);
-            }
-        }
-    }
-    if mode == "full" {
-        let one = eps_4k[0].ok_or("full document missing the clb-4k shards=1 row")?;
-        let four = eps_4k[1].ok_or("full document missing the clb-4k shards=4 row")?;
-        if one <= 0.0 || four < 2.0 * one {
-            return Err(format!(
-                "scaling contract broken: clb-4k throughput at 4 shards ({four:.0} events/s) \
-                 must be >= 2x the 1-shard throughput ({one:.0} events/s)"
-            ));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1331,298 +316,5 @@ mod tests {
         }];
         let t = sharing_rows_table(&rows);
         assert!(t.contains("20.0%"));
-    }
-
-    fn valid_pipeline_doc() -> String {
-        format!(
-            r#"{{
-  "schema": "{PIPELINE_SCHEMA}",
-  "threads": 4,
-  "samples": 3,
-  "time_limit_ms": 10000.0,
-  "rows": [
-    {{
-      "scenario": "classbench-256",
-      "rules": 256,
-      "threads": 4,
-      "serial_ms": 95.1,
-      "serial_status": "optimal",
-      "parallel_ms": 5.2,
-      "parallel_status": "optimal",
-      "engine": "portfolio:sat",
-      "stage_depgraphs_ms": 0.2,
-      "stage_candidates_ms": 0.5,
-      "stage_solve_ms": 4.0,
-      "speedup": 18.3
-    }}
-  ]
-}}
-"#
-        )
-    }
-
-    #[test]
-    fn pipeline_validator_accepts_valid_document() {
-        validate_pipeline_json(&valid_pipeline_doc()).expect("valid document accepted");
-    }
-
-    #[test]
-    fn pipeline_validator_rejects_wrong_schema_tag() {
-        let doc = valid_pipeline_doc().replace(".v1", ".v0");
-        let err = validate_pipeline_json(&doc).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn pipeline_validator_rejects_missing_row_field() {
-        let doc = valid_pipeline_doc().replace("\"speedup\": 18.3", "\"speedup2\": 18.3");
-        let err = validate_pipeline_json(&doc).unwrap_err();
-        assert!(err.contains("speedup"), "{err}");
-    }
-
-    #[test]
-    fn pipeline_validator_rejects_unknown_status() {
-        let doc = valid_pipeline_doc().replace("\"optimal\"", "\"excellent\"");
-        let err = validate_pipeline_json(&doc).unwrap_err();
-        assert!(err.contains("unknown status"), "{err}");
-    }
-
-    #[test]
-    fn pipeline_validator_rejects_empty_rows_and_garbage() {
-        assert!(validate_pipeline_json("{}").is_err());
-        assert!(validate_pipeline_json("not json").is_err());
-        let doc = format!(
-            r#"{{"schema": "{PIPELINE_SCHEMA}", "threads": 4, "samples": 1, "time_limit_ms": 1, "rows": []}}"#
-        );
-        let err = validate_pipeline_json(&doc).unwrap_err();
-        assert!(err.contains("non-empty"), "{err}");
-    }
-
-    fn valid_incremental_doc() -> String {
-        format!(
-            r#"{{
-  "schema": "{INCREMENTAL_SCHEMA}",
-  "rounds": 6,
-  "geomean_speedup": 5.2,
-  "identical": true,
-  "rows": [
-    {{
-      "scenario": "classbench-1k",
-      "rules": 1024,
-      "epochs": 30,
-      "rounds": 6,
-      "cold_ms": 1800.0,
-      "warm_ms": 310.0,
-      "speedup": 5.8,
-      "memo_hits": 5,
-      "memo_misses": 1,
-      "depgraphs_reused": 90,
-      "candidates_reused": 90,
-      "identical": true
-    }}
-  ]
-}}
-"#
-        )
-    }
-
-    #[test]
-    fn incremental_validator_accepts_valid_document() {
-        validate_incremental_json(&valid_incremental_doc()).expect("valid document accepted");
-    }
-
-    #[test]
-    fn incremental_validator_rejects_wrong_schema_tag() {
-        let doc = valid_incremental_doc().replace(".v1", ".v0");
-        let err = validate_incremental_json(&doc).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn incremental_validator_rejects_missing_identity_flag() {
-        let doc = valid_incremental_doc().replace("\"identical\": true", "\"ident\": true");
-        let err = validate_incremental_json(&doc).unwrap_err();
-        assert!(err.contains("identical"), "{err}");
-    }
-
-    #[test]
-    fn incremental_validator_rejects_missing_row_field() {
-        let doc = valid_incremental_doc().replace("\"speedup\": 5.8", "\"speedup2\": 5.8");
-        let err = validate_incremental_json(&doc).unwrap_err();
-        assert!(err.contains("speedup"), "{err}");
-    }
-
-    #[test]
-    fn incremental_validator_rejects_empty_rows() {
-        let doc = format!(
-            r#"{{"schema": "{INCREMENTAL_SCHEMA}", "rounds": 6, "geomean_speedup": 3.0, "identical": true, "rows": []}}"#
-        );
-        let err = validate_incremental_json(&doc).unwrap_err();
-        assert!(err.contains("non-empty"), "{err}");
-    }
-
-    fn valid_cache_doc() -> String {
-        format!(
-            r#"{{
-  "schema": "{CACHE_SCHEMA}",
-  "rate": 20000,
-  "duration_ms": 250,
-  "zipf": 1.1,
-  "dep_violations": 0,
-  "rows": [
-    {{
-      "scenario": "classbench-256",
-      "policy": "lru",
-      "rules": 256,
-      "cache_capacity": 25,
-      "capacity_pct": 25.0,
-      "flows": 5000,
-      "lookups": 9000,
-      "hits": 7000,
-      "misses": 800,
-      "hit_rate": 0.7778,
-      "inserts": 120,
-      "evictions": 40,
-      "resolves": 90,
-      "miss_batches": 100,
-      "miss_latency_ms": 800,
-      "dep_violations": 0
-    }}
-  ]
-}}
-"#
-        )
-    }
-
-    #[test]
-    fn cache_validator_accepts_valid_document() {
-        validate_cache_json(&valid_cache_doc()).expect("valid document accepted");
-    }
-
-    #[test]
-    fn cache_validator_rejects_wrong_schema_tag() {
-        let doc = valid_cache_doc().replace(".v1", ".v0");
-        let err = validate_cache_json(&doc).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn cache_validator_rejects_dependency_violations() {
-        let doc = valid_cache_doc().replace(
-            "\"dep_violations\": 0\n    }",
-            "\"dep_violations\": 2\n    }",
-        );
-        let err = validate_cache_json(&doc).unwrap_err();
-        assert!(err.contains("dependency-safety"), "{err}");
-    }
-
-    #[test]
-    fn cache_validator_rejects_out_of_range_hit_rate() {
-        let doc = valid_cache_doc().replace("\"hit_rate\": 0.7778", "\"hit_rate\": 1.5");
-        let err = validate_cache_json(&doc).unwrap_err();
-        assert!(err.contains("hit_rate"), "{err}");
-    }
-
-    #[test]
-    fn cache_validator_rejects_missing_row_field() {
-        let doc = valid_cache_doc().replace("\"resolves\": 90", "\"resolves2\": 90");
-        let err = validate_cache_json(&doc).unwrap_err();
-        assert!(err.contains("resolves"), "{err}");
-    }
-
-    #[test]
-    fn cache_validator_rejects_empty_rows() {
-        let doc = format!(
-            r#"{{"schema": "{CACHE_SCHEMA}", "rate": 1, "duration_ms": 1, "zipf": 1.1, "dep_violations": 0, "rows": []}}"#
-        );
-        let err = validate_cache_json(&doc).unwrap_err();
-        assert!(err.contains("non-empty"), "{err}");
-    }
-
-    fn valid_micro_doc() -> String {
-        let rows = crate::micro::REQUIRED_BENCHES
-            .iter()
-            .map(|bench| {
-                let (before, after, ratio) = if *bench == "redundancy_alloc" {
-                    (400.0, 25.0, 16.0)
-                } else {
-                    (10.0, 25.0, 2.5)
-                };
-                format!(
-                    r#"    {{"bench": "{bench}", "unit": "u", "before": {before}, "after": {after}, "ratio": {ratio}}}"#
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        format!(
-            r#"{{
-  "schema": "{MICRO_SCHEMA}",
-  "samples": 5,
-  "mode": "full",
-  "arena": {{"allocations": 25, "reuse_hits": 375, "peak_bytes": 4096}},
-  "rows": [
-{rows}
-  ]
-}}
-"#
-        )
-    }
-
-    #[test]
-    fn micro_validator_accepts_valid_document() {
-        validate_micro_json(&valid_micro_doc()).expect("valid document accepted");
-    }
-
-    #[test]
-    fn micro_validator_rejects_wrong_schema_tag() {
-        let doc = valid_micro_doc().replace(".v1", ".v0");
-        let err = validate_micro_json(&doc).unwrap_err();
-        assert!(err.contains("schema mismatch"), "{err}");
-    }
-
-    #[test]
-    fn micro_validator_rejects_broken_arena_reuse_contract() {
-        let doc = valid_micro_doc().replace("\"reuse_hits\": 375", "\"reuse_hits\": 5");
-        let err = validate_micro_json(&doc).unwrap_err();
-        assert!(err.contains("reuse contract"), "{err}");
-    }
-
-    #[test]
-    fn micro_validator_rejects_allocation_regression() {
-        let doc = valid_micro_doc().replace(
-            r#""bench": "redundancy_alloc", "unit": "u", "before": 400, "after": 25"#,
-            r#""bench": "redundancy_alloc", "unit": "u", "before": 400, "after": 400"#,
-        );
-        let err = validate_micro_json(&doc).unwrap_err();
-        assert!(err.contains("allocation-reduction contract"), "{err}");
-    }
-
-    #[test]
-    fn micro_validator_rejects_missing_required_bench() {
-        let doc = valid_micro_doc().replace("\"bench\": \"verify_replay\"", "\"bench\": \"other\"");
-        let err = validate_micro_json(&doc).unwrap_err();
-        assert!(err.contains("verify_replay"), "{err}");
-    }
-
-    #[test]
-    fn micro_validator_rejects_missing_row_field() {
-        let doc = valid_micro_doc().replace("\"ratio\": 2.5}", "\"rat\": 2.5}");
-        let err = validate_micro_json(&doc).unwrap_err();
-        assert!(err.contains("ratio"), "{err}");
-    }
-
-    #[test]
-    fn json_parser_handles_escapes_and_nesting() {
-        let v = JsonParser::parse(r#"{"a": [1, -2.5e1, "x\nA", true, null]}"#).unwrap();
-        let arr = match v.get("a") {
-            Some(Json::Arr(items)) => items.clone(),
-            other => panic!("expected array, got {other:?}"),
-        };
-        assert_eq!(arr[0], Json::Num(1.0));
-        assert_eq!(arr[1], Json::Num(-25.0));
-        assert_eq!(arr[2], Json::Str("x\nA".into()));
-        assert_eq!(arr[3], Json::Bool(true));
-        assert_eq!(arr[4], Json::Null);
-        assert!(JsonParser::parse("{\"a\": 1} extra").is_err());
     }
 }

@@ -10,7 +10,8 @@
 //!   a *restricted sub-problem* over only the affected policies, with
 //!   every other placement frozen and switch capacities reduced to their
 //!   spare — [`install_policies`] and [`reroute_policy`]. The sub-problem
-//!   is solved by the ILP or (faster, feasibility-only) PB-SAT engine.
+//!   is solved by [`par::solve`] under the caller's [`SolveCtx`], with
+//!   the ILP or (faster, feasibility-only) PB-SAT engine.
 //!   Restriction is conservative: the sub-problem can be infeasible even
 //!   when a from-scratch solve is not; the caller can always fall back.
 //! * **Large scale**: re-run [`RulePlacer::place`] from scratch.
@@ -22,8 +23,8 @@ use flowplace_routing::{Route, RouteSet};
 use flowplace_topo::EntryPortId;
 
 use crate::greedy;
-use crate::placement::{Placement, PlacementOptions, PlacementOutcome, RulePlacer, SolveStatus};
-use crate::warm::WarmCache;
+use crate::par::{self, SolveCtx};
+use crate::placement::{Placement, PlacementOptions, SolveStatus};
 use crate::{Instance, InstanceError, Objective};
 
 /// Result of an incremental operation.
@@ -99,24 +100,6 @@ fn sub_instance(
     Instance::new(topo, routes, policies)
 }
 
-/// Solves a restricted sub-instance, through the warm cache when one is
-/// supplied (sub-instances benefit from the structural caches: an
-/// ingress's candidates depend only on its policy and routes, which the
-/// full solve already cached) and on the ordinary cold path otherwise.
-fn restricted_solve(
-    sub: &Instance,
-    options: &PlacementOptions,
-    objective: Objective,
-    cache: Option<&WarmCache>,
-) -> PlacementOutcome {
-    match cache {
-        Some(c) => crate::par::solve_with_cache(sub, objective, options, Some(c)).outcome,
-        None => RulePlacer::new(options.clone())
-            .place(sub, objective)
-            .expect("placement is infallible"),
-    }
-}
-
 /// Installs new ingress policies (with their routes) against the spare
 /// capacity, leaving every existing placement untouched (§IV-E "Ingress
 /// Policy Installation" / Experiment 5 part 1).
@@ -134,18 +117,7 @@ pub fn install_policies(
     additions: Vec<(EntryPortId, Policy, Vec<Route>)>,
     options: &PlacementOptions,
     objective: Objective,
-) -> Result<IncrementalOutcome, IncrementalError> {
-    install_policies_cached(instance, placement, additions, options, objective, None)
-}
-
-/// [`install_policies`] with an optional warm cache (see [`crate::warm`]).
-pub fn install_policies_cached(
-    instance: &Instance,
-    placement: &Placement,
-    additions: Vec<(EntryPortId, Policy, Vec<Route>)>,
-    options: &PlacementOptions,
-    objective: Objective,
-    cache: Option<&WarmCache>,
+    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let start = Instant::now();
     for (l, _, _) in &additions {
@@ -166,7 +138,7 @@ pub fn install_policies_cached(
         new_routes.clone(),
         &[],
     )?;
-    let outcome = restricted_solve(&sub, options, objective, cache);
+    let outcome = par::solve(&sub, objective, options, ctx).outcome;
 
     // Merge updated inputs into a full instance.
     let mut all_routes = instance.routes().clone();
@@ -205,22 +177,7 @@ pub fn reroute_policy(
     new_routes: Vec<Route>,
     options: &PlacementOptions,
     objective: Objective,
-) -> Result<IncrementalOutcome, IncrementalError> {
-    reroute_policy_cached(
-        instance, placement, ingress, new_routes, options, objective, None,
-    )
-}
-
-/// [`reroute_policy`] with an optional warm cache (see [`crate::warm`]).
-#[allow(clippy::too_many_arguments)]
-pub fn reroute_policy_cached(
-    instance: &Instance,
-    placement: &Placement,
-    ingress: EntryPortId,
-    new_routes: Vec<Route>,
-    options: &PlacementOptions,
-    objective: Objective,
-    cache: Option<&WarmCache>,
+    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let start = Instant::now();
     let Some(policy) = instance.policy(ingress).cloned() else {
@@ -232,7 +189,7 @@ pub fn reroute_policy_cached(
 
     let sub_routes: RouteSet = new_routes.iter().cloned().collect();
     let sub = sub_instance(instance, &frozen, vec![(ingress, policy)], sub_routes, &[])?;
-    let outcome = restricted_solve(&sub, options, objective, cache);
+    let outcome = par::solve(&sub, objective, options, ctx).outcome;
 
     // Updated full route set: drop this ingress's old routes, add new.
     let mut all_routes = RouteSet::new();
@@ -280,23 +237,7 @@ pub fn replace_ingresses(
     excluded: &[flowplace_topo::SwitchId],
     options: &PlacementOptions,
     objective: Objective,
-) -> Result<IncrementalOutcome, IncrementalError> {
-    replace_ingresses_cached(
-        instance, placement, ingresses, excluded, options, objective, None,
-    )
-}
-
-/// [`replace_ingresses`] with an optional warm cache (see
-/// [`crate::warm`]).
-#[allow(clippy::too_many_arguments)]
-pub fn replace_ingresses_cached(
-    instance: &Instance,
-    placement: &Placement,
-    ingresses: &[EntryPortId],
-    excluded: &[flowplace_topo::SwitchId],
-    options: &PlacementOptions,
-    objective: Objective,
-    cache: Option<&WarmCache>,
+    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let start = Instant::now();
     let mut policies: Vec<(EntryPortId, Policy)> = Vec::new();
@@ -318,7 +259,7 @@ pub fn replace_ingresses_cached(
         .cloned()
         .collect();
     let sub = sub_instance(instance, &frozen, policies, sub_routes, excluded)?;
-    let outcome = restricted_solve(&sub, options, objective, cache);
+    let outcome = par::solve(&sub, objective, options, ctx).outcome;
     let placement = outcome.placement.map(|sub_placement| {
         let mut full = frozen;
         full.absorb(sub_placement);
@@ -552,6 +493,7 @@ pub fn modify_rule(
 mod tests {
     use super::*;
     use crate::verify::verify_placement;
+    use crate::RulePlacer;
     use flowplace_acl::{Action, Ternary};
     use flowplace_topo::{SwitchId, Topology};
 
@@ -603,6 +545,7 @@ mod tests {
             vec![(EntryPortId(1), q1, vec![route])],
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
@@ -621,6 +564,7 @@ mod tests {
             vec![(EntryPortId(0), q, vec![])],
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap_err();
         assert_eq!(e, IncrementalError::BadIngress(EntryPortId(0)));
@@ -650,6 +594,7 @@ mod tests {
             vec![(EntryPortId(1), q1, vec![route])],
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Infeasible);
@@ -672,6 +617,7 @@ mod tests {
             vec![new_route],
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
@@ -699,6 +645,7 @@ mod tests {
             &used,
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
@@ -722,6 +669,7 @@ mod tests {
             &all,
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Infeasible);
@@ -733,6 +681,7 @@ mod tests {
             &[],
             &PlacementOptions::default(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .is_err());
     }

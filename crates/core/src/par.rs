@@ -14,17 +14,18 @@
 //!
 //! # Determinism contract
 //!
-//! With `portfolio: false`, the pipeline's output is byte-identical to
-//! the serial path for any thread count. Two rules make this hold:
+//! With `portfolio: false`, the pipeline's output is byte-identical for
+//! any thread count, the serial `threads: 1` included. Two rules make
+//! this hold:
 //!
 //! - **Merge-order rule.** Per-ingress partial results are merged by
 //!   *ingress id* (into ordered `BTreeMap`s keyed by ingress), never by
 //!   thread completion order. Worker scheduling can vary freely; the
 //!   merged maps cannot.
-//! - **One code path.** The parallel stages call the same pure
-//!   per-ingress functions the serial path calls, and stage 3 runs the
-//!   same encode/solve code the serial path runs, fed the (identical)
-//!   merged candidates.
+//! - **One code path.** There is no separate serial solve: at one
+//!   thread the stages iterate the same pure per-ingress functions in
+//!   place, and stage 3 is the same encode/solve code, fed the
+//!   (identical) merged candidates.
 //!
 //! With `portfolio: true`, the *engine that answers* depends on wall
 //! clock, so only the weaker guarantee holds: the returned placement is
@@ -292,37 +293,6 @@ fn solve_portfolio(
     }
 }
 
-/// Runs the full staged pipeline: parallel dependency graphs, parallel
-/// candidates, then the single-engine or portfolio solve, per
-/// `options.parallel`.
-///
-/// This is the engine behind [`crate::RulePlacer::place`] whenever
-/// [`ParallelConfig::is_parallel`] holds, and behind
-/// [`crate::RulePlacer::place_par`] always.
-pub fn solve(instance: &Instance, objective: Objective, options: &PlacementOptions) -> ParOutcome {
-    solve_with_cache(instance, objective, options, None)
-}
-
-/// [`solve`] with an optional warm cache (see [`crate::warm`]).
-///
-/// With a cache, the pipeline becomes incremental: the whole solve is
-/// first looked up in the placement memo (hit ⇒ [`Provenance::Memo`] in
-/// O(1)); on a miss, stages 1/2 rebuild only *dirty* ingresses — those
-/// whose policy/route fingerprints have no cached artifact — and stage 3
-/// may run through persistent solver sessions when
-/// [`crate::WarmConfig::sessions`] is enabled. Cache hits are
-/// byte-identical to a cold build because every cache key covers every
-/// input of the cached computation. With `cache: None` (or a disabled
-/// cache) this is exactly [`solve`].
-pub fn solve_with_cache(
-    instance: &Instance,
-    objective: Objective,
-    options: &PlacementOptions,
-    cache: Option<&WarmCache>,
-) -> ParOutcome {
-    solve_observed(instance, objective, options, cache, None)
-}
-
 /// Records the deterministic solve telemetry for one pipeline run: the
 /// per-provenance solve counter, the search-effort histogram (nodes for
 /// ILP, conflicts for SAT — the reproducible latency proxy; see the
@@ -386,24 +356,46 @@ fn stage_delta(before: Option<WarmStats>, after: Option<WarmStats>) -> Option<(u
     }
 }
 
-/// [`solve_with_cache`] with optional telemetry (see `flowplace-obs`).
+/// What a solve may consult and report to besides its inputs;
+/// `SolveCtx::default()` is the cold, unobserved solve.
+#[derive(Clone, Copy, Default)]
+pub struct SolveCtx<'a> {
+    /// Warm cache to consult and fill (see [`crate::warm`]); `None` or a
+    /// disabled cache is the cold path.
+    pub warm: Option<&'a WarmCache>,
+    /// Telemetry sink (see `flowplace-obs`).
+    pub obs: Option<&'a Obs>,
+}
+
+/// Runs the full staged pipeline: dependency graphs, candidates, then
+/// the single-engine or portfolio solve, per `options.parallel`. This is
+/// the one solve entry point — [`crate::RulePlacer::place`] and the
+/// [`crate::incremental`] sub-solves all call it.
 ///
-/// With `obs: Some`, the pipeline records a `"pipeline"` span with one
+/// With `ctx.warm`, the pipeline becomes incremental: the whole solve is
+/// first looked up in the placement memo (hit ⇒ [`Provenance::Memo`] in
+/// O(1)); on a miss, stages 1/2 rebuild only *dirty* ingresses — those
+/// whose policy/route fingerprints have no cached artifact — and stage 3
+/// may run through persistent solver sessions when
+/// [`crate::WarmConfig::sessions`] is enabled. Cache hits are
+/// byte-identical to a cold build because every cache key covers every
+/// input of the cached computation.
+///
+/// With `ctx.obs`, the pipeline records a `"pipeline"` span with one
 /// child per stage (`pipeline.depgraphs`, `pipeline.candidates`,
 /// `pipeline.solve`) plus the solve counters/histograms keyed by
-/// [`Provenance`]. Observability is strictly effect-free: the returned
-/// outcome is byte-identical to `obs: None`, and only deterministic
-/// quantities (span ticks, search effort, cache deltas) are recorded —
-/// never wall time, so dumps diff clean across same-seed runs. Wall
-/// clock stays available separately through [`StageTimes`].
-pub fn solve_observed(
+/// [`Provenance`]. Only deterministic quantities (span ticks, search
+/// effort, cache deltas) are recorded — never wall time, so dumps diff
+/// clean across same-seed runs. Wall clock stays available separately
+/// through [`StageTimes`].
+pub fn solve(
     instance: &Instance,
     objective: Objective,
     options: &PlacementOptions,
-    cache: Option<&WarmCache>,
-    obs: Option<&Obs>,
+    ctx: SolveCtx<'_>,
 ) -> ParOutcome {
-    let cache = cache.filter(|c| c.enabled());
+    let obs = ctx.obs;
+    let cache = ctx.warm.filter(|c| c.enabled());
     let threads = options.parallel.effective_threads();
 
     let root = obs.map(|o| o.spans.enter("pipeline"));
@@ -653,11 +645,11 @@ mod tests {
             },
             ..PlacementOptions::default()
         };
-        let par = solve(&inst, Objective::TotalRules, &options);
+        let par = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
         assert_eq!(par.provenance, Provenance::Single(PlacerEngine::Ilp));
         assert_eq!(par.outcome.placement, serial.placement);
         assert_eq!(par.outcome.status, serial.status);
-        // The facade routes through the pipeline for parallel configs.
+        // The facade is the same pipeline at whatever thread count.
         options.parallel.threads = 3;
         let routed = crate::RulePlacer::new(options)
             .place(&inst, Objective::TotalRules)
@@ -675,7 +667,7 @@ mod tests {
             },
             ..PlacementOptions::default()
         };
-        let par = solve(&inst, Objective::TotalRules, &options);
+        let par = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
         assert!(matches!(par.provenance, Provenance::Portfolio(_)));
         let placement = par.outcome.placement.expect("instance is feasible");
         let report = crate::verify::verify_placement(&inst, &placement, 64, 0xF01D);
@@ -704,7 +696,7 @@ mod tests {
             },
             ..PlacementOptions::default()
         };
-        let par = solve(&inst, Objective::TotalRules, &options);
+        let par = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
         assert_eq!(par.outcome.status, SolveStatus::Infeasible);
         assert!(par.outcome.placement.is_none());
     }
@@ -737,17 +729,21 @@ mod tests {
     fn warm_pipeline_matches_cold_and_memoizes() {
         let inst = multi_ingress_instance();
         let options = PlacementOptions::default();
-        let cold = solve(&inst, Objective::TotalRules, &options);
+        let cold = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
         let cache = crate::WarmCache::default();
+        let ctx = SolveCtx {
+            warm: Some(&cache),
+            obs: None,
+        };
 
         // First warm solve: every cache misses, result identical to cold.
-        let first = solve_with_cache(&inst, Objective::TotalRules, &options, Some(&cache));
+        let first = solve(&inst, Objective::TotalRules, &options, ctx);
         assert_eq!(first.outcome.placement, cold.outcome.placement);
         assert_eq!(first.outcome.status, cold.outcome.status);
         assert_eq!(first.provenance, cold.provenance);
 
         // Second warm solve of the identical instance: memo hit, O(1).
-        let second = solve_with_cache(&inst, Objective::TotalRules, &options, Some(&cache));
+        let second = solve(&inst, Objective::TotalRules, &options, ctx);
         assert_eq!(second.provenance, Provenance::Memo);
         assert_eq!(second.outcome.placement, cold.outcome.placement);
         assert_eq!(second.outcome.status, cold.outcome.status);
@@ -764,7 +760,11 @@ mod tests {
         let inst = multi_ingress_instance();
         let options = PlacementOptions::default();
         let cache = crate::WarmCache::default();
-        solve_with_cache(&inst, Objective::TotalRules, &options, Some(&cache));
+        let ctx = SolveCtx {
+            warm: Some(&cache),
+            obs: None,
+        };
+        solve(&inst, Objective::TotalRules, &options, ctx);
         let before = cache.stats();
 
         // Change one ingress's policy: exactly one candidate set is dirty.
@@ -776,8 +776,13 @@ mod tests {
                 .unwrap();
         let changed =
             Instance::new(inst.topology().clone(), inst.routes().clone(), policies).unwrap();
-        let warm = solve_with_cache(&changed, Objective::TotalRules, &options, Some(&cache));
-        let cold = solve(&changed, Objective::TotalRules, &options);
+        let warm = solve(&changed, Objective::TotalRules, &options, ctx);
+        let cold = solve(
+            &changed,
+            Objective::TotalRules,
+            &options,
+            SolveCtx::default(),
+        );
         assert_eq!(warm.outcome.placement, cold.outcome.placement);
 
         let after = cache.stats();
@@ -794,7 +799,11 @@ mod tests {
             sessions: true,
             ..crate::WarmConfig::default()
         });
-        let first = solve_with_cache(&inst, Objective::TotalRules, &options, Some(&cache));
+        let ctx = SolveCtx {
+            warm: Some(&cache),
+            obs: None,
+        };
+        let first = solve(&inst, Objective::TotalRules, &options, ctx);
         let p1 = first.outcome.placement.expect("feasible");
         assert!(crate::verify::verify_placement(&inst, &p1, 64, 0x5E55).is_ok());
 
@@ -806,7 +815,7 @@ mod tests {
                 .unwrap();
         let changed =
             Instance::new(inst.topology().clone(), inst.routes().clone(), policies).unwrap();
-        let second = solve_with_cache(&changed, Objective::TotalRules, &options, Some(&cache));
+        let second = solve(&changed, Objective::TotalRules, &options, ctx);
         let p2 = second.outcome.placement.expect("feasible");
         assert!(crate::verify::verify_placement(&changed, &p2, 64, 0x5E56).is_ok());
         let stats = cache.stats();
@@ -823,7 +832,7 @@ mod tests {
             changed.policies().map(|(l, p)| (l, p.clone())).collect(),
         )
         .unwrap();
-        let third = solve_with_cache(&grown, Objective::TotalRules, &options, Some(&cache));
+        let third = solve(&grown, Objective::TotalRules, &options, ctx);
         let p3 = third.outcome.placement.expect("feasible");
         assert!(crate::verify::verify_placement(&grown, &p3, 64, 0x5E57).is_ok());
         assert!(cache.stats().ilp_incumbent_seeded >= 1);
@@ -843,8 +852,12 @@ mod tests {
             sessions: true,
             ..crate::WarmConfig::default()
         });
+        let ctx = SolveCtx {
+            warm: Some(&cache),
+            obs: None,
+        };
         for round in 0..3u64 {
-            let out = solve_with_cache(&inst, Objective::TotalRules, &options, Some(&cache));
+            let out = solve(&inst, Objective::TotalRules, &options, ctx);
             if out.provenance != Provenance::Memo {
                 assert!(matches!(out.provenance, Provenance::Portfolio(_)));
             }

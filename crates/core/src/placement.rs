@@ -8,12 +8,12 @@ use flowplace_acl::RuleId;
 use flowplace_milp::{solve_mip_lazy, MipOptions, MipStatus};
 use flowplace_topo::{EntryPortId, SwitchId};
 
-use crate::candidates::{build_candidates, CandidateMap};
+use crate::candidates::CandidateMap;
 use crate::encode_ilp::{EncodeOptions, IlpEncoding, MergeLinking};
 use crate::encode_sat::SatEncoding;
 use crate::greedy;
 use crate::merge::MergeGroup;
-use crate::monitor::{restrict_candidates, MonitorRequirement};
+use crate::monitor::MonitorRequirement;
 use crate::par::ParallelConfig;
 use crate::{Instance, Objective};
 
@@ -264,7 +264,8 @@ impl RulePlacer {
 
     /// Solves the placement problem for `instance` minimizing `objective`
     /// (the SAT engine ignores the objective and returns any feasible
-    /// placement).
+    /// placement): the cold, unobserved [`crate::par::solve`]. Callers
+    /// holding a warm cache or a telemetry sink call that directly.
     ///
     /// # Errors
     ///
@@ -275,62 +276,14 @@ impl RulePlacer {
         instance: &Instance,
         objective: Objective,
     ) -> Result<PlacementOutcome, PlaceError> {
-        if self.options.parallel.is_parallel() {
-            return Ok(crate::par::solve(instance, objective, &self.options).outcome);
-        }
-        let mut candidates = build_candidates(instance);
-        restrict_candidates(instance, &mut candidates, &self.options.monitors);
-        match self.options.engine {
-            PlacerEngine::Ilp => Ok(place_ilp_with(
-                &self.options,
-                instance,
-                &objective,
-                &candidates,
-            )),
-            PlacerEngine::Sat => Ok(place_sat_with(&self.options, instance, &candidates, None)),
-        }
-    }
-
-    /// Like [`place`](Self::place), but always runs the staged
-    /// [`crate::par`] pipeline and reports its provenance and per-stage
-    /// wall times alongside the outcome.
-    pub fn place_par(&self, instance: &Instance, objective: Objective) -> crate::par::ParOutcome {
-        crate::par::solve(instance, objective, &self.options)
-    }
-
-    /// Like [`place_par`](Self::place_par), but consulting (and filling)
-    /// a warm cache — the incremental solve path described in
-    /// [`crate::warm`]. With a disabled cache this is exactly
-    /// [`place_par`](Self::place_par).
-    pub fn place_cached(
-        &self,
-        instance: &Instance,
-        objective: Objective,
-        cache: &crate::warm::WarmCache,
-    ) -> crate::par::ParOutcome {
-        crate::par::solve_with_cache(instance, objective, &self.options, Some(cache))
-    }
-
-    /// The fully instrumented solve: [`place_cached`](Self::place_cached)
-    /// semantics with both the cache and the telemetry context optional.
-    /// Records pipeline spans and solver metrics on `obs` (see
-    /// [`crate::par::solve_observed`]); observability is effect-free, so
-    /// the outcome is byte-identical to the unobserved calls.
-    pub fn place_observed(
-        &self,
-        instance: &Instance,
-        objective: Objective,
-        cache: Option<&crate::warm::WarmCache>,
-        obs: Option<&flowplace_obs::Obs>,
-    ) -> crate::par::ParOutcome {
-        crate::par::solve_observed(instance, objective, &self.options, cache, obs)
+        let ctx = crate::par::SolveCtx::default();
+        Ok(crate::par::solve(instance, objective, &self.options, ctx).outcome)
     }
 }
 
 /// ILP solve over already-built (and already monitor-restricted)
-/// candidates. Shared by the serial path, the parallel pipeline, and the
-/// portfolio racer — keeping them on one code path is what makes the
-/// serial/parallel byte-identity contract hold.
+/// candidates. Shared by the single-engine pipeline and the portfolio
+/// racer.
 pub(crate) fn place_ilp_with(
     options: &PlacementOptions,
     instance: &Instance,

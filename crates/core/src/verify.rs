@@ -767,7 +767,7 @@ mod tests {
     /// not route 0 was scoped out.
     #[test]
     fn skip_preserves_later_route_rng_stream() {
-        let (inst, p) = two_ingress_instance();
+        let (inst, _) = two_ingress_instance();
         // Break ingress 1 only: drop its DROP rule from the deployment.
         let mut broken = Placement::new();
         broken.place(EntryPortId(0), RuleId(0), SwitchId(0));

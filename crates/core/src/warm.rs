@@ -16,7 +16,8 @@
 //! 2. **Structural caches.** [`WarmCache`] keeps dependency graphs keyed
 //!    by policy fingerprint and per-ingress candidate sets keyed by
 //!    ingress fingerprint. Stages 1/2 of the parallel pipeline
-//!    ([`crate::par::solve_with_cache`]) recompute only dirty ingresses;
+//!    ([`crate::par::solve`] given a [`crate::SolveCtx::warm`])
+//!    recompute only dirty ingresses;
 //!    cached entries are byte-identical to a cold build because the
 //!    cached value *is* the output of the same pure function the cold
 //!    path runs, keyed by a hash of that function's entire input.

@@ -73,8 +73,8 @@ use flowplace_acl::{Action, Policy, Ternary};
 use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
 use flowplace_core::verify::VerifyMode;
 use flowplace_core::{
-    incremental, verify, Instance, Objective, Placement, PlacementOptions, RulePlacer, WarmCache,
-    WarmConfig,
+    incremental, par, verify, Instance, Objective, Placement, PlacementOptions, SolveCtx,
+    WarmCache, WarmConfig,
 };
 use flowplace_fasthash::FnvHashSet;
 use flowplace_obs::{AttrValue, Obs, SpanId};
@@ -269,14 +269,23 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Hit rate over the lookups of this call, in `[0, 1]` (`1.0` for
-    /// an empty call).
+    /// Share of the lookups the cache could have answered — those that
+    /// matched a deployed entry — that it did answer, in `[0, 1]` (`1.0`
+    /// when nothing matched).
     pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
+        let matched = self.hits + self.misses;
+        if matched == 0 {
             1.0
         } else {
-            self.hits as f64 / self.lookups as f64
+            self.hits as f64 / matched as f64
         }
+    }
+
+    /// Lookups that matched no deployed entry on their switch
+    /// ([`CacheLookup::NoMatch`]): every lookup is a hit, a miss or one
+    /// of these.
+    pub fn no_match(&self) -> u64 {
+        self.lookups - self.hits - self.misses
     }
 }
 
@@ -1084,13 +1093,13 @@ impl Controller {
                 policy,
                 routes,
             } => {
-                match incremental::install_policies_cached(
+                match incremental::install_policies(
                     instance,
                     placement,
                     vec![(*ingress, policy.clone(), routes.clone())],
                     &self.options.placement,
                     self.options.objective.clone(),
-                    Some(&self.warm),
+                    self.sub_solve_ctx(),
                 ) {
                     Ok(out) => {
                         if let Some(p) = out.placement {
@@ -1116,14 +1125,14 @@ impl Controller {
                 Ok((updated, solved, Tier::Full))
             }
             Event::Reroute { ingress, routes } => {
-                match incremental::reroute_policy_cached(
+                match incremental::reroute_policy(
                     instance,
                     placement,
                     *ingress,
                     routes.clone(),
                     &self.options.placement,
                     self.options.objective.clone(),
-                    Some(&self.warm),
+                    self.sub_solve_ctx(),
                 ) {
                     Ok(out) => {
                         if let Some(p) = out.placement {
@@ -1206,14 +1215,14 @@ impl Controller {
             .filter(|r| r.ingress == ingress)
             .cloned()
             .collect();
-        match incremental::reroute_policy_cached(
+        match incremental::reroute_policy(
             &updated,
             placement,
             ingress,
             routes,
             &self.options.placement,
             self.options.objective.clone(),
-            Some(&self.warm),
+            self.sub_solve_ctx(),
         ) {
             Ok(out) => {
                 if let Some(p) = out.placement {
@@ -1226,18 +1235,31 @@ impl Controller {
         Ok((updated, solved, Tier::Full))
     }
 
+    /// Context of the restricted sub-solves (restricted tier, salvage,
+    /// delegation): warm cache only. Their pipeline runs record no
+    /// spans — only [`full_solve`](Self::full_solve) is observed.
+    fn sub_solve_ctx(&self) -> SolveCtx<'_> {
+        SolveCtx {
+            warm: Some(&self.warm),
+            obs: None,
+        }
+    }
+
     /// Full re-solve of `instance` through the warm cache (a replayed
     /// or rolled-back epoch returns its memoized placement in O(1));
     /// error if no feasible placement exists.
     fn full_solve(&self, instance: &Instance) -> Result<Placement, String> {
-        let outcome = RulePlacer::new(self.options.placement.clone())
-            .place_observed(
-                instance,
-                self.options.objective.clone(),
-                Some(&self.warm),
-                self.obs.as_ref(),
-            )
-            .outcome;
+        let ctx = SolveCtx {
+            warm: Some(&self.warm),
+            obs: self.obs.as_ref(),
+        };
+        let outcome = par::solve(
+            instance,
+            self.options.objective.clone(),
+            &self.options.placement,
+            ctx,
+        )
+        .outcome;
         outcome
             .placement
             .ok_or_else(|| format!("full re-solve failed: {}", outcome.status))
@@ -1676,14 +1698,14 @@ impl Controller {
         let mut stripped = placement.clone();
         stripped.remove_ingress(ingress);
         let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
-        if let Ok(out) = incremental::replace_ingresses_cached(
+        if let Ok(out) = incremental::replace_ingresses(
             &restored,
             &stripped,
             &[ingress],
             &excluded,
             &self.options.placement,
             self.options.objective.clone(),
-            Some(&self.warm),
+            self.sub_solve_ctx(),
         ) {
             if let Some(p) = out.placement {
                 *instance = out.instance;
@@ -1746,14 +1768,14 @@ impl Controller {
         }
         let targets: Vec<EntryPortId> = affected.iter().copied().collect();
         // Tier 1: one batched restricted re-solve of the affected set.
-        if let Ok(out) = incremental::replace_ingresses_cached(
+        if let Ok(out) = incremental::replace_ingresses(
             instance,
             placement,
             &targets,
             &excluded,
             &self.options.placement,
             self.options.objective.clone(),
-            Some(&self.warm),
+            self.sub_solve_ctx(),
         ) {
             if let Some(p) = out.placement {
                 *instance = out.instance;
@@ -1779,14 +1801,14 @@ impl Controller {
                 continue;
             }
             let mut salvaged = false;
-            if let Ok(out) = incremental::replace_ingresses_cached(
+            if let Ok(out) = incremental::replace_ingresses(
                 instance,
                 placement,
                 &[l],
                 &excluded,
                 &self.options.placement,
                 self.options.objective.clone(),
-                Some(&self.warm),
+                self.sub_solve_ctx(),
             ) {
                 if let Some(p) = out.placement {
                     *instance = out.instance;
@@ -1835,14 +1857,14 @@ impl Controller {
         self.span_attr(span, "ingress", ingress.to_string());
         self.span_attr(span, "delegate", d.delegate.to_string());
         let mut placed = false;
-        if let Ok(out) = incremental::replace_ingresses_cached(
+        if let Ok(out) = incremental::replace_ingresses(
             &detoured,
             placement,
             &[ingress],
             excluded,
             &self.options.placement,
             self.options.objective.clone(),
-            Some(&self.warm),
+            self.sub_solve_ctx(),
         ) {
             if let Some(p) = out.placement {
                 let used = p
@@ -1949,14 +1971,14 @@ impl Controller {
             p.remove_ingress(l);
             planned.push((l, d));
             let targets: Vec<EntryPortId> = planned.iter().map(|(l, _)| *l).collect();
-            if let Ok(out) = incremental::replace_ingresses_cached(
+            if let Ok(out) = incremental::replace_ingresses(
                 &inst,
                 &p,
                 &targets,
                 &excluded,
                 &self.options.placement,
                 self.options.objective.clone(),
-                Some(&self.warm),
+                self.sub_solve_ctx(),
             ) {
                 if let Some(np) = out.placement {
                     // It fits again: record the delegations the

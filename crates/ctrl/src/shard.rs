@@ -42,8 +42,8 @@
 //! the deterministic verdict is implied by purity, so the result —
 //! including which violation would be reported first — is byte-identical
 //! to the full sweep. Finer partitions invalidate less per event, which
-//! is why event throughput scales with the shard count even on one
-//! core (`BENCH_shard.json`).
+//! is why event throughput scales with the shard count, up to the
+//! tenant count, even on one core (DESIGN.md §17).
 //!
 //! ## Capacity arbiter
 //!

@@ -4,10 +4,10 @@
 //! order, integers only — the byte stream is a pure function of the
 //! recorded events (the determinism contract the differential tests
 //! rely on). The parser is a minimal recursive-descent JSON reader (the
-//! workspace is dependency-free by design, mirroring the one in
-//! `flowplace-bench`), and [`validate_obs_json`] checks both structure
-//! and semantics: span intervals must nest, metric rows must be sorted,
-//! histogram buckets must sum to their count.
+//! workspace is dependency-free by design; this is its only one), and
+//! [`validate_obs_json`] checks both structure and semantics: span
+//! intervals must nest, metric rows must be sorted, histogram buckets
+//! must sum to their count.
 
 use crate::metrics::{Histogram, MetricValue, Registry, Sample, HISTOGRAM_BOUNDS};
 use crate::span::Recorder;

@@ -16,9 +16,8 @@
 //!
 //! Both halves serialize to the canonical `flowplace.obs.v1` JSON
 //! schema ([`SCHEMA`]); [`json::validate_obs_json`] is the in-tree
-//! validator (mirroring the `BENCH_*.json` pattern in
-//! `flowplace-bench`), and [`summary::summarize`] renders a dump as a
-//! human table for `flowplace obs summarize`.
+//! validator, and [`summary::summarize`] renders a dump as a human
+//! table for `flowplace obs summarize`.
 //!
 //! # Determinism rules
 //!

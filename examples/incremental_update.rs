@@ -64,6 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![(new_ingress, new_policy, new_routes)],
         &options,
         Objective::TotalRules,
+        SolveCtx::default(),
     )?;
     println!(
         "tenant join: {} in {:?} (sub-problem only)",
@@ -87,6 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rerouted,
         &options,
         Objective::TotalRules,
+        SolveCtx::default(),
     )?;
     println!("route change: {} in {:?}", out.status, out.elapsed);
     let (instance, placement) = (out.instance, out.placement.expect("reroute fits"));

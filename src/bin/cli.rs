@@ -14,7 +14,7 @@ use std::process::ExitCode;
 
 use flowplace::acl::{redundancy, textfmt, Policy};
 use flowplace::classbench::{Generator, Profile};
-use flowplace::core::{depgraph::DependencyGraph, tables, verify};
+use flowplace::core::{depgraph::DependencyGraph, par, tables, verify};
 use flowplace::milp::MipOptions;
 use flowplace::prelude::*;
 use flowplace::routing::shortest;
@@ -381,25 +381,22 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let obs = obs_requested(&flags);
-    let placer = RulePlacer::new(options);
-    let outcome = if parallel.is_parallel() || obs.is_some() {
-        let par = placer.place_observed(&instance, objective, None, obs.as_ref());
-        if parallel.is_parallel() {
-            println!(
-                "pipeline: {} threads, engine {} (stages: deps {:?}, candidates {:?}, solve {:?})",
-                parallel.effective_threads(),
-                par.provenance,
-                par.stages.depgraphs,
-                par.stages.candidates,
-                par.stages.solve
-            );
-        }
-        par.outcome
-    } else {
-        placer
-            .place(&instance, objective)
-            .expect("placement is infallible")
+    let ctx = SolveCtx {
+        warm: None,
+        obs: obs.as_ref(),
     };
+    let par = par::solve(&instance, objective, &options, ctx);
+    if parallel.is_parallel() {
+        println!(
+            "pipeline: {} threads, engine {} (stages: deps {:?}, candidates {:?}, solve {:?})",
+            parallel.effective_threads(),
+            par.provenance,
+            par.stages.depgraphs,
+            par.stages.candidates,
+            par.stages.solve
+        );
+    }
+    let outcome = par.outcome;
     write_obs_outputs(&flags, obs.as_ref())?;
     println!(
         "status: {} in {:?} ({} vars, {} rows, {} nodes)",
@@ -638,16 +635,20 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
         let flows = flowplace::traffic::parse_flows(&ftext).map_err(|e| format!("{fpath}: {e}"))?;
         let fr = ctrl.process_flows(&flows);
         println!(
-            "flows: {} processed ({} hit, {} miss, {} unrouted), hit rate {:.1}%",
+            "flows: {} processed ({} hit, {} miss, {} unrouted), hit rate {:.1}% \
+             ({} hits, {} misses, {} no-match)",
             fr.flows,
             fr.hit_flows,
             fr.miss_flows,
             fr.unrouted,
-            fr.hit_rate() * 100.0
+            fr.hit_rate() * 100.0,
+            fr.hits,
+            fr.misses,
+            fr.no_match()
         );
         println!(
-            "cache: {} lookups, {} hits, {} misses, {} inserts, {} evictions",
-            fr.lookups, fr.hits, fr.misses, fr.inserts, fr.evictions
+            "cache: {} lookups, {} inserts, {} evictions",
+            fr.lookups, fr.inserts, fr.evictions
         );
         println!(
             "controller load: {} re-solves over {} miss batches, {}ms punt latency",
@@ -801,6 +802,14 @@ fn traffic_gen_inner(args: &[String]) -> Result<(), String> {
     }
     if config.width == 0 || config.width > 128 {
         return Err("--width must be in 1..=128".into());
+    }
+    // The samplers allocate one CDF slot per flow / ingress: bound both
+    // by what --width can address and by a fixed ceiling.
+    let limit = 1usize << config.width.min(24);
+    if config.ingresses > limit || config.flows_per_ingress > limit {
+        return Err(format!(
+            "--ingresses and --flows must be at most {limit} (2^width, capped at 2^24)"
+        ));
     }
     let flows = generate(&config);
     let text = format_flows(&flows);

@@ -80,8 +80,8 @@ pub mod prelude {
     pub use flowplace_acl::{Action, Packet, Policy, Rule, RuleId, Ternary};
     pub use flowplace_core::{
         DependencyEncoding, Instance, Objective, ParOutcome, ParallelConfig, Placement,
-        PlacementOptions, PlacementOutcome, PlacerEngine, Provenance, RulePlacer, SolveStatus,
-        StageTimes,
+        PlacementOptions, PlacementOutcome, PlacerEngine, Provenance, RulePlacer, SolveCtx,
+        SolveStatus, StageTimes,
     };
     pub use flowplace_ctrl::{Controller, CtrlOptions, CtrlStats, Event, Tier};
     pub use flowplace_obs::Obs;

@@ -97,6 +97,15 @@ fn eviction_is_dependency_safe_for_32_seeds() {
             let report = ctrl.process_flows(&flows);
 
             assert_eq!(report.flows, flows.len() as u64, "seed {seed}");
+            // Every lookup is a hit, a miss or a no-match (the derived
+            // count must not underflow), and the rate is over the first
+            // two only.
+            assert_eq!(
+                report.hits + report.misses + report.no_match(),
+                report.lookups,
+                "seed {seed} {policy}: {report:?}"
+            );
+            assert!((0.0..=1.0).contains(&report.hit_rate()), "seed {seed}");
             assert_eq!(
                 report.dep_violations, 0,
                 "seed {seed} {policy} cap={capacity}: dependency violation: {report:?}"

@@ -179,4 +179,20 @@ fn bad_flags_reported() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("needs a value"));
     let out = flowplace(&["audit"]);
     assert!(!out.status.success());
+    // Sizes from outside are bounded before anything allocates for them
+    // (usize::MAX flows used to abort with `capacity overflow`).
+    for args in [
+        ["traffic", "gen", "--flows", "18446744073709551615"],
+        ["traffic", "gen", "--ingresses", "16777217"],
+    ] {
+        let out = flowplace(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.starts_with("error: ") && err.contains("at most"),
+            "{err}"
+        );
+    }
+    let out = flowplace(&["traffic", "gen", "--width", "4", "--flows", "17"]);
+    assert_eq!(out.status.code(), Some(2));
 }

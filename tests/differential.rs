@@ -18,7 +18,7 @@
 //! seed instead of a corpus bisect.
 
 use flowplace::classbench::{Generator, Profile};
-use flowplace::core::par::ParallelConfig;
+use flowplace::core::par::{self, ParallelConfig};
 use flowplace::core::verify;
 use flowplace::core::{greedy, Instance};
 use flowplace::prelude::*;
@@ -89,7 +89,12 @@ fn check_identity(cfg: &Config, threads: usize) -> Result<(), String> {
         },
         ..serial_options()
     };
-    let par = RulePlacer::new(par_options).place_par(&instance, Objective::TotalRules);
+    let par = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &par_options,
+        SolveCtx::default(),
+    );
     if par.outcome.status != serial.status {
         return Err(format!(
             "status diverged: serial {:?}, parallel {:?}",
@@ -240,33 +245,34 @@ fn ilp_greedy_and_sat_placements_are_fail_closed() {
     }
 }
 
-/// Solves one configuration with the PB-SAT engine under the modern
-/// glucose restart strategy (`--sat-restart glucose`) and the given
-/// thread count, returning everything determinism must pin down:
+/// Everything determinism must pin down about one PB-SAT solve:
 /// placement, status, objective, and the raw CDCL counters.
-fn glucose_solve(
-    cfg: &Config,
-    threads: usize,
-) -> (
+type SatSolve = (
     Option<flowplace::core::Placement>,
     SolveStatus,
     Option<f64>,
     flowplace::pbsat::SolverStats,
-) {
+);
+
+/// Solves one configuration with the PB-SAT engine under the given CDCL
+/// options and thread count.
+fn sat_solve(cfg: &Config, sat: flowplace::pbsat::SolverOptions, threads: usize) -> SatSolve {
     let instance = cfg.build();
     let options = PlacementOptions {
         engine: PlacerEngine::Sat,
-        sat: flowplace::pbsat::SolverOptions {
-            restart: flowplace::pbsat::RestartStrategy::Glucose,
-            db_reduction: true,
-        },
+        sat,
         parallel: ParallelConfig {
             threads,
             portfolio: false,
         },
         ..serial_options()
     };
-    let out = RulePlacer::new(options).place_par(&instance, Objective::TotalRules);
+    let out = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options,
+        SolveCtx::default(),
+    );
     let stats = out
         .outcome
         .stats
@@ -280,6 +286,25 @@ fn glucose_solve(
     )
 }
 
+/// [`sat_solve`] under the modern glucose restart strategy
+/// (`--sat-restart glucose`).
+fn glucose_solve(cfg: &Config, threads: usize) -> SatSolve {
+    let glucose = flowplace::pbsat::SolverOptions {
+        restart: flowplace::pbsat::RestartStrategy::Glucose,
+        db_reduction: true,
+    };
+    sat_solve(cfg, glucose, threads)
+}
+
+/// The 256-rule ClassBench shape (16 tenants × 16 rules on the k=4
+/// fat-tree), larger than any seeded corpus instance.
+const CLB_256: Config = Config {
+    seed: 7,
+    ingresses: 16,
+    rules: 16,
+    capacity: 100,
+};
+
 #[test]
 fn glucose_sat_engine_is_deterministic_across_thread_counts() {
     // Same seed + same options ⇒ byte-identical placements AND
@@ -287,8 +312,12 @@ fn glucose_sat_engine_is_deterministic_across_thread_counts() {
     // LBD sums) at any `--threads`. The CDCL search itself is
     // single-threaded per solve, so even the effort counters must not
     // wobble when the surrounding pipeline fans out.
-    for seed in 0..CORPUS {
-        let cfg = Config::from_seed(seed);
+    let luby = flowplace::pbsat::SolverOptions {
+        restart: flowplace::pbsat::RestartStrategy::Luby,
+        db_reduction: false,
+    };
+    for cfg in (0..CORPUS).map(Config::from_seed).chain([CLB_256]) {
+        let seed = cfg.seed;
         let reference = glucose_solve(&cfg, 1);
         for threads in [4usize, 0] {
             let got = glucose_solve(&cfg, threads);
@@ -303,6 +332,16 @@ fn glucose_sat_engine_is_deterministic_across_thread_counts() {
         assert_eq!(
             replay, reference,
             "glucose SAT replay wobbled (seed {seed})"
+        );
+        // The baseline arm (Luby restarts, no learnt-DB reduction) runs
+        // the identical encoding; a SAT model is not unique in general,
+        // so the arms decoding different placements means the restart
+        // machinery perturbed a search it should not have reached.
+        let baseline = sat_solve(&cfg, luby, 1);
+        assert_eq!(
+            (&baseline.0, baseline.1),
+            (&reference.0, reference.1),
+            "Luby and glucose arms decoded different placements (seed {seed})"
         );
     }
 }

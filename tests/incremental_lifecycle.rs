@@ -83,6 +83,7 @@ fn lifecycle_with_rolling_updates() {
             )],
             &options(),
             Objective::TotalRules,
+            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal, "week {week} install");
@@ -113,6 +114,7 @@ fn lifecycle_with_rolling_updates() {
         new_routes,
         &options(),
         Objective::TotalRules,
+        SolveCtx::default(),
     )
     .unwrap();
     assert_eq!(out.status, SolveStatus::Optimal);

@@ -3,13 +3,13 @@
 
 CARGO ?= cargo
 
-.PHONY: all ci fmt fmt-check clippy no-raw-print build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos clean
+.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos clean
 
 all: ci
 
-## ci: everything CI runs — format check, clippy, print hygiene,
-## tier-1 build + tests.
-ci: fmt-check clippy no-raw-print test
+## ci: everything CI runs — format check, clippy, print hygiene, doc
+## links, tier-1 build + tests.
+ci: fmt-check clippy no-raw-print doc test
 
 fmt:
 	$(CARGO) fmt --all
@@ -24,6 +24,11 @@ clippy:
 ## or a Write sink, never raw print macros (binaries are exempt).
 no-raw-print:
 	./scripts/no_raw_print.sh
+
+## doc: rustdoc with warnings denied, so an intra-doc link left dangling
+## by a deleted or renamed item fails the build.
+doc:
+	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --offline --workspace
 
 build:
 	$(CARGO) build --release --offline

@@ -14,7 +14,8 @@
 //!   the ILP or (faster, feasibility-only) PB-SAT engine.
 //!   Restriction is conservative: the sub-problem can be infeasible even
 //!   when a from-scratch solve is not; the caller can always fall back.
-//! * **Large scale**: re-run [`RulePlacer::place`] from scratch.
+//! * **Large scale**: re-run [`RulePlacer::place`](crate::RulePlacer::place)
+//!   from scratch.
 
 use std::time::{Duration, Instant};
 

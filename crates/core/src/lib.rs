@@ -99,6 +99,6 @@ pub use placement::{
     PlacerEngine, RulePlacer, SolveStatus,
 };
 pub use warm::{
-    fingerprint_ingress, fingerprint_instance, fingerprint_policy, shard_fingerprint, Fingerprint,
-    WarmCache, WarmConfig, WarmStats,
+    fingerprint_ingress, fingerprint_instance, fingerprint_policy, Fingerprint, WarmCache,
+    WarmConfig, WarmStats,
 };

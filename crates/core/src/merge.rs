@@ -270,72 +270,6 @@ pub fn add_dummy_rules(policy: &Policy, rule: RuleId) -> Policy {
     Policy::from_rules(rules).expect("shifted priorities remain strict")
 }
 
-/// Per-shard accounting of realized merge groups (Eq. 4–5 applied at
-/// the coordination layer of a sharded controller): every group is
-/// billed to exactly one *owner* shard — the smallest shard id among
-/// its members — so summing bucket savings over shards reproduces the
-/// global merge saving with no double counting. Buckets are emitted in
-/// shard-id order, which is the deterministic coordination order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ShardBucket {
-    /// The owning shard (bucket index).
-    pub shard: u32,
-    /// Groups owned by this shard.
-    pub groups: usize,
-    /// TCAM entries saved by those groups (`Σ members − 1`).
-    pub entries_saved: usize,
-    /// Owned groups whose members span more than one shard — the
-    /// shared-rule coupling the coordination step must account globally
-    /// rather than per shard.
-    pub cross_shard_groups: usize,
-    /// Entries saved by the cross-shard subset.
-    pub cross_shard_entries_saved: usize,
-}
-
-/// Buckets realized merge groups by owner shard, in shard-id order.
-///
-/// `shard_of` maps an ingress to its shard and must return values below
-/// `shards`. The owner of a group is the minimum shard over its
-/// members, so cross-shard shared entries are billed deterministically
-/// to the lowest shard — the same rule the capacity arbiter uses when
-/// attributing a merged entry's single TCAM slot.
-///
-/// # Panics
-///
-/// Panics if `shard_of` returns an id `≥ shards`.
-pub fn shard_buckets(
-    groups: &[MergeGroup],
-    shards: u32,
-    mut shard_of: impl FnMut(EntryPortId) -> u32,
-) -> Vec<ShardBucket> {
-    let mut buckets: Vec<ShardBucket> = (0..shards)
-        .map(|shard| ShardBucket {
-            shard,
-            ..ShardBucket::default()
-        })
-        .collect();
-    for g in groups {
-        let member_shards: Vec<u32> = g.members.iter().map(|&(l, _)| shard_of(l)).collect();
-        let owner = *member_shards
-            .iter()
-            .min()
-            .expect("merge groups have ≥ 2 members");
-        assert!(
-            (owner as usize) < buckets.len(),
-            "shard_of returned {owner} for a {shards}-shard bucket set"
-        );
-        let saved = g.members.len() - 1;
-        let bucket = &mut buckets[owner as usize];
-        bucket.groups += 1;
-        bucket.entries_saved += saved;
-        if member_shards.iter().any(|&s| s != owner) {
-            bucket.cross_shard_groups += 1;
-            bucket.cross_shard_entries_saved += saved;
-        }
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,51 +464,5 @@ mod tests {
         assert_eq!(g.members.len(), 2);
         let policies: Vec<EntryPortId> = g.members.iter().map(|(l, _)| *l).collect();
         assert_eq!(policies, vec![EntryPortId(0), EntryPortId(1)]);
-    }
-
-    fn group(switch: usize, members: &[(usize, usize)]) -> MergeGroup {
-        MergeGroup {
-            switch: SwitchId(switch),
-            match_field: t("11**"),
-            action: Action::Drop,
-            members: members
-                .iter()
-                .map(|&(l, r)| (EntryPortId(l), RuleId(r)))
-                .collect(),
-        }
-    }
-
-    #[test]
-    fn shard_buckets_bill_each_group_once_to_min_shard() {
-        // Shard by ingress parity: l0,l2 -> shard 0; l1,l3 -> shard 1.
-        let groups = vec![
-            group(0, &[(0, 0), (2, 0)]),         // intra shard 0
-            group(1, &[(1, 0), (3, 1)]),         // intra shard 1
-            group(2, &[(0, 1), (1, 1)]),         // cross, owner 0
-            group(2, &[(1, 2), (2, 2), (3, 0)]), // cross, owner 0 (l2)
-        ];
-        let buckets = shard_buckets(&groups, 2, |l| (l.0 % 2) as u32);
-        assert_eq!(buckets.len(), 2);
-        assert_eq!(buckets[0].shard, 0);
-        assert_eq!(buckets[1].shard, 1);
-        assert_eq!(buckets[0].groups, 3);
-        assert_eq!(buckets[1].groups, 1);
-        assert_eq!(buckets[0].cross_shard_groups, 2);
-        assert_eq!(buckets[1].cross_shard_groups, 0);
-        // Conservation: bucketed savings reproduce the global saving.
-        let global: usize = groups.iter().map(|g| g.members.len() - 1).sum();
-        let bucketed: usize = buckets.iter().map(|b| b.entries_saved).sum();
-        assert_eq!(global, bucketed);
-        assert_eq!(buckets[0].cross_shard_entries_saved, 3);
-    }
-
-    #[test]
-    fn shard_buckets_empty_groups_yield_zeroed_buckets() {
-        let buckets = shard_buckets(&[], 4, |_| 0);
-        assert_eq!(buckets.len(), 4);
-        assert!(buckets
-            .iter()
-            .enumerate()
-            .all(|(i, b)| b.shard == i as u32 && b.groups == 0 && b.entries_saved == 0));
     }
 }

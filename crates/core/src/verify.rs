@@ -8,22 +8,39 @@
 //! form of the paper's semantic-preservation requirement, used throughout
 //! the test suite and available to library users as a deployment check.
 //!
-//! Two relaxations support fault-tolerant controllers:
+//! [`verify_tables`] is the general sweep, relaxed two ways for
+//! fault-tolerant controllers: it checks an arbitrary table set (e.g. the
+//! *actual* dataplane state reconstructed after faults, rather than the
+//! tables emitted from a placement), restricted to the routes the caller
+//! declares live (a safe-mode ingress is fenced by an explicit drop-all,
+//! so its routes deliberately violate exact equivalence and are left
+//! out), and it supports [`VerifyMode::NoFalseNegatives`] — the one-sided
+//! §IV-A guarantee that no packet the policy DROPs is ever permitted,
+//! which must survive degraded operation even when fail-closed drop-all
+//! rules make the deployment stricter than the policy.
 //!
-//! * [`verify_tables`] checks an arbitrary table set (e.g. the *actual*
-//!   dataplane state reconstructed after faults, rather than the tables
-//!   emitted from a placement), can restrict the check to live routes,
-//!   and supports [`VerifyMode::NoFalseNegatives`] — the one-sided §IV-A
-//!   guarantee that no packet the policy DROPs is ever permitted, which
-//!   must survive degraded operation even when fail-closed drop-all
-//!   rules make the deployment stricter than the policy.
-//! * [`verify_placement_excluding`] skips the routes of ingresses that
-//!   are in safe mode (their traffic is dropped wholesale by an explicit
-//!   drop-all entry, so exact equivalence is deliberately violated).
+//! # Verified-route memo
+//!
+//! A route's check reads exactly its policy, its flow slice, its hops,
+//! and on each hop the entries *tagged with its ingress*, in table order
+//! ([`evaluate_route_batch`] reads nothing else: §IV-A5 tags isolate
+//! each policy's rules inside a shared switch). The deterministic part of
+//! the packet set — per-rule corners and pairwise intersections,
+//! quadratic in policy size — is a pure function of those inputs, so
+//! re-running it on unchanged inputs reproduces the verdict it already
+//! gave. [`VerifiedRoutes`] remembers, as 64-bit content keys, the
+//! routes that passed the last successful sweep and replays only the
+//! per-epoch seeded random packets for a route whose key it holds; the
+//! verdict, and the first violation reported, are byte-identical to the
+//! full sweep. A one-rule update (§IV-E) moves the keys of one ingress's
+//! routes; every other route rides the memo. Keys hash content, not
+//! events, so nothing can leave them stale: after a rollback, a reroute
+//! or a fault-driven re-placement a route's key simply is or is not in
+//! the set.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
+use flowplace_fasthash::{Fnv64, FnvHashMap, FnvHashSet};
 use flowplace_rng::{Rng, StdRng};
 
 use flowplace_acl::classify::BatchClassifier;
@@ -33,6 +50,7 @@ use flowplace_topo::EntryPortId;
 
 use crate::placement::Placement;
 use crate::tables::{emit_tables, SwitchTable, TableError};
+use crate::warm::{fingerprint_policy, hash_flow};
 use crate::Instance;
 
 /// A semantic violation found by [`verify_placement`].
@@ -279,22 +297,15 @@ pub fn verify_tables(
 /// seeded random packets, skipping the per-rule corner and pairwise
 /// intersection packet sets (and their construction cost).
 ///
-/// Soundness contract: the deterministic packet set of a route is a pure
-/// function of `(policy, route, tables on the route)`. A caller may skip
-/// it only when it has previously verified the route against
-/// byte-identical inputs — in which case re-evaluating it would
-/// reproduce the same (passing) verdict. The random packets change with
-/// `seed`, so they are always re-evaluated; the per-route RNG draws are
-/// a fixed count (see `route_random_packets`), so skipping one route's
-/// deterministic set never perturbs another route's packet stream. Under
-/// that contract the result is byte-identical to the unscoped walk,
-/// including which violation is reported first.
-///
-/// # Errors
-///
-/// The first violation found on a live route, in route order then packet
-/// draw order.
-pub fn verify_tables_scoped(
+/// Sound only when the skipped route already passed against identical
+/// inputs — which is why this is private and [`VerifiedRoutes`] is the
+/// one caller that skips. The random packets change with `seed`, so they
+/// are always re-evaluated; the per-route RNG draws are a fixed count
+/// (see `route_random_packets`), so skipping one route's deterministic
+/// set never perturbs another route's packet stream, and the result is
+/// byte-identical to the unscoped walk, including which violation is
+/// reported first (route order, then packet draw order).
+fn verify_tables_scoped(
     instance: &Instance,
     tables: &[SwitchTable],
     random_per_route: usize,
@@ -347,6 +358,110 @@ pub fn verify_tables_scoped(
     Ok(())
 }
 
+/// The content key of every route's verification inputs, in route
+/// order: [`fingerprint_policy`] of the ingress policy, the ingress, the
+/// flow slice, the hop sequence, and per hop the ordered `(width, care,
+/// value, is_drop)` of that switch's entries whose tags contain the
+/// ingress. Priorities are left out (renumbering a switch keeps
+/// first-match order), and so are other tenants' entries, contributors
+/// and the egress: the check reads none of them.
+fn route_keys(instance: &Instance, tables: &[SwitchTable]) -> Vec<u64> {
+    // One pass over the tables hashes every (switch, tag) slice; entries
+    // arrive in table order, so each slice hashes in first-match order.
+    let mut slices: FnvHashMap<(usize, EntryPortId), Fnv64> = FnvHashMap::default();
+    for (s, table) in tables.iter().enumerate() {
+        for e in table.entries() {
+            for &tag in &e.tags {
+                let h = slices.entry((s, tag)).or_default();
+                h.u64(u64::from(e.match_field.width()));
+                h.u128(e.match_field.care());
+                h.u128(e.match_field.value());
+                h.bool(e.action.is_drop());
+            }
+        }
+    }
+    let policies: FnvHashMap<EntryPortId, u64> = instance
+        .policies()
+        .map(|(l, q)| (l, fingerprint_policy(q).0))
+        .collect();
+    instance
+        .routes()
+        .iter()
+        .map(|route| {
+            let mut h = Fnv64::new();
+            h.u64(policies[&route.ingress]);
+            h.usize(route.ingress.0);
+            hash_flow(&mut h, &route.flow);
+            h.usize(route.switches.len());
+            for s in &route.switches {
+                h.usize(s.0);
+                let slice = slices.get(&(s.0, route.ingress)).copied();
+                h.u64(slice.unwrap_or_default().finish());
+            }
+            h.finish()
+        })
+        .collect()
+}
+
+/// The routes that passed the last successful sweep, as 64-bit content
+/// keys of their verification inputs (see the module docs). A verifier
+/// that owns one of these pays the quadratic deterministic packet set
+/// only for routes whose inputs changed since then. The default is
+/// empty: the first sweep verifies every route in full.
+#[derive(Clone, Debug, Default)]
+pub struct VerifiedRoutes {
+    keys: FnvHashSet<u64>,
+    routes_full: u64,
+    routes_skipped: u64,
+}
+
+impl VerifiedRoutes {
+    /// [`verify_tables`] in [`VerifyMode::Exact`] over every route, with
+    /// the same verdict and the same first violation, skipping the
+    /// deterministic packet set of each route whose key is held. On `Ok`
+    /// the held keys are replaced by this sweep's; on `Err` they stay
+    /// (each still names inputs that passed).
+    ///
+    /// # Errors
+    ///
+    /// The first violation found, in route order then packet draw order.
+    pub fn verify(
+        &mut self,
+        instance: &Instance,
+        tables: &[SwitchTable],
+        random_per_route: usize,
+        seed: u64,
+    ) -> Result<(), VerifyError> {
+        let keys = route_keys(instance, tables);
+        let held: Vec<bool> = keys.iter().map(|k| self.keys.contains(k)).collect();
+        let skipped = held.iter().filter(|&&h| h).count() as u64;
+        self.routes_skipped += skipped;
+        self.routes_full += keys.len() as u64 - skipped;
+        verify_tables_scoped(
+            instance,
+            tables,
+            random_per_route,
+            seed,
+            VerifyMode::Exact,
+            |_| true,
+            |i, _| held[i],
+        )?;
+        self.keys = keys.into_iter().collect();
+        Ok(())
+    }
+
+    /// Routes verified in full so far, summed over sweeps.
+    pub fn routes_full(&self) -> u64 {
+        self.routes_full
+    }
+
+    /// Routes whose deterministic packet set was skipped so far, summed
+    /// over sweeps.
+    pub fn routes_skipped(&self) -> u64 {
+        self.routes_skipped
+    }
+}
+
 /// Emits switch tables for `placement` and checks semantic equivalence
 /// with every ingress policy on every route, over a packet set combining
 /// per-rule corners, pairwise rule intersections, and `random_per_route`
@@ -362,31 +477,6 @@ pub fn verify_placement(
     random_per_route: usize,
     seed: u64,
 ) -> Result<(), VerifyError> {
-    verify_placement_excluding(
-        instance,
-        placement,
-        random_per_route,
-        seed,
-        &BTreeSet::new(),
-    )
-}
-
-/// [`verify_placement`], but skipping the routes of the given ingresses.
-/// A fault-tolerant controller passes its safe-mode set here: those
-/// ingresses are covered by an explicit drop-all (fail-closed by
-/// construction) and intentionally violate exact equivalence.
-///
-/// # Errors
-///
-/// The first violation found on a non-excluded route, or a
-/// table-emission failure.
-pub fn verify_placement_excluding(
-    instance: &Instance,
-    placement: &Placement,
-    random_per_route: usize,
-    seed: u64,
-    exclude: &BTreeSet<EntryPortId>,
-) -> Result<(), VerifyError> {
     let tables = emit_tables(instance, placement)?;
     verify_tables(
         instance,
@@ -394,7 +484,7 @@ pub fn verify_placement_excluding(
         random_per_route,
         seed,
         VerifyMode::Exact,
-        |route| !exclude.contains(&route.ingress),
+        |_| true,
     )
 }
 
@@ -479,7 +569,7 @@ pub fn verify_placement_exhaustive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowplace_acl::{Policy, RuleId};
+    use flowplace_acl::{Policy, Rule, RuleId};
     use flowplace_routing::RouteSet;
     use flowplace_topo::{SwitchId, Topology};
 
@@ -682,9 +772,11 @@ mod tests {
         // Empty placement: ingress 0's DROP is uncovered...
         assert!(verify_placement(&inst, &Placement::new(), 16, 7).is_err());
         // ...but excluding ingress 0 (e.g. it is in safe mode) passes.
-        let skip = BTreeSet::from([EntryPortId(0)]);
-        verify_placement_excluding(&inst, &Placement::new(), 16, 7, &skip)
-            .expect("excluded ingress is not checked");
+        let tables = emit_tables(&inst, &Placement::new()).unwrap();
+        verify_tables(&inst, &tables, 16, 7, VerifyMode::Exact, |r| {
+            r.ingress != EntryPortId(0)
+        })
+        .expect("excluded ingress is not checked");
     }
 
     #[test]
@@ -836,5 +928,197 @@ mod tests {
         )
         .expect("skip without the contract is vacuous by design");
         assert!(verify_tables(&inst, &tables, 0, 3, VerifyMode::Exact, |_| true).is_err());
+    }
+
+    // -----------------------------------------------------------------
+    // Verified-route memo: mutation harness
+    // -----------------------------------------------------------------
+
+    const A: EntryPortId = EntryPortId(0);
+    const B: EntryPortId = EntryPortId(1);
+
+    /// Two tenants on `star(3)` (hub `s0`; A enters at `s1`, B at `s2`),
+    /// two routes each, all crossing the hub. The DROP both policies
+    /// share is merged into one two-tag hub entry; A's PERMIT/DROP pair
+    /// sits once per route on the far leaves `s2` and `s3`, B's on its
+    /// own leaf `s2` — so `s2` holds both tenants' entries, A's route
+    /// through `s3` never sees A's entries on `s2`, and both of B's
+    /// routes cross a switch that holds A's.
+    fn shared_switch_deployment() -> (Instance, Placement) {
+        let mut topo = Topology::star(3);
+        topo.set_uniform_capacity(8);
+        let route = |l, egress, hops: [usize; 3]| {
+            Route::new(l, EntryPortId(egress), hops.map(SwitchId).to_vec())
+        };
+        let routes = RouteSet::from_routes(vec![
+            route(A, 1, [1, 0, 2]),
+            route(A, 2, [1, 0, 3]),
+            route(B, 0, [2, 0, 1]),
+            route(B, 2, [2, 0, 3]),
+        ]);
+        let a = Policy::from_ordered(vec![
+            (t("11**"), Action::Permit),
+            (t("1***"), Action::Drop),
+            (t("0101"), Action::Drop),
+        ])
+        .unwrap();
+        let b = Policy::from_ordered(vec![
+            (t("1111"), Action::Permit),
+            (t("111*"), Action::Drop),
+            (t("0101"), Action::Drop),
+        ])
+        .unwrap();
+        let inst = Instance::new(topo, routes, vec![(A, a), (B, b)]).unwrap();
+        let mut p = Placement::new();
+        for (l, leaves) in [(A, &[2, 3][..]), (B, &[2])] {
+            for &leaf in leaves {
+                p.place(l, RuleId(0), SwitchId(leaf));
+                p.place(l, RuleId(1), SwitchId(leaf));
+            }
+            p.place(l, RuleId(2), SwitchId(0));
+        }
+        p.record_merge(crate::merge::MergeGroup {
+            switch: SwitchId(0),
+            match_field: t("0101"),
+            action: Action::Drop,
+            members: vec![(A, RuleId(2)), (B, RuleId(2))],
+        });
+        (inst, p)
+    }
+
+    /// `inst` with tenant `l`'s policy and the route set replaced.
+    fn rebuilt(inst: &Instance, l: EntryPortId, policy: Policy, routes: RouteSet) -> Instance {
+        let other = if l == A { B } else { A };
+        let policies = vec![(l, policy), (other, inst.policy(other).unwrap().clone())];
+        Instance::new(inst.topology().clone(), routes, policies).unwrap()
+    }
+
+    /// One route's verification inputs spelled out, un-hashed — what a
+    /// [`VerifiedRoutes`] key must be a faithful digest of.
+    #[derive(PartialEq)]
+    struct Inputs {
+        policy: Policy,
+        route: Route,
+        slices: Vec<Vec<(Ternary, Action)>>,
+    }
+
+    fn inputs(inst: &Instance, tables: &[SwitchTable]) -> Vec<Inputs> {
+        let slice = |s: &SwitchId, l| {
+            let tagged = tables[s.0].entries().iter().filter(|e| e.tags.contains(&l));
+            tagged.map(|e| (e.match_field, e.action)).collect()
+        };
+        let spell = |r: &Route| Inputs {
+            policy: inst.policy(r.ingress).unwrap().clone(),
+            // The egress is not an input of the check.
+            route: Route {
+                egress: EntryPortId(0),
+                ..r.clone()
+            },
+            slices: r.switches.iter().map(|s| slice(s, r.ingress)).collect(),
+        };
+        inst.routes().iter().map(spell).collect()
+    }
+
+    /// Runs a copy of the warmed memo and the full sweep on the same
+    /// inputs, without random packets (so an unsound skip cannot be
+    /// masked by a lucky draw) and with: the verdicts must be equal, and
+    /// exactly the routes whose spelled-out inputs the warm sweep `seen`
+    /// must be counted skipped. Returns the verdict without random
+    /// packets.
+    fn check(
+        warm: &VerifiedRoutes,
+        seen: &[Inputs],
+        inst: &Instance,
+        tables: &[SwitchTable],
+    ) -> Result<(), VerifyError> {
+        let now = inputs(inst, tables);
+        let unchanged = now.iter().filter(|i| seen.contains(i)).count() as u64;
+        let mut verdict = Ok(());
+        for random in [4, 0] {
+            let mut memo = warm.clone();
+            let scoped = memo.verify(inst, tables, random, 11);
+            verdict = verify_tables(inst, tables, random, 11, VerifyMode::Exact, |_| true);
+            assert_eq!(scoped, verdict, "memo changed the verdict");
+            assert_eq!(memo.routes_skipped() - warm.routes_skipped(), unchanged);
+            assert_eq!(memo.routes_full() - warm.routes_full(), 4 - unchanged);
+        }
+        verdict
+    }
+
+    #[test]
+    fn memo_matches_the_full_sweep_under_every_mutation() {
+        let (inst, placement) = shared_switch_deployment();
+        let tables = emit_tables(&inst, &placement).unwrap();
+        let all = || tables.iter().flat_map(|t| t.entries());
+        assert!(all().any(|e| e.tags.len() == 2), "no merged entry");
+        let mut warm = VerifiedRoutes::default();
+        warm.verify(&inst, &tables, 4, 7)
+            .expect("fixture is correct");
+        assert_eq!((warm.routes_full(), warm.routes_skipped()), (4, 0));
+        let seen = inputs(&inst, &tables);
+        // Nothing changed: every route rides the memo.
+        check(&warm, &seen, &inst, &tables).expect("still correct");
+
+        // Every single-entry mutation of the emitted tables.
+        for (s, table) in tables.iter().enumerate() {
+            let entries = table.entries();
+            let run = |mutant: Vec<crate::tables::TableEntry>| {
+                let mut mutated = tables.clone();
+                mutated[s] = SwitchTable::from_entries(mutant);
+                check(&warm, &seen, &inst, &mutated)
+            };
+            for i in 0..entries.len() {
+                let mut deleted = entries.to_vec();
+                deleted.remove(i);
+                assert!(run(deleted).is_err(), "s{s}[{i}] deleted, unflagged");
+                let mut flipped = entries.to_vec();
+                flipped[i].action = flipped[i].action.opposite();
+                assert!(run(flipped).is_err(), "s{s}[{i}] flipped, unflagged");
+                // Swap with the next entry sharing a tag (from_entries
+                // orders by priority, so swapping those swaps places).
+                let shares = |j: &usize| !entries[i].tags.is_disjoint(&entries[*j].tags);
+                if let Some(j) = (i + 1..entries.len()).find(shares) {
+                    let mut swapped = entries.to_vec();
+                    swapped[i].priority = entries[j].priority;
+                    swapped[j].priority = entries[i].priority;
+                    let _ = run(swapped);
+                }
+            }
+        }
+
+        // One mutated policy rule: A's copy of the shared DROP becomes a
+        // PERMIT while the hub entry still drops. B's routes ride.
+        let a = inst.policy(A).unwrap();
+        let shared = a.rule(RuleId(2));
+        let permit = Rule::new(*shared.match_field(), Action::Permit, shared.priority());
+        let a_flipped = a.without_rule(RuleId(2)).with_rule(permit).unwrap();
+        let mutated = rebuilt(&inst, A, a_flipped, inst.routes().clone());
+        assert!(check(&warm, &seen, &mutated, &tables).is_err());
+
+        // One mutated hop sequence: A's first route stops short of the
+        // leaf that holds its PERMIT/DROP pair.
+        let mut routes: Vec<Route> = inst.routes().iter().cloned().collect();
+        routes[0].switches.pop();
+        let mutated = rebuilt(&inst, A, a.clone(), RouteSet::from_routes(routes));
+        assert!(check(&warm, &seen, &mutated, &tables).is_err());
+
+        // What a per-switch table fingerprint could not skip: B inserts a
+        // rule on s2, which A's first route crosses. Every priority on s2
+        // renumbers, A's entries included — and A's routes still ride.
+        let lowest = Rule::new(t("0010"), Action::Drop, 0);
+        let b_grown = inst.policy(B).unwrap().with_rule(lowest).unwrap();
+        let grown = rebuilt(&inst, B, b_grown, inst.routes().clone());
+        let mut placement = placement;
+        placement.place(B, RuleId(3), SwitchId(2));
+        let regrown = emit_tables(&grown, &placement).unwrap();
+        let a_priorities = |tables: &[SwitchTable]| -> Vec<u32> {
+            let on_s2 = tables[2].entries().iter().filter(|e| e.tags.contains(&A));
+            on_s2.map(|e| e.priority).collect()
+        };
+        assert_ne!(a_priorities(&tables), a_priorities(&regrown));
+        let mut memo = warm.clone();
+        memo.verify(&grown, &regrown, 4, 12).expect("still correct");
+        assert_eq!(memo.routes_skipped(), 2, "A's routes must ride the memo");
+        check(&warm, &seen, &grown, &regrown).expect("still correct");
     }
 }

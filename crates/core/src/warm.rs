@@ -99,23 +99,6 @@ pub fn fingerprint_policy(policy: &Policy) -> Fingerprint {
     Fingerprint(h.finish())
 }
 
-/// Salts a fingerprint with a shard id, keeping per-shard scratch
-/// streams (slice fingerprints, shard-local caches) disjoint from the
-/// global warm-path key space and from each other. The salt is mixed
-/// through the same FNV stream as every other fingerprint input, so the
-/// result is stable across processes; `shard_fingerprint(fp, a) ≠
-/// shard_fingerprint(fp, b)` for `a ≠ b` under the usual 64-bit-hash
-/// assumption. The *authoritative* warm cache is never salted — its
-/// keys must stay byte-identical between sharded and unsharded runs.
-pub fn shard_fingerprint(fp: Fingerprint, shard: u32) -> Fingerprint {
-    let mut h = Fnv::new();
-    h.u64(fp.0);
-    // Tag byte separates the salted stream from plain two-word hashes.
-    h.byte(b'S');
-    h.u64(shard as u64);
-    Fingerprint(h.finish())
-}
-
 /// Fingerprint of one ingress: its policy plus every route from it
 /// (egress, switch sequence, and flow slice). This is the dirty-ingress
 /// key — candidate sets depend on exactly these inputs (capacities enter
@@ -137,17 +120,23 @@ pub fn fingerprint_ingress(instance: &Instance, ingress: EntryPortId) -> Fingerp
         for s in &route.switches {
             h.usize(s.0);
         }
-        match &route.flow {
-            None => h.bool(false),
-            Some(t) => {
-                h.bool(true);
-                h.u64(t.width() as u64);
-                h.u128(t.care());
-                h.u128(t.value());
-            }
-        }
+        hash_flow(&mut h, &route.flow);
     }
     Fingerprint(h.finish())
+}
+
+/// Absorbs a route's flow slice: a presence byte, then width, care and
+/// value.
+pub(crate) fn hash_flow(h: &mut Fnv, flow: &Option<flowplace_acl::Ternary>) {
+    match flow {
+        None => h.bool(false),
+        Some(t) => {
+            h.bool(true);
+            h.u64(t.width() as u64);
+            h.u128(t.care());
+            h.u128(t.value());
+        }
+    }
 }
 
 /// Fingerprint of every solve-affecting option: engine, encoding knobs,
@@ -1135,19 +1124,6 @@ mod tests {
 
     fn t(s: &str) -> Ternary {
         Ternary::parse(s).unwrap()
-    }
-
-    #[test]
-    fn shard_fingerprints_are_disjoint_and_stable() {
-        let fp = Fingerprint(0xdead_beef_cafe_f00d);
-        let salted: Vec<Fingerprint> = (0..8).map(|s| shard_fingerprint(fp, s)).collect();
-        for (i, a) in salted.iter().enumerate() {
-            assert_ne!(*a, fp, "salting must move the key off the global stream");
-            for b in &salted[i + 1..] {
-                assert_ne!(a, b, "two shards collided on the same salted key");
-            }
-        }
-        assert_eq!(salted[3], shard_fingerprint(fp, 3), "salting is pure");
     }
 
     fn small_instance(capacity: usize) -> Instance {

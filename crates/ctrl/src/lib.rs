@@ -20,12 +20,15 @@
 //! ## Transactional commits
 //!
 //! At the end of each epoch the controller emits the target tables for
-//! the new placement, verifies them against the golden model
+//! the new placement once, verifies them against the golden model
 //! ([`flowplace_core::verify`]), and applies the table diff to the
 //! dataplane with make-before-break semantics — installs land before
 //! deletes, so the §IV-A no-false-negative guarantee holds during the
 //! transition. A failed verification discards the whole epoch: the
-//! deployed state never changes.
+//! deployed state never changes. The controller remembers which routes
+//! its last verified commit covered ([`VerifiedRoutes`]), so an epoch
+//! pays the full packet set only for routes whose policy, hops or tagged
+//! table entries changed; the verdict is that of the full sweep.
 //!
 //! ## Fault tolerance
 //!
@@ -51,6 +54,9 @@
 //! - After partial-apply failures and switch restarts an anti-entropy
 //!   reconciliation loop re-diffs desired against actual TCAM state
 //!   until it converges (or quarantines the switches that prevent it).
+//! - Every verify of this path is a full, un-memoised sweep: it mutates
+//!   placement outside the event stream and excludes safe-mode routes,
+//!   so it neither consults nor updates the verified-route memo.
 //!
 //! Every fault is drawn from a seeded RNG or a scripted schedule and
 //! all time is virtual, so chaos runs replay byte-identically.
@@ -63,7 +69,6 @@ pub mod delegate;
 pub mod epoch;
 pub mod event;
 pub mod faults;
-pub mod shard;
 pub mod stats;
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -71,7 +76,7 @@ use std::fmt;
 
 use flowplace_acl::{Action, Policy, Ternary};
 use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
-use flowplace_core::verify::VerifyMode;
+use flowplace_core::verify::{VerifiedRoutes, VerifyMode};
 use flowplace_core::{
     incremental, par, verify, Instance, Objective, Placement, PlacementOptions, SolveCtx,
     WarmCache, WarmConfig,
@@ -90,9 +95,6 @@ pub use event::{format_trace, parse_trace, Event, TraceError};
 pub use faults::{
     format_fault_schedule, parse_fault_schedule, CircuitBreaker, FaultInjector, FaultKind,
     FaultPlan, RetryPolicy, ScheduledFault, VirtualClock,
-};
-pub use shard::{
-    ShardArbiterReport, ShardCoordStats, ShardSpec, ShardVerifyCounters, ShardedController,
 };
 pub use stats::CtrlStats;
 
@@ -454,10 +456,8 @@ pub struct Controller {
     warm: WarmCache,
     cache: RuleCache,
     obs: Option<Obs>,
-    /// Slice-scoped verification state, installed by
-    /// [`shard::ShardedController`]; `None` (the default) keeps the
-    /// full verification sweep on every atomic commit.
-    pub(crate) shard_verify: Option<shard::ShardVerifyState>,
+    /// The routes the last successful atomic commit verified.
+    verified: VerifiedRoutes,
 }
 
 /// Rebuilds `instance` with one switch's capacity changed (capacity
@@ -520,7 +520,7 @@ impl Controller {
             options,
             stats: CtrlStats::default(),
             obs: None,
-            shard_verify: None,
+            verified: VerifiedRoutes::default(),
         }
     }
 
@@ -563,6 +563,13 @@ impl Controller {
     /// Cumulative counters.
     pub fn stats(&self) -> &CtrlStats {
         &self.stats
+    }
+
+    /// The verified-route memo of the atomic commit gate, with its
+    /// full / skipped route counts (kept out of [`CtrlStats`], whose
+    /// export is byte-pinned).
+    pub fn verified_routes(&self) -> &VerifiedRoutes {
+        &self.verified
     }
 
     /// Attaches an observability context: epoch/event/commit spans and
@@ -742,11 +749,6 @@ impl Controller {
         let mut batch = self.inject_due_faults(epoch);
         let take = self.options.batch_size.max(1).min(self.queue.len());
         batch.extend(self.queue.drain(..take));
-        if let Some(sv) = self.shard_verify.as_mut() {
-            for event in &batch {
-                sv.note_event(event);
-            }
-        }
 
         // Working copy: events mutate this; the deployed pair is only
         // replaced if the commit below succeeds.
@@ -862,15 +864,6 @@ impl Controller {
             || !self.faults.safe_mode.is_empty()
             || !self.faults.delegations.is_empty()
             || capacity_pressure(&instance, &placement);
-        if resilient {
-            // The resilient pipeline mutates placement outside the
-            // event stream (degradation, delegation, reconciliation),
-            // so no slice may ride the scoped-verify fast path after
-            // it.
-            if let Some(sv) = self.shard_verify.as_mut() {
-                sv.dirty_all();
-            }
-        }
 
         let commit_span = self.span_begin("ctrl.commit");
         self.span_attr(
@@ -922,7 +915,9 @@ impl Controller {
         })
     }
 
-    /// The fault-free commit path: verify, then one staged transaction.
+    /// The fault-free commit path: emit once, verify (in full only the
+    /// routes whose inputs changed since the last verified commit), then
+    /// one staged transaction.
     fn commit_atomic(
         &mut self,
         epoch: u64,
@@ -931,15 +926,9 @@ impl Controller {
     ) -> Result<(ApplyReport, Vec<SwitchId>), CtrlError> {
         let tables =
             emit_tables(instance, placement).map_err(|e| CtrlError::Table(e.to_string()))?;
-        // With a shard runtime attached, the verify gate is scoped to
-        // the slices whose inputs changed (byte-identical verdict,
-        // reusing the tables already emitted above); without one, the
-        // full golden-model sweep runs as before.
-        let verify_packets = self.options.verify_packets;
-        let verdict = match self.shard_verify.as_mut() {
-            Some(sv) => sv.verify(instance, &tables, verify_packets, epoch),
-            None => verify::verify_placement(instance, placement, verify_packets, epoch),
-        };
+        let verdict = self
+            .verified
+            .verify(instance, &tables, self.options.verify_packets, epoch);
         if let Err(e) = verdict {
             self.stats.verify_failures += 1;
             return Err(CtrlError::VerifyFailed {
@@ -2015,21 +2004,15 @@ impl Controller {
         }
     }
 
-    /// Builds the dataplane target for the working placement under the
-    /// current outages: out-of-service switches keep their actual
-    /// contents (no ops can reach them) and every safe-mode ingress gets
-    /// a maximum-priority drop-all fence at the first manageable switch
-    /// of each of its routes. A route with no manageable switch is
-    /// fenced at the controller-owned entry port instead (no TCAM
-    /// entry).
-    fn build_target(
-        &self,
-        instance: &Instance,
-        placement: &Placement,
-    ) -> Result<Vec<Vec<TcamEntry>>, CtrlError> {
-        let tables =
-            emit_tables(instance, placement).map_err(|e| CtrlError::Table(e.to_string()))?;
-        let mut target = DataPlane::target_from_tables(&tables);
+    /// Builds the dataplane target from the working placement's emitted
+    /// (and verified) `tables` under the current outages: out-of-service
+    /// switches keep their actual contents (no ops can reach them) and
+    /// every safe-mode ingress gets a maximum-priority drop-all fence at
+    /// the first manageable switch of each of its routes. A route with
+    /// no manageable switch is fenced at the controller-owned entry port
+    /// instead (no TCAM entry).
+    fn build_target(&self, instance: &Instance, tables: &[SwitchTable]) -> Vec<Vec<TcamEntry>> {
+        let mut target = DataPlane::target_from_tables(tables);
         target.resize(self.dataplane.switch_count(), Vec::new());
         for s in self.faults.unmanageable.keys() {
             target[s.0] = self.dataplane.switch(*s).entries().to_vec();
@@ -2084,7 +2067,7 @@ impl Controller {
                 }
             }
         }
-        Ok(target)
+        target
     }
 
     /// The resilient commit pipeline: degrade → verify (escalating
@@ -2108,15 +2091,25 @@ impl Controller {
             rounds += 1;
             self.enforce_outage_capacities(instance);
             self.degrade(instance, placement, rounds == 1);
-            loop {
-                match verify::verify_placement_excluding(
-                    instance,
-                    placement,
-                    self.options.verify_packets,
-                    epoch,
-                    &self.faults.safe_mode,
-                ) {
-                    Ok(()) => break,
+            // Emit once per verify iteration; the tables that pass are
+            // the ones the target is built from.
+            let tables = loop {
+                let safe_mode = &self.faults.safe_mode;
+                let verdict = emit_tables(instance, placement)
+                    .map_err(verify::VerifyError::from)
+                    .and_then(|tables| {
+                        verify::verify_tables(
+                            instance,
+                            &tables,
+                            self.options.verify_packets,
+                            epoch,
+                            VerifyMode::Exact,
+                            |r| !safe_mode.contains(&r.ingress),
+                        )?;
+                        Ok(tables)
+                    });
+                match verdict {
+                    Ok(tables) => break tables,
                     Err(verify::VerifyError::Violation(v)) => {
                         self.stats.verify_failures += 1;
                         self.enter_safe_mode(v.ingress, placement);
@@ -2129,8 +2122,8 @@ impl Controller {
                         });
                     }
                 }
-            }
-            let target = self.build_target(instance, placement)?;
+            };
+            let target = self.build_target(instance, &tables);
             let mut capacities = instance.topology().capacities();
             for (s, outage) in &self.faults.unmanageable {
                 // A switch that froze mid-transaction may hold

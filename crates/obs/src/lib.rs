@@ -7,7 +7,7 @@
 //! crate is that surface. It has **zero dependencies** (not even on the
 //! other flowplace crates — they depend on it) and two halves:
 //!
-//! * [`span`] — a hierarchical span recorder driven by a **logical tick
+//! * [`mod@span`] — a hierarchical span recorder driven by a **logical tick
 //!   clock** plus the controller's virtual-millisecond clock. Real wall
 //!   time never enters a recorded span, so traces are *byte-identical*
 //!   across runs at the same seed and can be diffed in tests.
@@ -60,13 +60,11 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod labels;
 pub mod metrics;
 pub mod span;
 pub mod summary;
 
 pub use json::{validate_obs_json, ObsDoc};
-pub use labels::ShardLabels;
 pub use metrics::{MetricValue, Registry, Sample};
 pub use span::{AttrValue, Recorder, ScopedSpan, SpanData, SpanId};
 

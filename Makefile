@@ -7,9 +7,10 @@ CARGO ?= cargo
 
 all: ci
 
-## ci: everything CI runs — format check, clippy, print hygiene, doc
-## links, tier-1 build + tests.
-ci: fmt-check clippy no-raw-print doc test
+## ci: the gating steps of .github/workflows/ci.yml, in its order —
+## format check, clippy, print hygiene, doc links, tier-1 tests under
+## the timing guard, every crate's tests, the benchmark smoke run.
+ci: fmt-check clippy no-raw-print doc timing-guard test-all benchmark-smoke
 
 fmt:
 	$(CARGO) fmt --all

@@ -198,26 +198,12 @@ impl SatEncoding {
 
     /// Solves the formula; `Some(placement)` iff satisfiable.
     pub fn solve(&mut self) -> Option<Placement> {
-        self.solve_interruptible(None)
-            .expect("uninterrupted solve always concludes")
-    }
-
-    /// Like [`solve`](Self::solve), but cooperatively cancellable.
-    ///
-    /// Returns `None` when `cancel` was observed set before the solver
-    /// reached a verdict (the portfolio's loser takes this path), and
-    /// `Some(verdict)` otherwise — where the inner `Option` is the usual
-    /// satisfiable-placement-or-infeasible answer.
-    pub fn solve_interruptible(
-        &mut self,
-        cancel: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Option<Option<Placement>> {
         if self.trivially_unsat {
-            return Some(None);
+            return None;
         }
-        let result = self.solver.solve_interruptible(cancel);
+        let result = self.solver.solve();
         self.conflicts = self.solver.stats().conflicts;
-        Some(match result? {
+        match result {
             SatResult::Unsat => None,
             SatResult::Sat(model) => {
                 let mut placement = Placement::new();
@@ -233,7 +219,7 @@ impl SatEncoding {
                 }
                 Some(placement)
             }
-        })
+        }
     }
 }
 

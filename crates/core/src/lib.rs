@@ -93,7 +93,7 @@ pub use encode_ilp::MergeLinking;
 pub use instance::{Instance, InstanceError};
 pub use monitor::MonitorRequirement;
 pub use objective::Objective;
-pub use par::{ParOutcome, ParallelConfig, Provenance, SolveCtx, StageTimes};
+pub use par::{ParOutcome, ParallelConfig, Provenance, SolveCtx};
 pub use placement::{
     DependencyEncoding, PlaceError, Placement, PlacementOptions, PlacementOutcome, PlacementStats,
     PlacerEngine, RulePlacer, SolveStatus,

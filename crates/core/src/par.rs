@@ -1,22 +1,21 @@
-//! Deterministic parallel solve pipeline and portfolio solver.
+//! Deterministic parallel solve pipeline.
 //!
-//! The optimize path splits into three stages, each parallelized with std
-//! scoped threads (no external dependencies):
+//! The optimize path splits into three stages; the two construction
+//! stages are parallelized with std scoped threads (no external
+//! dependencies):
 //!
 //! 1. **Dependency graphs** — one [`DependencyGraph`] per ingress policy,
 //!    built across worker threads ([`build_depgraphs`]).
 //! 2. **Candidates** — per-ingress candidate switch sets, built across
 //!    worker threads and merged into one [`CandidateMap`]
 //!    ([`build_candidates_par`]).
-//! 3. **Solve** — either the configured single engine, or a *portfolio*
-//!    race of ILP branch-and-bound against the PB-SAT feasibility
-//!    encoding with cooperative cancellation ([`solve`]).
+//! 3. **Solve** — the engine named by [`PlacementOptions::engine`], run
+//!    to its verdict on the calling thread ([`solve`]).
 //!
 //! # Determinism contract
 //!
-//! With `portfolio: false`, the pipeline's output is byte-identical for
-//! any thread count, the serial `threads: 1` included. Two rules make
-//! this hold:
+//! The pipeline's output is byte-identical for any thread count, the
+//! serial `threads: 1` included. Two rules make this hold:
 //!
 //! - **Merge-order rule.** Per-ingress partial results are merged by
 //!   *ingress id* (into ordered `BTreeMap`s keyed by ingress), never by
@@ -26,30 +25,8 @@
 //!   thread the stages iterate the same pure per-ingress functions in
 //!   place, and stage 3 is the same encode/solve code, fed the
 //!   (identical) merged candidates.
-//!
-//! With `portfolio: true`, the *engine that answers* depends on wall
-//! clock, so only the weaker guarantee holds: the returned placement is
-//! feasible (both engines encode the same feasibility space) and the
-//! [`Provenance`] tag records which engine produced it. Portfolio mode is
-//! therefore opt-in and the differential oracle asserts byte-identity
-//! only for `portfolio: false`.
-//!
-//! # Cancellation protocol
-//!
-//! The portfolio gives each engine a private `AtomicBool`. The first
-//! engine to reach a *conclusive* outcome (a placement, or a proven
-//! infeasibility) claims victory with a `compare_exchange` on a shared
-//! winner slot and then sets the other engine's flag. Both solvers poll
-//! their flag cooperatively — the MIP at every branch-and-bound node, the
-//! CDCL solver every [`flowplace_pbsat::Solver::CANCEL_CHECK_INTERVAL`]
-//! search steps — back off to a clean state, and report
-//! [`SolveStatus::Unknown`]. The loser's partial work is discarded; only
-//! the winner's outcome is returned.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use flowplace_topo::EntryPortId;
 
@@ -60,7 +37,7 @@ use crate::depgraph::DependencyGraph;
 use crate::monitor::restrict_candidates;
 use crate::placement::{place_ilp_with, place_sat_with};
 use crate::warm::{self, WarmCache, WarmStats};
-use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine, SolveStatus};
+use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine};
 use flowplace_obs::Obs;
 
 /// Parallel-pipeline configuration, carried in
@@ -71,18 +48,11 @@ pub struct ParallelConfig {
     /// ([`std::thread::available_parallelism`]); `1` (the default) is the
     /// serial path.
     pub threads: usize,
-    /// Race ILP branch-and-bound against the PB-SAT feasibility encoding
-    /// and return whichever concludes first (see the module docs for the
-    /// determinism caveat).
-    pub portfolio: bool,
 }
 
 impl Default for ParallelConfig {
     fn default() -> Self {
-        ParallelConfig {
-            threads: 1,
-            portfolio: false,
-        }
+        ParallelConfig { threads: 1 }
     }
 }
 
@@ -100,18 +70,15 @@ impl ParallelConfig {
 
     /// True if this configuration departs from the plain serial path.
     pub fn is_parallel(&self) -> bool {
-        self.portfolio || self.effective_threads() > 1
+        self.effective_threads() > 1
     }
 }
 
-/// Which engine produced the returned outcome, and how.
+/// Where the returned outcome came from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Provenance {
-    /// Single-engine solve (no race): the configured engine ran alone.
+    /// The configured engine ran to its verdict.
     Single(PlacerEngine),
-    /// Portfolio race, won by this engine (it concluded first; the other
-    /// engine was cancelled).
-    Portfolio(PlacerEngine),
     /// No engine ran: the warm cache memoized an identical instance
     /// (same policies, routes, capacities, options, and objective) and
     /// the stored outcome was returned in O(1).
@@ -126,40 +93,18 @@ impl std::fmt::Display for Provenance {
         };
         match self {
             Provenance::Single(e) => write!(f, "single:{}", name(e)),
-            Provenance::Portfolio(e) => write!(f, "portfolio:{}", name(e)),
             Provenance::Memo => write!(f, "memo"),
         }
     }
 }
 
-/// Wall time of each pipeline stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct StageTimes {
-    /// Stage 1: per-ingress dependency-graph construction.
-    pub depgraphs: Duration,
-    /// Stage 2: candidate generation (including monitor restriction).
-    pub candidates: Duration,
-    /// Stage 3: the solve (single engine or portfolio race).
-    pub solve: Duration,
-}
-
-impl StageTimes {
-    /// Sum of all stages.
-    pub fn total(&self) -> Duration {
-        self.depgraphs + self.candidates + self.solve
-    }
-}
-
-/// Result of the staged pipeline: the placement outcome plus provenance
-/// and per-stage timings.
+/// Result of the staged pipeline: the placement outcome plus provenance.
 #[derive(Clone, Debug)]
 pub struct ParOutcome {
     /// The placement outcome (same type the serial facade returns).
     pub outcome: PlacementOutcome,
-    /// Which engine answered, and whether it won a race.
+    /// Which engine answered, or that the memo did.
     pub provenance: Provenance,
-    /// Per-stage wall times.
-    pub stages: StageTimes,
 }
 
 /// Splits `items` into at most `threads` contiguous chunks, maps each
@@ -224,73 +169,6 @@ pub fn build_candidates_par(
         }
     }
     map
-}
-
-/// True if the outcome settles the instance: a placement was produced,
-/// or infeasibility was proven. Limit/cancellation outcomes are not
-/// conclusive and cannot win the portfolio race.
-fn conclusive(outcome: &PlacementOutcome) -> bool {
-    outcome.placement.is_some() || outcome.status == SolveStatus::Infeasible
-}
-
-const NO_WINNER: usize = 0;
-const ILP_WON: usize = 1;
-const SAT_WON: usize = 2;
-
-/// Stage 3 (portfolio): races the ILP and SAT engines over the same
-/// candidates; first conclusive engine wins and cancels the other.
-fn solve_portfolio(
-    options: &PlacementOptions,
-    instance: &Instance,
-    objective: &Objective,
-    candidates: &CandidateMap,
-) -> (PlacementOutcome, Provenance) {
-    let cancel_ilp = Arc::new(AtomicBool::new(false));
-    let cancel_sat = AtomicBool::new(false);
-    let winner = AtomicUsize::new(NO_WINNER);
-
-    let mut ilp_options = options.clone();
-    ilp_options.mip.cancel = Some(cancel_ilp.clone());
-
-    let (ilp_out, sat_out) = std::thread::scope(|s| {
-        let ilp = s.spawn(|| {
-            let out = place_ilp_with(&ilp_options, instance, objective, candidates);
-            if conclusive(&out)
-                && winner
-                    .compare_exchange(NO_WINNER, ILP_WON, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                cancel_sat.store(true, Ordering::Release);
-            }
-            out
-        });
-        let sat = s.spawn(|| {
-            let out = place_sat_with(options, instance, candidates, Some(&cancel_sat));
-            if conclusive(&out)
-                && winner
-                    .compare_exchange(NO_WINNER, SAT_WON, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                cancel_ilp.store(true, Ordering::Release);
-            }
-            out
-        });
-        (
-            ilp.join().expect("ILP portfolio thread panicked"),
-            sat.join().expect("SAT portfolio thread panicked"),
-        )
-    });
-
-    match winner.load(Ordering::Acquire) {
-        ILP_WON => (ilp_out, Provenance::Portfolio(PlacerEngine::Ilp)),
-        SAT_WON => (sat_out, Provenance::Portfolio(PlacerEngine::Sat)),
-        // Neither concluded (both hit limits / were inconclusive): fall
-        // back to the configured engine's report.
-        _ => match options.engine {
-            PlacerEngine::Ilp => (ilp_out, Provenance::Portfolio(PlacerEngine::Ilp)),
-            PlacerEngine::Sat => (sat_out, Provenance::Portfolio(PlacerEngine::Sat)),
-        },
-    }
 }
 
 /// Records the deterministic solve telemetry for one pipeline run: the
@@ -368,9 +246,9 @@ pub struct SolveCtx<'a> {
 }
 
 /// Runs the full staged pipeline: dependency graphs, candidates, then
-/// the single-engine or portfolio solve, per `options.parallel`. This is
-/// the one solve entry point — [`crate::RulePlacer::place`] and the
-/// [`crate::incremental`] sub-solves all call it.
+/// the solve by `options.engine`. This is the one solve entry point —
+/// [`crate::RulePlacer::place`] and the [`crate::incremental`]
+/// sub-solves all call it.
 ///
 /// With `ctx.warm`, the pipeline becomes incremental: the whole solve is
 /// first looked up in the placement memo (hit ⇒ [`Provenance::Memo`] in
@@ -386,8 +264,7 @@ pub struct SolveCtx<'a> {
 /// `pipeline.solve`) plus the solve counters/histograms keyed by
 /// [`Provenance`]. Only deterministic quantities (span ticks, search
 /// effort, cache deltas) are recorded — never wall time, so dumps diff
-/// clean across same-seed runs. Wall clock stays available separately
-/// through [`StageTimes`].
+/// clean across same-seed runs.
 pub fn solve(
     instance: &Instance,
     objective: Objective,
@@ -418,12 +295,10 @@ pub fn solve(
             return ParOutcome {
                 outcome,
                 provenance: Provenance::Memo,
-                stages: StageTimes::default(),
             };
         }
     }
 
-    let t = Instant::now();
     let warm_before = cache.map(|c| c.stats());
     let stage = obs.map(|o| o.spans.enter("pipeline.depgraphs"));
     let graphs = match cache {
@@ -438,9 +313,7 @@ pub fn solve(
         }
     }
     drop(stage);
-    let depgraphs = t.elapsed();
 
-    let t = Instant::now();
     let warm_before = cache.map(|c| c.stats());
     let stage = obs.map(|o| o.spans.enter("pipeline.candidates"));
     let mut candidates = match cache {
@@ -456,26 +329,21 @@ pub fn solve(
         }
     }
     drop(stage);
-    let candidates_time = t.elapsed();
 
-    let t = Instant::now();
     let stage = obs.map(|o| o.spans.enter("pipeline.solve"));
-    let sessions = cache.map(|c| c.sessions_enabled()).unwrap_or(false);
-    let (outcome, provenance) = if sessions {
-        let c = cache.expect("sessions implies a cache");
-        let ingress_fps: BTreeMap<EntryPortId, warm::Fingerprint> = instance
-            .policies()
-            .map(|(ingress, _)| (ingress, warm::fingerprint_ingress(instance, ingress)))
-            .collect();
-        c.session_solve(instance, &objective, options, &candidates, &ingress_fps)
-    } else if options.parallel.portfolio {
-        solve_portfolio(options, instance, &objective, &candidates)
-    } else {
-        let out = match options.engine {
+    let provenance = Provenance::Single(options.engine);
+    let outcome = match cache.filter(|c| c.sessions_enabled()) {
+        Some(c) => {
+            let ingress_fps: BTreeMap<EntryPortId, warm::Fingerprint> = instance
+                .policies()
+                .map(|(ingress, _)| (ingress, warm::fingerprint_ingress(instance, ingress)))
+                .collect();
+            c.session_solve(instance, &objective, options, &candidates, &ingress_fps)
+        }
+        None => match options.engine {
             PlacerEngine::Ilp => place_ilp_with(options, instance, &objective, &candidates),
-            PlacerEngine::Sat => place_sat_with(options, instance, &candidates, None),
-        };
-        (out, Provenance::Single(options.engine))
+            PlacerEngine::Sat => place_sat_with(options, instance, &candidates),
+        },
     };
     if let Some(span) = &stage {
         span.attr("provenance", provenance.to_string());
@@ -483,7 +351,6 @@ pub fn solve(
         span.attr("nodes", outcome.stats.nodes);
     }
     drop(stage);
-    let solve_time = t.elapsed();
 
     if let Some((c, fp)) = instance_fp {
         c.memo_put(fp, &outcome);
@@ -499,11 +366,6 @@ pub fn solve(
     ParOutcome {
         outcome,
         provenance,
-        stages: StageTimes {
-            depgraphs,
-            candidates: candidates_time,
-            solve: solve_time,
-        },
     }
 }
 
@@ -633,16 +495,13 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_without_portfolio_matches_serial_place() {
+    fn pipeline_matches_serial_place() {
         let inst = multi_ingress_instance();
         let serial = crate::RulePlacer::new(PlacementOptions::default())
             .place(&inst, Objective::TotalRules)
             .unwrap();
         let mut options = PlacementOptions {
-            parallel: ParallelConfig {
-                threads: 4,
-                portfolio: false,
-            },
+            parallel: ParallelConfig { threads: 4 },
             ..PlacementOptions::default()
         };
         let par = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
@@ -658,55 +517,8 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_returns_verified_placement_with_provenance() {
-        let inst = multi_ingress_instance();
-        let options = PlacementOptions {
-            parallel: ParallelConfig {
-                threads: 2,
-                portfolio: true,
-            },
-            ..PlacementOptions::default()
-        };
-        let par = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
-        assert!(matches!(par.provenance, Provenance::Portfolio(_)));
-        let placement = par.outcome.placement.expect("instance is feasible");
-        let report = crate::verify::verify_placement(&inst, &placement, 64, 0xF01D);
-        assert!(report.is_ok(), "portfolio placement failed verify");
-    }
-
-    #[test]
-    fn portfolio_agrees_on_infeasibility() {
-        // Capacity 0 on every switch with a non-empty policy: infeasible.
-        let mut topo = Topology::linear(2);
-        topo.set_uniform_capacity(0);
-        let mut routes = RouteSet::new();
-        routes.push(Route::new(
-            EntryPortId(0),
-            EntryPortId(1),
-            vec![SwitchId(0), SwitchId(1)],
-        ));
-        let policy =
-            Policy::from_ordered(vec![(t("11**"), Action::Permit), (t("1***"), Action::Drop)])
-                .unwrap();
-        let inst = Instance::new(topo, routes, vec![(EntryPortId(0), policy)]).unwrap();
-        let options = PlacementOptions {
-            parallel: ParallelConfig {
-                threads: 2,
-                portfolio: true,
-            },
-            ..PlacementOptions::default()
-        };
-        let par = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
-        assert_eq!(par.outcome.status, SolveStatus::Infeasible);
-        assert!(par.outcome.placement.is_none());
-    }
-
-    #[test]
     fn effective_threads_resolves_auto() {
-        let auto = ParallelConfig {
-            threads: 0,
-            portfolio: false,
-        };
+        let auto = ParallelConfig { threads: 0 };
         assert!(auto.effective_threads() >= 1);
         assert!(auto.is_parallel() || auto.effective_threads() == 1);
         assert!(!ParallelConfig::default().is_parallel());
@@ -719,8 +531,8 @@ mod tests {
             "single:ilp"
         );
         assert_eq!(
-            Provenance::Portfolio(PlacerEngine::Sat).to_string(),
-            "portfolio:sat"
+            Provenance::Single(PlacerEngine::Sat).to_string(),
+            "single:sat"
         );
         assert_eq!(Provenance::Memo.to_string(), "memo");
     }
@@ -836,36 +648,5 @@ mod tests {
         let p3 = third.outcome.placement.expect("feasible");
         assert!(crate::verify::verify_placement(&grown, &p3, 64, 0x5E57).is_ok());
         assert!(cache.stats().ilp_incumbent_seeded >= 1);
-    }
-
-    #[test]
-    fn session_portfolio_returns_verified_placements() {
-        let inst = multi_ingress_instance();
-        let options = PlacementOptions {
-            parallel: ParallelConfig {
-                threads: 2,
-                portfolio: true,
-            },
-            ..PlacementOptions::default()
-        };
-        let cache = crate::WarmCache::new(crate::WarmConfig {
-            sessions: true,
-            ..crate::WarmConfig::default()
-        });
-        let ctx = SolveCtx {
-            warm: Some(&cache),
-            obs: None,
-        };
-        for round in 0..3u64 {
-            let out = solve(&inst, Objective::TotalRules, &options, ctx);
-            if out.provenance != Provenance::Memo {
-                assert!(matches!(out.provenance, Provenance::Portfolio(_)));
-            }
-            let p = out.outcome.placement.expect("feasible");
-            assert!(
-                crate::verify::verify_placement(&inst, &p, 64, 0xA000 + round).is_ok(),
-                "round {round}"
-            );
-        }
     }
 }

@@ -219,13 +219,12 @@ pub struct PlacementOptions {
     pub monitors: Vec<MonitorRequirement>,
     /// Branch-and-bound options (time/node limits, tolerances).
     pub mip: MipOptions,
-    /// Parallel-pipeline configuration (threads, portfolio racing). The
-    /// default (`threads: 1`, `portfolio: false`) is the serial path.
+    /// Parallel-pipeline configuration: worker threads for the
+    /// construction stages. The default (`threads: 1`) is the serial
+    /// path; the result is the same at any count.
     pub parallel: ParallelConfig,
-    /// CDCL search options for the SAT engine (restart schedule,
-    /// learnt-DB reduction). The default is the modern configuration
-    /// (glucose restarts + reduction); `--sat-restart luby` selects the
-    /// baseline schedule.
+    /// CDCL search options for the SAT engine (learnt-DB reduction, on
+    /// by default).
     pub sat: flowplace_pbsat::SolverOptions,
 }
 
@@ -282,8 +281,7 @@ impl RulePlacer {
 }
 
 /// ILP solve over already-built (and already monitor-restricted)
-/// candidates. Shared by the single-engine pipeline and the portfolio
-/// racer.
+/// candidates. Shared by the cold pipeline and the warm ILP session.
 pub(crate) fn place_ilp_with(
     options: &PlacementOptions,
     instance: &Instance,
@@ -344,21 +342,18 @@ pub(crate) fn place_ilp_with(
 }
 
 /// SAT solve over already-built (and already monitor-restricted)
-/// candidates, optionally cancellable (the portfolio racer's loser is
-/// interrupted through `cancel` and reports [`SolveStatus::Unknown`]).
+/// candidates.
 pub(crate) fn place_sat_with(
     options: &PlacementOptions,
     instance: &Instance,
     candidates: &CandidateMap,
-    cancel: Option<&std::sync::atomic::AtomicBool>,
 ) -> PlacementOutcome {
     let start = Instant::now();
     let mut enc =
         SatEncoding::build_with_candidates_opts(instance, options.merging, candidates, options.sat);
-    let (placement, status) = match enc.solve_interruptible(cancel) {
-        Some(Some(p)) => (Some(p), SolveStatus::Optimal),
-        Some(None) => (None, SolveStatus::Infeasible),
-        None => (None, SolveStatus::Unknown), // interrupted before a verdict
+    let (placement, status) = match enc.solve() {
+        Some(p) => (Some(p), SolveStatus::Optimal),
+        None => (None, SolveStatus::Infeasible),
     };
     PlacementOutcome {
         placement,

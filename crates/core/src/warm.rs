@@ -30,11 +30,11 @@
 //!
 //! With [`WarmConfig::sessions`] **off** (the default), the warm path is
 //! **byte-identical** to the cold path for any deterministic
-//! configuration (`portfolio: false`, no wall-clock limits): every cache
-//! key covers every input of the cached computation, and a memo hit
-//! returns exactly the outcome the cold solve produced for the identical
-//! instance. The differential suite asserts this over seeded §IV-E
-//! update streams, including across rollback.
+//! configuration (no wall-clock limits): every cache key covers every
+//! input of the cached computation, and a memo hit returns exactly the
+//! outcome the cold solve produced for the identical instance. The
+//! differential suite asserts this over seeded §IV-E update streams,
+//! including across rollback.
 //!
 //! With `sessions` **on**, solver state persists across epochs: the
 //! PB-SAT engine keeps its learnt clauses and activates per-epoch deltas
@@ -50,7 +50,6 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
 use flowplace_acl::{Policy, RuleId};
@@ -142,7 +141,8 @@ pub(crate) fn hash_flow(h: &mut Fnv, flow: &Option<flowplace_acl::Ternary>) {
 /// Fingerprint of every solve-affecting option: engine, encoding knobs,
 /// monitors, solver limits, and the objective. Thread count is *not*
 /// hashed — it never changes the result (the pipeline's merge-order
-/// rule); `portfolio` is, because it changes which engine may answer.
+/// rule). The byte stream is pinned (the benchmark's input PINs hash
+/// through it), so two retired options still contribute a constant.
 fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fingerprint {
     let mut h = Fnv::new();
     h.byte(match options.engine {
@@ -195,14 +195,12 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
     }
     h.usize(options.mip.lp.max_iterations);
     h.f64(options.mip.lp.tolerance);
-    h.bool(options.parallel.portfolio);
+    // Retired `parallel.portfolio`: pinned fingerprints were taken with it off.
+    h.bool(false);
+    // Retired `RestartStrategy::Glucose` (= 1), the only schedule left.
+    h.byte(1);
     // CDCL options steer the SAT search (and thus which model a SAT solve
-    // returns), so memo entries must not cross option boundaries. Thread
-    // count is deliberately not hashed — results are thread-invariant.
-    h.byte(match options.sat.restart {
-        flowplace_pbsat::RestartStrategy::Luby => 0,
-        flowplace_pbsat::RestartStrategy::Glucose => 1,
-    });
+    // returns), so memo entries must not cross option boundaries.
     h.bool(options.sat.db_reduction);
     match objective {
         Objective::TotalRules => h.byte(0),
@@ -478,38 +476,24 @@ impl WarmCache {
         options: &PlacementOptions,
         candidates: &CandidateMap,
         ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    ) -> (PlacementOutcome, crate::par::Provenance) {
+    ) -> PlacementOutcome {
         let mut session = self.session.borrow_mut();
-        let (outcome, provenance) = if options.parallel.portfolio {
-            session.solve_portfolio(self, instance, objective, options, candidates, ingress_fps)
-        } else {
-            match options.engine {
-                PlacerEngine::Ilp => {
-                    let out = session.solve_ilp(
-                        self,
-                        instance,
-                        objective,
-                        options,
-                        candidates,
-                        ingress_fps,
-                    );
-                    (out, crate::par::Provenance::Single(PlacerEngine::Ilp))
-                }
-                PlacerEngine::Sat => {
-                    let out =
-                        session.solve_sat(self, instance, options, candidates, ingress_fps, None);
-                    (out, crate::par::Provenance::Single(PlacerEngine::Sat))
-                }
+        let outcome = match options.engine {
+            PlacerEngine::Ilp => {
+                session.solve_ilp(self, instance, objective, options, candidates, ingress_fps)
+            }
+            PlacerEngine::Sat => {
+                session.solve_sat(self, instance, options, candidates, ingress_fps)
             }
         };
-        // Remember the winner for next epoch's incumbent seeding.
+        // Remember the placement for next epoch's incumbent seeding.
         if let Some(p) = &outcome.placement {
             session.ilp_prev = Some(IlpMemory {
                 ingress_fps: ingress_fps.clone(),
                 placement: p.clone(),
             });
         }
-        (outcome, provenance)
+        outcome
     }
 
     fn bump(&self, f: impl FnOnce(&mut WarmStats)) {
@@ -532,120 +516,6 @@ struct SessionState {
 }
 
 impl SessionState {
-    /// Portfolio race with persistent state on both sides: the SAT
-    /// session keeps its learnt clauses; the ILP side is seeded with the
-    /// previous epoch's placement. Same cancellation protocol as the
-    /// cold portfolio.
-    fn solve_portfolio(
-        &mut self,
-        cache: &WarmCache,
-        instance: &Instance,
-        objective: &Objective,
-        options: &PlacementOptions,
-        candidates: &CandidateMap,
-        ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    ) -> (PlacementOutcome, crate::par::Provenance) {
-        use crate::par::Provenance;
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-
-        let cancel_ilp = Arc::new(AtomicBool::new(false));
-        let cancel_sat = AtomicBool::new(false);
-        const NO_WINNER: usize = 0;
-        const ILP_WON: usize = 1;
-        const SAT_WON: usize = 2;
-        let winner = AtomicUsize::new(NO_WINNER);
-
-        let mut ilp_options = options.clone();
-        ilp_options.mip.cancel = Some(cancel_ilp.clone());
-        let ilp_seed = self.ilp_prev.clone();
-        let sat_supported = sat_session_supported(options);
-        // The session solver crosses into the scoped thread as a plain
-        // `&mut`; the cold fallback needs no state.
-        let mut sat_session = if sat_supported {
-            Some(
-                self.sat
-                    .take()
-                    .unwrap_or_else(|| SatSession::with_options(options.sat)),
-            )
-        } else {
-            None
-        };
-        let mut seed_report = SeedReport::default();
-        let mut sat_report = SatReport::default();
-
-        let (ilp_out, sat_out) = std::thread::scope(|s| {
-            let seed_report = &mut seed_report;
-            let sat_report = &mut sat_report;
-            let sat_session_ref = &mut sat_session;
-            let winner = &winner;
-            let cancel_sat_ref = &cancel_sat;
-            let cancel_ilp_ref = &cancel_ilp;
-            let ilp = s.spawn(move || {
-                let (out, report) = ilp_seeded_solve(
-                    &ilp_options,
-                    instance,
-                    objective,
-                    candidates,
-                    ingress_fps,
-                    ilp_seed.as_ref(),
-                );
-                *seed_report = report;
-                if conclusive(&out)
-                    && winner
-                        .compare_exchange(NO_WINNER, ILP_WON, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    cancel_sat_ref.store(true, Ordering::Release);
-                }
-                out
-            });
-            let sat = s.spawn(move || {
-                let (out, report) = match sat_session_ref.as_mut() {
-                    Some(session) => {
-                        session.solve(instance, candidates, ingress_fps, Some(cancel_sat_ref))
-                    }
-                    None => (
-                        place_sat_with(options, instance, candidates, Some(cancel_sat_ref)),
-                        SatReport::default(),
-                    ),
-                };
-                *sat_report = report;
-                if conclusive(&out)
-                    && winner
-                        .compare_exchange(NO_WINNER, SAT_WON, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                {
-                    cancel_ilp_ref.store(true, Ordering::Release);
-                }
-                out
-            });
-            (
-                ilp.join().expect("ILP session thread panicked"),
-                sat.join().expect("SAT session thread panicked"),
-            )
-        });
-
-        self.sat = sat_session;
-        cache.bump(|s| {
-            s.ilp_incumbent_seeded += seed_report.seeded as u64;
-            s.ilp_vars_fixed += seed_report.vars_fixed;
-            s.sat_session_solves += sat_report.session_used as u64;
-            if sat_report.session_used {
-                s.sat_learnt_retained = sat_report.learnt_retained;
-            }
-        });
-
-        match winner.load(Ordering::Acquire) {
-            ILP_WON => (ilp_out, Provenance::Portfolio(PlacerEngine::Ilp)),
-            SAT_WON => (sat_out, Provenance::Portfolio(PlacerEngine::Sat)),
-            _ => match options.engine {
-                PlacerEngine::Ilp => (ilp_out, Provenance::Portfolio(PlacerEngine::Ilp)),
-                PlacerEngine::Sat => (sat_out, Provenance::Portfolio(PlacerEngine::Sat)),
-            },
-        }
-    }
-
     fn solve_ilp(
         &mut self,
         cache: &WarmCache,
@@ -677,16 +547,15 @@ impl SessionState {
         options: &PlacementOptions,
         candidates: &CandidateMap,
         ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-        cancel: Option<&AtomicBool>,
     ) -> PlacementOutcome {
         if !sat_session_supported(options) {
-            return place_sat_with(options, instance, candidates, cancel);
+            return place_sat_with(options, instance, candidates);
         }
         let mut session = self
             .sat
             .take()
             .unwrap_or_else(|| SatSession::with_options(options.sat));
-        let (out, report) = session.solve(instance, candidates, ingress_fps, cancel);
+        let (out, report) = session.solve(instance, candidates, ingress_fps);
         self.sat = Some(session);
         cache.bump(|s| {
             s.sat_session_solves += 1;
@@ -701,10 +570,6 @@ impl SessionState {
 /// version; such solves fall back to the cold SAT encoder.
 fn sat_session_supported(options: &PlacementOptions) -> bool {
     !options.merging
-}
-
-fn conclusive(outcome: &PlacementOutcome) -> bool {
-    outcome.placement.is_some() || outcome.status == SolveStatus::Infeasible
 }
 
 /// What the ILP seeding pass did (folded into [`WarmStats`]).
@@ -842,7 +707,6 @@ fn ilp_seeded_solve(
 /// What a SAT session solve did (folded into [`WarmStats`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct SatReport {
-    session_used: bool,
     learnt_retained: u64,
 }
 
@@ -893,11 +757,9 @@ impl SatSession {
         instance: &Instance,
         candidates: &CandidateMap,
         ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-        cancel: Option<&AtomicBool>,
     ) -> (PlacementOutcome, SatReport) {
         let start = Instant::now();
         let report = SatReport {
-            session_used: true,
             learnt_retained: self.solver.stats().learnt_clauses,
         };
 
@@ -982,11 +844,8 @@ impl SatSession {
             assumptions.push(*gate);
         }
 
-        let verdict = self
-            .solver
-            .solve_with_assumptions_interruptible(&assumptions, cancel);
-        let (placement, status) = match verdict {
-            Some(SatResult::Sat(model)) => {
+        let (placement, status) = match self.solver.solve_with_assumptions(&assumptions) {
+            SatResult::Sat(model) => {
                 let mut p = Placement::new();
                 for (&ingress, group) in &self.groups {
                     for (&(rule, s), &v) in &group.vars {
@@ -997,8 +856,7 @@ impl SatSession {
                 }
                 (Some(p), SolveStatus::Optimal)
             }
-            Some(SatResult::Unsat) => (None, SolveStatus::Infeasible),
-            None => (None, SolveStatus::Unknown),
+            SatResult::Unsat => (None, SolveStatus::Infeasible),
         };
         let stats = self.solver.stats();
         (
@@ -1244,10 +1102,9 @@ mod tests {
             .policies()
             .map(|(l, _)| (l, fingerprint_ingress(&inst, l)))
             .collect();
-        let (out, report) = session.solve(&inst, &candidates, &fps, None);
-        assert!(report.session_used);
+        let (out, report) = session.solve(&inst, &candidates, &fps);
         let p = out.placement.expect("feasible");
-        let cold = place_sat_with(&options, &inst, &candidates, None);
+        let cold = place_sat_with(&options, &inst, &candidates);
         assert_eq!(out.status, cold.status);
         // Both are valid placements of the same instance.
         assert!(crate::verify::verify_placement(&inst, &p, 64, 0xBEEF).is_ok());
@@ -1261,12 +1118,12 @@ mod tests {
             .map(|(l, _)| (l, fingerprint_ingress(&tight, l)))
             .collect();
         assert_eq!(fps, fps2, "capacity does not dirty the ingress");
-        let (out2, _) = session.solve(&tight, &candidates2, &fps2, None);
+        let (out2, _) = session.solve(&tight, &candidates2, &fps2);
         assert_eq!(out2.status, SolveStatus::Infeasible);
 
         // Epoch 3: capacity restored — feasible again, with the learnt
         // clauses from both prior epochs still in the database.
-        let (out3, report3) = session.solve(&inst, &candidates, &fps, None);
+        let (out3, report3) = session.solve(&inst, &candidates, &fps);
         assert!(out3.placement.is_some());
         assert!(report3.learnt_retained >= report.learnt_retained);
         assert!(
@@ -1283,7 +1140,7 @@ mod tests {
             .policies()
             .map(|(l, _)| (l, fingerprint_ingress(&inst, l)))
             .collect();
-        session.solve(&inst, &candidates, &fps, None);
+        session.solve(&inst, &candidates, &fps);
         assert_eq!(session.groups.len(), 1);
         let old_act = session.groups[&EntryPortId(0)].act;
 
@@ -1305,7 +1162,7 @@ mod tests {
             .policies()
             .map(|(l, _)| (l, fingerprint_ingress(&changed, l)))
             .collect();
-        let (out, _) = session.solve(&changed, &candidates2, &fps2, None);
+        let (out, _) = session.solve(&changed, &candidates2, &fps2);
         assert_ne!(session.groups[&EntryPortId(0)].act, old_act);
         let p = out.placement.expect("feasible");
         assert!(crate::verify::verify_placement(&changed, &p, 64, 0xF00D).is_ok());

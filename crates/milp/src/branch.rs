@@ -1,7 +1,5 @@
 //! Branch & bound over the LP relaxation.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::model::{Cmp, Model, Sense, VarId};
@@ -32,10 +30,6 @@ pub struct MipOptions {
     /// Optional warm-start solution; used as the initial incumbent if it
     /// is feasible for the model (and accepted by the lazy callback).
     pub initial_solution: Option<Vec<f64>>,
-    /// Cooperative cancellation flag: when another thread sets it, the
-    /// search stops at the next node boundary and reports like a hit time
-    /// limit (`Feasible` with the incumbent so far, else `Unknown`).
-    pub cancel: Option<Arc<AtomicBool>>,
     /// LP sub-solver options.
     pub lp: LpOptions,
 }
@@ -48,7 +42,6 @@ impl Default for MipOptions {
             integrality_tol: 1e-6,
             absolute_gap: 1e-6,
             initial_solution: None,
-            cancel: None,
             lp: LpOptions::default(),
         }
     }
@@ -158,13 +151,7 @@ pub fn solve_mip_lazy(
             elapsed: start.elapsed(),
         };
     }
-    // The cancel flag must also reach the LP sub-solver: a single root LP
-    // can dwarf all node-boundary checks, and the portfolio racer joins
-    // the losing thread.
     let mut lp_options = options.lp.clone();
-    if lp_options.cancel.is_none() {
-        lp_options.cancel = options.cancel.clone();
-    }
     if lp_options.deadline.is_none() {
         lp_options.deadline = options.time_limit.map(|limit| start + limit);
     }
@@ -212,16 +199,6 @@ pub fn solve_mip_lazy(
     let mut open_bound_floor = f64::INFINITY;
 
     'search: while let Some(node) = stack.pop() {
-        if let Some(cancel) = &options.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                hit_limit = true;
-                open_bound_floor = open_bound_floor.min(node.parent_bound);
-                for rest in &stack {
-                    open_bound_floor = open_bound_floor.min(rest.parent_bound);
-                }
-                break 'search;
-            }
-        }
         if let Some(limit) = options.time_limit {
             if start.elapsed() >= limit {
                 hit_limit = true;
@@ -609,48 +586,6 @@ mod tests {
         let out = solve_mip(&m, &opts);
         assert_eq!(out.status, MipStatus::Unknown);
         assert_eq!(out.nodes, 0);
-    }
-
-    #[test]
-    fn preset_cancel_flag_stops_before_first_node() {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = (0..9).map(|i| m.add_binary(format!("x{i}"))).collect();
-        for v in &vars {
-            m.set_objective(*v, 1.0);
-        }
-        for i in 0..9 {
-            m.add_constraint(
-                format!("c{i}"),
-                vec![(vars[i], 1.0), (vars[(i + 1) % 9], 1.0)],
-                Cmp::Ge,
-                1.0,
-            );
-        }
-        let flag = Arc::new(AtomicBool::new(true));
-        let opts = MipOptions {
-            cancel: Some(flag),
-            ..MipOptions::default()
-        };
-        let out = solve_mip(&m, &opts);
-        assert_eq!(out.status, MipStatus::Unknown);
-        assert_eq!(out.nodes, 0);
-    }
-
-    #[test]
-    fn unset_cancel_flag_does_not_disturb_search() {
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        m.set_objective(a, 2.0);
-        m.set_objective(b, 1.0);
-        m.add_constraint("cap", vec![(a, 1.0), (b, 1.0)], Cmp::Le, 1.0);
-        let opts = MipOptions {
-            cancel: Some(Arc::new(AtomicBool::new(false))),
-            ..MipOptions::default()
-        };
-        let out = solve_mip(&m, &opts);
-        assert!(out.is_optimal());
-        assert!((out.solution().unwrap().objective - 2.0).abs() < 1e-6);
     }
 
     #[test]

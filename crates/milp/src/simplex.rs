@@ -8,9 +8,6 @@
 //! step") handling for boxed variables.
 #![allow(clippy::needless_range_loop)] // dense kernels index several arrays at once
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use crate::model::{Cmp, Model, Sense};
 use crate::status::{LpOutcome, LpSolution, SolveError};
 
@@ -21,11 +18,6 @@ pub struct LpOptions {
     pub max_iterations: usize,
     /// Reduced-cost / pivot tolerance.
     pub tolerance: f64,
-    /// Cooperative cancellation flag, polled once per simplex iteration
-    /// (each iteration is `O(m²)` work, so the poll is free). A cancelled
-    /// solve reports [`LpOutcome::IterationLimit`] — large root LPs must
-    /// be interruptible or the portfolio racer would block on them.
-    pub cancel: Option<Arc<AtomicBool>>,
     /// Hard wall-clock deadline, checked once per iteration. An expired
     /// solve reports [`LpOutcome::IterationLimit`]. The MIP driver
     /// derives this from its own time limit so a single oversized LP
@@ -38,7 +30,6 @@ impl Default for LpOptions {
         LpOptions {
             max_iterations: 200_000,
             tolerance: 1e-9,
-            cancel: None,
             deadline: None,
         }
     }
@@ -144,8 +135,6 @@ struct Simplex {
     xb: Vec<f64>,
     iterations: usize,
     max_iterations: usize,
-    /// Cooperative cancellation flag (see [`LpOptions::cancel`]).
-    cancel: Option<Arc<AtomicBool>>,
     /// Wall-clock deadline (see [`LpOptions::deadline`]).
     deadline: Option<std::time::Instant>,
     tol: f64,
@@ -265,7 +254,6 @@ impl Simplex {
             xb,
             iterations: 0,
             max_iterations: options.max_iterations,
-            cancel: options.cancel.clone(),
             deadline: options.deadline,
             tol: options.tolerance,
             degenerate_streak: 0,
@@ -429,11 +417,6 @@ impl Simplex {
             }
             if self.iterations >= self.max_iterations {
                 return PhaseResult::IterationLimit;
-            }
-            if let Some(cancel) = &self.cancel {
-                if cancel.load(Ordering::Relaxed) {
-                    return PhaseResult::IterationLimit;
-                }
             }
             if let Some(deadline) = self.deadline {
                 if std::time::Instant::now() >= deadline {

@@ -1,11 +1,11 @@
 //! Deterministic observability for flowplace.
 //!
-//! The solver pipeline, the warm cache, and the controller runtime each
-//! grew their own telemetry ([`StageTimes`], [`WarmStats`], `CtrlStats`)
-//! with no common surface: there was no way to answer "where did this
-//! epoch's budget go" across pipeline → portfolio → dataplane. This
-//! crate is that surface. It has **zero dependencies** (not even on the
-//! other flowplace crates — they depend on it) and two halves:
+//! The warm cache and the controller runtime each keep their own
+//! counters ([`WarmStats`], `CtrlStats`) with no common surface: they
+//! cannot answer "where did this epoch's budget go" across pipeline →
+//! solve → dataplane. This crate is that surface. It has **zero
+//! dependencies** (not even on the other flowplace crates — they depend
+//! on it) and two halves:
 //!
 //! * [`mod@span`] — a hierarchical span recorder driven by a **logical tick
 //!   clock** plus the controller's virtual-millisecond clock. Real wall
@@ -52,7 +52,6 @@
 //! assert_eq!(doc.kind(), "trace");
 //! ```
 //!
-//! [`StageTimes`]: https://docs.rs/flowplace-core
 //! [`WarmStats`]: https://docs.rs/flowplace-core
 //! [`Recorder::set_virtual_ms`]: span::Recorder::set_virtual_ms
 

@@ -12,9 +12,8 @@
 //! * LBD (glue) scoring of learnt clauses with periodic learnt-DB
 //!   reduction (glue and locked clauses are never deleted),
 //! * recursive clause minimization of every learnt clause,
-//! * glucose-style adaptive restarts with trail-size blocking — built on
-//!   deterministic integer fixed-point EMAs — selectable alongside the
-//!   classic Luby schedule via [`SolverOptions`],
+//! * glucose-style adaptive restarts with trail-size blocking, built on
+//!   deterministic integer fixed-point EMAs,
 //! * solving under assumptions (used by the incremental-deployment path).
 //!
 //! # Example
@@ -48,4 +47,4 @@ mod solver;
 
 pub use lit::{Lit, Var};
 pub use pb::PbConstraint;
-pub use solver::{Model, RestartStrategy, SatResult, Solver, SolverOptions, SolverStats};
+pub use solver::{Model, SatResult, Solver, SolverOptions, SolverStats};

@@ -12,8 +12,10 @@
 //!   variable) are never deleted;
 //! * **recursive clause minimization** of every learnt clause before it
 //!   is attached;
-//! * **adaptive (glucose-style) restarts** with trail-size *blocking*,
-//!   selectable alongside the classic Luby schedule.
+//! * **adaptive (glucose-style) restarts** with trail-size *blocking*:
+//!   restart when the recent learnt-clause LBD (fast EMA) exceeds the
+//!   long-term LBD (slow EMA) by 25%, *blocked* when the trail has grown
+//!   well past its EMA (the solver is likely closing in on a model).
 //!
 //! Everything is deterministic: the restart and blocking conditions use
 //! integer fixed-point EMAs (no floats, no wall clock), so a solve is a
@@ -22,7 +24,6 @@
 //! rely on.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 
 use crate::pb::PbConstraint;
 use crate::{Lit, Var};
@@ -82,52 +83,9 @@ impl SatResult {
     }
 }
 
-/// Restart schedule of the CDCL search.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum RestartStrategy {
-    /// The classic Luby sequence (1,1,2,1,1,2,4,…) × 100 conflicts —
-    /// the original schedule of this solver, kept selectable as the
-    /// baseline arm of differential benchmarks.
-    Luby,
-    /// Glucose-style adaptive restarts: restart when the recent learnt-
-    /// clause LBD (fast EMA) exceeds the long-term LBD (slow EMA) by
-    /// 25%, *blocked* when the trail has grown well past its EMA (the
-    /// solver is likely closing in on a model). Both EMAs are integer
-    /// fixed-point, so the schedule is bit-reproducible.
-    #[default]
-    Glucose,
-}
-
-impl std::str::FromStr for RestartStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "luby" => Ok(RestartStrategy::Luby),
-            "glucose" => Ok(RestartStrategy::Glucose),
-            other => Err(format!(
-                "unknown restart strategy {other:?} (want luby|glucose)"
-            )),
-        }
-    }
-}
-
-impl fmt::Display for RestartStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RestartStrategy::Luby => write!(f, "luby"),
-            RestartStrategy::Glucose => write!(f, "glucose"),
-        }
-    }
-}
-
-/// Tunables of the CDCL search. The default is the modern configuration
-/// (glucose restarts, learnt-DB reduction on); the baseline-CDCL
-/// behavior is `restart: Luby, db_reduction: false`.
+/// Tunables of the CDCL search. The default has learnt-DB reduction on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SolverOptions {
-    /// Restart schedule.
-    pub restart: RestartStrategy,
     /// Periodically delete the worst half of the learnt clauses
     /// (glue ≤ 2 and locked clauses are always kept).
     pub db_reduction: bool,
@@ -135,10 +93,7 @@ pub struct SolverOptions {
 
 impl Default for SolverOptions {
     fn default() -> Self {
-        SolverOptions {
-            restart: RestartStrategy::Glucose,
-            db_reduction: true,
-        }
+        SolverOptions { db_reduction: true }
     }
 }
 
@@ -245,9 +200,6 @@ const REDUCE_INC: u64 = 300;
 /// Per-solve-call restart/reduction state (reset on every `solve*` call
 /// so a solve is a pure function of database + options + assumptions).
 struct SearchPacing {
-    /// Luby: conflicts left before the next scheduled restart.
-    conflicts_until_restart: u64,
-    restart_idx: u64,
     /// Glucose EMAs (Q48.16; `None` until the first conflict seeds them).
     lbd_fast: i64,
     lbd_slow: i64,
@@ -263,8 +215,6 @@ struct SearchPacing {
 impl SearchPacing {
     fn new() -> Self {
         SearchPacing {
-            conflicts_until_restart: 100 * luby(0),
-            restart_idx: 0,
             lbd_fast: 0,
             lbd_slow: 0,
             trail_ema: 0,
@@ -978,77 +928,44 @@ impl Solver {
         lbd: u32,
         trail_len: usize,
     ) -> bool {
-        match self.options.restart {
-            RestartStrategy::Luby => {
-                if pacing.conflicts_until_restart == 0 {
-                    pacing.restart_idx += 1;
-                    pacing.conflicts_until_restart = 100 * luby(pacing.restart_idx);
-                    true
-                } else {
-                    pacing.conflicts_until_restart -= 1;
-                    false
-                }
-            }
-            RestartStrategy::Glucose => {
-                let lbd_fp = (lbd as i64) << EMA_SHIFT;
-                let trail_fp = (trail_len as i64) << EMA_SHIFT;
-                if !pacing.seeded {
-                    pacing.seeded = true;
-                    pacing.lbd_fast = lbd_fp;
-                    pacing.lbd_slow = lbd_fp;
-                    pacing.trail_ema = trail_fp;
-                } else {
-                    pacing.lbd_fast += (lbd_fp - pacing.lbd_fast) >> LBD_FAST_SHIFT;
-                    pacing.lbd_slow += (lbd_fp - pacing.lbd_slow) >> LBD_SLOW_SHIFT;
-                    pacing.trail_ema += (trail_fp - pacing.trail_ema) >> TRAIL_SHIFT;
-                }
-                pacing.conflicts_since_restart += 1;
-                if pacing.conflicts_since_restart < RESTART_MIN_CONFLICTS {
-                    return false;
-                }
-                // Restart when recent glue runs 25% above the long-term
-                // average (the search degraded)…
-                if 4 * pacing.lbd_fast > 5 * pacing.lbd_slow {
-                    pacing.conflicts_since_restart = 0;
-                    pacing.lbd_fast = pacing.lbd_slow;
-                    // …unless the trail is 40% above its average: the
-                    // solver is probably closing in on a model, so the
-                    // restart is blocked.
-                    if 5 * trail_fp > 7 * pacing.trail_ema {
-                        self.stats.blocked_restarts += 1;
-                        return false;
-                    }
-                    return true;
-                }
-                false
-            }
+        let lbd_fp = (lbd as i64) << EMA_SHIFT;
+        let trail_fp = (trail_len as i64) << EMA_SHIFT;
+        if !pacing.seeded {
+            pacing.seeded = true;
+            pacing.lbd_fast = lbd_fp;
+            pacing.lbd_slow = lbd_fp;
+            pacing.trail_ema = trail_fp;
+        } else {
+            pacing.lbd_fast += (lbd_fp - pacing.lbd_fast) >> LBD_FAST_SHIFT;
+            pacing.lbd_slow += (lbd_fp - pacing.lbd_slow) >> LBD_SLOW_SHIFT;
+            pacing.trail_ema += (trail_fp - pacing.trail_ema) >> TRAIL_SHIFT;
         }
+        pacing.conflicts_since_restart += 1;
+        if pacing.conflicts_since_restart < RESTART_MIN_CONFLICTS {
+            return false;
+        }
+        // Restart when recent glue runs 25% above the long-term average
+        // (the search degraded)…
+        if 4 * pacing.lbd_fast > 5 * pacing.lbd_slow {
+            pacing.conflicts_since_restart = 0;
+            pacing.lbd_fast = pacing.lbd_slow;
+            // …unless the trail is 40% above its average: the solver is
+            // probably closing in on a model, so the restart is blocked.
+            if 5 * trail_fp > 7 * pacing.trail_ema {
+                self.stats.blocked_restarts += 1;
+                return false;
+            }
+            return true;
+        }
+        false
     }
-
-    /// How many search steps (propagate/decide rounds) pass between two
-    /// polls of the cancellation flag in
-    /// [`solve_interruptible`](Self::solve_interruptible). Coarse enough
-    /// that polling is free, fine enough that cancellation latency is
-    /// far below any solve worth cancelling.
-    pub const CANCEL_CHECK_INTERVAL: u64 = 1024;
 
     /// Decides satisfiability of the current database.
     ///
     /// The solver is reusable: more clauses/constraints may be added after
     /// a solve, and `solve` called again.
     pub fn solve(&mut self) -> SatResult {
-        self.solve_interruptible(None)
-            .expect("uninterrupted solve always concludes")
-    }
-
-    /// Like [`solve`](Self::solve), but polls `cancel` every
-    /// [`CANCEL_CHECK_INTERVAL`](Self::CANCEL_CHECK_INTERVAL) search steps
-    /// (decisions + conflicts). Returns `None` if the flag was observed
-    /// set before a verdict was reached; the solver backtracks to decision
-    /// level 0 first, so it stays reusable (clauses learnt so far are
-    /// kept, and a later call resumes from them).
-    pub fn solve_interruptible(&mut self, cancel: Option<&AtomicBool>) -> Option<SatResult> {
-        self.solve_with_assumptions_interruptible(&[], cancel)
+        self.solve_with_assumptions(&[])
     }
 
     /// Decides satisfiability under extra unit assumptions, without
@@ -1061,24 +978,12 @@ impl Solver {
     /// calls, with or without assumptions. `Unsat` here means
     /// *unsatisfiable under these assumptions*; the database itself is
     /// untouched and the solver stays reusable.
-    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.solve_with_assumptions_interruptible(assumptions, None)
-            .expect("uninterrupted solve always concludes")
-    }
-
-    /// [`solve_with_assumptions`](Self::solve_with_assumptions) with the
-    /// cancellation protocol of
-    /// [`solve_interruptible`](Self::solve_interruptible).
     ///
     /// # Panics
     ///
     /// Panics if an assumption names a variable the solver has not
     /// created.
-    pub fn solve_with_assumptions_interruptible(
-        &mut self,
-        assumptions: &[Lit],
-        cancel: Option<&AtomicBool>,
-    ) -> Option<SatResult> {
+    pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
         for &a in assumptions {
             assert!(
                 (a.var().0 as usize) < self.nvars,
@@ -1086,37 +991,24 @@ impl Solver {
             );
         }
         if !self.ok {
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         self.cancel_until(0);
         if self.propagate().is_some() {
             self.ok = false;
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
 
         let mut pacing = SearchPacing::new();
-        // Poll on the very first step (an already-set flag interrupts
-        // deterministically), then every CANCEL_CHECK_INTERVAL steps.
-        let mut steps_until_poll = 1;
 
         loop {
-            if let Some(flag) = cancel {
-                steps_until_poll -= 1;
-                if steps_until_poll == 0 {
-                    steps_until_poll = Self::CANCEL_CHECK_INTERVAL;
-                    if flag.load(AtomicOrdering::Relaxed) {
-                        self.cancel_until(0);
-                        return None;
-                    }
-                }
-            }
             match self.propagate() {
                 Some(conflict) => {
                     self.stats.conflicts += 1;
                     pacing.conflicts_this_call += 1;
                     if self.decision_level() == 0 {
                         self.ok = false;
-                        return Some(SatResult::Unsat);
+                        return SatResult::Unsat;
                     }
                     let trail_len = self.trail.len();
                     let (learnt, blevel, lbd) = self.analyze(conflict);
@@ -1158,7 +1050,7 @@ impl Solver {
                         match self.value_lit(a) {
                             LBool::False => {
                                 self.cancel_until(0);
-                                return Some(SatResult::Unsat);
+                                return SatResult::Unsat;
                             }
                             LBool::True => {
                                 self.trail_lim.push(self.trail.len());
@@ -1178,7 +1070,7 @@ impl Solver {
                             let model = Model { values };
                             debug_assert!(self.model_consistent(&model));
                             self.cancel_until(0);
-                            return Some(SatResult::Sat(model));
+                            return SatResult::Sat(model);
                         }
                         Some(v) => {
                             self.stats.decisions += 1;
@@ -1217,22 +1109,6 @@ impl fmt::Display for Solver {
     }
 }
 
-/// The Luby restart sequence 1,1,2,1,1,2,4,… (0-indexed).
-fn luby(mut x: u64) -> u64 {
-    // Find the finite subsequence containing index x and its size.
-    let (mut size, mut seq) = (1u64, 0u64);
-    while size < x + 1 {
-        seq += 1;
-        size = 2 * size + 1;
-    }
-    while size - 1 != x {
-        size = (size - 1) / 2;
-        seq -= 1;
-        x %= size;
-    }
-    1u64 << seq
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1242,32 +1118,8 @@ mod tests {
     }
 
     /// Every solver configuration the differential suites cover.
-    fn all_options() -> Vec<SolverOptions> {
-        let mut out = Vec::new();
-        for restart in [RestartStrategy::Luby, RestartStrategy::Glucose] {
-            for db_reduction in [false, true] {
-                out.push(SolverOptions {
-                    restart,
-                    db_reduction,
-                });
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn luby_sequence() {
-        let seq: Vec<u64> = (0..15).map(luby).collect();
-        assert_eq!(seq, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
-    }
-
-    #[test]
-    fn restart_strategy_parses_and_displays() {
-        assert_eq!("luby".parse(), Ok(RestartStrategy::Luby));
-        assert_eq!("glucose".parse(), Ok(RestartStrategy::Glucose));
-        assert!("geometric".parse::<RestartStrategy>().is_err());
-        assert_eq!(RestartStrategy::Luby.to_string(), "luby");
-        assert_eq!(RestartStrategy::Glucose.to_string(), "glucose");
+    fn all_options() -> [SolverOptions; 2] {
+        [false, true].map(|db_reduction| SolverOptions { db_reduction })
     }
 
     #[test]
@@ -1293,39 +1145,6 @@ mod tests {
         for l in &v {
             assert!(m.lit_value(*l));
         }
-    }
-
-    #[test]
-    fn preset_cancel_flag_interrupts_and_solver_stays_reusable() {
-        // The flag is polled before the first search step, so a pre-set
-        // flag always interrupts before any verdict.
-        let mut s = Solver::new();
-        let p: Vec<Vec<Lit>> = (0..6)
-            .map(|_| (0..5).map(|_| Lit::positive(s.new_var())).collect())
-            .collect();
-        for row in &p {
-            s.add_clause(row);
-        }
-        for h in 0..5 {
-            let col: Vec<Lit> = p.iter().map(|row| row[h]).collect();
-            s.add_at_most_k(&col, 1);
-        }
-        let flag = AtomicBool::new(true);
-        assert_eq!(s.solve_interruptible(Some(&flag)), None);
-        // Interruption left the solver at level 0; a plain solve still
-        // reaches the right verdict.
-        assert_eq!(s.solve(), SatResult::Unsat);
-    }
-
-    #[test]
-    fn unset_cancel_flag_does_not_change_verdict() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 3);
-        s.add_clause(&[v[0], v[1]]);
-        s.add_clause(&[!v[0], v[2]]);
-        let flag = AtomicBool::new(false);
-        let r = s.solve_interruptible(Some(&flag)).expect("concludes");
-        assert!(r.is_sat());
     }
 
     #[test]
@@ -1554,21 +1373,6 @@ mod tests {
     }
 
     #[test]
-    fn assumption_solve_interruptible_preset_flag() {
-        let mut s = Solver::new();
-        let v = lits(&mut s, 2);
-        s.add_clause(&[v[0], v[1]]);
-        let flag = AtomicBool::new(true);
-        assert_eq!(
-            s.solve_with_assumptions_interruptible(&[!v[0]], Some(&flag)),
-            None
-        );
-        // Interruption leaves the solver reusable.
-        let r = s.solve_with_assumptions(&[!v[0]]);
-        assert!(r.model().expect("satisfiable").lit_value(v[1]));
-    }
-
-    #[test]
     fn assumptions_after_database_unsat() {
         let mut s = Solver::new();
         let v = s.new_var();
@@ -1768,10 +1572,7 @@ mod tests {
 
     #[test]
     fn glucose_restarts_fire_on_hard_instances() {
-        let mut s = Solver::with_options(SolverOptions {
-            restart: RestartStrategy::Glucose,
-            db_reduction: true,
-        });
+        let mut s = Solver::new();
         let p: Vec<Vec<Lit>> = (0..8)
             .map(|_| (0..7).map(|_| Lit::positive(s.new_var())).collect())
             .collect();

@@ -44,9 +44,6 @@ place flags:
   --objective rules|distance   minimize total rules or push drops upstream
   --time-limit SECS    branch-and-bound budget                   [60]
   --threads N          pipeline worker threads (0 = auto-detect) [1]
-  --portfolio          race ILP against PB-SAT, first verdict wins
-  --sat-restart luby|glucose   CDCL restart schedule for the PB-SAT
-                       engine (glucose = adaptive + blocking)     [glucose]
   --verify             golden-model check of the deployment
   --tables             print the emitted per-switch tables
   --export-lp FILE     also write the ILP in CPLEX LP format
@@ -68,9 +65,6 @@ ctrl replay flags:
   --capacity N         TCAM slots per switch                     [16]
   --batch N            events coalesced per epoch                [8]
   --threads N          pipeline worker threads (0 = auto-detect) [1]
-  --portfolio          race ILP against PB-SAT on full solves
-  --sat-restart luby|glucose   CDCL restart schedule for PB-SAT
-                       solves (incl. warm sessions)               [glucose]
   --verbose            print every event outcome, not just epochs
   --faults FILE        scripted fault schedule (grammar below)
   --fault-seed N       seed for probabilistic fault draws        [0]
@@ -139,26 +133,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Builds the CDCL options from `--sat-restart luby|glucose` (the
-/// learnt-DB-reduction default rides along with the strategy's default).
-fn parse_sat_options(
-    flags: &BTreeMap<String, String>,
-) -> Result<flowplace::pbsat::SolverOptions, String> {
-    let mut sat = flowplace::pbsat::SolverOptions::default();
-    if let Some(spec) = flags.get("sat-restart") {
-        sat.restart = spec.parse().map_err(|e| format!("--sat-restart: {e}"))?;
-    }
-    Ok(sat)
-}
-
 /// The flags each subcommand's help section documents; anything else is
 /// a usage error, so a misspelt or retired flag cannot silently run with
 /// the default it was meant to override.
 const PLACE_FLAGS: &str = "topo capacity ingresses paths rules policy-file seed merging engine \
-    objective time-limit threads portfolio sat-restart verify tables export-lp trace-out metrics-out";
+    objective time-limit threads verify tables export-lp trace-out metrics-out";
 const AUDIT_FLAGS: &str = "dot metrics-out";
 const GEN_POLICY_FLAGS: &str = "rules width seed profile";
-const CTRL_REPLAY_FLAGS: &str = "topo capacity batch threads portfolio sat-restart verbose faults \
+const CTRL_REPLAY_FLAGS: &str = "topo capacity batch threads verbose faults \
     fault-seed reject-rate crash-rate recover-rate retries quarantine-after warm trace-out \
     metrics-out cache delegation traffic";
 const TRAFFIC_GEN_FLAGS: &str = "seed rate duration zipf ingresses width flows flowlet burst";
@@ -169,13 +151,7 @@ fn parse_flags(
     args: &[String],
     known: &str,
 ) -> Result<(BTreeMap<String, String>, Vec<String>), String> {
-    const SWITCHES: &[&str] = &[
-        "--merging",
-        "--verify",
-        "--tables",
-        "--verbose",
-        "--portfolio",
-    ];
+    const SWITCHES: &[&str] = &["--merging", "--verify", "--tables", "--verbose"];
     let mut flags = BTreeMap::new();
     let mut positional = Vec::new();
     let mut it = args.iter().peekable();
@@ -267,13 +243,37 @@ fn get_shape_f64(flags: &BTreeMap<String, String>, key: &str, default: f64) -> R
     }
 }
 
+/// Largest `--topo` the CLI builds, in switches, links or entry ports.
+/// A spec beyond it is a typo, and allocating for it aborts the process.
+const MAX_TOPO_ELEMENTS: usize = 1 << 20;
+
+/// Parses and validates a `--topo` spec here, so no input reaches the
+/// documented panics of the `Topology` constructors.
 fn build_topology(spec: &str) -> Result<Topology, String> {
     let (kind, params) = spec.split_once(':').unwrap_or((spec, ""));
+    // `counts` of switches, links or entry ports; `None` is an overflow.
+    let sized = |counts: &[Option<usize>]| {
+        if counts
+            .iter()
+            .all(|c| c.is_some_and(|n| n <= MAX_TOPO_ELEMENTS))
+        {
+            Ok(())
+        } else {
+            Err(format!(
+                "topology {spec:?} is too large (at most {MAX_TOPO_ELEMENTS} switches, links or entry ports)"
+            ))
+        }
+    };
     match kind {
         "fat-tree" => {
             let k: usize = params
                 .parse()
                 .map_err(|_| format!("bad fat-tree arity {params:?}"))?;
+            if k < 2 || !k.is_multiple_of(2) {
+                return Err(format!("fat-tree arity {k} must be even and >= 2"));
+            }
+            // k³/2 links: more than its 5k²/4 switches or k³/4 ports.
+            sized(&[k.checked_pow(3).map(|cube| cube / 2)])?;
             Ok(Topology::fat_tree(k))
         }
         "leaf-spine" => {
@@ -284,15 +284,27 @@ fn build_topology(spec: &str) -> Result<Topology, String> {
                         .map_err(|_| format!("bad leaf-spine params {params:?}"))
                 })
                 .collect::<Result<_, _>>()?;
-            if ps.len() != 3 {
+            let [spines, leaves, hosts] = ps[..] else {
                 return Err("leaf-spine needs S,L,H".into());
+            };
+            if spines == 0 || leaves == 0 || hosts == 0 {
+                return Err("leaf-spine S, L and H must be at least 1".into());
             }
-            Ok(Topology::leaf_spine(ps[0], ps[1], ps[2]))
+            sized(&[
+                spines.checked_add(leaves),
+                spines.checked_mul(leaves),
+                leaves.checked_mul(hosts),
+            ])?;
+            Ok(Topology::leaf_spine(spines, leaves, hosts))
         }
         "linear" => {
             let n: usize = params
                 .parse()
                 .map_err(|_| format!("bad linear length {params:?}"))?;
+            if n == 0 {
+                return Err("linear length must be at least 1".into());
+            }
+            sized(&[Some(n)])?;
             Ok(Topology::linear(n))
         }
         other => Err(format!("unknown topology kind {other:?}")),
@@ -374,7 +386,6 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
     let time_limit = get_usize(&flags, "time-limit", 60)? as u64;
     let parallel = ParallelConfig {
         threads: get_usize(&flags, "threads", 1)?,
-        portfolio: flags.contains_key("portfolio"),
     };
     let options = PlacementOptions {
         engine,
@@ -385,7 +396,6 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
             ..MipOptions::default()
         },
         parallel,
-        sat: parse_sat_options(&flags)?,
         ..PlacementOptions::default()
     };
 
@@ -411,12 +421,9 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
     let par = par::solve(&instance, objective, &options, ctx);
     if parallel.is_parallel() {
         println!(
-            "pipeline: {} threads, engine {} (stages: deps {:?}, candidates {:?}, solve {:?})",
+            "pipeline: {} threads, engine {}",
             parallel.effective_threads(),
-            par.provenance,
-            par.stages.depgraphs,
-            par.stages.candidates,
-            par.stages.solve
+            par.provenance
         );
     }
     let outcome = par.outcome;
@@ -553,9 +560,7 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
     let placement = flowplace::core::PlacementOptions {
         parallel: ParallelConfig {
             threads: get_usize(&flags, "threads", 1)?,
-            portfolio: flags.contains_key("portfolio"),
         },
-        sat: parse_sat_options(&flags)?,
         ..flowplace::core::PlacementOptions::default()
     };
     let warm = match flags.get("warm").map(String::as_str) {
@@ -834,6 +839,9 @@ fn gen_policy_inner(args: &[String]) -> Result<(), String> {
     }
     let rules = get_usize(&flags, "rules", 20)?;
     let width = get_u32(&flags, "width", 16)?;
+    if !(2..=128).contains(&width) {
+        return Err("--width must be in 2..=128".into());
+    }
     let seed = get_usize(&flags, "seed", 1)? as u64;
     let profile = match flags.get("profile").map(String::as_str) {
         None | Some("firewall") => Profile::Firewall,

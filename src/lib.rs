@@ -81,7 +81,7 @@ pub mod prelude {
     pub use flowplace_core::{
         DependencyEncoding, Instance, Objective, ParOutcome, ParallelConfig, Placement,
         PlacementOptions, PlacementOutcome, PlacerEngine, Provenance, RulePlacer, SolveCtx,
-        SolveStatus, StageTimes,
+        SolveStatus,
     };
     pub use flowplace_ctrl::{Controller, CtrlOptions, CtrlStats, Event, Tier};
     pub use flowplace_obs::Obs;

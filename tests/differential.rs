@@ -3,10 +3,10 @@
 //! Two guarantees are exercised over a corpus of seeded ClassBench
 //! instances:
 //!
-//! 1. **Byte-identity** — with `portfolio: false`, the parallel pipeline
-//!    must return exactly the serial result (same placement, status, and
-//!    objective) for any thread count. This is the determinism contract
-//!    of `flowplace_core::par` (one code path + merge-order rule).
+//! 1. **Byte-identity** — the parallel pipeline must return exactly the
+//!    serial result (same placement, status, and objective) for any
+//!    thread count. This is the determinism contract of
+//!    `flowplace_core::par` (one code path + merge-order rule).
 //! 2. **Fail-closed engines** — every placement any engine produces
 //!    (ILP, greedy heuristic, PB-SAT) must pass the one-sided
 //!    `verify::no_false_negatives` check: no packet a policy DROPs may
@@ -75,18 +75,15 @@ fn serial_options() -> PlacementOptions {
 }
 
 /// Checks byte-identity between the serial path and the parallel
-/// pipeline (portfolio off) on one configuration. `Err` carries a
-/// human-readable mismatch description.
+/// pipeline on one configuration. `Err` carries a human-readable
+/// mismatch description.
 fn check_identity(cfg: &Config, threads: usize) -> Result<(), String> {
     let instance = cfg.build();
     let serial = RulePlacer::new(serial_options())
         .place(&instance, Objective::TotalRules)
         .expect("placement never errors");
     let par_options = PlacementOptions {
-        parallel: ParallelConfig {
-            threads,
-            portfolio: false,
-        },
+        parallel: ParallelConfig { threads },
         ..serial_options()
     };
     let par = par::solve(
@@ -112,7 +109,7 @@ fn check_identity(cfg: &Config, threads: usize) -> Result<(), String> {
     }
     if format!("{}", par.provenance) != "single:ilp" {
         return Err(format!(
-            "non-portfolio run must report single-engine provenance, got {}",
+            "an ILP run must report single:ilp provenance, got {}",
             par.provenance
         ));
     }
@@ -254,17 +251,13 @@ type SatSolve = (
     flowplace::pbsat::SolverStats,
 );
 
-/// Solves one configuration with the PB-SAT engine under the given CDCL
-/// options and thread count.
-fn sat_solve(cfg: &Config, sat: flowplace::pbsat::SolverOptions, threads: usize) -> SatSolve {
+/// Solves one configuration with the PB-SAT engine (default CDCL
+/// options: glucose restarts, learnt-DB reduction) at a thread count.
+fn glucose_solve(cfg: &Config, threads: usize) -> SatSolve {
     let instance = cfg.build();
     let options = PlacementOptions {
         engine: PlacerEngine::Sat,
-        sat,
-        parallel: ParallelConfig {
-            threads,
-            portfolio: false,
-        },
+        parallel: ParallelConfig { threads },
         ..serial_options()
     };
     let out = par::solve(
@@ -286,16 +279,6 @@ fn sat_solve(cfg: &Config, sat: flowplace::pbsat::SolverOptions, threads: usize)
     )
 }
 
-/// [`sat_solve`] under the modern glucose restart strategy
-/// (`--sat-restart glucose`).
-fn glucose_solve(cfg: &Config, threads: usize) -> SatSolve {
-    let glucose = flowplace::pbsat::SolverOptions {
-        restart: flowplace::pbsat::RestartStrategy::Glucose,
-        db_reduction: true,
-    };
-    sat_solve(cfg, glucose, threads)
-}
-
 /// The 256-rule ClassBench shape (16 tenants × 16 rules on the k=4
 /// fat-tree), larger than any seeded corpus instance.
 const CLB_256: Config = Config {
@@ -312,10 +295,6 @@ fn glucose_sat_engine_is_deterministic_across_thread_counts() {
     // LBD sums) at any `--threads`. The CDCL search itself is
     // single-threaded per solve, so even the effort counters must not
     // wobble when the surrounding pipeline fans out.
-    let luby = flowplace::pbsat::SolverOptions {
-        restart: flowplace::pbsat::RestartStrategy::Luby,
-        db_reduction: false,
-    };
     for cfg in (0..CORPUS).map(Config::from_seed).chain([CLB_256]) {
         let seed = cfg.seed;
         let reference = glucose_solve(&cfg, 1);
@@ -332,16 +311,6 @@ fn glucose_sat_engine_is_deterministic_across_thread_counts() {
         assert_eq!(
             replay, reference,
             "glucose SAT replay wobbled (seed {seed})"
-        );
-        // The baseline arm (Luby restarts, no learnt-DB reduction) runs
-        // the identical encoding; a SAT model is not unique in general,
-        // so the arms decoding different placements means the restart
-        // machinery perturbed a search it should not have reached.
-        let baseline = sat_solve(&cfg, luby, 1);
-        assert_eq!(
-            (&baseline.0, baseline.1),
-            (&reference.0, reference.1),
-            "Luby and glucose arms decoded different placements (seed {seed})"
         );
     }
 }

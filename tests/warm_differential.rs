@@ -7,6 +7,10 @@
 //! Both controllers see the exact same event sequence, one event per
 //! epoch, and after every epoch the working placement and the emitted
 //! dataplane tables must match exactly.
+//!
+//! Persistent solver sessions (`WarmConfig::sessions`) keep solver
+//! state across epochs, so they are not byte-identical to cold; they
+//! are held to run-to-run determinism and to the verifier instead.
 
 use flowplace::acl::{Action, Policy, Rule, RuleId, Ternary};
 use flowplace::core::WarmConfig;
@@ -245,4 +249,83 @@ fn memo_eviction_and_rollback_error_path_stay_identical() {
         total_evictions > 0,
         "the 2-entry memo never evicted across {SEEDS} streams"
     );
+}
+
+/// Two controllers with persistent solver sessions, fed the same
+/// stream, stay equal step by step for both engines (nothing in a
+/// session depends on the clock or on scheduling), and every placement
+/// a session returns passes the reference verifier.
+#[test]
+fn session_solves_are_deterministic_and_verified() {
+    let sessions = WarmConfig {
+        sessions: true,
+        ..WarmConfig::default()
+    };
+    for engine in [PlacerEngine::Ilp, PlacerEngine::Sat] {
+        let mut session_work = 0;
+        for seed in 0..SEEDS {
+            let mut rng = StdRng::seed_from_u64(0x5E55_0000 ^ seed);
+            let capacity = rng.gen_range(6..12usize);
+            let build = || {
+                let mut topo = Topology::linear(3);
+                topo.set_uniform_capacity(capacity);
+                let options = CtrlOptions {
+                    batch_size: 1,
+                    warm: sessions.clone(),
+                    placement: PlacementOptions {
+                        engine,
+                        ..PlacementOptions::default()
+                    },
+                    ..CtrlOptions::default()
+                };
+                Controller::new(topo, options)
+            };
+            let (mut a, mut b) = (build(), build());
+
+            let mut events = vec![
+                install(&mut rng, 0),
+                install(&mut rng, 1),
+                Event::Checkpoint,
+            ];
+            let mut priority = 10;
+            for _ in 0..rng.gen_range(8..14usize) {
+                events.push(rand_event(&mut rng, &mut priority));
+                if rng.gen_bool(0.3) {
+                    events.push(Event::Solve);
+                }
+            }
+            events.push(Event::Rollback);
+            events.push(Event::Solve);
+
+            for (step, event) in events.into_iter().enumerate() {
+                let at = format!("{engine:?} seed {seed} step {step}");
+                a.submit(event.clone()).expect("queue has room");
+                b.submit(event).expect("queue has room");
+                assert_eq!(
+                    format!("{:?}", a.run_to_idle()),
+                    format!("{:?}", b.run_to_idle()),
+                    "{at}: verdicts diverged"
+                );
+                assert_eq!(a.placement(), b.placement(), "{at}: placements diverged");
+                assert_eq!(
+                    a.dataplane().dump(),
+                    b.dataplane().dump(),
+                    "{at}: dataplane tables diverged"
+                );
+                flowplace::core::verify::verify_placement(
+                    a.instance(),
+                    a.placement(),
+                    8,
+                    step as u64,
+                )
+                .unwrap_or_else(|e| panic!("{at}: session placement fails verify: {e}"));
+            }
+            assert_eq!(a.stats(), b.stats(), "{engine:?} seed {seed}");
+            session_work += a.stats().warm_ilp_seeded + a.stats().warm_sat_learnt_retained;
+        }
+        assert!(
+            session_work > 0,
+            "{engine:?}: no solve reached a session across {SEEDS} streams"
+        );
+    }
 }

@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos clean
+.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos loc clean
 
 all: ci
 
@@ -79,6 +79,13 @@ chaos:
 		ctrl replay traces/chaos.trace --batch 4 \
 		--faults traces/chaos.faults --fault-seed 42 \
 		--reject-rate 0.1 --crash-rate 0.02 --recover-rate 0.5
+
+## loc: lines of Rust, the figures CHANGES.md and ROADMAP quote: what
+## ships (`crates` + `src`), the tier-1 tests, the system benchmark.
+loc:
+	@printf 'crates + src   %s\n' "$$(find crates src -name '*.rs' | xargs cat | wc -l)"
+	@printf 'tests          %s\n' "$$(find tests -name '*.rs' | xargs cat | wc -l)"
+	@printf 'benchmark/src  %s\n' "$$(find benchmark/src -name '*.rs' | xargs cat | wc -l)"
 
 clean:
 	$(CARGO) clean

@@ -9,15 +9,14 @@
 //! the pool, used for one operation, cleared, and returned with its
 //! capacity intact.
 //!
-//! Every public `CubeList` operation routes through a thread-local arena
-//! automatically (see [`crate::CubeList::subtract`]), so existing callers
-//! pool without code changes. Hot loops that want isolated accounting —
-//! the redundancy pre-pass — hold their own arena and call the `*_in`
-//! variants.
+//! There is one arena per thread, behind every `CubeList` operation
+//! (see [`crate::CubeList::subtract`]); callers never hold one. Its
+//! counters are read with [`crate::thread_arena_stats`], and a
+//! computation is accounted by the difference around it.
 
 use crate::Ternary;
 
-/// Counters describing how well a [`CubeArena`] is amortising allocations.
+/// Counters describing how well the cube arena is amortising allocations.
 ///
 /// Surfaced as observability gauges (`arena_*`); see DESIGN.md §16.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -48,11 +47,9 @@ impl ArenaStats {
 ///
 /// Buffers are handed out empty ([`take`](Self::take)) and returned
 /// cleared but with capacity intact ([`put`](Self::put)), so repeated
-/// cube algebra reuses the same backing storage. The arena is a plain
-/// value — hold one per hot loop for isolated [`ArenaStats`], or rely on
-/// the thread-local arena behind the `CubeList` convenience methods.
+/// cube algebra reuses the same backing storage.
 #[derive(Debug, Default)]
-pub struct CubeArena {
+pub(crate) struct CubeArena {
     pool: Vec<Vec<Ternary>>,
     pooled_bytes: u64,
     stats: ArenaStats,
@@ -64,20 +61,9 @@ impl CubeArena {
         Self::default()
     }
 
-    /// Counters accumulated since construction or the last
-    /// [`reset_stats`](Self::reset_stats).
+    /// Counters accumulated since construction.
     pub fn stats(&self) -> ArenaStats {
         self.stats
-    }
-
-    /// Zeroes the counters, keeping pooled buffers (and their capacity).
-    pub fn reset_stats(&mut self) {
-        self.stats = ArenaStats::default();
-    }
-
-    /// Number of buffers currently resting in the pool.
-    pub fn pooled(&self) -> usize {
-        self.pool.len()
     }
 
     /// Takes an empty scratch buffer, reusing pooled capacity when
@@ -123,7 +109,6 @@ mod tests {
         assert_eq!(arena.stats().allocations, 1);
         assert_eq!(arena.stats().reuse_hits, 0);
         arena.put(buf);
-        assert_eq!(arena.pooled(), 1);
     }
 
     #[test]
@@ -175,16 +160,5 @@ mod tests {
         let ratio = arena.stats().reuse_ratio();
         assert!((0.0..=1.0).contains(&ratio));
         assert!((ratio - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_stats_keeps_pool() {
-        let mut arena = CubeArena::new();
-        let mut buf = arena.take();
-        buf.reserve(8);
-        arena.put(buf);
-        arena.reset_stats();
-        assert_eq!(arena.stats(), ArenaStats::default());
-        assert_eq!(arena.pooled(), 1);
     }
 }

@@ -3,21 +3,19 @@
 use std::cell::RefCell;
 use std::fmt;
 
-use crate::{CubeArena, Packet, Ternary};
+use crate::arena::CubeArena;
+use crate::{Packet, Ternary};
 
 thread_local! {
-    /// Pool behind the convenience methods ([`CubeList::subtract`] and
-    /// friends), so every caller amortises scratch allocations without
-    /// threading an arena through its signature.
+    /// Pool behind [`CubeList::subtract`] and friends, so every caller
+    /// amortises scratch allocations without threading an arena through
+    /// its signature.
     static THREAD_ARENA: RefCell<CubeArena> = RefCell::new(CubeArena::new());
 }
 
-/// Runs `f` with this thread's shared [`CubeArena`].
-///
-/// The convenience methods on [`CubeList`] borrow the arena for the
-/// duration of one operation, so `f` must not re-enter them — call the
-/// explicit `*_in` variants on the borrowed arena instead.
-pub fn with_thread_arena<R>(f: impl FnOnce(&mut CubeArena) -> R) -> R {
+/// Runs `f` with this thread's scratch pool. Each [`CubeList`] operation
+/// borrows it for its own duration, so `f` must not call another one.
+fn with_thread_arena<R>(f: impl FnOnce(&mut CubeArena) -> R) -> R {
     THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
 }
 
@@ -35,10 +33,8 @@ pub fn thread_arena_stats() -> crate::ArenaStats {
 /// all-match redundancy analysis in [`crate::redundancy`].
 ///
 /// The mutating operations need scratch buffers for the TCAM "sharp"
-/// split. The plain methods ([`subtract`](Self::subtract),
-/// [`insert`](Self::insert), …) borrow a thread-local [`CubeArena`] so
-/// steady-state loops allocate ~zero; the `*_in` variants take an
-/// explicit arena for isolated accounting.
+/// split; they borrow a thread-local pool, so steady-state loops
+/// allocate ~zero ([`thread_arena_stats`] has the counters).
 ///
 /// # Example
 ///
@@ -103,15 +99,11 @@ impl CubeList {
     /// operation, applied cube-wise). Scratch comes from the thread-local
     /// arena.
     pub fn subtract(&mut self, cube: &Ternary) {
-        with_thread_arena(|arena| self.subtract_in(cube, arena));
-    }
-
-    /// [`subtract`](Self::subtract) drawing scratch from an explicit
-    /// arena.
-    pub fn subtract_in(&mut self, cube: &Ternary, arena: &mut CubeArena) {
-        let mut scratch = arena.take();
-        self.subtract_with(cube, &mut scratch);
-        arena.put(scratch);
+        with_thread_arena(|arena| {
+            let mut scratch = arena.take();
+            self.subtract_with(cube, &mut scratch);
+            arena.put(scratch);
+        });
     }
 
     /// [`subtract`](Self::subtract) writing through a caller-owned scratch
@@ -128,23 +120,19 @@ impl CubeList {
     /// Removes every packet of `other` from the set. Scratch comes from
     /// the thread-local arena.
     pub fn subtract_all(&mut self, other: &CubeList) {
-        with_thread_arena(|arena| self.subtract_all_in(other, arena));
-    }
-
-    /// [`subtract_all`](Self::subtract_all) drawing scratch from an
-    /// explicit arena.
-    pub fn subtract_all_in(&mut self, other: &CubeList, arena: &mut CubeArena) {
         // One scratch buffer swapped back and forth across the loop —
         // this runs hot under candidate rebuilds, and a fresh Vec per
         // subtracted cube showed up as allocator churn.
-        let mut scratch = arena.take();
-        for cube in &other.cubes {
-            self.subtract_with(cube, &mut scratch);
-            if self.cubes.is_empty() {
-                break;
+        with_thread_arena(|arena| {
+            let mut scratch = arena.take();
+            for cube in &other.cubes {
+                self.subtract_with(cube, &mut scratch);
+                if self.cubes.is_empty() {
+                    break;
+                }
             }
-        }
-        arena.put(scratch);
+            arena.put(scratch);
+        });
     }
 
     /// The subset of this set that intersects `cube`, as a new set.
@@ -170,59 +158,52 @@ impl CubeList {
     /// True if every packet of `cube` is in the set. Scratch comes from
     /// the thread-local arena.
     pub fn contains_cube(&self, cube: &Ternary) -> bool {
-        with_thread_arena(|arena| self.contains_cube_in(cube, arena))
-    }
-
-    /// [`contains_cube`](Self::contains_cube) drawing scratch from an
-    /// explicit arena.
-    pub fn contains_cube_in(&self, cube: &Ternary, arena: &mut CubeArena) -> bool {
         // cube ⊆ self  ⇔  cube \ self = ∅. Ping-pong between two pooled
         // buffers instead of re-taking the remainder vector per fragment,
         // which reallocated on every iteration.
-        let mut cur = arena.take();
-        let mut next = arena.take();
-        cur.push(*cube);
-        for c in &self.cubes {
-            next.clear();
-            for r in cur.drain(..) {
-                sharp_into(&r, c, &mut next);
+        with_thread_arena(|arena| {
+            let mut cur = arena.take();
+            let mut next = arena.take();
+            cur.push(*cube);
+            for c in &self.cubes {
+                next.clear();
+                for r in cur.drain(..) {
+                    sharp_into(&r, c, &mut next);
+                }
+                std::mem::swap(&mut cur, &mut next);
+                if cur.is_empty() {
+                    break;
+                }
             }
-            std::mem::swap(&mut cur, &mut next);
-            if cur.is_empty() {
-                break;
-            }
-        }
-        let contained = cur.is_empty();
-        arena.put(cur);
-        arena.put(next);
-        contained
+            let contained = cur.is_empty();
+            arena.put(cur);
+            arena.put(next);
+            contained
+        })
     }
 
     /// Adds `cube` to the set, keeping cubes disjoint by inserting only the
     /// part of `cube` not already covered. Scratch comes from the
     /// thread-local arena.
     pub fn insert(&mut self, cube: &Ternary) {
-        with_thread_arena(|arena| self.insert_in(cube, arena));
-    }
-
-    /// [`insert`](Self::insert) drawing scratch from an explicit arena.
-    pub fn insert_in(&mut self, cube: &Ternary, arena: &mut CubeArena) {
-        let mut fresh = arena.take();
-        let mut scratch = arena.take();
-        fresh.push(*cube);
-        for existing in &self.cubes {
-            scratch.clear();
-            for f in fresh.drain(..) {
-                sharp_into(&f, existing, &mut scratch);
+        with_thread_arena(|arena| {
+            let mut fresh = arena.take();
+            let mut scratch = arena.take();
+            fresh.push(*cube);
+            for existing in &self.cubes {
+                scratch.clear();
+                for f in fresh.drain(..) {
+                    sharp_into(&f, existing, &mut scratch);
+                }
+                std::mem::swap(&mut fresh, &mut scratch);
+                if fresh.is_empty() {
+                    break;
+                }
             }
-            std::mem::swap(&mut fresh, &mut scratch);
-            if fresh.is_empty() {
-                break;
-            }
-        }
-        self.cubes.append(&mut fresh);
-        arena.put(fresh);
-        arena.put(scratch);
+            self.cubes.append(&mut fresh);
+            arena.put(fresh);
+            arena.put(scratch);
+        });
     }
 }
 
@@ -249,11 +230,11 @@ impl FromIterator<Ternary> for CubeList {
 
 impl Extend<Ternary> for CubeList {
     fn extend<I: IntoIterator<Item = Ternary>>(&mut self, iter: I) {
-        with_thread_arena(|arena| {
-            for c in iter {
-                self.insert_in(&c, arena);
-            }
-        });
+        // One borrow per cube, never across `iter.next()`: the iterator
+        // may itself run cube algebra on this thread.
+        for c in iter {
+            self.insert(&c);
+        }
     }
 }
 
@@ -420,43 +401,26 @@ mod tests {
     }
 
     #[test]
-    fn explicit_arena_variants_match_thread_local_results() {
-        let mut arena = CubeArena::new();
-        let mut a = CubeList::from_cube(t("****"));
-        let mut b = CubeList::from_cube(t("****"));
-        a.subtract(&t("10**"));
-        b.subtract_in(&t("10**"), &mut arena);
-        assert_eq!(a, b);
-        assert!(b.contains_cube_in(&t("11**"), &mut arena));
-        let mut ia = CubeList::new();
-        let mut ib = CubeList::new();
-        for c in [t("1***"), t("**11")] {
-            ia.insert(&c);
-            ib.insert_in(&c, &mut arena);
-        }
-        assert_eq!(ia, ib);
-    }
-
-    #[test]
-    fn explicit_arena_reuses_buffers_in_steady_state() {
-        let mut arena = CubeArena::new();
-        let mut s = CubeList::from_cube(t("****"));
-        s.subtract_in(&t("10**"), &mut arena);
-        let after_first = arena.stats().allocations;
-        for _ in 0..100 {
+    fn arena_reuses_buffers_in_steady_state() {
+        let mut s = CubeList::new();
+        let round = |s: &mut CubeList| {
             s.reset_to_cube(t("****"));
-            s.subtract_in(&t("10**"), &mut arena);
-            s.subtract_all_in(&CubeList::from_cube(t("0***")), &mut arena);
-            assert!(s.contains_cube_in(&t("111*"), &mut arena));
+            s.subtract(&t("10**"));
+            s.subtract_all(&CubeList::from_cube(t("0***")));
+            assert!(s.contains_cube(&t("111*")));
+        };
+        round(&mut s);
+        let warm = thread_arena_stats();
+        for _ in 0..100 {
+            round(&mut s);
         }
         // Steady state: the warm pool serves every further request.
+        let after = thread_arena_stats();
         assert_eq!(
-            arena.stats().allocations,
-            after_first + 1, // contains_cube ping-pongs two buffers
-            "steady-state loop created fresh buffers: {:?}",
-            arena.stats()
+            after.allocations, warm.allocations,
+            "steady-state loop created fresh buffers: {after:?}"
         );
-        assert!(arena.stats().reuse_hits >= 300);
+        assert!(after.reuse_hits - warm.reuse_hits >= 400);
     }
 
     #[test]

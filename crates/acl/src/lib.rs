@@ -12,8 +12,8 @@
 //!   semantics and a default-PERMIT fallthrough.
 //! * [`CubeList`] — a union of ternary cubes supporting exact set
 //!   difference, used for redundancy analysis.
-//! * [`CubeArena`] — a reusable scratch-buffer pool behind the cube
-//!   algebra, so steady-state epochs allocate ~zero.
+//! * [`thread_arena_stats`] — counters of the per-thread scratch-buffer
+//!   pool behind the cube algebra (steady-state epochs allocate ~zero).
 //! * [`classify`] — a batched first-match classification kernel
 //!   ([`classify::classify_batch`]) with a structure-of-arrays layout.
 //! * [`redundancy`] — exact (all-match) redundancy removal, the optional
@@ -52,8 +52,8 @@ mod rule;
 mod ternary;
 pub mod textfmt;
 
-pub use arena::{ArenaStats, CubeArena};
-pub use cube::{thread_arena_stats, with_thread_arena, CubeList};
+pub use arena::ArenaStats;
+pub use cube::{thread_arena_stats, CubeList};
 pub use packet::Packet;
 pub use policy::{Policy, PolicyError, PolicyId};
 pub use rule::{Action, Rule, RuleId};

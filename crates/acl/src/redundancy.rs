@@ -19,10 +19,10 @@
 //! The cube algebra here is the hottest allocation site in an epoch, so
 //! the pass is arena-backed: one `region`/`rest` pair of [`CubeList`]s is
 //! re-seeded per rule (keeping its backing storage) and all sharp-split
-//! scratch comes from a [`CubeArena`]. Use [`remove_redundant_with`] to
-//! supply your own arena and read back its [`crate::ArenaStats`].
+//! scratch comes from the thread's cube arena, so the pool stays warm
+//! from one policy to the next ([`crate::thread_arena_stats`]).
 
-use crate::{Action, CubeArena, CubeList, Policy, Rule, RuleId};
+use crate::{Action, CubeList, Policy, Rule, RuleId};
 
 /// Why a rule was removed by [`remove_redundant`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -77,16 +77,6 @@ impl RemovalReport {
 /// # }
 /// ```
 pub fn remove_redundant(policy: &Policy) -> RemovalReport {
-    let mut arena = CubeArena::new();
-    remove_redundant_with(policy, &mut arena)
-}
-
-/// [`remove_redundant`] drawing all cube-algebra scratch from `arena`.
-///
-/// The arena's [`crate::ArenaStats`] afterwards describe exactly this
-/// removal's allocation behaviour — the hook used by the observability
-/// gauges.
-pub fn remove_redundant_with(policy: &Policy, arena: &mut CubeArena) -> RemovalReport {
     let mut current = policy.clone();
     let mut all_removed: Vec<(RuleId, Rule, RedundancyKind)> = Vec::new();
     // One region/rest pair re-seeded per rule across every pass, so the
@@ -94,7 +84,7 @@ pub fn remove_redundant_with(policy: &Policy, arena: &mut CubeArena) -> RemovalR
     let mut region = CubeList::new();
     let mut rest = CubeList::new();
     loop {
-        let pass = remove_redundant_pass(&current, arena, &mut region, &mut rest);
+        let pass = remove_redundant_pass(&current, &mut region, &mut rest);
         let done = pass.removed.is_empty();
         // Report removed rules by their ids in the *original* policy.
         for (_, rule, kind) in pass.removed {
@@ -120,7 +110,6 @@ pub fn remove_redundant_with(policy: &Policy, arena: &mut CubeArena) -> RemovalR
 /// One top-down removal pass (see [`remove_redundant`]).
 fn remove_redundant_pass(
     policy: &Policy,
-    arena: &mut CubeArena,
     region: &mut CubeList,
     rest: &mut CubeList,
 ) -> RemovalReport {
@@ -135,7 +124,7 @@ fn remove_redundant_pass(
         // among the rules kept above it.
         region.reset_to_cube(*rule.match_field());
         for &k in &kept {
-            region.subtract_in(rules[k].match_field(), arena);
+            region.subtract(rules[k].match_field());
             if region.is_empty() {
                 break;
             }
@@ -144,7 +133,7 @@ fn remove_redundant_pass(
             removed.push((RuleId(i), *rule, RedundancyKind::Shadowed));
             continue;
         }
-        if falls_through_to_same_action(region, rule.action(), &rules[i + 1..], rest, arena) {
+        if falls_through_to_same_action(region, rule.action(), &rules[i + 1..], rest) {
             removed.push((RuleId(i), *rule, RedundancyKind::Masked));
             continue;
         }
@@ -166,7 +155,6 @@ fn falls_through_to_same_action(
     action: Action,
     below: &[Rule],
     rest: &mut CubeList,
-    arena: &mut CubeArena,
 ) -> bool {
     rest.clone_from(region);
     for lower in below {
@@ -179,7 +167,7 @@ fn falls_through_to_same_action(
             if lower.action() != action {
                 return false;
             }
-            rest.subtract_in(lower.match_field(), arena);
+            rest.subtract(lower.match_field());
         }
     }
     // Whatever remains falls through to the default PERMIT.
@@ -317,7 +305,7 @@ mod tests {
     }
 
     #[test]
-    fn explicit_arena_matches_default_and_reports_stats() {
+    fn second_removal_allocates_nothing_new() {
         let p = pol(vec![
             ("111*", Action::Drop),
             ("11**", Action::Drop),
@@ -325,18 +313,18 @@ mod tests {
             ("0***", Action::Permit),
             ("00**", Action::Permit),
         ]);
-        let mut arena = CubeArena::new();
-        let with = remove_redundant_with(&p, &mut arena);
-        let plain = remove_redundant(&p);
-        assert_eq!(with.policy.rules(), plain.policy.rules());
-        assert_eq!(with.removed.len(), plain.removed.len());
-        let stats = arena.stats();
-        assert!(stats.allocations + stats.reuse_hits > 0);
-        // The pool must be bounded: a handful of buffers serve the whole
+        let before = crate::thread_arena_stats();
+        let first = remove_redundant(&p);
+        let warm = crate::thread_arena_stats();
+        // The pool is bounded: a handful of buffers serve the whole
         // fixpoint, everything else is reuse.
+        assert!(warm.reuse_hits > before.reuse_hits);
         assert!(
-            stats.allocations <= 4,
-            "redundancy pass over-allocated: {stats:?}"
+            warm.allocations - before.allocations <= 4,
+            "redundancy pass over-allocated: {warm:?}"
         );
+        let second = remove_redundant(&p);
+        assert_eq!(first.policy.rules(), second.policy.rules());
+        assert_eq!(crate::thread_arena_stats().allocations, warm.allocations);
     }
 }

@@ -1,12 +1,13 @@
 //! Cube-arena allocation statistics as observability gauges.
 //!
-//! Bridges [`flowplace_acl::ArenaStats`] — the reuse counters of a
-//! [`flowplace_acl::CubeArena`] — into `flowplace-obs` gauges so epoch
-//! dumps carry the allocator profile of the cube algebra. All three
-//! gauges are derived from deterministic integer counters of an
-//! explicitly-held arena, so dumps stay byte-reproducible; do **not**
-//! record the *thread-local* arena's stats from parallel stages, where
-//! the per-thread split of work is not deterministic.
+//! Bridges [`flowplace_acl::ArenaStats`] — the reuse counters of the
+//! calling thread's cube arena, read with
+//! [`flowplace_acl::thread_arena_stats`] — into `flowplace-obs` gauges
+//! so dumps carry the allocator profile of the cube algebra. The
+//! counters are deterministic integers, so a difference taken around
+//! single-threaded work (the CLI's redundancy audit) keeps dumps
+//! byte-reproducible; do **not** record them from parallel stages,
+//! where the per-thread split of work is not deterministic.
 
 use flowplace_acl::ArenaStats;
 use flowplace_obs::Obs;

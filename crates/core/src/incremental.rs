@@ -6,22 +6,28 @@
 //!
 //! * **Small scale** (a rule added to one policy): the ingress-first
 //!   greedy heuristic against spare capacity — [`add_rule_greedy`].
-//! * **Medium scale** (tenant policies added, routes changed): construct
-//!   a *restricted sub-problem* over only the affected policies, with
-//!   every other placement frozen and switch capacities reduced to their
-//!   spare — [`install_policies`] and [`reroute_policy`]. The sub-problem
-//!   is solved by [`par::solve`] under the caller's [`SolveCtx`], with
-//!   the ILP or (faster, feasibility-only) PB-SAT engine.
+//! * **Medium scale** (tenant policies added, routes changed): one
+//!   *restricted re-solve* — [`replace_ingresses`]: a sub-problem over
+//!   only the affected policies, with every other placement frozen and
+//!   switch capacities reduced to their spare, solved by [`par::solve`]
+//!   under the caller's [`SolveCtx`] with the ILP or (faster,
+//!   feasibility-only) PB-SAT engine. The paper's two named operations
+//!   are an [`Instance`] edit in front of it: [`install_policies`]
+//!   attaches the new policies and routes, [`reroute_policy`] swaps one
+//!   ingress's routes.
 //!   Restriction is conservative: the sub-problem can be infeasible even
 //!   when a from-scratch solve is not; the caller can always fall back.
 //! * **Large scale**: re-run [`RulePlacer::place`](crate::RulePlacer::place)
 //!   from scratch.
+//!
+//! Every operation hands back the edited instance whether or not it
+//! found a placement, so the caller escalates on that instance.
 
 use std::time::{Duration, Instant};
 
-use flowplace_acl::{Policy, Rule, RuleId};
+use flowplace_acl::{Policy, PolicyError, Rule, RuleId};
 use flowplace_routing::{Route, RouteSet};
-use flowplace_topo::EntryPortId;
+use flowplace_topo::{EntryPortId, SwitchId};
 
 use crate::greedy;
 use crate::par::{self, SolveCtx};
@@ -48,6 +54,15 @@ pub enum IncrementalError {
     Instance(InstanceError),
     /// The ingress already has / does not have a policy, as required.
     BadIngress(EntryPortId),
+    /// The ingress's policy has no rule with this id.
+    BadRule {
+        /// The ingress whose policy was addressed.
+        ingress: EntryPortId,
+        /// The out-of-range rule id.
+        rule: RuleId,
+    },
+    /// The edited rule list is not a valid policy.
+    Policy(PolicyError),
 }
 
 impl std::fmt::Display for IncrementalError {
@@ -55,6 +70,10 @@ impl std::fmt::Display for IncrementalError {
         match self {
             IncrementalError::Instance(e) => write!(f, "{e}"),
             IncrementalError::BadIngress(l) => write!(f, "ingress {l} not usable here"),
+            IncrementalError::BadRule { ingress, rule } => {
+                write!(f, "{ingress} has no rule {rule}")
+            }
+            IncrementalError::Policy(e) => write!(f, "{e}"),
         }
     }
 }
@@ -80,25 +99,56 @@ pub fn spare_capacities(instance: &Instance, placement: &Placement) -> Vec<usize
         .collect()
 }
 
-/// Builds the restricted sub-instance: same topology with capacities set
-/// to the spare left by `placement` (zero for `excluded` switches),
-/// carrying only `policies` and `routes`.
-fn sub_instance(
-    instance: &Instance,
+/// The restricted re-solve behind every medium-scale operation: the
+/// placements of `ingresses` are discarded, every other placement stays
+/// frozen, and their policies are re-solved on their routes in
+/// `instance` against the spare capacity (zero on `excluded` switches).
+fn restricted(
+    instance: Instance,
     placement: &Placement,
-    policies: Vec<(EntryPortId, Policy)>,
-    routes: RouteSet,
-    excluded: &[flowplace_topo::SwitchId],
-) -> Result<Instance, InstanceError> {
-    let spare = spare_capacities(instance, placement);
+    ingresses: &[EntryPortId],
+    excluded: &[SwitchId],
+    options: &PlacementOptions,
+    objective: Objective,
+    ctx: SolveCtx<'_>,
+) -> Result<IncrementalOutcome, IncrementalError> {
+    let start = Instant::now();
+    let mut policies: Vec<(EntryPortId, Policy)> = Vec::new();
+    for &l in ingresses {
+        let Some(q) = instance.policy(l) else {
+            return Err(IncrementalError::BadIngress(l));
+        };
+        policies.push((l, q.clone()));
+    }
+    let mut frozen = placement.clone();
+    for &l in ingresses {
+        frozen.remove_ingress(l);
+    }
+    let sub_routes: RouteSet = instance
+        .routes()
+        .iter()
+        .filter(|r| ingresses.contains(&r.ingress))
+        .cloned()
+        .collect();
     let mut topo = instance.topology().clone();
-    for (i, c) in spare.into_iter().enumerate() {
-        topo.set_capacity(flowplace_topo::SwitchId(i), c);
+    for (i, c) in spare_capacities(&instance, &frozen).into_iter().enumerate() {
+        topo.set_capacity(SwitchId(i), c);
     }
     for &s in excluded {
         topo.set_capacity(s, 0);
     }
-    Instance::new(topo, routes, policies)
+    let sub = Instance::new(topo, sub_routes, policies)?;
+    let outcome = par::solve(&sub, objective, options, ctx).outcome;
+    let placement = outcome.placement.map(|sub_placement| {
+        frozen.absorb(sub_placement);
+        frozen
+    });
+    Ok(IncrementalOutcome {
+        instance,
+        placement,
+        status: outcome.status,
+        elapsed: start.elapsed(),
+    })
 }
 
 /// Installs new ingress policies (with their routes) against the spare
@@ -121,45 +171,19 @@ pub fn install_policies(
     ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let start = Instant::now();
-    for (l, _, _) in &additions {
-        if instance.policy(*l).is_some() {
-            return Err(IncrementalError::BadIngress(*l));
+    let mut edited = instance.clone();
+    let mut ingresses = Vec::with_capacity(additions.len());
+    for (l, q, routes) in additions {
+        if edited.policy(l).is_some() {
+            return Err(IncrementalError::BadIngress(l));
         }
+        edited.set_policy(l, q)?;
+        edited.set_routes_from(l, routes)?;
+        ingresses.push(l);
     }
-    let mut new_routes = RouteSet::new();
-    let mut new_policies = Vec::new();
-    for (l, q, rs) in additions {
-        new_policies.push((l, q));
-        new_routes.extend(rs);
-    }
-    let sub = sub_instance(
-        instance,
-        placement,
-        new_policies.clone(),
-        new_routes.clone(),
-        &[],
-    )?;
-    let outcome = par::solve(&sub, objective, options, ctx).outcome;
-
-    // Merge updated inputs into a full instance.
-    let mut all_routes = instance.routes().clone();
-    all_routes.extend(new_routes.iter().cloned());
-    let mut all_policies: Vec<(EntryPortId, Policy)> =
-        instance.policies().map(|(l, q)| (l, q.clone())).collect();
-    all_policies.extend(new_policies);
-    let merged_instance = Instance::new(instance.topology().clone(), all_routes, all_policies)?;
-
-    let placement = outcome.placement.map(|sub_placement| {
-        let mut full = placement.clone();
-        full.absorb(sub_placement);
-        full
-    });
-    Ok(IncrementalOutcome {
-        instance: merged_instance,
-        placement,
-        status: outcome.status,
-        elapsed: start.elapsed(),
-    })
+    let mut out = restricted(edited, placement, &ingresses, &[], options, objective, ctx)?;
+    out.elapsed = start.elapsed();
+    Ok(out)
 }
 
 /// Re-places a single policy after its routes changed (§IV-E "Routing
@@ -181,38 +205,14 @@ pub fn reroute_policy(
     ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let start = Instant::now();
-    let Some(policy) = instance.policy(ingress).cloned() else {
+    if instance.policy(ingress).is_none() {
         return Err(IncrementalError::BadIngress(ingress));
-    };
-    // Freeze everything except this ingress.
-    let mut frozen = placement.clone();
-    frozen.remove_ingress(ingress);
-
-    let sub_routes: RouteSet = new_routes.iter().cloned().collect();
-    let sub = sub_instance(instance, &frozen, vec![(ingress, policy)], sub_routes, &[])?;
-    let outcome = par::solve(&sub, objective, options, ctx).outcome;
-
-    // Updated full route set: drop this ingress's old routes, add new.
-    let mut all_routes = RouteSet::new();
-    for r in instance.routes().iter() {
-        if r.ingress != ingress {
-            all_routes.push(r.clone());
-        }
     }
-    all_routes.extend(new_routes);
-    let merged_instance = instance.with_routes(all_routes)?;
-
-    let placement = outcome.placement.map(|sub_placement| {
-        let mut full = frozen;
-        full.absorb(sub_placement);
-        full
-    });
-    Ok(IncrementalOutcome {
-        instance: merged_instance,
-        placement,
-        status: outcome.status,
-        elapsed: start.elapsed(),
-    })
+    let mut edited = instance.clone();
+    edited.set_routes_from(ingress, new_routes)?;
+    let mut out = restricted(edited, placement, &[ingress], &[], options, objective, ctx)?;
+    out.elapsed = start.elapsed();
+    Ok(out)
 }
 
 /// Re-places the policies of a set of ingresses on their *existing*
@@ -235,43 +235,20 @@ pub fn replace_ingresses(
     instance: &Instance,
     placement: &Placement,
     ingresses: &[EntryPortId],
-    excluded: &[flowplace_topo::SwitchId],
+    excluded: &[SwitchId],
     options: &PlacementOptions,
     objective: Objective,
     ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
-    let start = Instant::now();
-    let mut policies: Vec<(EntryPortId, Policy)> = Vec::new();
-    for &l in ingresses {
-        let Some(q) = instance.policy(l) else {
-            return Err(IncrementalError::BadIngress(l));
-        };
-        policies.push((l, q.clone()));
-    }
-    // Freeze everything except the affected ingresses.
-    let mut frozen = placement.clone();
-    for &l in ingresses {
-        frozen.remove_ingress(l);
-    }
-    let sub_routes: RouteSet = instance
-        .routes()
-        .iter()
-        .filter(|r| ingresses.contains(&r.ingress))
-        .cloned()
-        .collect();
-    let sub = sub_instance(instance, &frozen, policies, sub_routes, excluded)?;
-    let outcome = par::solve(&sub, objective, options, ctx).outcome;
-    let placement = outcome.placement.map(|sub_placement| {
-        let mut full = frozen;
-        full.absorb(sub_placement);
-        full
-    });
-    Ok(IncrementalOutcome {
-        instance: instance.clone(),
+    restricted(
+        instance.clone(),
         placement,
-        status: outcome.status,
-        elapsed: start.elapsed(),
-    })
+        ingresses,
+        excluded,
+        options,
+        objective,
+        ctx,
+    )
 }
 
 /// Adds one rule to an existing policy and places it with the ingress-
@@ -281,12 +258,14 @@ pub fn replace_ingresses(
 ///
 /// Returns `SolveStatus::Infeasible` (with `placement: None`) when the
 /// greedy heuristic cannot fit the rule — the caller should escalate to
-/// [`reroute_policy`]-style sub-solving or a full re-solve.
+/// a [`replace_ingresses`] sub-solve of the returned instance or a full
+/// re-solve.
 ///
 /// # Errors
 ///
 /// [`IncrementalError::BadIngress`] if `ingress` has no policy;
-/// policy/instance validation failures otherwise.
+/// [`IncrementalError::Policy`] if the policy cannot take the rule
+/// (duplicate priority, mixed widths); instance validation otherwise.
 pub fn add_rule_greedy(
     instance: &Instance,
     placement: &Placement,
@@ -297,54 +276,21 @@ pub fn add_rule_greedy(
     let Some(policy) = instance.policy(ingress) else {
         return Err(IncrementalError::BadIngress(ingress));
     };
-    let new_policy = policy
-        .with_rule(rule)
-        .map_err(|_| IncrementalError::BadIngress(ingress))?;
+    let new_policy = policy.with_rule(rule).map_err(IncrementalError::Policy)?;
     // Index of the new rule in the updated priority order.
     let new_id = new_policy
         .iter()
         .find(|(_, r)| **r == rule)
         .map(|(id, _)| id)
         .expect("rule was just inserted");
+    let mut updated = instance.clone();
+    updated.set_policy(ingress, new_policy)?;
 
-    let mut policies: Vec<(EntryPortId, Policy)> =
-        instance.policies().map(|(l, q)| (l, q.clone())).collect();
-    for (l, q) in &mut policies {
-        if *l == ingress {
-            *q = new_policy.clone();
-        }
-    }
-    let updated = Instance::new(
-        instance.topology().clone(),
-        instance.routes().clone(),
-        policies,
-    )?;
+    // Rule ids at or above the insertion point shift by one.
+    let mut result = placement.clone();
+    result.renumber(ingress, new_id, |r| Some(RuleId(r.0 + 1)));
 
-    // Re-index this ingress's placement entries: rule ids at or above the
-    // insertion point shift by one.
-    let mut shifted = Placement::new();
-    for (&(l, r), switches) in placement.iter() {
-        let nr = if l == ingress && r.0 >= new_id.0 {
-            RuleId(r.0 + 1)
-        } else {
-            r
-        };
-        for &s in switches {
-            shifted.place(l, nr, s);
-        }
-    }
-    for g in placement.merge_groups() {
-        let mut g = g.clone();
-        for (l, r) in &mut g.members {
-            if *l == ingress && r.0 >= new_id.0 {
-                *r = RuleId(r.0 + 1);
-            }
-        }
-        shifted.record_merge(g);
-    }
-
-    let mut remaining = spare_capacities(&updated, &shifted);
-    let mut result = shifted.clone();
+    let mut remaining = spare_capacities(&updated, &result);
     let status = if rule.action().is_drop() {
         match greedy::place_policy(&updated, ingress, &mut remaining, &mut result, Some(new_id)) {
             Some(()) => SolveStatus::Feasible,
@@ -353,8 +299,9 @@ pub fn add_rule_greedy(
     } else {
         // A new PERMIT rule must shield every already-placed overlapping
         // lower-priority DROP; co-place it on those switches.
-        let graph = crate::depgraph::DependencyGraph::build(&new_policy);
-        let mut needed: Vec<flowplace_topo::SwitchId> = Vec::new();
+        let new_policy = updated.policy(ingress).expect("set_policy attached it");
+        let graph = crate::depgraph::DependencyGraph::build(new_policy);
+        let mut needed: Vec<SwitchId> = Vec::new();
         for (w, r) in new_policy.iter() {
             if r.action().is_drop() && graph.permits_required_by(w).contains(&new_id) {
                 needed.extend(result.switches_of(ingress, w).iter().copied());
@@ -404,8 +351,8 @@ pub fn add_rule_greedy(
 ///
 /// # Errors
 ///
-/// [`IncrementalError::BadIngress`] if `ingress` has no policy or `rule`
-/// is out of range.
+/// [`IncrementalError::BadIngress`] if `ingress` has no policy,
+/// [`IncrementalError::BadRule`] if `rule` is out of range.
 pub fn remove_rule(
     instance: &Instance,
     placement: &Placement,
@@ -417,50 +364,13 @@ pub fn remove_rule(
         return Err(IncrementalError::BadIngress(ingress));
     };
     if rule.0 >= policy.len() {
-        return Err(IncrementalError::BadIngress(ingress));
+        return Err(IncrementalError::BadRule { ingress, rule });
     }
-    let new_policy = policy.without_rule(rule);
-    let mut policies: Vec<(EntryPortId, Policy)> =
-        instance.policies().map(|(l, q)| (l, q.clone())).collect();
-    for (l, q) in &mut policies {
-        if *l == ingress {
-            *q = new_policy.clone();
-        }
-    }
-    let updated = Instance::new(
-        instance.topology().clone(),
-        instance.routes().clone(),
-        policies,
-    )?;
-
-    // Shift this ingress's rule ids above the removal point down by one
-    // and drop the removed rule's entries.
-    let mut shifted = Placement::new();
-    for (&(l, r), switches) in placement.iter() {
-        if l == ingress && r == rule {
-            continue;
-        }
-        let nr = if l == ingress && r.0 > rule.0 {
-            RuleId(r.0 - 1)
-        } else {
-            r
-        };
-        for &s in switches {
-            shifted.place(l, nr, s);
-        }
-    }
-    for g in placement.merge_groups() {
-        if g.members.iter().any(|&(l, r)| l == ingress && r == rule) {
-            continue; // dissolve groups containing the removed rule
-        }
-        let mut g = g.clone();
-        for (l, r) in &mut g.members {
-            if *l == ingress && r.0 > rule.0 {
-                *r = RuleId(r.0 - 1);
-            }
-        }
-        shifted.record_merge(g);
-    }
+    let mut updated = instance.clone();
+    updated.set_policy(ingress, policy.without_rule(rule))?;
+    // Drop the removed rule's entries; ids above it shift down by one.
+    let mut shifted = placement.clone();
+    shifted.renumber(ingress, rule, |r| (r != rule).then(|| RuleId(r.0 - 1)));
     Ok(IncrementalOutcome {
         instance: updated,
         placement: Some(shifted),
@@ -575,14 +485,9 @@ mod tests {
     fn install_infeasible_when_no_spare() {
         let (mut inst, _) = base();
         // Shrink capacities to zero spare.
-        let mut topo = inst.topology().clone();
-        topo.set_uniform_capacity(0);
-        inst = Instance::new(
-            topo,
-            inst.routes().clone(),
-            inst.policies().map(|(l, q)| (l, q.clone())).collect(),
-        )
-        .unwrap();
+        for s in 0..inst.topology().switch_count() {
+            inst.set_capacity(SwitchId(s), 0);
+        }
         let q1 = Policy::from_ordered(vec![(t("0***"), Action::Drop)]).unwrap();
         let route = Route::new(
             EntryPortId(1),
@@ -736,8 +641,12 @@ mod tests {
     #[test]
     fn remove_rule_bad_ids_rejected() {
         let (inst, p) = base();
-        assert!(remove_rule(&inst, &p, EntryPortId(3), RuleId(0)).is_err());
-        assert!(remove_rule(&inst, &p, EntryPortId(0), RuleId(9)).is_err());
+        assert_eq!(
+            remove_rule(&inst, &p, EntryPortId(3), RuleId(0)).unwrap_err(),
+            IncrementalError::BadIngress(EntryPortId(3))
+        );
+        let e = remove_rule(&inst, &p, EntryPortId(0), RuleId(9)).unwrap_err();
+        assert_eq!(e.to_string(), "l0 has no rule r9");
     }
 
     #[test]
@@ -772,19 +681,11 @@ mod tests {
 
     #[test]
     fn add_rule_infeasible_with_no_capacity() {
-        let (inst, p) = base();
+        let (mut inst, p) = base();
         // Exhaust capacity.
-        let mut topo = inst.topology().clone();
-        let load = p.per_switch_load(&inst);
-        for (i, l) in load.iter().enumerate() {
-            topo.set_capacity(SwitchId(i), *l);
+        for (i, l) in p.per_switch_load(&inst).into_iter().enumerate() {
+            inst.set_capacity(SwitchId(i), l);
         }
-        let inst = Instance::new(
-            topo,
-            inst.routes().clone(),
-            inst.policies().map(|(l, q)| (l, q.clone())).collect(),
-        )
-        .unwrap();
         let out = add_rule_greedy(
             &inst,
             &p,

@@ -1,10 +1,16 @@
 //! The rule-placement problem instance: `(N, P, Q)`.
+//!
+//! [`Instance::new`] establishes the cross-reference invariants (every
+//! route's ingress carries a policy, ingresses and switches exist, one
+//! match width); the edit methods — [`Instance::set_capacity`],
+//! [`Instance::set_policy`], [`Instance::set_routes_from`] — change one
+//! part in place and keep them, validating only what they change.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use flowplace_acl::Policy;
-use flowplace_routing::RouteSet;
+use flowplace_routing::{Route, RouteSet};
 use flowplace_topo::{EntryPortId, SwitchId, Topology};
 
 /// Error constructing an [`Instance`].
@@ -95,21 +101,96 @@ impl Instance {
                 return Err(InstanceError::DuplicatePolicy(l));
             }
         }
-        for route in routes.iter() {
-            if !map.contains_key(&route.ingress) {
-                return Err(InstanceError::RouteWithoutPolicy(route.ingress));
-            }
-            for &s in &route.switches {
-                if s.0 >= topology.switch_count() {
-                    return Err(InstanceError::UnknownSwitch(s));
-                }
-            }
-        }
-        Ok(Instance {
+        let instance = Instance {
             topology,
             routes,
             policies: map,
-        })
+        };
+        for route in instance.routes.iter() {
+            instance.check_route(route)?;
+        }
+        Ok(instance)
+    }
+
+    /// A route is valid when its ingress carries a policy and every
+    /// switch it visits exists.
+    fn check_route(&self, route: &Route) -> Result<(), InstanceError> {
+        if !self.policies.contains_key(&route.ingress) {
+            return Err(InstanceError::RouteWithoutPolicy(route.ingress));
+        }
+        match route
+            .switches
+            .iter()
+            .find(|s| s.0 >= self.topology.switch_count())
+        {
+            Some(&s) => Err(InstanceError::UnknownSwitch(s)),
+            None => Ok(()),
+        }
+    }
+
+    /// Sets one switch's capacity. Capacity never affects validity.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `switch` is out of range, as
+    /// [`Topology::set_capacity`] does.
+    pub fn set_capacity(&mut self, switch: SwitchId, capacity: usize) {
+        self.topology.set_capacity(switch, capacity);
+    }
+
+    /// Attaches `policy` to `ingress`, replacing the one it holds.
+    ///
+    /// # Errors
+    ///
+    /// What [`Instance::new`] returns for the other policies followed by
+    /// this one: [`InstanceError::UnknownIngress`], or
+    /// [`InstanceError::MixedWidths`] against the width they share. The
+    /// instance is untouched on error.
+    pub fn set_policy(
+        &mut self,
+        ingress: EntryPortId,
+        policy: Policy,
+    ) -> Result<(), InstanceError> {
+        if ingress.0 >= self.topology.entry_port_count() {
+            return Err(InstanceError::UnknownIngress(ingress));
+        }
+        let mut others = self.policies.iter().filter(|(l, _)| **l != ingress);
+        if let Some((_, q)) = others.find(|(_, q)| !q.is_empty()) {
+            if !policy.is_empty() && q.width() != policy.width() {
+                return Err(InstanceError::MixedWidths {
+                    expected: q.width(),
+                    found: policy.width(),
+                });
+            }
+        }
+        self.policies.insert(ingress, policy);
+        Ok(())
+    }
+
+    /// Replaces every route of `ingress` with `routes`, which go after
+    /// every other ingress's routes, in the order given.
+    ///
+    /// # Errors
+    ///
+    /// [`InstanceError::RouteWithoutPolicy`] for a route of another
+    /// ingress (or when `ingress` has no policy),
+    /// [`InstanceError::UnknownSwitch`] as in [`Instance::new`]. The
+    /// instance is untouched on error.
+    pub fn set_routes_from(
+        &mut self,
+        ingress: EntryPortId,
+        routes: Vec<Route>,
+    ) -> Result<(), InstanceError> {
+        for route in &routes {
+            if route.ingress != ingress {
+                return Err(InstanceError::RouteWithoutPolicy(route.ingress));
+            }
+            self.check_route(route)?;
+        }
+        let old = self.routes.paths_from(ingress);
+        self.routes.remove_routes(&old);
+        self.routes.extend(routes);
+        Ok(())
     }
 
     /// The network topology.

@@ -110,6 +110,39 @@ impl Placement {
             .retain(|g| g.members.iter().all(|(l, _)| *l != ingress));
     }
 
+    /// Re-keys the rules of `ingress` numbered `from` and up after its
+    /// policy gained or lost a rule: rule `r` becomes `map(r)`, or is
+    /// dropped where `map` returns `None`, and a merge group holding a
+    /// dropped rule is dissolved (its other members keep their own
+    /// entries). `map` must not send two kept rules to one id. Only the
+    /// one ingress's key range is touched.
+    pub fn renumber(
+        &mut self,
+        ingress: EntryPortId,
+        from: RuleId,
+        map: impl Fn(RuleId) -> Option<RuleId>,
+    ) {
+        let mut moved = self.placed.split_off(&(ingress, from));
+        let mut later = moved.split_off(&(EntryPortId(ingress.0 + 1), RuleId(0)));
+        for ((l, r), switches) in moved {
+            if let Some(r) = map(r) {
+                self.placed.insert((l, r), switches);
+            }
+        }
+        self.placed.append(&mut later);
+        self.merged.retain_mut(|g| {
+            g.members.iter_mut().all(|(l, r)| {
+                if *l == ingress && *r >= from {
+                    match map(*r) {
+                        Some(mapped) => *r = mapped,
+                        None => return false,
+                    }
+                }
+                true
+            })
+        });
+    }
+
     /// Merges another placement into this one (used by incremental
     /// deployment to graft a sub-solution).
     pub fn absorb(&mut self, other: Placement) {

@@ -26,6 +26,14 @@
 //! it lives in the reserved system bank
 //! (see [`TcamEntry::is_delegation_stub`](crate::TcamEntry::is_delegation_stub)).
 //!
+//! This module only plans and edits: `plan_delegation` picks the
+//! delegate, `detour_instance` / `restore_instance` put it on and take
+//! it off the routes, `uses` tells whether a solution took the detour
+//! (one it ignored is rolled back unrecorded). The re-solve in between
+//! is the controller's one restricted sub-solve — the call the
+//! degradation ladder's batched rung and salvage make — whether the
+//! rung runs for one ingress or as the capacity-shrink rescue.
+//!
 //! Delegated state is first-class in the fault model: the controller
 //! tears a delegation down (restoring the original routes) whenever
 //! the delegate or an anchor crashes or is quarantined, re-homing the
@@ -35,7 +43,7 @@
 
 use std::collections::BTreeSet;
 
-use flowplace_core::Instance;
+use flowplace_core::{Instance, Placement};
 use flowplace_routing::{Route, RouteSet};
 use flowplace_topo::{EntryPortId, SwitchId};
 
@@ -198,6 +206,14 @@ pub(crate) fn restore_instance(
     instance
         .with_routes(RouteSet::from_routes(routes))
         .expect("removing a detour switch keeps the instance valid")
+}
+
+/// Whether `placement` puts any rule of `ingress` on `delegate` — a
+/// detour the solution ignores is rolled back unrecorded.
+pub(crate) fn uses(placement: &Placement, ingress: EntryPortId, delegate: SwitchId) -> bool {
+    placement
+        .iter()
+        .any(|((l, _), switches)| *l == ingress && switches.contains(&delegate))
 }
 
 #[cfg(test)]

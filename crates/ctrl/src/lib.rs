@@ -17,6 +17,12 @@
 //!    against the spare capacity left by every frozen placement.
 //! 3. **Full** — re-solve the entire instance from scratch.
 //!
+//! The ladder is written once: the first tier is the event's own §IV-E
+//! operation, which hands back the edited instance whether or not it
+//! placed it, and the two re-solves below run on that instance. A
+//! policy install or a reroute starts at the restricted tier — that
+//! *is* its §IV-E operation.
+//!
 //! ## Transactional commits
 //!
 //! At the end of each epoch the controller emits the target tables for
@@ -74,7 +80,7 @@ pub mod stats;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use flowplace_acl::{Action, Policy, Ternary};
+use flowplace_acl::{Action, Ternary};
 use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
 use flowplace_core::verify::{VerifiedRoutes, VerifyMode};
 use flowplace_core::{
@@ -460,17 +466,6 @@ pub struct Controller {
     verified: VerifiedRoutes,
 }
 
-/// Rebuilds `instance` with one switch's capacity changed (capacity
-/// never affects instance validity).
-fn with_capacity(instance: &Instance, switch: SwitchId, capacity: usize) -> Instance {
-    let mut topology = instance.topology().clone();
-    topology.set_capacity(switch, capacity);
-    let policies: Vec<(EntryPortId, Policy)> =
-        instance.policies().map(|(l, q)| (l, q.clone())).collect();
-    Instance::new(topology, instance.routes().clone(), policies)
-        .expect("a capacity-only change keeps the instance valid")
-}
-
 /// Whether any switch's placed load exceeds its capacity — true after
 /// a committed-anyway capacity shrink, until the degradation ladder
 /// re-places or fails-closed the overflowing ingresses.
@@ -837,7 +832,7 @@ impl Controller {
                                 // overloaded ingresses fail-closed.
                                 if let Event::CapacityChange { switch, capacity } = &event {
                                     if switch.0 < instance.topology().switch_count() {
-                                        instance = with_capacity(&instance, *switch, *capacity);
+                                        instance.set_capacity(*switch, *capacity);
                                     }
                                 }
                                 self.stats.events_failed += 1;
@@ -1019,151 +1014,84 @@ impl Controller {
         self.replay(events)
     }
 
-    /// Dispatches one mutating event through the escalation ladder.
-    /// Returns the updated working state and the tier that settled it,
-    /// or a rejection reason (working state untouched).
+    /// Dispatches one mutating event through the escalation ladder: the
+    /// event's own §IV-E operation first — it hands back the edited
+    /// instance whether or not it placed it — then a restricted re-solve
+    /// of the touched ingress, then a full re-solve, both on that
+    /// instance. Returns the updated working state and the tier that
+    /// settled it, or a rejection reason (working state untouched).
     fn dispatch(
         &self,
         instance: &Instance,
         placement: &Placement,
         event: &Event,
     ) -> Result<(Instance, Placement, Tier), String> {
-        match event {
-            Event::AddRule { ingress, rule } => {
-                match incremental::add_rule_greedy(instance, placement, *ingress, *rule) {
-                    Ok(out) => {
-                        if let Some(p) = out.placement {
-                            return Ok((out.instance, p, Tier::Greedy));
-                        }
-                    }
-                    Err(e) => return Err(e.to_string()),
-                }
-                let policy = instance
-                    .policy(*ingress)
-                    .expect("greedy tier validated the ingress");
-                let updated = policy.with_rule(*rule).map_err(|e| e.to_string())?;
-                self.replace_policy_laddered(instance, placement, *ingress, updated)
-            }
-            Event::RemoveRule { ingress, rule } => {
-                match incremental::remove_rule(instance, placement, *ingress, *rule) {
-                    Ok(out) => {
-                        let p = out.placement.ok_or_else(|| {
-                            "removal unexpectedly produced no placement".to_string()
-                        })?;
-                        Ok((out.instance, p, Tier::Greedy))
-                    }
-                    Err(e) => Err(e.to_string()),
-                }
-            }
+        let options = &self.options.placement;
+        let (ingress, first, out) = match event {
+            Event::AddRule { ingress, rule } => (
+                *ingress,
+                Tier::Greedy,
+                incremental::add_rule_greedy(instance, placement, *ingress, *rule),
+            ),
+            Event::RemoveRule { ingress, rule } => (
+                *ingress,
+                Tier::Greedy,
+                incremental::remove_rule(instance, placement, *ingress, *rule),
+            ),
             Event::ModifyRule {
                 ingress,
                 rule,
                 replacement,
-            } => {
-                match incremental::modify_rule(instance, placement, *ingress, *rule, *replacement) {
-                    Ok(out) => {
-                        if let Some(p) = out.placement {
-                            return Ok((out.instance, p, Tier::Greedy));
-                        }
-                    }
-                    Err(e) => return Err(e.to_string()),
-                }
-                let policy = instance
-                    .policy(*ingress)
-                    .expect("greedy tier validated the ingress");
-                let updated = policy
-                    .without_rule(*rule)
-                    .with_rule(*replacement)
-                    .map_err(|e| e.to_string())?;
-                self.replace_policy_laddered(instance, placement, *ingress, updated)
-            }
+            } => (
+                *ingress,
+                Tier::Greedy,
+                incremental::modify_rule(instance, placement, *ingress, *rule, *replacement),
+            ),
             Event::InstallPolicy {
                 ingress,
                 policy,
                 routes,
-            } => {
-                match incremental::install_policies(
+            } => (
+                *ingress,
+                Tier::Restricted,
+                incremental::install_policies(
                     instance,
                     placement,
                     vec![(*ingress, policy.clone(), routes.clone())],
-                    &self.options.placement,
+                    options,
                     self.options.objective.clone(),
                     self.sub_solve_ctx(),
-                ) {
-                    Ok(out) => {
-                        if let Some(p) = out.placement {
-                            return Ok((out.instance, p, Tier::Restricted));
-                        }
-                    }
-                    Err(e) => return Err(e.to_string()),
-                }
-                // Full: rebuild the instance with the policy and routes
-                // included, re-solve everything.
-                let mut policies: Vec<(EntryPortId, Policy)> =
-                    instance.policies().map(|(l, q)| (l, q.clone())).collect();
-                policies.push((*ingress, policy.clone()));
-                let all_routes: RouteSet = instance
-                    .routes()
-                    .iter()
-                    .chain(routes.iter())
-                    .cloned()
-                    .collect();
-                let updated = Instance::new(instance.topology().clone(), all_routes, policies)
-                    .map_err(|e| e.to_string())?;
-                let solved = self.full_solve(&updated)?;
-                Ok((updated, solved, Tier::Full))
-            }
-            Event::Reroute { ingress, routes } => {
-                match incremental::reroute_policy(
+                ),
+            ),
+            Event::Reroute { ingress, routes } => (
+                *ingress,
+                Tier::Restricted,
+                incremental::reroute_policy(
                     instance,
                     placement,
                     *ingress,
                     routes.clone(),
-                    &self.options.placement,
+                    options,
                     self.options.objective.clone(),
                     self.sub_solve_ctx(),
-                ) {
-                    Ok(out) => {
-                        if let Some(p) = out.placement {
-                            return Ok((out.instance, p, Tier::Restricted));
-                        }
-                    }
-                    Err(e) => return Err(e.to_string()),
-                }
-                let all_routes: RouteSet = instance
-                    .routes()
-                    .iter()
-                    .filter(|r| r.ingress != *ingress)
-                    .chain(routes.iter())
-                    .cloned()
-                    .collect();
-                let updated = instance
-                    .with_routes(all_routes)
-                    .map_err(|e| e.to_string())?;
-                let solved = self.full_solve(&updated)?;
-                Ok((updated, solved, Tier::Full))
-            }
+                ),
+            ),
             Event::CapacityChange { switch, capacity } => {
                 if switch.0 >= instance.topology().switch_count() {
                     return Err(format!("unknown switch {switch}"));
                 }
-                let mut topology = instance.topology().clone();
-                topology.set_capacity(*switch, *capacity);
-                let policies: Vec<(EntryPortId, Policy)> =
-                    instance.policies().map(|(l, q)| (l, q.clone())).collect();
-                let updated = Instance::new(topology, instance.routes().clone(), policies)
-                    .map_err(|e| e.to_string())?;
-                let load = placement.per_switch_load(instance);
-                if load.get(switch.0).copied().unwrap_or(0) <= *capacity {
+                let mut updated = instance.clone();
+                updated.set_capacity(*switch, *capacity);
+                if placement.per_switch_load(instance)[switch.0] <= *capacity {
                     // The deployed placement still fits: no solver run.
                     return Ok((updated, placement.clone(), Tier::Greedy));
                 }
                 let solved = self.full_solve(&updated)?;
-                Ok((updated, solved, Tier::Full))
+                return Ok((updated, solved, Tier::Full));
             }
             Event::Solve => {
                 let solved = self.full_solve(instance)?;
-                Ok((instance.clone(), solved, Tier::Full))
+                return Ok((instance.clone(), solved, Tier::Full));
             }
             Event::Checkpoint
             | Event::Rollback
@@ -1171,57 +1099,30 @@ impl Controller {
             | Event::SwitchRecover { .. } => {
                 unreachable!("handled in run_epoch")
             }
+        };
+        let out = out.map_err(|e| e.to_string())?;
+        if let Some(p) = out.placement {
+            return Ok((out.instance, p, first));
         }
-    }
-
-    /// Restricted → full ladder shared by `AddRule` and `ModifyRule`
-    /// once the greedy tier came up empty: re-place only this ingress's
-    /// (already updated) policy over its existing routes against the
-    /// spare capacity of the frozen rest, then fall back to a global
-    /// re-solve.
-    fn replace_policy_laddered(
-        &self,
-        instance: &Instance,
-        placement: &Placement,
-        ingress: EntryPortId,
-        updated_policy: Policy,
-    ) -> Result<(Instance, Placement, Tier), String> {
-        let mut policies: Vec<(EntryPortId, Policy)> =
-            instance.policies().map(|(l, q)| (l, q.clone())).collect();
-        match policies.iter_mut().find(|(l, _)| *l == ingress) {
-            Some(slot) => slot.1 = updated_policy,
-            None => return Err(format!("ingress {ingress} has no policy")),
-        }
-        let updated = Instance::new(
-            instance.topology().clone(),
-            instance.routes().clone(),
-            policies,
-        )
-        .map_err(|e| e.to_string())?;
-        let routes: Vec<Route> = updated
-            .routes()
-            .iter()
-            .filter(|r| r.ingress == ingress)
-            .cloned()
-            .collect();
-        match incremental::reroute_policy(
-            &updated,
-            placement,
-            ingress,
-            routes,
-            &self.options.placement,
-            self.options.objective.clone(),
-            self.sub_solve_ctx(),
-        ) {
-            Ok(out) => {
-                if let Some(p) = out.placement {
-                    return Ok((out.instance, p, Tier::Restricted));
-                }
+        if first == Tier::Greedy {
+            // The original placement serves: the re-solve discards this
+            // ingress's entries, the only ones the edit renumbered.
+            let sub = incremental::replace_ingresses(
+                &out.instance,
+                placement,
+                &[ingress],
+                &[],
+                options,
+                self.options.objective.clone(),
+                self.sub_solve_ctx(),
+            )
+            .map_err(|e| e.to_string())?;
+            if let Some(p) = sub.placement {
+                return Ok((out.instance, p, Tier::Restricted));
             }
-            Err(e) => return Err(e.to_string()),
         }
-        let solved = self.full_solve(&updated)?;
-        Ok((updated, solved, Tier::Full))
+        let solved = self.full_solve(&out.instance)?;
+        Ok((out.instance, solved, Tier::Full))
     }
 
     /// Context of the restricted sub-solves (restricted tier, salvage,
@@ -1468,29 +1369,26 @@ impl Controller {
             return Ok(());
         }
         let tables = self.cache.audit_tables();
-        let dataplane = &self.dataplane;
-        let unmanageable = &self.faults.unmanageable;
-        let safe_mode = &self.faults.safe_mode;
-        let live = |route: &Route| {
-            if !route.switches.iter().all(|&s| dataplane.is_online(s)) {
-                return false; // traffic-dead: a crashed switch on path
-            }
-            if safe_mode.contains(&route.ingress)
-                && route.switches.iter().all(|s| unmanageable.contains_key(s))
-            {
-                return false; // fenced at the entry port
-            }
-            true
-        };
         verify::verify_tables(
             &self.instance,
             &tables,
             self.options.verify_packets,
             self.epochs.current(),
             VerifyMode::NoFalseNegatives,
-            live,
+            |route| self.carries_traffic(route),
         )
         .map_err(|e| e.to_string())
+    }
+
+    /// Whether the fail-closed audits must cover `route`: not when a
+    /// crashed switch on its path makes it traffic-dead, nor when it is
+    /// a safe-mode route with no manageable switch, which is fenced at
+    /// the controller-owned entry port.
+    fn carries_traffic(&self, route: &Route) -> bool {
+        let unmanageable = &self.faults.unmanageable;
+        route.switches.iter().all(|&s| self.dataplane.is_online(s))
+            && !(self.faults.safe_mode.contains(&route.ingress)
+                && route.switches.iter().all(|s| unmanageable.contains_key(s)))
     }
 
     // ---- fault tolerance -------------------------------------------------
@@ -1558,7 +1456,7 @@ impl Controller {
             },
         );
         self.faults.breakers.entry(switch).or_default().reset();
-        *instance = with_capacity(instance, switch, 0);
+        instance.set_capacity(switch, 0);
         EventOutcome::SwitchFailed { switch }
     }
 
@@ -1577,7 +1475,7 @@ impl Controller {
                 self.stats.switch_recoveries += 1;
                 self.dataplane.restore(switch);
                 self.faults.breakers.entry(switch).or_default().reset();
-                *instance = with_capacity(instance, switch, outage.saved_capacity);
+                instance.set_capacity(switch, outage.saved_capacity);
                 EventOutcome::SwitchRecovered { switch }
             }
         }
@@ -1609,16 +1507,8 @@ impl Controller {
     /// Re-zeroes the working instance's capacity for every out-of-service
     /// switch (a rollback can restore a pre-outage topology).
     fn enforce_outage_capacities(&self, instance: &mut Instance) {
-        let capacities = instance.topology().capacities();
-        let stale: Vec<SwitchId> = self
-            .faults
-            .unmanageable
-            .keys()
-            .copied()
-            .filter(|s| capacities.get(s.0).is_some_and(|&c| c != 0))
-            .collect();
-        for s in stale {
-            *instance = with_capacity(instance, s, 0);
+        for &s in self.faults.unmanageable.keys() {
+            instance.set_capacity(s, 0);
         }
     }
 
@@ -1684,25 +1574,12 @@ impl Controller {
         d: &Delegation,
     ) {
         let restored = delegate::restore_instance(instance, ingress, d.delegate);
-        let mut stripped = placement.clone();
-        stripped.remove_ingress(ingress);
         let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
-        if let Ok(out) = incremental::replace_ingresses(
-            &restored,
-            &stripped,
-            &[ingress],
-            &excluded,
-            &self.options.placement,
-            self.options.objective.clone(),
-            self.sub_solve_ctx(),
-        ) {
-            if let Some(p) = out.placement {
-                *instance = out.instance;
-                *placement = p;
-                self.faults.delegations.remove(&ingress);
-                self.stats.undelegations += 1;
-                self.note_delegate_event("undelegated");
-            }
+        if let Some(state) = self.restricted(&restored, placement, &[ingress], &excluded) {
+            (*instance, *placement) = state;
+            self.faults.delegations.remove(&ingress);
+            self.stats.undelegations += 1;
+            self.note_delegate_event("undelegated");
         }
     }
 
@@ -1757,23 +1634,12 @@ impl Controller {
         }
         let targets: Vec<EntryPortId> = affected.iter().copied().collect();
         // Tier 1: one batched restricted re-solve of the affected set.
-        if let Ok(out) = incremental::replace_ingresses(
-            instance,
-            placement,
-            &targets,
-            &excluded,
-            &self.options.placement,
-            self.options.objective.clone(),
-            self.sub_solve_ctx(),
-        ) {
-            if let Some(p) = out.placement {
-                *instance = out.instance;
-                *placement = p;
-                for l in &targets {
-                    self.faults.safe_mode.remove(l);
-                }
-                return;
+        if let Some(state) = self.restricted(instance, placement, &targets, &excluded) {
+            (*instance, *placement) = state;
+            for l in &targets {
+                self.faults.safe_mode.remove(l);
             }
+            return;
         }
         // Tier 2: full re-solve (outaged capacities are already zero).
         if let Ok(solved) = self.full_solve(instance) {
@@ -1787,29 +1653,56 @@ impl Controller {
         for l in targets {
             if self.try_delegate(instance, placement, l, &excluded, torn) {
                 self.faults.safe_mode.remove(&l);
-                continue;
-            }
-            let mut salvaged = false;
-            if let Ok(out) = incremental::replace_ingresses(
-                instance,
-                placement,
-                &[l],
-                &excluded,
-                &self.options.placement,
-                self.options.objective.clone(),
-                self.sub_solve_ctx(),
-            ) {
-                if let Some(p) = out.placement {
-                    *instance = out.instance;
-                    *placement = p;
-                    self.faults.safe_mode.remove(&l);
-                    salvaged = true;
-                }
-            }
-            if !salvaged {
+            } else if let Some(state) = self.restricted(instance, placement, &[l], &excluded) {
+                (*instance, *placement) = state;
+                self.faults.safe_mode.remove(&l);
+            } else {
                 self.enter_safe_mode(l, placement);
             }
         }
+    }
+
+    /// The §IV-E restricted re-solve of `targets` on `instance` (every
+    /// other placement frozen, `excluded` switches barred), or `None`
+    /// when it is rejected or finds no placement.
+    fn restricted(
+        &self,
+        instance: &Instance,
+        placement: &Placement,
+        targets: &[EntryPortId],
+        excluded: &[SwitchId],
+    ) -> Option<(Instance, Placement)> {
+        let out = incremental::replace_ingresses(
+            instance,
+            placement,
+            targets,
+            excluded,
+            &self.options.placement,
+            self.options.objective.clone(),
+            self.sub_solve_ctx(),
+        )
+        .ok()?;
+        Some((out.instance, out.placement?))
+    }
+
+    /// Picks a delegate for `ingress` against the load of `placement`
+    /// and detours its routes through it: the delegation and the
+    /// detoured instance, or `None` when no neighbor qualifies.
+    fn plan_detour(
+        &self,
+        instance: &Instance,
+        placement: &Placement,
+        ingress: EntryPortId,
+    ) -> Option<(Delegation, Instance)> {
+        let load = placement.per_switch_load(instance);
+        let capacities = instance.topology().capacities();
+        let usable =
+            |s: SwitchId| !self.faults.unmanageable.contains_key(&s) && self.dataplane.is_online(s);
+        let spare =
+            |s: SwitchId| usable(s) && load.get(s.0).copied().unwrap_or(0) < capacities[s.0];
+        let d = delegate::plan_delegation(instance, ingress, &usable, &spare)?;
+        let detoured = delegate::detour_instance(instance, ingress, &d)?;
+        Some((d, detoured))
     }
 
     /// The delegation rung: detour `ingress`'s routes through an
@@ -1830,53 +1723,31 @@ impl Controller {
         if !self.options.delegation.enabled {
             return false;
         }
-        let load = placement.per_switch_load(instance);
-        let capacities = instance.topology().capacities();
-        let usable =
-            |s: SwitchId| !self.faults.unmanageable.contains_key(&s) && self.dataplane.is_online(s);
-        let spare =
-            |s: SwitchId| usable(s) && load.get(s.0).copied().unwrap_or(0) < capacities[s.0];
-        let Some(d) = delegate::plan_delegation(instance, ingress, &usable, &spare) else {
-            return false;
-        };
-        let Some(detoured) = delegate::detour_instance(instance, ingress, &d) else {
+        let Some((d, detoured)) = self.plan_detour(instance, placement, ingress) else {
             return false;
         };
         let span = self.span_begin("ctrl.delegate");
         self.span_attr(span, "ingress", ingress.to_string());
         self.span_attr(span, "delegate", d.delegate.to_string());
-        let mut placed = false;
-        if let Ok(out) = incremental::replace_ingresses(
-            &detoured,
-            placement,
-            &[ingress],
-            excluded,
-            &self.options.placement,
-            self.options.objective.clone(),
-            self.sub_solve_ctx(),
-        ) {
-            if let Some(p) = out.placement {
-                let used = p
-                    .iter()
-                    .any(|((l, _), sw)| *l == ingress && sw.contains(&d.delegate));
-                if used {
-                    *instance = out.instance;
-                    self.stats.delegations += 1;
-                    if torn.contains(&ingress) {
-                        self.stats.delegation_rehomes += 1;
-                        self.note_delegate_event("rehomed");
-                    } else {
-                        self.note_delegate_event("created");
-                    }
-                    self.faults.delegations.insert(ingress, d);
+        let solved = self.restricted(&detoured, placement, &[ingress], excluded);
+        let placed = solved.is_some();
+        if let Some((detoured, p)) = solved {
+            if delegate::uses(&p, ingress, d.delegate) {
+                *instance = detoured;
+                self.stats.delegations += 1;
+                if torn.contains(&ingress) {
+                    self.stats.delegation_rehomes += 1;
+                    self.note_delegate_event("rehomed");
                 } else {
-                    // The solver fit without the delegate: keep the
-                    // placement, roll the detour back unrecorded.
-                    *instance = delegate::restore_instance(&out.instance, ingress, d.delegate);
+                    self.note_delegate_event("created");
                 }
-                *placement = p;
-                placed = true;
+                self.faults.delegations.insert(ingress, d);
+            } else {
+                // The solver fit without the delegate: keep the
+                // placement, roll the detour back unrecorded.
+                *instance = delegate::restore_instance(&detoured, ingress, d.delegate);
             }
+            *placement = p;
         }
         self.span_attr(
             span,
@@ -1899,23 +1770,9 @@ impl Controller {
         instance: &Instance,
         placement: &Placement,
     ) -> Option<(Instance, Placement)> {
-        match event {
-            Event::CapacityChange { switch, capacity } => {
-                self.delegate_capacity_rescue(instance, placement, *switch, *capacity)
-            }
-            _ => None,
-        }
-    }
-
-    /// The body of the `CapacityChange` rescue; see
-    /// [`rescue_rejected`](Controller::rescue_rejected).
-    fn delegate_capacity_rescue(
-        &mut self,
-        instance: &Instance,
-        placement: &Placement,
-        switch: SwitchId,
-        capacity: usize,
-    ) -> Option<(Instance, Placement)> {
+        let Event::CapacityChange { switch, capacity } = *event else {
+            return None;
+        };
         if !self.options.delegation.enabled
             || switch.0 >= instance.topology().switch_count()
             || self.faults.unmanageable.contains_key(&switch)
@@ -1923,7 +1780,8 @@ impl Controller {
             return None;
         }
         let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
-        let mut inst = with_capacity(instance, switch, capacity);
+        let mut inst = instance.clone();
+        inst.set_capacity(switch, capacity);
         let mut p = placement.clone();
         // Victims: ingresses with entries on the shrunk switch, minus
         // the already-delegated (their detours are live in `inst`).
@@ -1943,51 +1801,27 @@ impl Controller {
         for l in victims {
             // Plan against the still-placed state: the delegate is off
             // the victim's routes, so its headroom is what matters.
-            let load = p.per_switch_load(&inst);
-            let capacities = inst.topology().capacities();
-            let usable = |s: SwitchId| {
-                !self.faults.unmanageable.contains_key(&s) && self.dataplane.is_online(s)
-            };
-            let spare =
-                |s: SwitchId| usable(s) && load.get(s.0).copied().unwrap_or(0) < capacities[s.0];
-            let Some(d) = delegate::plan_delegation(&inst, l, &usable, &spare) else {
-                continue;
-            };
-            let Some(detoured) = delegate::detour_instance(&inst, l, &d) else {
+            let Some((d, detoured)) = self.plan_detour(&inst, &p, l) else {
                 continue;
             };
             inst = detoured;
             p.remove_ingress(l);
             planned.push((l, d));
             let targets: Vec<EntryPortId> = planned.iter().map(|(l, _)| *l).collect();
-            if let Ok(out) = incremental::replace_ingresses(
-                &inst,
-                &p,
-                &targets,
-                &excluded,
-                &self.options.placement,
-                self.options.objective.clone(),
-                self.sub_solve_ctx(),
-            ) {
-                if let Some(np) = out.placement {
-                    // It fits again: record the delegations the
-                    // solution uses, roll back the detours it ignored.
-                    let mut ni = out.instance;
-                    for (l, d) in &planned {
-                        let used = np
-                            .iter()
-                            .any(|((vl, _), sw)| vl == l && sw.contains(&d.delegate));
-                        if used {
-                            self.faults.delegations.insert(*l, d.clone());
-                            self.stats.delegations += 1;
-                            self.note_delegate_event("created");
-                        } else {
-                            ni = delegate::restore_instance(&ni, *l, d.delegate);
-                        }
+            if let Some((mut ni, np)) = self.restricted(&inst, &p, &targets, &excluded) {
+                // It fits again: record the delegations the solution
+                // uses, roll back the detours it ignored.
+                for (l, d) in &planned {
+                    if delegate::uses(&np, *l, d.delegate) {
+                        self.faults.delegations.insert(*l, d.clone());
+                        self.stats.delegations += 1;
+                        self.note_delegate_event("created");
+                    } else {
+                        ni = delegate::restore_instance(&ni, *l, d.delegate);
                     }
-                    rescued = Some((ni, np));
-                    break;
                 }
+                rescued = Some((ni, np));
+                break;
             }
         }
         self.span_attr(span, "rescued", rescued.is_some());
@@ -2302,27 +2136,13 @@ impl Controller {
                 .collect();
             tables.push(SwitchTable::from_entries(entries));
         }
-        let dataplane = &self.dataplane;
-        let unmanageable = &self.faults.unmanageable;
-        let safe_mode = &self.faults.safe_mode;
-        let live = |route: &Route| {
-            if !route.switches.iter().all(|&s| dataplane.is_online(s)) {
-                return false; // traffic-dead: a crashed switch on path
-            }
-            if safe_mode.contains(&route.ingress)
-                && route.switches.iter().all(|s| unmanageable.contains_key(s))
-            {
-                return false; // fenced at the entry port
-            }
-            true
-        };
         verify::verify_tables(
             &self.instance,
             &tables,
             self.options.verify_packets,
             self.epochs.current(),
             VerifyMode::NoFalseNegatives,
-            live,
+            |route| self.carries_traffic(route),
         )
         .map_err(|e| e.to_string())
     }
@@ -2331,7 +2151,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowplace_acl::{Action, Rule, Ternary};
+    use flowplace_acl::{Action, Policy, Rule, Ternary};
     use flowplace_topo::SwitchId;
 
     fn t(bits: &str) -> Ternary {

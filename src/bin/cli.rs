@@ -490,8 +490,8 @@ fn audit_inner(args: &[String]) -> Result<(), String> {
     println!("{path}: {} rules", policy.len());
 
     let obs = obs_requested(&flags);
-    let mut arena = flowplace::acl::CubeArena::new();
-    let report = redundancy::remove_redundant_with(&policy, &mut arena);
+    let before = flowplace::acl::thread_arena_stats();
+    let report = redundancy::remove_redundant(&policy);
     println!(
         "redundant rules: {} ({} kept)",
         report.removed_count(),
@@ -501,7 +501,10 @@ fn audit_inner(args: &[String]) -> Result<(), String> {
         println!("  {id} {rule} ({kind:?})");
     }
     if let Some(obs) = obs.as_ref() {
-        flowplace::core::arena_obs::record_arena_gauges(obs, "redundancy", arena.stats());
+        let mut stats = flowplace::acl::thread_arena_stats();
+        stats.allocations -= before.allocations;
+        stats.reuse_hits -= before.reuse_hits;
+        flowplace::core::arena_obs::record_arena_gauges(obs, "redundancy", stats);
     }
     write_obs_outputs(&flags, obs.as_ref())?;
 

@@ -116,6 +116,41 @@ fn place_reports_infeasible_with_exit_code() {
 }
 
 #[test]
+fn rule_event_rejections_say_what_was_wrong() {
+    // Four different mistakes against a healthy ingress: each reason
+    // names its own cause, none blames the ingress.
+    let dir = std::env::temp_dir().join(format!("flowplace-cli-reasons-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace_path = dir.join("mistakes.trace");
+    let trace = "install-policy l0 via l1:s0-s1-s2-s3 rules 111111:drop:2,******:permit:1\n\
+                 remove-rule l0 r99\n\
+                 add-rule l0 0000 drop 7\n\
+                 add-rule l0 000001 drop 2\n\
+                 modify-rule l0 r42 000001 drop 9\n";
+    std::fs::write(&trace_path, trace).unwrap();
+
+    let out = flowplace(&["ctrl", "replay", trace_path.to_str().unwrap(), "--verbose"]);
+    assert_eq!(out.status.code(), Some(1), "failed events exit 1");
+    let text = String::from_utf8_lossy(&out.stdout);
+    for reason in [
+        "l0 has no rule r99",
+        "mixed match-field widths in policy: 4 vs 6",
+        "duplicate rule priority 2 in policy",
+        "l0 has no rule r42",
+    ] {
+        let line = format!("Rejected {{ reason: \"{reason}\" }}");
+        assert!(text.contains(&line), "missing {line:?} in:\n{text}");
+    }
+    assert!(!text.contains("not usable here"), "{text}");
+    assert!(
+        text.contains("events: 5 in, 0 rejected, 4 failed"),
+        "{text}"
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn place_exports_lp_model() {
     let dir = std::env::temp_dir().join(format!("flowplace-cli-lp-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

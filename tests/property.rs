@@ -8,14 +8,19 @@
 //! * the MILP solver matches brute-force enumeration on tiny 0/1 models;
 //! * the CDCL PB solver matches brute-force truth tables;
 //! * any feasible placement (ILP or SAT engine, merging on or off)
-//!   passes the golden-model verifier.
+//!   passes the golden-model verifier;
+//! * the model's edit methods equal the whole-model rebuilds they
+//!   replaced, and the named §IV-E operations are those edits in front
+//!   of the one restricted re-solve.
 //!
 //! Each test draws a fixed number of cases from a fixed-seed
 //! [`StdRng`], so runs are deterministic; failure messages carry the
 //! case number so a regression reproduces by construction.
 
 use flowplace::acl::{redundancy, Action, CubeList, Packet, Policy, Ternary};
-use flowplace::core::verify;
+use flowplace::core::incremental::{self, IncrementalOutcome};
+use flowplace::core::merge::MergeGroup;
+use flowplace::core::{fingerprint_instance, verify, InstanceError};
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
 
@@ -380,6 +385,259 @@ fn greedy_placement_verifies_when_it_succeeds() {
                 );
             }
         }
+    }
+}
+
+/// Applies `edit` to a clone of `before` and requires what the rebuild
+/// it replaced gives: the same instance, or the same error with the
+/// instance left as it was.
+fn assert_edit_is_rebuild(
+    case: usize,
+    before: &Instance,
+    edit: impl FnOnce(&mut Instance) -> Result<(), InstanceError>,
+    rebuilt: Result<Instance, InstanceError>,
+) {
+    let mut edited = before.clone();
+    let got = edit(&mut edited);
+    match rebuilt {
+        Ok(want) => {
+            assert_eq!(got, Ok(()), "case {case}");
+            assert_eq!(format!("{edited:?}"), format!("{want:?}"), "case {case}");
+            let fp = |i| fingerprint_instance(i, &Objective::TotalRules, &Default::default());
+            assert_eq!(fp(&edited), fp(&want), "case {case}");
+        }
+        Err(e) => {
+            assert_eq!(got, Err(e), "case {case}");
+            assert_eq!(format!("{edited:?}"), format!("{before:?}"), "case {case}");
+        }
+    }
+}
+
+#[test]
+fn instance_edits_are_the_rebuilds() {
+    let mut rng = StdRng::seed_from_u64(0x777);
+    for case in 0..64 {
+        let inst = rand_instance(&mut rng);
+        let topo = inst.topology().clone();
+        let ports = topo.entry_port_count();
+        let others = |l: EntryPortId| -> Vec<(EntryPortId, Policy)> {
+            let kept = inst.policies().filter(|(k, _)| *k != l);
+            kept.map(|(k, q)| (k, q.clone())).collect()
+        };
+        let all = others(EntryPortId(usize::MAX));
+
+        // set_policy: a replacement or a first policy (the egress port
+        // holds none), an unknown ingress, a width the others do not share.
+        let narrow = Policy::from_ordered(vec![(Ternary::new(4, 0, 0), Action::Drop)]).unwrap();
+        for (l, q) in [
+            (rng.gen_range(0..ports), rand_policy(&mut rng, 6)),
+            (ports + rng.gen_range(0..3usize), rand_policy(&mut rng, 6)),
+            (rng.gen_range(0..ports), narrow),
+        ] {
+            let l = EntryPortId(l);
+            let mut parts = others(l);
+            parts.push((l, q.clone()));
+            let want = Instance::new(topo.clone(), inst.routes().clone(), parts);
+            assert_edit_is_rebuild(case, &inst, |i| i.set_policy(l, q), want);
+        }
+
+        // set_routes_from: fresh routes (of a policy-free port too), a
+        // route of another ingress, a route through an unknown switch.
+        // The rebuild validated them against the one policy first.
+        let l = EntryPortId(rng.gen_range(0..ports));
+        let other = EntryPortId((l.0 + 1) % ports);
+        let via = |from, s| Route::new(from, EntryPortId(0), vec![SwitchId(s), SwitchId(0)]);
+        let fresh = (0..rng.gen_range(0..3usize))
+            .map(|_| via(l, rng.gen_range(0..topo.switch_count())))
+            .collect();
+        for routes in [fresh, vec![via(l, 1), via(other, 1)], vec![via(l, 99)]] {
+            let own = inst.policy(l).map(|q| (l, q.clone())).into_iter().collect();
+            let want =
+                Instance::new(topo.clone(), routes.iter().cloned().collect(), own).and_then(|_| {
+                    let kept = inst.routes().iter().filter(|r| r.ingress != l);
+                    let merged = kept.chain(&routes).cloned().collect();
+                    Instance::new(topo.clone(), merged, all.clone())
+                });
+            assert_edit_is_rebuild(case, &inst, |i| i.set_routes_from(l, routes), want);
+        }
+
+        // set_capacity.
+        let s = SwitchId(rng.gen_range(0..topo.switch_count()));
+        let capacity = rng.gen_range(0..20usize);
+        let mut shrunk = topo.clone();
+        shrunk.set_capacity(s, capacity);
+        let want = Instance::new(shrunk, inst.routes().clone(), all.clone());
+        let edit = |i: &mut Instance| {
+            i.set_capacity(s, capacity);
+            Ok(())
+        };
+        assert_edit_is_rebuild(case, &inst, edit, want);
+    }
+}
+
+/// The entry-by-entry rebuild `incremental::add_rule_greedy` and
+/// `remove_rule` did before `Placement::renumber`, over a total `map` of
+/// `ingress`'s rule ids (`None` drops the rule).
+fn renumber_by_rebuild(
+    placement: &Placement,
+    ingress: EntryPortId,
+    map: impl Fn(RuleId) -> Option<RuleId>,
+) -> Placement {
+    let mut shifted = Placement::new();
+    for (&(l, r), switches) in placement.iter() {
+        let nr = if l == ingress { map(r) } else { Some(r) };
+        let Some(nr) = nr else { continue };
+        for &s in switches {
+            shifted.place(l, nr, s);
+        }
+    }
+    for g in placement.merge_groups() {
+        let gone = |&(l, r): &(EntryPortId, RuleId)| l == ingress && map(r).is_none();
+        if g.members.iter().any(gone) {
+            continue; // dissolve groups containing the removed rule
+        }
+        let mut g = g.clone();
+        for (l, r) in &mut g.members {
+            if *l == ingress {
+                *r = map(*r).expect("kept");
+            }
+        }
+        shifted.record_merge(g);
+    }
+    shifted
+}
+
+#[test]
+fn placement_renumber_is_the_rebuild() {
+    let mut rng = StdRng::seed_from_u64(0x888);
+    for case in 0..64 {
+        let rules = rng.gen_range(1..=6usize);
+        let ingress = EntryPortId(rng.gen_range(0..3usize));
+        let mut placement = Placement::new();
+        for l in 0..3 {
+            for r in 0..rules {
+                for s in 0..4 {
+                    if rng.gen_bool(0.4) {
+                        placement.place(EntryPortId(l), RuleId(r), SwitchId(s));
+                    }
+                }
+            }
+        }
+        // Merge groups over all three ingresses, so every removal from
+        // `ingress` below meets groups with and without the removed rule.
+        for r in 0..rules {
+            placement.record_merge(MergeGroup {
+                switch: SwitchId(rng.gen_range(0..4usize)),
+                match_field: rand_ternary(&mut rng),
+                action: Action::Drop,
+                members: (0..3)
+                    .map(|l| (EntryPortId(l), RuleId((r + l) % rules)))
+                    .collect(),
+            });
+        }
+        for k in 0..=rules {
+            let at = RuleId(k);
+            // Insertion at `k`: ids from `k` up shift by one.
+            let up = |r: RuleId| Some(RuleId(r.0 + 1));
+            let mut renumbered = placement.clone();
+            renumbered.renumber(ingress, at, up);
+            let want =
+                renumber_by_rebuild(
+                    &placement,
+                    ingress,
+                    |r| if r < at { Some(r) } else { up(r) },
+                );
+            assert_eq!(renumbered, want, "case {case}: insert at {k}");
+            if k == rules {
+                continue;
+            }
+            // Removal of `k`: its entries go, ids above shift down.
+            let down = |r: RuleId| (r != at).then(|| RuleId(r.0 - 1));
+            let mut renumbered = placement.clone();
+            renumbered.renumber(ingress, at, down);
+            let want =
+                renumber_by_rebuild(
+                    &placement,
+                    ingress,
+                    |r| if r < at { Some(r) } else { down(r) },
+                );
+            assert_eq!(renumbered, want, "case {case}: remove {k}");
+            assert!(renumbered.merge_groups().len() < placement.merge_groups().len());
+        }
+    }
+}
+
+#[test]
+fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
+    let mut rng = StdRng::seed_from_u64(0x999);
+    let options = PlacementOptions::default();
+    let same = |case: usize, out: IncrementalOutcome, want: IncrementalOutcome| {
+        let (got, want) = (
+            (format!("{:?}", out.instance), out.placement, out.status),
+            (format!("{:?}", want.instance), want.placement, want.status),
+        );
+        assert_eq!(got, want, "case {case}");
+    };
+    for case in 0..64 {
+        let inst = rand_instance(&mut rng);
+        let placed = RulePlacer::new(options.clone()).place(&inst, Objective::TotalRules);
+        let placement = placed.unwrap().placement.unwrap_or_default();
+        let hub = SwitchId(0);
+        let leaf = |l: EntryPortId| inst.topology().entry_port(l).switch;
+
+        // Install a policy on the one port without one (the egress).
+        let l = EntryPortId(inst.policy_count());
+        let q = rand_policy(&mut rng, 6);
+        let routes = vec![Route::new(l, EntryPortId(0), vec![leaf(l), hub])];
+        let mut edited = inst.clone();
+        edited.set_policy(l, q.clone()).unwrap();
+        edited.set_routes_from(l, routes.clone()).unwrap();
+        let out = incremental::install_policies(
+            &inst,
+            &placement,
+            vec![(l, q, routes)],
+            &options,
+            Objective::TotalRules,
+            SolveCtx::default(),
+        );
+        let want = incremental::replace_ingresses(
+            &edited,
+            &placement,
+            &[l],
+            &[],
+            &options,
+            Objective::TotalRules,
+            SolveCtx::default(),
+        );
+        same(case, out.unwrap(), want.unwrap());
+
+        // Reroute one ingress onto a shorter and a longer path.
+        let l = EntryPortId(rng.gen_range(0..inst.policy_count()));
+        let routes = vec![
+            Route::new(l, EntryPortId(0), vec![leaf(l), hub]),
+            Route::new(l, EntryPortId(0), vec![leaf(l), hub, leaf(EntryPortId(0))]),
+        ];
+        let mut edited = inst.clone();
+        edited.set_routes_from(l, routes.clone()).unwrap();
+        let out = incremental::reroute_policy(
+            &inst,
+            &placement,
+            l,
+            routes,
+            &options,
+            Objective::TotalRules,
+            SolveCtx::default(),
+        );
+        let want = incremental::replace_ingresses(
+            &edited,
+            &placement,
+            &[l],
+            &[],
+            &options,
+            Objective::TotalRules,
+            SolveCtx::default(),
+        );
+        same(case, out.unwrap(), want.unwrap());
     }
 }
 

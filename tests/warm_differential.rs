@@ -12,8 +12,11 @@
 //! state across epochs, so they are not byte-identical to cold; they
 //! are held to run-to-run determinism and to the verifier instead.
 
+use std::collections::BTreeMap;
+
 use flowplace::acl::{Action, Policy, Rule, RuleId, Ternary};
 use flowplace::core::WarmConfig;
+use flowplace::ctrl::EventOutcome;
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
 
@@ -327,5 +330,134 @@ fn session_solves_are_deterministic_and_verified() {
             session_work > 0,
             "{engine:?}: no solve reached a session across {SEEDS} streams"
         );
+    }
+}
+
+/// Runs `event` as one epoch of `tight` and, if it was applied, of the
+/// roomy `twin`, and returns `tight`'s outcome; `tight`'s placement must
+/// verify and both must hold the same policies and routes afterwards. A
+/// `CapacityChange` only sizes `tight`, and one that no re-solve absorbs
+/// returns `None`: it still commits, behind a delegation detour or a
+/// fail-closed fence, which is the degradation ladder's ground
+/// (`tests/chaos.rs`).
+fn settle(
+    tight: &mut Controller,
+    twin: &mut Controller,
+    event: Event,
+    at: &str,
+) -> Option<EventOutcome> {
+    tight.submit(event.clone()).expect("queue has room");
+    let reports = tight
+        .run_to_idle()
+        .unwrap_or_else(|e| panic!("{at}: tight run failed: {e}"));
+    let outcome = reports[0].outcomes[0].1.clone();
+    let sizing = matches!(event, Event::CapacityChange { .. });
+    if sizing && !matches!(outcome, EventOutcome::Applied(Tier::Greedy | Tier::Full)) {
+        return None;
+    }
+    if !sizing && !matches!(outcome, EventOutcome::Rejected { .. }) {
+        twin.submit(event).expect("queue has room");
+        let mirrored = twin.run_to_idle().expect("twin run");
+        assert!(
+            !matches!(mirrored[0].outcomes[0].1, EventOutcome::Rejected { .. }),
+            "{at}: the roomy twin rejected it"
+        );
+    }
+    flowplace::core::verify::verify_placement(
+        tight.instance(),
+        tight.placement(),
+        8,
+        tight.epoch(),
+    )
+    .unwrap_or_else(|e| panic!("{at}: placement fails verify: {e}"));
+    let model = |c: &Controller| {
+        let policies: Vec<_> = c.instance().policies().collect();
+        format!("{policies:?} {:?}", c.instance().routes())
+    };
+    assert_eq!(
+        model(tight),
+        model(twin),
+        "{at}: the edit depended on the rung"
+    );
+    Some(outcome)
+}
+
+/// Every rung of the one escalation ladder is reached by every event
+/// kind that can reach it, and the edit an event makes does not depend
+/// on the rung that placed it: a tight controller (capacity 3..=8, with
+/// capacity changes in the stream) keeps the policies and routes of a
+/// roomy twin that is fed only the events the tight one applied.
+#[test]
+fn every_event_kind_reaches_every_rung_with_the_same_edit() {
+    let mut reached: BTreeMap<(&str, Tier), usize> = BTreeMap::new();
+    let mut tally = |kind: &'static str, outcome: &EventOutcome| {
+        if let EventOutcome::Applied(tier) = outcome {
+            *reached.entry((kind, *tier)).or_default() += 1;
+        }
+    };
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(0x1ADD_0000 ^ seed);
+        let mut tight = controller(rng.gen_range(3..=8usize), WarmConfig::default());
+        let mut twin = controller(64, WarmConfig::default());
+
+        let mut events = vec![install(&mut rng, 0), install(&mut rng, 1)];
+        let mut priority = 10;
+        for _ in 0..rng.gen_range(16..24usize) {
+            events.push(if rng.gen_bool(0.2) {
+                Event::CapacityChange {
+                    switch: SwitchId(rng.gen_range(0..3usize)),
+                    capacity: rng.gen_range(3..=8usize),
+                }
+            } else {
+                rand_event(&mut rng, &mut priority)
+            });
+        }
+        for (step, event) in events.into_iter().enumerate() {
+            let (kind, at) = (event.label(), format!("seed {seed} step {step} ({event})"));
+            match settle(&mut tight, &mut twin, event, &at) {
+                Some(outcome) => tally(kind, &outcome),
+                None => break,
+            }
+        }
+    }
+
+    // The streams install into spare room only. Hand-built: two drops of
+    // l0 hold a switch that l1's one-hop route needs whole, so the
+    // restricted install finds no spare and the full re-solve moves l0.
+    let drops = |bits: [u128; 2]| {
+        let rule = |(i, b)| Rule::new(Ternary::new(WIDTH, 0xF, b), Action::Drop, i as u32 + 1);
+        Policy::from_rules(bits.into_iter().enumerate().map(rule).collect()).unwrap()
+    };
+    let install_on = |l: usize, bits, hops: Vec<SwitchId>| Event::InstallPolicy {
+        ingress: EntryPortId(l),
+        policy: drops(bits),
+        routes: vec![Route::new(EntryPortId(l), EntryPortId(1 - l), hops)],
+    };
+    let mut tight = controller(2, WarmConfig::default());
+    let mut twin = controller(64, WarmConfig::default());
+    let first = install_on(0, [0b0000, 0b1111], (0..3).map(SwitchId).collect());
+    settle(&mut tight, &mut twin, first, "hand-built l0").expect("not a capacity change");
+    let (_, held) = tight.placement().iter().next().expect("l0 is placed");
+    let second = install_on(1, [0b0101, 0b1010], vec![*held.iter().next().unwrap()]);
+    let outcome = settle(&mut tight, &mut twin, second, "hand-built l1").unwrap();
+    assert_eq!(outcome, EventOutcome::Applied(Tier::Full));
+    tally("install-policy", &outcome);
+
+    let all = [Tier::Greedy, Tier::Restricted, Tier::Full];
+    let expected = [
+        ("add-rule", &all[..]),
+        ("modify-rule", &all[..]),
+        ("install-policy", &all[1..]),
+        ("reroute", &all[1..]),
+        ("capacity", &[Tier::Greedy, Tier::Full][..]),
+        ("remove-rule", &all[..1]),
+    ];
+    for (kind, tiers) in expected {
+        for tier in tiers {
+            assert!(
+                reached.contains_key(&(kind, *tier)),
+                "{kind} never settled at {tier} across {SEEDS} streams: {reached:?}"
+            );
+        }
     }
 }

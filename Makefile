@@ -9,8 +9,9 @@ all: ci
 
 ## ci: the gating steps of .github/workflows/ci.yml, in its order —
 ## format check, clippy, print hygiene, doc links, tier-1 tests under
-## the timing guard, every crate's tests, the benchmark smoke run.
-ci: fmt-check clippy no-raw-print doc timing-guard test-all benchmark-smoke
+## the timing guard, every crate's tests, the benchmark smoke run, the
+## pinned obs dumps, the demo replay, the chaos replay.
+ci: fmt-check clippy no-raw-print doc timing-guard test-all benchmark-smoke obs-smoke replay-demo chaos
 
 fmt:
 	$(CARGO) fmt --all
@@ -58,7 +59,8 @@ benchmark-smoke:
 
 ## obs-smoke: chaos replay emitting span-trace and metrics dumps; the
 ## CLI validates both against flowplace.obs.v1 before writing, and the
-## summarize pass re-validates on read.
+## summarize pass re-validates on read. Fails if a regenerated dump
+## differs from the committed one: pinned artifacts move deliberately.
 obs-smoke:
 	$(CARGO) run --release --offline --bin flowplace -- \
 		ctrl replay traces/chaos.trace --batch 4 \
@@ -67,6 +69,7 @@ obs-smoke:
 		--trace-out OBS_trace.json --metrics-out OBS_metrics.json
 	$(CARGO) run --release --offline --bin flowplace -- \
 		obs summarize OBS_trace.json OBS_metrics.json
+	git diff --exit-code -- OBS_trace.json OBS_metrics.json
 
 ## replay-demo: run the controller on the shipped 50+-event trace.
 replay-demo:

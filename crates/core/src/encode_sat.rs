@@ -43,20 +43,11 @@ impl SatEncoding {
     /// Encodes `instance` (optionally with merging) into a PB formula.
     pub fn build(instance: &Instance, merging: bool) -> Self {
         let candidates = build_candidates(instance);
-        Self::build_with_candidates(instance, merging, &candidates)
+        Self::build_with_candidates_opts(instance, merging, &candidates, SolverOptions::default())
     }
 
-    /// Like [`SatEncoding::build`] with a precomputed candidate map.
-    pub fn build_with_candidates(
-        instance: &Instance,
-        merging: bool,
-        candidates: &CandidateMap,
-    ) -> Self {
-        Self::build_with_candidates_opts(instance, merging, candidates, SolverOptions::default())
-    }
-
-    /// Like [`SatEncoding::build_with_candidates`] with explicit CDCL
-    /// search options (restart schedule, learnt-DB reduction).
+    /// Like [`SatEncoding::build`] with a precomputed candidate map and
+    /// explicit CDCL search options (learnt-DB reduction).
     pub fn build_with_candidates_opts(
         instance: &Instance,
         merging: bool,

@@ -197,8 +197,7 @@ fn record_solve_metrics(obs: &Obs, provenance: Provenance, outcome: &PlacementOu
     obs.metrics
         .gauge_set_with("solver.constraints", labels, stats.constraints as i64);
     // CDCL internals, present only for SAT-engine outcomes. Like
-    // `solver.nodes` these mirror the outcome's stats verbatim (the
-    // persistent warm session reports cumulative values); all are
+    // `solver.nodes` these mirror the outcome's stats verbatim; all are
     // derived from integer solver counters, so dumps stay
     // byte-reproducible.
     if let Some(sat) = stats.sat {
@@ -253,11 +252,10 @@ pub struct SolveCtx<'a> {
 /// With `ctx.warm`, the pipeline becomes incremental: the whole solve is
 /// first looked up in the placement memo (hit ⇒ [`Provenance::Memo`] in
 /// O(1)); on a miss, stages 1/2 rebuild only *dirty* ingresses — those
-/// whose policy/route fingerprints have no cached artifact — and stage 3
-/// may run through persistent solver sessions when
-/// [`crate::WarmConfig::sessions`] is enabled. Cache hits are
-/// byte-identical to a cold build because every cache key covers every
-/// input of the cached computation.
+/// whose policy/route fingerprints have no cached artifact. Stage 3 is
+/// the same engine call either way. Cache hits are byte-identical to a
+/// cold build because every cache key covers every input of the cached
+/// computation.
 ///
 /// With `ctx.obs`, the pipeline records a `"pipeline"` span with one
 /// child per stage (`pipeline.depgraphs`, `pipeline.candidates`,
@@ -278,7 +276,6 @@ pub fn solve(
     let root = obs.map(|o| o.spans.enter("pipeline"));
     if let Some(span) = &root {
         span.attr("ingresses", instance.policies().count());
-        span.attr("threads", threads);
     }
 
     // O(1) short-circuit: an identical instance was already solved.
@@ -332,18 +329,9 @@ pub fn solve(
 
     let stage = obs.map(|o| o.spans.enter("pipeline.solve"));
     let provenance = Provenance::Single(options.engine);
-    let outcome = match cache.filter(|c| c.sessions_enabled()) {
-        Some(c) => {
-            let ingress_fps: BTreeMap<EntryPortId, warm::Fingerprint> = instance
-                .policies()
-                .map(|(ingress, _)| (ingress, warm::fingerprint_ingress(instance, ingress)))
-                .collect();
-            c.session_solve(instance, &objective, options, &candidates, &ingress_fps)
-        }
-        None => match options.engine {
-            PlacerEngine::Ilp => place_ilp_with(options, instance, &objective, &candidates),
-            PlacerEngine::Sat => place_sat_with(options, instance, &candidates),
-        },
+    let outcome = match options.engine {
+        PlacerEngine::Ilp => place_ilp_with(options, instance, &objective, &candidates),
+        PlacerEngine::Sat => place_sat_with(options, instance, &candidates),
     };
     if let Some(span) = &stage {
         span.attr("provenance", provenance.to_string());
@@ -601,52 +589,5 @@ mod tests {
         assert_eq!(after.depgraphs_built - before.depgraphs_built, 1);
         assert_eq!(after.candidates_built - before.candidates_built, 1);
         assert_eq!(after.candidates_reused - before.candidates_reused, 3);
-    }
-
-    #[test]
-    fn session_pipeline_stays_feasible_across_epochs() {
-        let inst = multi_ingress_instance();
-        let options = PlacementOptions::default();
-        let cache = crate::WarmCache::new(crate::WarmConfig {
-            sessions: true,
-            ..crate::WarmConfig::default()
-        });
-        let ctx = SolveCtx {
-            warm: Some(&cache),
-            obs: None,
-        };
-        let first = solve(&inst, Objective::TotalRules, &options, ctx);
-        let p1 = first.outcome.placement.expect("feasible");
-        assert!(crate::verify::verify_placement(&inst, &p1, 64, 0x5E55).is_ok());
-
-        // Second epoch, one policy changed: the ILP session seeds from
-        // epoch 1 and freezes the three untouched ingresses.
-        let mut policies: Vec<_> = inst.policies().map(|(l, p)| (l, p.clone())).collect();
-        policies[1].1 =
-            Policy::from_ordered(vec![(t("01**"), Action::Permit), (t("0***"), Action::Drop)])
-                .unwrap();
-        let changed =
-            Instance::new(inst.topology().clone(), inst.routes().clone(), policies).unwrap();
-        let second = solve(&changed, Objective::TotalRules, &options, ctx);
-        let p2 = second.outcome.placement.expect("feasible");
-        assert!(crate::verify::verify_placement(&changed, &p2, 64, 0x5E56).is_ok());
-        let stats = cache.stats();
-        assert!(stats.ilp_vars_fixed > 0, "untouched ingresses were frozen");
-
-        // Third epoch, capacities grow: every ingress fingerprint is
-        // unchanged (capacity is not part of it), so the whole previous
-        // placement seeds the incumbent.
-        let mut topo = changed.topology().clone();
-        topo.set_uniform_capacity(32);
-        let grown = Instance::new(
-            topo,
-            changed.routes().clone(),
-            changed.policies().map(|(l, p)| (l, p.clone())).collect(),
-        )
-        .unwrap();
-        let third = solve(&grown, Objective::TotalRules, &options, ctx);
-        let p3 = third.outcome.placement.expect("feasible");
-        assert!(crate::verify::verify_placement(&grown, &p3, 64, 0x5E57).is_ok());
-        assert!(cache.stats().ilp_incumbent_seeded >= 1);
     }
 }

@@ -314,7 +314,7 @@ impl RulePlacer {
 }
 
 /// ILP solve over already-built (and already monitor-restricted)
-/// candidates. Shared by the cold pipeline and the warm ILP session.
+/// candidates: the ILP arm of stage 3 of [`crate::par::solve`].
 pub(crate) fn place_ilp_with(
     options: &PlacementOptions,
     instance: &Instance,
@@ -375,7 +375,7 @@ pub(crate) fn place_ilp_with(
 }
 
 /// SAT solve over already-built (and already monitor-restricted)
-/// candidates.
+/// candidates: the SAT arm of stage 3 of [`crate::par::solve`].
 pub(crate) fn place_sat_with(
     options: &PlacementOptions,
     instance: &Instance,

@@ -28,41 +28,24 @@
 //!
 //! # Determinism contract
 //!
-//! With [`WarmConfig::sessions`] **off** (the default), the warm path is
-//! **byte-identical** to the cold path for any deterministic
-//! configuration (no wall-clock limits): every cache key covers every
-//! input of the cached computation, and a memo hit returns exactly the
-//! outcome the cold solve produced for the identical instance. The
-//! differential suite asserts this over seeded §IV-E update streams,
-//! including across rollback.
-//!
-//! With `sessions` **on**, solver state persists across epochs: the
-//! PB-SAT engine keeps its learnt clauses and activates per-epoch deltas
-//! through assumptions ([`flowplace_pbsat::Solver::solve_with_assumptions`]
-//! with one activation literal per ingress group), and the ILP engine is
-//! seeded with the previous epoch's placement as its incumbent plus
-//! bound-fixed variables for untouched ingresses. Sessions preserve
-//! *feasibility* and solve status semantics but not solution bytes: a
-//! seeded incumbent can win objective ties differently, and fixing
-//! untouched ingresses restricts the search (such solves report at most
-//! [`SolveStatus::Feasible`], never a possibly-unsound `Optimal`).
-//! Sessions are therefore opt-in.
+//! The warm path is **byte-identical** to the cold path for any
+//! deterministic configuration (no wall-clock limits): every cache key
+//! covers every input of the cached computation, and a memo hit returns
+//! exactly the outcome the cold solve produced for the identical
+//! instance. Nothing here knows either encoding or keeps solver state —
+//! stage 3 is a function of (instance, options, objective) alone, which
+//! is what makes the memo sound. The differential suite asserts the
+//! contract over seeded §IV-E update streams on both engines, including
+//! across rollback.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Instant;
 
 use flowplace_acl::{Policy, RuleId};
-use flowplace_pbsat::{Lit, SatResult, Solver, Var};
 use flowplace_topo::{EntryPortId, SwitchId};
 
-use crate::candidates::CandidateMap;
 use crate::depgraph::DependencyGraph;
-use crate::encode_ilp::{EncodeOptions, IlpEncoding};
-use crate::placement::{
-    place_ilp_with, place_sat_with, Placement, PlacementOptions, PlacementOutcome, PlacementStats,
-};
-use crate::slicing;
+use crate::placement::{PlacementOptions, PlacementOutcome};
 use crate::{Instance, Objective, PlacerEngine, SolveStatus};
 use flowplace_fasthash::FnvHashMap;
 
@@ -250,11 +233,6 @@ pub struct WarmConfig {
     /// Master switch. Off = every solve is cold (the cache becomes a
     /// no-op pass-through).
     pub enabled: bool,
-    /// Persistent solver sessions across epochs (SAT learnt-clause
-    /// retention via assumptions, ILP incumbent seeding + bound fixing).
-    /// Weaker determinism contract — see the module docs. Off by
-    /// default.
-    pub sessions: bool,
     /// Placement-memo capacity (entries, FIFO eviction).
     pub memo_capacity: usize,
 }
@@ -263,14 +241,12 @@ impl Default for WarmConfig {
     fn default() -> Self {
         WarmConfig {
             enabled: true,
-            sessions: false,
             memo_capacity: 64,
         }
     }
 }
 
-/// Cumulative warm-path counters (all monotone except the
-/// `sat_learnt_retained` gauge).
+/// Cumulative warm-path counters (all monotone).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WarmStats {
     /// Placement-memo lookups (`memo_hits + memo_misses` always equals
@@ -290,15 +266,6 @@ pub struct WarmStats {
     pub candidates_reused: u64,
     /// Per-ingress candidate sets built cold.
     pub candidates_built: u64,
-    /// Solves answered by the persistent SAT session.
-    pub sat_session_solves: u64,
-    /// Learnt clauses carried into the most recent session solve (gauge).
-    pub sat_learnt_retained: u64,
-    /// ILP solves seeded with the previous epoch's placement.
-    pub ilp_incumbent_seeded: u64,
-    /// Placement variables bound-fixed for untouched ingresses
-    /// (cumulative).
-    pub ilp_vars_fixed: u64,
 }
 
 /// Upper bound on structural-cache entries before the cache is dropped
@@ -308,8 +275,7 @@ const STRUCTURAL_CAP: usize = 1024;
 
 type IngressCandidates = BTreeMap<RuleId, BTreeSet<SwitchId>>;
 
-/// The epoch cache: structural caches, the placement memo, and (when
-/// enabled) persistent solver sessions.
+/// The epoch cache: the two structural caches and the placement memo.
 ///
 /// Interior-mutable so it threads through the existing `&self` solve
 /// paths; it is a single-thread object (the parallel pipeline consults
@@ -326,7 +292,6 @@ pub struct WarmCache {
     candidates: RefCell<FnvHashMap<Fingerprint, IngressCandidates>>,
     memo: RefCell<VecDeque<(Fingerprint, PlacementOutcome)>>,
     stats: RefCell<WarmStats>,
-    session: RefCell<SessionState>,
 }
 
 impl Default for WarmCache {
@@ -344,13 +309,7 @@ impl WarmCache {
             candidates: RefCell::new(FnvHashMap::default()),
             memo: RefCell::new(VecDeque::new()),
             stats: RefCell::new(WarmStats::default()),
-            session: RefCell::new(SessionState::default()),
         }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &WarmConfig {
-        &self.config
     }
 
     /// True if the warm path is active at all.
@@ -358,23 +317,9 @@ impl WarmCache {
         self.config.enabled
     }
 
-    /// True if persistent solver sessions are active.
-    pub fn sessions_enabled(&self) -> bool {
-        self.config.enabled && self.config.sessions
-    }
-
     /// A snapshot of the counters.
     pub fn stats(&self) -> WarmStats {
         *self.stats.borrow()
-    }
-
-    /// Drops every cached artifact (structural caches, memo, sessions).
-    /// Counters are kept — they describe history, not contents.
-    pub fn clear(&self) {
-        self.depgraphs.borrow_mut().clear();
-        self.candidates.borrow_mut().clear();
-        self.memo.borrow_mut().clear();
-        *self.session.borrow_mut() = SessionState::default();
     }
 
     /// Cached dependency graph for `fp`, if present.
@@ -465,517 +410,12 @@ impl WarmCache {
         }
         memo.push_back((fp, outcome.clone()));
     }
-
-    /// Stage-3 solve with persistent solver sessions (the caller already
-    /// missed the memo). Falls back to the cold engines internally for
-    /// unsupported shapes; always concludes.
-    pub(crate) fn session_solve(
-        &self,
-        instance: &Instance,
-        objective: &Objective,
-        options: &PlacementOptions,
-        candidates: &CandidateMap,
-        ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    ) -> PlacementOutcome {
-        let mut session = self.session.borrow_mut();
-        let outcome = match options.engine {
-            PlacerEngine::Ilp => {
-                session.solve_ilp(self, instance, objective, options, candidates, ingress_fps)
-            }
-            PlacerEngine::Sat => {
-                session.solve_sat(self, instance, options, candidates, ingress_fps)
-            }
-        };
-        // Remember the placement for next epoch's incumbent seeding.
-        if let Some(p) = &outcome.placement {
-            session.ilp_prev = Some(IlpMemory {
-                ingress_fps: ingress_fps.clone(),
-                placement: p.clone(),
-            });
-        }
-        outcome
-    }
-
-    fn bump(&self, f: impl FnOnce(&mut WarmStats)) {
-        f(&mut self.stats.borrow_mut());
-    }
-}
-
-/// Previous-epoch memory for ILP incumbent seeding.
-#[derive(Clone, Debug)]
-struct IlpMemory {
-    ingress_fps: BTreeMap<EntryPortId, Fingerprint>,
-    placement: Placement,
-}
-
-/// Persistent solver state across epochs.
-#[derive(Clone, Debug, Default)]
-struct SessionState {
-    sat: Option<SatSession>,
-    ilp_prev: Option<IlpMemory>,
-}
-
-impl SessionState {
-    fn solve_ilp(
-        &mut self,
-        cache: &WarmCache,
-        instance: &Instance,
-        objective: &Objective,
-        options: &PlacementOptions,
-        candidates: &CandidateMap,
-        ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    ) -> PlacementOutcome {
-        let (out, report) = ilp_seeded_solve(
-            options,
-            instance,
-            objective,
-            candidates,
-            ingress_fps,
-            self.ilp_prev.as_ref(),
-        );
-        cache.bump(|s| {
-            s.ilp_incumbent_seeded += report.seeded as u64;
-            s.ilp_vars_fixed += report.vars_fixed;
-        });
-        out
-    }
-
-    fn solve_sat(
-        &mut self,
-        cache: &WarmCache,
-        instance: &Instance,
-        options: &PlacementOptions,
-        candidates: &CandidateMap,
-        ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    ) -> PlacementOutcome {
-        if !sat_session_supported(options) {
-            return place_sat_with(options, instance, candidates);
-        }
-        let mut session = self
-            .sat
-            .take()
-            .unwrap_or_else(|| SatSession::with_options(options.sat));
-        let (out, report) = session.solve(instance, candidates, ingress_fps);
-        self.sat = Some(session);
-        cache.bump(|s| {
-            s.sat_session_solves += 1;
-            s.sat_learnt_retained = report.learnt_retained;
-        });
-        out
-    }
-}
-
-/// True if the persistent SAT session can encode this configuration.
-/// Merging introduces cross-policy variables the delta encoder does not
-/// version; such solves fall back to the cold SAT encoder.
-fn sat_session_supported(options: &PlacementOptions) -> bool {
-    !options.merging
-}
-
-/// What the ILP seeding pass did (folded into [`WarmStats`]).
-#[derive(Clone, Copy, Debug, Default)]
-struct SeedReport {
-    seeded: bool,
-    vars_fixed: u64,
-}
-
-/// ILP solve seeded from the previous epoch: the old placement becomes
-/// the initial incumbent when still feasible, and variables of
-/// fingerprint-identical ingresses are bound-fixed to their previous
-/// values. A fixed solve that comes back infeasible (the freeze was too
-/// aggressive — e.g. a capacity cut elsewhere needs an untouched ingress
-/// to move) is retried unfixed, so feasibility is never lost. Solves
-/// with any fixed variable report at most [`SolveStatus::Feasible`]:
-/// the restricted search cannot prove global optimality.
-fn ilp_seeded_solve(
-    options: &PlacementOptions,
-    instance: &Instance,
-    objective: &Objective,
-    candidates: &CandidateMap,
-    ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    prev: Option<&IlpMemory>,
-) -> (PlacementOutcome, SeedReport) {
-    let mut report = SeedReport::default();
-    let Some(prev) = prev else {
-        return (
-            place_ilp_with(options, instance, objective, candidates),
-            report,
-        );
-    };
-
-    let start = Instant::now();
-    let mut enc = IlpEncoding::build_with_candidates(
-        instance,
-        objective,
-        &EncodeOptions {
-            dependency: options.dependency,
-            merging: options.merging,
-            merge_linking: options.merge_linking,
-        },
-        candidates,
-    );
-
-    // Freeze every variable of an untouched ingress to its previous
-    // value; only dirty ingresses stay free. This is sound per-ingress:
-    // an unchanged fingerprint means unchanged policy, routes, and
-    // therefore candidates, so the old per-ingress assignment still
-    // satisfies its coverage and dependency rows. Cross-ingress capacity
-    // rows may still reject the freeze — handled by the infeasible
-    // fallback below.
-    for (&(ingress, rule), switches) in candidates {
-        let untouched = prev
-            .ingress_fps
-            .get(&ingress)
-            .is_some_and(|f| ingress_fps.get(&ingress) == Some(f));
-        if !untouched {
-            continue;
-        }
-        for &s in switches {
-            if let Some(v) = enc.var(ingress, rule, s) {
-                let val = if prev.placement.is_placed(ingress, rule, s) {
-                    1.0
-                } else {
-                    0.0
-                };
-                enc.model.fix_var(v, val);
-                report.vars_fixed += 1;
-            }
-        }
-    }
-
-    let mut mip = options.mip.clone();
-    // Incumbent seeding needs the *whole* previous placement to still
-    // decode into the new encoding and satisfy it (it fails when a dirty
-    // policy changed its rule set, or capacities shrank under the old
-    // load); variable fixing above works regardless.
-    if let Some(ws) = enc
-        .warm_start(&prev.placement)
-        .filter(|ws| enc.model.check_feasible(ws, 1e-6).is_ok())
-    {
-        report.seeded = true;
-        mip.initial_solution = Some(ws);
-    }
-    let lazy = options.dependency == crate::DependencyEncoding::Lazy;
-    let out = flowplace_milp::solve_mip_lazy(&enc.model, &mip, &mut |vals| {
-        if lazy {
-            enc.violated_dependencies(vals)
-        } else {
-            Vec::new()
-        }
-    });
-    let status = match out.status {
-        flowplace_milp::MipStatus::Optimal => {
-            if report.vars_fixed > 0 {
-                // Optimal of the *restricted* problem only.
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::Optimal
-            }
-        }
-        flowplace_milp::MipStatus::Feasible => SolveStatus::Feasible,
-        flowplace_milp::MipStatus::Infeasible => {
-            // The freeze over-constrained the model; retry unrestricted.
-            return (
-                place_ilp_with(options, instance, objective, candidates),
-                report,
-            );
-        }
-        flowplace_milp::MipStatus::Unknown | flowplace_milp::MipStatus::Error => {
-            SolveStatus::Unknown
-        }
-    };
-    let placement = out.best.as_ref().map(|b| enc.decode(&b.values));
-    (
-        PlacementOutcome {
-            placement,
-            status,
-            objective: out.best.as_ref().map(|b| b.objective),
-            stats: PlacementStats {
-                variables: enc.num_placement_vars,
-                constraints: enc.model.num_constraints(),
-                nodes: out.nodes,
-                lp_iterations: out.lp_iterations,
-                lazy_rows: out.lazy_rows_added,
-                elapsed: start.elapsed(),
-                sat: None,
-            },
-        },
-        report,
-    )
-}
-
-/// What a SAT session solve did (folded into [`WarmStats`]).
-#[derive(Clone, Copy, Debug, Default)]
-struct SatReport {
-    learnt_retained: u64,
-}
-
-/// One ingress group inside the persistent SAT session: the encoding
-/// version it was built from, the activation literal gating its clauses,
-/// and its placement variables.
-#[derive(Clone, Debug)]
-struct SatGroup {
-    fp: Fingerprint,
-    act: Lit,
-    vars: BTreeMap<(RuleId, SwitchId), Var>,
-}
-
-/// The persistent PB-SAT session: one long-lived [`Solver`] whose clause
-/// database accumulates ingress-group encodings gated by activation
-/// literals. Each epoch asserts (via assumptions) the activation
-/// literals of the *current* encoding versions; superseded versions are
-/// permanently disabled with a level-0 unit clause. Capacity PB rows are
-/// likewise gated per epoch (big-M slack on the gate literal), because
-/// they span all live variables and change whenever any group does.
-/// Learnt clauses survive across epochs — they are implied by the clause
-/// database alone, since assumptions enter the search as
-/// pseudo-decisions.
-#[derive(Clone, Debug, Default)]
-struct SatSession {
-    solver: Solver,
-    groups: BTreeMap<EntryPortId, SatGroup>,
-    /// Current capacity-row generation: fingerprint of (live variables,
-    /// capacities) plus the gate literal that activates those rows.
-    capacity: Option<(Fingerprint, Lit)>,
-}
-
-impl SatSession {
-    /// A fresh session whose long-lived solver uses the given CDCL
-    /// options. (`Default` keeps the solver's own defaults and is only
-    /// used by tests.)
-    fn with_options(sat: flowplace_pbsat::SolverOptions) -> Self {
-        SatSession {
-            solver: Solver::with_options(sat),
-            groups: BTreeMap::new(),
-            capacity: None,
-        }
-    }
-
-    /// Encodes this epoch's delta and solves under assumptions.
-    fn solve(
-        &mut self,
-        instance: &Instance,
-        candidates: &CandidateMap,
-        ingress_fps: &BTreeMap<EntryPortId, Fingerprint>,
-    ) -> (PlacementOutcome, SatReport) {
-        let start = Instant::now();
-        let report = SatReport {
-            learnt_retained: self.solver.stats().learnt_clauses,
-        };
-
-        // Per-ingress candidates, grouped for the delta encoder. The
-        // group key folds the candidate content in: monitors restrict
-        // candidates after assembly, and those restrictions must version
-        // the group encoding too.
-        let mut by_ingress: BTreeMap<EntryPortId, BTreeMap<RuleId, Vec<SwitchId>>> =
-            BTreeMap::new();
-        for (&(ingress, rule), switches) in candidates {
-            by_ingress
-                .entry(ingress)
-                .or_default()
-                .insert(rule, switches.iter().copied().collect());
-        }
-
-        let live: BTreeMap<EntryPortId, Fingerprint> = instance
-            .policies()
-            .map(|(ingress, _)| {
-                let mut h = Fnv::new();
-                h.u64(ingress_fps.get(&ingress).map(|f| f.0).unwrap_or(0));
-                if let Some(rules) = by_ingress.get(&ingress) {
-                    h.usize(rules.len());
-                    for (rule, switches) in rules {
-                        h.usize(rule.0);
-                        h.usize(switches.len());
-                        for s in switches {
-                            h.usize(s.0);
-                        }
-                    }
-                }
-                (ingress, Fingerprint(h.finish()))
-            })
-            .collect();
-
-        // Retire groups whose encoding no longer matches (policy/route/
-        // candidate change) or whose ingress vanished.
-        let stale: Vec<EntryPortId> = self
-            .groups
-            .iter()
-            .filter(|(ingress, g)| live.get(ingress) != Some(&g.fp))
-            .map(|(&ingress, _)| ingress)
-            .collect();
-        for ingress in stale {
-            let g = self.groups.remove(&ingress).expect("listed above");
-            // Permanently disable the retired version's clauses.
-            self.solver.add_clause(&[!g.act]);
-        }
-
-        // Encode missing groups under fresh activation literals.
-        for (&ingress, &fp) in &live {
-            if self.groups.contains_key(&ingress) {
-                continue;
-            }
-            let group = self.encode_group(instance, ingress, fp, by_ingress.get(&ingress));
-            self.groups.insert(ingress, group);
-        }
-
-        // Capacity rows: regenerate when the live variable set or the
-        // capacities changed; gate each generation on its own literal.
-        let mut cap_h = Fnv::new();
-        for c in instance.topology().capacities() {
-            cap_h.usize(c);
-        }
-        for g in self.groups.values() {
-            cap_h.u64(g.fp.0);
-        }
-        let cap_fp = Fingerprint(cap_h.finish());
-        if self.capacity.as_ref().map(|(fp, _)| *fp) != Some(cap_fp) {
-            if let Some((_, old_gate)) = self.capacity.take() {
-                self.solver.add_clause(&[!old_gate]);
-            }
-            let gate = Lit::positive(self.solver.new_var());
-            self.encode_capacity_rows(instance, gate);
-            self.capacity = Some((cap_fp, gate));
-        }
-
-        // Assumptions: activate every live group and this epoch's
-        // capacity rows.
-        let mut assumptions: Vec<Lit> = self.groups.values().map(|g| g.act).collect();
-        if let Some((_, gate)) = &self.capacity {
-            assumptions.push(*gate);
-        }
-
-        let (placement, status) = match self.solver.solve_with_assumptions(&assumptions) {
-            SatResult::Sat(model) => {
-                let mut p = Placement::new();
-                for (&ingress, group) in &self.groups {
-                    for (&(rule, s), &v) in &group.vars {
-                        if model.value(v) {
-                            p.place(ingress, rule, s);
-                        }
-                    }
-                }
-                (Some(p), SolveStatus::Optimal)
-            }
-            SatResult::Unsat => (None, SolveStatus::Infeasible),
-        };
-        let stats = self.solver.stats();
-        (
-            PlacementOutcome {
-                placement,
-                status,
-                objective: None,
-                stats: PlacementStats {
-                    variables: self.groups.values().map(|g| g.vars.len()).sum(),
-                    constraints: 0,
-                    nodes: stats.conflicts as usize,
-                    lp_iterations: 0,
-                    lazy_rows: 0,
-                    elapsed: start.elapsed(),
-                    sat: Some(stats),
-                },
-            },
-            report,
-        )
-    }
-
-    /// Encodes one ingress group (Eq. 6 dependency implications and Eq. 7
-    /// per-path coverage, mirroring the cold encoder with merging off),
-    /// gated on a fresh activation literal: every clause carries `¬act`,
-    /// so the group is inert unless its literal is assumed.
-    fn encode_group(
-        &mut self,
-        instance: &Instance,
-        ingress: EntryPortId,
-        fp: Fingerprint,
-        rules: Option<&BTreeMap<RuleId, Vec<SwitchId>>>,
-    ) -> SatGroup {
-        let act = Lit::positive(self.solver.new_var());
-        let mut vars: BTreeMap<(RuleId, SwitchId), Var> = BTreeMap::new();
-        let Some(rules) = rules else {
-            return SatGroup { fp, act, vars };
-        };
-        for (&rule, switches) in rules {
-            for &s in switches {
-                vars.insert((rule, s), self.solver.new_var());
-            }
-        }
-        let policy = instance
-            .policy(ingress)
-            .expect("live ingress carries a policy");
-
-        // Eq. 7: every sliced DROP covered on each of its paths.
-        let mut seen_rows: BTreeSet<Vec<Lit>> = BTreeSet::new();
-        for rid in instance.routes().paths_from(ingress) {
-            let route = instance.routes().route(rid);
-            for w in slicing::sliced_drop_rules(policy, route) {
-                let mut row: Vec<Lit> = route
-                    .switches
-                    .iter()
-                    .filter_map(|s| vars.get(&(w, *s)).map(|&v| Lit::positive(v)))
-                    .collect();
-                row.sort_unstable_by_key(|l| l.index());
-                row.dedup();
-                if row.is_empty() || !seen_rows.insert(row.clone()) {
-                    continue;
-                }
-                row.push(!act);
-                self.solver.add_clause(&row);
-            }
-        }
-
-        // Eq. 6: a DROP on a switch drags its shield PERMITs there.
-        let graph = DependencyGraph::build(policy);
-        for (id, rule) in policy.iter() {
-            if !rule.action().is_drop() {
-                continue;
-            }
-            let deps = graph.permits_required_by(id);
-            if deps.is_empty() {
-                continue;
-            }
-            let Some(w_switches) = rules.get(&id) else {
-                continue;
-            };
-            for &s in w_switches {
-                let vw = vars[&(id, s)];
-                for &u in deps {
-                    let vu = vars[&(u, s)];
-                    self.solver
-                        .add_clause(&[!act, !Lit::positive(vw), Lit::positive(vu)]);
-                }
-            }
-        }
-        SatGroup { fp, act, vars }
-    }
-
-    /// Encodes this epoch's capacity rows over every live variable,
-    /// slack-gated: `Σ x + M·gate ≤ cap + M`. Assuming the gate *true*
-    /// adds `M` on the left, so the row binds as `Σ x ≤ cap`; with the
-    /// gate false (a retired generation, killed by a `¬gate` unit) the
-    /// row is trivially satisfied.
-    fn encode_capacity_rows(&mut self, instance: &Instance, gate: Lit) {
-        let mut per_switch: BTreeMap<SwitchId, Vec<Lit>> = BTreeMap::new();
-        for group in self.groups.values() {
-            for (&(_, s), &v) in &group.vars {
-                per_switch.entry(s).or_default().push(Lit::positive(v));
-            }
-        }
-        for (s, lits) in per_switch {
-            let cap = instance.topology().capacity(s) as u64;
-            let m = lits.len() as u64;
-            if cap >= m {
-                continue; // can never bind
-            }
-            let mut terms: Vec<(u64, Lit)> = lits.into_iter().map(|l| (1, l)).collect();
-            terms.push((m, gate));
-            self.solver.add_pb_le(&terms, cap + m);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::{Placement, PlacementStats};
     use flowplace_acl::{Action, Ternary};
     use flowplace_routing::{Route, RouteSet};
     use flowplace_topo::Topology;
@@ -1089,135 +529,5 @@ mod tests {
         };
         cache.memo_put(Fingerprint(9), &outcome);
         assert!(cache.memo_get(Fingerprint(9)).is_none());
-    }
-
-    #[test]
-    fn sat_session_matches_cold_verdicts_across_epochs() {
-        let options = PlacementOptions::default();
-        let mut session = SatSession::default();
-        // Epoch 1: feasible instance.
-        let inst = small_instance(4);
-        let candidates = crate::candidates::build_candidates(&inst);
-        let fps: BTreeMap<EntryPortId, Fingerprint> = inst
-            .policies()
-            .map(|(l, _)| (l, fingerprint_ingress(&inst, l)))
-            .collect();
-        let (out, report) = session.solve(&inst, &candidates, &fps);
-        let p = out.placement.expect("feasible");
-        let cold = place_sat_with(&options, &inst, &candidates);
-        assert_eq!(out.status, cold.status);
-        // Both are valid placements of the same instance.
-        assert!(crate::verify::verify_placement(&inst, &p, 64, 0xBEEF).is_ok());
-
-        // Epoch 2: capacity cut to zero — infeasible; groups are reused,
-        // only capacity rows regenerate.
-        let tight = small_instance(0);
-        let candidates2 = crate::candidates::build_candidates(&tight);
-        let fps2: BTreeMap<EntryPortId, Fingerprint> = tight
-            .policies()
-            .map(|(l, _)| (l, fingerprint_ingress(&tight, l)))
-            .collect();
-        assert_eq!(fps, fps2, "capacity does not dirty the ingress");
-        let (out2, _) = session.solve(&tight, &candidates2, &fps2);
-        assert_eq!(out2.status, SolveStatus::Infeasible);
-
-        // Epoch 3: capacity restored — feasible again, with the learnt
-        // clauses from both prior epochs still in the database.
-        let (out3, report3) = session.solve(&inst, &candidates, &fps);
-        assert!(out3.placement.is_some());
-        assert!(report3.learnt_retained >= report.learnt_retained);
-        assert!(
-            crate::verify::verify_placement(&inst, &out3.placement.unwrap(), 64, 0xBEEF).is_ok()
-        );
-    }
-
-    #[test]
-    fn sat_session_tracks_policy_change() {
-        let mut session = SatSession::default();
-        let inst = small_instance(4);
-        let candidates = crate::candidates::build_candidates(&inst);
-        let fps: BTreeMap<EntryPortId, Fingerprint> = inst
-            .policies()
-            .map(|(l, _)| (l, fingerprint_ingress(&inst, l)))
-            .collect();
-        session.solve(&inst, &candidates, &fps);
-        assert_eq!(session.groups.len(), 1);
-        let old_act = session.groups[&EntryPortId(0)].act;
-
-        // Swap the policy: the group must be retired and re-encoded.
-        let mut topo = Topology::linear(3);
-        topo.set_uniform_capacity(4);
-        let mut routes = RouteSet::new();
-        routes.push(Route::new(
-            EntryPortId(0),
-            EntryPortId(1),
-            vec![SwitchId(0), SwitchId(1), SwitchId(2)],
-        ));
-        let policy =
-            Policy::from_ordered(vec![(t("00**"), Action::Permit), (t("0***"), Action::Drop)])
-                .unwrap();
-        let changed = Instance::new(topo, routes, vec![(EntryPortId(0), policy)]).unwrap();
-        let candidates2 = crate::candidates::build_candidates(&changed);
-        let fps2: BTreeMap<EntryPortId, Fingerprint> = changed
-            .policies()
-            .map(|(l, _)| (l, fingerprint_ingress(&changed, l)))
-            .collect();
-        let (out, _) = session.solve(&changed, &candidates2, &fps2);
-        assert_ne!(session.groups[&EntryPortId(0)].act, old_act);
-        let p = out.placement.expect("feasible");
-        assert!(crate::verify::verify_placement(&changed, &p, 64, 0xF00D).is_ok());
-    }
-
-    #[test]
-    fn ilp_seeding_freezes_untouched_and_stays_feasible() {
-        let inst = small_instance(4);
-        let options = PlacementOptions::default();
-        let obj = Objective::TotalRules;
-        let candidates = crate::candidates::build_candidates(&inst);
-        let fps: BTreeMap<EntryPortId, Fingerprint> = inst
-            .policies()
-            .map(|(l, _)| (l, fingerprint_ingress(&inst, l)))
-            .collect();
-        let cold = place_ilp_with(&options, &inst, &obj, &candidates);
-        let prev = IlpMemory {
-            ingress_fps: fps.clone(),
-            placement: cold.placement.clone().unwrap(),
-        };
-        let (seeded, report) =
-            ilp_seeded_solve(&options, &inst, &obj, &candidates, &fps, Some(&prev));
-        assert!(report.seeded);
-        assert!(report.vars_fixed > 0);
-        // Everything untouched ⇒ the frozen solve returns the previous
-        // placement verbatim, reported as Feasible (restricted search).
-        assert_eq!(seeded.status, SolveStatus::Feasible);
-        assert_eq!(seeded.placement, cold.placement);
-        assert_eq!(seeded.objective, cold.objective);
-    }
-
-    #[test]
-    fn ilp_seeding_falls_back_when_seed_infeasible() {
-        let inst = small_instance(4);
-        let options = PlacementOptions::default();
-        let obj = Objective::TotalRules;
-        let candidates = crate::candidates::build_candidates(&inst);
-        let fps: BTreeMap<EntryPortId, Fingerprint> = inst
-            .policies()
-            .map(|(l, _)| (l, fingerprint_ingress(&inst, l)))
-            .collect();
-        let cold = place_ilp_with(&options, &inst, &obj, &candidates);
-
-        // Capacity cut to 1 invalidates the old 2-rule-on-one-switch
-        // placement; the seeder must detect it and solve cold.
-        let tight = small_instance(1);
-        let tight_c = crate::candidates::build_candidates(&tight);
-        let prev = IlpMemory {
-            ingress_fps: fps.clone(),
-            placement: cold.placement.unwrap(),
-        };
-        let (out, report) = ilp_seeded_solve(&options, &tight, &obj, &tight_c, &fps, Some(&prev));
-        assert!(!report.seeded, "stale seed rejected");
-        let direct = place_ilp_with(&options, &tight, &obj, &tight_c);
-        assert_eq!(out.status, direct.status);
-        assert_eq!(out.placement, direct.placement);
     }
 }

@@ -1166,8 +1166,6 @@ impl Controller {
         self.stats.warm_memo_misses = w.memo_misses;
         self.stats.warm_depgraphs_reused = w.depgraphs_reused;
         self.stats.warm_candidates_reused = w.candidates_reused;
-        self.stats.warm_ilp_seeded = w.ilp_incumbent_seeded;
-        self.stats.warm_sat_learnt_retained = w.sat_learnt_retained;
     }
 
     // ---- TCAM-as-cache tier ----------------------------------------------

@@ -93,11 +93,6 @@ pub struct CtrlStats {
     pub warm_depgraphs_reused: u64,
     /// Per-ingress candidate sets reused from the warm cache.
     pub warm_candidates_reused: u64,
-    /// ILP session solves seeded with the previous epoch's incumbent.
-    pub warm_ilp_seeded: u64,
-    /// Learnt clauses retained by the persistent PB-SAT session
-    /// (gauge: value after the most recent session solve).
-    pub warm_sat_learnt_retained: u64,
     /// Cache-tier lookups (per-switch, per-flow).
     pub cache_lookups: u64,
     /// Cache lookups answered by a resident TCAM entry.
@@ -192,7 +187,6 @@ impl CtrlStats {
             ("warm.memo_evictions", self.warm_memo_evictions),
             ("warm.depgraphs_reused", self.warm_depgraphs_reused),
             ("warm.candidates_reused", self.warm_candidates_reused),
-            ("warm.ilp_seeded", self.warm_ilp_seeded),
             ("cache.lookups", self.cache_lookups),
             ("cache.hits", self.cache_hits),
             ("cache.misses", self.cache_misses),
@@ -210,10 +204,6 @@ impl CtrlStats {
         }
         metrics.gauge_set("ctrl.peak_tcam_occupancy", self.peak_tcam_occupancy as i64);
         metrics.gauge_set("ctrl.max_queue_depth", self.max_queue_depth as i64);
-        metrics.gauge_set(
-            "warm.sat_learnt_retained",
-            self.warm_sat_learnt_retained as i64,
-        );
     }
 }
 
@@ -277,14 +267,12 @@ impl fmt::Display for CtrlStats {
         )?;
         writeln!(
             f,
-            "warm: {} memo hits / {} misses ({} evicted), {} depgraphs + {} candidates reused, {} ilp seeds, {} learnt retained",
+            "warm: {} memo hits / {} misses ({} evicted), {} depgraphs + {} candidates reused",
             self.warm_memo_hits,
             self.warm_memo_misses,
             self.warm_memo_evictions,
             self.warm_depgraphs_reused,
-            self.warm_candidates_reused,
-            self.warm_ilp_seeded,
-            self.warm_sat_learnt_retained
+            self.warm_candidates_reused
         )?;
         write!(
             f,
@@ -424,13 +412,11 @@ mod tests {
             warm_memo_misses: 2,
             warm_depgraphs_reused: 9,
             warm_candidates_reused: 8,
-            warm_ilp_seeded: 1,
             ..CtrlStats::default()
         };
         let text = stats.to_string();
         assert!(text.contains("warm: 4 memo hits / 2 misses"));
         assert!(text.contains("9 depgraphs + 8 candidates reused"));
-        assert!(text.contains("1 ilp seeds"));
     }
 
     #[test]

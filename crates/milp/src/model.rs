@@ -246,20 +246,6 @@ impl Model {
         self.vars[var.0].upper = upper;
     }
 
-    /// Pins a variable to a single value (`lower = upper = value`).
-    ///
-    /// Branch-and-bound intersects its branching bounds with standing
-    /// bounds, so fixing variables before a solve restricts the search to
-    /// the fixed subspace — the mechanism warm-started incremental
-    /// re-solves use to freeze placements of untouched ingresses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is out of range or `value` is NaN.
-    pub fn fix_var(&mut self, var: VarId, value: f64) {
-        self.set_bounds(var, value, value);
-    }
-
     /// The constraints of the model.
     pub fn constraints(&self) -> &[Constraint] {
         &self.constraints
@@ -386,17 +372,6 @@ mod tests {
         assert!(m.check_feasible(&[1.0, 0.0], 1e-9).is_ok());
         assert!(m.check_feasible(&[0.0, 0.0], 1e-9).is_err());
         assert!(m.check_feasible(&[0.5, 1.0], 1e-9).is_err()); // not integral
-    }
-
-    #[test]
-    fn fix_var_pins_both_bounds() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_binary("x");
-        m.fix_var(x, 1.0);
-        assert_eq!(m.lower(x), 1.0);
-        assert_eq!(m.upper(x), 1.0);
-        assert!(m.check_feasible(&[1.0], 1e-9).is_ok());
-        assert!(m.check_feasible(&[0.0], 1e-9).is_err());
     }
 
     #[test]

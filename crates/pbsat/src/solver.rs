@@ -838,8 +838,8 @@ impl Solver {
     /// database is compacted and all clause indices (watch lists and
     /// reasons) are remapped.
     ///
-    /// Public so persistent sessions and tests can force a reduction at
-    /// a deterministic point; the search loop calls it on its own
+    /// Public so `tests/fresh_session.rs` can force a reduction at a
+    /// deterministic point; the search loop calls it on its own
     /// cadence when [`SolverOptions::db_reduction`] is set.
     ///
     /// # Panics

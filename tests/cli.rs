@@ -150,6 +150,28 @@ fn rule_event_rejections_say_what_was_wrong() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Warm ≡ cold at the CLI: `--warm off` zeroes the `warm:` summary line
+/// and moves no other byte of the demo replay's stdout.
+#[test]
+fn warm_off_changes_only_the_warm_line() {
+    let replay = |extra: &[&str]| {
+        let args = [
+            "ctrl",
+            "replay",
+            "traces/controller_demo.trace",
+            "--verbose",
+        ];
+        let out = flowplace(&[&args[..], extra].concat());
+        assert!(out.status.success());
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let (warm, cold) = (replay(&[]), replay(&["--warm", "off"]));
+    let warm_line = "warm: 0 memo hits / 7 misses (0 evicted), 2 depgraphs + 2 candidates reused\n";
+    let cold_line = "warm: 0 memo hits / 0 misses (0 evicted), 0 depgraphs + 0 candidates reused\n";
+    assert!(warm.contains(warm_line), "{warm}");
+    assert_eq!(warm.replace(warm_line, cold_line), cold);
+}
+
 #[test]
 fn place_exports_lp_model() {
     let dir = std::env::temp_dir().join(format!("flowplace-cli-lp-{}", std::process::id()));

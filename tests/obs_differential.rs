@@ -123,10 +123,12 @@ fn temp_file(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("flowplace-obs-diff-{}-{name}", std::process::id()))
 }
 
-/// The CLI acceptance path: two same-seed chaos replays with
+/// The CLI acceptance path: same-seed chaos replays with
 /// `--trace-out`/`--metrics-out` write byte-identical, schema-valid
-/// dumps, and emitting them leaves stdout (epoch reports, stats,
-/// dataplane dump, audit verdict) untouched vs a telemetry-free run.
+/// dumps at any `--threads` (serial, this machine's core count, more
+/// workers than the instance has ingresses), and emitting them leaves
+/// stdout (epoch reports, stats, dataplane dump, audit verdict)
+/// untouched vs a telemetry-free run.
 #[test]
 fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
     let baseline = flowplace_chaos(&[]);
@@ -137,10 +139,12 @@ fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
     );
 
     let mut dumps: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    for run in 0..2 {
-        let trace_path = temp_file(&format!("t{run}.json"));
-        let metrics_path = temp_file(&format!("m{run}.json"));
+    for threads in ["1", "0", "3"] {
+        let trace_path = temp_file(&format!("t{threads}.json"));
+        let metrics_path = temp_file(&format!("m{threads}.json"));
         let out = flowplace_chaos(&[
+            "--threads",
+            threads,
             "--trace-out",
             trace_path.to_str().unwrap(),
             "--metrics-out",
@@ -153,7 +157,7 @@ fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
         );
         assert_eq!(
             out.stdout, baseline.stdout,
-            "run {run}: telemetry flags changed the replay's stdout"
+            "--threads {threads}: telemetry flags changed the replay's stdout"
         );
         let trace = std::fs::read(&trace_path).expect("trace written");
         let metrics = std::fs::read(&metrics_path).expect("metrics written");
@@ -163,8 +167,10 @@ fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
         std::fs::remove_file(&metrics_path).ok();
         dumps.push((trace, metrics));
     }
-    assert_eq!(dumps[0].0, dumps[1].0, "trace dumps diverged across runs");
-    assert_eq!(dumps[0].1, dumps[1].1, "metrics dumps diverged across runs");
+    for (trace, metrics) in &dumps[1..] {
+        assert_eq!(&dumps[0].0, trace, "trace dumps diverged across runs");
+        assert_eq!(&dumps[0].1, metrics, "metrics dumps diverged across runs");
+    }
 }
 
 /// `flowplace obs summarize` renders both dump kinds and re-validates

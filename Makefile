@@ -57,10 +57,12 @@ benchmark-smoke:
 	benchmark/run.sh --smoke
 	test "$$(cat benchmark/out/result-*.txt | grep -c '"correct": true')" -eq 4
 
-## obs-smoke: chaos replay emitting span-trace and metrics dumps; the
-## CLI validates both against flowplace.obs.v1 before writing, and the
-## summarize pass re-validates on read. Fails if a regenerated dump
-## differs from the committed one: pinned artifacts move deliberately.
+## obs-smoke: chaos replay emitting span-trace and metrics dumps, then
+## the fault-free demo replay (default options) emitting its metrics
+## dump; the CLI validates each against flowplace.obs.v1 before writing,
+## and the summarize pass re-validates on read. Fails if a regenerated
+## dump differs from the committed one: pinned artifacts move
+## deliberately.
 obs-smoke:
 	$(CARGO) run --release --offline --bin flowplace -- \
 		ctrl replay traces/chaos.trace --batch 4 \
@@ -68,8 +70,11 @@ obs-smoke:
 		--reject-rate 0.1 --crash-rate 0.02 --recover-rate 0.5 \
 		--trace-out OBS_trace.json --metrics-out OBS_metrics.json
 	$(CARGO) run --release --offline --bin flowplace -- \
-		obs summarize OBS_trace.json OBS_metrics.json
-	git diff --exit-code -- OBS_trace.json OBS_metrics.json
+		ctrl replay traces/controller_demo.trace \
+		--metrics-out OBS_demo_metrics.json
+	$(CARGO) run --release --offline --bin flowplace -- \
+		obs summarize OBS_trace.json OBS_metrics.json OBS_demo_metrics.json
+	git diff --exit-code -- OBS_trace.json OBS_metrics.json OBS_demo_metrics.json
 
 ## replay-demo: run the controller on the shipped 50+-event trace.
 replay-demo:

@@ -279,7 +279,7 @@ pub fn verify_tables(
     random_per_route: usize,
     seed: u64,
     mode: VerifyMode,
-    route_live: impl FnMut(&Route) -> bool,
+    mut route_live: impl FnMut(&Route) -> bool,
 ) -> Result<(), VerifyError> {
     verify_tables_scoped(
         instance,
@@ -287,15 +287,14 @@ pub fn verify_tables(
         random_per_route,
         seed,
         mode,
-        route_live,
-        |_, _| false,
+        |_, route| route_live(route).then_some(false),
     )
 }
 
-/// [`verify_tables`] with a verification scope: routes for which
-/// `skip_deterministic` returns true are checked against only their
-/// seeded random packets, skipping the per-rule corner and pairwise
-/// intersection packet sets (and their construction cost).
+/// [`verify_tables`] with a verification scope per route: `None` leaves
+/// the route out, as `route_live` does there; `Some(true)` checks it
+/// against only its seeded random packets, skipping the per-rule corner
+/// and pairwise intersection packet sets (and their construction cost).
 ///
 /// Sound only when the skipped route already passed against identical
 /// inputs — which is why this is private and [`VerifiedRoutes`] is the
@@ -311,8 +310,7 @@ fn verify_tables_scoped(
     random_per_route: usize,
     seed: u64,
     mode: VerifyMode,
-    mut route_live: impl FnMut(&Route) -> bool,
-    mut skip_deterministic: impl FnMut(usize, &Route) -> bool,
+    mut scope: impl FnMut(usize, &Route) -> Option<bool>,
 ) -> Result<(), VerifyError> {
     let mut rng = StdRng::seed_from_u64(seed);
     for (index, route) in instance.routes().iter().enumerate() {
@@ -322,14 +320,15 @@ fn verify_tables_scoped(
         // Draw packets unconditionally so the RNG stream (and therefore
         // every later route's packet set) does not depend on liveness
         // or scoping.
-        let packets = if skip_deterministic(index, route) {
+        let scope = scope(index, route);
+        let packets = if scope == Some(false) {
+            route_packets(policy, route, random_per_route, &mut rng)
+        } else {
             let mut packets = Vec::with_capacity(random_per_route);
             route_random_packets(policy, route, random_per_route, &mut rng, &mut packets);
             packets
-        } else {
-            route_packets(policy, route, random_per_route, &mut rng)
         };
-        if !route_live(route) {
+        if scope.is_none() {
             continue;
         }
         // Batched replay: one kernel pass per hop instead of a scalar
@@ -416,11 +415,13 @@ pub struct VerifiedRoutes {
 }
 
 impl VerifiedRoutes {
-    /// [`verify_tables`] in [`VerifyMode::Exact`] over every route, with
-    /// the same verdict and the same first violation, skipping the
-    /// deterministic packet set of each route whose key is held. On `Ok`
-    /// the held keys are replaced by this sweep's; on `Err` they stay
-    /// (each still names inputs that passed).
+    /// [`verify_tables`] in [`VerifyMode::Exact`] over the routes
+    /// `route_live` admits, with the same verdict and the same first
+    /// violation, skipping the deterministic packet set of each admitted
+    /// route whose key is held. A filtered-out route is neither checked,
+    /// remembered nor counted, so it is verified in full the first time
+    /// the filter admits it. On `Ok` the held keys are replaced by this
+    /// sweep's; on `Err` they stay (each still names inputs that passed).
     ///
     /// # Errors
     ///
@@ -431,22 +432,27 @@ impl VerifiedRoutes {
         tables: &[SwitchTable],
         random_per_route: usize,
         seed: u64,
+        route_live: impl FnMut(&Route) -> bool,
     ) -> Result<(), VerifyError> {
         let keys = route_keys(instance, tables);
-        let held: Vec<bool> = keys.iter().map(|k| self.keys.contains(k)).collect();
-        let skipped = held.iter().filter(|&&h| h).count() as u64;
-        self.routes_skipped += skipped;
-        self.routes_full += keys.len() as u64 - skipped;
+        // Per route: filtered out, or admitted with its key held or not.
+        let routes = instance.routes().iter().map(route_live);
+        let held: Vec<Option<bool>> = routes
+            .zip(&keys)
+            .map(|(live, k)| live.then(|| self.keys.contains(k)))
+            .collect();
+        self.routes_skipped += held.iter().filter(|h| **h == Some(true)).count() as u64;
+        self.routes_full += held.iter().filter(|h| **h == Some(false)).count() as u64;
         verify_tables_scoped(
             instance,
             tables,
             random_per_route,
             seed,
             VerifyMode::Exact,
-            |_| true,
             |i, _| held[i],
         )?;
-        self.keys = keys.into_iter().collect();
+        let admitted = keys.into_iter().zip(held).filter(|(_, h)| h.is_some());
+        self.keys = admitted.map(|(k, _)| k).collect();
         Ok(())
     }
 
@@ -841,15 +847,8 @@ mod tests {
         let (inst, p) = two_ingress_instance();
         let tables = emit_tables(&inst, &p).unwrap();
         let plain = verify_tables(&inst, &tables, 16, 9, VerifyMode::Exact, |_| true);
-        let scoped = verify_tables_scoped(
-            &inst,
-            &tables,
-            16,
-            9,
-            VerifyMode::Exact,
-            |_| true,
-            |_, _| false,
-        );
+        let scoped =
+            verify_tables_scoped(&inst, &tables, 16, 9, VerifyMode::Exact, |_, _| Some(false));
         assert_eq!(plain, scoped);
     }
 
@@ -872,9 +871,8 @@ mod tests {
             16,
             9,
             VerifyMode::Exact,
-            |_| true,
             // Route 0 previously verified unchanged; route 1 is dirty.
-            |i, _| i == 0,
+            |i, _| Some(i == 0),
         )
         .unwrap_err();
         assert_eq!(full, scoped, "scoping route 0 changed route 1's verdict");
@@ -882,15 +880,8 @@ mod tests {
         // when route 1's own deterministic set is (unsoundly, for the
         // purpose of this stream test) skipped too: the corner packets
         // of a 1-rule policy never catch this, the random ones do.
-        let all_skipped = verify_tables_scoped(
-            &inst,
-            &tables,
-            64,
-            9,
-            VerifyMode::Exact,
-            |_| true,
-            |_, _| true,
-        );
+        let all_skipped =
+            verify_tables_scoped(&inst, &tables, 64, 9, VerifyMode::Exact, |_, _| Some(true));
         assert!(all_skipped.is_err(), "random packets still catch the hole");
     }
 
@@ -902,31 +893,15 @@ mod tests {
     fn skip_elides_deterministic_packets_only() {
         let (inst, p) = two_ingress_instance();
         let tables = emit_tables(&inst, &p).unwrap();
-        verify_tables_scoped(
-            &inst,
-            &tables,
-            8,
-            3,
-            VerifyMode::Exact,
-            |_| true,
-            |_, _| true,
-        )
-        .expect("correct deployment passes under a full skip");
+        verify_tables_scoped(&inst, &tables, 8, 3, VerifyMode::Exact, |_, _| Some(true))
+            .expect("correct deployment passes under a full skip");
         // Zero random packets + full skip = no packets at all: even a
         // broken deployment "passes". This is exactly why the scoped
         // entry point is gated behind the byte-unchanged contract.
         let empty = Placement::new();
         let tables = emit_tables(&inst, &empty).unwrap();
-        verify_tables_scoped(
-            &inst,
-            &tables,
-            0,
-            3,
-            VerifyMode::Exact,
-            |_| true,
-            |_, _| true,
-        )
-        .expect("skip without the contract is vacuous by design");
+        verify_tables_scoped(&inst, &tables, 0, 3, VerifyMode::Exact, |_, _| Some(true))
+            .expect("skip without the contract is vacuous by design");
         assert!(verify_tables(&inst, &tables, 0, 3, VerifyMode::Exact, |_| true).is_err());
     }
 
@@ -1020,11 +995,13 @@ mod tests {
     }
 
     /// Runs a copy of the warmed memo and the full sweep on the same
-    /// inputs, without random packets (so an unsound skip cannot be
-    /// masked by a lucky draw) and with: the verdicts must be equal, and
-    /// exactly the routes whose spelled-out inputs the warm sweep `seen`
-    /// must be counted skipped. Returns the verdict without random
-    /// packets.
+    /// inputs under the same live-route filter — everything, then each
+    /// tenant filtered out — without random packets (so an unsound skip
+    /// cannot be masked by a lucky draw) and with: the verdicts must be
+    /// equal, and of the admitted routes exactly those whose spelled-out
+    /// inputs the warm sweep `seen` must be counted skipped. A passing
+    /// sweep holds no key of a filtered-out route: the next verifies it
+    /// in full. Returns the unfiltered verdict without random packets.
     fn check(
         warm: &VerifiedRoutes,
         seen: &[Inputs],
@@ -1032,15 +1009,32 @@ mod tests {
         tables: &[SwitchTable],
     ) -> Result<(), VerifyError> {
         let now = inputs(inst, tables);
-        let unchanged = now.iter().filter(|i| seen.contains(i)).count() as u64;
         let mut verdict = Ok(());
-        for random in [4, 0] {
-            let mut memo = warm.clone();
-            let scoped = memo.verify(inst, tables, random, 11);
-            verdict = verify_tables(inst, tables, random, 11, VerifyMode::Exact, |_| true);
-            assert_eq!(scoped, verdict, "memo changed the verdict");
-            assert_eq!(memo.routes_skipped() - warm.routes_skipped(), unchanged);
-            assert_eq!(memo.routes_full() - warm.routes_full(), 4 - unchanged);
+        for out in [None, Some(A), Some(B)] {
+            let live = move |r: &Route| Some(r.ingress) != out;
+            let routes = inst.routes().iter().zip(&now);
+            let admitted = inst.routes().iter().filter(|r| live(r)).count() as u64;
+            let unchanged = routes.filter(|(r, i)| live(r) && seen.contains(i)).count() as u64;
+            for random in [4, 0] {
+                let mut memo = warm.clone();
+                let scoped = memo.verify(inst, tables, random, 11, live);
+                let full = verify_tables(inst, tables, random, 11, VerifyMode::Exact, live);
+                assert_eq!(scoped, full, "memo changed the verdict");
+                assert_eq!(memo.routes_skipped() - warm.routes_skipped(), unchanged);
+                assert_eq!(
+                    memo.routes_full() - warm.routes_full(),
+                    admitted - unchanged
+                );
+                if scoped.is_ok() {
+                    let (full_before, skipped_before) = (memo.routes_full(), memo.routes_skipped());
+                    let _ = memo.verify(inst, tables, random, 11, |_| true);
+                    assert_eq!(memo.routes_full() - full_before, 4 - admitted);
+                    assert_eq!(memo.routes_skipped() - skipped_before, admitted);
+                }
+                if out.is_none() {
+                    verdict = full;
+                }
+            }
         }
         verdict
     }
@@ -1052,7 +1046,7 @@ mod tests {
         let all = || tables.iter().flat_map(|t| t.entries());
         assert!(all().any(|e| e.tags.len() == 2), "no merged entry");
         let mut warm = VerifiedRoutes::default();
-        warm.verify(&inst, &tables, 4, 7)
+        warm.verify(&inst, &tables, 4, 7, |_| true)
             .expect("fixture is correct");
         assert_eq!((warm.routes_full(), warm.routes_skipped()), (4, 0));
         let seen = inputs(&inst, &tables);
@@ -1117,7 +1111,8 @@ mod tests {
         };
         assert_ne!(a_priorities(&tables), a_priorities(&regrown));
         let mut memo = warm.clone();
-        memo.verify(&grown, &regrown, 4, 12).expect("still correct");
+        memo.verify(&grown, &regrown, 4, 12, |_| true)
+            .expect("still correct");
         assert_eq!(memo.routes_skipped(), 2, "A's routes must ride the memo");
         check(&warm, &seen, &grown, &regrown).expect("still correct");
     }

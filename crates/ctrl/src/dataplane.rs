@@ -1,15 +1,18 @@
 //! Simulated per-switch TCAM dataplane with transactional updates.
 //!
-//! The controller never mutates switch tables entry-by-entry. Each epoch
-//! it emits the *target* tables for the new placement, diffs them against
-//! what is deployed, and applies the [`RuleDiff`] as one transaction:
-//! all installs land before any delete (make-before-break), so the
-//! no-false-negative guarantee of §IV-A holds at every instant of the
-//! transition — a packet that should be dropped is never permitted
-//! because its DROP rule (or a shield above it) was momentarily absent.
-//! The price is transient occupancy above the committed load, which the
-//! dataplane tracks as `peak_occupancy`; only the *final* state must
-//! respect each switch's capacity.
+//! Each epoch the controller emits the *target* tables for the new
+//! placement, diffs them against what is deployed, and sends the
+//! [`RuleDiff`] in diff order: all installs land before any delete
+//! (make-before-break), so the no-false-negative guarantee of §IV-A
+//! holds at every instant of the transition — a packet that should be
+//! dropped is never permitted because its DROP rule (or a shield above
+//! it) was momentarily absent. The price is transient occupancy above
+//! the committed load, which the dataplane tracks as `peak_occupancy`;
+//! only the *final* state must respect each switch's capacity. The
+//! controller sends the ops one by one ([`DataPlane::install`] /
+//! [`DataPlane::remove`]) once [`DataPlane::check_capacities`] has
+//! passed the target; [`DataPlane::apply`] is the same transition as one
+//! staged transaction, the reference the op-by-op form is tested against.
 //!
 //! Switches can also *fail*: [`DataPlane::crash`] takes a switch down
 //! (it stops forwarding and its TCAM is lost) and [`DataPlane::restore`]
@@ -125,9 +128,14 @@ impl SwitchTcam {
         &self.entries
     }
 
+    /// Table order: descending priority, ties by the entry's full
+    /// ordering.
+    fn order(a: &TcamEntry, b: &TcamEntry) -> std::cmp::Ordering {
+        b.priority.cmp(&a.priority).then_with(|| a.cmp(b))
+    }
+
     fn sort(&mut self) {
-        self.entries
-            .sort_by(|a, b| b.priority.cmp(&a.priority).then_with(|| a.cmp(b)));
+        self.entries.sort_by(Self::order);
     }
 }
 
@@ -371,16 +379,12 @@ impl DataPlane {
             };
             tcam.entries.remove(pos);
         }
-        // Commit check: the final state must fit (safe-mode slots are
-        // reserved system entries and do not count).
-        for (i, tcam) in switches.iter_mut().enumerate() {
-            if tcam.billable_occupancy() > tcam.capacity {
-                return Err(DataPlaneError::OverCapacity {
-                    switch: SwitchId(i),
-                    occupancy: tcam.billable_occupancy(),
-                    capacity: tcam.capacity,
-                });
-            }
+        // Commit check: the final state must fit.
+        Self::check_capacities(
+            switches.iter().map(|t| t.entries.as_slice()),
+            switches.iter().map(|t| t.capacity),
+        )?;
+        for tcam in switches.iter_mut() {
             tcam.sort();
         }
         Ok(ApplyReport {
@@ -392,7 +396,8 @@ impl DataPlane {
 
     /// Installs one entry on one switch (fault-aware op-by-op path).
     /// No capacity check: transient over-occupancy is legal
-    /// mid-transition; call [`DataPlane::validate_capacities`] at commit.
+    /// mid-transition; run [`DataPlane::check_capacities`] on the target
+    /// before the first op.
     ///
     /// # Errors
     ///
@@ -405,8 +410,11 @@ impl DataPlane {
         if !tcam.online {
             return Err(DataPlaneError::SwitchDown(s));
         }
-        tcam.entries.push(e.clone());
-        tcam.sort();
+        // Where a sort would leave it: the table is kept in order.
+        let at = tcam
+            .entries
+            .partition_point(|x| SwitchTcam::order(x, e).is_le());
+        tcam.entries.insert(at, e.clone());
         Ok(())
     }
 
@@ -434,19 +442,25 @@ impl DataPlane {
         Ok(())
     }
 
-    /// Checks that every switch's final state fits its capacity
-    /// (safe-mode slots exempt).
+    /// The Eq. 3 check on a table set, switch by switch in order: the
+    /// entries that count against capacity (reserved slots do not) may
+    /// not outnumber it. [`DataPlane::apply`] runs it on the staged
+    /// result; an op-by-op commit, on the target before the first op.
     ///
     /// # Errors
     ///
     /// [`DataPlaneError::OverCapacity`] for the first overfull switch.
-    pub fn validate_capacities(&self) -> Result<(), DataPlaneError> {
-        for (i, tcam) in self.switches.iter().enumerate() {
-            if tcam.billable_occupancy() > tcam.capacity {
+    pub fn check_capacities<'a>(
+        tables: impl IntoIterator<Item = &'a [TcamEntry]>,
+        capacities: impl IntoIterator<Item = usize>,
+    ) -> Result<(), DataPlaneError> {
+        for (i, (entries, capacity)) in tables.into_iter().zip(capacities).enumerate() {
+            let occupancy = entries.iter().filter(|e| !e.is_reserved()).count();
+            if occupancy > capacity {
                 return Err(DataPlaneError::OverCapacity {
                     switch: SwitchId(i),
-                    occupancy: tcam.billable_occupancy(),
-                    capacity: tcam.capacity,
+                    occupancy,
+                    capacity,
                 });
             }
         }
@@ -688,7 +702,6 @@ mod tests {
         assert_eq!(survivors.len(), 2);
         assert!(survivors[0].is_safe_mode());
         assert_eq!(survivors[1].priority, 3);
-        dp.validate_capacities().unwrap();
     }
 
     #[test]
@@ -710,7 +723,6 @@ mod tests {
         dp.apply(&diff).unwrap();
         assert_eq!(dp.switch(SwitchId(0)).occupancy(), 2);
         assert_eq!(dp.switch(SwitchId(0)).billable_occupancy(), 1);
-        dp.validate_capacities().unwrap();
     }
 
     #[test]
@@ -736,13 +748,11 @@ mod tests {
             .unwrap();
         assert_eq!(dp.switch(SwitchId(0)).occupancy(), 2);
         assert_eq!(dp.switch(SwitchId(0)).billable_occupancy(), 1);
-        dp.validate_capacities().unwrap();
         // Revoking to zero evicts the billable entry but keeps the stub.
         assert_eq!(dp.revoke_capacity(SwitchId(0), 0), 1);
         let survivors = dp.switch(SwitchId(0)).entries();
         assert_eq!(survivors.len(), 1);
         assert!(survivors[0].is_delegation_stub());
-        dp.validate_capacities().unwrap();
     }
 
     #[test]

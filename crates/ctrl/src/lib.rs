@@ -23,26 +23,27 @@
 //! policy install or a reroute starts at the restricted tier — that
 //! *is* its §IV-E operation.
 //!
-//! ## Transactional commits
+//! ## The commit pipeline
 //!
-//! At the end of each epoch the controller emits the target tables for
-//! the new placement once, verifies them against the golden model
-//! ([`flowplace_core::verify`]), and applies the table diff to the
-//! dataplane with make-before-break semantics — installs land before
-//! deletes, so the §IV-A no-false-negative guarantee holds during the
-//! transition. A failed verification discards the whole epoch: the
-//! deployed state never changes. The controller remembers which routes
-//! its last verified commit covered ([`VerifiedRoutes`]), so an epoch
-//! pays the full packet set only for routes whose policy, hops or tagged
-//! table entries changed; the verdict is that of the full sweep.
+//! At the end of each epoch every controller runs the same chain,
+//! looping until desired and actual TCAM state converge: degrade around
+//! outages, emit the target tables for the working placement once,
+//! verify them against the golden model ([`flowplace_core::verify`]),
+//! check the target against Eq. 3 capacity, and send the table diff to
+//! the dataplane op by op with make-before-break semantics — installs
+//! land before deletes, so the §IV-A no-false-negative guarantee holds
+//! during the transition. The controller remembers which routes its last
+//! passing verify covered ([`VerifiedRoutes`]), so a verify pays the
+//! full packet set only for routes whose policy, hops or tagged table
+//! entries changed; the verdict is that of the full sweep. With nothing
+//! fenced and no op failing, every fault-tolerance step below is a
+//! no-op and the first round converges.
 //!
-//! ## Fault tolerance
-//!
-//! With a non-default [`FaultPlan`] (or after any switch outage) the
-//! commit pipeline switches from the atomic transaction above to a
-//! *resilient* op-by-op path that preserves the no-false-negative
-//! invariant under dataplane faults:
-//!
+//! - An ingress whose tables fail verification fails **closed**, alone:
+//!   it enters safe mode (below) and the rest of the epoch commits. An
+//!   `Err` is left for what no fence can repair — tables that cannot be
+//!   emitted, or a target over capacity, which is refused before the
+//!   first op with the hardware untouched.
 //! - Rejected TCAM installs are retried with bounded exponential
 //!   backoff on a [`faults::VirtualClock`]; a run of consecutive
 //!   failures trips a per-switch circuit breaker and **quarantines**
@@ -56,13 +57,12 @@
 //!   if an ingress cannot be placed at all — **safe mode**: an explicit
 //!   maximum-priority drop-all entry fencing that ingress's traffic at
 //!   the first manageable switch of each route. Degraded is never
-//!   permissive.
+//!   permissive. Safe-mode routes deliberately violate exact
+//!   equivalence, so the verify leaves them out (and forgets them: a
+//!   lifted ingress is verified in full).
 //! - After partial-apply failures and switch restarts an anti-entropy
 //!   reconciliation loop re-diffs desired against actual TCAM state
 //!   until it converges (or quarantines the switches that prevent it).
-//! - Every verify of this path is a full, un-memoised sweep: it mutates
-//!   placement outside the event stream and excludes safe-mode routes,
-//!   so it neither consults nor updates the verified-route memo.
 //!
 //! Every fault is drawn from a seeded RNG or a scripted schedule and
 //! all time is virtual, so chaos runs replay byte-identically.
@@ -314,8 +314,8 @@ pub struct CtrlOptions {
     pub placement: PlacementOptions,
     /// Objective for restricted and full tiers.
     pub objective: Objective,
-    /// Dataplane fault plan. The default plan injects nothing, and the
-    /// commit pipeline stays on the atomic transaction path.
+    /// Dataplane fault plan. The default plan injects nothing: the
+    /// commit pipeline is the same, and none of its ops fail.
     pub faults: FaultPlan,
     /// Retry/backoff policy for rejected TCAM installs.
     pub retry: RetryPolicy,
@@ -372,15 +372,14 @@ pub enum CtrlError {
     },
     /// A trace file failed to parse.
     Trace(TraceError),
-    /// Commit-time verification failed; the epoch was discarded.
+    /// The epoch's tables could not be emitted for verification; the epoch
+    /// was discarded. (A violating ingress fails closed; the epoch commits.)
     VerifyFailed {
         /// The epoch that was discarded.
         epoch: u64,
         /// The verifier's report.
         detail: String,
     },
-    /// Table emission failed for the new placement.
-    Table(String),
     /// The dataplane refused the diff.
     DataPlane(DataPlaneError),
 }
@@ -395,7 +394,6 @@ impl fmt::Display for CtrlError {
             CtrlError::VerifyFailed { epoch, detail } => {
                 write!(f, "epoch {epoch} failed verification: {detail}")
             }
-            CtrlError::Table(e) => write!(f, "table emission failed: {e}"),
             CtrlError::DataPlane(e) => write!(f, "dataplane: {e}"),
         }
     }
@@ -462,17 +460,8 @@ pub struct Controller {
     warm: WarmCache,
     cache: RuleCache,
     obs: Option<Obs>,
-    /// The routes the last successful atomic commit verified.
+    /// The routes the last passing commit-time verify covered.
     verified: VerifiedRoutes,
-}
-
-/// Whether any switch's placed load exceeds its capacity — true after
-/// a committed-anyway capacity shrink, until the degradation ladder
-/// re-places or fails-closed the overflowing ingresses.
-fn capacity_pressure(instance: &Instance, placement: &Placement) -> bool {
-    let load = placement.per_switch_load(instance);
-    let capacities = instance.topology().capacities();
-    load.iter().zip(capacities.iter()).any(|(l, c)| l > c)
 }
 
 /// The ingress an event targets, for the safe-mode gate.
@@ -522,12 +511,15 @@ impl Controller {
     /// Creates a controller around an existing instance, solving and
     /// deploying it as epoch 1.
     ///
+    /// An infeasible instance is not an error: the controller comes back
+    /// with every ingress it could not place fenced fail-closed
+    /// ([`safe_mode_ingresses`](Controller::safe_mode_ingresses)), and
+    /// each later epoch tries to lift the fences.
+    ///
     /// # Errors
     ///
     /// [`CtrlError::VerifyFailed`] / [`CtrlError::DataPlane`] if the
-    /// initial deployment cannot be established (including an
-    /// infeasible instance, surfaced as a verify-free dataplane
-    /// mismatch via [`CtrlError::Table`]).
+    /// deployment's tables cannot be emitted or exceed a capacity.
     pub fn with_instance(
         instance: Instance,
         options: CtrlOptions,
@@ -560,7 +552,7 @@ impl Controller {
         &self.stats
     }
 
-    /// The verified-route memo of the atomic commit gate, with its
+    /// The verified-route memo of the commit-time verify, with its
     /// full / skipped route counts (kept out of [`CtrlStats`], whose
     /// export is byte-pinned).
     pub fn verified_routes(&self) -> &VerifiedRoutes {
@@ -703,11 +695,12 @@ impl Controller {
     /// Processes one batch of queued events (up to `batch_size`) as a
     /// single epoch: dispatch each event through the escalation ladder,
     /// verify the resulting placement, and commit the coalesced diff to
-    /// the dataplane transactionally.
+    /// the dataplane.
     ///
     /// Returns `Ok(None)` when the queue is empty. Event-level failures
     /// are recorded in the report; an `Err` means the whole epoch was
-    /// discarded (deployed state unchanged).
+    /// discarded: the deployed instance and placement are unchanged, and
+    /// the TCAMs too unless an earlier reconcile round had sent ops.
     ///
     /// # Errors
     ///
@@ -828,8 +821,8 @@ impl Controller {
                                 // when re-placement fails: the hardware
                                 // has already lost the bank, so the old
                                 // capacity must not be resurrected. The
-                                // resilient commit degrades the
-                                // overloaded ingresses fail-closed.
+                                // commit degrades the overloaded
+                                // ingresses fail-closed.
                                 if let Event::CapacityChange { switch, capacity } = &event {
                                     if switch.0 < instance.topology().switch_count() {
                                         instance.set_capacity(*switch, *capacity);
@@ -851,26 +844,13 @@ impl Controller {
             outcomes.push((event, outcome));
         }
 
-        // Commit. The resilient pipeline only engages when faults can
-        // fire or an outage / safe-mode fence is live, so a fault-free
-        // controller behaves exactly like the atomic one.
-        let resilient = self.faults.injector.plan().is_active()
-            || !self.faults.unmanageable.is_empty()
-            || !self.faults.safe_mode.is_empty()
-            || !self.faults.delegations.is_empty()
-            || capacity_pressure(&instance, &placement);
+        // Read before the commit, which can relieve the pressure, and
+        // again after it, which can fence an ingress or quarantine a switch.
+        let audit = self.audit_owed(&instance, &placement);
 
         let commit_span = self.span_begin("ctrl.commit");
-        self.span_attr(
-            commit_span,
-            "path",
-            if resilient { "resilient" } else { "atomic" },
-        );
-        let committed = if resilient {
-            self.commit_resilient(epoch, &mut instance, &mut placement)
-        } else {
-            self.commit_atomic(epoch, &instance, &placement)
-        };
+        self.span_attr(commit_span, "path", "resilient");
+        let committed = self.commit(epoch, &mut instance, &mut placement);
         match &committed {
             Ok((report, quarantined)) => {
                 self.span_attr(commit_span, "installed", report.installed);
@@ -892,7 +872,9 @@ impl Controller {
         self.sync_warm_stats();
         self.resync_cache();
 
-        if resilient && self.fail_closed_audit().is_err() {
+        if (audit || self.audit_owed(&self.instance, &self.placement))
+            && self.fail_closed_audit().is_err()
+        {
             self.stats.failclosed_violations += 1;
         }
         self.record_epoch_metrics();
@@ -908,38 +890,6 @@ impl Controller {
             delegated: self.faults.delegations.keys().copied().collect(),
             injected: (self.stats.faults_injected - faults_before) as usize,
         })
-    }
-
-    /// The fault-free commit path: emit once, verify (in full only the
-    /// routes whose inputs changed since the last verified commit), then
-    /// one staged transaction.
-    fn commit_atomic(
-        &mut self,
-        epoch: u64,
-        instance: &Instance,
-        placement: &Placement,
-    ) -> Result<(ApplyReport, Vec<SwitchId>), CtrlError> {
-        let tables =
-            emit_tables(instance, placement).map_err(|e| CtrlError::Table(e.to_string()))?;
-        let verdict = self
-            .verified
-            .verify(instance, &tables, self.options.verify_packets, epoch);
-        if let Err(e) = verdict {
-            self.stats.verify_failures += 1;
-            return Err(CtrlError::VerifyFailed {
-                epoch,
-                detail: e.to_string(),
-            });
-        }
-        let target = DataPlane::target_from_tables(&tables);
-        self.dataplane
-            .set_capacities(&instance.topology().capacities());
-        let diff = self.dataplane.diff_to(&target)?;
-        let report = self.dataplane.apply(&diff)?;
-        if !diff.is_empty() {
-            self.stats.diffs_applied += 1;
-        }
-        Ok((report, Vec::new()))
     }
 
     /// Post-commit metrics sweep onto the attached sink (no-op without
@@ -1390,6 +1340,21 @@ impl Controller {
     }
 
     // ---- fault tolerance -------------------------------------------------
+
+    /// Whether an epoch over this state owes a
+    /// [`fail_closed_audit`](Controller::fail_closed_audit), the TCAMs
+    /// being liable to differ from the emitted tables: faults can fire, a
+    /// switch is out of reach, an ingress fenced, a route detoured, or a
+    /// placed load exceeds its switch's capacity (after a committed-anyway
+    /// shrink, until the ladder re-places or fences the overflow).
+    fn audit_owed(&self, instance: &Instance, placement: &Placement) -> bool {
+        let load = placement.per_switch_load(instance);
+        self.faults.injector.plan().is_active()
+            || !self.faults.unmanageable.is_empty()
+            || !self.faults.safe_mode.is_empty()
+            || !self.faults.delegations.is_empty()
+            || (load.iter().zip(instance.topology().capacities())).any(|(l, c)| *l > c)
+    }
 
     /// Pulls the faults due at `epoch`'s start: scripted rejects are
     /// armed inside the injector, crash/recover/capacity faults become
@@ -1902,14 +1867,15 @@ impl Controller {
         target
     }
 
-    /// The resilient commit pipeline: degrade → verify (escalating
-    /// un-verifiable ingresses to safe mode instead of discarding the
-    /// epoch) → fault-aware op-by-op apply → anti-entropy reconcile,
-    /// looping until desired and actual state converge. Termination is
-    /// guaranteed: every round either converges, quarantines a switch
-    /// (bounded by the switch count), or burns bounded patience before
-    /// force-quarantining whatever still fails.
-    fn commit_resilient(
+    /// The commit pipeline of every epoch: degrade → emit → verify
+    /// (failing an un-verifiable ingress closed instead of discarding the
+    /// epoch) → capacity check on the target → fault-aware op-by-op apply
+    /// → anti-entropy reconcile, looping until desired and actual state
+    /// converge; with nothing fenced and no op failing the first round
+    /// does. Termination is guaranteed: every round either converges,
+    /// quarantines a switch (bounded by the switch count), or burns
+    /// bounded patience before force-quarantining whatever still fails.
+    fn commit(
         &mut self,
         epoch: u64,
         instance: &mut Instance,
@@ -1930,12 +1896,11 @@ impl Controller {
                 let verdict = emit_tables(instance, placement)
                     .map_err(verify::VerifyError::from)
                     .and_then(|tables| {
-                        verify::verify_tables(
+                        self.verified.verify(
                             instance,
                             &tables,
                             self.options.verify_packets,
                             epoch,
-                            VerifyMode::Exact,
                             |r| !safe_mode.contains(&r.ingress),
                         )?;
                         Ok(tables)
@@ -1967,10 +1932,15 @@ impl Controller {
                     .saved_capacity
                     .max(self.dataplane.switch(*s).billable_occupancy());
             }
+            // Eq. 3 before the first op: an over-capacity target is
+            // refused with the hardware untouched.
+            DataPlane::check_capacities(
+                target.iter().map(Vec::as_slice),
+                capacities.iter().copied(),
+            )?;
             self.dataplane.set_capacities(&capacities);
             let diff = self.dataplane.diff_to(&target)?;
             if diff.is_empty() {
-                self.dataplane.validate_capacities()?;
                 return Ok((total, newly_quarantined));
             }
             if rounds == 1 {
@@ -1983,10 +1953,15 @@ impl Controller {
             total.installed += applied.installed;
             total.removed += applied.removed;
             total.peak_occupancy = total.peak_occupancy.max(applied.peak_occupancy);
+            if tripped.is_empty() && failing.is_empty() {
+                // Every op of a diff computed against the target landed:
+                // converged by construction.
+                return Ok((total, newly_quarantined));
+            }
             if !tripped.is_empty() {
                 newly_quarantined.extend(tripped);
                 patience = self.options.reconcile_rounds.max(1);
-            } else if !failing.is_empty() {
+            } else {
                 patience -= 1;
                 if patience == 0 {
                     for s in failing {
@@ -2016,11 +1991,27 @@ impl Controller {
         };
         let mut tripped: Vec<SwitchId> = Vec::new();
         let mut failing: BTreeSet<SwitchId> = BTreeSet::new();
-        for (s, e) in &diff.install {
+        // Make-before-break: every install is sent before any remove.
+        let installs = diff.install.iter().map(|op| (op, true));
+        let removes = diff.remove.iter().map(|op| (op, false));
+        for ((s, e), install) in installs.chain(removes) {
             if self.faults.unmanageable.contains_key(s) {
                 continue; // quarantined mid-apply: reconcile later
             }
-            if self.install_with_retry(*s, e) {
+            let landed = if install {
+                self.install_with_retry(*s, e)
+            } else {
+                self.dataplane.remove(*s, e).is_ok()
+            };
+            let breaker = self.faults.breakers.entry(*s).or_default();
+            if !landed {
+                failing.insert(*s);
+                if breaker.record_failure(self.options.quarantine_after) {
+                    self.quarantine(*s);
+                    tripped.push(*s);
+                }
+            } else if install {
+                breaker.record_success();
                 report.installed += 1;
                 report.peak_occupancy = report
                     .peak_occupancy
@@ -2031,43 +2022,9 @@ impl Controller {
                 if e.is_delegation_stub() {
                     self.stats.delegation_stub_entries += 1;
                 }
-                self.faults.breakers.entry(*s).or_default().record_success();
             } else {
-                failing.insert(*s);
-                let trips = self
-                    .faults
-                    .breakers
-                    .entry(*s)
-                    .or_default()
-                    .record_failure(self.options.quarantine_after);
-                if trips {
-                    self.quarantine(*s);
-                    tripped.push(*s);
-                }
-            }
-        }
-        for (s, e) in &diff.remove {
-            if self.faults.unmanageable.contains_key(s) {
-                continue;
-            }
-            match self.dataplane.remove(*s, e) {
-                Ok(()) => {
-                    report.removed += 1;
-                    self.faults.breakers.entry(*s).or_default().record_success();
-                }
-                Err(_) => {
-                    failing.insert(*s);
-                    let trips = self
-                        .faults
-                        .breakers
-                        .entry(*s)
-                        .or_default()
-                        .record_failure(self.options.quarantine_after);
-                    if trips {
-                        self.quarantine(*s);
-                        tripped.push(*s);
-                    }
-                }
+                breaker.record_success();
+                report.removed += 1;
             }
         }
         let failing: Vec<SwitchId> = failing
@@ -2857,6 +2814,43 @@ add-rule l0 11** drop 4
             .any(|e| e.is_delegation_stub()));
         assert_eq!(ctrl.stats().failclosed_violations, 0);
         ctrl.fail_closed_audit().unwrap();
+    }
+
+    /// Eq. 3 is checked on the target before the first op, fault plan or
+    /// none. `degrade` re-places what the placement's own load says is
+    /// over budget, so only a load that lies gets this far: a merge group
+    /// on the hub claiming l1's rule, which sits on s2, counts the hub as
+    /// 1 − (2 − 1) = 0 entries while its table holds one.
+    #[test]
+    fn over_capacity_target_is_refused_with_the_hardware_untouched() {
+        let (l0, l1, r0) = (EntryPortId(0), EntryPortId(1), flowplace_acl::RuleId(0));
+        for options in [CtrlOptions::default(), fault_options("@99 fault crash s4")] {
+            let mut ctrl = star_controller(1, options);
+            ctrl.submit(install(0, 2, &[1, 0, 3])).unwrap();
+            ctrl.submit(install(1, 3, &[2, 0, 4])).unwrap();
+            ctrl.run_to_idle().unwrap();
+            let before = ctrl.dataplane().dump();
+            ctrl.placement = Placement::new();
+            ctrl.placement.place(l0, r0, SwitchId(0));
+            ctrl.placement.place(l1, r0, SwitchId(2));
+            ctrl.placement
+                .record_merge(flowplace_core::merge::MergeGroup {
+                    switch: SwitchId(0),
+                    match_field: t("10**"),
+                    action: Action::Drop,
+                    members: vec![(l0, r0), (l1, r0)],
+                });
+            let (switch, capacity) = (SwitchId(0), 0);
+            ctrl.submit(Event::CapacityChange { switch, capacity })
+                .unwrap();
+            let refused = DataPlaneError::OverCapacity {
+                switch,
+                occupancy: 1,
+                capacity,
+            };
+            assert_eq!(ctrl.run_epoch().unwrap_err(), CtrlError::DataPlane(refused));
+            assert_eq!(ctrl.dataplane().dump(), before, "ops sent before the check");
+        }
     }
 
     #[test]

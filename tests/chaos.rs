@@ -571,6 +571,73 @@ fn capacity_revocation_edge_cases_settle_fail_closed() {
     }
 }
 
+/// A commit-time verify violation fails the one ingress closed and
+/// commits the rest, on a controller with no fault plan and nothing
+/// fenced as on any other. The visible case is bringing up an
+/// infeasible instance: `l0` needs 5 entries on a 2-slot switch, so the
+/// solve is rejected, the empty placement leaks both policies' DROPs,
+/// and the controller comes back with both ingresses fenced instead of
+/// an `Err` — then lifts each fence as soon as its ingress fits.
+#[test]
+fn infeasible_bring_up_fails_closed_then_lifts() {
+    let drops = |n: u32| -> Policy {
+        let mut rules: Vec<Rule> = (0..n)
+            .map(|i| Rule::new(Ternary::new(WIDTH, 0xF, i as u128), Action::Drop, i + 2))
+            .collect();
+        rules.push(Rule::new(Ternary::new(WIDTH, 0, 0), Action::Permit, 1));
+        Policy::from_rules(rules).expect("distinct priorities")
+    };
+    let route = |l, egress, hops: &[usize]| {
+        Route::new(
+            EntryPortId(l),
+            EntryPortId(egress),
+            hops.iter().copied().map(SwitchId).collect(),
+        )
+    };
+    let (l0, l1) = (EntryPortId(0), EntryPortId(1));
+    let mut topo = Topology::linear(3);
+    topo.set_uniform_capacity(2);
+    let instance = Instance::new(
+        topo,
+        RouteSet::from_routes(vec![route(0, 1, &[0]), route(1, 0, &[1, 2])]),
+        vec![(l0, drops(5)), (l1, drops(2))],
+    )
+    .expect("valid instance");
+
+    let mut ctrl = Controller::with_instance(instance, CtrlOptions::default())
+        .expect("an infeasible instance comes up fenced, not refused");
+    assert_eq!(ctrl.safe_mode_ingresses(), vec![l0, l1]);
+    assert_eq!(ctrl.stats().verify_failures, 2);
+    assert_eq!(ctrl.placement().total_rules(), 0);
+    ctrl.fail_closed_audit().expect("fenced is fail-closed");
+    assert_eq!(ctrl.stats().failclosed_violations, 0);
+
+    // Any further epoch tries the fences: l1 fits on its own.
+    ctrl.submit(Event::Checkpoint).unwrap();
+    ctrl.run_to_idle().unwrap();
+    assert_eq!(ctrl.safe_mode_ingresses(), vec![l0]);
+    ctrl.fail_closed_audit()
+        .expect("half-lifted is fail-closed");
+
+    // Room on s0 lifts l0; nothing is fenced and the deployment is exact.
+    ctrl.submit(Event::CapacityChange {
+        switch: SwitchId(0),
+        capacity: 8,
+    })
+    .unwrap();
+    ctrl.run_to_idle().unwrap();
+    assert!(ctrl.safe_mode_ingresses().is_empty());
+    flowplace::core::verify::verify_placement(ctrl.instance(), ctrl.placement(), 8, ctrl.epoch())
+        .expect("lifted deployment is exact");
+    let fence = format!("[{}]", u32::MAX);
+    assert!(
+        !ctrl.dataplane().dump().contains(&fence),
+        "a drop-all fence outlived its safe mode:\n{}",
+        ctrl.dataplane().dump()
+    );
+    assert_eq!(ctrl.stats().failclosed_violations, 0);
+}
+
 /// Backpressure under overload stays observable (counted, reported) and
 /// recoverable: once the queue drains, new submissions are accepted
 /// again and the run still ends fail-closed.

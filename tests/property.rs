@@ -11,7 +11,8 @@
 //!   passes the golden-model verifier;
 //! * the model's edit methods equal the whole-model rebuilds they
 //!   replaced, and the named §IV-E operations are those edits in front
-//!   of the one restricted re-solve.
+//!   of the one restricted re-solve;
+//! * a table diff sent op by op is the staged transaction.
 //!
 //! Each test draws a fixed number of cases from a fixed-seed
 //! [`StdRng`], so runs are deterministic; failure messages carry the
@@ -639,6 +640,99 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
         );
         same(case, out.unwrap(), want.unwrap());
     }
+}
+
+/// The controller sends a diff op by op; `DataPlane::apply` is the same
+/// transition as one staged transaction. Over random current / target
+/// table sets drawn from a small pool — so the two overlap, hold
+/// duplicates, collide on priority, and carry fences and stubs — the
+/// ops of `diff_to`, sent through `install` / `remove` in diff order,
+/// reach the dump and the peak occupancy `apply` reaches, and the
+/// target-side capacity check refuses exactly the targets `apply`'s
+/// commit check refuses, with the same error.
+#[test]
+fn op_by_op_apply_is_the_staged_transaction() {
+    use flowplace::ctrl::{DataPlane, TcamEntry};
+    use std::collections::BTreeSet;
+
+    fn rand_entry(rng: &mut StdRng) -> TcamEntry {
+        let tags = BTreeSet::from([EntryPortId(rng.gen_range(0..2usize))]);
+        let (priority, match_field, action) = match rng.gen_range(0..8u32) {
+            0 => (u32::MAX, Ternary::new(WIDTH, 0, 0), Action::Drop),
+            1 => (0, Ternary::new(WIDTH, 0, 0), Action::Permit),
+            _ => (
+                rng.gen_range(1..4u32),
+                Ternary::new(WIDTH, 0b11, rng.gen_range(0..4u128)),
+                rand_action(rng),
+            ),
+        };
+        TcamEntry {
+            priority,
+            tags,
+            match_field,
+            action,
+        }
+    }
+    fn rand_tables(rng: &mut StdRng, switches: usize) -> Vec<Vec<TcamEntry>> {
+        (0..switches)
+            .map(|_| {
+                (0..rng.gen_range(0..7usize))
+                    .map(|_| rand_entry(rng))
+                    .collect()
+            })
+            .collect()
+    }
+
+    let mut rng = StdRng::seed_from_u64(0x0B_0B_0B);
+    let (mut committed, mut refused, mut reserved) = (0, 0, 0);
+    for case in 0..256 {
+        let switches = rng.gen_range(1..4usize);
+        let capacities: Vec<usize> = (0..switches).map(|_| rng.gen_range(1..7usize)).collect();
+        let current = rand_tables(&mut rng, switches);
+        let target = rand_tables(&mut rng, switches);
+        reserved += target.iter().flatten().filter(|e| e.is_reserved()).count();
+
+        let mut staged = DataPlane::new(capacities.clone());
+        for (s, entries) in current.iter().enumerate() {
+            for e in entries {
+                staged.install(SwitchId(s), e).expect("online switch");
+            }
+        }
+        let mut stepped = staged.clone();
+        let before = staged.dump();
+        let diff = staged.diff_to(&target).expect("same switch count");
+        let fits = DataPlane::check_capacities(
+            target.iter().map(Vec::as_slice),
+            capacities.iter().copied(),
+        );
+        match staged.apply(&diff) {
+            Err(e) => {
+                assert_eq!(fits, Err(e), "case {case}: the two checks disagree");
+                assert_eq!(staged.dump(), before, "case {case}: refused, yet moved");
+                refused += 1;
+            }
+            Ok(report) => {
+                assert_eq!(fits, Ok(()), "case {case}: the two checks disagree");
+                let occupancy = |dp: &DataPlane, s: usize| dp.switch(SwitchId(s)).occupancy();
+                let mut peak = (0..switches).map(|s| occupancy(&stepped, s)).max();
+                for (s, e) in &diff.install {
+                    stepped.install(*s, e).expect("online switch");
+                    peak = peak.max(Some(occupancy(&stepped, s.0)));
+                }
+                for (s, e) in &diff.remove {
+                    stepped
+                        .remove(*s, e)
+                        .expect("the diff removes what is there");
+                }
+                assert_eq!(stepped.dump(), staged.dump(), "case {case}");
+                assert_eq!(peak, Some(report.peak_occupancy), "case {case}");
+                assert!(stepped.diff_to(&target).unwrap().is_empty(), "case {case}");
+                committed += 1;
+            }
+        }
+    }
+    assert!(committed >= 32 && refused >= 32, "{committed} / {refused}");
+    assert!(reserved >= 64, "only {reserved} fences and stubs drawn");
 }
 
 #[test]

@@ -1,18 +1,20 @@
 //! Scoped ≡ full verification, on event streams.
 //!
-//! Every atomic commit of a [`Controller`] verifies in full only the
-//! routes whose inputs changed since its last verified commit
+//! Every commit of a [`Controller`] verifies in full only the routes
+//! whose inputs changed since its last passing verify
 //! (`flowplace::core::verify::VerifiedRoutes`). That is a pure
 //! accelerator: over 32 randomized seeds (cache tier and warm path
-//! enabled, fault events included) every committed epoch must also pass
-//! the full reference sweep `verify_placement`, two runs of a seed must
-//! agree byte for byte on every observable, and the memo must actually
-//! skip routes — a key that never matched would pass everything else and
+//! enabled, fault events included), replayed once with no fault plan and
+//! once under one that rejects installs all the way through, every
+//! committed epoch must also pass the full reference sweep
+//! `verify_placement`, two runs of a seed must agree byte for byte on
+//! every observable, and the memo must actually skip routes on both
+//! arms — a key that never matched would pass everything else and
 //! silently lose the speed.
 
 use flowplace::acl::{Action, Policy, Rule, RuleId, Ternary};
 use flowplace::core::verify::verify_placement;
-use flowplace::ctrl::{CacheConfig, Controller, CtrlOptions, Event};
+use flowplace::ctrl::{CacheConfig, Controller, CtrlOptions, Event, FaultPlan};
 use flowplace::obs::Obs;
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
@@ -48,8 +50,8 @@ fn install(rng: &mut StdRng, ingress: usize, switches: Vec<usize>) -> Event {
 
 /// A randomized event stream over four tenants on `linear(4)`: rule
 /// churn, reroutes, capacity changes, faults, snapshots — everything
-/// the controller accepts, so both the atomic and the resilient commit
-/// paths get exercised.
+/// the controller accepts, so the commit runs with and without outages,
+/// fences and capacity pressure.
 fn rand_events(rng: &mut StdRng) -> Vec<Event> {
     let mut events = vec![
         install(rng, 0, vec![0, 1]),
@@ -84,10 +86,11 @@ fn rand_events(rng: &mut StdRng) -> Vec<Event> {
     events
 }
 
-fn options() -> CtrlOptions {
+fn options(faults: FaultPlan) -> CtrlOptions {
     CtrlOptions {
         batch_size: 4,
         verify_packets: 4,
+        faults,
         // The differential must hold with the cache tier and the warm
         // path enabled — both on here.
         cache: CacheConfig {
@@ -116,7 +119,7 @@ fn observables(ctrl: &Controller) -> [String; 6] {
 /// epoch at a time, checking every committed epoch that left no
 /// safe-mode ingress (those are fenced by a drop-all, deliberately
 /// stricter than their policy) against the full reference sweep.
-fn replay_checked(seed: u64, events: &[Event]) -> Controller {
+fn replay_checked(seed: u64, events: &[Event], faults: &FaultPlan) -> Controller {
     fn drain(seed: u64, ctrl: &mut Controller) {
         while let Some(report) = ctrl
             .run_epoch()
@@ -131,7 +134,7 @@ fn replay_checked(seed: u64, events: &[Event]) -> Controller {
     }
     let mut topo = Topology::linear(4);
     topo.set_uniform_capacity(12);
-    let mut ctrl = Controller::new(topo, options());
+    let mut ctrl = Controller::new(topo, options(faults.clone()));
     ctrl.attach_obs(Obs::new());
     for event in events {
         if ctrl.pending() >= ctrl.options().queue_capacity {
@@ -145,25 +148,49 @@ fn replay_checked(seed: u64, events: &[Event]) -> Controller {
 
 #[test]
 fn scoped_commits_equal_the_full_sweep_over_32_seeds() {
-    let mut skipped = 0;
+    let arms = |seed| {
+        let rejecting = FaultPlan {
+            seed,
+            install_reject_rate: 0.1,
+            ..FaultPlan::default()
+        };
+        [
+            ("fault-free", FaultPlan::default()),
+            ("rejecting", rejecting),
+        ]
+    };
+    let (mut skipped, mut injected) = ([0, 0], [0, 0]);
     for seed in 0..32u64 {
         let events = rand_events(&mut StdRng::seed_from_u64(0x5AAD_0000 ^ seed));
-        let first = replay_checked(seed, &events);
-        let again = replay_checked(seed, &events);
-        for (name, (w, g)) in [
-            "placement",
-            "stats",
-            "dataplane",
-            "clock",
-            "trace",
-            "metrics",
-        ]
-        .iter()
-        .zip(observables(&first).iter().zip(observables(&again).iter()))
-        {
-            assert_eq!(w, g, "seed {seed}: {name} diverged between two runs");
+        for (arm, (label, faults)) in arms(seed).iter().enumerate() {
+            let first = replay_checked(seed, &events, faults);
+            let again = replay_checked(seed, &events, faults);
+            for (name, (w, g)) in [
+                "placement",
+                "stats",
+                "dataplane",
+                "clock",
+                "trace",
+                "metrics",
+            ]
+            .iter()
+            .zip(observables(&first).iter().zip(observables(&again).iter()))
+            {
+                assert_eq!(
+                    w, g,
+                    "seed {seed} {label}: {name} diverged between two runs"
+                );
+            }
+            assert_eq!(
+                first.stats().failclosed_violations,
+                0,
+                "seed {seed} {label}"
+            );
+            skipped[arm] += first.verified_routes().routes_skipped();
+            injected[arm] += first.stats().faults_injected;
         }
-        skipped += first.verified_routes().routes_skipped();
     }
-    assert!(skipped > 0, "no route ever rode the memo");
+    assert!(skipped[0] > 0, "no route ever rode the memo");
+    assert!(skipped[1] > 0, "no route ever rode the memo under faults");
+    assert!(injected[0] == 0 && injected[1] > 0, "arms mislabelled");
 }

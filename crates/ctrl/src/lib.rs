@@ -849,7 +849,6 @@ impl Controller {
         let audit = self.audit_owed(&instance, &placement);
 
         let commit_span = self.span_begin("ctrl.commit");
-        self.span_attr(commit_span, "path", "resilient");
         let committed = self.commit(epoch, &mut instance, &mut placement);
         match &committed {
             Ok((report, quarantined)) => {

@@ -1347,12 +1347,12 @@ impl Controller {
     /// placed load exceeds its switch's capacity (after a committed-anyway
     /// shrink, until the ladder re-places or fences the overflow).
     fn audit_owed(&self, instance: &Instance, placement: &Placement) -> bool {
-        let load = placement.per_switch_load(instance);
+        let capacities = instance.topology().capacities();
         self.faults.injector.plan().is_active()
             || !self.faults.unmanageable.is_empty()
             || !self.faults.safe_mode.is_empty()
             || !self.faults.delegations.is_empty()
-            || (load.iter().zip(instance.topology().capacities())).any(|(l, c)| *l > c)
+            || (placement.per_switch_load(instance).iter().zip(capacities)).any(|(l, c)| *l > c)
     }
 
     /// Pulls the faults due at `epoch`'s start: scripted rejects are
@@ -2009,8 +2009,10 @@ impl Controller {
                     self.quarantine(*s);
                     tripped.push(*s);
                 }
-            } else if install {
-                breaker.record_success();
+                continue;
+            }
+            breaker.record_success();
+            if install {
                 report.installed += 1;
                 report.peak_occupancy = report
                     .peak_occupancy
@@ -2022,7 +2024,6 @@ impl Controller {
                     self.stats.delegation_stub_entries += 1;
                 }
             } else {
-                breaker.record_success();
                 report.removed += 1;
             }
         }

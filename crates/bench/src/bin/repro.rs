@@ -1,128 +1,150 @@
 //! Regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! cargo run --release -p flowplace-bench --bin repro -- [exp1|exp2|exp3|exp4|exp5|exp6|ablate-deps|ablate-sat|all] [--quick]
+//! cargo run --release -p flowplace-bench --bin repro -- [<experiment>… | all] [--quick]
 //! ```
 //!
-//! Results are printed as ASCII tables and written as CSV files under
-//! `results/`.
+//! Experiments are the names in [`EXPERIMENTS`]; none, or `all`, runs
+//! every one. Results are printed as ASCII tables and written as CSV
+//! files under `results/` (`results/quick/` with `--quick`).
 
 use std::fs;
-use std::path::Path;
 
-use flowplace_bench::{experiments, report};
+use flowplace_bench::experiments::{self, SolveRow};
+use flowplace_bench::report;
+
+struct Experiment {
+    /// Sub-command name.
+    name: &'static str,
+    heading: &'static str,
+    /// File stem of the CSV under the results directory.
+    csv: &'static str,
+    /// Runs the sweep (`true` = quick) and renders its rows as
+    /// (ASCII table, CSV).
+    run: fn(bool) -> (String, String),
+}
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 10] = [
+    Experiment {
+        name: "exp1",
+        heading: "Experiment 1 (Figures 7/8/9): runtime vs rules per policy",
+        csv: "exp1_rules",
+        run: |q| solve_rows(experiments::exp1_rules(q), "n"),
+    },
+    Experiment {
+        name: "exp2",
+        heading: "Experiment 2 (Figure 10): runtime vs number of paths",
+        csv: "exp2_paths",
+        run: |q| solve_rows(experiments::exp2_paths(q), "paths"),
+    },
+    Experiment {
+        name: "exp3",
+        heading: "Experiment 3 (Table II): capacity vs overhead in rule merging",
+        csv: "exp3_merging",
+        run: |q| {
+            let rows = experiments::exp3_merging(q);
+            (
+                report::merge_rows_table(&rows),
+                report::merge_rows_csv(&rows),
+            )
+        },
+    },
+    Experiment {
+        name: "exp4",
+        heading: "Experiment 4 (Figure 11): runtime vs per-switch capacity",
+        csv: "exp4_capacity",
+        run: |q| solve_rows(experiments::exp4_capacity(q), "capacity"),
+    },
+    Experiment {
+        name: "exp5",
+        heading: "Experiment 5: incremental deployment",
+        csv: "exp5_incremental",
+        run: |q| {
+            let rows = experiments::exp5_incremental(q);
+            (report::inc_rows_table(&rows), report::inc_rows_csv(&rows))
+        },
+    },
+    Experiment {
+        name: "exp6",
+        heading: "Rule sharing (§V closing claim): placed rules vs p×r",
+        csv: "exp6_sharing",
+        run: |q| {
+            let rows = experiments::exp6_sharing(q);
+            (
+                report::sharing_rows_table(&rows),
+                report::sharing_rows_csv(&rows),
+            )
+        },
+    },
+    Experiment {
+        name: "ablate-deps",
+        heading: "Ablation: Equation 1 dependency encodings",
+        csv: "ablate_deps",
+        run: |q| solve_rows(experiments::ablate_dependency(q), "n"),
+    },
+    Experiment {
+        name: "ablate-sat",
+        heading: "Ablation: ILP vs PB-SAT feasibility",
+        csv: "ablate_sat",
+        run: |q| solve_rows(experiments::ablate_sat_vs_ilp(q), "n"),
+    },
+    Experiment {
+        name: "ablate-merge-linking",
+        heading: "Ablation: merge-variable linking, per-member vs Eq. 5",
+        csv: "ablate_merge_linking",
+        run: |q| solve_rows(experiments::ablate_merge_linking(q), "n"),
+    },
+    Experiment {
+        name: "ablate-warm-start",
+        heading: "Ablation: greedy warm start on vs off",
+        csv: "ablate_warm_start",
+        run: |q| solve_rows(experiments::ablate_warm_start(q), "n"),
+    },
+];
+
+fn solve_rows(rows: Vec<SolveRow>, x_axis: &str) -> (String, String) {
+    (
+        report::solve_rows_table(&rows, x_axis),
+        report::solve_rows_csv(&rows),
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let which: Vec<&str> = args
-        .iter()
-        .filter(|a| *a != "--quick")
-        .map(String::as_str)
-        .collect();
-    let which = if which.is_empty() || which.contains(&"all") {
-        vec![
-            "exp1",
-            "exp2",
-            "exp3",
-            "exp4",
-            "exp5",
-            "exp6",
-            "ablate-deps",
-            "ablate-sat",
-        ]
-    } else {
-        which
-    };
+    // Every token is checked before the first solve: a typo must not
+    // cost a full sweep or overwrite a recorded CSV.
+    let mut quick = false;
+    let mut all = false;
+    let mut chosen = Vec::new();
+    for arg in &args {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "all" => all = true,
+            name => match EXPERIMENTS.iter().find(|e| e.name == name) {
+                Some(e) => chosen.push(e),
+                None => {
+                    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+                    eprintln!("unknown argument `{name}`");
+                    eprintln!("usage: repro [{} | all] [--quick]", names.join(" | "));
+                    std::process::exit(2);
+                }
+            },
+        }
+    }
+    if all || chosen.is_empty() {
+        chosen = EXPERIMENTS.iter().collect();
+    }
     // Quick (smoke-test) runs must not clobber a recorded full run.
     let out_dir = if quick { "results/quick" } else { "results" };
     fs::create_dir_all(out_dir).expect("can create results dir");
 
-    for w in which {
-        match w {
-            "exp1" => {
-                println!("== Experiment 1 (Figures 7/8/9): runtime vs rules per policy ==");
-                let rows = experiments::exp1_rules(quick);
-                print!("{}", report::solve_rows_table(&rows, "n"));
-                write(
-                    format!("{out_dir}/exp1_rules.csv"),
-                    &report::solve_rows_csv(&rows),
-                );
-            }
-            "exp2" => {
-                println!("== Experiment 2 (Figure 10): runtime vs number of paths ==");
-                let rows = experiments::exp2_paths(quick);
-                print!("{}", report::solve_rows_table(&rows, "paths"));
-                write(
-                    format!("{out_dir}/exp2_paths.csv"),
-                    &report::solve_rows_csv(&rows),
-                );
-            }
-            "exp3" => {
-                println!("== Experiment 3 (Table II): capacity vs overhead in rule merging ==");
-                let rows = experiments::exp3_merging(quick);
-                print!("{}", report::merge_rows_table(&rows));
-                write(
-                    format!("{out_dir}/exp3_merging.csv"),
-                    &report::merge_rows_csv(&rows),
-                );
-            }
-            "exp4" => {
-                println!("== Experiment 4 (Figure 11): runtime vs per-switch capacity ==");
-                let rows = experiments::exp4_capacity(quick);
-                print!("{}", report::solve_rows_table(&rows, "capacity"));
-                write(
-                    format!("{out_dir}/exp4_capacity.csv"),
-                    &report::solve_rows_csv(&rows),
-                );
-            }
-            "exp5" => {
-                println!("== Experiment 5: incremental deployment ==");
-                let rows = experiments::exp5_incremental(quick);
-                print!("{}", report::inc_rows_table(&rows));
-                write(
-                    format!("{out_dir}/exp5_incremental.csv"),
-                    &report::inc_rows_csv(&rows),
-                );
-            }
-            "exp6" => {
-                println!("== Rule sharing (§V closing claim): placed rules vs p×r ==");
-                let rows = experiments::exp6_sharing(quick);
-                print!("{}", report::sharing_rows_table(&rows));
-                write(
-                    format!("{out_dir}/exp6_sharing.csv"),
-                    &report::sharing_rows_csv(&rows),
-                );
-            }
-            "ablate-deps" => {
-                println!("== Ablation: Equation 1 dependency encodings ==");
-                let rows = experiments::ablate_dependency(quick);
-                print!("{}", report::solve_rows_table(&rows, "n"));
-                write(
-                    format!("{out_dir}/ablate_deps.csv"),
-                    &report::solve_rows_csv(&rows),
-                );
-            }
-            "ablate-sat" => {
-                println!("== Ablation: ILP vs PB-SAT feasibility ==");
-                let rows = experiments::ablate_sat_vs_ilp(quick);
-                print!("{}", report::solve_rows_table(&rows, "n"));
-                write(
-                    format!("{out_dir}/ablate_sat.csv"),
-                    &report::solve_rows_csv(&rows),
-                );
-            }
-            other => {
-                eprintln!("unknown experiment `{other}`");
-                std::process::exit(2);
-            }
-        }
-        println!();
+    for e in chosen {
+        println!("== {} ==", e.heading);
+        let (table, csv) = (e.run)(quick);
+        print!("{table}");
+        let path = format!("{out_dir}/{}.csv", e.csv);
+        fs::write(&path, csv).expect("can write results file");
+        println!("wrote {path}\n");
     }
-}
-
-fn write(path: impl AsRef<Path>, contents: &str) {
-    let path = path.as_ref();
-    fs::write(path, contents).expect("can write results file");
-    println!("wrote {}", path.display());
 }

@@ -4,8 +4,8 @@ use std::time::{Duration, Instant};
 
 use flowplace_core::encode_sat::SatEncoding;
 use flowplace_core::{
-    incremental, verify, DependencyEncoding, Objective, PlacementOptions, RulePlacer, SolveCtx,
-    SolveStatus,
+    incremental, verify, DependencyEncoding, MergeLinking, Objective, PlacementOptions, RulePlacer,
+    SolveCtx, SolveStatus,
 };
 use flowplace_milp::MipOptions;
 use flowplace_rng::StdRng;
@@ -48,14 +48,19 @@ pub struct SolveRow {
 }
 
 /// Experiment-wide default placer options: lazy dependency rows (the
-/// model would otherwise be dominated by Eq. 1 rows) and a greedy warm
-/// start, mirroring how one would drive a modern ILP solver.
-pub fn default_options(time_limit: Duration) -> PlacementOptions {
+/// model would otherwise be dominated by Eq. 1 rows), a greedy warm
+/// start, mirroring how one would drive a modern ILP solver, and the
+/// quick or full per-solve budget.
+pub fn default_options(quick: bool) -> PlacementOptions {
     PlacementOptions {
         dependency: DependencyEncoding::Lazy,
         greedy_warm_start: true,
         mip: MipOptions {
-            time_limit: Some(time_limit),
+            time_limit: Some(if quick {
+                QUICK_TIME_LIMIT
+            } else {
+                FULL_TIME_LIMIT
+            }),
             ..MipOptions::default()
         },
         ..PlacementOptions::default()
@@ -104,38 +109,27 @@ pub const EXP1_NETWORKS: [(usize, usize, usize, usize, usize); 3] =
 /// Figures 7/8/9: execution time vs rules per policy, for three network
 /// sizes and a small/large capacity each.
 pub fn exp1_rules(quick: bool) -> Vec<SolveRow> {
-    let (networks, ns, seeds, tl): (&[_], Vec<usize>, u64, Duration) = if quick {
-        (&EXP1_NETWORKS[..1], vec![8, 16], 1, QUICK_TIME_LIMIT)
+    let (networks, ns): (&[_], Vec<usize>) = if quick {
+        (&EXP1_NETWORKS[..1], vec![8, 16])
     } else {
-        (
-            &EXP1_NETWORKS[..],
-            (20..=110).step_by(10).collect(),
-            1,
-            FULL_TIME_LIMIT,
-        )
+        (&EXP1_NETWORKS[..], (20..=110).step_by(10).collect())
     };
-    let options = default_options(tl);
+    let options = default_options(quick);
     let mut rows = Vec::new();
     for &(k, ingresses, ppi, c_small, c_large) in networks {
         for &capacity in &[c_small, c_large] {
             for &n in &ns {
-                for seed in 0..seeds {
-                    let cfg = ScenarioConfig {
-                        k,
-                        ingresses: if quick { 4 } else { ingresses },
-                        paths_per_ingress: ppi,
-                        rules_per_policy: n,
-                        shared_rules: 0,
-                        capacity,
-                        seed: seed * 101 + 7,
-                    };
-                    rows.push(run_point(
-                        format!("k={k} C={capacity}"),
-                        &cfg,
-                        &options,
-                        !quick,
-                    ));
-                }
+                let cfg = ScenarioConfig {
+                    k,
+                    ingresses: if quick { 4 } else { ingresses },
+                    paths_per_ingress: ppi,
+                    rules_per_policy: n,
+                    shared_rules: 0,
+                    capacity,
+                    seed: 7,
+                };
+                let label = format!("k={k} C={capacity}");
+                rows.push(run_point(label, &cfg, &options, !quick));
             }
         }
     }
@@ -145,27 +139,25 @@ pub fn exp1_rules(quick: bool) -> Vec<SolveRow> {
 /// Figure 10: execution time vs number of paths (k=4 analog of the
 /// paper's k=8, r=100), for a tight and a loose capacity.
 pub fn exp2_paths(quick: bool) -> Vec<SolveRow> {
-    let (ppis, seeds, tl): (Vec<usize>, u64, Duration) = if quick {
-        (vec![1, 2], 1, QUICK_TIME_LIMIT)
+    let ppis: &[usize] = if quick {
+        &[1, 2]
     } else {
-        ((1..=8).collect(), 1, FULL_TIME_LIMIT)
+        &[1, 2, 3, 4, 5, 6, 7, 8]
     };
-    let options = default_options(tl);
+    let options = default_options(quick);
     let mut rows = Vec::new();
     for &capacity in &[50usize, 150] {
-        for &ppi in &ppis {
-            for seed in 0..seeds {
-                let cfg = ScenarioConfig {
-                    k: 4,
-                    ingresses: if quick { 4 } else { 8 },
-                    paths_per_ingress: ppi,
-                    rules_per_policy: if quick { 12 } else { 40 },
-                    shared_rules: 0,
-                    capacity,
-                    seed: seed * 67 + 3,
-                };
-                rows.push(run_point(format!("C={capacity}"), &cfg, &options, !quick));
-            }
+        for &ppi in ppis {
+            let cfg = ScenarioConfig {
+                k: 4,
+                ingresses: if quick { 4 } else { 8 },
+                paths_per_ingress: ppi,
+                rules_per_policy: if quick { 12 } else { 40 },
+                shared_rules: 0,
+                capacity,
+                seed: 3,
+            };
+            rows.push(run_point(format!("C={capacity}"), &cfg, &options, !quick));
         }
     }
     rows
@@ -196,11 +188,7 @@ pub const EXP3_CAPACITIES: [usize; 3] = [15, 16, 17];
 /// Table II: rule merging — capacity vs duplication overhead, with and
 /// without merging, as the number of shared blacklist rules grows.
 pub fn exp3_merging(quick: bool) -> Vec<MergeRow> {
-    let (shared_counts, tl): (Vec<usize>, Duration) = if quick {
-        (vec![2], QUICK_TIME_LIMIT)
-    } else {
-        ((1..=10).collect(), FULL_TIME_LIMIT)
-    };
+    let shared_counts: Vec<usize> = if quick { vec![2] } else { (1..=10).collect() };
     let mut rows = Vec::new();
     for &capacity in &EXP3_CAPACITIES {
         for &shared in &shared_counts {
@@ -214,7 +202,7 @@ pub fn exp3_merging(quick: bool) -> Vec<MergeRow> {
                     capacity,
                     seed: 11,
                 };
-                let mut options = default_options(tl);
+                let mut options = default_options(quick);
                 options.merging = merging;
                 let instance = build_instance(&cfg);
                 let outcome = RulePlacer::new(options)
@@ -247,30 +235,24 @@ pub fn exp3_merging(quick: bool) -> Vec<MergeRow> {
 /// Figure 11: execution time vs per-switch rule capacity
 /// (the under/over-constrained phase transition).
 pub fn exp4_capacity(quick: bool) -> Vec<SolveRow> {
-    let (capacities, seeds, tl): (Vec<usize>, u64, Duration) = if quick {
-        (vec![10, 200], 1, QUICK_TIME_LIMIT)
+    let capacities: &[usize] = if quick {
+        &[10, 200]
     } else {
-        (
-            vec![10, 20, 30, 40, 50, 60, 70, 80, 100, 120, 160, 200, 240],
-            1,
-            FULL_TIME_LIMIT,
-        )
+        &[10, 20, 30, 40, 50, 60, 70, 80, 100, 120, 160, 200, 240]
     };
-    let options = default_options(tl);
+    let options = default_options(quick);
     let mut rows = Vec::new();
-    for &capacity in &capacities {
-        for seed in 0..seeds {
-            let cfg = ScenarioConfig {
-                k: 4,
-                ingresses: if quick { 4 } else { 8 },
-                paths_per_ingress: 2,
-                rules_per_policy: if quick { 12 } else { 40 },
-                shared_rules: 0,
-                capacity,
-                seed: seed * 41 + 5,
-            };
-            rows.push(run_point(format!("C={capacity}"), &cfg, &options, !quick));
-        }
+    for &capacity in capacities {
+        let cfg = ScenarioConfig {
+            k: 4,
+            ingresses: if quick { 4 } else { 8 },
+            paths_per_ingress: 2,
+            rules_per_policy: if quick { 12 } else { 40 },
+            shared_rules: 0,
+            capacity,
+            seed: 5,
+        };
+        rows.push(run_point(format!("C={capacity}"), &cfg, &options, !quick));
     }
     rows
 }
@@ -295,12 +277,7 @@ pub struct IncRow {
 /// policies and (b) reroute batches of existing policies, measuring the
 /// restricted solves against the full solve.
 pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
-    let tl = if quick {
-        QUICK_TIME_LIMIT
-    } else {
-        FULL_TIME_LIMIT
-    };
-    let options = default_options(tl);
+    let options = default_options(quick);
     let base_cfg = ScenarioConfig {
         k: 4,
         ingresses: if quick { 4 } else { 8 },
@@ -425,11 +402,7 @@ pub struct SharingRow {
 /// reference \[1\]) would install.
 pub fn exp6_sharing(quick: bool) -> Vec<SharingRow> {
     let ppis: &[usize] = if quick { &[2] } else { &[1, 2, 4, 8] };
-    let options = default_options(if quick {
-        QUICK_TIME_LIMIT
-    } else {
-        FULL_TIME_LIMIT
-    });
+    let options = default_options(quick);
     let mut rows = Vec::new();
     for &ppi in ppis {
         let cfg = ScenarioConfig {
@@ -457,14 +430,9 @@ pub fn exp6_sharing(quick: bool) -> Vec<SharingRow> {
     rows
 }
 
-/// Ablation: the three Equation 1 encodings on one instance family.
+/// Ablation A1: the three Equation 1 encodings on one instance family.
 pub fn ablate_dependency(quick: bool) -> Vec<SolveRow> {
     let ns: &[usize] = if quick { &[8] } else { &[20, 40, 60] };
-    let tl = if quick {
-        QUICK_TIME_LIMIT
-    } else {
-        FULL_TIME_LIMIT
-    };
     let mut rows = Vec::new();
     for &n in ns {
         for (name, dep) in [
@@ -481,7 +449,7 @@ pub fn ablate_dependency(quick: bool) -> Vec<SolveRow> {
                 capacity: 60,
                 seed: 23,
             };
-            let mut options = default_options(tl);
+            let mut options = default_options(quick);
             options.dependency = dep;
             rows.push(run_point(name, &cfg, &options, false));
         }
@@ -493,11 +461,6 @@ pub fn ablate_dependency(quick: bool) -> Vec<SolveRow> {
 /// paper's §IV-D future work, implemented and measured here).
 pub fn ablate_sat_vs_ilp(quick: bool) -> Vec<SolveRow> {
     let ns: &[usize] = if quick { &[8] } else { &[20, 40, 60, 80] };
-    let tl = if quick {
-        QUICK_TIME_LIMIT
-    } else {
-        FULL_TIME_LIMIT
-    };
     let mut rows = Vec::new();
     for &n in ns {
         let cfg = ScenarioConfig {
@@ -510,7 +473,7 @@ pub fn ablate_sat_vs_ilp(quick: bool) -> Vec<SolveRow> {
             seed: 29,
         };
         // ILP (optimizing).
-        rows.push(run_point("ilp", &cfg, &default_options(tl), false));
+        rows.push(run_point("ilp", &cfg, &default_options(quick), false));
         // PB-SAT (feasibility only), measured directly on the encoding.
         let instance = build_instance(&cfg);
         let t = Instant::now();
@@ -522,8 +485,9 @@ pub fn ablate_sat_vs_ilp(quick: bool) -> Vec<SolveRow> {
             paths: cfg.total_paths(),
             capacity: cfg.capacity,
             seed: cfg.seed,
+            // A model with no bound proven on it.
             status: if solved.is_some() {
-                SolveStatus::Optimal
+                SolveStatus::Feasible
             } else {
                 SolveStatus::Infeasible
             },
@@ -533,6 +497,65 @@ pub fn ablate_sat_vs_ilp(quick: bool) -> Vec<SolveRow> {
             rows: enc.constraint_count(),
             nodes: enc.conflicts() as usize,
         });
+    }
+    rows
+}
+
+/// Ablation A3: merge-variable linking on the Table II family — the
+/// per-member AND linearization against the paper's literal Eq. 5 — as
+/// the number of shared (mergeable) rules grows.
+pub fn ablate_merge_linking(quick: bool) -> Vec<SolveRow> {
+    let shared_counts: &[usize] = if quick { &[2] } else { &[2, 4, 6] };
+    let mut rows = Vec::new();
+    for &shared in shared_counts {
+        for (name, linking) in [
+            ("per-member", MergeLinking::PerMember),
+            ("eq5", MergeLinking::Aggregated),
+        ] {
+            let cfg = ScenarioConfig {
+                k: 4,
+                ingresses: if quick { 4 } else { 8 },
+                paths_per_ingress: 2,
+                rules_per_policy: if quick { 6 } else { 10 },
+                shared_rules: shared,
+                capacity: 34,
+                seed: 23,
+            };
+            let mut options = default_options(quick);
+            options.merging = true;
+            options.merge_linking = linking;
+            rows.push(run_point(name, &cfg, &options, !quick));
+        }
+    }
+    rows
+}
+
+/// Ablation A4: the greedy warm-start incumbent on and off, on the
+/// Figure 7 family around its hard band (k=4, C=60).
+pub fn ablate_warm_start(quick: bool) -> Vec<SolveRow> {
+    let (ns, seeds): (&[usize], &[u64]) = if quick {
+        (&[8], &[7])
+    } else {
+        (&[20, 30, 35, 40, 45], &[7, 23, 29])
+    };
+    let mut rows = Vec::new();
+    for &n in ns {
+        for &seed in seeds {
+            for (name, warm) in [("greedy-warm", true), ("cold", false)] {
+                let cfg = ScenarioConfig {
+                    k: 4,
+                    ingresses: if quick { 4 } else { 8 },
+                    paths_per_ingress: 2,
+                    rules_per_policy: n,
+                    shared_rules: 0,
+                    capacity: 60,
+                    seed,
+                };
+                let mut options = default_options(quick);
+                options.greedy_warm_start = warm;
+                rows.push(run_point(name, &cfg, &options, !quick));
+            }
+        }
     }
     rows
 }
@@ -581,5 +604,17 @@ mod tests {
         assert_eq!(dep.len(), 3);
         let sat = ablate_sat_vs_ilp(true);
         assert_eq!(sat.len(), 2);
+        for (rows, arms) in [
+            (ablate_merge_linking(true), ["per-member", "eq5"]),
+            (ablate_warm_start(true), ["greedy-warm", "cold"]),
+        ] {
+            for arm in arms {
+                assert!(rows.iter().any(|r| r.label == arm), "no {arm} row");
+            }
+            for r in &rows {
+                let solved = matches!(r.status, SolveStatus::Optimal | SolveStatus::Feasible);
+                assert_eq!(r.objective.is_some(), solved, "{r:?}");
+            }
+        }
     }
 }

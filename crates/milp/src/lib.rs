@@ -12,8 +12,9 @@
 //!   warm incumbents, time/node limits, and optional lazy-constraint
 //!   callbacks (used by the placement encoder to generate dependency rows
 //!   on demand);
-//! * a conservative presolve (duplicate-row removal, singleton-row bound
-//!   tightening, fixed-variable detection).
+//! * [`presolve`] — a conservative standalone reduction (duplicate-row
+//!   removal, singleton-row bound tightening, empty-row checks) the
+//!   caller applies itself: neither solve entry point runs it.
 //!
 //! # Example
 //!

@@ -1,7 +1,9 @@
 //! Conservative presolve reductions.
 //!
-//! Applied before branch & bound to shrink the model without changing its
-//! solution set (projected to the original variables):
+//! A standalone pass a caller may run on a model before handing it to
+//! [`crate::solve_mip`] — no solve path calls it. It shrinks the model
+//! without changing its solution set (projected to the original
+//! variables):
 //!
 //! * **Duplicate rows** — identical `(terms, cmp, rhs)` rows are removed.
 //! * **Singleton rows** — a row with one variable becomes a bound update.

@@ -3,10 +3,10 @@
 #
 # All output from library crates goes through flowplace-obs (spans +
 # metrics on a deterministic virtual clock) or a caller-provided Write
-# sink (e.g. the bench harness's report writer); a raw print macro in a
-# library bypasses both, is invisible to the canonical telemetry dumps,
-# and can corrupt machine-readable stdout. Binaries own stdout and are
-# exempt: src/bin/ and crates/*/src/bin/.
+# sink; a raw print macro in a library bypasses both, is invisible to
+# the canonical telemetry dumps, and can corrupt machine-readable
+# stdout. Binaries own stdout and are exempt: src/bin/ and
+# crates/*/src/bin/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -250,7 +250,7 @@ pub struct PlacementOptions {
     /// may not be placed upstream of the monitor (§VII future work,
     /// implemented in [`crate::monitor`]).
     pub monitors: Vec<MonitorRequirement>,
-    /// Branch-and-bound options (time/node limits, tolerances).
+    /// Branch-and-bound options (time/node limits, warm incumbent).
     pub mip: MipOptions,
     /// Parallel-pipeline configuration: worker threads for the
     /// construction stages. The default (`threads: 1`) is the serial

@@ -164,8 +164,10 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
             h.usize(n);
         }
     }
-    h.f64(options.mip.integrality_tol);
-    h.f64(options.mip.absolute_gap);
+    // Retired `mip.{integrality_tol, absolute_gap}`: constants now,
+    // hashed where the fields were so pinned fingerprints hold.
+    h.f64(flowplace_milp::INTEGRALITY_TOL);
+    h.f64(flowplace_milp::ABSOLUTE_GAP);
     match &options.mip.initial_solution {
         None => h.bool(false),
         Some(v) => {
@@ -176,8 +178,9 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
             }
         }
     }
-    h.usize(options.mip.lp.max_iterations);
-    h.f64(options.mip.lp.tolerance);
+    // Retired `mip.lp.{max_iterations, tolerance}`, likewise.
+    h.usize(flowplace_milp::LP_MAX_ITERATIONS);
+    h.f64(flowplace_milp::LP_TOLERANCE);
     // Retired `parallel.portfolio`: pinned fingerprints were taken with it off.
     h.bool(false);
     // Retired `RestartStrategy::Glucose` (= 1), the only schedule left.

@@ -16,35 +16,23 @@ use crate::status::{LpOutcome, MipOutcome, MipSolution, MipStatus};
 /// when actually violated.
 pub type LazyCallback<'a> = dyn FnMut(&[f64]) -> Vec<crate::model::Constraint> + 'a;
 
+/// Integrality tolerance on binary variables.
+pub const INTEGRALITY_TOL: f64 = 1e-6;
+/// Nodes whose LP bound is within this of the incumbent are pruned.
+pub const ABSOLUTE_GAP: f64 = 1e-6;
+
 /// Options controlling a MIP solve.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct MipOptions {
     /// Wall-clock budget; `None` = unlimited.
     pub time_limit: Option<Duration>,
     /// Maximum branch-and-bound nodes; `None` = unlimited.
     pub node_limit: Option<usize>,
-    /// Integrality tolerance on binary variables.
-    pub integrality_tol: f64,
-    /// Prune nodes whose LP bound is within this of the incumbent.
-    pub absolute_gap: f64,
     /// Optional warm-start solution; used as the initial incumbent if it
     /// is feasible for the model (and accepted by the lazy callback).
     pub initial_solution: Option<Vec<f64>>,
     /// LP sub-solver options.
     pub lp: LpOptions,
-}
-
-impl Default for MipOptions {
-    fn default() -> Self {
-        MipOptions {
-            time_limit: None,
-            node_limit: None,
-            integrality_tol: 1e-6,
-            absolute_gap: 1e-6,
-            initial_solution: None,
-            lp: LpOptions::default(),
-        }
-    }
 }
 
 /// Solves `model` to integer optimality (or a limit) without lazy rows.
@@ -165,7 +153,7 @@ pub fn solve_mip_lazy(
         if integral_objective {
             inc - 1.0 + 1e-6
         } else {
-            inc - options.absolute_gap
+            inc - ABSOLUTE_GAP
         }
     };
 
@@ -274,9 +262,7 @@ pub fn solve_mip_lazy(
                     for &b in &binaries {
                         let x = sol.values[b.0];
                         let dist = (x - x.round()).abs();
-                        if dist > options.integrality_tol
-                            && frac.map(|(_, d)| dist > d).unwrap_or(true)
-                        {
+                        if dist > INTEGRALITY_TOL && frac.map(|(_, d)| dist > d).unwrap_or(true) {
                             frac = Some((b, dist));
                         }
                     }
@@ -305,7 +291,7 @@ pub fn solve_mip_lazy(
                                 let hobj = work.objective_value(&heur) * mul;
                                 let better = incumbent
                                     .as_ref()
-                                    .map(|(inc, _)| hobj < inc - options.absolute_gap)
+                                    .map(|(inc, _)| hobj < inc - ABSOLUTE_GAP)
                                     .unwrap_or(true);
                                 if better {
                                     let cuts = lazy(&heur);
@@ -342,7 +328,7 @@ pub fn solve_mip_lazy(
             None => {
                 let better = incumbent
                     .as_ref()
-                    .map(|(inc, _)| bound < inc - options.absolute_gap)
+                    .map(|(inc, _)| bound < inc - ABSOLUTE_GAP)
                     .unwrap_or(true);
                 if better {
                     incumbent = Some((bound, values));

@@ -43,9 +43,11 @@ mod presolve;
 mod simplex;
 mod status;
 
-pub use branch::{solve_mip, solve_mip_lazy, LazyCallback, MipOptions};
+pub use branch::{
+    solve_mip, solve_mip_lazy, LazyCallback, MipOptions, ABSOLUTE_GAP, INTEGRALITY_TOL,
+};
 pub use lpformat::to_lp_format;
 pub use model::{Cmp, Constraint, Model, Sense, VarId, VarKind};
 pub use presolve::presolve;
-pub use simplex::{solve_lp, LpOptions};
+pub use simplex::{solve_lp, LpOptions, LP_MAX_ITERATIONS, LP_TOLERANCE};
 pub use status::{LpOutcome, LpSolution, LpStatus, MipOutcome, MipSolution, MipStatus, SolveError};

@@ -11,28 +11,19 @@
 use crate::model::{Cmp, Model, Sense};
 use crate::status::{LpOutcome, LpSolution, SolveError};
 
+/// Hard cap on total simplex iterations (both phases) of one LP solve.
+pub const LP_MAX_ITERATIONS: usize = 200_000;
+/// Reduced-cost / pivot tolerance of the simplex.
+pub const LP_TOLERANCE: f64 = 1e-9;
+
 /// Options controlling an LP solve.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LpOptions {
-    /// Hard cap on total simplex iterations (both phases).
-    pub max_iterations: usize,
-    /// Reduced-cost / pivot tolerance.
-    pub tolerance: f64,
     /// Hard wall-clock deadline, checked once per iteration. An expired
     /// solve reports [`LpOutcome::IterationLimit`]. The MIP driver
     /// derives this from its own time limit so a single oversized LP
     /// cannot overshoot the budget by more than one iteration.
     pub deadline: Option<std::time::Instant>,
-}
-
-impl Default for LpOptions {
-    fn default() -> Self {
-        LpOptions {
-            max_iterations: 200_000,
-            tolerance: 1e-9,
-            deadline: None,
-        }
-    }
 }
 
 /// Solves the LP relaxation of `model` with default options.
@@ -134,10 +125,8 @@ struct Simplex {
     /// Values of basic variables, by row.
     xb: Vec<f64>,
     iterations: usize,
-    max_iterations: usize,
     /// Wall-clock deadline (see [`LpOptions::deadline`]).
     deadline: Option<std::time::Instant>,
-    tol: f64,
     /// Consecutive (near-)degenerate pivots; triggers Bland's rule.
     degenerate_streak: usize,
     /// First artificial column index (columns `>= art_start` are
@@ -206,7 +195,7 @@ impl Simplex {
             let sj = n + i;
             let (sl, su) = (lower[sj], upper[sj]);
             let r = resid[i];
-            if r >= sl - options.tolerance && r <= su + options.tolerance {
+            if r >= sl - LP_TOLERANCE && r <= su + LP_TOLERANCE {
                 status.push(VStat::Basic(i));
                 basis[i] = sj;
                 xb[i] = r;
@@ -253,9 +242,7 @@ impl Simplex {
             binv,
             xb,
             iterations: 0,
-            max_iterations: options.max_iterations,
             deadline: options.deadline,
-            tol: options.tolerance,
             degenerate_streak: 0,
             art_start: art_candidate,
         })
@@ -415,7 +402,7 @@ impl Simplex {
                     }
                 }
             }
-            if self.iterations >= self.max_iterations {
+            if self.iterations >= LP_MAX_ITERATIONS {
                 return PhaseResult::IterationLimit;
             }
             if let Some(deadline) = self.deadline {
@@ -452,9 +439,9 @@ impl Simplex {
                 }
                 let d = self.cost[j] - self.cols[j].iter().map(|&(r, a)| y[r] * a).sum::<f64>();
                 let (eligible, sigma) = match st {
-                    VStat::AtLower => (d < -self.tol, 1.0),
-                    VStat::AtUpper => (d > self.tol, -1.0),
-                    VStat::FreeZero => (d.abs() > self.tol, if d < 0.0 { 1.0 } else { -1.0 }),
+                    VStat::AtLower => (d < -LP_TOLERANCE, 1.0),
+                    VStat::AtUpper => (d > LP_TOLERANCE, -1.0),
+                    VStat::FreeZero => (d.abs() > LP_TOLERANCE, if d < 0.0 { 1.0 } else { -1.0 }),
                     VStat::Basic(_) => unreachable!(),
                 };
                 if !eligible {

@@ -2,10 +2,9 @@
 
 use std::time::{Duration, Instant};
 
-use flowplace_core::encode_sat::SatEncoding;
 use flowplace_core::{
-    incremental, verify, DependencyEncoding, MergeLinking, Objective, PlacementOptions, RulePlacer,
-    SolveCtx, SolveStatus,
+    incremental, verify, DependencyEncoding, MergeLinking, Objective, PlacementOptions,
+    PlacerEngine, RulePlacer, SolveCtx, SolveStatus,
 };
 use flowplace_milp::MipOptions;
 use flowplace_rng::StdRng;
@@ -76,9 +75,9 @@ pub fn run_point(
     verify_solutions: bool,
 ) -> SolveRow {
     let instance = build_instance(cfg);
-    let outcome = RulePlacer::new(options.clone())
-        .place(&instance, Objective::TotalRules)
-        .expect("placement is infallible");
+    let t = Instant::now();
+    let outcome = RulePlacer::new(options.clone()).place(&instance, Objective::TotalRules);
+    let elapsed = t.elapsed();
     if verify_solutions {
         if let Some(p) = &outcome.placement {
             verify::verify_placement(&instance, p, 8, cfg.seed)
@@ -92,8 +91,12 @@ pub fn run_point(
         capacity: cfg.capacity,
         seed: cfg.seed,
         status: outcome.status,
-        elapsed: outcome.stats.elapsed,
-        objective: outcome.objective,
+        elapsed,
+        // The objective is always `TotalRules`; the SAT engine, which
+        // optimises nothing, reports none of its own.
+        objective: outcome
+            .objective
+            .or_else(|| outcome.placement.as_ref().map(|p| p.total_rules() as f64)),
         vars: outcome.stats.variables,
         rows: outcome.stats.constraints,
         nodes: outcome.stats.nodes,
@@ -205,9 +208,9 @@ pub fn exp3_merging(quick: bool) -> Vec<MergeRow> {
                 let mut options = default_options(quick);
                 options.merging = merging;
                 let instance = build_instance(&cfg);
-                let outcome = RulePlacer::new(options)
-                    .place(&instance, Objective::TotalRules)
-                    .expect("placement is infallible");
+                let t = Instant::now();
+                let outcome = RulePlacer::new(options).place(&instance, Objective::TotalRules);
+                let elapsed = t.elapsed();
                 let placement = outcome.placement;
                 if !quick {
                     if let Some(p) = &placement {
@@ -224,7 +227,7 @@ pub fn exp3_merging(quick: bool) -> Vec<MergeRow> {
                     overhead: placement
                         .as_ref()
                         .map(|p| p.duplication_overhead(&instance)),
-                    elapsed: outcome.stats.elapsed,
+                    elapsed,
                 });
             }
         }
@@ -289,9 +292,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
     };
     let instance = build_instance(&base_cfg);
     let t0 = Instant::now();
-    let outcome = RulePlacer::new(options.clone())
-        .place(&instance, Objective::TotalRules)
-        .expect("placement is infallible");
+    let outcome = RulePlacer::new(options.clone()).place(&instance, Objective::TotalRules);
     let full_solve = t0.elapsed();
     let placement = outcome.placement.expect("base configuration is feasible");
 
@@ -318,6 +319,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
                 vec![route],
             ));
         }
+        let t = Instant::now();
         let out = incremental::install_policies(
             &instance,
             &placement,
@@ -331,7 +333,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
             op: "install",
             scale,
             status: out.status,
-            elapsed: out.elapsed,
+            elapsed: t.elapsed(),
             full_solve,
         });
     }
@@ -354,6 +356,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
                     new_routes.push(r);
                 }
             }
+            let t = Instant::now();
             let out = incremental::reroute_policy(
                 &inst,
                 &plc,
@@ -364,7 +367,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
                 SolveCtx::default(),
             )
             .expect("ingress has a policy");
-            total += out.elapsed;
+            total += t.elapsed();
             status = out.status;
             if let Some(p) = out.placement {
                 inst = out.instance;
@@ -415,9 +418,7 @@ pub fn exp6_sharing(quick: bool) -> Vec<SharingRow> {
             seed: 19,
         };
         let instance = build_instance(&cfg);
-        let outcome = RulePlacer::new(options.clone())
-            .place(&instance, Objective::TotalRules)
-            .expect("placement is infallible");
+        let outcome = RulePlacer::new(options.clone()).place(&instance, Objective::TotalRules);
         if let Some(p) = outcome.placement {
             rows.push(SharingRow {
                 paths: cfg.total_paths(),
@@ -474,29 +475,12 @@ pub fn ablate_sat_vs_ilp(quick: bool) -> Vec<SolveRow> {
         };
         // ILP (optimizing).
         rows.push(run_point("ilp", &cfg, &default_options(quick), false));
-        // PB-SAT (feasibility only), measured directly on the encoding.
-        let instance = build_instance(&cfg);
-        let t = Instant::now();
-        let mut enc = SatEncoding::build(&instance, false);
-        let solved = enc.solve();
-        rows.push(SolveRow {
-            label: "pbsat".into(),
-            n,
-            paths: cfg.total_paths(),
-            capacity: cfg.capacity,
-            seed: cfg.seed,
-            // A model with no bound proven on it.
-            status: if solved.is_some() {
-                SolveStatus::Feasible
-            } else {
-                SolveStatus::Infeasible
-            },
-            elapsed: t.elapsed(),
-            objective: solved.map(|p| p.total_rules() as f64),
-            vars: enc.num_placement_vars(),
-            rows: enc.constraint_count(),
-            nodes: enc.conflicts() as usize,
-        });
+        // PB-SAT (feasibility only).
+        let sat = PlacementOptions {
+            engine: PlacerEngine::Sat,
+            ..PlacementOptions::default()
+        };
+        rows.push(run_point("pbsat", &cfg, &sat, false));
     }
     rows
 }

@@ -58,7 +58,7 @@
 //! ])?;
 //! let instance = Instance::new(topo, routes, vec![(EntryPortId(0), policy)])?;
 //! let outcome = RulePlacer::new(PlacementOptions::default())
-//!     .place(&instance, Objective::TotalRules)?;
+//!     .place(&instance, Objective::TotalRules);
 //! let placement = outcome.placement.expect("feasible");
 //! assert_eq!(placement.total_rules(), 2); // the DROP and its PERMIT shield
 //! # Ok(())
@@ -95,7 +95,7 @@ pub use monitor::MonitorRequirement;
 pub use objective::Objective;
 pub use par::{ParOutcome, ParallelConfig, Provenance, SolveCtx};
 pub use placement::{
-    DependencyEncoding, PlaceError, Placement, PlacementOptions, PlacementOutcome, PlacementStats,
+    DependencyEncoding, Placement, PlacementOptions, PlacementOutcome, PlacementStats,
     PlacerEngine, RulePlacer, SolveStatus,
 };
 pub use warm::{

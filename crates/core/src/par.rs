@@ -37,7 +37,7 @@ use crate::depgraph::DependencyGraph;
 use crate::monitor::restrict_candidates;
 use crate::placement::{place_ilp_with, place_sat_with};
 use crate::warm::{self, WarmCache, WarmStats};
-use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine};
+use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine, SolveStatus};
 use flowplace_obs::Obs;
 
 /// Parallel-pipeline configuration, carried in
@@ -340,7 +340,15 @@ pub fn solve(
     }
     drop(stage);
 
-    if let Some((c, fp)) = instance_fp {
+    // An ILP incumbent returned because the wall-clock budget expired is
+    // a function of the machine, not of the instance: only what a
+    // budgeted ILP solve proved may be replayed. (SAT takes no budget.)
+    let proven = matches!(
+        outcome.status,
+        SolveStatus::Optimal | SolveStatus::Infeasible
+    );
+    let budgeted = options.engine == PlacerEngine::Ilp && options.mip.time_limit.is_some();
+    if let Some((c, fp)) = instance_fp.filter(|_| proven || !budgeted) {
         c.memo_put(fp, &outcome);
     }
 
@@ -485,9 +493,8 @@ mod tests {
     #[test]
     fn pipeline_matches_serial_place() {
         let inst = multi_ingress_instance();
-        let serial = crate::RulePlacer::new(PlacementOptions::default())
-            .place(&inst, Objective::TotalRules)
-            .unwrap();
+        let serial =
+            crate::RulePlacer::new(PlacementOptions::default()).place(&inst, Objective::TotalRules);
         let mut options = PlacementOptions {
             parallel: ParallelConfig { threads: 4 },
             ..PlacementOptions::default()
@@ -498,9 +505,7 @@ mod tests {
         assert_eq!(par.outcome.status, serial.status);
         // The facade is the same pipeline at whatever thread count.
         options.parallel.threads = 3;
-        let routed = crate::RulePlacer::new(options)
-            .place(&inst, Objective::TotalRules)
-            .unwrap();
+        let routed = crate::RulePlacer::new(options).place(&inst, Objective::TotalRules);
         assert_eq!(routed.placement, serial.placement);
     }
 
@@ -538,21 +543,50 @@ mod tests {
 
         // First warm solve: every cache misses, result identical to cold.
         let first = solve(&inst, Objective::TotalRules, &options, ctx);
-        assert_eq!(first.outcome.placement, cold.outcome.placement);
-        assert_eq!(first.outcome.status, cold.outcome.status);
+        assert_eq!(first.outcome, cold.outcome);
         assert_eq!(first.provenance, cold.provenance);
 
         // Second warm solve of the identical instance: memo hit, O(1).
         let second = solve(&inst, Objective::TotalRules, &options, ctx);
         assert_eq!(second.provenance, Provenance::Memo);
-        assert_eq!(second.outcome.placement, cold.outcome.placement);
-        assert_eq!(second.outcome.status, cold.outcome.status);
+        assert_eq!(second.outcome, cold.outcome);
 
         let stats = cache.stats();
         assert_eq!(stats.memo_hits, 1);
         assert_eq!(stats.memo_misses, 1);
         assert_eq!(stats.depgraphs_built, 4);
         assert_eq!(stats.candidates_built, 4);
+    }
+
+    #[test]
+    fn budget_cut_ilp_incumbent_is_not_memoized() {
+        let inst = multi_ingress_instance();
+        // A zero budget: branch & bound stops before its first node and
+        // returns the greedy warm start, proving nothing about it.
+        let mut options = PlacementOptions {
+            greedy_warm_start: true,
+            ..PlacementOptions::default()
+        };
+        options.mip.time_limit = Some(Default::default());
+        let cache = crate::WarmCache::default();
+        let ctx = SolveCtx {
+            warm: Some(&cache),
+            obs: None,
+        };
+        let first = solve(&inst, Objective::TotalRules, &options, ctx);
+        assert_eq!(first.outcome.status, SolveStatus::Feasible);
+        let again = solve(&inst, Objective::TotalRules, &options, ctx);
+        assert_eq!(again.provenance, Provenance::Single(PlacerEngine::Ilp));
+        assert_eq!(cache.stats().memo_hits, 0);
+
+        // The SAT engine takes no budget: its `Feasible` is the
+        // instance's, and is replayed.
+        options.engine = PlacerEngine::Sat;
+        let sat = solve(&inst, Objective::TotalRules, &options, ctx);
+        assert_eq!(sat.outcome.status, SolveStatus::Feasible);
+        let replayed = solve(&inst, Objective::TotalRules, &options, ctx);
+        assert_eq!(replayed.provenance, Provenance::Memo);
+        assert_eq!(replayed.outcome, sat.outcome);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 use flowplace_acl::RuleId;
 use flowplace_milp::{solve_mip_lazy, MipOptions, MipStatus};
@@ -178,9 +177,11 @@ pub enum PlacerEngine {
 /// Outcome status of a placement solve.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SolveStatus {
-    /// Proven optimal (ILP) — or satisfying, for the SAT engine.
+    /// Proven optimal (ILP engine only).
     Optimal,
-    /// Feasible but optimality not proven (limits hit).
+    /// A placement in hand, no bound proven on it: an ILP limit was hit,
+    /// or the SAT engine (§IV-D asks only for *a* satisfying placement)
+    /// or a greedy operation produced it.
     Feasible,
     /// Proven infeasible.
     Infeasible,
@@ -199,8 +200,10 @@ impl fmt::Display for SolveStatus {
     }
 }
 
-/// Model/search statistics of a placement solve.
-#[derive(Clone, Copy, Debug, Default)]
+/// Model/search statistics of a placement solve: what it cost in
+/// effort, a function of (instance, options, objective) like the rest of
+/// the outcome. A caller that wants seconds holds its own stopwatch.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct PlacementStats {
     /// Binary placement variables in the model.
     pub variables: usize,
@@ -212,8 +215,6 @@ pub struct PlacementStats {
     pub lp_iterations: usize,
     /// Lazy dependency rows generated (ILP lazy mode only).
     pub lazy_rows: usize,
-    /// Wall-clock solve time.
-    pub elapsed: Duration,
     /// Full CDCL statistics when the SAT engine produced this outcome
     /// (restarts, blocked restarts, DB reductions, learnt clauses, LBD
     /// accounting); `None` for ILP/greedy/memo outcomes.
@@ -221,7 +222,7 @@ pub struct PlacementStats {
 }
 
 /// The result of [`RulePlacer::place`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PlacementOutcome {
     /// The placement, when one was found.
     pub placement: Option<Placement>,
@@ -269,20 +270,6 @@ pub struct RulePlacer {
     options: PlacementOptions,
 }
 
-/// Error from [`RulePlacer::place`]. Currently placement never fails with
-/// an error (infeasibility is a status), but the signature leaves room
-/// for instance-validation failures in future extensions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlaceError {}
-
-impl fmt::Display for PlaceError {
-    fn fmt(&self, _f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        unreachable!("PlaceError has no variants")
-    }
-}
-
-impl std::error::Error for PlaceError {}
-
 impl RulePlacer {
     /// Creates a placer with the given options.
     pub fn new(options: PlacementOptions) -> Self {
@@ -298,18 +285,10 @@ impl RulePlacer {
     /// (the SAT engine ignores the objective and returns any feasible
     /// placement): the cold, unobserved [`crate::par::solve`]. Callers
     /// holding a warm cache or a telemetry sink call that directly.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today (see [`PlaceError`]); infeasibility is reported
-    /// via [`PlacementOutcome::status`].
-    pub fn place(
-        &self,
-        instance: &Instance,
-        objective: Objective,
-    ) -> Result<PlacementOutcome, PlaceError> {
+    /// Infeasibility is reported via [`PlacementOutcome::status`].
+    pub fn place(&self, instance: &Instance, objective: Objective) -> PlacementOutcome {
         let ctx = crate::par::SolveCtx::default();
-        Ok(crate::par::solve(instance, objective, &self.options, ctx).outcome)
+        crate::par::solve(instance, objective, &self.options, ctx).outcome
     }
 }
 
@@ -321,7 +300,6 @@ pub(crate) fn place_ilp_with(
     objective: &Objective,
     candidates: &CandidateMap,
 ) -> PlacementOutcome {
-    let start = Instant::now();
     let enc = IlpEncoding::build_with_candidates(
         instance,
         objective,
@@ -368,7 +346,6 @@ pub(crate) fn place_ilp_with(
             nodes: out.nodes,
             lp_iterations: out.lp_iterations,
             lazy_rows: out.lazy_rows_added,
-            elapsed: start.elapsed(),
             sat: None,
         },
     }
@@ -381,11 +358,11 @@ pub(crate) fn place_sat_with(
     instance: &Instance,
     candidates: &CandidateMap,
 ) -> PlacementOutcome {
-    let start = Instant::now();
     let mut enc =
         SatEncoding::build_with_candidates_opts(instance, options.merging, candidates, options.sat);
     let (placement, status) = match enc.solve() {
-        Some(p) => (Some(p), SolveStatus::Optimal),
+        // A model, with no bound proven on it.
+        Some(p) => (Some(p), SolveStatus::Feasible),
         None => (None, SolveStatus::Infeasible),
     };
     PlacementOutcome {
@@ -398,7 +375,6 @@ pub(crate) fn place_sat_with(
             nodes: enc.conflicts() as usize,
             lp_iterations: 0,
             lazy_rows: 0,
-            elapsed: start.elapsed(),
             sat: Some(enc.solver_stats()),
         },
     }

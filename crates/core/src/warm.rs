@@ -397,8 +397,9 @@ impl WarmCache {
         }
     }
 
-    /// Memoizes a solved instance. Timeout outcomes are never stored —
-    /// they depend on wall clock, not on the instance.
+    /// Memoizes a solved instance. An outcome that concluded nothing is
+    /// never stored; [`crate::par::solve`] also withholds the incumbent
+    /// of an ILP solve whose wall-clock budget may have cut it short.
     pub(crate) fn memo_put(&self, fp: Fingerprint, outcome: &PlacementOutcome) {
         if outcome.status == SolveStatus::Unknown || self.config.memo_capacity == 0 {
             return;

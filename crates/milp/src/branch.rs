@@ -136,7 +136,6 @@ pub fn solve_mip_lazy(
             nodes: 0,
             lp_iterations: 0,
             lazy_rows_added: 0,
-            elapsed: start.elapsed(),
         };
     }
     let mut lp_options = options.lp.clone();
@@ -399,7 +398,6 @@ pub fn solve_mip_lazy(
         nodes,
         lp_iterations,
         lazy_rows_added,
-        elapsed: start.elapsed(),
     }
 }
 

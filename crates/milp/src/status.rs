@@ -1,7 +1,6 @@
 //! Solve outcomes for LP and MIP.
 
 use std::fmt;
-use std::time::Duration;
 
 /// A malformed model or a broken solver invariant, surfaced as data
 /// instead of a panic so a long-running caller (e.g. the controller
@@ -190,10 +189,6 @@ pub struct MipOutcome {
     pub lp_iterations: usize,
     /// Lazy-constraint rows added during the solve.
     pub lazy_rows_added: usize,
-    /// Wall-clock time spent inside the solver (excludes model
-    /// construction by the caller). Telemetry only — never feeds back
-    /// into search decisions, so determinism is unaffected.
-    pub elapsed: Duration,
 }
 
 impl MipOutcome {
@@ -253,7 +248,6 @@ mod tests {
             nodes: 3,
             lp_iterations: 10,
             lazy_rows_added: 0,
-            elapsed: Duration::ZERO,
         };
         assert!(o.is_optimal());
         assert!(o.to_string().contains("optimal"));

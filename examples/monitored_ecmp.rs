@@ -110,7 +110,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             greedy_warm_start: true,
             ..PlacementOptions::default()
         });
-        let outcome = placer.place(&instance, Objective::TotalRules)?;
+        let outcome = placer.place(&instance, Objective::TotalRules);
         match outcome.placement {
             None => println!("{label}: {}", outcome.status),
             Some(p) => {

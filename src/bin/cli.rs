@@ -418,7 +418,9 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
         warm: None,
         obs: obs.as_ref(),
     };
+    let started = std::time::Instant::now();
     let par = par::solve(&instance, objective, &options, ctx);
+    let took = started.elapsed();
     if parallel.is_parallel() {
         println!(
             "pipeline: {} threads, engine {}",
@@ -431,7 +433,7 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
     println!(
         "status: {} in {:?} ({} vars, {} rows, {} nodes)",
         outcome.status,
-        outcome.stats.elapsed,
+        took,
         outcome.stats.variables,
         outcome.stats.constraints,
         outcome.stats.nodes

@@ -49,7 +49,7 @@
 //! ])?;
 //! let instance = Instance::new(topo, routes, vec![(EntryPortId(0), policy)])?;
 //! let outcome =
-//!     RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules)?;
+//!     RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
 //! assert!(outcome.placement.is_some());
 //! # Ok(())
 //! # }

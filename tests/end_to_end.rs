@@ -57,8 +57,7 @@ fn ilp_placement_verifies_on_fat_tree() {
         false,
         DependencyEncoding::Pairwise,
     ))
-    .place(&instance, Objective::TotalRules)
-    .unwrap();
+    .place(&instance, Objective::TotalRules);
     assert_eq!(outcome.status, SolveStatus::Optimal);
     let placement = outcome.placement.unwrap();
     verify::verify_placement(&instance, &placement, 128, 1).expect("semantics preserved");
@@ -72,9 +71,8 @@ fn sat_placement_verifies_on_fat_tree() {
         false,
         DependencyEncoding::Pairwise,
     ))
-    .place(&instance, Objective::TotalRules)
-    .unwrap();
-    assert_eq!(outcome.status, SolveStatus::Optimal);
+    .place(&instance, Objective::TotalRules);
+    assert_eq!(outcome.status, SolveStatus::Feasible);
     let placement = outcome.placement.unwrap();
     verify::verify_placement(&instance, &placement, 128, 2).expect("semantics preserved");
 }
@@ -89,8 +87,7 @@ fn all_dependency_encodings_reach_same_objective() {
         DependencyEncoding::Lazy,
     ] {
         let outcome = RulePlacer::new(options(PlacerEngine::Ilp, false, dep))
-            .place(&instance, Objective::TotalRules)
-            .unwrap();
+            .place(&instance, Objective::TotalRules);
         assert_eq!(outcome.status, SolveStatus::Optimal, "encoding {dep:?}");
         objectives.push(outcome.objective.unwrap());
     }
@@ -102,11 +99,9 @@ fn all_dependency_encodings_reach_same_objective() {
 fn merging_never_increases_total_rules_and_verifies() {
     let instance = small_fat_tree_instance(6, 8, 4, 40, 9);
     let plain = RulePlacer::new(options(PlacerEngine::Ilp, false, DependencyEncoding::Lazy))
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+        .place(&instance, Objective::TotalRules);
     let merged = RulePlacer::new(options(PlacerEngine::Ilp, true, DependencyEncoding::Lazy))
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+        .place(&instance, Objective::TotalRules);
     let p0 = plain.placement.expect("plain feasible");
     let p1 = merged.placement.expect("merged feasible");
     assert!(
@@ -129,15 +124,13 @@ fn sat_and_ilp_agree_on_feasibility() {
             false,
             DependencyEncoding::Pairwise,
         ))
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+        .place(&instance, Objective::TotalRules);
         let sat = RulePlacer::new(options(
             PlacerEngine::Sat,
             false,
             DependencyEncoding::Pairwise,
         ))
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+        .place(&instance, Objective::TotalRules);
         let ilp_feasible = ilp.placement.is_some();
         let sat_feasible = sat.placement.is_some();
         assert_eq!(
@@ -151,8 +144,7 @@ fn sat_and_ilp_agree_on_feasibility() {
 fn emitted_tables_respect_capacity() {
     let instance = small_fat_tree_instance(6, 12, 2, 30, 17);
     let outcome = RulePlacer::new(options(PlacerEngine::Ilp, true, DependencyEncoding::Lazy))
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+        .place(&instance, Objective::TotalRules);
     let Some(placement) = outcome.placement else {
         panic!("expected feasible at capacity 30");
     };
@@ -181,7 +173,6 @@ fn distance_weighted_prefers_upstream() {
         DependencyEncoding::Pairwise,
     ))
     .place(&instance, Objective::TotalRules)
-    .unwrap()
     .placement
     .unwrap();
     let upstream = RulePlacer::new(options(
@@ -190,7 +181,6 @@ fn distance_weighted_prefers_upstream() {
         DependencyEncoding::Pairwise,
     ))
     .place(&instance, Objective::DistanceWeighted)
-    .unwrap()
     .placement
     .unwrap();
     // Mean hop distance of placed rules must not increase.
@@ -228,8 +218,7 @@ fn redundancy_removal_pre_pass_preserves_outcome_feasibility() {
     )
     .unwrap();
     let outcome = RulePlacer::new(options(PlacerEngine::Ilp, false, DependencyEncoding::Lazy))
-        .place(&reduced_instance, Objective::TotalRules)
-        .unwrap();
+        .place(&reduced_instance, Objective::TotalRules);
     let placement = outcome.placement.expect("reduced instance feasible");
     verify::verify_placement(&reduced_instance, &placement, 128, 5).expect("verified");
     // And the deployment of the reduced policy equals the original
@@ -259,9 +248,8 @@ fn placement_over_full_ecmp_path_set_verifies() {
     ])
     .unwrap();
     let instance = Instance::new(topo, routes, vec![(EntryPortId(0), policy)]).unwrap();
-    let outcome = RulePlacer::new(PlacementOptions::default())
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+    let outcome =
+        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
     let p = outcome.placement.expect("feasible");
     // The shared ingress edge switch covers all four paths with one pair.
     assert_eq!(p.total_rules(), 2);

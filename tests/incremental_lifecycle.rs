@@ -55,13 +55,11 @@ fn lifecycle_with_rolling_updates() {
         policies.push((ingress, generator.policy(12, i as u64)));
     }
     let mut instance = Instance::new(topo, routes, policies).unwrap();
-    let outcome = RulePlacer::new(options())
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+    let outcome = RulePlacer::new(options()).place(&instance, Objective::TotalRules);
     let mut placement = outcome.placement.expect("day 0 feasible");
     verify::verify_placement(&instance, &placement, 64, 100).unwrap();
     assert_capacity_respected(&instance, &placement);
-    let full_solve = outcome.stats.elapsed;
+    let day0 = outcome.stats;
 
     // Weeks 1..3: one new tenant each, via restricted sub-solves.
     for week in 0..3usize {
@@ -91,11 +89,12 @@ fn lifecycle_with_rolling_updates() {
         placement = out.placement.unwrap();
         verify::verify_placement(&instance, &placement, 64, 101 + week as u64).unwrap();
         assert_capacity_respected(&instance, &placement);
-        // Incremental should beat the full solve comfortably.
+        // The sub-problem models one tenant, not the whole network.
         assert!(
-            out.elapsed < full_solve * 10,
-            "week {week}: incremental {:?} vs full {full_solve:?}",
-            out.elapsed
+            out.stats.variables < day0.variables,
+            "week {week}: incremental {} vars vs full {}",
+            out.stats.variables,
+            day0.variables
         );
     }
 

@@ -303,7 +303,7 @@ fn any_feasible_ilp_placement_verifies() {
     for case in 0..32 {
         let instance = rand_instance(&mut rng);
         let placer = RulePlacer::new(PlacementOptions::default());
-        let outcome = placer.place(&instance, Objective::TotalRules).unwrap();
+        let outcome = placer.place(&instance, Objective::TotalRules);
         if let Some(p) = outcome.placement {
             // Exhaustive: a pass is a proof over the full packet space.
             let result = verify::verify_placement_exhaustive(&instance, &p);
@@ -321,7 +321,7 @@ fn any_feasible_sat_placement_verifies() {
             engine: PlacerEngine::Sat,
             ..PlacementOptions::default()
         });
-        let outcome = placer.place(&instance, Objective::TotalRules).unwrap();
+        let outcome = placer.place(&instance, Objective::TotalRules);
         if let Some(p) = outcome.placement {
             let result = verify::verify_placement(&instance, &p, 64, 98);
             assert!(result.is_ok(), "case {case}: violation: {:?}", result.err());
@@ -334,15 +334,13 @@ fn merged_placement_verifies_and_never_costs_more() {
     let mut rng = StdRng::seed_from_u64(0x555);
     for case in 0..32 {
         let instance = rand_instance(&mut rng);
-        let plain = RulePlacer::new(PlacementOptions::default())
-            .place(&instance, Objective::TotalRules)
-            .unwrap();
+        let plain =
+            RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
         let merged = RulePlacer::new(PlacementOptions {
             merging: true,
             ..PlacementOptions::default()
         })
-        .place(&instance, Objective::TotalRules)
-        .unwrap();
+        .place(&instance, Objective::TotalRules);
         match (plain.placement, merged.placement) {
             (Some(p0), Some(p1)) => {
                 assert!(p1.total_rules() <= p0.total_rules(), "case {case}");
@@ -371,8 +369,7 @@ fn greedy_placement_verifies_when_it_succeeds() {
             assert!(result.is_ok(), "case {case}: violation: {:?}", result.err());
             // Greedy success implies the exact engines also find solutions.
             let ilp = RulePlacer::new(PlacementOptions::default())
-                .place(&instance, Objective::TotalRules)
-                .unwrap();
+                .place(&instance, Objective::TotalRules);
             assert!(
                 ilp.placement.is_some(),
                 "case {case}: ILP missed a greedy-feasible instance"
@@ -574,15 +571,25 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
     let options = PlacementOptions::default();
     let same = |case: usize, out: IncrementalOutcome, want: IncrementalOutcome| {
         let (got, want) = (
-            (format!("{:?}", out.instance), out.placement, out.status),
-            (format!("{:?}", want.instance), want.placement, want.status),
+            (
+                format!("{:?}", out.instance),
+                out.placement,
+                out.status,
+                out.stats,
+            ),
+            (
+                format!("{:?}", want.instance),
+                want.placement,
+                want.status,
+                want.stats,
+            ),
         );
         assert_eq!(got, want, "case {case}");
     };
     for case in 0..64 {
         let inst = rand_instance(&mut rng);
         let placed = RulePlacer::new(options.clone()).place(&inst, Objective::TotalRules);
-        let placement = placed.unwrap().placement.unwrap_or_default();
+        let placement = placed.placement.unwrap_or_default();
         let hub = SwitchId(0);
         let leaf = |l: EntryPortId| inst.topology().entry_port(l).switch;
 

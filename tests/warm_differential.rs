@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 use flowplace::acl::{Action, Policy, Rule, RuleId, Ternary};
-use flowplace::core::WarmConfig;
+use flowplace::core::{par, WarmCache, WarmConfig};
 use flowplace::ctrl::EventOutcome;
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
@@ -323,6 +323,19 @@ fn session_solves_are_deterministic_and_verified() {
                 )
                 .unwrap_or_else(|e| panic!("{at}: placement fails verify: {e}"));
             }
+            // A memo hit is the cold outcome, field for field: effort
+            // statistics included, and nothing in it is a clock reading.
+            let (options, objective) = (&warm.options().placement, &warm.options().objective);
+            let solve = |ctx| par::solve(warm.instance(), objective.clone(), options, ctx);
+            let cache = WarmCache::default();
+            let ctx = SolveCtx {
+                warm: Some(&cache),
+                obs: None,
+            };
+            let (cold_solve, _fill, hit) = (solve(SolveCtx::default()), solve(ctx), solve(ctx));
+            assert_eq!(hit.provenance, Provenance::Memo, "{engine:?} seed {seed}");
+            assert_eq!(hit.outcome, cold_solve.outcome, "{engine:?} seed {seed}");
+
             let (s, failed) = (warm.stats(), cold.stats().events_failed);
             assert_eq!(s.events_failed, failed, "{engine:?} seed {seed}");
             memo_hits += s.warm_memo_hits;

@@ -20,31 +20,10 @@ pub type CandidateMap = BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>;
 
 /// Builds the candidate map for an instance, honoring path slicing.
 pub fn build_candidates(instance: &Instance) -> CandidateMap {
-    let graphs: BTreeMap<EntryPortId, DependencyGraph> = instance
-        .policies()
-        .map(|(ingress, policy)| (ingress, DependencyGraph::build(policy)))
-        .collect();
-    build_candidates_with_graphs(instance, &graphs)
-}
-
-/// Like [`build_candidates`], but reuses dependency graphs built
-/// elsewhere (the parallel pipeline builds them per-ingress across
-/// threads, then feeds them here).
-///
-/// # Panics
-///
-/// Panics if `graphs` is missing an ingress that `instance` has a policy
-/// for.
-pub fn build_candidates_with_graphs(
-    instance: &Instance,
-    graphs: &BTreeMap<EntryPortId, DependencyGraph>,
-) -> CandidateMap {
     let mut map: CandidateMap = BTreeMap::new();
-    for (ingress, _policy) in instance.policies() {
-        let graph = graphs
-            .get(&ingress)
-            .expect("dependency graph missing for ingress");
-        for (rule, switches) in candidates_for_ingress(instance, ingress, graph) {
+    for (ingress, policy) in instance.policies() {
+        let graph = DependencyGraph::build(policy);
+        for (rule, switches) in candidates_for_ingress(instance, ingress, &graph) {
             map.insert((ingress, rule), switches);
         }
     }

@@ -13,8 +13,6 @@
 //! complete only in the sense that success yields a correct placement;
 //! failure does not prove infeasibility (that is the ILP's job).
 
-use std::collections::BTreeMap;
-
 use flowplace_acl::RuleId;
 use flowplace_topo::EntryPortId;
 
@@ -91,15 +89,6 @@ pub fn place_policy(
         }
     }
     Some(())
-}
-
-/// Per-rule placement counts by ingress, for diagnostics.
-pub fn rules_per_ingress(placement: &Placement) -> BTreeMap<EntryPortId, usize> {
-    let mut out: BTreeMap<EntryPortId, usize> = BTreeMap::new();
-    for ((l, _), switches) in placement.iter() {
-        *out.entry(*l).or_default() += switches.len();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -198,13 +187,5 @@ mod tests {
         // Only the requested drop is placed (its shields don't apply).
         assert_eq!(placement.total_rules(), 1);
         assert!(placement.is_placed(EntryPortId(0), RuleId(2), SwitchId(0)));
-    }
-
-    #[test]
-    fn per_ingress_counts() {
-        let inst = chain_instance(10);
-        let p = greedy_place(&inst).unwrap();
-        let counts = rules_per_ingress(&p);
-        assert_eq!(counts[&EntryPortId(0)], 3);
     }
 }

@@ -69,7 +69,6 @@
 #![warn(missing_docs)]
 
 pub mod arena_obs;
-pub mod baseline;
 pub mod candidates;
 pub mod depgraph;
 pub mod encode_ilp;

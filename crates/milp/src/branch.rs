@@ -336,7 +336,7 @@ pub fn solve_mip_lazy(
             Some(var) => {
                 let x = values[var.0];
                 // Children must stay within the variable's standing bounds
-                // (they may have been tightened by presolve or the user);
+                // (the caller may have tightened them with `set_bounds`);
                 // a branch value outside them is simply pruned.
                 type Child = (f64, Vec<(VarId, f64, f64)>);
                 let mut children: Vec<Child> = Vec::new();

@@ -11,10 +11,7 @@
 //!   most-fractional branching, depth-first dives, rounding incumbents,
 //!   warm incumbents, time/node limits, and optional lazy-constraint
 //!   callbacks (used by the placement encoder to generate dependency rows
-//!   on demand);
-//! * [`presolve`] — a conservative standalone reduction (duplicate-row
-//!   removal, singleton-row bound tightening, empty-row checks) the
-//!   caller applies itself: neither solve entry point runs it.
+//!   on demand).
 //!
 //! # Example
 //!
@@ -39,7 +36,6 @@
 mod branch;
 mod lpformat;
 mod model;
-mod presolve;
 mod simplex;
 mod status;
 
@@ -48,6 +44,5 @@ pub use branch::{
 };
 pub use lpformat::to_lp_format;
 pub use model::{Cmp, Constraint, Model, Sense, VarId, VarKind};
-pub use presolve::presolve;
 pub use simplex::{solve_lp, LpOptions, LP_MAX_ITERATIONS, LP_TOLERANCE};
 pub use status::{LpOutcome, LpSolution, LpStatus, MipOutcome, MipSolution, MipStatus, SolveError};

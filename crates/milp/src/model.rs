@@ -234,7 +234,7 @@ impl Model {
         &self.vars[var.0].name
     }
 
-    /// Overwrites a variable's bounds (used by presolve and branching).
+    /// Overwrites a variable's bounds (used by the caller to fix variables, and by branching).
     ///
     /// # Panics
     ///

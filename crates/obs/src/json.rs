@@ -9,7 +9,7 @@
 //! intervals must nest, metric rows must be sorted, histogram buckets
 //! must sum to their count.
 
-use crate::metrics::{Histogram, MetricValue, Registry, Sample, HISTOGRAM_BOUNDS};
+use crate::metrics::{Histogram, MetricValue, Registry, HISTOGRAM_BOUNDS};
 use crate::span::Recorder;
 use crate::SCHEMA;
 use std::fmt::Write as _;
@@ -483,17 +483,6 @@ pub struct MetricRow {
     pub labels: Vec<(String, String)>,
     /// The value (type tag included).
     pub value: MetricValue,
-}
-
-impl MetricRow {
-    /// Renders the row like a registry [`Sample`] (for summaries).
-    pub fn to_sample(&self) -> Sample {
-        Sample {
-            name: self.name.clone(),
-            labels: self.labels.clone(),
-            value: self.value.clone(),
-        }
-    }
 }
 
 /// A validated `"kind": "metrics"` document.

@@ -28,15 +28,17 @@
 //!
 //! # Determinism contract
 //!
-//! The warm path is **byte-identical** to the cold path for any
-//! deterministic configuration (no wall-clock limits): every cache key
-//! covers every input of the cached computation, and a memo hit returns
-//! exactly the outcome the cold solve produced for the identical
-//! instance. Nothing here knows either encoding or keeps solver state —
-//! stage 3 is a function of (instance, options, objective) alone, which
-//! is what makes the memo sound. The differential suite asserts the
-//! contract over seeded §IV-E update streams on both engines, including
-//! across rollback.
+//! The warm path is **byte-identical** to the cold path: every cache key
+//! covers every input of the cached computation, and a memo hit is the
+//! cold outcome, field for field — placement, status, objective and
+//! effort statistics; an outcome holds no clock reading. Nothing here
+//! knows either encoding or keeps solver state — stage 3 is a function
+//! of (instance, options, objective) alone, which is what makes the memo
+//! sound. The one thing that is not such a function, the incumbent of an
+//! ILP solve cut short by its wall-clock budget, is never memoized
+//! ([`crate::par::solve`]). The differential suite asserts the contract
+//! over seeded §IV-E update streams on both engines, including across
+//! rollback.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

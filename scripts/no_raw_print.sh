@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Library sources must not print.
+# Library sources must not print, and must not read the wall clock.
 #
 # All output from library crates goes through flowplace-obs (spans +
 # metrics on a deterministic virtual clock) or a caller-provided Write
@@ -21,3 +21,20 @@ if [ -n "$matches" ]; then
     exit 1
 fi
 echo "no raw print macros in library sources"
+
+# Library sources must not read the wall clock either: a solve's outcome
+# is a function of its inputs. What remains is the MIP budget
+# (`MipOptions::time_limit` / `LpOptions::deadline`, in milp's branch.rs
+# and simplex.rs); the experiment driver (crates/bench) and binaries
+# hold their own stopwatches.
+clock=$(grep -RnE 'std::time|Instant|Duration::from' crates/*/src \
+    | grep -vE '^crates/milp/src/(branch|simplex)\.rs:|^crates/bench/|^crates/[^/]+/src/bin/' \
+    || true)
+
+if [ -n "$clock" ]; then
+    echo "FAIL: wall clock in library sources:" >&2
+    echo "$clock" >&2
+    echo "Report effort (nodes, iterations) in the outcome; time it from the caller." >&2
+    exit 1
+fi
+echo "no wall clock in library sources outside the MIP budget"

@@ -234,7 +234,8 @@ impl Model {
         &self.vars[var.0].name
     }
 
-    /// Overwrites a variable's bounds (used by the caller to fix variables, and by branching).
+    /// Overwrites a variable's bounds (callers fix variables with it;
+    /// branching narrows them).
     ///
     /// # Panics
     ///

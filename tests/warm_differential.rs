@@ -332,7 +332,9 @@ fn session_solves_are_deterministic_and_verified() {
                 warm: Some(&cache),
                 obs: None,
             };
-            let (cold_solve, _fill, hit) = (solve(SolveCtx::default()), solve(ctx), solve(ctx));
+            let cold_solve = solve(SolveCtx::default());
+            solve(ctx);
+            let hit = solve(ctx);
             assert_eq!(hit.provenance, Provenance::Memo, "{engine:?} seed {seed}");
             assert_eq!(hit.outcome, cold_solve.outcome, "{engine:?} seed {seed}");
 

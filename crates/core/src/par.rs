@@ -347,7 +347,7 @@ pub fn solve(
         outcome.status,
         SolveStatus::Optimal | SolveStatus::Infeasible
     );
-    let budgeted = options.engine == PlacerEngine::Ilp && options.mip.time_limit.is_some();
+    let budgeted = options.engine == PlacerEngine::Ilp && options.mip.iteration_limit.is_some();
     if let Some((c, fp)) = instance_fp.filter(|_| proven || !budgeted) {
         c.memo_put(fp, &outcome);
     }
@@ -567,7 +567,7 @@ mod tests {
             greedy_warm_start: true,
             ..PlacementOptions::default()
         };
-        options.mip.time_limit = Some(Default::default());
+        options.mip.iteration_limit = Some(0);
         let cache = crate::WarmCache::default();
         let ctx = SolveCtx {
             warm: Some(&cache),

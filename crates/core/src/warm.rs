@@ -152,20 +152,15 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
         h.u128(m.flow.care());
         h.u128(m.flow.value());
     }
-    match options.mip.time_limit {
-        None => h.bool(false),
-        Some(d) => {
-            h.bool(true);
-            h.u128(d.as_nanos());
-        }
-    }
-    match options.mip.node_limit {
+    match options.mip.iteration_limit {
         None => h.bool(false),
         Some(n) => {
             h.bool(true);
             h.usize(n);
         }
     }
+    // Retired `mip.node_limit`: pinned fingerprints were taken with none.
+    h.bool(false);
     // Retired `mip.{integrality_tol, absolute_gap}`: constants now,
     // hashed where the fields were so pinned fingerprints hold.
     h.f64(flowplace_milp::INTEGRALITY_TOL);

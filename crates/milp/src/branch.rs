@@ -1,9 +1,7 @@
 //! Branch & bound over the LP relaxation.
 
-use std::time::{Duration, Instant};
-
 use crate::model::{Cmp, Model, Sense, VarId};
-use crate::simplex::{solve_lp_with, LpOptions};
+use crate::simplex::{solve_lp_with, LP_MAX_ITERATIONS};
 use crate::status::{LpOutcome, MipOutcome, MipSolution, MipStatus};
 
 /// A lazy-constraint callback.
@@ -24,15 +22,14 @@ pub const ABSOLUTE_GAP: f64 = 1e-6;
 /// Options controlling a MIP solve.
 #[derive(Clone, Debug, Default)]
 pub struct MipOptions {
-    /// Wall-clock budget; `None` = unlimited.
-    pub time_limit: Option<Duration>,
-    /// Maximum branch-and-bound nodes; `None` = unlimited.
-    pub node_limit: Option<usize>,
+    /// Budget in simplex iterations, summed over every LP of the
+    /// search; `None` = unlimited. A search that spends it stops with
+    /// what it has ([`MipStatus::Feasible`] or [`MipStatus::Unknown`]):
+    /// the same model and budget stop at the same point on any machine.
+    pub iteration_limit: Option<usize>,
     /// Optional warm-start solution; used as the initial incumbent if it
     /// is feasible for the model (and accepted by the lazy callback).
     pub initial_solution: Option<Vec<f64>>,
-    /// LP sub-solver options.
-    pub lp: LpOptions,
 }
 
 /// Solves `model` to integer optimality (or a limit) without lazy rows.
@@ -120,7 +117,6 @@ pub fn solve_mip_lazy(
     options: &MipOptions,
     lazy: &mut LazyCallback<'_>,
 ) -> MipOutcome {
-    let start = Instant::now();
     // Internal bound/prune logic is written for minimization.
     let mul = match model.sense {
         Sense::Minimize => 1.0,
@@ -137,10 +133,6 @@ pub fn solve_mip_lazy(
             lp_iterations: 0,
             lazy_rows_added: 0,
         };
-    }
-    let mut lp_options = options.lp.clone();
-    if lp_options.deadline.is_none() {
-        lp_options.deadline = options.time_limit.map(|limit| start + limit);
     }
     let mut work = model.clone();
     let binaries = work.binary_vars();
@@ -186,25 +178,16 @@ pub fn solve_mip_lazy(
     let mut open_bound_floor = f64::INFINITY;
 
     'search: while let Some(node) = stack.pop() {
-        if let Some(limit) = options.time_limit {
-            if start.elapsed() >= limit {
-                hit_limit = true;
-                open_bound_floor = open_bound_floor.min(node.parent_bound);
-                for rest in &stack {
-                    open_bound_floor = open_bound_floor.min(rest.parent_bound);
-                }
-                break 'search;
+        if options
+            .iteration_limit
+            .is_some_and(|limit| lp_iterations >= limit)
+        {
+            hit_limit = true;
+            open_bound_floor = open_bound_floor.min(node.parent_bound);
+            for rest in &stack {
+                open_bound_floor = open_bound_floor.min(rest.parent_bound);
             }
-        }
-        if let Some(limit) = options.node_limit {
-            if nodes >= limit {
-                hit_limit = true;
-                open_bound_floor = open_bound_floor.min(node.parent_bound);
-                for rest in &stack {
-                    open_bound_floor = open_bound_floor.min(rest.parent_bound);
-                }
-                break 'search;
-            }
+            break 'search;
         }
         nodes += 1;
 
@@ -228,17 +211,22 @@ pub fn solve_mip_lazy(
 
         // Solve this node (re-solving when lazy rows get added).
         let node_result = loop {
-            match solve_lp_with(&work, &lp_options) {
+            // What is left of the budget caps each LP, so one oversized
+            // LP cannot overshoot it.
+            let cap = options.iteration_limit.map_or(LP_MAX_ITERATIONS, |limit| {
+                LP_MAX_ITERATIONS.min(limit - lp_iterations)
+            });
+            let (outcome, spent) = solve_lp_with(&work, cap);
+            lp_iterations += spent;
+            match outcome {
                 LpOutcome::Infeasible => break None,
-                LpOutcome::Unbounded => {
-                    // A bounded-binary placement model can never be
-                    // unbounded unless continuous vars are; treat as a
-                    // node we cannot reason about and stop.
+                // A bounded-binary placement model can never be
+                // unbounded unless continuous vars are; like an LP cut
+                // by its cap, a node we cannot reason about: it stays
+                // open at its parent's bound.
+                LpOutcome::Unbounded | LpOutcome::IterationLimit => {
                     hit_limit = true;
-                    break None;
-                }
-                LpOutcome::IterationLimit => {
-                    hit_limit = true;
+                    open_bound_floor = open_bound_floor.min(node.parent_bound);
                     break None;
                 }
                 LpOutcome::Error(_) => {
@@ -249,7 +237,6 @@ pub fn solve_mip_lazy(
                     break None;
                 }
                 LpOutcome::Optimal(sol) => {
-                    lp_iterations += sol.iterations;
                     let bound = sol.objective * mul;
                     if let Some((inc, _)) = &incumbent {
                         if bound >= prune_slack(*inc) {
@@ -523,53 +510,72 @@ mod tests {
         assert!((out.solution().unwrap().objective - 1.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn node_limit_reports_feasible_or_unknown() {
+    /// Minimum vertex cover of an odd cycle: the LP optimum is
+    /// all-halves, so the root must branch.
+    fn odd_cycle(n: usize) -> Model {
         let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = (0..11).map(|i| m.add_binary(format!("x{i}"))).collect();
-        for v in &vars {
-            m.set_objective(*v, 1.0);
+        let vars: Vec<_> = (0..n).map(|i| m.add_binary(format!("x{i}"))).collect();
+        for (i, &v) in vars.iter().enumerate() {
+            m.set_objective(v, 1.0);
+            let next = vars[(i + 1) % n];
+            m.add_constraint(format!("c{i}"), vec![(v, 1.0), (next, 1.0)], Cmp::Ge, 1.0);
         }
-        // Odd-cycle constraints: the LP optimum is all-halves, so the
-        // root must branch and the 1-node limit fires before optimality.
-        for i in 0..11 {
-            let a = vars[i];
-            let b = vars[(i + 1) % 11];
-            m.add_constraint(format!("c{i}"), vec![(a, 1.0), (b, 1.0)], Cmp::Ge, 1.0);
-        }
-        let opts = MipOptions {
-            node_limit: Some(1),
+        m
+    }
+
+    fn budget(iterations: usize) -> MipOptions {
+        MipOptions {
+            iteration_limit: Some(iterations),
             ..MipOptions::default()
-        };
-        let out = solve_mip(&m, &opts);
-        assert!(matches!(
-            out.status,
-            MipStatus::Feasible | MipStatus::Unknown
-        ));
+        }
     }
 
     #[test]
-    fn time_limit_zero_reports_unknown() {
-        let mut m = Model::new(Sense::Minimize);
-        let vars: Vec<_> = (0..9).map(|i| m.add_binary(format!("x{i}"))).collect();
-        for v in &vars {
-            m.set_objective(*v, 1.0);
-        }
-        for i in 0..9 {
-            m.add_constraint(
-                format!("c{i}"),
-                vec![(vars[i], 1.0), (vars[(i + 1) % 9], 1.0)],
-                Cmp::Ge,
-                1.0,
-            );
-        }
-        let opts = MipOptions {
-            time_limit: Some(Duration::ZERO),
-            ..MipOptions::default()
-        };
-        let out = solve_mip(&m, &opts);
+    fn iteration_limit_zero_reports_unknown() {
+        let out = solve_mip(&odd_cycle(9), &budget(0));
         assert_eq!(out.status, MipStatus::Unknown);
         assert_eq!(out.nodes, 0);
+        assert_eq!(out.lp_iterations, 0);
+    }
+
+    #[test]
+    fn iteration_limit_cuts_mid_search_at_the_same_point_every_time() {
+        let m = odd_cycle(11);
+        let full = solve_mip(&m, &MipOptions::default());
+        assert!(full.is_optimal());
+        // One iteration short: the cut falls inside a child's LP, after
+        // the root's rounding incumbent.
+        let limit = full.lp_iterations - 1;
+        let cut = solve_mip(&m, &budget(limit));
+        assert_eq!(cut.status, MipStatus::Feasible);
+        assert!(cut.nodes > 1, "{cut}");
+        assert_eq!(cut.lp_iterations, limit);
+        assert!(cut.bound <= full.bound);
+        assert_eq!(solve_mip(&m, &budget(limit)), cut);
+    }
+
+    #[test]
+    fn lp_cut_by_the_budget_leaves_its_node_in_the_bound() {
+        // max 5a + 4b + 3c s.t. 2a + 3b + c <= 4: the root LP (b = 1/3)
+        // rounds to the optimum 8, child b = 0 confirms it, child b = 1
+        // is the last open node. One iteration short of the full search
+        // cuts that node's LP; it is still open, at the root's bound.
+        let mut m = Model::new(Sense::Maximize);
+        let a = m.add_binary("a");
+        let b = m.add_binary("b");
+        let c = m.add_binary("c");
+        m.set_objective(a, 5.0);
+        m.set_objective(b, 4.0);
+        m.set_objective(c, 3.0);
+        m.add_constraint("cap", vec![(a, 2.0), (b, 3.0), (c, 1.0)], Cmp::Le, 4.0);
+        let root = crate::solve_lp(&m).solution().unwrap().objective;
+        let full = solve_mip(&m, &MipOptions::default());
+        assert_eq!((full.status, full.nodes), (MipStatus::Optimal, 3));
+        let cut = solve_mip(&m, &budget(full.lp_iterations - 1));
+        assert_eq!((cut.status, cut.nodes), (MipStatus::Feasible, 3));
+        assert_eq!(cut.lp_iterations, full.lp_iterations - 1);
+        assert_eq!(cut.best, full.best);
+        assert!((cut.bound - root).abs() < 1e-9, "bound {}", cut.bound);
     }
 
     #[test]

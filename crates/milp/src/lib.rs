@@ -9,9 +9,10 @@
 //!   for the LP relaxation;
 //! * [`solve_mip`] — branch & bound over the LP relaxation with
 //!   most-fractional branching, depth-first dives, rounding incumbents,
-//!   warm incumbents, time/node limits, and optional lazy-constraint
-//!   callbacks (used by the placement encoder to generate dependency rows
-//!   on demand).
+//!   warm incumbents, a budget counted in simplex iterations (never in
+//!   seconds, so a cut search is repeatable), and optional
+//!   lazy-constraint callbacks (used by the placement encoder to generate
+//!   dependency rows on demand).
 //!
 //! # Example
 //!
@@ -44,5 +45,5 @@ pub use branch::{
 };
 pub use lpformat::to_lp_format;
 pub use model::{Cmp, Constraint, Model, Sense, VarId, VarKind};
-pub use simplex::{solve_lp, LpOptions, LP_MAX_ITERATIONS, LP_TOLERANCE};
+pub use simplex::{solve_lp, LP_MAX_ITERATIONS, LP_TOLERANCE};
 pub use status::{LpOutcome, LpSolution, LpStatus, MipOutcome, MipSolution, MipStatus, SolveError};

@@ -16,31 +16,24 @@ pub const LP_MAX_ITERATIONS: usize = 200_000;
 /// Reduced-cost / pivot tolerance of the simplex.
 pub const LP_TOLERANCE: f64 = 1e-9;
 
-/// Options controlling an LP solve.
-#[derive(Clone, Debug, Default)]
-pub struct LpOptions {
-    /// Hard wall-clock deadline, checked once per iteration. An expired
-    /// solve reports [`LpOutcome::IterationLimit`]. The MIP driver
-    /// derives this from its own time limit so a single oversized LP
-    /// cannot overshoot the budget by more than one iteration.
-    pub deadline: Option<std::time::Instant>,
-}
-
-/// Solves the LP relaxation of `model` with default options.
-pub fn solve_lp(model: &Model) -> LpOutcome {
-    solve_lp_with(model, &LpOptions::default())
-}
-
 /// Solves the LP relaxation of `model`.
-pub fn solve_lp_with(model: &Model, options: &LpOptions) -> LpOutcome {
+pub fn solve_lp(model: &Model) -> LpOutcome {
+    solve_lp_with(model, LP_MAX_ITERATIONS).0
+}
+
+/// Solves the LP relaxation of `model` in at most `max_iterations`
+/// simplex iterations; one more reports [`LpOutcome::IterationLimit`].
+/// Also returns the iterations spent, whatever the outcome.
+pub(crate) fn solve_lp_with(model: &Model, max_iterations: usize) -> (LpOutcome, usize) {
     if let Err(e) = validate_model(model) {
-        return LpOutcome::Error(e);
+        return (LpOutcome::Error(e), 0);
     }
-    let mut s = match Simplex::build(model, options) {
+    let mut s = match Simplex::build(model, max_iterations) {
         Ok(s) => s,
-        Err(e) => return LpOutcome::Error(e),
+        Err(e) => return (LpOutcome::Error(e), 0),
     };
-    s.solve(model)
+    let outcome = s.solve(model);
+    (outcome, s.iterations)
 }
 
 /// Rejects models the simplex cannot meaningfully process: NaN or
@@ -125,8 +118,8 @@ struct Simplex {
     /// Values of basic variables, by row.
     xb: Vec<f64>,
     iterations: usize,
-    /// Wall-clock deadline (see [`LpOptions::deadline`]).
-    deadline: Option<std::time::Instant>,
+    /// Cap on `iterations`, both phases together.
+    max_iterations: usize,
     /// Consecutive (near-)degenerate pivots; triggers Bland's rule.
     degenerate_streak: usize,
     /// First artificial column index (columns `>= art_start` are
@@ -135,7 +128,7 @@ struct Simplex {
 }
 
 impl Simplex {
-    fn build(model: &Model, options: &LpOptions) -> Result<Simplex, SolveError> {
+    fn build(model: &Model, max_iterations: usize) -> Result<Simplex, SolveError> {
         let m = model.constraints.len();
         let n = model.vars.len();
         let sense_mul = match model.sense {
@@ -242,7 +235,7 @@ impl Simplex {
             binv,
             xb,
             iterations: 0,
-            deadline: options.deadline,
+            max_iterations,
             degenerate_streak: 0,
             art_start: art_candidate,
         })
@@ -402,13 +395,8 @@ impl Simplex {
                     }
                 }
             }
-            if self.iterations >= LP_MAX_ITERATIONS {
+            if self.iterations >= self.max_iterations {
                 return PhaseResult::IterationLimit;
-            }
-            if let Some(deadline) = self.deadline {
-                if std::time::Instant::now() >= deadline {
-                    return PhaseResult::IterationLimit;
-                }
             }
             self.iterations += 1;
             let use_bland = self.degenerate_streak > 200;
@@ -597,8 +585,7 @@ mod tests {
     /// inverse and the reduced costs, reporting any inconsistency between
     /// the converged state and exact linear algebra.
     fn audit(model: &Model) -> (LpSolution, Vec<String>) {
-        let options = LpOptions::default();
-        let mut s = Simplex::build(model, &options).expect("audit models are well-formed");
+        let mut s = Simplex::build(model, LP_MAX_ITERATIONS).expect("audit models are well-formed");
         let out = s.solve(model);
         let sol = match out {
             LpOutcome::Optimal(ref sol) => sol.clone(),

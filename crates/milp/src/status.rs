@@ -142,7 +142,7 @@ pub enum MipStatus {
     /// Proven that no integer solution exists.
     Infeasible,
     /// A feasible solution was found but optimality was not proven before
-    /// a limit (time or nodes) was reached.
+    /// an iteration limit (the budget, or one LP's cap) was reached.
     Feasible,
     /// A limit was reached before any feasible solution was found; the
     /// instance may or may not be feasible.
@@ -165,7 +165,7 @@ impl fmt::Display for MipStatus {
 }
 
 /// An integer-feasible MIP solution.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MipSolution {
     /// Primal values, indexed by [`VarId`](crate::VarId) order; binary
     /// variables are exactly 0.0 or 1.0.
@@ -175,7 +175,7 @@ pub struct MipSolution {
 }
 
 /// Outcome of [`solve_mip`](crate::solve_mip).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MipOutcome {
     /// Final status.
     pub status: MipStatus,
@@ -185,7 +185,8 @@ pub struct MipOutcome {
     pub bound: f64,
     /// Branch-and-bound nodes processed.
     pub nodes: usize,
-    /// Total LP simplex iterations.
+    /// Simplex iterations of every LP solved, whatever its outcome:
+    /// what [`MipOptions::iteration_limit`](crate::MipOptions) budgets.
     pub lp_iterations: usize,
     /// Lazy-constraint rows added during the solve.
     pub lazy_rows_added: usize,

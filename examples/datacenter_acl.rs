@@ -8,11 +8,10 @@
 //!
 //! Run with: `cargo run --release --example datacenter_acl`
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flowplace::classbench::{Generator, PolicySuite, Profile};
 use flowplace::core::verify;
-use flowplace::milp::MipOptions;
 use flowplace::prelude::*;
 use flowplace::routing::shortest;
 
@@ -55,13 +54,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let placer = RulePlacer::new(PlacementOptions {
             merging,
             greedy_warm_start: true,
-            mip: MipOptions {
-                // Cap the search: a feasible-but-unproven answer is fine
-                // for an interactive demo (the paper's CPLEX runs took up
-                // to 30 minutes on the full-size analogs).
-                time_limit: Some(Duration::from_secs(15)),
-                ..MipOptions::default()
-            },
             ..PlacementOptions::default()
         });
         let t = Instant::now();

@@ -2,11 +2,8 @@
 //! policies → encode → solve → emit tables → verify) through the public
 //! `flowplace` facade, across engines, encodings, and features.
 
-use std::time::Duration;
-
 use flowplace::classbench::{Generator, PolicySuite, Profile};
 use flowplace::core::{tables, verify};
-use flowplace::milp::MipOptions;
 use flowplace::prelude::*;
 use flowplace::routing::shortest;
 
@@ -41,10 +38,6 @@ fn options(engine: PlacerEngine, merging: bool, dep: DependencyEncoding) -> Plac
         merging,
         dependency: dep,
         greedy_warm_start: true,
-        mip: MipOptions {
-            time_limit: Some(Duration::from_secs(30)),
-            ..MipOptions::default()
-        },
         ..PlacementOptions::default()
     }
 }

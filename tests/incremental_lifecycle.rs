@@ -3,11 +3,8 @@
 //! golden-model verification and capacity accounting after every step —
 //! the §IV-E workflow end to end.
 
-use std::time::Duration;
-
 use flowplace::classbench::{Generator, Profile};
 use flowplace::core::{incremental, verify};
-use flowplace::milp::MipOptions;
 use flowplace::prelude::*;
 use flowplace::routing::shortest;
 use flowplace_rng::StdRng;
@@ -15,10 +12,6 @@ use flowplace_rng::StdRng;
 fn options() -> PlacementOptions {
     PlacementOptions {
         greedy_warm_start: true,
-        mip: MipOptions {
-            time_limit: Some(Duration::from_secs(20)),
-            ..MipOptions::default()
-        },
         ..PlacementOptions::default()
     }
 }

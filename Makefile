@@ -24,7 +24,7 @@ clippy:
 
 ## no-raw-print: library sources must route output through flowplace-obs
 ## or a Write sink, never raw print macros (binaries are exempt), and read
-## no wall clock outside the MIP budget.
+## no wall clock.
 no-raw-print:
 	./scripts/no_raw_print.sh
 

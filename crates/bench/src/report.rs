@@ -11,7 +11,7 @@ fn status_str(s: SolveStatus) -> &'static str {
         SolveStatus::Optimal => "optimal",
         SolveStatus::Feasible => "feasible",
         SolveStatus::Infeasible => "infeasible",
-        SolveStatus::Unknown => "timeout",
+        SolveStatus::Unknown => "limit",
     }
 }
 
@@ -141,7 +141,7 @@ pub fn merge_rows_table(rows: &[MergeRow]) -> String {
                 let text = match cell {
                     Some(r) => match (r.status, r.total_rules, r.overhead) {
                         (SolveStatus::Infeasible, _, _) => "Inf".to_string(),
-                        (SolveStatus::Unknown, _, _) => "t/o".to_string(),
+                        (SolveStatus::Unknown, _, _) => "lim".to_string(),
                         (_, Some(t), Some(o)) => {
                             format!("{t} {:+.0}%", o * 100.0)
                         }

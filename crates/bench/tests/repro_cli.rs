@@ -64,6 +64,33 @@ fn all_quick_writes_every_csv() {
     fs::remove_dir_all(dir).expect("scratch dir removable");
 }
 
+/// Budgets count simplex iterations, not seconds: two runs record the
+/// same status, objective and effort in every row, cut or not.
+#[test]
+fn two_runs_agree_on_every_column_but_ms() {
+    let run = |test| {
+        let (dir, out) = repro(test, &["exp1", "ablate-sat", "--quick"]);
+        assert!(out.status.success(), "{out:?}");
+        let csvs = ["exp1_rules.csv", "ablate_sat.csv"].map(|name| {
+            let text = fs::read_to_string(dir.join("results/quick").join(name)).expect("CSV");
+            let header = text.lines().next().expect("header row");
+            let ms = header
+                .split(',')
+                .position(|c| c == "ms")
+                .expect("ms column");
+            let untimed = |row: &str| {
+                let mut cells: Vec<_> = row.split(',').collect();
+                cells.remove(ms);
+                cells.join(",")
+            };
+            text.lines().map(untimed).collect::<Vec<_>>()
+        });
+        fs::remove_dir_all(dir).expect("scratch dir removable");
+        csvs
+    };
+    assert_eq!(run("twice_a"), run("twice_b"));
+}
+
 #[test]
 fn unknown_tokens_are_rejected_before_anything_runs() {
     for (test, args, token) in [

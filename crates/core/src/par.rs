@@ -37,7 +37,7 @@ use crate::depgraph::DependencyGraph;
 use crate::monitor::restrict_candidates;
 use crate::placement::{place_ilp_with, place_sat_with};
 use crate::warm::{self, WarmCache, WarmStats};
-use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine, SolveStatus};
+use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine};
 use flowplace_obs::Obs;
 
 /// Parallel-pipeline configuration, carried in
@@ -340,15 +340,7 @@ pub fn solve(
     }
     drop(stage);
 
-    // An ILP incumbent returned because the wall-clock budget expired is
-    // a function of the machine, not of the instance: only what a
-    // budgeted ILP solve proved may be replayed. (SAT takes no budget.)
-    let proven = matches!(
-        outcome.status,
-        SolveStatus::Optimal | SolveStatus::Infeasible
-    );
-    let budgeted = options.engine == PlacerEngine::Ilp && options.mip.iteration_limit.is_some();
-    if let Some((c, fp)) = instance_fp.filter(|_| proven || !budgeted) {
+    if let Some((c, fp)) = instance_fp {
         c.memo_put(fp, &outcome);
     }
 
@@ -442,6 +434,7 @@ fn build_candidates_cached(
 mod tests {
     use super::*;
     use crate::candidates::build_candidates;
+    use crate::SolveStatus;
     use flowplace_acl::{Action, Policy, Ternary};
     use flowplace_routing::{Route, RouteSet};
     use flowplace_topo::{SwitchId, Topology};
@@ -559,34 +552,32 @@ mod tests {
     }
 
     #[test]
-    fn budget_cut_ilp_incumbent_is_not_memoized() {
+    fn budget_cut_ilp_outcome_is_memoized() {
         let inst = multi_ingress_instance();
-        // A zero budget: branch & bound stops before its first node and
-        // returns the greedy warm start, proving nothing about it.
-        let mut options = PlacementOptions {
-            greedy_warm_start: true,
-            ..PlacementOptions::default()
-        };
-        options.mip.iteration_limit = Some(0);
         let cache = crate::WarmCache::default();
         let ctx = SolveCtx {
             warm: Some(&cache),
             obs: None,
         };
-        let first = solve(&inst, Objective::TotalRules, &options, ctx);
-        assert_eq!(first.outcome.status, SolveStatus::Feasible);
-        let again = solve(&inst, Objective::TotalRules, &options, ctx);
-        assert_eq!(again.provenance, Provenance::Single(PlacerEngine::Ilp));
-        assert_eq!(cache.stats().memo_hits, 0);
-
-        // The SAT engine takes no budget: its `Feasible` is the
-        // instance's, and is replayed.
-        options.engine = PlacerEngine::Sat;
-        let sat = solve(&inst, Objective::TotalRules, &options, ctx);
-        assert_eq!(sat.outcome.status, SolveStatus::Feasible);
-        let replayed = solve(&inst, Objective::TotalRules, &options, ctx);
-        assert_eq!(replayed.provenance, Provenance::Memo);
-        assert_eq!(replayed.outcome, sat.outcome);
+        // A zero budget stops branch & bound before its first node: with
+        // the greedy warm start it returns that incumbent unproven,
+        // without it nothing at all. Either cut is the instance's.
+        for (greedy_warm_start, status) in
+            [(true, SolveStatus::Feasible), (false, SolveStatus::Unknown)]
+        {
+            let mut options = PlacementOptions {
+                greedy_warm_start,
+                ..PlacementOptions::default()
+            };
+            options.mip.iteration_limit = Some(0);
+            let cold = solve(&inst, Objective::TotalRules, &options, SolveCtx::default());
+            assert_eq!(cold.outcome.status, status);
+            let first = solve(&inst, Objective::TotalRules, &options, ctx);
+            assert_eq!(first.provenance, Provenance::Single(PlacerEngine::Ilp));
+            let again = solve(&inst, Objective::TotalRules, &options, ctx);
+            assert_eq!(again.provenance, Provenance::Memo);
+            assert_eq!(again.outcome, cold.outcome);
+        }
     }
 
     #[test]

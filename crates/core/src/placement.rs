@@ -179,9 +179,9 @@ pub enum PlacerEngine {
 pub enum SolveStatus {
     /// Proven optimal (ILP engine only).
     Optimal,
-    /// A placement in hand, no bound proven on it: an ILP limit was hit,
-    /// or the SAT engine (§IV-D asks only for *a* satisfying placement)
-    /// or a greedy operation produced it.
+    /// A placement in hand, no bound proven on it: the ILP's iteration
+    /// budget ran out, or the SAT engine (§IV-D asks only for *a*
+    /// satisfying placement) or a greedy operation produced it.
     Feasible,
     /// Proven infeasible.
     Infeasible,
@@ -211,7 +211,8 @@ pub struct PlacementStats {
     pub constraints: usize,
     /// Branch-and-bound nodes (ILP) or conflicts (SAT).
     pub nodes: usize,
-    /// LP simplex iterations (ILP only).
+    /// Simplex iterations of every LP solved (ILP only): the unit of
+    /// the `mip.iteration_limit` budget.
     pub lp_iterations: usize,
     /// Lazy dependency rows generated (ILP lazy mode only).
     pub lazy_rows: usize,
@@ -251,7 +252,7 @@ pub struct PlacementOptions {
     /// may not be placed upstream of the monitor (§VII future work,
     /// implemented in [`crate::monitor`]).
     pub monitors: Vec<MonitorRequirement>,
-    /// Branch-and-bound options (time/node limits, warm incumbent).
+    /// Branch-and-bound options (iteration budget, warm incumbent).
     pub mip: MipOptions,
     /// Parallel-pipeline configuration: worker threads for the
     /// construction stages. The default (`threads: 1`) is the serial

@@ -34,9 +34,8 @@
 //! effort statistics; an outcome holds no clock reading. Nothing here
 //! knows either encoding or keeps solver state — stage 3 is a function
 //! of (instance, options, objective) alone, which is what makes the memo
-//! sound. The one thing that is not such a function, the incumbent of an
-//! ILP solve cut short by its wall-clock budget, is never memoized
-//! ([`crate::par::solve`]). The differential suite asserts the contract
+//! sound, a search cut by its iteration budget included: the budget
+//! counts work, not seconds. The differential suite asserts the contract
 //! over seeded §IV-E update streams on both engines, including across
 //! rollback.
 
@@ -48,7 +47,7 @@ use flowplace_topo::{EntryPortId, SwitchId};
 
 use crate::depgraph::DependencyGraph;
 use crate::placement::{PlacementOptions, PlacementOutcome};
-use crate::{Instance, Objective, PlacerEngine, SolveStatus};
+use crate::{Instance, Objective, PlacerEngine};
 use flowplace_fasthash::FnvHashMap;
 
 /// A stable 64-bit content hash (FNV-1a over a canonical serialization).
@@ -159,7 +158,7 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
             h.usize(n);
         }
     }
-    // Retired `mip.node_limit`: pinned fingerprints were taken with none.
+    // Retired node budget of `mip`: pinned fingerprints were taken with none.
     h.bool(false);
     // Retired `mip.{integrality_tol, absolute_gap}`: constants now,
     // hashed where the fields were so pinned fingerprints hold.
@@ -394,11 +393,10 @@ impl WarmCache {
         }
     }
 
-    /// Memoizes a solved instance. An outcome that concluded nothing is
-    /// never stored; [`crate::par::solve`] also withholds the incumbent
-    /// of an ILP solve whose wall-clock budget may have cut it short.
+    /// Memoizes a solved instance, whatever the solve concluded: a
+    /// search cut by its budget stops at the same point every time.
     pub(crate) fn memo_put(&self, fp: Fingerprint, outcome: &PlacementOutcome) {
-        if outcome.status == SolveStatus::Unknown || self.config.memo_capacity == 0 {
+        if self.config.memo_capacity == 0 {
             return;
         }
         let mut memo = self.memo.borrow_mut();
@@ -417,6 +415,7 @@ impl WarmCache {
 mod tests {
     use super::*;
     use crate::placement::{Placement, PlacementStats};
+    use crate::SolveStatus;
     use flowplace_acl::{Action, Ternary};
     use flowplace_routing::{Route, RouteSet};
     use flowplace_topo::Topology;
@@ -517,18 +516,5 @@ mod tests {
         assert_eq!(stats.memo_misses, 1);
         assert_eq!(stats.memo_lookups, stats.memo_hits + stats.memo_misses);
         assert_eq!(stats.memo_evictions, 1);
-    }
-
-    #[test]
-    fn memo_never_stores_timeouts() {
-        let cache = WarmCache::default();
-        let outcome = PlacementOutcome {
-            placement: None,
-            status: SolveStatus::Unknown,
-            objective: None,
-            stats: PlacementStats::default(),
-        };
-        cache.memo_put(Fingerprint(9), &outcome);
-        assert!(cache.memo_get(Fingerprint(9)).is_none());
     }
 }

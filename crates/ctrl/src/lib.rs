@@ -305,8 +305,6 @@ pub struct CtrlOptions {
     /// Bounded queue size; submissions past it are rejected
     /// (backpressure).
     pub queue_capacity: usize,
-    /// Snapshots retained for rollback.
-    pub checkpoint_depth: usize,
     /// Random packets per route in the commit-time verification, on top
     /// of the deterministic rule-corner packets.
     pub verify_packets: usize,
@@ -322,9 +320,6 @@ pub struct CtrlOptions {
     /// Consecutive failed operations on one switch before its circuit
     /// breaker trips and the switch is quarantined.
     pub quarantine_after: u32,
-    /// Reconcile rounds tolerated without progress before the
-    /// still-failing switches are force-quarantined.
-    pub reconcile_rounds: usize,
     /// Warm-path configuration: epoch caches for dependency graphs,
     /// candidate sets, and solved placements (see
     /// [`flowplace_core::warm`]). Enabled by default; `--warm off`
@@ -345,14 +340,12 @@ impl Default for CtrlOptions {
         CtrlOptions {
             batch_size: 8,
             queue_capacity: 1024,
-            checkpoint_depth: 8,
             verify_packets: 8,
             placement: PlacementOptions::default(),
             objective: Objective::default(),
             faults: FaultPlan::default(),
             retry: RetryPolicy::default(),
             quarantine_after: 3,
-            reconcile_rounds: 3,
             warm: WarmConfig::default(),
             cache: CacheConfig::default(),
             delegation: DelegationConfig::default(),
@@ -476,6 +469,13 @@ fn event_ingress(event: &Event) -> Option<EntryPortId> {
     }
 }
 
+/// Snapshots retained for rollback.
+const CHECKPOINT_DEPTH: usize = 8;
+
+/// Reconcile rounds tolerated without progress before the still-failing
+/// switches are force-quarantined.
+const RECONCILE_ROUNDS: usize = 3;
+
 impl Controller {
     /// Creates a controller managing a bare topology: no routes, no
     /// policies, an empty dataplane. Policies arrive later via
@@ -489,7 +489,7 @@ impl Controller {
             instance,
             placement: Placement::default(),
             dataplane: DataPlane::new(capacities),
-            epochs: EpochLog::new(options.checkpoint_depth),
+            epochs: EpochLog::new(CHECKPOINT_DEPTH),
             queue: VecDeque::new(),
             faults: FaultRuntime {
                 injector: FaultInjector::new(options.faults.clone()),
@@ -1882,7 +1882,7 @@ impl Controller {
     ) -> Result<(ApplyReport, Vec<SwitchId>), CtrlError> {
         let mut total = ApplyReport::default();
         let mut newly_quarantined: Vec<SwitchId> = Vec::new();
-        let mut patience = self.options.reconcile_rounds.max(1);
+        let mut patience = RECONCILE_ROUNDS;
         let mut rounds = 0usize;
         loop {
             rounds += 1;
@@ -1959,7 +1959,7 @@ impl Controller {
             }
             if !tripped.is_empty() {
                 newly_quarantined.extend(tripped);
-                patience = self.options.reconcile_rounds.max(1);
+                patience = RECONCILE_ROUNDS;
             } else {
                 patience -= 1;
                 if patience == 0 {
@@ -1967,7 +1967,7 @@ impl Controller {
                         self.quarantine(s);
                         newly_quarantined.push(s);
                     }
-                    patience = self.options.reconcile_rounds.max(1);
+                    patience = RECONCILE_ROUNDS;
                 }
             }
         }

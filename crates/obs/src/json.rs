@@ -450,12 +450,12 @@ pub struct SpanRow {
 }
 
 impl SpanRow {
-    /// Duration in ticks, if closed.
+    /// Length in ticks, if closed.
     pub fn duration_ticks(&self) -> Option<u64> {
         self.end_tick.map(|e| e - self.start_tick)
     }
 
-    /// Duration in virtual milliseconds, if closed.
+    /// Length in virtual milliseconds, if closed.
     pub fn duration_ms(&self) -> Option<u64> {
         self.end_ms.map(|e| e - self.start_ms)
     }

@@ -115,12 +115,12 @@ pub struct SpanData {
 }
 
 impl SpanData {
-    /// Duration in ticks, if the span has ended.
+    /// Length in ticks, if the span has ended.
     pub fn duration_ticks(&self) -> Option<u64> {
         self.end_tick.map(|end| end - self.start_tick)
     }
 
-    /// Duration in virtual milliseconds, if the span has ended.
+    /// Length in virtual milliseconds, if the span has ended.
     pub fn duration_ms(&self) -> Option<u64> {
         self.end_ms.map(|end| end - self.start_ms)
     }

@@ -314,15 +314,54 @@ fn bad_flags_reported() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(needle), "{flag} {value}: {err}");
     }
-    for flag in [concat!("--port", "folio"), concat!("--sat-re", "start")] {
-        let out = flowplace(&["place", flag, "x"]);
+    for (flag, value) in [
+        (concat!("--port", "folio"), "x"),
+        (concat!("--sat-re", "start"), "x"),
+        ("--time-limit", "5"),
+    ] {
+        let out = flowplace(&["place", flag, value]);
         assert_eq!(out.status.code(), Some(2), "place {flag}");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.starts_with("error: unknown flag"),
+            err.starts_with(&format!("error: unknown flag {flag}")),
             "place {flag}: {err}"
         );
+        assert!(out.stdout.is_empty(), "place {flag} ran: {out:?}");
     }
+}
+
+/// The ILP budget counts simplex pivots, so a search it cuts short stops
+/// at the same point on every run: same status, same effort, same rules.
+#[test]
+fn iteration_limit_cuts_the_same_way_twice() {
+    let run = || {
+        let out = flowplace(&[
+            "place",
+            "--topo",
+            "leaf-spine:2,2,2",
+            "--capacity",
+            "20",
+            "--ingresses",
+            "2",
+            "--rules",
+            "5",
+            "--iteration-limit",
+            "1",
+        ]);
+        assert!(out.status.success(), "{out:?}");
+        // The one wall-clock reading on stdout is the status line's
+        // "in <elapsed>".
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let (head, tail) = stdout.split_once(" in ").expect("status line");
+        let (_, effort) = tail.split_once(" (").expect("effort counts");
+        format!("{head} ({effort}")
+    };
+    let first = run();
+    assert!(
+        first.contains("status: feasible") || first.contains("status: unknown"),
+        "{first}"
+    );
+    assert_eq!(first, run());
 }
 
 /// Every `--flag` a help section documents is accepted by that

@@ -13,11 +13,15 @@ use std::collections::BTreeMap;
 use flowplace::acl::{Action, Policy, Rule, RuleId, Ternary};
 use flowplace::core::{par, WarmCache, WarmConfig};
 use flowplace::ctrl::EventOutcome;
+use flowplace::milp::MipOptions;
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
 
 const WIDTH: u32 = 4;
 const SEEDS: u64 = 32;
+/// Simplex iterations per solve in the budgeted arm: short of what the
+/// session streams' larger instances need, enough for the smaller ones.
+const BUDGET: usize = 20;
 
 fn rand_rule(rng: &mut StdRng, priority: u32) -> Rule {
     let care = rng.gen_range(0u128..(1 << WIDTH));
@@ -251,14 +255,21 @@ fn memo_eviction_and_rollback_error_path_stay_identical() {
 }
 
 /// A session is one controller's replayed stream, interleaved `Solve`s
-/// included. On both engines a warm controller and a cold one, fed the
-/// same session, stay equal step by step — verdicts, placement, tables —
-/// and every placement passes the reference verifier. This is the one
-/// root test that drives a `Controller` on the SAT engine.
+/// included. On both engines, and on the ILP engine under an iteration
+/// budget that cuts its searches short, a warm controller and a cold
+/// one, fed the same session, stay equal step by step — verdicts,
+/// placement, tables — and every placement passes the reference
+/// verifier. This is the one root test that drives a `Controller` on the
+/// SAT engine.
 #[test]
 fn session_solves_are_deterministic_and_verified() {
-    for engine in [PlacerEngine::Ilp, PlacerEngine::Sat] {
-        let (mut memo_hits, mut tiers) = (0, [0; 3]);
+    for (engine, iteration_limit) in [
+        (PlacerEngine::Ilp, None),
+        (PlacerEngine::Ilp, Some(BUDGET)),
+        (PlacerEngine::Sat, None),
+    ] {
+        let arm = format!("{engine:?} budget {iteration_limit:?}");
+        let (mut memo_hits, mut tiers, mut cut) = (0, [0; 3], 0);
         for seed in 0..SEEDS {
             let mut rng = StdRng::seed_from_u64(0x5E55_0000 ^ seed);
             let capacity = rng.gen_range(6..12usize);
@@ -273,6 +284,10 @@ fn session_solves_are_deterministic_and_verified() {
                     },
                     placement: PlacementOptions {
                         engine,
+                        mip: MipOptions {
+                            iteration_limit,
+                            ..MipOptions::default()
+                        },
                         ..PlacementOptions::default()
                     },
                     ..CtrlOptions::default()
@@ -297,7 +312,7 @@ fn session_solves_are_deterministic_and_verified() {
             events.push(Event::Solve);
 
             for (step, event) in events.into_iter().enumerate() {
-                let at = format!("{engine:?} seed {seed} step {step}");
+                let at = format!("{arm} seed {seed} step {step}");
                 warm.submit(event.clone()).expect("queue has room");
                 cold.submit(event).expect("queue has room");
                 assert_eq!(
@@ -335,20 +350,26 @@ fn session_solves_are_deterministic_and_verified() {
             let cold_solve = solve(SolveCtx::default());
             solve(ctx);
             let hit = solve(ctx);
-            assert_eq!(hit.provenance, Provenance::Memo, "{engine:?} seed {seed}");
-            assert_eq!(hit.outcome, cold_solve.outcome, "{engine:?} seed {seed}");
+            assert_eq!(hit.provenance, Provenance::Memo, "{arm} seed {seed}");
+            assert_eq!(hit.outcome, cold_solve.outcome, "{arm} seed {seed}");
+            let proven = matches!(
+                hit.outcome.status,
+                SolveStatus::Optimal | SolveStatus::Infeasible
+            );
+            cut += usize::from(engine == PlacerEngine::Ilp && !proven);
 
             let (s, failed) = (warm.stats(), cold.stats().events_failed);
-            assert_eq!(s.events_failed, failed, "{engine:?} seed {seed}");
+            assert_eq!(s.events_failed, failed, "{arm} seed {seed}");
             memo_hits += s.warm_memo_hits;
             let ok = [s.greedy_ok, s.restricted_ok, s.full_ok];
             tiers = std::array::from_fn(|i| tiers[i] + ok[i]);
         }
-        assert!(memo_hits > 0, "{engine:?}: the memo never fired");
+        assert!(memo_hits > 0, "{arm}: the memo never fired");
         assert!(
             tiers.iter().all(|&n| n > 0),
-            "{engine:?} never reached one of greedy / restricted / full: {tiers:?}"
+            "{arm} never reached one of greedy / restricted / full: {tiers:?}"
         );
+        assert_eq!(cut > 0, iteration_limit.is_some(), "{arm}: {cut} cut");
     }
 }
 

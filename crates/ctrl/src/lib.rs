@@ -472,10 +472,6 @@ fn event_ingress(event: &Event) -> Option<EntryPortId> {
 /// Snapshots retained for rollback.
 const CHECKPOINT_DEPTH: usize = 8;
 
-/// Reconcile rounds tolerated without progress before the still-failing
-/// switches are force-quarantined.
-const RECONCILE_ROUNDS: usize = 3;
-
 impl Controller {
     /// Creates a controller managing a bare topology: no routes, no
     /// policies, an empty dataplane. Policies arrive later via
@@ -1880,6 +1876,9 @@ impl Controller {
         instance: &mut Instance,
         placement: &mut Placement,
     ) -> Result<(ApplyReport, Vec<SwitchId>), CtrlError> {
+        /// Reconcile rounds tolerated without progress before the
+        /// still-failing switches are force-quarantined.
+        const RECONCILE_ROUNDS: usize = 3;
         let mut total = ApplyReport::default();
         let mut newly_quarantined: Vec<SwitchId> = Vec::new();
         let mut patience = RECONCILE_ROUNDS;

@@ -424,11 +424,9 @@ mod tests {
         assert_eq!(sol.values[c.0], 0.0);
     }
 
-    #[test]
-    fn weighted_knapsack_needs_branching() {
-        // max 5a + 4b + 3c s.t. 2a + 3b + c <= 4 → a=1, c=1 (wait: 2+1=3,
-        // value 8; or a,b: 5 weight... 2+3=5 > 4; b+c = 4 weight, value 7).
-        // Optimum = 8. LP relaxation is fractional, forcing a branch.
+    /// max 5a + 4b + 3c s.t. 2a + 3b + c <= 4. Optimum 8 (a = c = 1);
+    /// the LP relaxation is fractional (b = 1/3), forcing a branch.
+    fn weighted_knapsack() -> Model {
         let mut m = Model::new(Sense::Maximize);
         let a = m.add_binary("a");
         let b = m.add_binary("b");
@@ -437,7 +435,12 @@ mod tests {
         m.set_objective(b, 4.0);
         m.set_objective(c, 3.0);
         m.add_constraint("cap", vec![(a, 2.0), (b, 3.0), (c, 1.0)], Cmp::Le, 4.0);
-        let out = solve_mip(&m, &MipOptions::default());
+        m
+    }
+
+    #[test]
+    fn weighted_knapsack_needs_branching() {
+        let out = solve_mip(&weighted_knapsack(), &MipOptions::default());
         let sol = out.solution().unwrap();
         assert!((sol.objective - 8.0).abs() < 1e-6, "obj {}", sol.objective);
         assert!(out.is_optimal());
@@ -556,18 +559,11 @@ mod tests {
 
     #[test]
     fn lp_cut_by_the_budget_leaves_its_node_in_the_bound() {
-        // max 5a + 4b + 3c s.t. 2a + 3b + c <= 4: the root LP (b = 1/3)
-        // rounds to the optimum 8, child b = 0 confirms it, child b = 1
-        // is the last open node. One iteration short of the full search
-        // cuts that node's LP; it is still open, at the root's bound.
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.set_objective(a, 5.0);
-        m.set_objective(b, 4.0);
-        m.set_objective(c, 3.0);
-        m.add_constraint("cap", vec![(a, 2.0), (b, 3.0), (c, 1.0)], Cmp::Le, 4.0);
+        // The root LP rounds to the optimum, child b = 0 confirms it,
+        // child b = 1 is the last open node. One iteration short of the
+        // full search cuts that node's LP; it is still open, at the
+        // root's bound.
+        let m = weighted_knapsack();
         let root = crate::solve_lp(&m).solution().unwrap().objective;
         let full = solve_mip(&m, &MipOptions::default());
         assert_eq!((full.status, full.nodes), (MipStatus::Optimal, 3));

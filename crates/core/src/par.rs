@@ -12,6 +12,10 @@
 //! 3. **Solve** — the engine named by [`PlacementOptions::engine`], run
 //!    to its verdict on the calling thread ([`solve`]).
 //!
+//! Given a warm cache, [`solve`] first looks the whole instance up in
+//! the placement memo ([`crate::warm`]): a hit returns before stage 1,
+//! a miss runs all three stages, exactly as without the cache.
+//!
 //! # Determinism contract
 //!
 //! The pipeline's output is byte-identical for any thread count, the
@@ -30,13 +34,11 @@ use std::collections::BTreeMap;
 
 use flowplace_topo::EntryPortId;
 
-use flowplace_acl::Policy;
-
 use crate::candidates::{candidates_for_ingress, CandidateMap};
 use crate::depgraph::DependencyGraph;
 use crate::monitor::restrict_candidates;
 use crate::placement::{place_ilp_with, place_sat_with};
-use crate::warm::{self, WarmCache, WarmStats};
+use crate::warm::{self, WarmCache};
 use crate::{Instance, Objective, PlacementOptions, PlacementOutcome, PlacerEngine};
 use flowplace_obs::Obs;
 
@@ -221,18 +223,6 @@ fn record_solve_metrics(obs: &Obs, provenance: Provenance, outcome: &PlacementOu
     }
 }
 
-/// Attaches the built/reused delta of a warm-cache counter pair as span
-/// attributes (cold runs pass `None` deltas and report raw totals only).
-fn stage_delta(before: Option<WarmStats>, after: Option<WarmStats>) -> Option<(u64, u64)> {
-    match (before, after) {
-        (Some(b), Some(a)) => Some((
-            a.depgraphs_built + a.candidates_built - b.depgraphs_built - b.candidates_built,
-            a.depgraphs_reused + a.candidates_reused - b.depgraphs_reused - b.candidates_reused,
-        )),
-        _ => None,
-    }
-}
-
 /// What a solve may consult and report to besides its inputs;
 /// `SolveCtx::default()` is the cold, unobserved solve.
 #[derive(Clone, Copy, Default)]
@@ -249,20 +239,18 @@ pub struct SolveCtx<'a> {
 /// [`crate::RulePlacer::place`] and the [`crate::incremental`]
 /// sub-solves all call it.
 ///
-/// With `ctx.warm`, the pipeline becomes incremental: the whole solve is
-/// first looked up in the placement memo (hit ⇒ [`Provenance::Memo`] in
-/// O(1)); on a miss, stages 1/2 rebuild only *dirty* ingresses — those
-/// whose policy/route fingerprints have no cached artifact. Stage 3 is
-/// the same engine call either way. Cache hits are byte-identical to a
-/// cold build because every cache key covers every input of the cached
-/// computation.
+/// With `ctx.warm`, the whole solve is first looked up in the placement
+/// memo (hit ⇒ [`Provenance::Memo`] in O(1)); a miss runs all three
+/// stages, exactly as the cold path does, and memoizes the outcome. A
+/// memo hit is byte-identical to a cold solve because the key covers
+/// every input of the solve.
 ///
 /// With `ctx.obs`, the pipeline records a `"pipeline"` span with one
 /// child per stage (`pipeline.depgraphs`, `pipeline.candidates`,
 /// `pipeline.solve`) plus the solve counters/histograms keyed by
 /// [`Provenance`]. Only deterministic quantities (span ticks, search
-/// effort, cache deltas) are recorded — never wall time, so dumps diff
-/// clean across same-seed runs.
+/// effort) are recorded — never wall time, so dumps diff clean across
+/// same-seed runs.
 pub fn solve(
     instance: &Instance,
     objective: Objective,
@@ -296,34 +284,18 @@ pub fn solve(
         }
     }
 
-    let warm_before = cache.map(|c| c.stats());
     let stage = obs.map(|o| o.spans.enter("pipeline.depgraphs"));
-    let graphs = match cache {
-        Some(c) => build_depgraphs_cached(instance, threads, c),
-        None => build_depgraphs(instance, threads),
-    };
+    let graphs = build_depgraphs(instance, threads);
     if let Some(span) = &stage {
         span.attr("graphs", graphs.len());
-        if let Some((built, reused)) = stage_delta(warm_before, cache.map(|c| c.stats())) {
-            span.attr("built", built);
-            span.attr("reused", reused);
-        }
     }
     drop(stage);
 
-    let warm_before = cache.map(|c| c.stats());
     let stage = obs.map(|o| o.spans.enter("pipeline.candidates"));
-    let mut candidates = match cache {
-        Some(c) => build_candidates_cached(instance, &graphs, threads, c),
-        None => build_candidates_par(instance, &graphs, threads),
-    };
+    let mut candidates = build_candidates_par(instance, &graphs, threads);
     restrict_candidates(instance, &mut candidates, &options.monitors);
     if let Some(span) = &stage {
         span.attr("ingresses", candidates.len());
-        if let Some((built, reused)) = stage_delta(warm_before, cache.map(|c| c.stats())) {
-            span.attr("built", built);
-            span.attr("reused", reused);
-        }
     }
     drop(stage);
 
@@ -355,79 +327,6 @@ pub fn solve(
         outcome,
         provenance,
     }
-}
-
-/// Stage 1 with the warm cache: dependency graphs of fingerprint-clean
-/// policies come from the cache; only dirty policies are built (across
-/// worker threads), then stored. Cache traffic stays on the coordinating
-/// thread — the workers run the same pure per-policy function the cold
-/// stage runs.
-fn build_depgraphs_cached(
-    instance: &Instance,
-    threads: usize,
-    cache: &WarmCache,
-) -> BTreeMap<EntryPortId, DependencyGraph> {
-    let mut graphs: BTreeMap<EntryPortId, DependencyGraph> = BTreeMap::new();
-    let mut dirty: Vec<(EntryPortId, warm::Fingerprint, &Policy)> = Vec::new();
-    for (ingress, policy) in instance.policies() {
-        let fp = warm::fingerprint_policy(policy);
-        match cache.depgraph_lookup(fp) {
-            Some(g) => {
-                graphs.insert(ingress, g);
-            }
-            None => dirty.push((ingress, fp, policy)),
-        }
-    }
-    let built = map_chunked(dirty, threads, |&(ingress, fp, policy)| {
-        (ingress, fp, DependencyGraph::build(policy))
-    });
-    for (ingress, fp, g) in built {
-        cache.depgraph_store(fp, &g);
-        graphs.insert(ingress, g);
-    }
-    graphs
-}
-
-/// Stage 2 with the warm cache: candidate sets of fingerprint-clean
-/// ingresses come from the cache; only dirty ingresses are rebuilt
-/// (across worker threads), then stored. The cache holds *unrestricted*
-/// candidates — monitor restriction is applied by the caller to the
-/// assembled map, exactly as in the cold pipeline.
-fn build_candidates_cached(
-    instance: &Instance,
-    graphs: &BTreeMap<EntryPortId, DependencyGraph>,
-    threads: usize,
-    cache: &WarmCache,
-) -> CandidateMap {
-    let mut per_ingress: BTreeMap<EntryPortId, BTreeMap<_, _>> = BTreeMap::new();
-    let mut dirty: Vec<(EntryPortId, warm::Fingerprint, &DependencyGraph)> = Vec::new();
-    for (&ingress, graph) in graphs {
-        let fp = warm::fingerprint_ingress(instance, ingress);
-        match cache.candidates_lookup(fp) {
-            Some(c) => {
-                per_ingress.insert(ingress, c);
-            }
-            None => dirty.push((ingress, fp, graph)),
-        }
-    }
-    let built = map_chunked(dirty, threads, |&(ingress, fp, graph)| {
-        (
-            ingress,
-            fp,
-            candidates_for_ingress(instance, ingress, graph),
-        )
-    });
-    for (ingress, fp, c) in built {
-        cache.candidates_store(fp, &c);
-        per_ingress.insert(ingress, c);
-    }
-    let mut map = CandidateMap::new();
-    for (ingress, rules) in per_ingress {
-        for (rule, switches) in rules {
-            map.insert((ingress, rule), switches);
-        }
-    }
-    map
 }
 
 #[cfg(test)]
@@ -534,7 +433,7 @@ mod tests {
             obs: None,
         };
 
-        // First warm solve: every cache misses, result identical to cold.
+        // First warm solve: the memo misses, result identical to cold.
         let first = solve(&inst, Objective::TotalRules, &options, ctx);
         assert_eq!(first.outcome, cold.outcome);
         assert_eq!(first.provenance, cold.provenance);
@@ -547,8 +446,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.memo_hits, 1);
         assert_eq!(stats.memo_misses, 1);
-        assert_eq!(stats.depgraphs_built, 4);
-        assert_eq!(stats.candidates_built, 4);
     }
 
     #[test]
@@ -578,41 +475,5 @@ mod tests {
             assert_eq!(again.provenance, Provenance::Memo);
             assert_eq!(again.outcome, cold.outcome);
         }
-    }
-
-    #[test]
-    fn warm_pipeline_rebuilds_only_dirty_ingresses() {
-        let inst = multi_ingress_instance();
-        let options = PlacementOptions::default();
-        let cache = crate::WarmCache::default();
-        let ctx = SolveCtx {
-            warm: Some(&cache),
-            obs: None,
-        };
-        solve(&inst, Objective::TotalRules, &options, ctx);
-        let before = cache.stats();
-
-        // Change one ingress's policy: exactly one candidate set is dirty.
-        // (All four policies are identical, so the shared depgraph entry
-        // stays warm for the other three; the changed one rebuilds.)
-        let mut policies: Vec<_> = inst.policies().map(|(l, p)| (l, p.clone())).collect();
-        policies[0].1 =
-            Policy::from_ordered(vec![(t("00**"), Action::Permit), (t("0***"), Action::Drop)])
-                .unwrap();
-        let changed =
-            Instance::new(inst.topology().clone(), inst.routes().clone(), policies).unwrap();
-        let warm = solve(&changed, Objective::TotalRules, &options, ctx);
-        let cold = solve(
-            &changed,
-            Objective::TotalRules,
-            &options,
-            SolveCtx::default(),
-        );
-        assert_eq!(warm.outcome.placement, cold.outcome.placement);
-
-        let after = cache.stats();
-        assert_eq!(after.depgraphs_built - before.depgraphs_built, 1);
-        assert_eq!(after.candidates_built - before.candidates_built, 1);
-        assert_eq!(after.candidates_reused - before.candidates_reused, 3);
     }
 }

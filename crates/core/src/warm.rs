@@ -1,11 +1,9 @@
 //! Warm-path incremental solving: epoch-over-epoch reuse for the
 //! placement pipeline (the §IV-E update stream, made cheap).
 //!
-//! A controller that re-solves after every small policy update repeats
-//! almost all of its work: dependency graphs and candidate sets of
-//! untouched ingresses are recomputed verbatim, and a rolled-back or
-//! replayed epoch re-solves an instance that was already solved. This
-//! module makes re-solves proportional to the *change*:
+//! A controller that re-solves after every small policy update, or
+//! replays a rolled-back epoch, solves again an instance it already
+//! solved. This module answers those re-solves from memory:
 //!
 //! 1. **Fingerprints.** A stable 64-bit hash ([`Fingerprint`]) over
 //!    policy rules, routes, and slices identifies each ingress
@@ -13,23 +11,17 @@
 //!    ([`fingerprint_instance`]). Fingerprints are pure functions of the
 //!    problem data — no addresses, no iteration-order dependence — so
 //!    they are stable across processes and replays.
-//! 2. **Structural caches.** [`WarmCache`] keeps dependency graphs keyed
-//!    by policy fingerprint and per-ingress candidate sets keyed by
-//!    ingress fingerprint. Stages 1/2 of the parallel pipeline
-//!    ([`crate::par::solve`] given a [`crate::SolveCtx::warm`])
-//!    recompute only dirty ingresses;
-//!    cached entries are byte-identical to a cold build because the
-//!    cached value *is* the output of the same pure function the cold
-//!    path runs, keyed by a hash of that function's entire input.
-//! 3. **Placement memo.** Solved instances are memoized under their full
-//!    instance fingerprint (policies + routes + capacities + options +
-//!    objective), so a checkpoint → rollback → re-apply cycle returns
-//!    the cached placement in O(1) instead of re-solving.
+//! 2. **Placement memo.** [`WarmCache`] memoizes solved instances under
+//!    their full instance fingerprint (policies + routes + capacities +
+//!    options + objective), so [`crate::par::solve`] given a
+//!    [`crate::SolveCtx::warm`] answers a checkpoint → rollback →
+//!    re-apply cycle with the cached outcome in O(1) instead of
+//!    re-solving. A miss runs the whole pipeline, stages 1–2 included.
 //!
 //! # Determinism contract
 //!
-//! The warm path is **byte-identical** to the cold path: every cache key
-//! covers every input of the cached computation, and a memo hit is the
+//! The warm path is **byte-identical** to the cold path: the memo key
+//! covers every input of the solve, and a memo hit is the
 //! cold outcome, field for field — placement, status, objective and
 //! effort statistics; an outcome holds no clock reading. Nothing here
 //! knows either encoding or keeps solver state — stage 3 is a function
@@ -40,23 +32,20 @@
 //! rollback.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use flowplace_acl::{Policy, RuleId};
-use flowplace_topo::{EntryPortId, SwitchId};
+use flowplace_acl::Policy;
+use flowplace_topo::EntryPortId;
 
-use crate::depgraph::DependencyGraph;
 use crate::placement::{PlacementOptions, PlacementOutcome};
 use crate::{Instance, Objective, PlacerEngine};
-use flowplace_fasthash::FnvHashMap;
 
 /// A stable 64-bit content hash (FNV-1a over a canonical serialization).
 ///
-/// Used as the cache key for every warm-path cache. Keys are pure
-/// functions of problem data, so equal problems hash equal across
-/// processes; distinct problems colliding is the usual 64-bit-hash
-/// assumption (and the differential suite would catch a systematic
-/// break).
+/// The placement-memo key. Keys are pure functions of problem data, so
+/// equal problems hash equal across processes; distinct problems
+/// colliding is the usual 64-bit-hash assumption (and the differential
+/// suite would catch a systematic break).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct Fingerprint(pub u64);
 
@@ -83,9 +72,8 @@ pub fn fingerprint_policy(policy: &Policy) -> Fingerprint {
 }
 
 /// Fingerprint of one ingress: its policy plus every route from it
-/// (egress, switch sequence, and flow slice). This is the dirty-ingress
-/// key — candidate sets depend on exactly these inputs (capacities enter
-/// only at solve time).
+/// (egress, switch sequence, and flow slice) — everything its candidate
+/// sets depend on (capacities enter only at solve time).
 pub fn fingerprint_ingress(instance: &Instance, ingress: EntryPortId) -> Fingerprint {
     let mut h = Fnv::new();
     h.usize(ingress.0);
@@ -257,38 +245,16 @@ pub struct WarmStats {
     pub memo_misses: u64,
     /// Memo entries evicted by the FIFO capacity bound.
     pub memo_evictions: u64,
-    /// Dependency graphs served from cache.
-    pub depgraphs_reused: u64,
-    /// Dependency graphs built cold.
-    pub depgraphs_built: u64,
-    /// Per-ingress candidate sets served from cache.
-    pub candidates_reused: u64,
-    /// Per-ingress candidate sets built cold.
-    pub candidates_built: u64,
 }
 
-/// Upper bound on structural-cache entries before the cache is dropped
-/// wholesale (a crude but deterministic bound; entries are small and the
-/// working set of live policies is far below this).
-const STRUCTURAL_CAP: usize = 1024;
-
-type IngressCandidates = BTreeMap<RuleId, BTreeSet<SwitchId>>;
-
-/// The epoch cache: the two structural caches and the placement memo.
+/// The epoch cache: the placement memo.
 ///
 /// Interior-mutable so it threads through the existing `&self` solve
 /// paths; it is a single-thread object (the parallel pipeline consults
 /// it only from the coordinating thread).
-///
-/// The structural caches are [`FnvHashMap`]s, not `BTreeMap`s: they are
-/// probed by fingerprint and never iterated, so iteration order cannot
-/// leak into placements or telemetry (the DESIGN.md §16 hasher policy;
-/// the 32-seed warm/obs differential suites pin this).
 #[derive(Clone, Debug)]
 pub struct WarmCache {
     config: WarmConfig,
-    depgraphs: RefCell<FnvHashMap<Fingerprint, DependencyGraph>>,
-    candidates: RefCell<FnvHashMap<Fingerprint, IngressCandidates>>,
     memo: RefCell<VecDeque<(Fingerprint, PlacementOutcome)>>,
     stats: RefCell<WarmStats>,
 }
@@ -304,8 +270,6 @@ impl WarmCache {
     pub fn new(config: WarmConfig) -> Self {
         WarmCache {
             config,
-            depgraphs: RefCell::new(FnvHashMap::default()),
-            candidates: RefCell::new(FnvHashMap::default()),
             memo: RefCell::new(VecDeque::new()),
             stats: RefCell::new(WarmStats::default()),
         }
@@ -319,56 +283,6 @@ impl WarmCache {
     /// A snapshot of the counters.
     pub fn stats(&self) -> WarmStats {
         *self.stats.borrow()
-    }
-
-    /// Cached dependency graph for `fp`, if present.
-    pub(crate) fn depgraph_lookup(&self, fp: Fingerprint) -> Option<DependencyGraph> {
-        let hit = self.depgraphs.borrow().get(&fp).cloned();
-        let mut stats = self.stats.borrow_mut();
-        match hit {
-            Some(g) => {
-                stats.depgraphs_reused += 1;
-                Some(g)
-            }
-            None => {
-                stats.depgraphs_built += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly built dependency graph.
-    pub(crate) fn depgraph_store(&self, fp: Fingerprint, graph: &DependencyGraph) {
-        let mut map = self.depgraphs.borrow_mut();
-        if map.len() >= STRUCTURAL_CAP {
-            map.clear();
-        }
-        map.insert(fp, graph.clone());
-    }
-
-    /// Cached per-ingress candidate set for `fp`, if present.
-    pub(crate) fn candidates_lookup(&self, fp: Fingerprint) -> Option<IngressCandidates> {
-        let hit = self.candidates.borrow().get(&fp).cloned();
-        let mut stats = self.stats.borrow_mut();
-        match hit {
-            Some(c) => {
-                stats.candidates_reused += 1;
-                Some(c)
-            }
-            None => {
-                stats.candidates_built += 1;
-                None
-            }
-        }
-    }
-
-    /// Stores a freshly built per-ingress candidate set.
-    pub(crate) fn candidates_store(&self, fp: Fingerprint, cands: &IngressCandidates) {
-        let mut map = self.candidates.borrow_mut();
-        if map.len() >= STRUCTURAL_CAP {
-            map.clear();
-        }
-        map.insert(fp, cands.clone());
     }
 
     /// The memoized outcome of a previously solved instance, if any.
@@ -418,7 +332,7 @@ mod tests {
     use crate::SolveStatus;
     use flowplace_acl::{Action, Ternary};
     use flowplace_routing::{Route, RouteSet};
-    use flowplace_topo::Topology;
+    use flowplace_topo::{SwitchId, Topology};
 
     fn t(s: &str) -> Ternary {
         Ternary::parse(s).unwrap()

@@ -97,11 +97,8 @@ pub struct CacheConfig {
     /// Eviction policy.
     pub policy: CachePolicy,
     /// Misses batched per controller miss-handling round (each round
-    /// inserts the missed entries and triggers one warm re-solve).
+    /// inserts the missed entries and charges their punt latency).
     pub miss_batch: usize,
-    /// Virtual milliseconds of controller punt latency charged per
-    /// missed packet.
-    pub miss_penalty_ms: u64,
 }
 
 impl Default for CacheConfig {
@@ -111,7 +108,6 @@ impl Default for CacheConfig {
             capacity: 0,
             policy: CachePolicy::Lru,
             miss_batch: 8,
-            miss_penalty_ms: 1,
         }
     }
 }

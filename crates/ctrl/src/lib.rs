@@ -265,7 +265,8 @@ pub struct FlowReport {
     pub inserts: u64,
     /// Entries evicted (cascades included).
     pub evictions: u64,
-    /// Warm re-solves triggered by miss batches.
+    /// Always 0: miss batches trigger no solve. Only the benchmark
+    /// reads it.
     pub resolves: u64,
     /// Miss batches flushed.
     pub miss_batches: u64,
@@ -320,8 +321,7 @@ pub struct CtrlOptions {
     /// Consecutive failed operations on one switch before its circuit
     /// breaker trips and the switch is quarantined.
     pub quarantine_after: u32,
-    /// Warm-path configuration: epoch caches for dependency graphs,
-    /// candidate sets, and solved placements (see
+    /// Warm-path configuration: the epoch memo of solved placements (see
     /// [`flowplace_core::warm`]). Enabled by default; `--warm off`
     /// in the CLI (or `enabled: false` here) forces every solve cold.
     pub warm: WarmConfig,
@@ -1109,8 +1109,6 @@ impl Controller {
         self.stats.warm_memo_evictions = w.memo_evictions;
         self.stats.warm_memo_hits = w.memo_hits;
         self.stats.warm_memo_misses = w.memo_misses;
-        self.stats.warm_depgraphs_reused = w.depgraphs_reused;
-        self.stats.warm_candidates_reused = w.candidates_reused;
     }
 
     // ---- TCAM-as-cache tier ----------------------------------------------
@@ -1173,10 +1171,10 @@ impl Controller {
     /// deterministically (header-hash ECMP), every on-path switch looks
     /// the packet up in its cached TCAM, and misses punt to the
     /// controller, which batches them (per [`CacheConfig::miss_batch`]),
-    /// inserts the missed entries dependency-closed, charges the punt
-    /// latency to the virtual clock, and triggers one warm re-solve per
-    /// batch to model controller load. The tier is audited after every
-    /// batch and at the end; violations land in
+    /// inserts the missed entries dependency-closed and charges the punt
+    /// latency to the virtual clock. Controller load is the punts
+    /// themselves, counted in miss batches; no solver runs. The tier is
+    /// audited after every batch and at the end; violations land in
     /// [`CtrlStats::cache_dep_violations`] (and must stay zero).
     ///
     /// Flows over ingresses with no routes, or whose route crosses a
@@ -1258,15 +1256,18 @@ impl Controller {
     }
 
     /// Flushes one batch of cache misses: inserts the missed entries
-    /// (dependency-closed, policy-evicted), charges the punt latency,
-    /// runs one warm re-solve to model the controller load, and audits
-    /// the tier.
+    /// (dependency-closed, policy-evicted), charges the punt latency
+    /// (`MISS_PENALTY_MS` per punt), counts the batch, and audits the
+    /// tier. The instance is unchanged, so there is nothing to re-solve.
     fn flush_miss_batch(
         &mut self,
         pending: &mut Vec<(SwitchId, usize)>,
         punts: u64,
         report: &mut FlowReport,
     ) {
+        /// Virtual milliseconds of controller punt latency charged per
+        /// missed packet.
+        const MISS_PENALTY_MS: u64 = 1;
         if pending.is_empty() {
             return;
         }
@@ -1276,21 +1277,12 @@ impl Controller {
         for (s, slot) in pending.drain(..) {
             self.cache.insert(s, slot);
         }
-        let penalty = self.options.cache.miss_penalty_ms * punts.max(1);
+        let penalty = MISS_PENALTY_MS * punts.max(1);
         self.faults.clock.advance(penalty);
         report.miss_latency_ms += penalty;
         self.stats.cache_miss_latency_ms += penalty;
-        // The miss batch is the controller's signal to re-solve; the
-        // instance is unchanged, so the warm memo answers in O(1) and
-        // the deployed placement stays put — this models controller
-        // load, not a table rewrite.
-        if self.full_solve(&self.instance).is_ok() {
-            report.resolves += 1;
-            self.stats.cache_resolves += 1;
-        }
         report.miss_batches += 1;
         self.stats.cache_miss_batches += 1;
-        self.sync_warm_stats();
         if self.cache.audit().is_err() {
             self.stats.cache_dep_violations += 1;
         }
@@ -2196,14 +2188,24 @@ mod tests {
             flows_per_ingress: 8,
             ..flowplace_traffic::TrafficConfig::default()
         });
+        let memo_lookups = ctrl.stats().warm_memo_lookups;
         let cold = ctrl.process_flows(&flows);
         assert_eq!(cold.flows, flows.len() as u64);
         assert_eq!(cold.unrouted, 0);
         assert!(cold.misses > 0, "cold cache must punt: {cold:?}");
-        assert!(cold.resolves >= 1, "miss batches trigger re-solves");
+        assert_eq!(
+            ctrl.stats().warm_memo_lookups,
+            memo_lookups,
+            "no solver ran"
+        );
         assert!(cold.miss_latency_ms > 0, "punt latency hits the clock");
         // Same stream again: everything missable is resident now.
         let warm = ctrl.process_flows(&flows);
+        assert_eq!(
+            ctrl.stats().warm_memo_lookups,
+            memo_lookups,
+            "no solver ran"
+        );
         assert_eq!(warm.misses, 0, "warmed cache serves repeats: {warm:?}");
         assert!(warm.hits >= cold.misses);
         assert_eq!(ctrl.stats().cache_dep_violations, 0);

@@ -89,9 +89,11 @@ pub struct CtrlStats {
     pub warm_memo_misses: u64,
     /// Memo entries evicted by the FIFO capacity bound.
     pub warm_memo_evictions: u64,
-    /// Per-ingress dependency graphs reused from the warm cache.
+    /// Always 0: the warm cache keeps no dependency graphs. Only the
+    /// benchmark reads it.
     pub warm_depgraphs_reused: u64,
-    /// Per-ingress candidate sets reused from the warm cache.
+    /// Always 0: the warm cache keeps no candidate sets. Only the
+    /// benchmark reads it.
     pub warm_candidates_reused: u64,
     /// Cache-tier lookups (per-switch, per-flow).
     pub cache_lookups: u64,
@@ -109,9 +111,7 @@ pub struct CtrlStats {
     /// Insertions skipped because the dependency closure alone exceeds
     /// the cache capacity.
     pub cache_uncacheable: u64,
-    /// Warm re-solves triggered by miss batches (controller load).
-    pub cache_resolves: u64,
-    /// Miss batches flushed through the controller.
+    /// Miss batches flushed through the controller (controller load).
     pub cache_miss_batches: u64,
     /// Virtual milliseconds of controller punt latency charged to
     /// cache misses.
@@ -146,7 +146,8 @@ impl CtrlStats {
         }
     }
 
-    /// Mirrors every counter onto an observability registry under the
+    /// Mirrors every counter but the two always-0 `warm_*_reused` fields
+    /// onto an observability registry under the
     /// `ctrl.*` / `warm.*` namespaces (absolute-value sync — the fields
     /// here stay the source of truth and all public accessors keep
     /// working; the registry is a read-only projection).
@@ -185,8 +186,6 @@ impl CtrlStats {
             ("warm.memo_hits", self.warm_memo_hits),
             ("warm.memo_misses", self.warm_memo_misses),
             ("warm.memo_evictions", self.warm_memo_evictions),
-            ("warm.depgraphs_reused", self.warm_depgraphs_reused),
-            ("warm.candidates_reused", self.warm_candidates_reused),
             ("cache.lookups", self.cache_lookups),
             ("cache.hits", self.cache_hits),
             ("cache.misses", self.cache_misses),
@@ -194,7 +193,6 @@ impl CtrlStats {
             ("cache.evictions", self.cache_evictions),
             ("cache.closure_pulls", self.cache_closure_pulls),
             ("cache.uncacheable", self.cache_uncacheable),
-            ("cache.resolves", self.cache_resolves),
             ("cache.miss_batches", self.cache_miss_batches),
             ("cache.miss_latency_ms", self.cache_miss_latency_ms),
             ("cache.dep_violations", self.cache_dep_violations),
@@ -267,16 +265,12 @@ impl fmt::Display for CtrlStats {
         )?;
         writeln!(
             f,
-            "warm: {} memo hits / {} misses ({} evicted), {} depgraphs + {} candidates reused",
-            self.warm_memo_hits,
-            self.warm_memo_misses,
-            self.warm_memo_evictions,
-            self.warm_depgraphs_reused,
-            self.warm_candidates_reused
+            "warm: {} memo hits / {} misses ({} evicted)",
+            self.warm_memo_hits, self.warm_memo_misses, self.warm_memo_evictions
         )?;
         write!(
             f,
-            "cache: {} hits / {} misses ({} lookups), {} inserts ({} pulled), {} evictions, {} uncacheable, {} resolves in {} batches ({}ms punt), {} dep violations",
+            "cache: {} hits / {} misses ({} lookups), {} inserts ({} pulled), {} evictions, {} uncacheable, {} miss batches ({}ms punt), {} dep violations",
             self.cache_hits,
             self.cache_misses,
             self.cache_lookups,
@@ -284,7 +278,6 @@ impl fmt::Display for CtrlStats {
             self.cache_closure_pulls,
             self.cache_evictions,
             self.cache_uncacheable,
-            self.cache_resolves,
             self.cache_miss_batches,
             self.cache_miss_latency_ms,
             self.cache_dep_violations
@@ -410,13 +403,11 @@ mod tests {
         let stats = CtrlStats {
             warm_memo_hits: 4,
             warm_memo_misses: 2,
-            warm_depgraphs_reused: 9,
-            warm_candidates_reused: 8,
+            warm_memo_evictions: 1,
             ..CtrlStats::default()
         };
         let text = stats.to_string();
-        assert!(text.contains("warm: 4 memo hits / 2 misses"));
-        assert!(text.contains("9 depgraphs + 8 candidates reused"));
+        assert!(text.contains("warm: 4 memo hits / 2 misses (1 evicted)\n"));
     }
 
     #[test]
@@ -428,7 +419,6 @@ mod tests {
             cache_inserts: 3,
             cache_closure_pulls: 1,
             cache_evictions: 2,
-            cache_resolves: 1,
             cache_miss_batches: 1,
             cache_miss_latency_ms: 3,
             ..CtrlStats::default()
@@ -436,7 +426,7 @@ mod tests {
         let text = stats.to_string();
         assert!(text.contains("cache: 7 hits / 3 misses (10 lookups)"));
         assert!(text.contains("3 inserts (1 pulled)"));
-        assert!(text.contains("1 resolves in 1 batches (3ms punt)"));
+        assert!(text.contains("0 uncacheable, 1 miss batches (3ms punt)"));
         assert!(text.contains("0 dep violations"));
         let reg = Registry::new();
         stats.export(&reg);

@@ -19,7 +19,7 @@
 //!   keys.
 //! - [`Fnv64`]: the incremental word-wise writer used to build stable
 //!   64-bit content fingerprints from canonical little-endian
-//!   serializations (the warm-path cache keys in `flowplace-core`).
+//!   serializations (the placement-memo keys in `flowplace-core`).
 //!
 //! Both layers are the same FNV-1a core, verified against the published
 //! test vectors in this crate's tests.

@@ -75,8 +75,8 @@ ctrl replay flags:
   --recover-rate P     per-crashed-switch recovery probability   [0]
   --retries N          install attempts per op, first included   [4]
   --quarantine-after N consecutive failures before quarantine    [3]
-  --warm on|off        incremental warm-path caches (fingerprint
-                       reuse + epoch placement memo)             [on]
+  --warm on|off        the epoch placement memo (a re-solve of an
+                       already-solved instance returns in O(1))  [on]
   --trace-out FILE     write the epoch/event/commit span trace
                        (flowplace.obs.v1 JSON, byte-identical per seed)
   --metrics-out FILE   write the metrics registry dump (flowplace.obs.v1)
@@ -666,8 +666,8 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
             fr.lookups, fr.inserts, fr.evictions
         );
         println!(
-            "controller load: {} re-solves over {} miss batches, {}ms punt latency",
-            fr.resolves, fr.miss_batches, fr.miss_latency_ms
+            "controller load: {} miss batches, {}ms punt latency",
+            fr.miss_batches, fr.miss_latency_ms
         );
     }
     if caching {

@@ -1,6 +1,6 @@
 //! Differential oracle for the parallel solve pipeline.
 //!
-//! Two guarantees are exercised over a corpus of seeded ClassBench
+//! Three guarantees are exercised over a corpus of seeded ClassBench
 //! instances:
 //!
 //! 1. **Byte-identity** — the parallel pipeline must return exactly the
@@ -11,6 +11,9 @@
 //!    (ILP, greedy heuristic, PB-SAT) must pass the one-sided
 //!    `verify::no_false_negatives` check: no packet a policy DROPs may
 //!    traverse the deployed tables.
+//! 3. **Pinned encodings** — the ILP model text, the SAT formula's OPB
+//!    text and the SAT outcome of every instance hash to a recorded
+//!    constant, so a refactor of the encoders cannot move them.
 //!
 //! On a mismatch the harness *shrinks* the instance (fewer rules, then
 //! fewer ingresses) while the failure persists and panics with the
@@ -18,12 +21,16 @@
 //! seed instead of a corpus bisect.
 
 use flowplace::classbench::{Generator, Profile};
+use flowplace::core::encode_ilp::{EncodeOptions, IlpEncoding, MergeLinking};
+use flowplace::core::encode_sat::SatEncoding;
 use flowplace::core::par::{self, ParallelConfig};
 use flowplace::core::verify;
 use flowplace::core::{greedy, Instance};
+use flowplace::milp::to_lp_format;
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
 use flowplace::routing::shortest;
+use flowplace_fasthash::Fnv64;
 
 /// Number of seeded instances in the corpus (the issue floor is 32).
 const CORPUS: u64 = 32;
@@ -310,6 +317,64 @@ fn glucose_sat_engine_is_deterministic_across_thread_counts() {
             "glucose SAT replay wobbled (seed {seed})"
         );
     }
+}
+
+/// The hash [`both_encodings_are_pinned`] recorded before the SAT and
+/// ILP encoders were folded onto one model walk.
+const PINNED_ENCODINGS: u64 = 0x7761_c6b2_839c_f1f0;
+
+#[test]
+fn both_encodings_are_pinned() {
+    // Every variable, row, row name, coefficient and decoded model of
+    // both encodings, over the corpus plus the 256-rule shape, merging
+    // off and on. A refactor of the encoders must not move it.
+    let mut h = Fnv64::new();
+    for cfg in (0..CORPUS).map(Config::from_seed).chain([CLB_256]) {
+        let instance = cfg.build();
+        let greedy = greedy::greedy_place(&instance);
+        for merging in [false, true] {
+            for dependency in [
+                DependencyEncoding::Pairwise,
+                DependencyEncoding::Aggregated,
+                DependencyEncoding::Lazy,
+            ] {
+                for merge_linking in [MergeLinking::PerMember, MergeLinking::Aggregated] {
+                    let options = EncodeOptions {
+                        dependency,
+                        merging,
+                        merge_linking,
+                    };
+                    let enc = IlpEncoding::build(&instance, &Objective::DistanceWeighted, &options);
+                    h.bytes(to_lp_format(&enc.model).as_bytes());
+                    h.usize(enc.num_placement_vars);
+                    // Lazy rows for an assignment setting every other
+                    // variable, and the greedy warm start.
+                    let alternate: Vec<f64> =
+                        (0..enc.model.num_vars()).map(|i| (i % 2) as f64).collect();
+                    h.bytes(format!("{:?}", enc.violated_dependencies(&alternate)).as_bytes());
+                    let warm = greedy.as_ref().map(|p| enc.warm_start(p));
+                    h.bytes(format!("{warm:?}").as_bytes());
+                }
+            }
+            let sat = SatEncoding::build(&instance, merging);
+            let opb = sat
+                .export_formula()
+                .to_opb()
+                .expect("no duplicate literals");
+            h.bytes(opb.as_bytes());
+            h.usize(sat.num_placement_vars());
+            h.usize(sat.constraint_count());
+            let options = PlacementOptions {
+                engine: PlacerEngine::Sat,
+                merging,
+                ..PlacementOptions::default()
+            };
+            let outcome = RulePlacer::new(options).place(&instance, Objective::TotalRules);
+            h.bytes(format!("{outcome:?}").as_bytes());
+        }
+    }
+    let got = h.finish();
+    assert_eq!(got, PINNED_ENCODINGS, "encodings moved: {got:#018x}");
 }
 
 #[test]

@@ -111,10 +111,10 @@ pub(crate) fn hash_flow(h: &mut Fnv, flow: &Option<flowplace_acl::Ternary>) {
 }
 
 /// Fingerprint of every solve-affecting option: engine, encoding knobs,
-/// monitors, solver limits, and the objective. Thread count is *not*
-/// hashed — it never changes the result (the pipeline's merge-order
-/// rule). The byte stream is pinned (the benchmark's input PINs hash
-/// through it), so two retired options still contribute a constant.
+/// solver limits, and the objective. Thread count is *not* hashed — it
+/// never changes the result (the pipeline's merge-order rule). The byte
+/// stream is pinned (the benchmark's input PINs hash through it), so
+/// retired options still contribute a constant.
 fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fingerprint {
     let mut h = Fnv::new();
     h.byte(match options.engine {
@@ -132,13 +132,8 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
         crate::MergeLinking::Aggregated => 1,
     });
     h.bool(options.greedy_warm_start);
-    h.usize(options.monitors.len());
-    for m in &options.monitors {
-        h.usize(m.switch.0);
-        h.u64(m.flow.width() as u64);
-        h.u128(m.flow.care());
-        h.u128(m.flow.value());
-    }
+    // Retired `monitors`: pinned fingerprints were taken with none.
+    h.usize(0);
     match options.mip.iteration_limit {
         None => h.bool(false),
         Some(n) => {

@@ -73,12 +73,12 @@ pub fn find_merge_groups(instance: &Instance, candidates: &CandidateMap) -> Vec<
     // by key before iteration (the DESIGN.md §16 hasher policy).
     type BucketKey = (SwitchId, Ternary, Action);
     let mut buckets: FnvHashMap<BucketKey, Vec<(EntryPortId, RuleId)>> = FnvHashMap::default();
-    for (&(ingress, rule_id), switches) in candidates {
+    for (&(ingress, rule_id), entry) in candidates {
         let rule = instance
             .policy(ingress)
             .expect("candidate refers to existing policy")
             .rule(rule_id);
-        for &s in switches {
+        for &s in &entry.switches {
             buckets
                 .entry((s, *rule.match_field(), rule.action()))
                 .or_default()

@@ -4,7 +4,7 @@ use std::time::{Duration, Instant};
 
 use flowplace_core::{
     incremental, verify, DependencyEncoding, MergeLinking, Objective, PlacementOptions,
-    PlacerEngine, RulePlacer, SolveCtx, SolveStatus,
+    PlacerEngine, RulePlacer, SolveStatus,
 };
 use flowplace_milp::MipOptions;
 use flowplace_rng::StdRng;
@@ -329,7 +329,6 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
             additions,
             &options,
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .expect("ingresses are fresh");
         rows.push(IncRow {
@@ -367,7 +366,6 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
                 new_routes,
                 &options,
                 Objective::TotalRules,
-                SolveCtx::default(),
             )
             .expect("ingress has a policy");
             total += t.elapsed();

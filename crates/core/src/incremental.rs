@@ -10,8 +10,7 @@
 //!   *restricted re-solve* — [`replace_ingresses`]: a sub-problem over
 //!   only the affected policies, with every other placement frozen and
 //!   switch capacities reduced to their spare, solved by [`par::solve`]
-//!   under the caller's [`SolveCtx`] with the ILP or (faster,
-//!   feasibility-only) PB-SAT engine. The paper's two named operations
+//!   with the ILP or (faster, feasibility-only) PB-SAT engine. The paper's two named operations
 //!   are an [`Instance`] edit in front of it: [`install_policies`]
 //!   attaches the new policies and routes, [`reroute_policy`] swaps one
 //!   ingress's routes.
@@ -28,7 +27,7 @@ use flowplace_routing::{Route, RouteSet};
 use flowplace_topo::{EntryPortId, SwitchId};
 
 use crate::greedy;
-use crate::par::{self, SolveCtx};
+use crate::par;
 use crate::placement::{Placement, PlacementOptions, PlacementStats, SolveStatus};
 use crate::{Instance, InstanceError, Objective};
 
@@ -109,7 +108,6 @@ fn restricted(
     excluded: &[SwitchId],
     options: &PlacementOptions,
     objective: Objective,
-    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let mut policies: Vec<(EntryPortId, Policy)> = Vec::new();
     for &l in ingresses {
@@ -136,7 +134,7 @@ fn restricted(
         topo.set_capacity(s, 0);
     }
     let sub = Instance::new(topo, sub_routes, policies)?;
-    let outcome = par::solve(&sub, objective, options, ctx).outcome;
+    let outcome = par::solve(&sub, objective, options, None);
     let placement = outcome.placement.map(|sub_placement| {
         frozen.absorb(sub_placement);
         frozen
@@ -166,7 +164,6 @@ pub fn install_policies(
     additions: Vec<(EntryPortId, Policy, Vec<Route>)>,
     options: &PlacementOptions,
     objective: Objective,
-    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     let mut edited = instance.clone();
     let mut ingresses = Vec::with_capacity(additions.len());
@@ -178,7 +175,7 @@ pub fn install_policies(
         edited.set_routes_from(l, routes)?;
         ingresses.push(l);
     }
-    restricted(edited, placement, &ingresses, &[], options, objective, ctx)
+    restricted(edited, placement, &ingresses, &[], options, objective)
 }
 
 /// Re-places a single policy after its routes changed (§IV-E "Routing
@@ -197,14 +194,13 @@ pub fn reroute_policy(
     new_routes: Vec<Route>,
     options: &PlacementOptions,
     objective: Objective,
-    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     if instance.policy(ingress).is_none() {
         return Err(IncrementalError::BadIngress(ingress));
     }
     let mut edited = instance.clone();
     edited.set_routes_from(ingress, new_routes)?;
-    restricted(edited, placement, &[ingress], &[], options, objective, ctx)
+    restricted(edited, placement, &[ingress], &[], options, objective)
 }
 
 /// Re-places the policies of a set of ingresses on their *existing*
@@ -230,7 +226,6 @@ pub fn replace_ingresses(
     excluded: &[SwitchId],
     options: &PlacementOptions,
     objective: Objective,
-    ctx: SolveCtx<'_>,
 ) -> Result<IncrementalOutcome, IncrementalError> {
     restricted(
         instance.clone(),
@@ -239,7 +234,6 @@ pub fn replace_ingresses(
         excluded,
         options,
         objective,
-        ctx,
     )
 }
 
@@ -442,7 +436,6 @@ mod tests {
             vec![(EntryPortId(1), q1, vec![route])],
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
@@ -461,7 +454,6 @@ mod tests {
             vec![(EntryPortId(0), q, vec![])],
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap_err();
         assert_eq!(e, IncrementalError::BadIngress(EntryPortId(0)));
@@ -486,7 +478,6 @@ mod tests {
             vec![(EntryPortId(1), q1, vec![route])],
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Infeasible);
@@ -509,7 +500,6 @@ mod tests {
             vec![new_route],
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
@@ -537,7 +527,6 @@ mod tests {
             &used,
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal);
@@ -561,7 +550,6 @@ mod tests {
             &all,
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Infeasible);
@@ -573,7 +561,6 @@ mod tests {
             &[],
             &PlacementOptions::default(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .is_err());
     }

@@ -74,6 +74,7 @@ pub mod candidates;
 pub mod depgraph;
 pub mod encode_ilp;
 pub mod encode_sat;
+mod fingerprint;
 pub mod greedy;
 pub mod incremental;
 mod instance;
@@ -86,18 +87,13 @@ pub mod tables;
 pub mod tags;
 pub mod verify;
 mod walk;
-pub mod warm;
 
 pub use depgraph::DependencyGraph;
 pub use encode_ilp::MergeLinking;
+pub use fingerprint::{fingerprint_instance, fingerprint_policy, Fingerprint};
 pub use instance::{Instance, InstanceError};
 pub use objective::Objective;
-pub use par::{ParOutcome, ParallelConfig, Provenance, SolveCtx};
 pub use placement::{
     DependencyEncoding, Placement, PlacementOptions, PlacementOutcome, PlacementStats,
     PlacerEngine, RulePlacer, SolveStatus,
-};
-pub use warm::{
-    fingerprint_ingress, fingerprint_instance, fingerprint_policy, Fingerprint, WarmCache,
-    WarmConfig, WarmStats,
 };

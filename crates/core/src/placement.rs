@@ -12,7 +12,6 @@ use crate::encode_ilp::{EncodeOptions, IlpEncoding, MergeLinking};
 use crate::encode_sat::SatEncoding;
 use crate::greedy;
 use crate::merge::MergeGroup;
-use crate::par::ParallelConfig;
 use crate::{Instance, Objective};
 
 pub use crate::encode_ilp::DependencyEncoding;
@@ -217,7 +216,7 @@ pub struct PlacementStats {
     pub lazy_rows: usize,
     /// Full CDCL statistics when the SAT engine produced this outcome
     /// (restarts, blocked restarts, DB reductions, learnt clauses, LBD
-    /// accounting); `None` for ILP/greedy/memo outcomes.
+    /// accounting); `None` for ILP and greedy outcomes.
     pub sat: Option<flowplace_pbsat::SolverStats>,
 }
 
@@ -249,10 +248,6 @@ pub struct PlacementOptions {
     pub greedy_warm_start: bool,
     /// Branch-and-bound options (iteration budget, warm incumbent).
     pub mip: MipOptions,
-    /// Parallel-pipeline configuration: worker threads for the
-    /// construction stages. The default (`threads: 1`) is the serial
-    /// path; the result is the same at any count.
-    pub parallel: ParallelConfig,
     /// CDCL search options for the SAT engine (learnt-DB reduction, on
     /// by default).
     pub sat: flowplace_pbsat::SolverOptions,
@@ -279,12 +274,11 @@ impl RulePlacer {
 
     /// Solves the placement problem for `instance` minimizing `objective`
     /// (the SAT engine ignores the objective and returns any feasible
-    /// placement): the cold, unobserved [`crate::par::solve`]. Callers
-    /// holding a warm cache or a telemetry sink call that directly.
-    /// Infeasibility is reported via [`PlacementOutcome::status`].
+    /// placement): the unobserved [`crate::par::solve`]. Callers holding
+    /// a telemetry sink call that directly. Infeasibility is reported via
+    /// [`PlacementOutcome::status`].
     pub fn place(&self, instance: &Instance, objective: Objective) -> PlacementOutcome {
-        let ctx = crate::par::SolveCtx::default();
-        crate::par::solve(instance, objective, &self.options, ctx).outcome
+        crate::par::solve(instance, objective, &self.options, None)
     }
 }
 

@@ -36,8 +36,6 @@ pub struct TableEntry {
     pub action: Action,
     /// Table priority (larger wins), assigned by the emitter.
     pub priority: u32,
-    /// The policy rules this entry realizes, one per tag.
-    pub contributors: Vec<(EntryPortId, RuleId)>,
 }
 
 /// The emitted ACL table of one switch, sorted by descending priority.
@@ -233,25 +231,16 @@ pub fn emit_tables(
             return Err(TableError::CircularPriority(SwitchId(si)));
         }
         let total = order.len() as u32;
-        let mut entries: Vec<TableEntry> = Vec::with_capacity(ds.len());
-        for (pos, &ei) in order.iter().enumerate() {
-            let d = std::mem::replace(
-                &mut ds[ei],
-                Draft {
-                    tags: BTreeSet::new(),
-                    match_field: Ternary::any(1),
-                    action: Action::Permit,
-                    contributors: Vec::new(),
-                },
-            );
-            entries.push(TableEntry {
-                tags: d.tags,
-                match_field: d.match_field,
-                action: d.action,
+        let entries = order
+            .iter()
+            .enumerate()
+            .map(|(pos, &ei)| TableEntry {
+                tags: std::mem::take(&mut ds[ei].tags),
+                match_field: ds[ei].match_field,
+                action: ds[ei].action,
                 priority: total - pos as u32,
-                contributors: d.contributors,
-            });
-        }
+            })
+            .collect();
         tables[si] = SwitchTable { entries };
     }
     Ok(tables)

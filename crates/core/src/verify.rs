@@ -48,9 +48,9 @@ use flowplace_acl::{Action, Packet, Ternary};
 use flowplace_routing::Route;
 use flowplace_topo::EntryPortId;
 
+use crate::fingerprint::{fingerprint_policy, hash_flow};
 use crate::placement::Placement;
 use crate::tables::{emit_tables, SwitchTable, TableError};
-use crate::warm::{fingerprint_policy, hash_flow};
 use crate::Instance;
 
 /// A semantic violation found by [`verify_placement`].
@@ -362,8 +362,8 @@ fn verify_tables_scoped(
 /// flow slice, the hop sequence, and per hop the ordered `(width, care,
 /// value, is_drop)` of that switch's entries whose tags contain the
 /// ingress. Priorities are left out (renumbering a switch keeps
-/// first-match order), and so are other tenants' entries, contributors
-/// and the egress: the check reads none of them.
+/// first-match order), and so are other tenants' entries and the
+/// egress: the check reads neither.
 fn route_keys(instance: &Instance, tables: &[SwitchTable]) -> Vec<u64> {
     // One pass over the tables hashes every (switch, tag) slice; entries
     // arrive in table order, so each slice hashes in first-match order.
@@ -750,7 +750,6 @@ mod tests {
             match_field: t("****"),
             action: Action::Drop,
             priority: u32::MAX,
-            contributors: Vec::new(),
         }]);
         let tables = vec![drop_all, SwitchTable::default(), SwitchTable::default()];
         assert!(verify_tables(&inst, &tables, 32, 7, VerifyMode::Exact, |_| true).is_err());

@@ -614,7 +614,6 @@ impl RuleCache {
                         match_field: x.entry.match_field,
                         action: x.entry.action,
                         priority: x.entry.priority,
-                        contributors: Vec::new(),
                     })
                     .collect();
                 // Punt fences: one per header width present in the full
@@ -638,7 +637,6 @@ impl RuleCache {
                         match_field: flowplace_acl::Ternary::any(width),
                         action: Action::Drop,
                         priority: 0,
-                        contributors: Vec::new(),
                     });
                 }
                 SwitchTable::from_entries(entries)

@@ -67,7 +67,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vec![(new_ingress, new_policy, new_routes)],
         &options,
         Objective::TotalRules,
-        SolveCtx::default(),
     )?;
     println!(
         "tenant join: {} in {:?} (sub-problem only)",
@@ -93,7 +92,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         rerouted,
         &options,
         Objective::TotalRules,
-        SolveCtx::default(),
     )?;
     println!("route change: {} in {:?}", out.status, t.elapsed());
     let (instance, placement) = (out.instance, out.placement.expect("reroute fits"));

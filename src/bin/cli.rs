@@ -45,7 +45,6 @@ place flags:
   --iteration-limit N  branch-and-bound budget in simplex pivots [32000]
                        (what 60 s bought on the development box at 8
                        ingresses x 90 rules; the cut is the same anywhere)
-  --threads N          pipeline worker threads (0 = auto-detect) [1]
   --verify             golden-model check of the deployment
   --tables             print the emitted per-switch tables
   --export-lp FILE     also write the ILP in CPLEX LP format
@@ -66,7 +65,6 @@ ctrl replay flags:
   --topo SPEC          fat-tree:K | leaf-spine:S,L,H | linear:N  [linear:4]
   --capacity N         TCAM slots per switch                     [16]
   --batch N            events coalesced per epoch                [8]
-  --threads N          pipeline worker threads (0 = auto-detect) [1]
   --verbose            print every event outcome, not just epochs
   --faults FILE        scripted fault schedule (grammar below)
   --fault-seed N       seed for probabilistic fault draws        [0]
@@ -75,8 +73,6 @@ ctrl replay flags:
   --recover-rate P     per-crashed-switch recovery probability   [0]
   --retries N          install attempts per op, first included   [4]
   --quarantine-after N consecutive failures before quarantine    [3]
-  --warm on|off        the epoch placement memo (a re-solve of an
-                       already-solved instance returns in O(1))  [on]
   --trace-out FILE     write the epoch/event/commit span trace
                        (flowplace.obs.v1 JSON, byte-identical per seed)
   --metrics-out FILE   write the metrics registry dump (flowplace.obs.v1)
@@ -139,12 +135,12 @@ fn main() -> ExitCode {
 /// a usage error, so a misspelt or retired flag cannot silently run with
 /// the default it was meant to override.
 const PLACE_FLAGS: &str = "topo capacity ingresses paths rules policy-file seed merging engine \
-    objective iteration-limit threads verify tables export-lp trace-out metrics-out";
+    objective iteration-limit verify tables export-lp trace-out metrics-out";
 const AUDIT_FLAGS: &str = "dot metrics-out";
 const GEN_POLICY_FLAGS: &str = "rules width seed profile";
-const CTRL_REPLAY_FLAGS: &str = "topo capacity batch threads verbose faults \
-    fault-seed reject-rate crash-rate recover-rate retries quarantine-after warm trace-out \
-    metrics-out cache delegation traffic";
+const CTRL_REPLAY_FLAGS: &str = "topo capacity batch verbose faults fault-seed \
+    reject-rate crash-rate recover-rate retries quarantine-after trace-out metrics-out cache \
+    delegation traffic";
 const TRAFFIC_GEN_FLAGS: &str = "seed rate duration zipf ingresses width flows flowlet burst";
 
 /// Splits `args` into `--flag value` pairs and bare switches, rejecting
@@ -386,9 +382,6 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
         Some(other) => return Err(format!("unknown objective {other:?}")),
     };
     let iteration_limit = get_usize(&flags, "iteration-limit", 32_000)?;
-    let parallel = ParallelConfig {
-        threads: get_usize(&flags, "threads", 1)?,
-    };
     let options = PlacementOptions {
         engine,
         merging: flags.contains_key("merging"),
@@ -397,7 +390,6 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
             iteration_limit: Some(iteration_limit),
             ..MipOptions::default()
         },
-        parallel,
         ..PlacementOptions::default()
     };
 
@@ -416,21 +408,9 @@ fn place_inner(args: &[String]) -> Result<ExitCode, String> {
     }
 
     let obs = obs_requested(&flags);
-    let ctx = SolveCtx {
-        warm: None,
-        obs: obs.as_ref(),
-    };
     let started = std::time::Instant::now();
-    let par = par::solve(&instance, objective, &options, ctx);
+    let outcome = par::solve(&instance, objective, &options, obs.as_ref());
     let took = started.elapsed();
-    if parallel.is_parallel() {
-        println!(
-            "pipeline: {} threads, engine {}",
-            parallel.effective_threads(),
-            par.provenance
-        );
-    }
-    let outcome = par.outcome;
     write_obs_outputs(&flags, obs.as_ref())?;
     println!(
         "status: {} in {:?} ({} vars, {} rows, {} nodes)",
@@ -564,20 +544,6 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
     }
     let faulty = faults.is_active();
 
-    let placement = flowplace::core::PlacementOptions {
-        parallel: ParallelConfig {
-            threads: get_usize(&flags, "threads", 1)?,
-        },
-        ..flowplace::core::PlacementOptions::default()
-    };
-    let warm = match flags.get("warm").map(String::as_str) {
-        None | Some("on") => flowplace::core::WarmConfig::default(),
-        Some("off") => flowplace::core::WarmConfig {
-            enabled: false,
-            ..flowplace::core::WarmConfig::default()
-        },
-        Some(other) => return Err(format!("--warm: expected on|off, got {other:?}")),
-    };
     let cache = match flags.get("cache") {
         None => flowplace::ctrl::CacheConfig::default(),
         Some(spec) => {
@@ -592,8 +558,6 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
     };
     let options = CtrlOptions {
         batch_size: get_usize(&flags, "batch", 8)?,
-        placement,
-        warm,
         cache,
         delegation,
         faults,

@@ -79,9 +79,8 @@ pub use flowplace_core::{
 pub mod prelude {
     pub use flowplace_acl::{Action, Packet, Policy, Rule, RuleId, Ternary};
     pub use flowplace_core::{
-        DependencyEncoding, Instance, Objective, ParOutcome, ParallelConfig, Placement,
-        PlacementOptions, PlacementOutcome, PlacerEngine, Provenance, RulePlacer, SolveCtx,
-        SolveStatus,
+        DependencyEncoding, Instance, Objective, Placement, PlacementOptions, PlacementOutcome,
+        PlacerEngine, RulePlacer, SolveStatus,
     };
     pub use flowplace_ctrl::{Controller, CtrlOptions, CtrlStats, Event, Tier};
     pub use flowplace_obs::Obs;

@@ -94,16 +94,9 @@ fn eviction_is_dependency_safe_for_32_seeds() {
             let capacity = 2 + (seed % 4) as usize;
             let mut ctrl = build_controller(seed, policy, capacity);
             let flows = generate(&traffic(seed));
-            let memo_lookups = ctrl.stats().warm_memo_lookups;
             let report = ctrl.process_flows(&flows);
 
             assert_eq!(report.flows, flows.len() as u64, "seed {seed}");
-            // A flow stream consults no solver.
-            assert_eq!(
-                ctrl.stats().warm_memo_lookups,
-                memo_lookups,
-                "seed {seed} {policy}"
-            );
             // Every lookup is a hit, a miss or a no-match (the derived
             // count must not underflow), and the rate is over the first
             // two only.

@@ -150,28 +150,6 @@ fn rule_event_rejections_say_what_was_wrong() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Warm ≡ cold at the CLI: `--warm off` zeroes the `warm:` summary line
-/// and moves no other byte of the demo replay's stdout.
-#[test]
-fn warm_off_changes_only_the_warm_line() {
-    let replay = |extra: &[&str]| {
-        let args = [
-            "ctrl",
-            "replay",
-            "traces/controller_demo.trace",
-            "--verbose",
-        ];
-        let out = flowplace(&[&args[..], extra].concat());
-        assert!(out.status.success());
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let (warm, cold) = (replay(&[]), replay(&["--warm", "off"]));
-    let warm_line = "warm: 0 memo hits / 7 misses (0 evicted)\n";
-    let cold_line = "warm: 0 memo hits / 0 misses (0 evicted)\n";
-    assert!(warm.contains(warm_line), "{warm}");
-    assert_eq!(warm.replace(warm_line, cold_line), cold);
-}
-
 #[test]
 fn place_exports_lp_model() {
     let dir = std::env::temp_dir().join(format!("flowplace-cli-lp-{}", std::process::id()));
@@ -295,6 +273,8 @@ fn bad_flags_reported() {
             concat!("lu", "by"),
             "error: unknown flag --sat-re",
         ),
+        ("--warm", "on", "error: unknown flag --warm"),
+        ("--threads", "2", "error: unknown flag --threads"),
         ("--capcity", "2", "error: unknown flag --capcity"),
         ("--retries", "4294967297", "--retries: bad number"),
         (
@@ -318,6 +298,7 @@ fn bad_flags_reported() {
         (concat!("--port", "folio"), "x"),
         (concat!("--sat-re", "start"), "x"),
         ("--time-limit", "5"),
+        ("--threads", "2"),
     ] {
         let out = flowplace(&["place", flag, value]);
         assert_eq!(out.status.code(), Some(2), "place {flag}");

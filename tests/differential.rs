@@ -1,16 +1,14 @@
-//! Differential oracle for the parallel solve pipeline.
+//! Differential oracle for the solve pipeline.
 //!
 //! Three guarantees are exercised over a corpus of seeded ClassBench
 //! instances:
 //!
-//! 1. **Byte-identity** — the parallel pipeline must return exactly the
-//!    serial result (same placement, status, and objective) for any
-//!    thread count. This is the determinism contract of
-//!    `flowplace_core::par` (one code path + merge-order rule).
-//! 2. **Fail-closed engines** — every placement any engine produces
+//! 1. **Fail-closed engines** — every placement any engine produces
 //!    (ILP, greedy heuristic, PB-SAT) must pass the one-sided
 //!    `verify::no_false_negatives` check: no packet a policy DROPs may
 //!    traverse the deployed tables.
+//! 2. **Replay** — a PB-SAT solve repeated with the same options returns
+//!    the same placement and the same search counters.
 //! 3. **Pinned encodings** — the ILP model text, the SAT formula's OPB
 //!    text and the SAT outcome of every instance hash to a recorded
 //!    constant, so a refactor of the encoders cannot move them.
@@ -23,7 +21,6 @@
 use flowplace::classbench::{Generator, Profile};
 use flowplace::core::encode_ilp::{EncodeOptions, IlpEncoding, MergeLinking};
 use flowplace::core::encode_sat::SatEncoding;
-use flowplace::core::par::{self, ParallelConfig};
 use flowplace::core::verify;
 use flowplace::core::{greedy, Instance};
 use flowplace::milp::to_lp_format;
@@ -79,46 +76,6 @@ fn serial_options() -> PlacementOptions {
         greedy_warm_start: true,
         ..PlacementOptions::default()
     }
-}
-
-/// Checks byte-identity between the serial path and the parallel
-/// pipeline on one configuration. `Err` carries a human-readable
-/// mismatch description.
-fn check_identity(cfg: &Config, threads: usize) -> Result<(), String> {
-    let instance = cfg.build();
-    let serial = RulePlacer::new(serial_options()).place(&instance, Objective::TotalRules);
-    let par_options = PlacementOptions {
-        parallel: ParallelConfig { threads },
-        ..serial_options()
-    };
-    let par = par::solve(
-        &instance,
-        Objective::TotalRules,
-        &par_options,
-        SolveCtx::default(),
-    );
-    if par.outcome.status != serial.status {
-        return Err(format!(
-            "status diverged: serial {:?}, parallel {:?}",
-            serial.status, par.outcome.status
-        ));
-    }
-    if par.outcome.objective != serial.objective {
-        return Err(format!(
-            "objective diverged: serial {:?}, parallel {:?}",
-            serial.objective, par.outcome.objective
-        ));
-    }
-    if par.outcome.placement != serial.placement {
-        return Err("placements diverged".to_string());
-    }
-    if format!("{}", par.provenance) != "single:ilp" {
-        return Err(format!(
-            "an ILP run must report single:ilp provenance, got {}",
-            par.provenance
-        ));
-    }
-    Ok(())
 }
 
 /// Shrinks a failing configuration: first fewer rules, then fewer
@@ -181,27 +138,6 @@ fn fail_shrunk(
     );
 }
 
-#[test]
-fn parallel_pipeline_is_byte_identical_to_serial() {
-    for seed in 0..CORPUS {
-        let cfg = Config::from_seed(seed);
-        // 4 worker threads exercises chunked fan-out even on small
-        // instances (more threads than ingresses on some seeds).
-        if let Err(reason) = check_identity(&cfg, 4) {
-            fail_shrunk(cfg, reason, "byte-identity (4 threads)", |c| {
-                check_identity(c, 4)
-            });
-        }
-        // threads=0 resolves to the machine's parallelism — identity
-        // must hold for ANY thread count, including auto.
-        if let Err(reason) = check_identity(&cfg, 0) {
-            fail_shrunk(cfg, reason, "byte-identity (auto threads)", |c| {
-                check_identity(c, 0)
-            });
-        }
-    }
-}
-
 /// Runs one engine on the instance and checks its placement (when one
 /// exists) for false negatives.
 fn check_fail_closed(cfg: &Config, engine: &str) -> Result<(), String> {
@@ -255,32 +191,18 @@ type SatSolve = (
     flowplace::pbsat::SolverStats,
 );
 
-/// Solves one configuration with the PB-SAT engine (default CDCL
-/// options: glucose restarts, learnt-DB reduction) at a thread count.
-fn glucose_solve(cfg: &Config, threads: usize) -> SatSolve {
+/// Solves one configuration with the PB-SAT engine (glucose restarts,
+/// learnt-DB reduction on or off).
+fn glucose_solve(cfg: &Config, db_reduction: bool) -> SatSolve {
     let instance = cfg.build();
-    let options = PlacementOptions {
+    let mut options = PlacementOptions {
         engine: PlacerEngine::Sat,
-        parallel: ParallelConfig { threads },
         ..serial_options()
     };
-    let out = par::solve(
-        &instance,
-        Objective::TotalRules,
-        &options,
-        SolveCtx::default(),
-    );
-    let stats = out
-        .outcome
-        .stats
-        .sat
-        .expect("SAT engine reports solver stats");
-    (
-        out.outcome.placement,
-        out.outcome.status,
-        out.outcome.objective,
-        stats,
-    )
+    options.sat.db_reduction = db_reduction;
+    let out = RulePlacer::new(options).place(&instance, Objective::TotalRules);
+    let stats = out.stats.sat.expect("SAT engine reports solver stats");
+    (out.placement, out.status, out.objective, stats)
 }
 
 /// The 256-rule ClassBench shape (16 tenants × 16 rules on the k=4
@@ -293,29 +215,20 @@ const CLB_256: Config = Config {
 };
 
 #[test]
-fn glucose_sat_engine_is_deterministic_across_thread_counts() {
+fn glucose_sat_engine_is_deterministic() {
     // Same seed + same options ⇒ byte-identical placements AND
     // byte-identical solver counters (conflicts, restarts, reductions,
-    // LBD sums) at any `--threads`. The CDCL search itself is
-    // single-threaded per solve, so even the effort counters must not
-    // wobble when the surrounding pipeline fans out.
+    // LBD sums), with learnt-DB reduction on and off.
     for cfg in (0..CORPUS).map(Config::from_seed).chain([CLB_256]) {
         let seed = cfg.seed;
-        let reference = glucose_solve(&cfg, 1);
-        for threads in [4usize, 0] {
-            let got = glucose_solve(&cfg, threads);
+        for db_reduction in [true, false] {
+            let reference = glucose_solve(&cfg, db_reduction);
+            let replay = glucose_solve(&cfg, db_reduction);
             assert_eq!(
-                got, reference,
-                "glucose SAT solve diverged at threads={threads} (seed {seed})"
+                replay, reference,
+                "glucose SAT replay wobbled (seed {seed}, db_reduction {db_reduction})"
             );
         }
-        // Re-running the identical configuration must also be a
-        // byte-identical replay, not merely thread-stable.
-        let replay = glucose_solve(&cfg, 1);
-        assert_eq!(
-            replay, reference,
-            "glucose SAT replay wobbled (seed {seed})"
-        );
     }
 }
 

@@ -74,7 +74,6 @@ fn lifecycle_with_rolling_updates() {
             )],
             &options(),
             Objective::TotalRules,
-            SolveCtx::default(),
         )
         .unwrap();
         assert_eq!(out.status, SolveStatus::Optimal, "week {week} install");
@@ -106,7 +105,6 @@ fn lifecycle_with_rolling_updates() {
         new_routes,
         &options(),
         Objective::TotalRules,
-        SolveCtx::default(),
     )
     .unwrap();
     assert_eq!(out.status, SolveStatus::Optimal);

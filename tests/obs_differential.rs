@@ -125,10 +125,9 @@ fn temp_file(name: &str) -> PathBuf {
 
 /// The CLI acceptance path: same-seed chaos replays with
 /// `--trace-out`/`--metrics-out` write byte-identical, schema-valid
-/// dumps at any `--threads` (serial, this machine's core count, more
-/// workers than the instance has ingresses), and emitting them leaves
-/// stdout (epoch reports, stats, dataplane dump, audit verdict)
-/// untouched vs a telemetry-free run.
+/// dumps on every run, and emitting them leaves stdout (epoch reports,
+/// stats, dataplane dump, audit verdict) untouched vs a telemetry-free
+/// run.
 #[test]
 fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
     let baseline = flowplace_chaos(&[]);
@@ -139,12 +138,10 @@ fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
     );
 
     let mut dumps: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-    for threads in ["1", "0", "3"] {
-        let trace_path = temp_file(&format!("t{threads}.json"));
-        let metrics_path = temp_file(&format!("m{threads}.json"));
+    for run in 0..2 {
+        let trace_path = temp_file(&format!("t{run}.json"));
+        let metrics_path = temp_file(&format!("m{run}.json"));
         let out = flowplace_chaos(&[
-            "--threads",
-            threads,
             "--trace-out",
             trace_path.to_str().unwrap(),
             "--metrics-out",
@@ -157,7 +154,7 @@ fn cli_chaos_replay_dumps_are_byte_identical_and_effect_free() {
         );
         assert_eq!(
             out.stdout, baseline.stdout,
-            "--threads {threads}: telemetry flags changed the replay's stdout"
+            "run {run}: telemetry flags changed the replay's stdout"
         );
         let trace = std::fs::read(&trace_path).expect("trace written");
         let metrics = std::fs::read(&metrics_path).expect("metrics written");

@@ -606,7 +606,6 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
             vec![(l, q, routes)],
             &options,
             Objective::TotalRules,
-            SolveCtx::default(),
         );
         let want = incremental::replace_ingresses(
             &edited,
@@ -615,7 +614,6 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
             &[],
             &options,
             Objective::TotalRules,
-            SolveCtx::default(),
         );
         same(case, out.unwrap(), want.unwrap());
 
@@ -634,7 +632,6 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
             routes,
             &options,
             Objective::TotalRules,
-            SolveCtx::default(),
         );
         let want = incremental::replace_ingresses(
             &edited,
@@ -643,7 +640,6 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
             &[],
             &options,
             Objective::TotalRules,
-            SolveCtx::default(),
         );
         same(case, out.unwrap(), want.unwrap());
     }

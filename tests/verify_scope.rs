@@ -3,9 +3,9 @@
 //! Every commit of a [`Controller`] verifies in full only the routes
 //! whose inputs changed since its last passing verify
 //! (`flowplace::core::verify::VerifiedRoutes`). That is a pure
-//! accelerator: over 32 randomized seeds (cache tier and warm path
-//! enabled, fault events included), replayed once with no fault plan and
-//! once under one that rejects installs all the way through, every
+//! accelerator: over 32 randomized seeds (cache tier enabled, fault
+//! events included), replayed once with no fault plan and once under
+//! one that rejects installs all the way through, every
 //! committed epoch must also pass the full reference sweep
 //! `verify_placement`, two runs of a seed must agree byte for byte on
 //! every observable, and the memo must actually skip routes on both
@@ -91,8 +91,7 @@ fn options(faults: FaultPlan) -> CtrlOptions {
         batch_size: 4,
         verify_packets: 4,
         faults,
-        // The differential must hold with the cache tier and the warm
-        // path enabled — both on here.
+        // The differential must hold with the cache tier enabled.
         cache: CacheConfig {
             enabled: true,
             capacity: 4,

@@ -57,18 +57,18 @@ pub(crate) struct CubeArena {
 
 impl CubeArena {
     /// An empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Counters accumulated since construction.
-    pub fn stats(&self) -> ArenaStats {
+    pub(crate) fn stats(&self) -> ArenaStats {
         self.stats
     }
 
     /// Takes an empty scratch buffer, reusing pooled capacity when
     /// available.
-    pub fn take(&mut self) -> Vec<Ternary> {
+    pub(crate) fn take(&mut self) -> Vec<Ternary> {
         match self.pool.pop() {
             Some(buf) => {
                 debug_assert!(buf.is_empty());
@@ -85,7 +85,7 @@ impl CubeArena {
 
     /// Returns a buffer to the pool. The contents are discarded; the
     /// capacity is kept for the next [`take`](Self::take).
-    pub fn put(&mut self, mut buf: Vec<Ternary>) {
+    pub(crate) fn put(&mut self, mut buf: Vec<Ternary>) {
         buf.clear();
         self.pooled_bytes += capacity_bytes(&buf);
         self.stats.peak_bytes = self.stats.peak_bytes.max(self.pooled_bytes);

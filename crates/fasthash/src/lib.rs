@@ -34,6 +34,8 @@
 //! DESIGN.md §16 for the policy and the differential suites that
 //! enforce it.
 
+#![warn(unreachable_pub)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -23,8 +23,8 @@ clippy:
 	$(CARGO) clippy --offline --workspace --all-targets -- -D warnings
 
 ## no-raw-print: library sources must route output through flowplace-obs
-## or a Write sink, never raw print macros (binaries are exempt), and read
-## no wall clock.
+## or a Write sink, never raw print macros (binaries are exempt), read
+## no wall clock and spawn no thread.
 no-raw-print:
 	./scripts/no_raw_print.sh
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Library sources must not print, and must not read the wall clock.
+# Library sources must not print, read the wall clock, or spawn threads.
 #
 # All output from library crates goes through flowplace-obs (spans +
 # metrics on a deterministic virtual clock) or a caller-provided Write
@@ -36,3 +36,18 @@ if [ -n "$clock" ]; then
     exit 1
 fi
 echo "no wall clock in library sources"
+
+# Nor spawn threads: every stage of a solve runs on the calling thread,
+# so a library needs neither `std::thread` nor a core count. The
+# experiment driver (crates/bench) and binaries are exempt, as above.
+threads=$(grep -RnE 'std::thread|available_parallelism' crates/*/src \
+    | grep -vE '^crates/bench/|^crates/[^/]+/src/bin/' \
+    || true)
+
+if [ -n "$threads" ]; then
+    echo "FAIL: threads in library sources:" >&2
+    echo "$threads" >&2
+    echo "Run the work on the calling thread." >&2
+    exit 1
+fi
+echo "no threads in library sources"

@@ -10,7 +10,7 @@ all: ci
 ## ci: the gating steps of .github/workflows/ci.yml, in its order —
 ## format check, clippy, print hygiene, doc links, tier-1 tests under
 ## the timing guard, every crate's tests, the benchmark smoke run, the
-## pinned obs dumps, the demo replay, the chaos replay.
+## pinned obs dumps, the pinned demo and chaos replay outputs.
 ci: fmt-check clippy no-raw-print doc timing-guard test-all benchmark-smoke obs-smoke replay-demo chaos
 
 fmt:
@@ -77,17 +77,23 @@ obs-smoke:
 		obs summarize OBS_trace.json OBS_metrics.json OBS_demo_metrics.json
 	git diff --exit-code -- OBS_trace.json OBS_metrics.json OBS_demo_metrics.json
 
-## replay-demo: run the controller on the shipped 50+-event trace.
+## replay-demo: run the controller on the shipped 50+-event trace;
+## fails if its stdout (dataplane dump and stats included) differs from
+## the pinned traces/controller_demo.out.
 replay-demo:
-	$(CARGO) run --release --offline --bin flowplace -- ctrl replay traces/controller_demo.trace
+	$(CARGO) run --release --offline --bin flowplace -- \
+		ctrl replay traces/controller_demo.trace > traces/controller_demo.out
+	git diff --exit-code -- traces/controller_demo.out
 
 ## chaos: replay the committed chaos trace under the pinned fault seed;
-## exits non-zero unless the fail-closed audit is green.
+## exits non-zero unless the fail-closed audit is green, and fails if
+## its stdout differs from the pinned traces/chaos.out.
 chaos:
 	$(CARGO) run --release --offline --bin flowplace -- \
 		ctrl replay traces/chaos.trace --batch 4 \
 		--faults traces/chaos.faults --fault-seed 42 \
-		--reject-rate 0.1 --crash-rate 0.02 --recover-rate 0.5
+		--reject-rate 0.1 --crash-rate 0.02 --recover-rate 0.5 > traces/chaos.out
+	git diff --exit-code -- traces/chaos.out
 
 ## loc: lines of Rust, the figures CHANGES.md and ROADMAP quote: what
 ## ships (`crates` + `src`), the tier-1 tests, the system benchmark.

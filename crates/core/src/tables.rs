@@ -25,41 +25,83 @@ use flowplace_topo::{EntryPortId, SwitchId};
 use crate::placement::Placement;
 use crate::Instance;
 
-/// One TCAM entry of an emitted switch table.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// One tagged TCAM entry: what the emitter writes, the dataplane
+/// deploys and the cache tier holds. Identity is the full tuple — two
+/// entries that differ only in priority are distinct dataplane state —
+/// and the derived `Ord` compares `(priority, tags, match_field,
+/// action)` in that order.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableEntry {
-    /// The ingress policies this entry applies to (≥ 2 for merged rules).
+    /// Table priority (larger wins), assigned by the emitter.
+    pub priority: u32,
+    /// The ingress policies this entry applies to (≥ 2 for merged rules;
+    /// §IV-D disjointness).
     pub tags: BTreeSet<EntryPortId>,
     /// The header match field.
     pub match_field: Ternary,
     /// PERMIT or DROP.
     pub action: Action,
-    /// Table priority (larger wins), assigned by the emitter.
-    pub priority: u32,
 }
 
-/// The emitted ACL table of one switch, sorted by descending priority.
+impl TableEntry {
+    /// True for the controller's reserved safe-mode drop-all entry: a
+    /// maximum-priority all-wildcard DROP. These live in a reserved
+    /// system slot and do not count against TCAM capacity.
+    pub fn is_safe_mode(&self) -> bool {
+        self.priority == u32::MAX && self.match_field.care() == 0 && self.action == Action::Drop
+    }
+
+    /// True for a delegation redirect stub: a minimum-priority
+    /// all-wildcard PERMIT. Semantically neutral in the pipeline model —
+    /// a PERMIT forwards, exactly like no-match — it models the TCAM slot
+    /// the hardware redirect rule occupies while a delegation is active.
+    pub fn is_delegation_stub(&self) -> bool {
+        self.priority == 0 && self.match_field.care() == 0 && self.action == Action::Permit
+    }
+
+    /// True for any reserved-system-bank entry (the safe-mode fence or
+    /// a delegation redirect stub): exempt from the capacity check and
+    /// surviving capacity revocations, so the controller's fail-closed
+    /// fallbacks can never themselves be infeasible. [`emit_tables`]
+    /// never yields one: its priorities run `1..=total`.
+    pub fn is_reserved(&self) -> bool {
+        self.is_safe_mode() || self.is_delegation_stub()
+    }
+}
+
+impl fmt::Display for TableEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "[{}] tags={{", self.priority)?;
+        for (i, t) in self.tags.iter().enumerate() {
+            if i > 0 {
+                write!(f, ",")?;
+            }
+            write!(f, "{t}")?;
+        }
+        write!(f, "}} {} {}", self.match_field, self.action)
+    }
+}
+
+/// Table order, the one every table in the system is kept in:
+/// descending priority, ties by the entry's full ordering so the result
+/// is deterministic.
+pub fn table_order(a: &TableEntry, b: &TableEntry) -> std::cmp::Ordering {
+    b.priority.cmp(&a.priority).then_with(|| a.cmp(b))
+}
+
+/// The emitted ACL table of one switch, in [`table_order`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SwitchTable {
     entries: Vec<TableEntry>,
 }
 
 impl SwitchTable {
-    /// Builds a table directly from entries, sorting them into descending
-    /// priority order (ties broken by tags/match so the result is
-    /// deterministic). This is the bridge for auditors that reconstruct
-    /// tables from *actual* switch state — e.g. a fault-tolerant
-    /// controller handing the dataplane's surviving TCAM contents to
-    /// [`crate::verify::verify_tables`] — rather than emitting them from
-    /// a placement.
+    /// Builds a table from entries not emitted from a placement — e.g.
+    /// a fault-tolerant controller handing the dataplane's surviving
+    /// TCAM contents to [`crate::verify::verify_tables`] — sorting them
+    /// into [`table_order`].
     pub fn from_entries(mut entries: Vec<TableEntry>) -> Self {
-        entries.sort_by(|a, b| {
-            b.priority
-                .cmp(&a.priority)
-                .then_with(|| a.tags.cmp(&b.tags))
-                .then_with(|| a.match_field.cmp(&b.match_field))
-                .then_with(|| a.action.cmp(&b.action))
-        });
+        entries.sort_by(table_order);
         SwitchTable { entries }
     }
 
@@ -92,15 +134,7 @@ impl SwitchTable {
 impl fmt::Display for SwitchTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for e in &self.entries {
-            let tags: Vec<String> = e.tags.iter().map(|t| t.to_string()).collect();
-            writeln!(
-                f,
-                "[{}] tags={{{}}} {} {}",
-                e.priority,
-                tags.join(","),
-                e.match_field,
-                e.action
-            )?;
+            writeln!(f, "{e}")?;
         }
         Ok(())
     }

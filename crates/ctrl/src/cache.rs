@@ -42,7 +42,7 @@
 //! exactly the priority-inversion bug class a broken eviction would
 //! introduce — see `Controller::cache_fail_closed_audit`.
 //!
-//! Safe-mode fence entries (see [`TcamEntry::is_safe_mode`]) live in the
+//! Safe-mode fence entries (see [`TableEntry::is_safe_mode`]) live in the
 //! reserved system bank: they are always resident and never count
 //! against the cache capacity, so fail-closed degradation survives
 //! caching unchanged.
@@ -52,11 +52,9 @@ use std::fmt;
 
 use flowplace_acl::classify::BatchClassifier;
 use flowplace_acl::{Action, Packet};
-use flowplace_core::tables::{SwitchTable, TableEntry};
+use flowplace_core::tables::{table_order, SwitchTable, TableEntry};
 use flowplace_fasthash::FnvHashMap;
 use flowplace_topo::{EntryPortId, SwitchId};
-
-use crate::dataplane::TcamEntry;
 
 /// Pluggable eviction policy.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -200,7 +198,7 @@ pub struct CacheCounters {
 /// One target entry plus its cache metadata.
 #[derive(Clone, Debug)]
 struct Slot {
-    entry: TcamEntry,
+    entry: TableEntry,
     resident: bool,
     /// Logical tick of the last hit or insert (LRU recency).
     last_use: u64,
@@ -297,7 +295,7 @@ pub struct RuleCache {
 /// True when two target entries overlap for caching purposes: some
 /// ingress tag in common and intersecting match fields (width mismatch
 /// means disjoint header spaces, never an overlap).
-fn overlaps(a: &TcamEntry, b: &TcamEntry) -> bool {
+fn overlaps(a: &TableEntry, b: &TableEntry) -> bool {
     a.match_field.width() == b.match_field.width()
         && a.tags.iter().any(|t| b.tags.contains(t))
         && a.match_field.intersects(&b.match_field)
@@ -333,22 +331,24 @@ impl RuleCache {
         self.tables[s.0].slots.iter().filter(|x| x.resident).count()
     }
 
-    /// Re-synchronizes the cache with new target tables (after an epoch
-    /// commit). Residency survives for entries that still exist in the
-    /// target — identity is the full [`TcamEntry`] tuple, matching the
-    /// dataplane's identity rule — then the upward closure is re-pulled
-    /// and the capacity re-enforced, so the invariant holds on exit no
-    /// matter how the target moved.
-    pub fn set_target(&mut self, targets: &[Vec<TcamEntry>]) {
-        let mut tables = Vec::with_capacity(targets.len());
-        for (i, want) in targets.iter().enumerate() {
+    /// Re-synchronizes the cache with new target tables, one entry
+    /// slice per switch (after an epoch commit). Residency survives for
+    /// entries that still exist in the target — identity is the full
+    /// [`TableEntry`] tuple, matching the dataplane's identity rule —
+    /// then the upward closure is re-pulled and the capacity
+    /// re-enforced, so the invariant holds on exit no matter how the
+    /// target moved.
+    pub fn set_target<T: AsRef<[TableEntry]>>(&mut self, targets: impl IntoIterator<Item = T>) {
+        let mut tables = Vec::with_capacity(self.tables.len());
+        for (i, want) in targets.into_iter().enumerate() {
+            let want = want.as_ref();
             let old = self.tables.get(i);
             // Index the previous slots by entry so the carry-over probe
             // is O(1) instead of a scan per target entry. First
             // occurrence wins on duplicate entries, matching the linear
             // `find` this replaces; the map is probe-only, so the
             // unordered FNV hasher cannot leak order anywhere.
-            let mut prev_by_entry: FnvHashMap<&TcamEntry, &Slot> = FnvHashMap::default();
+            let mut prev_by_entry: FnvHashMap<&TableEntry, &Slot> = FnvHashMap::default();
             if let Some(t) = old {
                 for s in &t.slots {
                     prev_by_entry.entry(&s.entry).or_insert(s);
@@ -369,12 +369,7 @@ impl RuleCache {
                 })
                 .collect();
             // Mirror the dataplane's deterministic order.
-            slots.sort_by(|a, b| {
-                b.entry
-                    .priority
-                    .cmp(&a.entry.priority)
-                    .then_with(|| a.entry.cmp(&b.entry))
-            });
+            slots.sort_by(|a, b| table_order(&a.entry, &b.entry));
             // Rebuild the overlap adjacency: j runs strictly below i in
             // the sorted order, so i is j's higher-priority side.
             for i in 0..slots.len() {
@@ -388,7 +383,8 @@ impl RuleCache {
             tables.push(CacheTable::from_slots(slots));
         }
         // Keep table count in sync with the dataplane.
-        tables.resize_with(self.tables.len().max(targets.len()), CacheTable::default);
+        let switches = self.tables.len().max(tables.len());
+        tables.resize_with(switches, CacheTable::default);
         self.tables = tables;
         // Re-establish the invariant over the survivors, then shrink
         // back under capacity if closure pulls overshot it.
@@ -609,12 +605,7 @@ impl RuleCache {
                     .slots
                     .iter()
                     .filter(|x| x.resident)
-                    .map(|x| TableEntry {
-                        tags: x.entry.tags.clone(),
-                        match_field: x.entry.match_field,
-                        action: x.entry.action,
-                        priority: x.entry.priority,
-                    })
+                    .map(|x| x.entry.clone())
                     .collect();
                 // Punt fences: one per header width present in the full
                 // table, tagged with every ingress that width serves.
@@ -659,7 +650,7 @@ impl RuleCache {
     /// Slot index of the first entry on `s` matching `predicate`
     /// (tables are in descending-priority order). Test helper.
     #[doc(hidden)]
-    pub fn find_slot(&self, s: SwitchId, predicate: impl Fn(&TcamEntry) -> bool) -> Option<usize> {
+    pub fn find_slot(&self, s: SwitchId, predicate: impl Fn(&TableEntry) -> bool) -> Option<usize> {
         self.tables[s.0]
             .slots
             .iter()
@@ -697,8 +688,8 @@ mod tests {
     use flowplace_acl::Ternary;
     use std::collections::BTreeSet as Set;
 
-    fn entry(priority: u32, bits: &str, action: Action) -> TcamEntry {
-        TcamEntry {
+    fn entry(priority: u32, bits: &str, action: Action) -> TableEntry {
+        TableEntry {
             priority,
             tags: Set::from([EntryPortId(0)]),
             match_field: Ternary::parse(bits).unwrap(),
@@ -727,7 +718,7 @@ mod tests {
     }
 
     /// drop(10**) above permit(****): the §IV-A1 shape.
-    fn shielded_target() -> Vec<Vec<TcamEntry>> {
+    fn shielded_target() -> Vec<Vec<TableEntry>> {
         vec![vec![
             entry(2, "10**", Action::Drop),
             entry(1, "****", Action::Permit),
@@ -768,7 +759,7 @@ mod tests {
     #[test]
     fn lookup_misses_then_hits_after_insert() {
         let mut c = cache(4, CachePolicy::Lru);
-        c.set_target(&shielded_target());
+        c.set_target(shielded_target());
         let p = packet("0101");
         let CacheLookup::Miss { action, slot } = c.lookup(SwitchId(0), EntryPortId(0), &p) else {
             panic!("cold cache must miss");
@@ -785,7 +776,7 @@ mod tests {
     #[test]
     fn inserting_the_permit_pulls_the_shield_drop() {
         let mut c = cache(4, CachePolicy::Lru);
-        c.set_target(&shielded_target());
+        c.set_target(shielded_target());
         // Miss on the wildcard PERMIT (slot 1); its shield DROP overlaps.
         let CacheLookup::Miss { slot, .. } = c.lookup(SwitchId(0), EntryPortId(0), &packet("0000"))
         else {
@@ -835,7 +826,7 @@ mod tests {
     #[test]
     fn closure_larger_than_capacity_is_uncacheable() {
         let mut c = cache(1, CachePolicy::Lru);
-        c.set_target(&shielded_target());
+        c.set_target(shielded_target());
         let CacheLookup::Miss { slot, .. } = c.lookup(SwitchId(0), EntryPortId(0), &packet("0000"))
         else {
             panic!("miss expected");
@@ -855,7 +846,7 @@ mod tests {
     #[test]
     fn force_evict_unsafe_breaks_the_audit() {
         let mut c = cache(4, CachePolicy::Lru);
-        c.set_target(&shielded_target());
+        c.set_target(shielded_target());
         let p = c
             .find_slot(SwitchId(0), |e| e.action == Action::Permit)
             .unwrap();
@@ -880,7 +871,7 @@ mod tests {
     #[test]
     fn audit_tables_punt_is_a_drop() {
         let mut c = cache(4, CachePolicy::Lru);
-        c.set_target(&shielded_target());
+        c.set_target(shielded_target());
         // Nothing resident: every packet punts, modelled as drop.
         let tables = c.audit_tables();
         assert_eq!(
@@ -960,7 +951,7 @@ mod tests {
     #[test]
     fn set_target_preserves_residency_and_recloses() {
         let mut c = cache(4, CachePolicy::Lru);
-        c.set_target(&shielded_target());
+        c.set_target(shielded_target());
         let p = c
             .find_slot(SwitchId(0), |e| e.action == Action::Permit)
             .unwrap();
@@ -982,7 +973,7 @@ mod tests {
     #[test]
     fn safe_mode_entries_are_pinned_and_exempt() {
         let mut c = cache(1, CachePolicy::Lru);
-        let safe = TcamEntry {
+        let safe = TableEntry {
             priority: u32::MAX,
             tags: Set::from([EntryPortId(0)]),
             match_field: Ternary::parse("****").unwrap(),
@@ -1019,7 +1010,7 @@ mod tests {
             e3,
             e0,
         ]]);
-        let slots: Vec<TcamEntry> = c.tables[0].slots.iter().map(|x| x.entry.clone()).collect();
+        let slots: Vec<TableEntry> = c.tables[0].slots.iter().map(|x| x.entry.clone()).collect();
         for ingress in [EntryPortId(0), EntryPortId(1), EntryPortId(7)] {
             for bits in 0..16u128 {
                 let p = Packet::from_bits(bits, 4);
@@ -1041,7 +1032,7 @@ mod tests {
     fn dump_is_deterministic() {
         let build = || {
             let mut c = cache(4, CachePolicy::Lru);
-            c.set_target(&shielded_target());
+            c.set_target(shielded_target());
             let p = c
                 .find_slot(SwitchId(0), |e| e.action == Action::Permit)
                 .unwrap();

@@ -18,76 +18,22 @@
 //! (it stops forwarding and its TCAM is lost) and [`DataPlane::restore`]
 //! brings it back with a blank table. Control operations against a down
 //! switch fail with [`DataPlaneError::SwitchDown`]. Safe-mode drop-all
-//! entries (see [`TcamEntry::is_safe_mode`]) occupy a reserved system
+//! entries (see [`TableEntry::is_safe_mode`]) occupy a reserved system
 //! slot and are exempt from the capacity check, so the controller's
 //! fail-closed fallback can never itself be infeasible.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use flowplace_acl::{Action, Ternary};
-use flowplace_core::tables::SwitchTable;
-use flowplace_topo::{EntryPortId, SwitchId};
+use flowplace_core::tables::{table_order, SwitchTable, TableEntry};
+use flowplace_topo::SwitchId;
 
-/// One deployed TCAM entry. Identity is the full tuple: two entries that
-/// differ only in priority are distinct dataplane state.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TcamEntry {
-    /// Table priority (larger wins).
-    pub priority: u32,
-    /// Ingress tags this entry applies to (§IV-D disjointness).
-    pub tags: std::collections::BTreeSet<EntryPortId>,
-    /// Header match field.
-    pub match_field: Ternary,
-    /// PERMIT or DROP.
-    pub action: Action,
-}
-
-impl TcamEntry {
-    /// True for the controller's reserved safe-mode drop-all entry: a
-    /// maximum-priority all-wildcard DROP. These live in a reserved
-    /// system slot and do not count against TCAM capacity.
-    pub fn is_safe_mode(&self) -> bool {
-        self.priority == u32::MAX && self.match_field.care() == 0 && self.action == Action::Drop
-    }
-
-    /// True for a delegation redirect stub: a minimum-priority
-    /// all-wildcard PERMIT (see [`crate::delegate`]). Semantically
-    /// neutral in the pipeline model — a PERMIT forwards, exactly like
-    /// no-match — it models the TCAM slot the hardware redirect rule
-    /// occupies while a delegation is active.
-    pub fn is_delegation_stub(&self) -> bool {
-        self.priority == 0 && self.match_field.care() == 0 && self.action == Action::Permit
-    }
-
-    /// True for any reserved-system-bank entry (the safe-mode fence or
-    /// a delegation redirect stub): exempt from the capacity check and
-    /// surviving capacity revocations, so the controller's fail-closed
-    /// fallbacks can never themselves be infeasible.
-    pub fn is_reserved(&self) -> bool {
-        self.is_safe_mode() || self.is_delegation_stub()
-    }
-}
-
-impl fmt::Display for TcamEntry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] tags={{", self.priority)?;
-        for (i, t) in self.tags.iter().enumerate() {
-            if i > 0 {
-                write!(f, ",")?;
-            }
-            write!(f, "{t}")?;
-        }
-        write!(f, "}} {} {}", self.match_field, self.action)
-    }
-}
-
-/// The table of one switch: entries sorted by descending priority, ties
-/// broken by the entry's full ordering so dumps are deterministic.
+/// The table of one switch, kept in [`table_order`] so dumps are
+/// deterministic.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SwitchTcam {
     capacity: usize,
-    entries: Vec<TcamEntry>,
+    entries: Vec<TableEntry>,
     online: bool,
 }
 
@@ -124,18 +70,8 @@ impl SwitchTcam {
     }
 
     /// The installed entries, highest priority first.
-    pub fn entries(&self) -> &[TcamEntry] {
+    pub fn entries(&self) -> &[TableEntry] {
         &self.entries
-    }
-
-    /// Table order: descending priority, ties by the entry's full
-    /// ordering.
-    fn order(a: &TcamEntry, b: &TcamEntry) -> std::cmp::Ordering {
-        b.priority.cmp(&a.priority).then_with(|| a.cmp(b))
-    }
-
-    fn sort(&mut self) {
-        self.entries.sort_by(Self::order);
     }
 }
 
@@ -143,9 +79,9 @@ impl SwitchTcam {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RuleDiff {
     /// Entries to add, per switch.
-    pub install: Vec<(SwitchId, TcamEntry)>,
+    pub install: Vec<(SwitchId, TableEntry)>,
     /// Entries to delete, per switch.
-    pub remove: Vec<(SwitchId, TcamEntry)>,
+    pub remove: Vec<(SwitchId, TableEntry)>,
 }
 
 impl RuleDiff {
@@ -281,21 +217,8 @@ impl DataPlane {
     }
 
     /// Converts emitted [`SwitchTable`]s into target TCAM contents.
-    pub fn target_from_tables(tables: &[SwitchTable]) -> Vec<Vec<TcamEntry>> {
-        tables
-            .iter()
-            .map(|t| {
-                t.entries()
-                    .iter()
-                    .map(|e| TcamEntry {
-                        priority: e.priority,
-                        tags: e.tags.clone(),
-                        match_field: e.match_field,
-                        action: e.action,
-                    })
-                    .collect()
-            })
-            .collect()
+    pub fn target_from_tables(tables: &[SwitchTable]) -> Vec<Vec<TableEntry>> {
+        tables.iter().map(|t| t.entries().to_vec()).collect()
     }
 
     /// Computes the diff that turns the deployed state into `target`.
@@ -305,14 +228,14 @@ impl DataPlane {
     ///
     /// [`DataPlaneError::UnknownSwitch`] if `target` has more switches
     /// than the dataplane.
-    pub fn diff_to(&self, target: &[Vec<TcamEntry>]) -> Result<RuleDiff, DataPlaneError> {
+    pub fn diff_to(&self, target: &[Vec<TableEntry>]) -> Result<RuleDiff, DataPlaneError> {
         if target.len() > self.switches.len() {
             return Err(DataPlaneError::UnknownSwitch(SwitchId(self.switches.len())));
         }
         let mut diff = RuleDiff::default();
         for (i, tcam) in self.switches.iter().enumerate() {
             let want = target.get(i).map(Vec::as_slice).unwrap_or(&[]);
-            let mut counts: BTreeMap<&TcamEntry, isize> = BTreeMap::new();
+            let mut counts: BTreeMap<&TableEntry, isize> = BTreeMap::new();
             for e in want {
                 *counts.entry(e).or_default() += 1;
             }
@@ -385,7 +308,7 @@ impl DataPlane {
             switches.iter().map(|t| t.capacity),
         )?;
         for tcam in switches.iter_mut() {
-            tcam.sort();
+            tcam.entries.sort_by(table_order);
         }
         Ok(ApplyReport {
             installed: diff.install.len(),
@@ -402,7 +325,7 @@ impl DataPlane {
     /// # Errors
     ///
     /// [`DataPlaneError::UnknownSwitch`] or [`DataPlaneError::SwitchDown`].
-    pub fn install(&mut self, s: SwitchId, e: &TcamEntry) -> Result<(), DataPlaneError> {
+    pub fn install(&mut self, s: SwitchId, e: &TableEntry) -> Result<(), DataPlaneError> {
         let tcam = self
             .switches
             .get_mut(s.0)
@@ -411,9 +334,7 @@ impl DataPlane {
             return Err(DataPlaneError::SwitchDown(s));
         }
         // Where a sort would leave it: the table is kept in order.
-        let at = tcam
-            .entries
-            .partition_point(|x| SwitchTcam::order(x, e).is_le());
+        let at = tcam.entries.partition_point(|x| table_order(x, e).is_le());
         tcam.entries.insert(at, e.clone());
         Ok(())
     }
@@ -424,7 +345,7 @@ impl DataPlane {
     ///
     /// [`DataPlaneError::UnknownSwitch`], [`DataPlaneError::SwitchDown`],
     /// or [`DataPlaneError::MissingEntry`].
-    pub fn remove(&mut self, s: SwitchId, e: &TcamEntry) -> Result<(), DataPlaneError> {
+    pub fn remove(&mut self, s: SwitchId, e: &TableEntry) -> Result<(), DataPlaneError> {
         let tcam = self
             .switches
             .get_mut(s.0)
@@ -451,7 +372,7 @@ impl DataPlane {
     ///
     /// [`DataPlaneError::OverCapacity`] for the first overfull switch.
     pub fn check_capacities<'a>(
-        tables: impl IntoIterator<Item = &'a [TcamEntry]>,
+        tables: impl IntoIterator<Item = &'a [TableEntry]>,
         capacities: impl IntoIterator<Item = usize>,
     ) -> Result<(), DataPlaneError> {
         for (i, (entries, capacity)) in tables.into_iter().zip(capacities).enumerate() {
@@ -550,10 +471,12 @@ impl DataPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowplace_acl::{Action, Ternary};
+    use flowplace_topo::EntryPortId;
     use std::collections::BTreeSet;
 
-    fn entry(priority: u32, bits: &str, action: Action) -> TcamEntry {
-        TcamEntry {
+    fn entry(priority: u32, bits: &str, action: Action) -> TableEntry {
+        TableEntry {
             priority,
             tags: BTreeSet::from([EntryPortId(0)]),
             match_field: Ternary::parse(bits).unwrap(),
@@ -682,7 +605,7 @@ mod tests {
     #[test]
     fn capacity_revoke_evicts_lowest_priority_but_keeps_safe_mode() {
         let mut dp = DataPlane::new(vec![4]);
-        let safe = TcamEntry {
+        let safe = TableEntry {
             priority: u32::MAX,
             tags: BTreeSet::from([EntryPortId(0)]),
             match_field: Ternary::parse("****").unwrap(),
@@ -707,7 +630,7 @@ mod tests {
     #[test]
     fn safe_mode_slot_is_exempt_from_capacity() {
         let mut dp = DataPlane::new(vec![1]);
-        let safe = TcamEntry {
+        let safe = TableEntry {
             priority: u32::MAX,
             tags: BTreeSet::from([EntryPortId(0)]),
             match_field: Ternary::parse("****").unwrap(),
@@ -727,7 +650,7 @@ mod tests {
 
     #[test]
     fn delegation_stub_is_reserved_and_survives_revocation() {
-        let stub = TcamEntry {
+        let stub = TableEntry {
             priority: 0,
             tags: BTreeSet::from([EntryPortId(0)]),
             match_field: Ternary::parse("****").unwrap(),
@@ -737,7 +660,7 @@ mod tests {
         assert!(stub.is_reserved());
         assert!(!stub.is_safe_mode());
         // A priority-0 wildcard DROP is a fence candidate, not a stub.
-        let drop = TcamEntry {
+        let drop = TableEntry {
             action: Action::Drop,
             ..stub.clone()
         };

@@ -24,7 +24,7 @@
 //! (a PERMIT forwards, exactly like no-match) — that models the TCAM
 //! slot the hardware redirect rule occupies; like the safe-mode fence
 //! it lives in the reserved system bank
-//! (see [`TcamEntry::is_delegation_stub`](crate::TcamEntry::is_delegation_stub)).
+//! (see [`TableEntry::is_delegation_stub`](flowplace_core::tables::TableEntry::is_delegation_stub)).
 //!
 //! This module only plans and edits: `plan_delegation` picks the
 //! delegate, `detour_instance` / `restore_instance` put it on and take

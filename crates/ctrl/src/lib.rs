@@ -92,7 +92,7 @@ use flowplace_topo::{EntryPortId, SwitchId, Topology};
 use flowplace_traffic::FlowEvent;
 
 pub use cache::{CacheConfig, CacheCounters, CacheLookup, CachePolicy, RuleCache};
-pub use dataplane::{ApplyReport, DataPlane, DataPlaneError, RuleDiff, SwitchTcam, TcamEntry};
+pub use dataplane::{ApplyReport, DataPlane, DataPlaneError, RuleDiff, SwitchTcam};
 pub use delegate::{Delegation, DelegationConfig};
 pub use epoch::{EpochLog, Snapshot};
 pub use event::{format_trace, parse_trace, Event, TraceError};
@@ -1105,10 +1105,10 @@ impl Controller {
         if !self.options.cache.enabled {
             return;
         }
-        let targets: Vec<Vec<TcamEntry>> = (0..self.dataplane.switch_count())
-            .map(|i| self.dataplane.switch(SwitchId(i)).entries().to_vec())
-            .collect();
-        self.cache.set_target(&targets);
+        let dataplane = &self.dataplane;
+        self.cache.set_target(
+            (0..dataplane.switch_count()).map(|i| dataplane.switch(SwitchId(i)).entries()),
+        );
         if self.cache.audit().is_err() {
             self.stats.cache_dep_violations += 1;
         }
@@ -1151,6 +1151,9 @@ impl Controller {
         };
         let mut pending: Vec<(SwitchId, usize)> = Vec::new();
         let mut punts_since_flush: u64 = 0;
+        // The picked route's switches, copied out so the loop below can
+        // borrow the controller mutably; one buffer for the whole call.
+        let mut hops: Vec<SwitchId> = Vec::new();
         for ev in flows {
             let delta = ev.at_ms.saturating_sub(self.faults.clock.now_ms());
             if delta > 0 {
@@ -1162,13 +1165,14 @@ impl Controller {
                 continue;
             }
             let pick = (ev.packet.bits() % paths.len() as u128) as usize;
-            let route = self.instance.routes().route(paths[pick]).clone();
-            if !route.switches.iter().all(|&s| self.dataplane.is_online(s)) {
+            hops.clear();
+            hops.extend_from_slice(&self.instance.routes().route(paths[pick]).switches);
+            if !hops.iter().all(|&s| self.dataplane.is_online(s)) {
                 report.unrouted += 1;
                 continue;
             }
             let mut missed = false;
-            for &s in &route.switches {
+            for &s in &hops {
                 match self.cache.lookup(s, ev.ingress, &ev.packet) {
                     CacheLookup::Hit(action) => {
                         if action.is_drop() {
@@ -1756,7 +1760,7 @@ impl Controller {
     /// the first manageable switch of each of its routes. A route with
     /// no manageable switch is fenced at the controller-owned entry port
     /// instead (no TCAM entry).
-    fn build_target(&self, instance: &Instance, tables: &[SwitchTable]) -> Vec<Vec<TcamEntry>> {
+    fn build_target(&self, instance: &Instance, tables: &[SwitchTable]) -> Vec<Vec<TableEntry>> {
         let mut target = DataPlane::target_from_tables(tables);
         target.resize(self.dataplane.switch_count(), Vec::new());
         for s in self.faults.unmanageable.keys() {
@@ -1783,7 +1787,7 @@ impl Controller {
                 .map(|p| p.width())
                 .unwrap_or(1)
                 .max(1);
-            target[s.0].push(TcamEntry {
+            target[s.0].push(TableEntry {
                 priority: u32::MAX,
                 tags: BTreeSet::from([route.ingress]),
                 match_field: Ternary::new(width, 0, 0),
@@ -1801,7 +1805,7 @@ impl Controller {
                 if self.faults.unmanageable.contains_key(a) || a.0 >= target.len() {
                     continue;
                 }
-                let stub = TcamEntry {
+                let stub = TableEntry {
                     priority: 0,
                     tags: BTreeSet::from([*l]),
                     match_field: Ternary::new(width, 0, 0),
@@ -1988,7 +1992,7 @@ impl Controller {
 
     /// One TCAM install with bounded-exponential-backoff retries on a
     /// virtual clock. Returns whether the entry landed.
-    fn install_with_retry(&mut self, s: SwitchId, e: &TcamEntry) -> bool {
+    fn install_with_retry(&mut self, s: SwitchId, e: &TableEntry) -> bool {
         let retry = self.options.retry;
         for attempt in 0..retry.max_attempts.max(1) {
             if attempt > 0 {
@@ -2026,22 +2030,11 @@ impl Controller {
     ///
     /// A description of the first leaking packet.
     pub fn fail_closed_audit(&self) -> Result<(), String> {
-        let mut tables = Vec::with_capacity(self.dataplane.switch_count());
-        for i in 0..self.dataplane.switch_count() {
-            let entries = self
-                .dataplane
-                .switch(SwitchId(i))
-                .entries()
-                .iter()
-                .map(|e| TableEntry {
-                    tags: e.tags.clone(),
-                    match_field: e.match_field,
-                    action: e.action,
-                    priority: e.priority,
-                })
-                .collect();
-            tables.push(SwitchTable::from_entries(entries));
-        }
+        let tables: Vec<SwitchTable> = (0..self.dataplane.switch_count())
+            .map(|i| {
+                SwitchTable::from_entries(self.dataplane.switch(SwitchId(i)).entries().to_vec())
+            })
+            .collect();
         verify::verify_tables(
             &self.instance,
             &tables,

@@ -18,7 +18,8 @@ use std::collections::BTreeSet;
 
 use flowplace::acl::{Action, Policy, Rule, Ternary};
 use flowplace::classbench::{Generator, Profile};
-use flowplace::ctrl::{CacheConfig, CachePolicy, Controller, CtrlOptions, TcamEntry};
+use flowplace::core::tables::TableEntry;
+use flowplace::ctrl::{CacheConfig, CachePolicy, Controller, CtrlOptions};
 use flowplace::prelude::*;
 use flowplace::traffic::{generate, TrafficConfig};
 
@@ -121,8 +122,8 @@ fn eviction_is_dependency_safe_for_32_seeds() {
     }
 }
 
-fn shield_entry(priority: u32, bits: &str, action: Action) -> TcamEntry {
-    TcamEntry {
+fn shield_entry(priority: u32, bits: &str, action: Action) -> TableEntry {
+    TableEntry {
         priority,
         tags: BTreeSet::from([EntryPortId(0)]),
         match_field: Ternary::parse(bits).unwrap(),

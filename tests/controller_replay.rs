@@ -3,6 +3,7 @@
 //! capacity tightens, every epoch passes golden-model verification, and
 //! replay is byte-for-byte deterministic.
 
+use flowplace::core::tables::emit_tables;
 use flowplace::ctrl::{parse_trace, Controller, CtrlOptions, CtrlStats, EpochReport, Tier};
 use flowplace::prelude::*;
 
@@ -131,4 +132,29 @@ fn tiny_batches_commit_more_epochs_but_converge_identically() {
         dump_default,
         "batching must not change the converged dataplane"
     );
+}
+
+/// Op-by-op installs keep each TCAM in the emitter's order: after every
+/// epoch of the fault-free demo replay (cache tier off), each switch's
+/// deployed entries equal the tables emitted from the committed
+/// placement, element for element.
+#[test]
+fn installs_leave_every_table_in_emitter_order() {
+    let mut ctrl = fresh_controller();
+    for event in parse_trace(TRACE).expect("demo trace parses") {
+        ctrl.submit(event).expect("queue has room");
+    }
+    let mut epochs = 0;
+    while ctrl.run_epoch().expect("epoch commits").is_some() {
+        epochs += 1;
+        let tables = emit_tables(ctrl.instance(), ctrl.placement()).expect("tables emit");
+        for (s, table) in tables.iter().enumerate() {
+            assert_eq!(
+                ctrl.dataplane().switch(SwitchId(s)).entries(),
+                table.entries(),
+                "epoch {epochs}: s{s} differs from the emitted table"
+            );
+        }
+    }
+    assert!(epochs >= 7, "only {epochs} epochs ran");
 }

@@ -12,7 +12,8 @@
 //! * the model's edit methods equal the whole-model rebuilds they
 //!   replaced, and the named §IV-E operations are those edits in front
 //!   of the one restricted re-solve;
-//! * a table diff sent op by op is the staged transaction.
+//! * a table diff sent op by op is the staged transaction;
+//! * emitted tables never hold a reserved-bank entry.
 //!
 //! Each test draws a fixed number of cases from a fixed-seed
 //! [`StdRng`], so runs are deterministic; failure messages carry the
@@ -359,6 +360,38 @@ fn merged_placement_verifies_and_never_costs_more() {
     }
 }
 
+/// `emit_tables` numbers each switch's entries `1..=len`, so it never
+/// yields a priority-0 or `u32::MAX` entry: nothing it emits can pass
+/// for a safe-mode fence or a delegation stub. Drawn from the ILP
+/// (plain) and merging generator seeds above.
+#[test]
+fn emitted_entries_are_never_reserved() {
+    use flowplace::core::tables::emit_tables;
+
+    for (seed, merging) in [(0x333, false), (0x555, true)] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for case in 0..32 {
+            let instance = rand_instance(&mut rng);
+            let outcome = RulePlacer::new(PlacementOptions {
+                merging,
+                ..PlacementOptions::default()
+            })
+            .place(&instance, Objective::TotalRules);
+            let Some(p) = outcome.placement else {
+                continue;
+            };
+            for (s, table) in emit_tables(&instance, &p).unwrap().iter().enumerate() {
+                for e in table.entries() {
+                    assert!(
+                        (1..=table.len() as u32).contains(&e.priority) && !e.is_reserved(),
+                        "seed {seed:#x} case {case}: s{s} emitted {e}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn greedy_placement_verifies_when_it_succeeds() {
     let mut rng = StdRng::seed_from_u64(0x666);
@@ -655,10 +688,11 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
 /// commit check refuses, with the same error.
 #[test]
 fn op_by_op_apply_is_the_staged_transaction() {
-    use flowplace::ctrl::{DataPlane, TcamEntry};
+    use flowplace::core::tables::TableEntry;
+    use flowplace::ctrl::DataPlane;
     use std::collections::BTreeSet;
 
-    fn rand_entry(rng: &mut StdRng) -> TcamEntry {
+    fn rand_entry(rng: &mut StdRng) -> TableEntry {
         let tags = BTreeSet::from([EntryPortId(rng.gen_range(0..2usize))]);
         let (priority, match_field, action) = match rng.gen_range(0..8u32) {
             0 => (u32::MAX, Ternary::new(WIDTH, 0, 0), Action::Drop),
@@ -669,14 +703,14 @@ fn op_by_op_apply_is_the_staged_transaction() {
                 rand_action(rng),
             ),
         };
-        TcamEntry {
+        TableEntry {
             priority,
             tags,
             match_field,
             action,
         }
     }
-    fn rand_tables(rng: &mut StdRng, switches: usize) -> Vec<Vec<TcamEntry>> {
+    fn rand_tables(rng: &mut StdRng, switches: usize) -> Vec<Vec<TableEntry>> {
         (0..switches)
             .map(|_| {
                 (0..rng.gen_range(0..7usize))

@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos loc clean
+.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos loc bench-pairs clean
 
 all: ci
 
@@ -94,6 +94,16 @@ chaos:
 		--faults traces/chaos.faults --fault-seed 42 \
 		--reject-rate 0.1 --crash-rate 0.02 --recover-rate 0.5 > traces/chaos.out
 	git diff --exit-code -- traces/chaos.out
+
+## bench-pairs: paired runs of one benchmark workload, REV against the
+## working tree, each built in a fresh directory (scripts/bench_pairs.sh).
+## Not part of ci. Example: make bench-pairs REV=HEAD~1 WORKLOAD=churn-1k
+PAIRS ?= 10
+SEED ?= 1
+SECONDS ?= 3
+bench-pairs:
+	@test -n "$(REV)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs REV=<rev> WORKLOAD=<name> [PAIRS=10] [SEED=1] [SECONDS=3]" >&2; exit 2; }
+	./scripts/bench_pairs.sh "$(REV)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)" "$(SECONDS)"
 
 ## loc: lines of Rust, the figures CHANGES.md and ROADMAP quote: what
 ## ships (`crates` + `src`), the tier-1 tests, the system benchmark.

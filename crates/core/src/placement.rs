@@ -1,7 +1,9 @@
 //! Placements and the high-level placement facade.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use flowplace_acl::RuleId;
 use flowplace_milp::{solve_mip_lazy, MipOptions, MipStatus};
@@ -16,13 +18,23 @@ use crate::{Instance, Objective};
 
 pub use crate::encode_ilp::DependencyEncoding;
 
+/// One ingress's share of a [`Placement`], keyed by the full
+/// `(ingress, rule)` so the per-ingress maps chain into one ordered map.
+type IngressRules = BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>;
+
 /// A solved mapping from rules to switches.
 ///
 /// `(ingress, rule) → {switches}`, plus the merge groups realized (each
 /// merged group occupies a single shared TCAM entry on its switch).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Copy-on-write per ingress: a clone shares every ingress's map, and an
+/// edit copies only the one ingress it touches, so a §IV-E one-rule
+/// update on a cloned working copy costs one ingress, not the whole
+/// deployment. No ingress maps to an empty map, so `==` is content
+/// equality.
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Placement {
-    placed: BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>,
+    placed: BTreeMap<EntryPortId, Arc<IngressRules>>,
     merged: Vec<MergeGroup>,
 }
 
@@ -34,7 +46,8 @@ impl Placement {
 
     /// Records rule `rule` of `ingress` on switch `s`.
     pub fn place(&mut self, ingress: EntryPortId, rule: RuleId, s: SwitchId) {
-        self.placed.entry((ingress, rule)).or_default().insert(s);
+        let rules = Arc::make_mut(self.placed.entry(ingress).or_default());
+        rules.entry((ingress, rule)).or_default().insert(s);
     }
 
     /// Records that a merge group is realized (all members placed on its
@@ -46,7 +59,10 @@ impl Placement {
     /// The switches a rule is placed on (empty if unplaced).
     pub fn switches_of(&self, ingress: EntryPortId, rule: RuleId) -> &BTreeSet<SwitchId> {
         static EMPTY: BTreeSet<SwitchId> = BTreeSet::new();
-        self.placed.get(&(ingress, rule)).unwrap_or(&EMPTY)
+        let rules = self.placed.get(&ingress);
+        rules
+            .and_then(|m| m.get(&(ingress, rule)))
+            .unwrap_or(&EMPTY)
     }
 
     /// True if the rule is placed on the switch.
@@ -56,7 +72,7 @@ impl Placement {
 
     /// Iterates over `((ingress, rule), switches)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&(EntryPortId, RuleId), &BTreeSet<SwitchId>)> {
-        self.placed.iter()
+        self.placed.values().flat_map(|m| m.iter())
     }
 
     /// The realized merge groups.
@@ -68,7 +84,7 @@ impl Placement {
     /// pair counts one, except merged groups which share a single entry
     /// (the paper's quantity `B`).
     pub fn total_rules(&self) -> usize {
-        let raw: usize = self.placed.values().map(BTreeSet::len).sum();
+        let raw: usize = self.iter().map(|(_, switches)| switches.len()).sum();
         let saved: usize = self.merged.iter().map(|g| g.members.len() - 1).sum();
         raw - saved
     }
@@ -76,7 +92,7 @@ impl Placement {
     /// TCAM entries consumed on each switch of `instance`'s topology.
     pub fn per_switch_load(&self, instance: &Instance) -> Vec<usize> {
         let mut load = vec![0usize; instance.topology().switch_count()];
-        for ((_, _), switches) in &self.placed {
+        for (_, switches) in self.iter() {
             for s in switches {
                 load[s.0] += 1;
             }
@@ -102,7 +118,7 @@ impl Placement {
     /// change). Merge groups containing the ingress are dissolved (their
     /// remaining members keep individual entries).
     pub fn remove_ingress(&mut self, ingress: EntryPortId) {
-        self.placed.retain(|(l, _), _| *l != ingress);
+        self.placed.remove(&ingress);
         self.merged
             .retain(|g| g.members.iter().all(|(l, _)| *l != ingress));
     }
@@ -112,21 +128,24 @@ impl Placement {
     /// dropped where `map` returns `None`, and a merge group holding a
     /// dropped rule is dissolved (its other members keep their own
     /// entries). `map` must not send two kept rules to one id. Only the
-    /// one ingress's key range is touched.
+    /// one ingress's map is touched.
     pub fn renumber(
         &mut self,
         ingress: EntryPortId,
         from: RuleId,
         map: impl Fn(RuleId) -> Option<RuleId>,
     ) {
-        let mut moved = self.placed.split_off(&(ingress, from));
-        let mut later = moved.split_off(&(EntryPortId(ingress.0 + 1), RuleId(0)));
-        for ((l, r), switches) in moved {
-            if let Some(r) = map(r) {
-                self.placed.insert((l, r), switches);
+        if let Entry::Occupied(mut entry) = self.placed.entry(ingress) {
+            let rules = Arc::make_mut(entry.get_mut());
+            for ((l, r), switches) in rules.split_off(&(ingress, from)) {
+                if let Some(r) = map(r) {
+                    rules.insert((l, r), switches);
+                }
+            }
+            if rules.is_empty() {
+                entry.remove();
             }
         }
-        self.placed.append(&mut later);
         self.merged.retain_mut(|g| {
             g.members.iter_mut().all(|(l, r)| {
                 if *l == ingress && *r >= from {
@@ -143,10 +162,37 @@ impl Placement {
     /// Merges another placement into this one (used by incremental
     /// deployment to graft a sub-solution).
     pub fn absorb(&mut self, other: Placement) {
-        for ((l, r), switches) in other.placed {
-            self.placed.entry((l, r)).or_default().extend(switches);
+        for (l, theirs) in other.placed {
+            match self.placed.entry(l) {
+                Entry::Vacant(entry) => {
+                    entry.insert(theirs);
+                }
+                Entry::Occupied(mut entry) => {
+                    let rules = Arc::make_mut(entry.get_mut());
+                    for (key, switches) in Arc::unwrap_or_clone(theirs) {
+                        rules.entry(key).or_default().extend(switches);
+                    }
+                }
+            }
         }
         self.merged.extend(other.merged);
+    }
+}
+
+/// Prints the flat `(ingress, rule) → switches` map, exactly as a derived
+/// impl over one map would: dumps compared across versions hash this text.
+impl fmt::Debug for Placement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Flat<'a>(&'a Placement);
+        impl fmt::Debug for Flat<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Placement")
+            .field("placed", &Flat(self))
+            .field("merged", &self.merged)
+            .finish()
     }
 }
 
@@ -422,6 +468,42 @@ mod tests {
         a.absorb(b);
         assert_eq!(a.total_rules(), 3);
         assert!(a.is_placed(EntryPortId(0), RuleId(0), SwitchId(2)));
+    }
+
+    /// The copy-on-write contract the controller's per-event working
+    /// copies rely on: after a clone and a one-ingress edit, every other
+    /// ingress's map is still shared and only the edited one was copied.
+    #[test]
+    fn clone_then_edit_copies_one_ingress() {
+        let mut p = Placement::new();
+        for l in 0..4 {
+            for r in 0..3 {
+                p.place(EntryPortId(l), RuleId(r), SwitchId(l + r));
+            }
+        }
+        let shared = |a: &Placement, b: &Placement, l: usize| {
+            Arc::ptr_eq(&a.placed[&EntryPortId(l)], &b.placed[&EntryPortId(l)])
+        };
+        type Edit = fn(&mut Placement);
+        let edits: [Edit; 3] = [
+            |q| q.place(EntryPortId(2), RuleId(9), SwitchId(0)),
+            |q| q.renumber(EntryPortId(2), RuleId(1), |r| Some(RuleId(r.0 + 1))),
+            |q| {
+                let mut other = Placement::new();
+                other.place(EntryPortId(2), RuleId(0), SwitchId(7));
+                q.absorb(other);
+            },
+        ];
+        for edit in edits {
+            let mut q = p.clone();
+            assert!((0..4).all(|l| shared(&p, &q, l)));
+            edit(&mut q);
+            assert_ne!(p, q);
+            assert!(!shared(&p, &q, 2), "the edited ingress must be copied");
+            for l in [0, 1, 3] {
+                assert!(shared(&p, &q, l), "l{l} was deep-copied");
+            }
+        }
     }
 
     #[test]

@@ -38,6 +38,7 @@
 //! or a fault-driven re-placement a route's key simply is or is not in
 //! the set.
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use flowplace_fasthash::{Fnv64, FnvHashMap, FnvHashSet};
@@ -46,7 +47,7 @@ use flowplace_rng::{Rng, StdRng};
 use flowplace_acl::classify::BatchClassifier;
 use flowplace_acl::{Action, Packet, Ternary};
 use flowplace_routing::Route;
-use flowplace_topo::EntryPortId;
+use flowplace_topo::{EntryPortId, SwitchId};
 
 use crate::fingerprint::{fingerprint_policy, hash_flow};
 use crate::placement::Placement;
@@ -120,6 +121,51 @@ pub fn evaluate_route(tables: &[SwitchTable], route: &Route, packet: &Packet) ->
     Action::Permit
 }
 
+/// One `(switch, ingress tag)` slice of a table set: the entries tagged
+/// with that ingress, in table (i.e. descending-priority) order — the
+/// same first-match order the scalar `SwitchTable::lookup` scans, and
+/// all a route's check reads on that hop.
+#[derive(Default)]
+struct Slice {
+    cubes: Vec<Ternary>,
+    actions: Vec<Action>,
+    /// The slice's content hash as [`route_keys`] feeds it in.
+    hash: Fnv64,
+    /// Built on first use, then shared by every route and packet set of
+    /// the sweep that crosses this slice.
+    classifier: OnceCell<BatchClassifier>,
+}
+
+/// Every `(switch, ingress tag)` slice of a table set, indexed in one
+/// pass over the tables. A sweep builds one and reads it for both the
+/// route keys and the packet replay.
+struct SliceIndex(FnvHashMap<(usize, EntryPortId), Slice>);
+
+impl SliceIndex {
+    fn new(tables: &[SwitchTable]) -> Self {
+        let mut slices: FnvHashMap<(usize, EntryPortId), Slice> = FnvHashMap::default();
+        for (s, table) in tables.iter().enumerate() {
+            for e in table.entries() {
+                for &tag in &e.tags {
+                    let slice = slices.entry((s, tag)).or_default();
+                    slice.cubes.push(e.match_field);
+                    slice.actions.push(e.action);
+                    let h = &mut slice.hash;
+                    h.u64(u64::from(e.match_field.width()));
+                    h.u128(e.match_field.care());
+                    h.u128(e.match_field.value());
+                    h.bool(e.action.is_drop());
+                }
+            }
+        }
+        SliceIndex(slices)
+    }
+
+    fn get(&self, switch: SwitchId, ingress: EntryPortId) -> Option<&Slice> {
+        self.0.get(&(switch.0, ingress))
+    }
+}
+
 /// Batched [`evaluate_route`]: classifies all packets against each hop's
 /// table at once via the structure-of-arrays kernel
 /// ([`flowplace_acl::classify`]), returning per-packet actions identical
@@ -132,11 +178,14 @@ pub fn evaluate_route_batch(
     route: &Route,
     packets: &[Packet],
 ) -> Vec<Action> {
+    evaluate_indexed(&SliceIndex::new(tables), route, packets)
+}
+
+/// [`evaluate_route_batch`] over an indexed table set.
+fn evaluate_indexed(slices: &SliceIndex, route: &Route, packets: &[Packet]) -> Vec<Action> {
     let mut verdicts = vec![Action::Permit; packets.len()];
     // Indices of packets not yet dropped.
     let mut live: Vec<u32> = (0..packets.len() as u32).collect();
-    let mut cubes: Vec<Ternary> = Vec::new();
-    let mut actions: Vec<Action> = Vec::new();
     let mut batch: Vec<Packet> = Vec::new();
     let mut matches: Vec<Option<usize>> = Vec::new();
     let mut worklist: Vec<u32> = Vec::new();
@@ -144,21 +193,13 @@ pub fn evaluate_route_batch(
         if live.is_empty() {
             break;
         }
-        // Entries applicable to this route's ingress, in table (i.e.
-        // descending-priority) order — the same first-match order the
-        // scalar `SwitchTable::lookup` scans.
-        cubes.clear();
-        actions.clear();
-        for e in tables[s.0].entries() {
-            if e.tags.contains(&route.ingress) {
-                cubes.push(e.match_field);
-                actions.push(e.action);
-            }
-        }
-        if cubes.is_empty() {
+        let Some(slice) = slices.get(s, route.ingress) else {
             continue;
-        }
-        let classifier = BatchClassifier::new(&cubes);
+        };
+        let classifier = slice
+            .classifier
+            .get_or_init(|| BatchClassifier::new(&slice.cubes));
+        let actions = &slice.actions;
         batch.clear();
         batch.extend(live.iter().map(|&i| packets[i as usize]));
         classifier.classify_into(&batch, &mut matches, &mut worklist);
@@ -283,7 +324,7 @@ pub fn verify_tables(
 ) -> Result<(), VerifyError> {
     verify_tables_scoped(
         instance,
-        tables,
+        &SliceIndex::new(tables),
         random_per_route,
         seed,
         mode,
@@ -306,7 +347,7 @@ pub fn verify_tables(
 /// reported first (route order, then packet draw order).
 fn verify_tables_scoped(
     instance: &Instance,
-    tables: &[SwitchTable],
+    slices: &SliceIndex,
     random_per_route: usize,
     seed: u64,
     mode: VerifyMode,
@@ -334,7 +375,7 @@ fn verify_tables_scoped(
         // Batched replay: one kernel pass per hop instead of a scalar
         // table scan per packet. Violations are still reported for the
         // first offending packet in draw order.
-        let actuals = evaluate_route_batch(tables, route, &packets);
+        let actuals = evaluate_indexed(slices, route, &packets);
         for (packet, actual) in packets.into_iter().zip(actuals) {
             let expected = policy.evaluate(&packet);
             let violated = match mode {
@@ -364,21 +405,7 @@ fn verify_tables_scoped(
 /// ingress. Priorities are left out (renumbering a switch keeps
 /// first-match order), and so are other tenants' entries and the
 /// egress: the check reads neither.
-fn route_keys(instance: &Instance, tables: &[SwitchTable]) -> Vec<u64> {
-    // One pass over the tables hashes every (switch, tag) slice; entries
-    // arrive in table order, so each slice hashes in first-match order.
-    let mut slices: FnvHashMap<(usize, EntryPortId), Fnv64> = FnvHashMap::default();
-    for (s, table) in tables.iter().enumerate() {
-        for e in table.entries() {
-            for &tag in &e.tags {
-                let h = slices.entry((s, tag)).or_default();
-                h.u64(u64::from(e.match_field.width()));
-                h.u128(e.match_field.care());
-                h.u128(e.match_field.value());
-                h.bool(e.action.is_drop());
-            }
-        }
-    }
+fn route_keys(instance: &Instance, slices: &SliceIndex) -> Vec<u64> {
     let policies: FnvHashMap<EntryPortId, u64> = instance
         .policies()
         .map(|(l, q)| (l, fingerprint_policy(q).0))
@@ -392,9 +419,9 @@ fn route_keys(instance: &Instance, tables: &[SwitchTable]) -> Vec<u64> {
             h.usize(route.ingress.0);
             hash_flow(&mut h, &route.flow);
             h.usize(route.switches.len());
-            for s in &route.switches {
+            for &s in &route.switches {
                 h.usize(s.0);
-                let slice = slices.get(&(s.0, route.ingress)).copied();
+                let slice = slices.get(s, route.ingress).map(|slice| slice.hash);
                 h.u64(slice.unwrap_or_default().finish());
             }
             h.finish()
@@ -434,7 +461,8 @@ impl VerifiedRoutes {
         seed: u64,
         route_live: impl FnMut(&Route) -> bool,
     ) -> Result<(), VerifyError> {
-        let keys = route_keys(instance, tables);
+        let slices = SliceIndex::new(tables);
+        let keys = route_keys(instance, &slices);
         // Per route: filtered out, or admitted with its key held or not.
         let routes = instance.routes().iter().map(route_live);
         let held: Vec<Option<bool>> = routes
@@ -445,7 +473,7 @@ impl VerifiedRoutes {
         self.routes_full += held.iter().filter(|h| **h == Some(false)).count() as u64;
         verify_tables_scoped(
             instance,
-            tables,
+            &slices,
             random_per_route,
             seed,
             VerifyMode::Exact,
@@ -846,8 +874,9 @@ mod tests {
         let (inst, p) = two_ingress_instance();
         let tables = emit_tables(&inst, &p).unwrap();
         let plain = verify_tables(&inst, &tables, 16, 9, VerifyMode::Exact, |_| true);
+        let slices = SliceIndex::new(&tables);
         let scoped =
-            verify_tables_scoped(&inst, &tables, 16, 9, VerifyMode::Exact, |_, _| Some(false));
+            verify_tables_scoped(&inst, &slices, 16, 9, VerifyMode::Exact, |_, _| Some(false));
         assert_eq!(plain, scoped);
     }
 
@@ -864,9 +893,10 @@ mod tests {
         broken.place(EntryPortId(0), RuleId(1), SwitchId(0));
         let tables = emit_tables(&inst, &broken).unwrap();
         let full = verify_tables(&inst, &tables, 16, 9, VerifyMode::Exact, |_| true).unwrap_err();
+        let slices = SliceIndex::new(&tables);
         let scoped = verify_tables_scoped(
             &inst,
-            &tables,
+            &slices,
             16,
             9,
             VerifyMode::Exact,
@@ -880,7 +910,7 @@ mod tests {
         // purpose of this stream test) skipped too: the corner packets
         // of a 1-rule policy never catch this, the random ones do.
         let all_skipped =
-            verify_tables_scoped(&inst, &tables, 64, 9, VerifyMode::Exact, |_, _| Some(true));
+            verify_tables_scoped(&inst, &slices, 64, 9, VerifyMode::Exact, |_, _| Some(true));
         assert!(all_skipped.is_err(), "random packets still catch the hole");
     }
 
@@ -891,15 +921,16 @@ mod tests {
     #[test]
     fn skip_elides_deterministic_packets_only() {
         let (inst, p) = two_ingress_instance();
-        let tables = emit_tables(&inst, &p).unwrap();
-        verify_tables_scoped(&inst, &tables, 8, 3, VerifyMode::Exact, |_, _| Some(true))
+        let slices = SliceIndex::new(&emit_tables(&inst, &p).unwrap());
+        verify_tables_scoped(&inst, &slices, 8, 3, VerifyMode::Exact, |_, _| Some(true))
             .expect("correct deployment passes under a full skip");
         // Zero random packets + full skip = no packets at all: even a
         // broken deployment "passes". This is exactly why the scoped
         // entry point is gated behind the byte-unchanged contract.
         let empty = Placement::new();
         let tables = emit_tables(&inst, &empty).unwrap();
-        verify_tables_scoped(&inst, &tables, 0, 3, VerifyMode::Exact, |_, _| Some(true))
+        let slices = SliceIndex::new(&tables);
+        verify_tables_scoped(&inst, &slices, 0, 3, VerifyMode::Exact, |_, _| Some(true))
             .expect("skip without the contract is vacuous by design");
         assert!(verify_tables(&inst, &tables, 0, 3, VerifyMode::Exact, |_| true).is_err());
     }

@@ -85,9 +85,9 @@ use flowplace_acl::{Action, Ternary};
 use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
 use flowplace_core::verify::{VerifiedRoutes, VerifyMode};
 use flowplace_core::{incremental, par, verify, Instance, Objective, Placement, PlacementOptions};
-use flowplace_fasthash::FnvHashSet;
+use flowplace_fasthash::{FnvHashMap, FnvHashSet};
 use flowplace_obs::{AttrValue, Obs, SpanId};
-use flowplace_routing::{Route, RouteSet};
+use flowplace_routing::{Route, RouteId, RouteSet};
 use flowplace_topo::{EntryPortId, SwitchId, Topology};
 use flowplace_traffic::FlowEvent;
 
@@ -1151,6 +1151,12 @@ impl Controller {
         };
         let mut pending: Vec<(SwitchId, usize)> = Vec::new();
         let mut punts_since_flush: u64 = 0;
+        // Each ingress's routes in route order, listed once: no flow
+        // changes the instance.
+        let mut paths_from: FnvHashMap<EntryPortId, Vec<RouteId>> = FnvHashMap::default();
+        for (id, route) in self.instance.routes().iter_with_ids() {
+            paths_from.entry(route.ingress).or_default().push(id);
+        }
         // The picked route's switches, copied out so the loop below can
         // borrow the controller mutably; one buffer for the whole call.
         let mut hops: Vec<SwitchId> = Vec::new();
@@ -1159,11 +1165,10 @@ impl Controller {
             if delta > 0 {
                 self.faults.clock.advance(delta);
             }
-            let paths = self.instance.routes().paths_from(ev.ingress);
-            if paths.is_empty() {
+            let Some(paths) = paths_from.get(&ev.ingress) else {
                 report.unrouted += 1;
                 continue;
-            }
+            };
             let pick = (ev.packet.bits() % paths.len() as u128) as usize;
             hops.clear();
             hops.extend_from_slice(&self.instance.routes().route(paths[pick]).switches);

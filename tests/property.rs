@@ -12,6 +12,8 @@
 //! * the model's edit methods equal the whole-model rebuilds they
 //!   replaced, and the named §IV-E operations are those edits in front
 //!   of the one restricted re-solve;
+//! * the copy-on-write `Placement` reads as one flat map under any
+//!   sequence of its edits, and a clone never sees a later edit;
 //! * a table diff sent op by op is the staged transaction;
 //! * emitted tables never hold a reserved-bank entry.
 //!
@@ -596,6 +598,207 @@ fn placement_renumber_is_the_rebuild() {
             assert!(renumbered.merge_groups().len() < placement.merge_groups().len());
         }
     }
+}
+
+/// The flat model a [`Placement`] must behave as: one ordered
+/// `(ingress, rule) → switches` map plus the merge groups. Its derived
+/// `Debug` is the text `Placement`'s own must print.
+mod flat {
+    use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    #[derive(Clone, Debug, Default)]
+    pub struct Placement {
+        pub placed: BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>,
+        pub merged: Vec<MergeGroup>,
+    }
+
+    impl Placement {
+        /// `(ingress, rule, switch)` triples already in a merge group.
+        pub fn grouped(&self) -> BTreeSet<(EntryPortId, RuleId, SwitchId)> {
+            let groups = self.merged.iter();
+            groups
+                .flat_map(|g| g.members.iter().map(move |&(l, r)| (l, r, g.switch)))
+                .collect()
+        }
+    }
+}
+
+/// Asserts that `p` reads exactly as the flat model `m` through every
+/// accessor, its `==` and its `Debug` text.
+fn assert_reads_as(p: &Placement, m: &flat::Placement, instance: &Instance, what: &str) {
+    let got: Vec<_> = p.iter().map(|(k, v)| (*k, v.clone())).collect();
+    let want: Vec<_> = m.placed.iter().map(|(k, v)| (*k, v.clone())).collect();
+    assert_eq!(got, want, "{what}: iter()");
+    assert_eq!(p.merge_groups(), &m.merged[..], "{what}: merge groups");
+    let raw: usize = m.placed.values().map(|s| s.len()).sum();
+    let saved: usize = m.merged.iter().map(|g| g.members.len() - 1).sum();
+    assert_eq!(p.total_rules(), raw - saved, "{what}: total_rules");
+    let mut load = vec![0usize; instance.topology().switch_count()];
+    for s in m.placed.values().flatten() {
+        load[s.0] += 1;
+    }
+    for g in &m.merged {
+        load[g.switch.0] -= g.members.len() - 1;
+    }
+    assert_eq!(p.per_switch_load(instance), load, "{what}: per_switch_load");
+    for l in (0..5).map(EntryPortId) {
+        for r in (0..16).map(RuleId) {
+            let want = m.placed.get(&(l, r)).cloned().unwrap_or_default();
+            assert_eq!(p.switches_of(l, r), &want, "{what}: switches_of({l}, {r})");
+        }
+    }
+    // Built afresh from the model: an ingress whose every rule was
+    // dropped must compare equal to one that never existed.
+    let mut fresh = Placement::new();
+    for (&(l, r), switches) in &m.placed {
+        for &s in switches {
+            fresh.place(l, r, s);
+        }
+    }
+    for g in &m.merged {
+        fresh.record_merge(g.clone());
+    }
+    assert_eq!(*p, fresh, "{what}: ==");
+    assert_eq!(format!("{p:?}"), format!("{m:?}"), "{what}: Debug");
+    assert_eq!(format!("{p:#?}"), format!("{m:#?}"), "{what}: pretty Debug");
+}
+
+/// A merge group on a random switch over placed entries of distinct
+/// ingresses that no existing group holds, when there are two such.
+fn rand_merge(rng: &mut StdRng, m: &flat::Placement) -> Option<MergeGroup> {
+    let switch = SwitchId(rng.gen_range(0..4usize));
+    let grouped = m.grouped();
+    let mut members: Vec<(EntryPortId, RuleId)> = Vec::new();
+    for (&(l, r), switches) in &m.placed {
+        let fresh = switches.contains(&switch) && !grouped.contains(&(l, r, switch));
+        if fresh && members.iter().all(|(k, _)| *k != l) && rng.gen_bool(0.7) {
+            members.push((l, r));
+        }
+    }
+    (members.len() >= 2).then(|| MergeGroup {
+        switch,
+        match_field: rand_ternary(rng),
+        action: Action::Drop,
+        members,
+    })
+}
+
+/// Model-based check of the copy-on-write [`Placement`]: seeded random
+/// sequences of its edits against the flat model, with a clone taken
+/// before every edit that must not see it.
+#[test]
+fn placement_behaves_as_the_flat_map() {
+    let mut topo = Topology::star(3);
+    topo.set_uniform_capacity(64);
+    let instance = Instance::new(topo, RouteSet::new(), Vec::new()).expect("valid instance");
+    let mut rng = StdRng::seed_from_u64(0xC0C0);
+    for case in 0..48 {
+        let mut p = Placement::new();
+        let mut m = flat::Placement::default();
+        for step in 0..40 {
+            let before = (p.clone(), m.clone());
+            let l = EntryPortId(rng.gen_range(0..4usize));
+            let k = RuleId(rng.gen_range(0..6usize));
+            let op = match rng.gen_range(0..10u32) {
+                0..=3 => {
+                    let s = SwitchId(rng.gen_range(0..4usize));
+                    p.place(l, k, s);
+                    m.placed.entry((l, k)).or_default().insert(s);
+                    "place"
+                }
+                4 | 5 => {
+                    // Shift (an insertion at `k`) or drop (a removal of
+                    // `k`), as the greedy add and remove renumber.
+                    let drop = rng.gen_bool(0.5);
+                    let map = move |r: RuleId| match (drop, r == k) {
+                        (true, true) => None,
+                        (true, false) => Some(RuleId(r.0 - 1)),
+                        (false, _) => Some(RuleId(r.0 + 1)),
+                    };
+                    p.renumber(l, k, map);
+                    let moved = |(il, r): (EntryPortId, RuleId)| {
+                        if il == l && r >= k {
+                            map(r).map(|r| (il, r))
+                        } else {
+                            Some((il, r))
+                        }
+                    };
+                    let placed = std::mem::take(&mut m.placed).into_iter();
+                    m.placed = placed
+                        .filter_map(|(key, s)| moved(key).map(|key| (key, s)))
+                        .collect();
+                    m.merged = std::mem::take(&mut m.merged)
+                        .into_iter()
+                        .filter_map(|mut g| {
+                            let members: Option<Vec<_>> =
+                                g.members.iter().map(|&key| moved(key)).collect();
+                            g.members = members?;
+                            Some(g)
+                        })
+                        .collect();
+                    if drop {
+                        "renumber (drop)"
+                    } else {
+                        "renumber (shift)"
+                    }
+                }
+                6 => {
+                    p.remove_ingress(l);
+                    m.placed.retain(|&(il, _), _| il != l);
+                    m.merged
+                        .retain(|g| g.members.iter().all(|&(il, _)| il != l));
+                    "remove_ingress"
+                }
+                7 | 8 => {
+                    // A sub-solution over one or two ingresses; it brings
+                    // merge groups only over ingresses this one lacks, as
+                    // a restricted re-solve's graft does.
+                    let mut other = Placement::new();
+                    let mut o = flat::Placement::default();
+                    for _ in 0..rng.gen_range(1..8usize) {
+                        let ol = if rng.gen_bool(0.5) { l } else { EntryPortId(4) };
+                        let (r, s) = (
+                            RuleId(rng.gen_range(0..6usize)),
+                            SwitchId(rng.gen_range(0..4usize)),
+                        );
+                        other.place(ol, r, s);
+                        o.placed.entry((ol, r)).or_default().insert(s);
+                    }
+                    let vacant = |g: &MergeGroup| {
+                        let mut members = g.members.iter();
+                        members.all(|&(gl, _)| m.placed.keys().all(|&(ml, _)| ml != gl))
+                    };
+                    if let Some(g) = rand_merge(&mut rng, &o).filter(vacant) {
+                        other.record_merge(g.clone());
+                        o.merged.push(g);
+                    }
+                    p.absorb(other);
+                    for (key, s) in o.placed {
+                        m.placed.entry(key).or_default().extend(s);
+                    }
+                    m.merged.extend(o.merged);
+                    "absorb"
+                }
+                _ => {
+                    if let Some(g) = rand_merge(&mut rng, &m) {
+                        p.record_merge(g.clone());
+                        m.merged.push(g);
+                    }
+                    "record_merge"
+                }
+            };
+            let what = format!("case {case} step {step} {op} {l} {k}");
+            assert_reads_as(&p, &m, &instance, &what);
+            assert_reads_as(&before.0, &before.1, &instance, &format!("{what}: clone"));
+        }
+    }
+    // The emptied-ingress case, spelled out.
+    let mut p = Placement::new();
+    p.place(EntryPortId(1), RuleId(0), SwitchId(2));
+    p.renumber(EntryPortId(1), RuleId(0), |_| None);
+    assert_eq!(p, Placement::new());
+    assert_eq!(format!("{p:?}"), format!("{:?}", Placement::new()));
 }
 
 #[test]

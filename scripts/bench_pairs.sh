@@ -1,35 +1,43 @@
 #!/usr/bin/env bash
-# Paired A/B runs of one benchmark workload: a git revision against the
+# Paired A/B runs of benchmark workloads: a git revision against the
 # working tree.
 #
-#   scripts/bench_pairs.sh REV WORKLOAD [PAIRS] [SEED] [SECONDS]
+#   scripts/bench_pairs.sh REV WORKLOADS [PAIRS] [SEED] [SECONDS]
+#
+# WORKLOADS is one workload name or a comma-separated list of them
+# (e.g. churn-1k,reroute-512,deploy-4k,flows-1k).
 #
 # Copies REV (`git archive`) and the working tree (tracked and untracked
 # files, ignored ones left out) into two fresh directories under
-# ${TMPDIR:-/tmp} and builds the benchmark in each from scratch, so
-# neither side shares a target directory, a build cache or a code layout
-# with the other or with this checkout. Then runs PAIRS pairs (default
-# 10) of `flowplace-benchmark --workload WORKLOAD --seed SEED --seconds
-# SECONDS` (defaults 1 and 3), alternating which side runs first, and
-# prints per end-to-end metric each side's median and quartiles, the
-# ratio of the medians, whether the medians lie further apart than the
-# revision's interquartile range, and in how many pairs the working
-# tree did strictly better. `throughput_events_s` is better higher,
-# every other end-to-end metric lower (as in BENCHMARK.json). Quartiles
-# interpolate linearly between order statistics. The directories are
-# removed on exit. Not part of `make ci`: a run takes minutes.
+# ${TMPDIR:-/tmp} and builds the benchmark in each from scratch, once,
+# so neither side shares a target directory, a build cache or a code
+# layout with the other or with this checkout. Then, per workload in
+# the order given, runs PAIRS pairs (default 10) of `flowplace-benchmark
+# --workload WORKLOAD --seed SEED --seconds SECONDS` (defaults 1 and 3),
+# alternating which side runs first, and prints one table: per
+# end-to-end metric each side's median and quartiles, the ratio of the
+# medians, whether the medians lie further apart than the revision's
+# interquartile range, and in how many pairs the working tree did
+# strictly better. `throughput_events_s` is better higher, every other
+# end-to-end metric lower (as in BENCHMARK.json). Quartiles interpolate
+# linearly between order statistics. The directories are removed on
+# exit. Not part of `make ci`: a run takes minutes per workload.
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh REV WORKLOAD [PAIRS] [SEED] [SECONDS]" >&2
+    echo "usage: scripts/bench_pairs.sh REV WORKLOAD[,WORKLOAD...] [PAIRS] [SEED] [SECONDS]" >&2
     exit 2
 }
 [ $# -ge 2 ] && [ $# -le 5 ] || usage
 rev=$1
-workload=$2
+IFS=, read -r -a workloads <<<"$2"
 pairs=${3:-10}
 seed=${4:-1}
 seconds=${5:-3}
+[ ${#workloads[@]} -ge 1 ] || usage
+for w in "${workloads[@]}"; do
+    [[ "$w" =~ ^[A-Za-z0-9_-]+$ ]] || usage
+done
 for n in "$pairs" "$seed" "$seconds"; do
     [[ "$n" =~ ^[0-9]+$ ]] || usage
 done
@@ -59,11 +67,9 @@ for side in base change; do
 done
 
 metrics="setup_s throughput_events_s call_p50_ms rules_placed peak_rss_mb"
-results="$work/results.txt"
-: >"$results"
 
 run() {
-    local side=$1 pair=$2 out
+    local workload=$1 side=$2 pair=$3 results=$4 out
     out=$(cd "$work/$side" && benchmark/target/release/flowplace-benchmark \
         --workload "$workload" --seed "$seed" --seconds "$seconds")
     printf '%s\n' "$out" | awk -v w="$workload" -v s="$side" -v p="$pair" -v names="$metrics" '
@@ -73,55 +79,64 @@ run() {
     ' >>"$results"
 }
 
-for ((i = 1; i <= pairs; i++)); do
-    echo "pair $i/$pairs" >&2
-    if ((i % 2)); then
-        run base "$i"
-        run change "$i"
-    else
-        run change "$i"
-        run base "$i"
-    fi
-done
-
-echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree (change)"
-sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" '
-function quantile(side, p,   n, h, i) {
-    n = count[side]
-    h = (n - 1) * p
-    i = int(h)
-    if (i + 1 >= n) return sorted[side, i]
-    return sorted[side, i] + (h - i) * (sorted[side, i + 1] - sorted[side, i])
-}
-function quartiles(side) {
-    return sprintf("%.6g [%.6g, %.6g]", quantile(side, 0.5), quantile(side, 0.25), quantile(side, 0.75))
-}
-$1 != metric {
-    if (metric != "") report()
-    metric = $1
-    delete count; delete sorted; delete by_pair
-    count["base"] = 0; count["change"] = 0
-}
-{
-    sorted[$2, count[$2]++] = $3
-    by_pair[$2, $4] = $3
-}
-function report(   won, i, b, c, higher, mb, mc, iqr) {
-    higher = (metric == "throughput_events_s")
-    for (i = 1; i <= pairs; i++) {
-        b = by_pair["base", i]; c = by_pair["change", i]
-        if ((higher && c > b) || (!higher && c < b)) won++
+summarize() {
+    local workload=$1 results=$2
+    echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree (change)"
+    sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" '
+    function quantile(side, p,   n, h, i) {
+        n = count[side]
+        h = (n - 1) * p
+        i = int(h)
+        if (i + 1 >= n) return sorted[side, i]
+        return sorted[side, i] + (h - i) * (sorted[side, i + 1] - sorted[side, i])
     }
-    mb = quantile("base", 0.5); mc = quantile("change", 0.5)
-    iqr = quantile("base", 0.75) - quantile("base", 0.25)
-    line[metric] = sprintf("%-20s %-34s %-34s %7.3fx  %-3s  %d/%d", metric, quartiles("base"),
-        quartiles("change"), (mb == 0 ? 0 : mc / mb), ((mc - mb > iqr || mb - mc > iqr) ? "yes" : "no"),
-        won, pairs)
+    function quartiles(side) {
+        return sprintf("%.6g [%.6g, %.6g]", quantile(side, 0.5), quantile(side, 0.25), quantile(side, 0.75))
+    }
+    $1 != metric {
+        if (metric != "") report()
+        metric = $1
+        delete count; delete sorted; delete by_pair
+        count["base"] = 0; count["change"] = 0
+    }
+    {
+        sorted[$2, count[$2]++] = $3
+        by_pair[$2, $4] = $3
+    }
+    function report(   won, i, b, c, higher, mb, mc, iqr) {
+        higher = (metric == "throughput_events_s")
+        for (i = 1; i <= pairs; i++) {
+            b = by_pair["base", i]; c = by_pair["change", i]
+            if ((higher && c > b) || (!higher && c < b)) won++
+        }
+        mb = quantile("base", 0.5); mc = quantile("change", 0.5)
+        iqr = quantile("base", 0.75) - quantile("base", 0.25)
+        line[metric] = sprintf("%-20s %-34s %-34s %7.3fx  %-3s  %d/%d", metric, quartiles("base"),
+            quartiles("change"), (mb == 0 ? 0 : mc / mb), ((mc - mb > iqr || mb - mc > iqr) ? "yes" : "no"),
+            won, pairs)
+    }
+    END {
+        if (metric != "") report()
+        printf "%-20s %-34s %-34s %8s  %-3s  %s\n", "metric", "base median [q1, q3]",
+            "change median [q1, q3]", "ratio", ">iqr", "won"
+        n = split(order, names, " ")
+        for (i = 1; i <= n; i++) if (names[i] in line) print line[names[i]]
+    }'
 }
-END {
-    if (metric != "") report()
-    printf "%-20s %-34s %-34s %8s  %-3s  %s\n", "metric", "base median [q1, q3]",
-        "change median [q1, q3]", "ratio", ">iqr", "won"
-    n = split(order, names, " ")
-    for (i = 1; i <= n; i++) if (names[i] in line) print line[names[i]]
-}'
+
+for workload in "${workloads[@]}"; do
+    results="$work/results-$workload.txt"
+    : >"$results"
+    for ((i = 1; i <= pairs; i++)); do
+        echo "$workload: pair $i/$pairs" >&2
+        if ((i % 2)); then
+            run "$workload" base "$i" "$results"
+            run "$workload" change "$i" "$results"
+        else
+            run "$workload" change "$i" "$results"
+            run "$workload" base "$i" "$results"
+        fi
+    done
+    summarize "$workload" "$results"
+    echo
+done

@@ -15,6 +15,15 @@
 //! The final order is a deterministic topological sort of those
 //! constraints; discovering a cycle here would indicate an encoder bug
 //! and is reported as an error rather than a panic.
+//!
+//! Only a switch that holds a merged entry builds the constraint graph.
+//! On a merge-free switch the entries arrive in [`Placement::iter`]
+//! order — ingress, then rule — and a [`flowplace_acl::Policy`] keeps its
+//! rules in strictly descending priority with `RuleId` = index. So each
+//! ingress's chain runs over consecutive entries in index order, and the
+//! lowest-index-first topological sort of disjoint chains like that is
+//! the identity: the table is its entries as they came, numbered
+//! `total − pos`, the same bytes the graph would give.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -172,118 +181,128 @@ pub fn emit_tables(
     placement: &Placement,
 ) -> Result<Vec<SwitchTable>, TableError> {
     let n = instance.topology().switch_count();
-    let mut tables = vec![SwitchTable::default(); n];
 
-    // Group raw entries per switch.
-    struct Draft {
-        tags: BTreeSet<EntryPortId>,
-        match_field: Ternary,
-        action: Action,
-        contributors: Vec<(EntryPortId, RuleId)>,
-    }
-    let mut drafts: Vec<Vec<Draft>> = (0..n).map(|_| Vec::new()).collect();
-
-    // Merged entries first; remember which (ingress, rule, switch) they
-    // absorb.
+    // Merged entries first, on the switches that hold one; remember
+    // which (ingress, rule, switch) they absorb.
+    let mut merged: Vec<Option<Vec<Draft>>> = (0..n).map(|_| None).collect();
     let mut absorbed: BTreeSet<(EntryPortId, RuleId, SwitchId)> = BTreeSet::new();
     for g in placement.merge_groups() {
-        for &(l, r) in &g.members {
-            absorbed.insert((l, r, g.switch));
-        }
-        drafts[g.switch.0].push(Draft {
-            tags: g.members.iter().map(|(l, _)| *l).collect(),
-            match_field: g.match_field,
-            action: g.action,
+        absorbed.extend(g.members.iter().map(|&(l, r)| (l, r, g.switch)));
+        merged[g.switch.0].get_or_insert_with(Vec::new).push(Draft {
+            entry: TableEntry {
+                priority: 0,
+                tags: g.members.iter().map(|(l, _)| *l).collect(),
+                match_field: g.match_field,
+                action: g.action,
+            },
             contributors: g.members.clone(),
         });
     }
-    // Ordinary entries.
+    // Ordinary entries, in (ingress, rule) order. A merge-free switch
+    // takes them as they come (the module docs say why that is its
+    // constraint order); a merged one drafts them for the graph.
+    let mut plain: Vec<Vec<TableEntry>> = vec![Vec::new(); n];
     for (&(ingress, rule), switches) in placement.iter() {
         let r = instance
             .policy(ingress)
             .expect("placement refers to existing policy")
             .rule(rule);
         for &s in switches {
-            if absorbed.contains(&(ingress, rule, s)) {
-                continue;
-            }
-            drafts[s.0].push(Draft {
+            let entry = TableEntry {
+                priority: 0,
                 tags: [ingress].into(),
                 match_field: *r.match_field(),
                 action: r.action(),
-                contributors: vec![(ingress, rule)],
-            });
+            };
+            match &mut merged[s.0] {
+                None => plain[s.0].push(entry),
+                Some(_) if absorbed.contains(&(ingress, rule, s)) => {}
+                Some(drafts) => drafts.push(Draft {
+                    entry,
+                    contributors: vec![(ingress, rule)],
+                }),
+            }
         }
     }
 
-    // Order each switch's entries.
-    for (si, mut ds) in drafts.into_iter().enumerate() {
-        if ds.is_empty() {
-            continue;
+    let mut tables = Vec::with_capacity(n);
+    for (si, (mut entries, drafts)) in plain.into_iter().zip(merged).enumerate() {
+        if let Some(drafts) = drafts {
+            let order = constraint_order(instance, &drafts)
+                .ok_or(TableError::CircularPriority(SwitchId(si)))?;
+            let mut slots: Vec<Option<TableEntry>> =
+                drafts.into_iter().map(|d| Some(d.entry)).collect();
+            entries = order
+                .iter()
+                .map(|&ei| slots[ei].take().expect("the sort visits each draft once"))
+                .collect();
         }
-        // Constraint edges: for each ingress, chain its entries in
-        // descending policy priority.
-        let mut adj: Vec<Vec<usize>> = vec![Vec::new(); ds.len()];
-        let mut indeg = vec![0usize; ds.len()];
-        let mut per_ingress: BTreeMap<EntryPortId, Vec<(u32, usize)>> = BTreeMap::new();
-        for (ei, d) in ds.iter().enumerate() {
-            for &(l, r) in &d.contributors {
-                let prio = instance
-                    .policy(l)
-                    .expect("contributor policy exists")
-                    .rule(r)
-                    .priority();
-                per_ingress.entry(l).or_default().push((prio, ei));
-            }
+        let total = entries.len() as u32;
+        for (pos, e) in entries.iter_mut().enumerate() {
+            e.priority = total - pos as u32;
         }
-        for (_, mut list) in per_ingress {
-            list.sort_by_key(|&(prio, _)| std::cmp::Reverse(prio)); // descending priority
-            for w in list.windows(2) {
-                adj[w[0].1].push(w[1].1);
-                indeg[w[1].1] += 1;
-            }
-        }
-        // Deterministic Kahn (lowest index first).
-        let mut order: Vec<usize> = Vec::with_capacity(ds.len());
-        let mut ready: BTreeSet<usize> = indeg
-            .iter()
-            .enumerate()
-            .filter(|(_, &d)| d == 0)
-            .map(|(i, _)| i)
-            .collect();
-        while let Some(&e) = ready.iter().next() {
-            ready.remove(&e);
-            order.push(e);
-            for &next in &adj[e] {
-                indeg[next] -= 1;
-                if indeg[next] == 0 {
-                    ready.insert(next);
-                }
-            }
-        }
-        if order.len() != ds.len() {
-            return Err(TableError::CircularPriority(SwitchId(si)));
-        }
-        let total = order.len() as u32;
-        let entries = order
-            .iter()
-            .enumerate()
-            .map(|(pos, &ei)| TableEntry {
-                tags: std::mem::take(&mut ds[ei].tags),
-                match_field: ds[ei].match_field,
-                action: ds[ei].action,
-                priority: total - pos as u32,
-            })
-            .collect();
-        tables[si] = SwitchTable { entries };
+        tables.push(SwitchTable { entries });
     }
     Ok(tables)
+}
+
+/// One entry of a switch holding a merged entry, before ordering, with
+/// the `(ingress, rule)` pairs it carries (≥ 2 for the merged one).
+struct Draft {
+    entry: TableEntry,
+    contributors: Vec<(EntryPortId, RuleId)>,
+}
+
+/// The order of one switch's drafts: each ingress's entries chained in
+/// descending policy priority, sorted topologically taking the lowest
+/// draft index first. `None` if the chains form a cycle.
+fn constraint_order(instance: &Instance, drafts: &[Draft]) -> Option<Vec<usize>> {
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); drafts.len()];
+    let mut indeg = vec![0usize; drafts.len()];
+    let mut per_ingress: BTreeMap<EntryPortId, Vec<(u32, usize)>> = BTreeMap::new();
+    for (ei, d) in drafts.iter().enumerate() {
+        for &(l, r) in &d.contributors {
+            let prio = instance
+                .policy(l)
+                .expect("contributor policy exists")
+                .rule(r)
+                .priority();
+            per_ingress.entry(l).or_default().push((prio, ei));
+        }
+    }
+    for (_, mut list) in per_ingress {
+        list.sort_by_key(|&(prio, _)| std::cmp::Reverse(prio)); // descending priority
+        for w in list.windows(2) {
+            adj[w[0].1].push(w[1].1);
+            indeg[w[1].1] += 1;
+        }
+    }
+    // Deterministic Kahn (lowest index first).
+    let mut order: Vec<usize> = Vec::with_capacity(drafts.len());
+    let mut ready: BTreeSet<usize> = indeg
+        .iter()
+        .enumerate()
+        .filter(|(_, &d)| d == 0)
+        .map(|(i, _)| i)
+        .collect();
+    while let Some(e) = ready.pop_first() {
+        order.push(e);
+        for &next in &adj[e] {
+            indeg[next] -= 1;
+            if indeg[next] == 0 {
+                ready.insert(next);
+            }
+        }
+    }
+    (order.len() == drafts.len()).then_some(order)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::MergeGroup;
     use flowplace_acl::{Packet, Policy};
+    use flowplace_rng::{Rng, StdRng};
     use flowplace_routing::{Route, RouteSet};
     use flowplace_topo::Topology;
 
@@ -348,7 +367,6 @@ mod tests {
 
     #[test]
     fn merged_entry_has_union_tags() {
-        use crate::merge::MergeGroup;
         let mut topo = Topology::star(2);
         topo.set_uniform_capacity(10);
         let mut routes = RouteSet::new();
@@ -424,7 +442,6 @@ mod tests {
 
     #[test]
     fn conflicting_merge_groups_report_cycle() {
-        use crate::merge::MergeGroup;
         // Hand-build two merge groups with contradictory priority votes
         // (bypassing find_merge_groups, which would have broken the
         // cycle) to exercise the CircularPriority error path.
@@ -473,6 +490,160 @@ mod tests {
         let err = emit_tables(&inst, &p).unwrap_err();
         assert_eq!(err, TableError::CircularPriority(SwitchId(0)));
         assert!(err.to_string().contains("circular"));
+    }
+
+    /// A switch holding one merged entry still goes through the graph:
+    /// the merged DROP is drafted first, but tenant A's PERMIT ranks
+    /// above it, so the order is not the draft order.
+    #[test]
+    fn merged_switch_goes_through_the_constraint_graph() {
+        let (a, b) = (EntryPortId(0), EntryPortId(1));
+        let mut topo = Topology::linear(1);
+        topo.set_uniform_capacity(10);
+        let routes = RouteSet::from_routes(vec![
+            Route::new(a, b, vec![SwitchId(0)]),
+            Route::new(b, a, vec![SwitchId(0)]),
+        ]);
+        let qa = Policy::from_ordered(vec![(t("10**"), Action::Permit), (t("1***"), Action::Drop)])
+            .unwrap();
+        let qb = Policy::from_ordered(vec![(t("1***"), Action::Drop)]).unwrap();
+        let inst = Instance::new(topo, routes, vec![(a, qa), (b, qb)]).unwrap();
+        let mut p = Placement::new();
+        p.place(a, RuleId(0), SwitchId(0));
+        p.place(a, RuleId(1), SwitchId(0));
+        p.place(b, RuleId(0), SwitchId(0));
+        p.record_merge(MergeGroup {
+            switch: SwitchId(0),
+            match_field: t("1***"),
+            action: Action::Drop,
+            members: vec![(a, RuleId(1)), (b, RuleId(0))],
+        });
+        let drafts = all_drafts(&inst, &p).swap_remove(0);
+        assert_eq!(constraint_order(&inst, &drafts), Some(vec![1, 0]));
+        let tables = emit_tables(&inst, &p).unwrap();
+        let top = &tables[0].entries()[0];
+        assert_eq!((top.match_field, top.action), (t("10**"), Action::Permit));
+        assert_eq!(tables[0].entries()[1].tags, BTreeSet::from([a, b]));
+    }
+
+    /// What the constraint graph is fed on every switch: merged entries
+    /// first, then each placed `(ingress, rule)` no merge absorbed, in
+    /// [`Placement::iter`] order.
+    fn all_drafts(inst: &Instance, p: &Placement) -> Vec<Vec<Draft>> {
+        let n = inst.topology().switch_count();
+        let mut drafts: Vec<Vec<Draft>> = (0..n).map(|_| Vec::new()).collect();
+        let entry = |tags, match_field, action| TableEntry {
+            priority: 0,
+            tags,
+            match_field,
+            action,
+        };
+        for g in p.merge_groups() {
+            drafts[g.switch.0].push(Draft {
+                entry: entry(
+                    g.members.iter().map(|m| m.0).collect(),
+                    g.match_field,
+                    g.action,
+                ),
+                contributors: g.members.clone(),
+            });
+        }
+        for (&(l, r), switches) in p.iter() {
+            let rule = inst.policy(l).unwrap().rule(r);
+            for &s in switches {
+                let absorbs = |g: &MergeGroup| g.switch == s && g.members.contains(&(l, r));
+                if p.merge_groups().iter().any(absorbs) {
+                    continue;
+                }
+                drafts[s.0].push(Draft {
+                    entry: entry([l].into(), *rule.match_field(), rule.action()),
+                    contributors: vec![(l, r)],
+                });
+            }
+        }
+        drafts
+    }
+
+    /// Two or three tenants on `star(k + 1)`, every route crossing the
+    /// hub `s0` to the last leaf. Policies draw from one pool of five
+    /// 4-bit rules, so identical rules recur across tenants and merging
+    /// has something to merge.
+    fn random_instance(rng: &mut StdRng) -> Instance {
+        let pool: Vec<(Ternary, Action)> = (0..5)
+            .map(|_| {
+                let cube = Ternary::new(4, rng.gen_range(0u128..16), rng.gen_range(0u128..16));
+                let action = if rng.gen_bool(0.5) {
+                    Action::Drop
+                } else {
+                    Action::Permit
+                };
+                (cube, action)
+            })
+            .collect();
+        let k = rng.gen_range(2..=3usize);
+        let mut topo = Topology::star(k + 1);
+        topo.set_uniform_capacity(rng.gen_range(3..=8usize));
+        let egress = EntryPortId(k);
+        let egress_switch = topo.entry_port(egress).switch;
+        let mut routes = RouteSet::new();
+        let mut policies = Vec::new();
+        for i in 0..k {
+            let l = EntryPortId(i);
+            let hops = vec![topo.entry_port(l).switch, SwitchId(0), egress_switch];
+            routes.push(Route::new(l, egress, hops));
+            let mut picks: Vec<usize> = (0..pool.len()).collect();
+            for j in (1..picks.len()).rev() {
+                picks.swap(j, rng.gen_range(0..=j));
+            }
+            picks.truncate(rng.gen_range(1..=pool.len()));
+            let specs = picks.iter().map(|&j| pool[j]).collect();
+            policies.push((l, Policy::from_ordered(specs).unwrap()));
+        }
+        Instance::new(topo, routes, policies).unwrap()
+    }
+
+    /// On every merge-free switch of 32 seeded solved instances, merging
+    /// off and on, the constraint graph's order is the identity the fast
+    /// path assumes, and on every switch the emitted table is the drafts
+    /// in the graph's order.
+    #[test]
+    fn merge_free_switches_emit_the_constraint_order() {
+        use crate::placement::{PlacementOptions, RulePlacer};
+        use crate::Objective;
+        let mut rng = StdRng::seed_from_u64(0x7AB1E5);
+        let (mut free, mut merged) = (0, 0);
+        for merging in [false, true] {
+            let placer = RulePlacer::new(PlacementOptions {
+                merging,
+                ..PlacementOptions::default()
+            });
+            for case in 0..32 {
+                let inst = random_instance(&mut rng);
+                let Some(p) = placer.place(&inst, Objective::TotalRules).placement else {
+                    continue;
+                };
+                let tables = emit_tables(&inst, &p).unwrap();
+                for (s, drafts) in all_drafts(&inst, &p).into_iter().enumerate() {
+                    let why = format!("merging {merging}, case {case}, s{s}");
+                    let order = constraint_order(&inst, &drafts).expect(&why);
+                    if p.merge_groups().iter().any(|g| g.switch.0 == s) {
+                        merged += 1;
+                    } else {
+                        assert!(order.iter().copied().eq(0..drafts.len()), "{why}");
+                        free += 1;
+                    }
+                    let total = drafts.len() as u32;
+                    let want: Vec<TableEntry> = (order.iter().enumerate())
+                        .map(|(pos, &i)| TableEntry {
+                            priority: total - pos as u32,
+                            ..drafts[i].entry.clone()
+                        })
+                        .collect();
+                    assert_eq!(tables[s].entries(), want, "{why}");
+                }
+            }
+        }
+        assert!(free > 0 && merged > 0, "{free} merge-free, {merged} merged");
     }
 
     #[test]

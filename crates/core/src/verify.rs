@@ -131,8 +131,8 @@ struct Slice {
     actions: Vec<Action>,
     /// The slice's content hash as [`route_keys`] feeds it in.
     hash: Fnv64,
-    /// Built on first use, then shared by every route and packet set of
-    /// the sweep that crosses this slice.
+    /// Built for the first batch of [`SCAN_BELOW`] or more live packets,
+    /// then shared by every later batch of the sweep on this slice.
     classifier: OnceCell<BatchClassifier>,
 }
 
@@ -167,12 +167,20 @@ impl SliceIndex {
 }
 
 /// Batched [`evaluate_route`]: classifies all packets against each hop's
-/// table at once via the structure-of-arrays kernel
-/// ([`flowplace_acl::classify`]), returning per-packet actions identical
-/// to the scalar walk. A packet is DROPped iff some switch on the route
-/// first-matches it to a DROP entry for this route's ingress tag; a
-/// PERMIT match keeps the packet live for later hops (a downstream DROP
-/// still wins), exactly as in the scalar semantics.
+/// table at once, returning per-packet actions identical to the scalar
+/// walk. A packet is DROPped iff some switch on the route first-matches
+/// it to a DROP entry for this route's ingress tag; a PERMIT match keeps
+/// the packet live for later hops (a downstream DROP still wins),
+/// exactly as in the scalar semantics.
+///
+/// A hop with fewer than 64 live packets is answered by a plain
+/// first-match scan of that hop's entries, with the width-and-mask test
+/// of [`BatchClassifier`]'s linear path; a larger batch builds the
+/// structure-of-arrays classifier ([`flowplace_acl::classify`]) and, in
+/// a sweep, every later batch on that hop reuses it. A classifier's
+/// answer for a packet is the first matching cube, whatever its layout
+/// and whatever batch the packet arrives in, so both give the same
+/// verdicts.
 pub fn evaluate_route_batch(
     tables: &[SwitchTable],
     route: &Route,
@@ -180,6 +188,12 @@ pub fn evaluate_route_batch(
 ) -> Vec<Action> {
     evaluate_indexed(&SliceIndex::new(tables), route, packets)
 }
+
+/// Live batches smaller than this are scanned, not classified, on a
+/// hop whose classifier is not built yet: building one (its tuple-space
+/// layout carries a 4 KB elimination table) costs more than scanning a
+/// few packets, which is all a memo-held route replays.
+const SCAN_BELOW: usize = 64;
 
 /// [`evaluate_route_batch`] over an indexed table set.
 fn evaluate_indexed(slices: &SliceIndex, route: &Route, packets: &[Packet]) -> Vec<Action> {
@@ -196,13 +210,26 @@ fn evaluate_indexed(slices: &SliceIndex, route: &Route, packets: &[Packet]) -> V
         let Some(slice) = slices.get(s, route.ingress) else {
             continue;
         };
-        let classifier = slice
-            .classifier
-            .get_or_init(|| BatchClassifier::new(&slice.cubes));
         let actions = &slice.actions;
-        batch.clear();
-        batch.extend(live.iter().map(|&i| packets[i as usize]));
-        classifier.classify_into(&batch, &mut matches, &mut worklist);
+        match slice.classifier.get() {
+            None if live.len() < SCAN_BELOW => {
+                matches.clear();
+                matches.extend(live.iter().map(|&i| {
+                    let p = &packets[i as usize];
+                    let (bits, w) = (p.bits(), p.width());
+                    (slice.cubes.iter())
+                        .position(|c| c.width() == w && (bits ^ c.value()) & c.care() == 0)
+                }));
+            }
+            _ => {
+                let classifier = slice
+                    .classifier
+                    .get_or_init(|| BatchClassifier::new(&slice.cubes));
+                batch.clear();
+                batch.extend(live.iter().map(|&i| packets[i as usize]));
+                classifier.classify_into(&batch, &mut matches, &mut worklist);
+            }
+        }
         let mut j = 0;
         live.retain(|&i| {
             let m = matches[j];
@@ -738,6 +765,72 @@ mod tests {
                 // Empty batches are a no-op.
                 assert!(evaluate_route_batch(&tables, route, &[]).is_empty());
             }
+        }
+    }
+
+    /// Every 8-bit packet through 20-rule prefix tables, in batches below
+    /// and above [`SCAN_BELOW`] and with the classifier built or not: the
+    /// scan, the linear classifier and the grouped tuple-space one must
+    /// each agree with the scalar walk.
+    #[test]
+    fn scan_and_classifier_paths_match_scalar_exhaustively() {
+        let mut specs = Vec::new();
+        for b in 0..8u128 {
+            specs.push((Ternary::new(8, 0b1111_1100, b << 2), Action::Permit)); // /6
+            let action = if b % 3 == 0 {
+                Action::Permit
+            } else {
+                Action::Drop
+            };
+            specs.push((Ternary::new(8, 0b1110_0000, b << 5), action)); // /3
+        }
+        for b in 0..4u128 {
+            specs.push((Ternary::new(8, 0b1100_0000, b << 6), Action::Drop)); // /2
+        }
+        let policy = Policy::from_ordered(specs).unwrap();
+        let mut topo = Topology::linear(3);
+        topo.set_uniform_capacity(32);
+        let hops = vec![SwitchId(0), SwitchId(1), SwitchId(2)];
+        let routes = RouteSet::from_routes(vec![Route::new(EntryPortId(0), EntryPortId(1), hops)]);
+        let inst = Instance::new(topo, routes, vec![(EntryPortId(0), policy)]).unwrap();
+        let route = inst.routes().route(flowplace_routing::RouteId(0));
+        let (mut all_on_s1, mut split) = (Placement::new(), Placement::new());
+        for r in 0..20 {
+            all_on_s1.place(EntryPortId(0), RuleId(r), SwitchId(1));
+            // The /6 PERMITs upstream, without their DROPs; everything
+            // again on the last hop.
+            if r % 2 == 0 && r < 16 {
+                split.place(EntryPortId(0), RuleId(r), SwitchId(0));
+            }
+            split.place(EntryPortId(0), RuleId(r), SwitchId(2));
+        }
+        let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
+        for placement in [&all_on_s1, &split] {
+            let tables = emit_tables(&inst, placement).unwrap();
+            let scalar: Vec<Action> = (packets.iter())
+                .map(|p| evaluate_route(&tables, route, p))
+                .collect();
+            assert!(scalar.contains(&Action::Drop) && scalar.contains(&Action::Permit));
+            let slices = SliceIndex::new(&tables);
+            let last = slices.get(SwitchId(2), EntryPortId(0));
+            let big = slices.get(SwitchId(1), EntryPortId(0)).or(last).unwrap();
+            assert!(big.cubes.len() >= 16 && BatchClassifier::new(&big.cubes).is_grouped());
+            // Batches below the threshold on a fresh index: every hop
+            // scans.
+            let small = SCAN_BELOW - 1;
+            for (chunk, want) in packets.chunks(small).zip(scalar.chunks(small)) {
+                assert_eq!(evaluate_indexed(&slices, route, chunk), want);
+            }
+            assert!(slices.0.values().all(|s| s.classifier.get().is_none()));
+            // One batch of all 256 builds the classifiers (`split`'s
+            // upstream slice is too small to group: the linear layout)...
+            assert_eq!(evaluate_indexed(&slices, route, &packets), scalar);
+            assert!(big.classifier.get().is_some());
+            // ...which small batches then reuse.
+            for (chunk, want) in packets.chunks(16).zip(scalar.chunks(16)) {
+                assert_eq!(evaluate_indexed(&slices, route, chunk), want);
+            }
+            assert_eq!(evaluate_route_batch(&tables, route, &packets), scalar);
         }
     }
 

@@ -222,7 +222,11 @@ impl DataPlane {
     }
 
     /// Computes the diff that turns the deployed state into `target`.
-    /// Entries are compared as multisets per switch.
+    /// Entries are compared as multisets per switch. A switch whose
+    /// target is its installed entries in the same order — every switch
+    /// an epoch did not touch, since both sides are kept in
+    /// [`table_order`] — is skipped with one slice comparison; equal
+    /// sequences are equal multisets, so it adds no op either way.
     ///
     /// # Errors
     ///
@@ -235,6 +239,9 @@ impl DataPlane {
         let mut diff = RuleDiff::default();
         for (i, tcam) in self.switches.iter().enumerate() {
             let want = target.get(i).map(Vec::as_slice).unwrap_or(&[]);
+            if want == tcam.entries {
+                continue;
+            }
             let mut counts: BTreeMap<&TableEntry, isize> = BTreeMap::new();
             for e in want {
                 *counts.entry(e).or_default() += 1;
@@ -503,6 +510,47 @@ mod tests {
         // Applying the same target again is a no-op.
         let diff2 = dp.diff_to(&target).unwrap();
         assert!(diff2.is_empty());
+    }
+
+    /// Two switches deployed from `target`, which is returned.
+    fn deployed() -> (DataPlane, Vec<Vec<TableEntry>>) {
+        let mut dp = DataPlane::new(vec![4, 4]);
+        let target = vec![
+            vec![
+                entry(3, "11**", Action::Drop),
+                entry(2, "10**", Action::Permit),
+                entry(1, "1***", Action::Drop),
+            ],
+            vec![entry(1, "0***", Action::Drop)],
+        ];
+        dp.apply(&dp.diff_to(&target).unwrap()).unwrap();
+        (dp, target)
+    }
+
+    #[test]
+    fn diff_to_the_installed_entries_is_empty_in_any_order() {
+        let (dp, mut target) = deployed();
+        assert_eq!(dp.switch(SwitchId(0)).entries(), &target[0][..]);
+        assert!(dp.diff_to(&target).unwrap().is_empty());
+        // The same multiset out of table order takes the counting path.
+        target[0].reverse();
+        assert!(dp.diff_to(&target).unwrap().is_empty());
+    }
+
+    #[test]
+    fn one_entry_change_on_one_switch_is_one_op() {
+        let (dp, target) = deployed();
+        let extra = entry(2, "00**", Action::Permit);
+        let mut grown = target.clone();
+        grown[1].insert(0, extra.clone());
+        let diff = dp.diff_to(&grown).unwrap();
+        assert_eq!(diff.install, vec![(SwitchId(1), extra)]);
+        assert!(diff.remove.is_empty());
+        let mut shrunk = target;
+        let gone = shrunk[0].remove(1);
+        let diff = dp.diff_to(&shrunk).unwrap();
+        assert!(diff.install.is_empty());
+        assert_eq!(diff.remove, vec![(SwitchId(0), gone)]);
     }
 
     #[test]

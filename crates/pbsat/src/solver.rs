@@ -460,21 +460,25 @@ impl Solver {
         }
         // Merge duplicate variables: w1·l + w2·l = (w1+w2)·l;
         // w1·l + w2·!l = min + |w1-w2|·(winner), with min folded as a
-        // constant into the bound.
-        let mut acc: std::collections::BTreeMap<u32, (u64, u64)> = Default::default();
-        for &(w, l) in terms {
-            assert!((l.var().0 as usize) < self.nvars, "unknown variable {l}");
-            let e = acc.entry(l.var().0).or_insert((0, 0));
-            if l.is_positive() {
-                e.0 += w;
-            } else {
-                e.1 += w;
-            }
-        }
+        // constant into the bound. Sorting by variable brings each
+        // variable's terms together and emits the row in ascending
+        // variable order.
+        let mut acc: Vec<(u32, u64, u64)> = (terms.iter())
+            .map(|&(w, l)| {
+                assert!((l.var().0 as usize) < self.nvars, "unknown variable {l}");
+                if l.is_positive() {
+                    (l.var().0, w, 0)
+                } else {
+                    (l.var().0, 0, w)
+                }
+            })
+            .collect();
+        acc.sort_unstable_by_key(|&(v, ..)| v);
         let mut constant = 0u64;
-        let mut ls: Vec<(u64, Lit)> = Vec::new();
-        for (v, (wp, wn)) in acc {
-            let var = Var(v);
+        let mut ls: Vec<(u64, Lit)> = Vec::with_capacity(acc.len());
+        for run in acc.chunk_by(|a, b| a.0 == b.0) {
+            let var = Var(run[0].0);
+            let (wp, wn) = (run.iter()).fold((0, 0), |(p, n), &(_, wp, wn)| (p + wp, n + wn));
             constant += wp.min(wn);
             if wp > wn {
                 ls.push((wp - wn, Lit::positive(var)));
@@ -1269,6 +1273,35 @@ mod tests {
         assert!(m.lit_value(a));
         assert!(!m.lit_value(b));
         assert!(!m.lit_value(c));
+    }
+
+    /// Unsorted terms with a repeated literal and two complementary
+    /// pairs come out as one row in ascending variable order: repeats
+    /// summed, each complementary pair reduced to its heavier side with
+    /// the lighter weight folded into the bound.
+    #[test]
+    fn add_pb_le_emits_the_merged_row_in_variable_order() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 5);
+        let terms = [
+            (2, v[3]),
+            (1, !v[1]),
+            (1, !v[4]),
+            (2, v[2]),
+            (3, v[0]),
+            (4, v[3]),
+            (5, v[1]),
+            (2, !v[2]),
+        ];
+        // 3·v0 + (1 + 4·v1) + 2 + 6·v3 + 1·¬v4 ≤ 12.
+        assert!(s.add_pb_le(&terms, 12));
+        let f = s.export_formula();
+        assert!(f.clauses.is_empty());
+        let row = PbConstraint {
+            terms: vec![(3, v[0]), (4, v[1]), (6, v[3]), (1, !v[4])],
+            bound: 9,
+        };
+        assert_eq!(f.pb_le, [row]);
     }
 
     #[test]

@@ -97,14 +97,14 @@ chaos:
 
 ## bench-pairs: paired runs of benchmark workloads, REV against the
 ## working tree, each side built once in a fresh directory
-## (scripts/bench_pairs.sh). WORKLOAD takes a comma-separated list.
-## Not part of ci. Example:
-##   make bench-pairs REV=HEAD~1 WORKLOAD=churn-1k,reroute-512
+## (scripts/bench_pairs.sh). WORKLOAD and SEED take comma-separated
+## lists. Not part of ci. Example:
+##   make bench-pairs REV=HEAD~1 WORKLOAD=churn-1k,reroute-512 SEED=1,2
 PAIRS ?= 10
 SEED ?= 1
 SECONDS ?= 3
 bench-pairs:
-	@test -n "$(REV)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs REV=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1] [SECONDS=3]" >&2; exit 2; }
+	@test -n "$(REV)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs REV=<rev> WORKLOAD=<name>[,<name>...] [PAIRS=10] [SEED=1[,<seed>...]] [SECONDS=3]" >&2; exit 2; }
 	./scripts/bench_pairs.sh "$(REV)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)" "$(SECONDS)"
 
 ## loc: lines of Rust, the figures CHANGES.md and ROADMAP quote: what

@@ -2,19 +2,21 @@
 # Paired A/B runs of benchmark workloads: a git revision against the
 # working tree.
 #
-#   scripts/bench_pairs.sh REV WORKLOADS [PAIRS] [SEED] [SECONDS]
+#   scripts/bench_pairs.sh REV WORKLOADS [PAIRS] [SEEDS] [SECONDS]
 #
 # WORKLOADS is one workload name or a comma-separated list of them
-# (e.g. churn-1k,reroute-512,deploy-4k,flows-1k).
+# (e.g. churn-1k,reroute-512,deploy-4k,flows-1k); SEEDS likewise one
+# seed or a comma-separated list (e.g. 1,2).
 #
 # Copies REV (`git archive`) and the working tree (tracked and untracked
 # files, ignored ones left out) into two fresh directories under
 # ${TMPDIR:-/tmp} and builds the benchmark in each from scratch, once,
 # so neither side shares a target directory, a build cache or a code
-# layout with the other or with this checkout. Then, per workload in
-# the order given, runs PAIRS pairs (default 10) of `flowplace-benchmark
-# --workload WORKLOAD --seed SEED --seconds SECONDS` (defaults 1 and 3),
-# alternating which side runs first, and prints one table: per
+# layout with the other or with this checkout. Then, per workload and
+# per seed in the order given, runs PAIRS pairs (default 10) of
+# `flowplace-benchmark --workload WORKLOAD --seed SEED --seconds SECONDS`
+# (defaults 1 and 3), alternating which side runs first, and prints one
+# table per (workload, seed): per
 # end-to-end metric each side's median and quartiles, the ratio of the
 # medians, whether the medians lie further apart than the revision's
 # interquartile range, and in how many pairs the working tree did
@@ -25,20 +27,20 @@
 set -euo pipefail
 
 usage() {
-    echo "usage: scripts/bench_pairs.sh REV WORKLOAD[,WORKLOAD...] [PAIRS] [SEED] [SECONDS]" >&2
+    echo "usage: scripts/bench_pairs.sh REV WORKLOAD[,WORKLOAD...] [PAIRS] [SEED[,SEED...]] [SECONDS]" >&2
     exit 2
 }
 [ $# -ge 2 ] && [ $# -le 5 ] || usage
 rev=$1
 IFS=, read -r -a workloads <<<"$2"
 pairs=${3:-10}
-seed=${4:-1}
+IFS=, read -r -a seeds <<<"${4:-1}"
 seconds=${5:-3}
-[ ${#workloads[@]} -ge 1 ] || usage
+[ ${#workloads[@]} -ge 1 ] && [ ${#seeds[@]} -ge 1 ] || usage
 for w in "${workloads[@]}"; do
     [[ "$w" =~ ^[A-Za-z0-9_-]+$ ]] || usage
 done
-for n in "$pairs" "$seed" "$seconds"; do
+for n in "$pairs" "${seeds[@]}" "$seconds"; do
     [[ "$n" =~ ^[0-9]+$ ]] || usage
 done
 [ "$pairs" -ge 1 ] || usage
@@ -69,7 +71,7 @@ done
 metrics="setup_s throughput_events_s call_p50_ms rules_placed peak_rss_mb"
 
 run() {
-    local workload=$1 side=$2 pair=$3 results=$4 out
+    local workload=$1 seed=$2 side=$3 pair=$4 results=$5 out
     out=$(cd "$work/$side" && benchmark/target/release/flowplace-benchmark \
         --workload "$workload" --seed "$seed" --seconds "$seconds")
     printf '%s\n' "$out" | awk -v w="$workload" -v s="$side" -v p="$pair" -v names="$metrics" '
@@ -80,7 +82,7 @@ run() {
 }
 
 summarize() {
-    local workload=$1 results=$2
+    local workload=$1 seed=$2 results=$3
     echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree (change)"
     sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" '
     function quantile(side, p,   n, h, i) {
@@ -125,18 +127,20 @@ summarize() {
 }
 
 for workload in "${workloads[@]}"; do
-    results="$work/results-$workload.txt"
-    : >"$results"
-    for ((i = 1; i <= pairs; i++)); do
-        echo "$workload: pair $i/$pairs" >&2
-        if ((i % 2)); then
-            run "$workload" base "$i" "$results"
-            run "$workload" change "$i" "$results"
-        else
-            run "$workload" change "$i" "$results"
-            run "$workload" base "$i" "$results"
-        fi
+    for seed in "${seeds[@]}"; do
+        results="$work/results-$workload-$seed.txt"
+        : >"$results"
+        for ((i = 1; i <= pairs; i++)); do
+            echo "$workload, seed $seed: pair $i/$pairs" >&2
+            if ((i % 2)); then
+                run "$workload" "$seed" base "$i" "$results"
+                run "$workload" "$seed" change "$i" "$results"
+            else
+                run "$workload" "$seed" change "$i" "$results"
+                run "$workload" "$seed" base "$i" "$results"
+            fi
+        done
+        summarize "$workload" "$seed" "$results"
+        echo
     done
-    summarize "$workload" "$results"
-    echo
 done

@@ -385,25 +385,28 @@ impl Controller {
                 SwitchTable::from_entries(self.dataplane.switch(SwitchId(i)).entries().to_vec())
             })
             .collect();
+        self.audit_fail_closed(&tables)
+    }
+
+    /// Both fail-closed audits: `tables` checked one-sided on every route
+    /// that carries traffic — not one a crashed switch on its path makes
+    /// traffic-dead, nor a safe-mode route with no manageable switch,
+    /// which is fenced at the controller-owned entry port.
+    pub(crate) fn audit_fail_closed(&self, tables: &[SwitchTable]) -> Result<(), String> {
+        let unmanageable = &self.faults.unmanageable;
+        let carries_traffic = |route: &Route| {
+            route.switches.iter().all(|&s| self.dataplane.is_online(s))
+                && !(self.faults.safe_mode.contains(&route.ingress)
+                    && route.switches.iter().all(|s| unmanageable.contains_key(s)))
+        };
         verify::verify_tables(
             &self.instance,
-            &tables,
+            tables,
             self.options.verify_packets,
             self.epochs.current(),
             VerifyMode::NoFalseNegatives,
-            |route| self.carries_traffic(route),
+            carries_traffic,
         )
         .map_err(|e| e.to_string())
-    }
-
-    /// Whether the fail-closed audits must cover `route`: not when a
-    /// crashed switch on its path makes it traffic-dead, nor when it is
-    /// a safe-mode route with no manageable switch, which is fenced at
-    /// the controller-owned entry port.
-    pub(crate) fn carries_traffic(&self, route: &Route) -> bool {
-        let unmanageable = &self.faults.unmanageable;
-        route.switches.iter().all(|&s| self.dataplane.is_online(s))
-            && !(self.faults.safe_mode.contains(&route.ingress)
-                && route.switches.iter().all(|s| unmanageable.contains_key(s)))
     }
 }

@@ -1,7 +1,6 @@
 //! The TCAM-as-cache tier's flow path: flow streams, miss batches,
 //! cache resync and the cache's fail-closed audit.
 
-use flowplace_core::verify::{self, VerifyMode};
 use flowplace_fasthash::FnvHashMap;
 use flowplace_routing::RouteId;
 use flowplace_topo::{EntryPortId, SwitchId};
@@ -211,15 +210,6 @@ impl Controller {
         if !self.options.cache.enabled {
             return Ok(());
         }
-        let tables = self.cache.audit_tables();
-        verify::verify_tables(
-            &self.instance,
-            &tables,
-            self.options.verify_packets,
-            self.epochs.current(),
-            VerifyMode::NoFalseNegatives,
-            |route| self.carries_traffic(route),
-        )
-        .map_err(|e| e.to_string())
+        self.audit_fail_closed(&self.cache.audit_tables())
     }
 }

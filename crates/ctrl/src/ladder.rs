@@ -179,7 +179,8 @@ impl Controller {
         placement: &mut Placement,
         lift: bool,
     ) {
-        let mut seeded: BTreeSet<EntryPortId> = BTreeSet::new();
+        // Torn-down ingresses seed the affected set; delegating one again
+        // below counts as a re-home.
         let mut torn: BTreeSet<EntryPortId> = BTreeSet::new();
         for (l, d) in self.faults.delegations.clone() {
             let faulted = self.faults.unmanageable.contains_key(&d.delegate)
@@ -195,7 +196,6 @@ impl Controller {
                 *instance = delegate::restore_instance(instance, l, d.delegate);
                 self.faults.delegations.remove(&l);
                 placement.remove_ingress(l);
-                seeded.insert(l);
                 self.stats.delegation_teardowns += 1;
                 torn.insert(l);
                 self.note_delegate_event("torn-down");
@@ -203,41 +203,8 @@ impl Controller {
                 self.try_undelegate(instance, placement, l, &d);
             }
         }
-        self.degrade_inner(instance, placement, lift, seeded, &torn);
-    }
-
-    /// Opportunistic undelegation: re-solve `ingress` against its
-    /// original (detour-free) routes and commit only if it fits —
-    /// capacity came back, the delegation is no longer needed.
-    fn try_undelegate(
-        &mut self,
-        instance: &mut Instance,
-        placement: &mut Placement,
-        ingress: EntryPortId,
-        d: &Delegation,
-    ) {
-        let restored = delegate::restore_instance(instance, ingress, d.delegate);
         let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
-        if let Some(state) = self.restricted(&restored, placement, &[ingress], &excluded) {
-            (*instance, *placement) = state;
-            self.faults.delegations.remove(&ingress);
-            self.stats.undelegations += 1;
-            self.note_delegate_event("undelegated");
-        }
-    }
-
-    /// The ladder proper; `seeded` carries the ingresses the delegation
-    /// maintenance pass already stripped.
-    fn degrade_inner(
-        &mut self,
-        instance: &mut Instance,
-        placement: &mut Placement,
-        lift: bool,
-        seeded: BTreeSet<EntryPortId>,
-        torn: &BTreeSet<EntryPortId>,
-    ) {
-        let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
-        let mut affected: BTreeSet<EntryPortId> = seeded;
+        let mut affected = torn.clone();
         for ((ingress, _), switches) in placement.iter() {
             if switches
                 .iter()
@@ -294,7 +261,7 @@ impl Controller {
         // neighbor with spare TCAM — then salvage; the rest go
         // fail-closed.
         for l in targets {
-            if self.try_delegate(instance, placement, l, &excluded, torn) {
+            if self.try_delegate(instance, placement, l, &excluded, &torn) {
                 self.faults.safe_mode.remove(&l);
             } else if let Some(state) = self.restricted(instance, placement, &[l], &excluded) {
                 (*instance, *placement) = state;
@@ -302,6 +269,26 @@ impl Controller {
             } else {
                 self.enter_safe_mode(l, placement);
             }
+        }
+    }
+
+    /// Opportunistic undelegation: re-solve `ingress` against its
+    /// original (detour-free) routes and commit only if it fits —
+    /// capacity came back, the delegation is no longer needed.
+    fn try_undelegate(
+        &mut self,
+        instance: &mut Instance,
+        placement: &mut Placement,
+        ingress: EntryPortId,
+        d: &Delegation,
+    ) {
+        let restored = delegate::restore_instance(instance, ingress, d.delegate);
+        let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
+        if let Some(state) = self.restricted(&restored, placement, &[ingress], &excluded) {
+            (*instance, *placement) = state;
+            self.faults.delegations.remove(&ingress);
+            self.stats.undelegations += 1;
+            self.note_delegate_event("undelegated");
         }
     }
 

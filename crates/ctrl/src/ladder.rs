@@ -117,17 +117,8 @@ impl Controller {
         if first == Tier::Greedy {
             // The original placement serves: the re-solve discards this
             // ingress's entries, the only ones the edit renumbered.
-            let sub = incremental::replace_ingresses(
-                &out.instance,
-                placement,
-                &[ingress],
-                &[],
-                options,
-                self.options.objective.clone(),
-            )
-            .map_err(|e| e.to_string())?;
-            if let Some(p) = sub.placement {
-                return Ok((out.instance, p, Tier::Restricted));
+            if let Some((i, p)) = self.restricted(&out.instance, placement, &[ingress], &[]) {
+                return Ok((i, p, Tier::Restricted));
             }
         }
         let solved = self.full_solve(&out.instance)?;

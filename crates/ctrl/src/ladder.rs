@@ -352,21 +352,8 @@ impl Controller {
         let solved = self.restricted(&detoured, placement, &[ingress], excluded);
         let placed = solved.is_some();
         if let Some((detoured, p)) = solved {
-            if delegate::uses(&p, ingress, d.delegate) {
-                *instance = detoured;
-                self.stats.delegations += 1;
-                if torn.contains(&ingress) {
-                    self.stats.delegation_rehomes += 1;
-                    self.note_delegate_event("rehomed");
-                } else {
-                    self.note_delegate_event("created");
-                }
-                self.faults.delegations.insert(ingress, d);
-            } else {
-                // The solver fit without the delegate: keep the
-                // placement, roll the detour back unrecorded.
-                *instance = delegate::restore_instance(&detoured, ingress, d.delegate);
-            }
+            *instance = detoured;
+            self.adopt_or_unwind(instance, &p, ingress, d, torn.contains(&ingress));
             *placement = p;
         }
         self.span_attr(
@@ -431,14 +418,8 @@ impl Controller {
             if let Some((mut ni, np)) = self.restricted(&inst, &p, &targets, &excluded) {
                 // It fits again: record the delegations the solution
                 // uses, roll back the detours it ignored.
-                for (l, d) in &planned {
-                    if delegate::uses(&np, *l, d.delegate) {
-                        self.faults.delegations.insert(*l, d.clone());
-                        self.stats.delegations += 1;
-                        self.note_delegate_event("created");
-                    } else {
-                        ni = delegate::restore_instance(&ni, *l, d.delegate);
-                    }
+                for (l, d) in planned {
+                    self.adopt_or_unwind(&mut ni, &np, l, d, false);
                 }
                 rescued = Some((ni, np));
                 break;
@@ -447,6 +428,31 @@ impl Controller {
         self.span_attr(span, "rescued", rescued.is_some());
         self.span_end(span);
         rescued
+    }
+
+    /// Settles one planned delegation against the solved `placement`:
+    /// when the solution uses the delegate, the delegation is recorded
+    /// and counted (as a re-home if `rehome`); when the solver fit
+    /// without it, the detour is rolled back out of `instance`
+    /// unrecorded.
+    fn adopt_or_unwind(
+        &mut self,
+        instance: &mut Instance,
+        placement: &Placement,
+        ingress: EntryPortId,
+        d: Delegation,
+        rehome: bool,
+    ) {
+        if !delegate::uses(placement, ingress, d.delegate) {
+            *instance = delegate::restore_instance(instance, ingress, d.delegate);
+            return;
+        }
+        self.stats.delegations += 1;
+        if rehome {
+            self.stats.delegation_rehomes += 1;
+        }
+        self.note_delegate_event(if rehome { "rehomed" } else { "created" });
+        self.faults.delegations.insert(ingress, d);
     }
 
     /// Bumps the `ctrl.delegate.events` obs counter for one lifecycle

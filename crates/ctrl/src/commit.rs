@@ -78,14 +78,7 @@ impl Controller {
             return;
         }
         self.stats.quarantines += 1;
-        if let Some(o) = &self.obs {
-            let tag = format!("s{}", switch.0);
-            o.metrics.counter_add_with(
-                "ctrl.quarantine_transitions",
-                &[("switch", tag.as_str())],
-                1,
-            );
-        }
+        self.count("ctrl.quarantine_transitions", "switch", &switch.to_string());
         self.faults.unmanageable.insert(
             switch,
             Outage {
@@ -356,10 +349,7 @@ impl Controller {
             }
             if !self.faults.injector.install_allowed(s) {
                 self.stats.faults_injected += 1;
-                if let Some(o) = &self.obs {
-                    o.metrics
-                        .counter_add_with("faults.injected", &[("kind", "install-reject")], 1);
-                }
+                self.count("faults.injected", "kind", "install-reject");
                 continue;
             }
             return self.dataplane.install(s, e).is_ok();

@@ -96,10 +96,7 @@ impl Controller {
         for event in batch {
             let event_span = self.span_begin("ctrl.event");
             self.span_attr(event_span, "kind", event.label());
-            if let Some(o) = &self.obs {
-                o.metrics
-                    .counter_add_with("ctrl.events", &[("kind", event.label())], 1);
-            }
+            self.count("ctrl.events", "kind", event.label());
             let outcome = match &event {
                 Event::Checkpoint => {
                     self.epochs.checkpoint(instance.clone(), placement.clone());
@@ -185,10 +182,7 @@ impl Controller {
                 },
             };
             self.span_attr(event_span, "outcome", outcome.label());
-            if let Some(o) = &self.obs {
-                o.metrics
-                    .counter_add_with("ctrl.outcomes", &[("outcome", outcome.label())], 1);
-            }
+            self.count("ctrl.outcomes", "outcome", outcome.label());
             self.span_end(event_span);
             outcomes.push((event, outcome));
         }
@@ -327,10 +321,7 @@ impl Controller {
         let mut events = Vec::new();
         for kind in due {
             self.stats.faults_injected += 1;
-            if let Some(o) = &self.obs {
-                o.metrics
-                    .counter_add_with("faults.injected", &[("kind", kind.label())], 1);
-            }
+            self.count("faults.injected", "kind", kind.label());
             match kind {
                 FaultKind::Crash { switch } => events.push(Event::SwitchFail { switch }),
                 FaultKind::Recover { switch } => events.push(Event::SwitchRecover { switch }),

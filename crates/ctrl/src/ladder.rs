@@ -189,12 +189,12 @@ impl Controller {
                 placement.remove_ingress(l);
                 self.stats.delegation_teardowns += 1;
                 torn.insert(l);
-                self.note_delegate_event("torn-down");
+                self.count("ctrl.delegate.events", "kind", "torn-down");
             } else if lift {
                 self.try_undelegate(instance, placement, l, &d);
             }
         }
-        let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
+        let excluded = self.out_of_service();
         let mut affected = torn.clone();
         for ((ingress, _), switches) in placement.iter() {
             if switches
@@ -274,12 +274,12 @@ impl Controller {
         d: &Delegation,
     ) {
         let restored = delegate::restore_instance(instance, ingress, d.delegate);
-        let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
+        let excluded = self.out_of_service();
         if let Some(state) = self.restricted(&restored, placement, &[ingress], &excluded) {
             (*instance, *placement) = state;
             self.faults.delegations.remove(&ingress);
             self.stats.undelegations += 1;
-            self.note_delegate_event("undelegated");
+            self.count("ctrl.delegate.events", "kind", "undelegated");
         }
     }
 
@@ -386,7 +386,7 @@ impl Controller {
         {
             return None;
         }
-        let excluded: Vec<SwitchId> = self.faults.unmanageable.keys().copied().collect();
+        let excluded = self.out_of_service();
         let mut inst = instance.clone();
         inst.set_capacity(switch, capacity);
         let mut p = placement.clone();
@@ -451,16 +451,8 @@ impl Controller {
         if rehome {
             self.stats.delegation_rehomes += 1;
         }
-        self.note_delegate_event(if rehome { "rehomed" } else { "created" });
+        let kind = if rehome { "rehomed" } else { "created" };
+        self.count("ctrl.delegate.events", "kind", kind);
         self.faults.delegations.insert(ingress, d);
-    }
-
-    /// Bumps the `ctrl.delegate.events` obs counter for one lifecycle
-    /// transition (`created`, `rehomed`, `torn-down`, `undelegated`).
-    fn note_delegate_event(&self, kind: &str) {
-        if let Some(o) = &self.obs {
-            o.metrics
-                .counter_add_with("ctrl.delegate.events", &[("kind", kind)], 1);
-        }
     }
 }

@@ -512,6 +512,14 @@ impl Controller {
         }
     }
 
+    /// Adds one to the counter `name` labelled `key` = `value` on the
+    /// attached sink (no-op without one).
+    fn count(&self, name: &str, key: &str, value: &str) {
+        if let Some(o) = &self.obs {
+            o.metrics.counter_add_with(name, &[(key, value)], 1);
+        }
+    }
+
     /// Ends a span opened by [`span_begin`](Controller::span_begin),
     /// syncing the virtual clock so backoff spent inside it is visible
     /// in the span's duration.

@@ -53,6 +53,38 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
+    /// The controller's safe-mode fence for `ingress`: a maximum-priority
+    /// all-wildcard DROP over `width` header bits, the entry
+    /// [`is_safe_mode`](TableEntry::is_safe_mode) recognises.
+    ///
+    /// # Panics
+    ///
+    /// On a `width` [`Ternary::any`] refuses.
+    pub fn safe_mode_fence(ingress: EntryPortId, width: u32) -> TableEntry {
+        TableEntry {
+            priority: u32::MAX,
+            tags: BTreeSet::from([ingress]),
+            match_field: Ternary::any(width),
+            action: Action::Drop,
+        }
+    }
+
+    /// A delegation redirect stub for `ingress`: a minimum-priority
+    /// all-wildcard PERMIT over `width` header bits, the entry
+    /// [`is_delegation_stub`](TableEntry::is_delegation_stub) recognises.
+    ///
+    /// # Panics
+    ///
+    /// On a `width` [`Ternary::any`] refuses.
+    pub fn delegation_stub(ingress: EntryPortId, width: u32) -> TableEntry {
+        TableEntry {
+            priority: 0,
+            tags: BTreeSet::from([ingress]),
+            match_field: Ternary::any(width),
+            action: Action::Permit,
+        }
+    }
+
     /// True for the controller's reserved safe-mode drop-all entry: a
     /// maximum-priority all-wildcard DROP. These live in a reserved
     /// system slot and do not count against TCAM capacity.

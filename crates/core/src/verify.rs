@@ -923,12 +923,8 @@ mod tests {
         );
         // A drop-all table is wrong under Exact but fine one-sided: it
         // never lets a to-be-dropped packet through.
-        let drop_all = crate::tables::SwitchTable::from_entries(vec![crate::tables::TableEntry {
-            tags: std::collections::BTreeSet::from([EntryPortId(0)]),
-            match_field: t("****"),
-            action: Action::Drop,
-            priority: u32::MAX,
-        }]);
+        let fence = crate::tables::TableEntry::safe_mode_fence(EntryPortId(0), 4);
+        let drop_all = SwitchTable::from_entries(vec![fence]);
         let tables = vec![drop_all, SwitchTable::default(), SwitchTable::default()];
         assert!(verify_tables(&inst, &tables, 32, 7, VerifyMode::Exact, |_| true).is_err());
         verify_tables(&inst, &tables, 32, 7, VerifyMode::NoFalseNegatives, |_| {

@@ -973,12 +973,7 @@ mod tests {
     #[test]
     fn safe_mode_entries_are_pinned_and_exempt() {
         let mut c = cache(1, CachePolicy::Lru);
-        let safe = TableEntry {
-            priority: u32::MAX,
-            tags: Set::from([EntryPortId(0)]),
-            match_field: Ternary::parse("****").unwrap(),
-            action: Action::Drop,
-        };
+        let safe = TableEntry::safe_mode_fence(EntryPortId(0), 4);
         let mut target = shielded_target();
         target[0].push(safe);
         c.set_target(&target);

@@ -44,7 +44,6 @@
 
 use std::collections::BTreeSet;
 
-use flowplace_acl::{Action, Ternary};
 use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
 use flowplace_core::verify::{self, VerifyMode};
 use flowplace_core::{Instance, Placement};
@@ -130,12 +129,7 @@ impl Controller {
                 .map(|p| p.width())
                 .unwrap_or(1)
                 .max(1);
-            target[s.0].push(TableEntry {
-                priority: u32::MAX,
-                tags: BTreeSet::from([route.ingress]),
-                match_field: Ternary::new(width, 0, 0),
-                action: Action::Drop,
-            });
+            target[s.0].push(TableEntry::safe_mode_fence(route.ingress, width));
         }
         // Delegation stubs: a low-priority match-all PERMIT on each
         // manageable anchor models the TCAM slot the hardware redirect
@@ -148,12 +142,7 @@ impl Controller {
                 if self.faults.unmanageable.contains_key(a) || a.0 >= target.len() {
                     continue;
                 }
-                let stub = TableEntry {
-                    priority: 0,
-                    tags: BTreeSet::from([*l]),
-                    match_field: Ternary::new(width, 0, 0),
-                    action: Action::Permit,
-                };
+                let stub = TableEntry::delegation_stub(*l, width);
                 if !target[a.0].contains(&stub) {
                     target[a.0].push(stub);
                 }

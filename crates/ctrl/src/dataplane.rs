@@ -653,12 +653,7 @@ mod tests {
     #[test]
     fn capacity_revoke_evicts_lowest_priority_but_keeps_safe_mode() {
         let mut dp = DataPlane::new(vec![4]);
-        let safe = TableEntry {
-            priority: u32::MAX,
-            tags: BTreeSet::from([EntryPortId(0)]),
-            match_field: Ternary::parse("****").unwrap(),
-            action: Action::Drop,
-        };
+        let safe = TableEntry::safe_mode_fence(EntryPortId(0), 4);
         assert!(safe.is_safe_mode());
         dp.install(SwitchId(0), &safe).unwrap();
         dp.install(SwitchId(0), &entry(3, "11**", Action::Drop))
@@ -678,12 +673,7 @@ mod tests {
     #[test]
     fn safe_mode_slot_is_exempt_from_capacity() {
         let mut dp = DataPlane::new(vec![1]);
-        let safe = TableEntry {
-            priority: u32::MAX,
-            tags: BTreeSet::from([EntryPortId(0)]),
-            match_field: Ternary::parse("****").unwrap(),
-            action: Action::Drop,
-        };
+        let safe = TableEntry::safe_mode_fence(EntryPortId(0), 4);
         let diff = RuleDiff {
             install: vec![
                 (SwitchId(0), safe),
@@ -698,12 +688,7 @@ mod tests {
 
     #[test]
     fn delegation_stub_is_reserved_and_survives_revocation() {
-        let stub = TableEntry {
-            priority: 0,
-            tags: BTreeSet::from([EntryPortId(0)]),
-            match_field: Ternary::parse("****").unwrap(),
-            action: Action::Permit,
-        };
+        let stub = TableEntry::delegation_stub(EntryPortId(0), 4);
         assert!(stub.is_delegation_stub());
         assert!(stub.is_reserved());
         assert!(!stub.is_safe_mode());

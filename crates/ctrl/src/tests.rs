@@ -753,6 +753,89 @@ fn over_capacity_target_is_refused_with_the_hardware_untouched() {
     }
 }
 
+/// A detour the re-solve fits without is rolled back unrecorded, on
+/// both rungs that plan one. Degradation: s1's crash strips l0 and l1,
+/// whose routes' spare cannot take both; alone, l0 fits on s0 + s2 and
+/// leaves its detour through s3 unused, and l1 goes fail-closed.
+/// Rescue: the hub shrinks to zero under l0 and l1 on one route; both
+/// are detoured through s3 and the joint re-solve uses only l1's.
+#[test]
+fn ignored_detours_roll_back_unrecorded() {
+    let (l0, l1) = (EntryPortId(0), EntryPortId(1));
+    let routes_of = |ctrl: &Controller, l: EntryPortId| -> Vec<Vec<SwitchId>> {
+        let routes = ctrl.instance().routes().iter();
+        routes
+            .filter(|r| r.ingress == l)
+            .map(|r| r.switches.clone())
+            .collect()
+    };
+
+    let mut ctrl = star_controller(2, CtrlOptions::default());
+    ctrl.attach_obs(Obs::new());
+    ctrl.submit(install_drops(0, 2, &[1, 0, 2], 3)).unwrap();
+    ctrl.submit(install_drops(1, 3, &[1, 0, 3], 4)).unwrap();
+    ctrl.run_to_idle().unwrap();
+    let before = ctrl.instance().routes().clone();
+    ctrl.submit(Event::SwitchFail {
+        switch: SwitchId(1),
+    })
+    .unwrap();
+    ctrl.run_to_idle().unwrap();
+    let attr = |k: &str, v: &str| (k.to_string(), AttrValue::Text(v.to_string()));
+    assert!(
+        ctrl.obs()
+            .unwrap()
+            .spans
+            .spans()
+            .iter()
+            .any(|s| s.name == "ctrl.delegate"
+                && s.attrs.contains(&attr("ingress", "l0"))
+                && s.attrs.contains(&attr("delegate", "s3"))
+                && s.attrs.contains(&attr("recorded", "false"))),
+        "l0's detour was planned and solved"
+    );
+    assert!(ctrl.placement().iter().any(|((l, _), _)| *l == l0));
+    assert_eq!(ctrl.safe_mode_ingresses(), vec![l1]);
+    assert!(ctrl.delegations().is_empty());
+    assert_eq!(ctrl.stats().delegations, 0);
+    assert_eq!(
+        *ctrl.instance().routes(),
+        before,
+        "the detour is rolled back"
+    );
+    ctrl.fail_closed_audit().unwrap();
+
+    let mut ctrl = star_controller(2, CtrlOptions::default());
+    ctrl.submit(install_drops(0, 2, &[1, 0, 2], 1)).unwrap();
+    ctrl.submit(install_drops(1, 3, &[1, 0, 2], 4)).unwrap();
+    ctrl.run_to_idle().unwrap();
+    let l0_before = routes_of(&ctrl, l0);
+    ctrl.submit(Event::CapacityChange {
+        switch: SwitchId(0),
+        capacity: 0,
+    })
+    .unwrap();
+    let reports = ctrl.run_to_idle().unwrap();
+    assert_eq!(reports[0].tiers(), vec![Tier::Delegated]);
+    let delegates: Vec<(EntryPortId, SwitchId)> = ctrl
+        .delegations()
+        .into_iter()
+        .map(|(l, d)| (l, d.delegate))
+        .collect();
+    assert_eq!(delegates, vec![(l1, SwitchId(3))]);
+    assert_eq!(ctrl.stats().delegations, 1);
+    assert_eq!(
+        routes_of(&ctrl, l0),
+        l0_before,
+        "l0's detour is rolled back"
+    );
+    assert_eq!(
+        routes_of(&ctrl, l1),
+        vec![vec![SwitchId(1), SwitchId(0), SwitchId(3), SwitchId(2)]]
+    );
+    ctrl.fail_closed_audit().unwrap();
+}
+
 #[test]
 fn delegation_lifecycle_mirrors_through_obs() {
     let mut ctrl = star_controller(4, CtrlOptions::default());

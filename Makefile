@@ -108,11 +108,14 @@ bench-pairs:
 	./scripts/bench_pairs.sh "$(REV)" "$(WORKLOAD)" "$(PAIRS)" "$(SEED)" "$(SECONDS)"
 
 ## loc: lines of Rust, the figures CHANGES.md and ROADMAP quote: what
-## ships (`crates` + `src`), the tier-1 tests, the system benchmark.
+## ships (`crates` + `src`), the tier-1 tests, the system benchmark;
+## then the five largest files of `crates` + `src`, for file-size gates.
 loc:
 	@printf 'crates + src   %s\n' "$$(find crates src -name '*.rs' | xargs cat | wc -l)"
 	@printf 'tests          %s\n' "$$(find tests -name '*.rs' | xargs cat | wc -l)"
 	@printf 'benchmark/src  %s\n' "$$(find benchmark/src -name '*.rs' | xargs cat | wc -l)"
+	@echo 'largest files in crates + src:'
+	@find crates src -name '*.rs' -exec wc -l {} + | grep -v ' total$$' | sort -rn | head -5
 
 clean:
 	$(CARGO) clean

@@ -112,12 +112,7 @@ impl Controller {
                             to_epoch: snap.epoch,
                         }
                     }
-                    None => {
-                        self.stats.events_failed += 1;
-                        EventOutcome::Rejected {
-                            reason: "nothing to roll back".into(),
-                        }
-                    }
+                    None => self.reject("nothing to roll back".into()),
                 },
                 Event::SwitchFail { switch } => self.on_switch_fail(*switch, &mut instance),
                 Event::SwitchRecover { switch } => self.on_switch_recover(*switch, &mut instance),
@@ -138,10 +133,7 @@ impl Controller {
                 }
                 _ => match event_ingress(&event) {
                     Some(l) if self.faults.safe_mode.contains(&l) => {
-                        self.stats.events_failed += 1;
-                        EventOutcome::Rejected {
-                            reason: format!("ingress {l} is in safe mode (degraded)"),
-                        }
+                        self.reject(format!("ingress {l} is in safe mode (degraded)"))
                     }
                     _ => match self.dispatch(&instance, &placement, &event) {
                         Ok((ni, np, tier)) => {
@@ -174,8 +166,7 @@ impl Controller {
                                         instance.set_capacity(*switch, *capacity);
                                     }
                                 }
-                                self.stats.events_failed += 1;
-                                EventOutcome::Rejected { reason }
+                                self.reject(reason)
                             }
                         },
                     },
@@ -341,15 +332,18 @@ impl Controller {
         events
     }
 
+    /// Refuses an event: counts it as failed and reports `reason`.
+    fn reject(&mut self, reason: String) -> EventOutcome {
+        self.stats.events_failed += 1;
+        EventOutcome::Rejected { reason }
+    }
+
     /// Handles [`Event::SwitchFail`]: the switch goes down, its TCAM is
     /// lost, and its capacity is zeroed in the working instance so every
     /// solver tier avoids it.
     fn on_switch_fail(&mut self, switch: SwitchId, instance: &mut Instance) -> EventOutcome {
         if switch.0 >= instance.topology().switch_count() {
-            self.stats.events_failed += 1;
-            return EventOutcome::Rejected {
-                reason: format!("unknown switch {switch}"),
-            };
+            return self.reject(format!("unknown switch {switch}"));
         }
         self.stats.switch_crashes += 1;
         self.dataplane.crash(switch);
@@ -374,12 +368,7 @@ impl Controller {
     /// it was quarantined) and its saved capacity is restored.
     fn on_switch_recover(&mut self, switch: SwitchId, instance: &mut Instance) -> EventOutcome {
         match self.faults.unmanageable.remove(&switch) {
-            None => {
-                self.stats.events_failed += 1;
-                EventOutcome::Rejected {
-                    reason: format!("{switch} is not out of service"),
-                }
-            }
+            None => self.reject(format!("{switch} is not out of service")),
             Some(outage) => {
                 self.stats.switch_recoveries += 1;
                 self.dataplane.restore(switch);

@@ -108,6 +108,7 @@ impl Controller {
         for s in self.faults.unmanageable.keys() {
             target[s.0] = self.dataplane.switch(*s).entries().to_vec();
         }
+        let width = |l: EntryPortId| instance.policy(l).map_or(1, |p| p.width()).max(1);
         // Membership-only dedup (never iterated): unordered FNV set.
         let mut fenced: FnvHashSet<(SwitchId, EntryPortId)> = FnvHashSet::default();
         for route in instance.routes().iter() {
@@ -124,12 +125,8 @@ impl Controller {
             if !fenced.insert((s, route.ingress)) {
                 continue;
             }
-            let width = instance
-                .policy(route.ingress)
-                .map(|p| p.width())
-                .unwrap_or(1)
-                .max(1);
-            target[s.0].push(TableEntry::safe_mode_fence(route.ingress, width));
+            let fence = TableEntry::safe_mode_fence(route.ingress, width(route.ingress));
+            target[s.0].push(fence);
         }
         // Delegation stubs: a low-priority match-all PERMIT on each
         // manageable anchor models the TCAM slot the hardware redirect
@@ -137,12 +134,11 @@ impl Controller {
         // stale stub can never flip a packet's fate, and the reserved
         // bank keeps it outside billable capacity.
         for (l, d) in &self.faults.delegations {
-            let width = instance.policy(*l).map(|p| p.width()).unwrap_or(1).max(1);
             for a in &d.anchors {
                 if self.faults.unmanageable.contains_key(a) || a.0 >= target.len() {
                     continue;
                 }
-                let stub = TableEntry::delegation_stub(*l, width);
+                let stub = TableEntry::delegation_stub(*l, width(*l));
                 if !target[a.0].contains(&stub) {
                     target[a.0].push(stub);
                 }

@@ -173,6 +173,7 @@ impl Controller {
         // Torn-down ingresses seed the affected set; delegating one again
         // below counts as a re-home.
         let mut torn: BTreeSet<EntryPortId> = BTreeSet::new();
+        let excluded = self.out_of_service();
         for (l, d) in self.faults.delegations.clone() {
             let faulted = self.faults.unmanageable.contains_key(&d.delegate)
                 || !self.dataplane.is_online(d.delegate)
@@ -191,10 +192,15 @@ impl Controller {
                 torn.insert(l);
                 self.count("ctrl.delegate.events", "kind", "torn-down");
             } else if lift {
-                self.try_undelegate(instance, placement, l, &d);
+                let restored = delegate::restore_instance(instance, l, d.delegate);
+                if let Some(state) = self.restricted(&restored, placement, &[l], &excluded) {
+                    (*instance, *placement) = state;
+                    self.faults.delegations.remove(&l);
+                    self.stats.undelegations += 1;
+                    self.count("ctrl.delegate.events", "kind", "undelegated");
+                }
             }
         }
-        let excluded = self.out_of_service();
         let mut affected = torn.clone();
         for ((ingress, _), switches) in placement.iter() {
             if switches
@@ -260,26 +266,6 @@ impl Controller {
             } else {
                 self.enter_safe_mode(l, placement);
             }
-        }
-    }
-
-    /// Opportunistic undelegation: re-solve `ingress` against its
-    /// original (detour-free) routes and commit only if it fits —
-    /// capacity came back, the delegation is no longer needed.
-    fn try_undelegate(
-        &mut self,
-        instance: &mut Instance,
-        placement: &mut Placement,
-        ingress: EntryPortId,
-        d: &Delegation,
-    ) {
-        let restored = delegate::restore_instance(instance, ingress, d.delegate);
-        let excluded = self.out_of_service();
-        if let Some(state) = self.restricted(&restored, placement, &[ingress], &excluded) {
-            (*instance, *placement) = state;
-            self.faults.delegations.remove(&ingress);
-            self.stats.undelegations += 1;
-            self.count("ctrl.delegate.events", "kind", "undelegated");
         }
     }
 

@@ -54,8 +54,6 @@ use flowplace_topo::{EntryPortId, SwitchId};
 use crate::{ApplyReport, Controller, CtrlError, DataPlane, Outage, OutageKind, RuleDiff};
 
 impl Controller {
-    // ---- fault tolerance -------------------------------------------------
-
     /// Whether an epoch over this state owes a
     /// [`fail_closed_audit`](Controller::fail_closed_audit), the TCAMs
     /// being liable to differ from the emitted tables: faults can fire, a

@@ -9,8 +9,6 @@ use flowplace_traffic::FlowEvent;
 use crate::{CacheConfig, CacheLookup, Controller, FlowReport, RuleCache};
 
 impl Controller {
-    // ---- TCAM-as-cache tier ----------------------------------------------
-
     /// The cache tier's state (residency, counters, audit hooks).
     pub fn cache(&self) -> &RuleCache {
         &self.cache

@@ -8,25 +8,45 @@ fn t(bits: &str) -> Ternary {
 }
 
 fn small_controller(capacity: usize) -> Controller {
+    linear_controller(capacity, CtrlOptions::default())
+}
+
+fn linear_controller(capacity: usize, options: CtrlOptions) -> Controller {
     let mut topo = Topology::linear(3);
     topo.set_uniform_capacity(capacity);
-    Controller::new(topo, CtrlOptions::default())
+    Controller::new(topo, options)
+}
+
+/// A controller with a 4-slot cache tier and one policy deployed.
+fn cached_controller() -> Controller {
+    let cache = CacheConfig::parse_spec("4").unwrap();
+    let options = CtrlOptions {
+        cache,
+        ..CtrlOptions::default()
+    };
+    let mut ctrl = linear_controller(10, options);
+    ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
+    ctrl.run_to_idle().unwrap();
+    ctrl
+}
+
+/// An install of `rules` as `ingress`'s policy over one route.
+fn install_rules(ingress: usize, egress: usize, switches: &[usize], rules: Vec<Rule>) -> Event {
+    let (ingress, egress) = (EntryPortId(ingress), EntryPortId(egress));
+    let hops = switches.iter().map(|&s| SwitchId(s)).collect();
+    Event::InstallPolicy {
+        ingress,
+        policy: Policy::from_rules(rules).unwrap(),
+        routes: vec![Route::new(ingress, egress, hops)],
+    }
 }
 
 fn install(ingress: usize, egress: usize, switches: &[usize]) -> Event {
-    Event::InstallPolicy {
-        ingress: EntryPortId(ingress),
-        policy: Policy::from_rules(vec![
-            Rule::new(t("10**"), Action::Drop, 2),
-            Rule::new(t("****"), Action::Permit, 1),
-        ])
-        .unwrap(),
-        routes: vec![Route::new(
-            EntryPortId(ingress),
-            EntryPortId(egress),
-            switches.iter().map(|&s| SwitchId(s)).collect(),
-        )],
-    }
+    let rules = vec![
+        Rule::new(t("10**"), Action::Drop, 2),
+        Rule::new(t("****"), Action::Permit, 1),
+    ];
+    install_rules(ingress, egress, switches, rules)
 }
 
 #[test]
@@ -71,17 +91,7 @@ fn batching_coalesces_to_one_diff() {
 
 #[test]
 fn flows_warm_the_cache_and_audits_stay_green() {
-    let mut topo = Topology::linear(3);
-    topo.set_uniform_capacity(10);
-    let mut ctrl = Controller::new(
-        topo,
-        CtrlOptions {
-            cache: CacheConfig::parse_spec("4").unwrap(),
-            ..CtrlOptions::default()
-        },
-    );
-    ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
-    ctrl.run_to_idle().unwrap();
+    let mut ctrl = cached_controller();
     let flows = flowplace_traffic::generate(&flowplace_traffic::TrafficConfig {
         seed: 3,
         rate: 2000,
@@ -115,17 +125,7 @@ fn flows_warm_the_cache_and_audits_stay_green() {
 
 #[test]
 fn cache_survives_epoch_resync() {
-    let mut topo = Topology::linear(3);
-    topo.set_uniform_capacity(10);
-    let mut ctrl = Controller::new(
-        topo,
-        CtrlOptions {
-            cache: CacheConfig::parse_spec("4").unwrap(),
-            ..CtrlOptions::default()
-        },
-    );
-    ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
-    ctrl.run_to_idle().unwrap();
+    let mut ctrl = cached_controller();
     let flows = flowplace_traffic::generate(&flowplace_traffic::TrafficConfig {
         seed: 3,
         rate: 500,
@@ -222,20 +222,11 @@ fn infeasible_event_is_rejected_not_fatal() {
     let mut ctrl = small_controller(1);
     // The DROP drags its overlapping higher-priority PERMIT shield
     // onto the same switch: 2 entries cannot fit capacity 1.
-    ctrl.submit(Event::InstallPolicy {
-        ingress: EntryPortId(0),
-        policy: Policy::from_rules(vec![
-            Rule::new(t("10**"), Action::Permit, 2),
-            Rule::new(t("1***"), Action::Drop, 1),
-        ])
-        .unwrap(),
-        routes: vec![Route::new(
-            EntryPortId(0),
-            EntryPortId(2),
-            vec![SwitchId(0), SwitchId(1), SwitchId(2)],
-        )],
-    })
-    .unwrap();
+    let rules = vec![
+        Rule::new(t("10**"), Action::Permit, 2),
+        Rule::new(t("1***"), Action::Drop, 1),
+    ];
+    ctrl.submit(install_rules(0, 2, &[0, 1, 2], rules)).unwrap();
     let reports = ctrl.run_to_idle().unwrap();
     assert!(matches!(
         reports[0].outcomes[0].1,
@@ -307,9 +298,7 @@ fn fault_options(schedule: &str) -> CtrlOptions {
 
 #[test]
 fn switch_crash_degrades_and_recovers() {
-    let mut topo = Topology::linear(3);
-    topo.set_uniform_capacity(10);
-    let mut ctrl = Controller::new(topo, fault_options("@2 fault crash s1"));
+    let mut ctrl = linear_controller(10, fault_options("@2 fault crash s1"));
     ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
     ctrl.run_to_idle().unwrap();
 
@@ -350,9 +339,7 @@ fn switch_crash_degrades_and_recovers() {
 
 #[test]
 fn transient_rejects_are_retried_through() {
-    let mut topo = Topology::linear(3);
-    topo.set_uniform_capacity(10);
-    let mut ctrl = Controller::new(topo, fault_options("fault install-reject s0 2"));
+    let mut ctrl = linear_controller(10, fault_options("fault install-reject s0 2"));
     ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
     ctrl.run_to_idle().unwrap();
     // Two rejects fit inside one op's retry budget (4 attempts).
@@ -367,8 +354,6 @@ fn transient_rejects_are_retried_through() {
 
 #[test]
 fn persistent_rejects_quarantine_and_replace() {
-    let mut topo = Topology::linear(3);
-    topo.set_uniform_capacity(10);
     let options = CtrlOptions {
         quarantine_after: 2,
         retry: RetryPolicy {
@@ -377,7 +362,7 @@ fn persistent_rejects_quarantine_and_replace() {
         },
         ..fault_options("fault install-reject s0 10000")
     };
-    let mut ctrl = Controller::new(topo, options);
+    let mut ctrl = linear_controller(10, options);
     ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
     let reports = ctrl.run_to_idle().unwrap();
     assert_eq!(ctrl.stats().quarantines, 1);
@@ -443,9 +428,7 @@ fn unplaceable_ingress_goes_safe_mode_and_lifts() {
 
 #[test]
 fn capacity_revoke_fault_evicts_and_reconciles() {
-    let mut topo = Topology::linear(3);
-    topo.set_uniform_capacity(10);
-    let mut ctrl = Controller::new(topo, fault_options("@2 fault capacity s1 1"));
+    let mut ctrl = linear_controller(10, fault_options("@2 fault capacity s1 1"));
     ctrl.submit(install(0, 2, &[0, 1, 2])).unwrap();
     ctrl.run_to_idle().unwrap();
     ctrl.submit(Event::AddRule {
@@ -475,8 +458,6 @@ solve
 add-rule l0 00** drop 5
 ";
     let run = || {
-        let mut topo = Topology::linear(3);
-        topo.set_uniform_capacity(8);
         let options = CtrlOptions {
             batch_size: 2,
             faults: FaultPlan {
@@ -488,7 +469,7 @@ add-rule l0 00** drop 5
             },
             ..CtrlOptions::default()
         };
-        let mut ctrl = Controller::new(topo, options);
+        let mut ctrl = linear_controller(8, options);
         let reports = ctrl.replay_trace(trace).unwrap();
         (
             format!("{reports:?}"),
@@ -581,15 +562,7 @@ fn install_drops(ingress: usize, egress: usize, switches: &[usize], drops: usize
         .map(|i| Rule::new(t(&format!("{i:04b}")), Action::Drop, (i + 2) as u32))
         .collect();
     rules.push(Rule::new(t("****"), Action::Permit, 1));
-    Event::InstallPolicy {
-        ingress: EntryPortId(ingress),
-        policy: Policy::from_rules(rules).unwrap(),
-        routes: vec![Route::new(
-            EntryPortId(ingress),
-            EntryPortId(egress),
-            switches.iter().map(|&s| SwitchId(s)).collect(),
-        )],
-    }
+    install_rules(ingress, egress, switches, rules)
 }
 
 /// 10 entries fit the on-route 12 slots of s1-s0-s2; revoking the
@@ -754,86 +727,49 @@ fn over_capacity_target_is_refused_with_the_hardware_untouched() {
 }
 
 /// A detour the re-solve fits without is rolled back unrecorded, on
-/// both rungs that plan one. Degradation: s1's crash strips l0 and l1,
-/// whose routes' spare cannot take both; alone, l0 fits on s0 + s2 and
-/// leaves its detour through s3 unused, and l1 goes fail-closed.
-/// Rescue: the hub shrinks to zero under l0 and l1 on one route; both
-/// are detoured through s3 and the joint re-solve uses only l1's.
+/// both rungs that plan one. Crash: s1 fails under l0 and l1, whose
+/// routes' spare cannot take both; alone, l0 fits on s0 + s2 without
+/// its detour through s3, and l1 fails closed. Shrink: the hub drops to
+/// zero under both on one route; the rescue detours both through s3
+/// and the joint re-solve uses only l1's.
 #[test]
 fn ignored_detours_roll_back_unrecorded() {
     let (l0, l1) = (EntryPortId(0), EntryPortId(1));
-    let routes_of = |ctrl: &Controller, l: EntryPortId| -> Vec<Vec<SwitchId>> {
-        let routes = ctrl.instance().routes().iter();
-        routes
-            .filter(|r| r.ingress == l)
-            .map(|r| r.switches.clone())
-            .collect()
-    };
-
-    let mut ctrl = star_controller(2, CtrlOptions::default());
-    ctrl.attach_obs(Obs::new());
-    ctrl.submit(install_drops(0, 2, &[1, 0, 2], 3)).unwrap();
-    ctrl.submit(install_drops(1, 3, &[1, 0, 3], 4)).unwrap();
-    ctrl.run_to_idle().unwrap();
-    let before = ctrl.instance().routes().clone();
-    ctrl.submit(Event::SwitchFail {
+    let crash = Event::SwitchFail {
         switch: SwitchId(1),
-    })
-    .unwrap();
-    ctrl.run_to_idle().unwrap();
-    let attr = |k: &str, v: &str| (k.to_string(), AttrValue::Text(v.to_string()));
-    assert!(
-        ctrl.obs()
-            .unwrap()
-            .spans
-            .spans()
-            .iter()
-            .any(|s| s.name == "ctrl.delegate"
-                && s.attrs.contains(&attr("ingress", "l0"))
-                && s.attrs.contains(&attr("delegate", "s3"))
-                && s.attrs.contains(&attr("recorded", "false"))),
-        "l0's detour was planned and solved"
-    );
-    assert!(ctrl.placement().iter().any(|((l, _), _)| *l == l0));
-    assert_eq!(ctrl.safe_mode_ingresses(), vec![l1]);
-    assert!(ctrl.delegations().is_empty());
-    assert_eq!(ctrl.stats().delegations, 0);
-    assert_eq!(
-        *ctrl.instance().routes(),
-        before,
-        "the detour is rolled back"
-    );
-    ctrl.fail_closed_audit().unwrap();
-
-    let mut ctrl = star_controller(2, CtrlOptions::default());
-    ctrl.submit(install_drops(0, 2, &[1, 0, 2], 1)).unwrap();
-    ctrl.submit(install_drops(1, 3, &[1, 0, 2], 4)).unwrap();
-    ctrl.run_to_idle().unwrap();
-    let l0_before = routes_of(&ctrl, l0);
-    ctrl.submit(Event::CapacityChange {
+    };
+    let shrink = Event::CapacityChange {
         switch: SwitchId(0),
         capacity: 0,
-    })
-    .unwrap();
-    let reports = ctrl.run_to_idle().unwrap();
-    assert_eq!(reports[0].tiers(), vec![Tier::Delegated]);
-    let delegates: Vec<(EntryPortId, SwitchId)> = ctrl
-        .delegations()
-        .into_iter()
-        .map(|(l, d)| (l, d.delegate))
-        .collect();
-    assert_eq!(delegates, vec![(l1, SwitchId(3))]);
-    assert_eq!(ctrl.stats().delegations, 1);
-    assert_eq!(
-        routes_of(&ctrl, l0),
-        l0_before,
-        "l0's detour is rolled back"
-    );
-    assert_eq!(
-        routes_of(&ctrl, l1),
-        vec![vec![SwitchId(1), SwitchId(0), SwitchId(3), SwitchId(2)]]
-    );
-    ctrl.fail_closed_audit().unwrap();
+    };
+    for (l1_route, drops, event, safe, delegated) in [
+        (&[1, 0, 3][..], (3, 4), crash, vec![l1], vec![]),
+        (&[1, 0, 2], (1, 4), shrink, vec![], vec![(l1, SwitchId(3))]),
+    ] {
+        let mut ctrl = star_controller(2, CtrlOptions::default());
+        ctrl.submit(install_drops(0, 2, &[1, 0, 2], drops.0))
+            .unwrap();
+        ctrl.submit(install_drops(1, 3, l1_route, drops.1)).unwrap();
+        ctrl.run_to_idle().unwrap();
+        let l0_routes = |ctrl: &Controller| -> Vec<Route> {
+            let routes = ctrl.instance().routes().iter();
+            routes.filter(|r| r.ingress == l0).cloned().collect()
+        };
+        let before = l0_routes(&ctrl);
+        ctrl.submit(event).unwrap();
+        ctrl.run_to_idle().unwrap();
+        assert_eq!(l0_routes(&ctrl), before, "l0's detour is rolled back");
+        assert!(ctrl.placement().iter().any(|((l, _), _)| *l == l0));
+        assert_eq!(ctrl.safe_mode_ingresses(), safe);
+        let recorded: Vec<_> = ctrl
+            .delegations()
+            .into_iter()
+            .map(|(l, d)| (l, d.delegate))
+            .collect();
+        assert_eq!(recorded, delegated);
+        assert_eq!(ctrl.stats().delegations, delegated.len() as u64);
+        ctrl.fail_closed_audit().unwrap();
+    }
 }
 
 #[test]

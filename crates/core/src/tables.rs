@@ -53,13 +53,9 @@ pub struct TableEntry {
 }
 
 impl TableEntry {
-    /// The controller's safe-mode fence for `ingress`: a maximum-priority
-    /// all-wildcard DROP over `width` header bits, the entry
-    /// [`is_safe_mode`](TableEntry::is_safe_mode) recognises.
-    ///
-    /// # Panics
-    ///
-    /// On a `width` [`Ternary::any`] refuses.
+    /// The safe-mode fence [`is_safe_mode`](TableEntry::is_safe_mode)
+    /// recognises, for `ingress` over `width` header bits. Panics on a
+    /// `width` [`Ternary::any`] refuses.
     pub fn safe_mode_fence(ingress: EntryPortId, width: u32) -> TableEntry {
         TableEntry {
             priority: u32::MAX,
@@ -69,13 +65,9 @@ impl TableEntry {
         }
     }
 
-    /// A delegation redirect stub for `ingress`: a minimum-priority
-    /// all-wildcard PERMIT over `width` header bits, the entry
-    /// [`is_delegation_stub`](TableEntry::is_delegation_stub) recognises.
-    ///
-    /// # Panics
-    ///
-    /// On a `width` [`Ternary::any`] refuses.
+    /// The redirect stub [`is_delegation_stub`](TableEntry::is_delegation_stub)
+    /// recognises, for `ingress` over `width` header bits. Panics on a
+    /// `width` [`Ternary::any`] refuses.
     pub fn delegation_stub(ingress: EntryPortId, width: u32) -> TableEntry {
         TableEntry {
             priority: 0,

@@ -70,6 +70,7 @@ fn install_then_add_rule_greedy() {
     // the default action and costs no TCAM entry).
     assert!(ctrl.dataplane().total_occupancy() >= 2);
     assert_eq!(ctrl.stats().verify_failures, 0);
+    ctrl.cache_fail_closed_audit().unwrap();
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! ## Escalation ladder
 //!
-//! Every mutating event is dispatched through up to three tiers,
+//! Every mutating event is dispatched through up to four tiers,
 //! stopping at the first that succeeds:
 //!
 //! 1. **Greedy** — the §IV-E incremental operations from
@@ -10,6 +10,8 @@
 //! 2. **Restricted** — re-solve only the affected ingress's policy
 //!    against the spare capacity left by every frozen placement.
 //! 3. **Full** — re-solve the entire instance from scratch.
+//! 4. **Delegated** — a capacity shrink the first three reject detours
+//!    the shrunk switch's ingresses through off-route delegates.
 //!
 //! The ladder is written once: the first tier is the event's own §IV-E
 //! operation, which hands back the edited instance whether or not it

@@ -7,9 +7,11 @@
 //! commits them in batched *epochs*.
 //!
 //! One `impl Controller` block per stage of an epoch, each in its own
-//! module: `ingest` (queue, epoch loop, fault injection), `ladder`
-//! (escalation and degradation), `commit` (the commit pipeline and the
-//! fail-closed audit) and `flows` (the cache tier's flow path).
+//! module: `ingest` (queue, epoch loop, fault injection), `ladder` (the
+//! up to four [`Tier`]s an event climbs — greedy, restricted, full,
+//! delegated — and degradation around outages), `commit` (the commit
+//! pipeline and the fail-closed audit) and `flows` (the cache tier's
+//! flow path).
 //!
 //! Every fault is drawn from a seeded RNG or a scripted schedule and
 //! all time is virtual, so chaos runs replay byte-identically.

@@ -261,7 +261,7 @@ fn obs_attachment_is_effect_free_and_records() {
     let obs = observed.obs().unwrap();
     assert_eq!(obs.spans.open_count(), 0);
     assert_eq!(obs.spans.mis_nested(), 0);
-    let spans = obs.spans.spans();
+    let spans = obs.spans.doc().spans;
     for expected in ["ctrl.epoch", "ctrl.event", "ctrl.commit", "pipeline"] {
         assert!(
             spans.iter().any(|s| s.name == expected),
@@ -283,8 +283,16 @@ fn obs_attachment_is_effect_free_and_records() {
         .metrics
         .gauge_value("tcam.occupancy", &[("switch", "s0")])
         .is_some());
-    flowplace_obs::validate_obs_json(&obs.trace_json()).expect("trace validates");
-    flowplace_obs::validate_obs_json(&obs.metrics_json()).expect("metrics validate");
+    assert_dumps_round_trip(obs);
+}
+
+/// Both dumps of `obs` validate back to exactly what it recorded.
+fn assert_dumps_round_trip(obs: &Obs) {
+    use flowplace_obs::{validate_obs_json, ObsDoc};
+    let trace = validate_obs_json(&obs.trace_json());
+    assert_eq!(trace, Ok(ObsDoc::Trace(obs.spans.doc())));
+    let metrics = validate_obs_json(&obs.metrics_json());
+    assert_eq!(metrics, Ok(ObsDoc::Metrics(obs.metrics.doc())));
 }
 
 fn fault_options(schedule: &str) -> CtrlOptions {
@@ -791,9 +799,9 @@ fn delegation_lifecycle_mirrors_through_obs() {
     );
     assert!(obs
         .spans
-        .spans()
+        .doc()
+        .spans
         .iter()
         .any(|s| s.name == "ctrl.delegate.rescue"));
-    flowplace_obs::validate_obs_json(&obs.trace_json()).expect("trace validates");
-    flowplace_obs::validate_obs_json(&obs.metrics_json()).expect("metrics validate");
+    assert_dumps_round_trip(obs);
 }

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use flowplace::ctrl::{parse_fault_schedule, FaultPlan};
-use flowplace::obs::{validate_obs_json, Obs};
+use flowplace::obs::{validate_obs_json, Obs, ObsDoc};
 use flowplace::prelude::*;
 
 fn chaos_options() -> CtrlOptions {
@@ -53,8 +53,17 @@ fn metrics_on_vs_off_is_effect_free() {
     assert_eq!(plain.out_of_service(), observed.out_of_service());
 }
 
+/// Both dumps of `obs` validate back to exactly what it recorded: the
+/// writer serializes the document the validator returns.
+fn assert_dumps_round_trip(obs: &Obs) {
+    let trace = validate_obs_json(&obs.trace_json());
+    assert_eq!(trace, Ok(ObsDoc::Trace(obs.spans.doc())));
+    let metrics = validate_obs_json(&obs.metrics_json());
+    assert_eq!(metrics, Ok(ObsDoc::Metrics(obs.metrics.doc())));
+}
+
 /// Two same-seed library replays produce byte-identical trace and
-/// metrics dumps.
+/// metrics dumps, and each dump reads back as the recorded document.
 #[test]
 fn same_seed_chaos_dumps_are_byte_identical() {
     let a = chaos_controller(true);
@@ -66,8 +75,30 @@ fn same_seed_chaos_dumps_are_byte_identical() {
         ob.metrics_json(),
         "metrics dumps diverged"
     );
-    validate_obs_json(&oa.trace_json()).expect("trace validates");
-    validate_obs_json(&oa.metrics_json()).expect("metrics validates");
+    assert_dumps_round_trip(oa);
+}
+
+/// The fault-free demo replay under the `flowplace ctrl replay`
+/// defaults writes the committed `OBS_demo_metrics.json`, and its dumps
+/// read back as the recorded documents.
+#[test]
+fn demo_dumps_round_trip_and_match_committed_metrics() {
+    let mut topo = Topology::linear(4);
+    topo.set_uniform_capacity(16);
+    let mut ctrl = Controller::new(topo, CtrlOptions::default());
+    ctrl.attach_obs(Obs::new());
+    let trace =
+        std::fs::read_to_string("traces/controller_demo.trace").expect("committed demo trace");
+    ctrl.replay_trace(&trace).expect("demo replay succeeds");
+    let obs = ctrl.obs().unwrap();
+    assert_dumps_round_trip(obs);
+    let committed =
+        std::fs::read_to_string("OBS_demo_metrics.json").expect("committed demo metrics dump");
+    assert_eq!(
+        obs.metrics_json(),
+        committed,
+        "demo metrics dump drifted from the committed artifact"
+    );
 }
 
 /// The committed telemetry artifacts pin the dump bytes across

@@ -15,7 +15,7 @@
 //! * both canonical dumps pass the `flowplace.obs.v1` validator.
 
 use flowplace::acl::{Action, Policy, Rule, RuleId, Ternary};
-use flowplace::obs::{validate_obs_json, Obs, SpanData};
+use flowplace::obs::{validate_obs_json, Obs, ObsDoc, SpanData};
 use flowplace::prelude::*;
 use flowplace::rng::{Rng, StdRng};
 
@@ -139,7 +139,7 @@ fn spans_nest_and_never_overlap_cross() {
         let obs = ctrl.obs().expect("obs attached");
         assert_eq!(obs.spans.open_count(), 0, "seed {seed}: spans left open");
         assert_eq!(obs.spans.mis_nested(), 0, "seed {seed}: mis-nested ends");
-        let spans = obs.spans.spans();
+        let spans = obs.spans.doc().spans;
         assert!(!spans.is_empty(), "seed {seed}: nothing recorded");
 
         for (i, s) in spans.iter().enumerate() {
@@ -182,7 +182,7 @@ fn spans_nest_and_never_overlap_cross() {
 fn child_durations_sum_within_parent() {
     for seed in 0..SEEDS {
         let ctrl = drive(seed);
-        let spans = ctrl.obs().expect("obs attached").spans.spans();
+        let spans = ctrl.obs().expect("obs attached").spans.doc().spans;
         for (i, parent) in spans.iter().enumerate() {
             let parent_ticks = parent.duration_ticks().expect("closed at idle");
             let child_sum: u64 = spans
@@ -206,9 +206,9 @@ fn dumps_validate_against_the_schema() {
         let obs = ctrl.obs().expect("obs attached");
         let trace = validate_obs_json(&obs.trace_json())
             .unwrap_or_else(|e| panic!("seed {seed}: trace dump invalid: {e}"));
-        assert_eq!(trace.kind(), "trace");
+        assert_eq!(trace, ObsDoc::Trace(obs.spans.doc()), "seed {seed}");
         let metrics = validate_obs_json(&obs.metrics_json())
             .unwrap_or_else(|e| panic!("seed {seed}: metrics dump invalid: {e}"));
-        assert_eq!(metrics.kind(), "metrics");
+        assert_eq!(metrics, ObsDoc::Metrics(obs.metrics.doc()), "seed {seed}");
     }
 }

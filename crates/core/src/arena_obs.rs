@@ -19,11 +19,11 @@ use flowplace_obs::Obs;
 pub fn record_arena_gauges(obs: &Obs, scope: &str, stats: ArenaStats) {
     let labels: &[(&str, &str)] = &[("scope", scope)];
     obs.metrics
-        .gauge_set_with("arena.allocations", labels, stats.allocations as i64);
+        .gauge_set("arena.allocations", labels, stats.allocations as i64);
     obs.metrics
-        .gauge_set_with("arena.reuse_hits", labels, stats.reuse_hits as i64);
+        .gauge_set("arena.reuse_hits", labels, stats.reuse_hits as i64);
     obs.metrics
-        .gauge_set_with("arena.peak_bytes", labels, stats.peak_bytes as i64);
+        .gauge_set("arena.peak_bytes", labels, stats.peak_bytes as i64);
 }
 
 #[cfg(test)]

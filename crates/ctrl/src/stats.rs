@@ -191,10 +191,14 @@ impl CtrlStats {
             ("cache.dep_violations", self.cache_dep_violations),
         ];
         for (name, value) in counters {
-            metrics.counter_set_with(name, &[], *value);
+            metrics.counter_set(name, &[], *value);
         }
-        metrics.gauge_set("ctrl.peak_tcam_occupancy", self.peak_tcam_occupancy as i64);
-        metrics.gauge_set("ctrl.max_queue_depth", self.max_queue_depth as i64);
+        metrics.gauge_set(
+            "ctrl.peak_tcam_occupancy",
+            &[],
+            self.peak_tcam_occupancy as i64,
+        );
+        metrics.gauge_set("ctrl.max_queue_depth", &[], self.max_queue_depth as i64);
     }
 }
 

@@ -100,12 +100,11 @@ pub fn spare_capacities(instance: &Instance, placement: &Placement) -> Vec<usize
 /// The restricted re-solve behind every medium-scale operation: the
 /// placements of `ingresses` are discarded, every other placement stays
 /// frozen, and their policies are re-solved on their routes in
-/// `instance` against the spare capacity (zero on `excluded` switches).
+/// `instance` against the spare capacity.
 fn restricted(
     instance: Instance,
     placement: &Placement,
     ingresses: &[EntryPortId],
-    excluded: &[SwitchId],
     options: &PlacementOptions,
     objective: Objective,
 ) -> Result<IncrementalOutcome, IncrementalError> {
@@ -129,9 +128,6 @@ fn restricted(
     let mut topo = instance.topology().clone();
     for (i, c) in spare_capacities(&instance, &frozen).into_iter().enumerate() {
         topo.set_capacity(SwitchId(i), c);
-    }
-    for &s in excluded {
-        topo.set_capacity(s, 0);
     }
     let sub = Instance::new(topo, sub_routes, policies)?;
     let outcome = par::solve(&sub, objective, options, None);
@@ -175,7 +171,7 @@ pub fn install_policies(
         edited.set_routes_from(l, routes)?;
         ingresses.push(l);
     }
-    restricted(edited, placement, &ingresses, &[], options, objective)
+    restricted(edited, placement, &ingresses, options, objective)
 }
 
 /// Re-places a single policy after its routes changed (§IV-E "Routing
@@ -200,18 +196,19 @@ pub fn reroute_policy(
     }
     let mut edited = instance.clone();
     edited.set_routes_from(ingress, new_routes)?;
-    restricted(edited, placement, &[ingress], &[], options, objective)
+    restricted(edited, placement, &[ingress], options, objective)
 }
 
 /// Re-places the policies of a set of ingresses on their *existing*
-/// routes, with `excluded` switches barred from the sub-problem — the
-/// §IV-E restricted re-solve a fault-tolerant controller runs when a
-/// switch is quarantined or crashes: the dead switch contributes zero
-/// capacity, every other ingress's placement stays frozen, and the
-/// affected policies are re-solved against what spare remains.
+/// routes — the §IV-E restricted re-solve a fault-tolerant controller
+/// runs when a switch is quarantined or crashes: the controller zeroes
+/// the dead switch's capacity in `instance`, every other ingress's
+/// placement stays frozen, and the affected policies are re-solved
+/// against what spare remains.
 ///
-/// Routes are not changed; a route through an excluded switch simply
-/// cannot host rules there, so coverage must land on its surviving hops.
+/// Routes are not changed; a route through a zero-capacity switch
+/// simply cannot host rules there, so coverage must land on its
+/// surviving hops.
 ///
 /// # Errors
 ///
@@ -223,18 +220,10 @@ pub fn replace_ingresses(
     instance: &Instance,
     placement: &Placement,
     ingresses: &[EntryPortId],
-    excluded: &[SwitchId],
     options: &PlacementOptions,
     objective: Objective,
 ) -> Result<IncrementalOutcome, IncrementalError> {
-    restricted(
-        instance.clone(),
-        placement,
-        ingresses,
-        excluded,
-        options,
-        objective,
-    )
+    restricted(instance.clone(), placement, ingresses, options, objective)
 }
 
 /// Adds one rule to an existing policy and places it with the ingress-
@@ -508,10 +497,10 @@ mod tests {
     }
 
     #[test]
-    fn replace_ingresses_avoids_excluded_switch() {
+    fn replace_ingresses_avoids_zero_capacity_switches() {
         let (inst, p) = base();
         // The deployed placement put ingress 0's rules somewhere on its
-        // route s1-s0-s3; exclude whichever switches it used and re-place.
+        // route s1-s0-s3; zero whichever switches it used and re-place.
         let used: Vec<SwitchId> = (0..4)
             .map(SwitchId)
             .filter(|&s| {
@@ -520,11 +509,14 @@ mod tests {
             })
             .collect();
         assert!(!used.is_empty());
+        let mut zeroed = inst.clone();
+        for &s in &used {
+            zeroed.set_capacity(s, 0);
+        }
         let out = replace_ingresses(
-            &inst,
+            &zeroed,
             &p,
             &[EntryPortId(0)],
-            &used,
             &PlacementOptions::default(),
             Objective::TotalRules,
         )
@@ -533,21 +525,23 @@ mod tests {
         let q = out.placement.unwrap();
         for ((_, _), switches) in q.iter() {
             for s in switches {
-                assert!(!used.contains(s), "rule still on excluded {s}");
+                assert!(!used.contains(s), "rule still on zeroed {s}");
             }
         }
         verify_placement(&out.instance, &q, 64, 11).expect("re-placed placement correct");
     }
 
     #[test]
-    fn replace_ingresses_infeasible_when_everything_excluded() {
+    fn replace_ingresses_infeasible_when_every_capacity_is_zero() {
         let (inst, p) = base();
-        let all: Vec<SwitchId> = (0..4).map(SwitchId).collect();
+        let mut zeroed = inst.clone();
+        for s in 0..4 {
+            zeroed.set_capacity(SwitchId(s), 0);
+        }
         let out = replace_ingresses(
-            &inst,
+            &zeroed,
             &p,
             &[EntryPortId(0)],
-            &all,
             &PlacementOptions::default(),
             Objective::TotalRules,
         )
@@ -558,7 +552,6 @@ mod tests {
             &inst,
             &p,
             &[EntryPortId(3)],
-            &[],
             &PlacementOptions::default(),
             Objective::TotalRules,
         )

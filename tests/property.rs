@@ -847,7 +847,6 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
             &edited,
             &placement,
             &[l],
-            &[],
             &options,
             Objective::TotalRules,
         );
@@ -873,7 +872,6 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
             &edited,
             &placement,
             &[l],
-            &[],
             &options,
             Objective::TotalRules,
         );

@@ -429,3 +429,66 @@ fn every_event_kind_reaches_every_rung_with_the_same_edit() {
         }
     }
 }
+
+/// A rollback to a checkpoint taken before a switch failed restores the
+/// dead switch's pre-outage capacity into the working instance until
+/// the epoch's commit zeroes it again, so a shrink in that epoch that the
+/// dispatch ladder rejects reaches the delegation rescue with it. On a
+/// star, ten drops of l0 ride s1-s0-s2 (capacities 5, 5, 3) and stay
+/// on s1 + s0 when s2 dies. Shrinking the hub to 0 after the rollback
+/// leaves s1 + s2 = 8 on route, so dispatch rejects it; the delegate s3
+/// adds 3, which rescues it only if the dead s2 still counts. It must
+/// not: the shrink stays rejected and settles fail-closed.
+#[test]
+fn rescue_after_a_rollback_across_an_outage_counts_the_outage() {
+    let mut topo = Topology::star(4);
+    for (s, capacity) in [5, 5, 3, 3, 0].into_iter().enumerate() {
+        topo.set_capacity(SwitchId(s), capacity);
+    }
+    let mut ctrl = Controller::new(
+        topo,
+        CtrlOptions {
+            batch_size: 2,
+            ..CtrlOptions::default()
+        },
+    );
+    let drop = |i: u32| Rule::new(Ternary::new(WIDTH, 0xF, i.into()), Action::Drop, i + 2);
+    let mut rules: Vec<Rule> = (0..10).map(drop).collect();
+    rules.push(Rule::new(Ternary::new(WIDTH, 0, 0), Action::Permit, 1));
+    let install = Event::InstallPolicy {
+        ingress: EntryPortId(0),
+        policy: Policy::from_rules(rules).expect("distinct priorities"),
+        routes: vec![Route::new(
+            EntryPortId(0),
+            EntryPortId(1),
+            vec![SwitchId(1), SwitchId(0), SwitchId(2)],
+        )],
+    };
+    let fail = Event::SwitchFail {
+        switch: SwitchId(2),
+    };
+    let shrink = Event::CapacityChange {
+        switch: SwitchId(0),
+        capacity: 0,
+    };
+    let mut outcomes = Vec::new();
+    for epoch in [
+        vec![install],
+        vec![Event::Checkpoint, fail],
+        vec![Event::Rollback, shrink],
+    ] {
+        for event in epoch {
+            ctrl.submit(event).expect("queue has room");
+        }
+        for r in ctrl.run_to_idle().expect("run") {
+            outcomes.extend(r.outcomes.into_iter().map(|(_, o)| o));
+        }
+    }
+    assert!(ctrl.delegations().is_empty(), "{outcomes:?}");
+    assert!(
+        matches!(outcomes.last(), Some(EventOutcome::Rejected { .. })),
+        "{outcomes:?}"
+    );
+    assert_eq!(ctrl.stats().delegated_ok, 0);
+    ctrl.fail_closed_audit().expect("fail-closed audit");
+}

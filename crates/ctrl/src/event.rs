@@ -217,7 +217,7 @@ impl fmt::Display for TraceError {
 
 impl std::error::Error for TraceError {}
 
-fn err(line: usize, message: impl Into<String>) -> TraceError {
+pub(crate) fn err(line: usize, message: impl Into<String>) -> TraceError {
     TraceError {
         line,
         message: message.into(),
@@ -235,7 +235,7 @@ fn parse_ingress(token: &str, line: usize) -> Result<EntryPortId, TraceError> {
     parse_index(token, 'l', "ingress", line).map(EntryPortId)
 }
 
-fn parse_switch(token: &str, line: usize) -> Result<SwitchId, TraceError> {
+pub(crate) fn parse_switch(token: &str, line: usize) -> Result<SwitchId, TraceError> {
     parse_index(token, 's', "switch", line).map(SwitchId)
 }
 

@@ -32,7 +32,7 @@ use std::fmt;
 use flowplace_rng::{Rng, StdRng};
 use flowplace_topo::SwitchId;
 
-use crate::event::TraceError;
+use crate::event::{err, parse_switch, TraceError};
 
 /// One scripted dataplane fault.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -101,21 +101,6 @@ pub struct ScheduledFault {
     pub epoch: u64,
     /// What happens.
     pub kind: FaultKind,
-}
-
-fn err(line: usize, message: impl Into<String>) -> TraceError {
-    TraceError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn parse_switch(token: &str, line: usize) -> Result<SwitchId, TraceError> {
-    let digits = token.strip_prefix('s').unwrap_or(token);
-    digits
-        .parse::<usize>()
-        .map(SwitchId)
-        .map_err(|_| err(line, format!("bad switch `{token}`")))
 }
 
 /// Parses a fault-schedule file (see the module docs for the format).

@@ -109,11 +109,23 @@ bench-pairs:
 
 ## loc: lines of Rust, the figures CHANGES.md and ROADMAP quote: what
 ## ships (`crates` + `src`), the tier-1 tests, the system benchmark;
-## then the five largest files of `crates` + `src`, for file-size gates.
+## then `src` and each crate split into code and in-crate tests (code:
+## the lines above a file's first `#[cfg(test)]`; tests: the lines from
+## there on, plus every `tests.rs` file and every file under a `tests/`
+## directory); then the five largest files of `crates` + `src`, for
+## file-size gates.
 loc:
 	@printf 'crates + src   %s\n' "$$(find crates src -name '*.rs' | xargs cat | wc -l)"
 	@printf 'tests          %s\n' "$$(find tests -name '*.rs' | xargs cat | wc -l)"
 	@printf 'benchmark/src  %s\n' "$$(find benchmark/src -name '*.rs' | xargs cat | wc -l)"
+	@printf '%-18s %6s %6s\n' 'code / tests' code tests
+	@for d in src crates/*; do \
+		find $$d -name '*.rs' | sort | xargs awk -v d=$$d ' \
+			FNR == 1 { t = FILENAME ~ /(^|\/)tests(\.rs$$|\/)/ } \
+			/^#\[cfg\(test\)\]/ { t = 1 } \
+			{ if (t) tests++; else code++ } \
+			END { printf "%-18s %6d %6d\n", d, code, tests }'; \
+	done
 	@echo 'largest files in crates + src:'
 	@find crates src -name '*.rs' -exec wc -l {} + | grep -v ' total$$' | sort -rn | head -5
 

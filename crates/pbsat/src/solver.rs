@@ -23,6 +23,9 @@
 //!   `(activity desc, index asc)` — the first maximum a linear scan
 //!   would find — dropping assigned variables lazily; backtracking
 //!   re-inserts, bumping sifts up, and the `1e100` rescale re-heapifies;
+//! * clauses live in one literal arena, and a binary clause's watch
+//!   entries carry its other literal, so propagating it never reads
+//!   the arena;
 //! * each literal's PB occurrence list carries its weight, so assigning
 //!   or unassigning it updates every row sum without a term search;
 //! * a PB row whose slack covers its heaviest term forces nothing and is
@@ -176,13 +179,30 @@ enum Reason {
     Pb(usize),
 }
 
-#[derive(Clone, Debug)]
+/// A clause: `len` literals of the solver's arena from `start`.
+#[derive(Clone, Copy, Debug)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     /// Learnt by conflict analysis (problem clauses are never deleted).
     learnt: bool,
     /// Learn-time literal-block distance (0 for problem clauses).
     lbd: u32,
+}
+
+impl Clause {
+    fn range(self) -> std::ops::Range<usize> {
+        let start = self.start as usize;
+        start..start + self.len as usize
+    }
+}
+
+/// A watch-list entry. A binary clause's carries its other literal, so
+/// propagation decides the clause without reading the arena.
+#[derive(Clone, Copy, Debug)]
+struct Watch {
+    clause: u32,
+    other: Option<Lit>,
 }
 
 #[derive(Clone, Debug)]
@@ -252,8 +272,13 @@ pub struct Solver {
     nvars: usize,
     options: SolverOptions,
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back; the first two are its
+    /// watches.
+    arena: Vec<Lit>,
     /// `watches[l.index()]` = clauses currently watching literal `l`.
-    watches: Vec<Vec<usize>>,
+    watches: Vec<Vec<Watch>>,
+    /// Reused by [`Solver::add_clause`] to simplify a clause into.
+    scratch: Vec<Lit>,
     pbs: Vec<PbState>,
     /// `pb_occ[l.index()]` = `(constraint, weight of l in it)` for every
     /// PB constraint containing literal `l`.
@@ -300,7 +325,9 @@ impl Solver {
             nvars: 0,
             options,
             clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
+            scratch: Vec::new(),
             pbs: Vec::new(),
             pb_occ: Vec::new(),
             assign: Vec::new(),
@@ -358,11 +385,15 @@ impl Solver {
     ///
     /// Clauses learnt by a previous [`Solver::solve`] call are included —
     /// they are implied by the original formula, so the export stays
-    /// equisatisfiable; export before solving for a verbatim formula.
+    /// equisatisfiable — and a search may leave a binary clause's two
+    /// literals in either order; export before solving for a verbatim
+    /// formula.
     pub fn export_formula(&self) -> crate::opb::Formula {
         crate::opb::Formula {
             num_vars: self.nvars,
-            clauses: self.clauses.iter().map(|c| c.lits.clone()).collect(),
+            clauses: (self.clauses.iter())
+                .map(|c| self.arena[c.range()].to_vec())
+                .collect(),
             pb_le: self.pbs.iter().map(|p| p.c.clone()).collect(),
         }
     }
@@ -404,7 +435,7 @@ impl Solver {
             return false;
         }
         // Simplify: dedupe, drop false literals, detect tautology/satisfied.
-        let mut ls: Vec<Lit> = Vec::with_capacity(lits.len());
+        self.scratch.clear();
         for &l in lits {
             assert!((l.var().0 as usize) < self.nvars, "unknown variable {l}");
             match self.value_lit(l) {
@@ -412,37 +443,44 @@ impl Solver {
                 LBool::False => continue,
                 LBool::Undef => {}
             }
-            if ls.contains(&!l) {
+            if self.scratch.contains(&!l) {
                 return true; // tautology
             }
-            if !ls.contains(&l) {
-                ls.push(l);
+            if !self.scratch.contains(&l) {
+                self.scratch.push(l);
             }
         }
-        match ls.len() {
-            0 => {
-                self.ok = false;
-                false
-            }
+        match self.scratch.len() {
+            0 => self.ok = false,
             1 => {
-                self.uncheck_enqueue(ls[0], Reason::None);
+                self.uncheck_enqueue(self.scratch[0], Reason::None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
-                self.ok
             }
             _ => {
-                self.attach_clause(ls, false, 0);
-                true
+                let ls = std::mem::take(&mut self.scratch);
+                self.attach_clause(&ls, false, 0);
+                self.scratch = ls;
             }
         }
+        self.ok
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool, lbd: u32) -> usize {
+    fn attach_clause(&mut self, lits: &[Lit], learnt: bool, lbd: u32) -> usize {
         let ci = self.clauses.len();
-        self.watches[lits[0].index()].push(ci);
-        self.watches[lits[1].index()].push(ci);
-        self.clauses.push(Clause { lits, learnt, lbd });
+        self.clauses.push(Clause {
+            start: u32::try_from(self.arena.len()).expect("clause arena offsets fit in u32"),
+            len: lits.len() as u32,
+            learnt,
+            lbd,
+        });
+        self.arena.extend_from_slice(lits);
+        let clause = ci as u32;
+        for (l, other) in [(lits[0], lits[1]), (lits[1], lits[0])] {
+            let other = (lits.len() == 2).then_some(other);
+            self.watches[l.index()].push(Watch { clause, other });
+        }
         ci
     }
 
@@ -611,30 +649,50 @@ impl Solver {
             let false_lit = !p;
             let mut i = 0;
             'clauses: while i < self.watches[false_lit.index()].len() {
-                let ci = self.watches[false_lit.index()][i];
-                // Make lits[1] the false watch.
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let Watch { clause, other } = self.watches[false_lit.index()][i];
+                let ci = clause as usize;
+                if let Some(other) = other {
+                    // A binary `[other, false_lit]` has no replacement
+                    // watch. Only `export_formula`, run before any search,
+                    // reads its order, so only level 0 swaps it.
+                    if self.trail_lim.is_empty() {
+                        let at = self.clauses[ci].start as usize;
+                        if self.arena[at] == false_lit {
+                            self.arena.swap(at, at + 1);
+                        }
+                    }
+                    match self.value_lit(other) {
+                        LBool::True => {}
+                        LBool::False => return Some(vec![other, false_lit]),
+                        LBool::Undef => self.uncheck_enqueue(other, Reason::Clause(ci)),
+                    }
+                    i += 1;
+                    continue;
                 }
-                debug_assert_eq!(self.clauses[ci].lits[1], false_lit);
-                let first = self.clauses[ci].lits[0];
+                let lits = self.clauses[ci].range();
+                // Make lits[1] the false watch.
+                if self.arena[lits.start] == false_lit {
+                    self.arena.swap(lits.start, lits.start + 1);
+                }
+                debug_assert_eq!(self.arena[lits.start + 1], false_lit);
+                let first = self.arena[lits.start];
                 if self.value_lit(first) == LBool::True {
                     i += 1;
                     continue;
                 }
                 // Look for a replacement watch.
-                for k in 2..self.clauses[ci].lits.len() {
-                    let l = self.clauses[ci].lits[k];
+                for k in lits.start + 2..lits.end {
+                    let l = self.arena[k];
                     if self.value_lit(l) != LBool::False {
-                        self.clauses[ci].lits.swap(1, k);
-                        self.watches[false_lit.index()].swap_remove(i);
-                        self.watches[l.index()].push(ci);
+                        self.arena.swap(lits.start + 1, k);
+                        let w = self.watches[false_lit.index()].swap_remove(i);
+                        self.watches[l.index()].push(w);
                         continue 'clauses;
                     }
                 }
                 // No replacement: unit or conflict.
                 if self.value_lit(first) == LBool::False {
-                    return Some(self.clauses[ci].lits.clone());
+                    return Some(self.arena[lits].to_vec());
                 }
                 self.uncheck_enqueue(first, Reason::Clause(ci));
                 i += 1;
@@ -688,8 +746,7 @@ impl Solver {
             return;
         }
         let lim = self.trail_lim[target as usize];
-        while self.trail.len() > lim {
-            let l = self.trail.pop().expect("trail nonempty above limit");
+        for &l in &self.trail[lim..] {
             let v = l.var().0 as usize;
             self.phase[v] = self.assign[v] == LBool::True;
             self.assign[v] = LBool::Undef;
@@ -697,10 +754,10 @@ impl Solver {
             for &(pi, w) in &self.pb_occ[l.index()] {
                 self.pbs[pi].sum_true -= w;
             }
-            if !self.order.contains(v) {
-                self.order.insert(v, &self.activity);
-            }
         }
+        let unassigned = self.trail[lim..].iter().map(|l| l.var().0 as usize);
+        self.order.insert_all(unassigned, &self.activity);
+        self.trail.truncate(lim);
         self.trail_lim.truncate(target as usize);
         self.qhead = self.trail.len();
     }
@@ -713,7 +770,7 @@ impl Solver {
     fn reason_lits(&self, l: Lit) -> Vec<Lit> {
         match self.reason[l.var().0 as usize] {
             Reason::Clause(ci) => {
-                let mut lits = self.clauses[ci].lits.clone();
+                let mut lits = self.arena[self.clauses[ci].range()].to_vec();
                 if lits[0] != l {
                     let pos = lits.iter().position(|&x| x == l).expect("lit in reason");
                     lits.swap(0, pos);
@@ -903,7 +960,7 @@ impl Solver {
             .iter()
             .enumerate()
             .filter(|(ci, c)| c.learnt && c.lbd > 2 && !locked[*ci])
-            .map(|(ci, c)| (c.lbd, c.lits.len(), ci))
+            .map(|(ci, c)| (c.lbd, c.len as usize, ci))
             .collect();
         // Worst last: ascending (lbd, len, index) then delete the upper
         // half. Index as the final key keeps the order total and the
@@ -919,22 +976,17 @@ impl Solver {
         for &(_, _, ci) in doomed {
             delete[ci] = true;
         }
-        // Compact, building old-index → new-index.
-        let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
-        let mut survivors: Vec<Clause> = Vec::with_capacity(self.clauses.len() - doomed.len());
-        for (ci, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
-            if !delete[ci] {
-                remap[ci] = survivors.len();
-                survivors.push(c);
-            }
-        }
-        self.clauses = survivors;
+        // Re-attach the survivors in order, building old-index →
+        // new-index; their watch lists are rebuilt as they go.
         for w in &mut self.watches {
             w.clear();
         }
-        for (ci, c) in self.clauses.iter().enumerate() {
-            self.watches[c.lits[0].index()].push(ci);
-            self.watches[c.lits[1].index()].push(ci);
+        let mut remap: Vec<usize> = vec![usize::MAX; self.clauses.len()];
+        let arena = std::mem::take(&mut self.arena);
+        for (ci, c) in std::mem::take(&mut self.clauses).into_iter().enumerate() {
+            if !delete[ci] {
+                remap[ci] = self.attach_clause(&arena[c.range()], c.learnt, c.lbd);
+            }
         }
         for r in &mut self.reason {
             if let Reason::Clause(ci) = r {
@@ -1079,7 +1131,7 @@ impl Solver {
                     if learnt.len() == 1 {
                         self.uncheck_enqueue(asserting, Reason::None);
                     } else {
-                        let ci = self.attach_clause(learnt, true, lbd);
+                        let ci = self.attach_clause(&learnt, true, lbd);
                         self.stats.learnt_clauses += 1;
                         self.stats.lbd_sum += lbd as u64;
                         self.uncheck_enqueue(asserting, Reason::Clause(ci));
@@ -1152,9 +1204,7 @@ impl Solver {
 
     /// Debug check: the model satisfies every clause and PB constraint.
     fn model_consistent(&self, model: &Model) -> bool {
-        self.clauses
-            .iter()
-            .all(|c| c.lits.iter().any(|&l| model.lit_value(l)))
+        (self.clauses.iter()).all(|c| self.arena[c.range()].iter().any(|&l| model.lit_value(l)))
             && self.pbs.iter().all(|p| p.c.is_satisfied(model.values()))
     }
 }
@@ -1736,6 +1786,136 @@ mod tests {
             assert_eq!(r1, r2, "verdict deterministic under {opts:?}");
             assert_eq!(st1, st2, "stats deterministic under {opts:?}");
         }
+    }
+
+    /// Every clause is watched by its first two literals, once each,
+    /// and a binary clause's two entries carry its other literal.
+    fn assert_watches(s: &Solver) {
+        let mut count = vec![0; s.clauses.len()];
+        for (li, list) in s.watches.iter().enumerate() {
+            for w in list {
+                let c = s.clauses[w.clause as usize];
+                let lits = &s.arena[c.range()];
+                let at = (lits[..2].iter())
+                    .position(|&l| l == Lit::from_index(li))
+                    .expect("watched by one of its first two literals");
+                assert_eq!(w.other, (c.len == 2).then_some(lits[1 - at]));
+                count[w.clause as usize] += 1;
+            }
+        }
+        assert!(count.iter().all(|&n| n == 2), "watch counts {count:?}");
+    }
+
+    /// The learnt clauses' literals, in database order.
+    fn learnt_clauses(s: &Solver) -> Vec<Vec<Lit>> {
+        (s.clauses.iter())
+            .filter(|c| c.learnt)
+            .map(|c| s.arena[c.range()].to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn level_0_binary_propagation_keeps_the_exported_literal_order() {
+        // ¬v0 propagates through (v0 ∨ v1) and then (¬v1 ∨ v2); a
+        // visited clause lists its false watch second, binary or long.
+        let mut s = Solver::new();
+        let v = lits(&mut s, 5);
+        assert!(s.add_clause(&[v[0], v[1]]));
+        assert!(s.add_clause(&[!v[1], v[2]]));
+        assert!(s.add_clause(&[v[0], v[3], v[4]]));
+        assert!(s.add_clause(&[!v[0]]));
+        assert_eq!(s.trail, [!v[0], v[1], v[2]]);
+        assert_watches(&s);
+        let opb = s.export_formula().to_opb().expect("no duplicates");
+        assert_eq!(
+            opb,
+            "* #variable= 5 #constraint= 3\n\
+             * exported by flowplace-pbsat\n\
+             +1 x2 +1 x1 >= 1 ;\n\
+             +1 x3 +1 ~x2 >= 1 ;\n\
+             +1 x4 +1 x5 +1 x1 >= 1 ;\n"
+        );
+    }
+
+    /// PHP(6, 6), one pigeon-in-some-hole clause per pigeon and one
+    /// at-most-one row per hole; returns `p[pigeon][hole]`.
+    fn php6(s: &mut Solver) -> Vec<Vec<Lit>> {
+        let p: Vec<Vec<Lit>> = (0..6).map(|_| lits(s, 6)).collect();
+        for row in &p {
+            s.add_clause(row);
+        }
+        for h in 0..6 {
+            let col: Vec<Lit> = p.iter().map(|row| row[h]).collect();
+            s.add_at_most_k(&col, 1);
+        }
+        p
+    }
+
+    /// Six variables whose first conflict, after deciding ¬v0 and then
+    /// ¬v1, is found on a binary watch and learns `v1 ∨ v0`: v4 and v5
+    /// follow, then v2 from the long clause and v3 from `¬v5 ∨ v3`, and
+    /// `¬v2 ∨ ¬v3` is false, found on ¬v2's watch list.
+    fn binary_conflict_gadget(s: &mut Solver) -> Vec<Lit> {
+        let v = lits(s, 6);
+        s.add_clause(&[v[1], v[4]]);
+        s.add_clause(&[v[1], v[5]]);
+        s.add_clause(&[v[0], !v[4], v[2]]);
+        s.add_clause(&[!v[5], v[3]]);
+        s.add_clause(&[!v[2], !v[3]]);
+        v
+    }
+
+    #[test]
+    fn a_binary_watch_conflict_lists_the_other_literal_first() {
+        let mut s = Solver::new();
+        let v = binary_conflict_gadget(&mut s);
+        for d in [!v[0], !v[1]] {
+            s.trail_lim.push(s.trail.len());
+            s.uncheck_enqueue(d, Reason::None);
+        }
+        assert_eq!(s.propagate(), Some(vec![!v[3], !v[2]]));
+        // The search meets the same conflict first.
+        let mut s = Solver::new();
+        let v = binary_conflict_gadget(&mut s);
+        assert!(s.solve().is_sat());
+        assert_eq!(s.stats().conflicts, 1);
+        assert_eq!(learnt_clauses(&s), [vec![v[1], v[0]]]);
+        assert_watches(&s);
+    }
+
+    #[test]
+    fn reduction_after_binary_and_long_learnts_resolves_like_a_fresh_solver() {
+        let build = || {
+            let mut s = Solver::new();
+            let g = binary_conflict_gadget(&mut s);
+            let p = php6(&mut s);
+            (s, g, p)
+        };
+        let (mut s, g, p) = build();
+        let hole_5_out: Vec<Lit> = (0..6).map(|i| !p[i][5]).collect();
+        assert_eq!(s.solve_with_assumptions(&hole_5_out), SatResult::Unsat);
+        let learnt = learnt_clauses(&s);
+        assert!(learnt.iter().any(|c| c.len() == 2), "a binary learnt");
+        assert!(learnt.iter().any(|c| c.len() > 2), "a long learnt");
+        s.reduce_learnts();
+        assert!(s.stats().learnt_deleted > 0, "the reduction deleted");
+        assert_watches(&s);
+        // Each query has one model: the gadget satisfied by its pin,
+        // pigeon i < 5 in hole (i + shift) % 6, pigeon 5 in the hole
+        // left over.
+        let gadget_pin = [g[0], g[1], !g[2], !g[3], !g[4], !g[5]];
+        for shift in 0..6 {
+            let mut pin = gadget_pin.to_vec();
+            for (i, row) in p.iter().enumerate().take(5) {
+                let hole = (i + shift) % 6;
+                pin.extend((0..6).filter(|&h| h != hole).map(|h| !row[h]));
+            }
+            let want = build().0.solve_with_assumptions(&pin);
+            assert!(want.is_sat());
+            assert_eq!(s.solve_with_assumptions(&pin), want, "shift {shift}");
+            assert_eq!(s.solve_with_assumptions(&hole_5_out), SatResult::Unsat);
+        }
+        assert_watches(&s);
     }
 
     #[test]

@@ -19,10 +19,14 @@
 # table per (workload, seed): per
 # end-to-end metric each side's median and quartiles, the ratio of the
 # medians, whether the medians lie further apart than the revision's
-# interquartile range, and in how many pairs the working tree did
-# strictly better. `throughput_events_s` is better higher, every other
-# end-to-end metric lower (as in BENCHMARK.json). Quartiles interpolate
-# linearly between order statistics. The directories are removed on
+# interquartile range, in how many pairs the working tree did strictly
+# better, and a verdict: `gain` when it did in at least 9 of 10 pairs
+# and its median is better than the revision's by more than that range,
+# `worse` when its median is worse by more than the metric's `bound` in
+# BENCHMARK.json (a share of the revision's median), `-` otherwise.
+# `throughput_events_s` is better higher, every other end-to-end metric
+# lower (as in BENCHMARK.json). Quartiles interpolate linearly between
+# order statistics. The directories are removed on
 # exit. Not part of `make ci`: a run takes minutes per workload.
 set -euo pipefail
 
@@ -69,6 +73,8 @@ for side in base change; do
 done
 
 metrics="setup_s throughput_events_s call_p50_ms rules_placed peak_rss_mb"
+# "name=bound ..." for every metric with a bound in BENCHMARK.json.
+bounds=$(awk -F'"' '$2 == "name" { name = $4 } $2 == "bound" { gsub(/[^0-9.]/, "", $3); printf "%s=%s ", name, $3 }' BENCHMARK.json)
 
 run() {
     local workload=$1 seed=$2 side=$3 pair=$4 results=$5 out
@@ -84,7 +90,11 @@ run() {
 summarize() {
     local workload=$1 seed=$2 results=$3
     echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree (change)"
-    sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" '
+    sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" -v bounds="$bounds" '
+    BEGIN {
+        n = split(bounds, kv, " ")
+        for (i = 1; i <= n; i++) { split(kv[i], p, "="); bound[p[1]] = p[2] }
+    }
     function quantile(side, p,   n, h, i) {
         n = count[side]
         h = (n - 1) * p
@@ -105,22 +115,27 @@ summarize() {
         sorted[$2, count[$2]++] = $3
         by_pair[$2, $4] = $3
     }
-    function report(   won, i, b, c, higher, mb, mc, iqr) {
+    function report(   won, i, b, c, higher, mb, mc, iqr, better, verdict) {
         higher = (metric == "throughput_events_s")
+        won = 0
         for (i = 1; i <= pairs; i++) {
             b = by_pair["base", i]; c = by_pair["change", i]
             if ((higher && c > b) || (!higher && c < b)) won++
         }
         mb = quantile("base", 0.5); mc = quantile("change", 0.5)
         iqr = quantile("base", 0.75) - quantile("base", 0.25)
-        line[metric] = sprintf("%-20s %-34s %-34s %7.3fx  %-3s  %d/%d", metric, quartiles("base"),
+        better = higher ? mc - mb : mb - mc
+        verdict = "-"
+        if (10 * won >= 9 * pairs && better > iqr) verdict = "gain"
+        else if ((metric in bound) && -better > bound[metric] * mb) verdict = "worse"
+        line[metric] = sprintf("%-20s %-34s %-34s %7.3fx  %-3s  %5s  %s", metric, quartiles("base"),
             quartiles("change"), (mb == 0 ? 0 : mc / mb), ((mc - mb > iqr || mb - mc > iqr) ? "yes" : "no"),
-            won, pairs)
+            won "/" pairs, verdict)
     }
     END {
         if (metric != "") report()
-        printf "%-20s %-34s %-34s %8s  %-3s  %s\n", "metric", "base median [q1, q3]",
-            "change median [q1, q3]", "ratio", ">iqr", "won"
+        printf "%-20s %-34s %-34s %8s  %-3s  %5s  %s\n", "metric", "base median [q1, q3]",
+            "change median [q1, q3]", "ratio", ">iqr", "won", "verdict"
         n = split(order, names, " ")
         for (i = 1; i <= n; i++) if (names[i] in line) print line[names[i]]
     }'

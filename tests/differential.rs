@@ -232,9 +232,9 @@ fn glucose_sat_engine_is_deterministic() {
     }
 }
 
-/// The hash [`both_encodings_are_pinned`] recorded before the SAT and
-/// ILP encoders were folded onto one model walk.
-const PINNED_ENCODINGS: u64 = 0x7761_c6b2_839c_f1f0;
+/// The hash [`both_encodings_are_pinned`] recorded over the pairwise
+/// and lazy Eq. 1 lowerings, the two the ILP encoder has.
+const PINNED_ENCODINGS: u64 = 0x79b9_201b_f5dd_b68b;
 
 #[test]
 fn both_encodings_are_pinned() {
@@ -246,11 +246,7 @@ fn both_encodings_are_pinned() {
         let instance = cfg.build();
         let greedy = greedy::greedy_place(&instance);
         for merging in [false, true] {
-            for dependency in [
-                DependencyEncoding::Pairwise,
-                DependencyEncoding::Aggregated,
-                DependencyEncoding::Lazy,
-            ] {
+            for dependency in [DependencyEncoding::Pairwise, DependencyEncoding::Lazy] {
                 for merge_linking in [MergeLinking::PerMember, MergeLinking::Aggregated] {
                     let options = EncodeOptions {
                         dependency,

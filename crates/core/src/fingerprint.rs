@@ -256,4 +256,25 @@ mod tests {
         );
         assert_eq!(fp, fingerprint_instance(&inst, &obj, &base.clone()));
     }
+
+    #[test]
+    fn option_bytes_are_pinned() {
+        // The benchmark's input PINs hash every lane's instance through
+        // `fingerprint_options`: the ILP defaults (reroute-512) and the
+        // SAT engine with defaults (the other three workloads). A
+        // retired option keeps hashing the constant it had, so retiring
+        // one must not move these.
+        let inst = small_instance(4);
+        let sat = PlacementOptions {
+            engine: PlacerEngine::Sat,
+            ..PlacementOptions::default()
+        };
+        let got = [PlacementOptions::default(), sat]
+            .map(|o| fingerprint_instance(&inst, &Objective::TotalRules, &o).0);
+        assert_eq!(
+            got,
+            [0x5974_7782_e7d5_977e, 0x4f3b_9ac1_6c8b_03d8],
+            "option bytes moved: {got:#018x?}"
+        );
+    }
 }

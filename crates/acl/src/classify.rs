@@ -435,15 +435,6 @@ fn aggregate(packets: &[Packet], worklist: &[u32]) -> (u128, u128) {
     (or_bits, and_bits)
 }
 
-/// Classifies `packets` against `cubes` in priority order, returning for
-/// each packet the index of its highest-priority matching cube.
-///
-/// One-shot convenience over [`BatchClassifier`]; build the classifier
-/// once when the same cube list serves many batches.
-pub fn classify_batch(packets: &[Packet], cubes: &[Ternary]) -> Vec<Option<usize>> {
-    BatchClassifier::new(cubes).classify(packets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,9 +453,9 @@ mod tests {
 
     #[test]
     fn empty_batch_and_empty_cubes() {
-        assert!(classify_batch(&[], &[t("1*")]).is_empty());
+        assert!(BatchClassifier::new(&[t("1*")]).classify(&[]).is_empty());
         let p = [Packet::from_bits(0b10, 2)];
-        assert_eq!(classify_batch(&p, &[]), vec![None]);
+        assert_eq!(BatchClassifier::new(&[]).classify(&p), vec![None]);
         assert!(BatchClassifier::new(&[]).is_empty());
     }
 
@@ -477,7 +468,7 @@ mod tests {
             Packet::from_bits(0b0000, 4),
         ];
         assert_eq!(
-            classify_batch(&packets, &cubes),
+            BatchClassifier::new(&cubes).classify(&packets),
             vec![Some(0), Some(1), None]
         );
     }
@@ -486,7 +477,7 @@ mod tests {
     fn all_wildcard_cube_matches_everything_first() {
         let cubes = [t("****"), t("1***")];
         let packets: Vec<Packet> = (0..16).map(|b| Packet::from_bits(b, 4)).collect();
-        let got = classify_batch(&packets, &cubes);
+        let got = BatchClassifier::new(&cubes).classify(&packets);
         assert!(got.iter().all(|v| *v == Some(0)));
     }
 
@@ -494,7 +485,10 @@ mod tests {
     fn width_mismatch_is_a_miss() {
         let cubes = [t("1*")];
         let packets = [Packet::from_bits(0b101, 3), Packet::from_bits(0b10, 2)];
-        assert_eq!(classify_batch(&packets, &cubes), vec![None, Some(0)]);
+        assert_eq!(
+            BatchClassifier::new(&cubes).classify(&packets),
+            vec![None, Some(0)]
+        );
     }
 
     #[test]
@@ -509,7 +503,10 @@ mod tests {
             t("********"),
         ];
         let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
-        assert_eq!(classify_batch(&packets, &cubes), scalar(&packets, &cubes));
+        assert_eq!(
+            BatchClassifier::new(&cubes).classify(&packets),
+            scalar(&packets, &cubes)
+        );
     }
 
     #[test]
@@ -518,7 +515,7 @@ mod tests {
         // kernel must report None exactly where the scalar scan does.
         let cubes = [t("11******"), t("**00****"), t("*******1")];
         let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
-        let got = classify_batch(&packets, &cubes);
+        let got = BatchClassifier::new(&cubes).classify(&packets);
         assert_eq!(got, scalar(&packets, &cubes));
         assert!(got.iter().any(|v| v.is_none()));
     }
@@ -529,7 +526,10 @@ mod tests {
         let classifier = BatchClassifier::new(&cubes);
         for b in 0..256u128 {
             let p = Packet::from_bits(b, 8);
-            assert_eq!(classifier.first_match(&p), classify_batch(&[p], &cubes)[0]);
+            assert_eq!(
+                classifier.first_match(&p),
+                BatchClassifier::new(&cubes).classify(&[p])[0]
+            );
         }
     }
 
@@ -706,7 +706,7 @@ mod tests {
                 .map(|_| Packet::from_bits((next() as u128) & mask, width))
                 .collect();
             assert_eq!(
-                classify_batch(&packets, &cubes),
+                BatchClassifier::new(&cubes).classify(&packets),
                 scalar(&packets, &cubes),
                 "seed {seed} diverged (width {width}, {} cubes, {} packets)",
                 cubes.len(),

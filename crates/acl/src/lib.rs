@@ -15,7 +15,7 @@
 //! * [`thread_arena_stats`] — counters of the per-thread scratch-buffer
 //!   pool behind the cube algebra (steady-state epochs allocate ~zero).
 //! * [`classify`] — a batched first-match classification kernel
-//!   ([`classify::classify_batch`]) with a structure-of-arrays layout.
+//!   ([`classify::BatchClassifier`]) with a structure-of-arrays layout.
 //! * [`redundancy`] — exact (all-match) redundancy removal, the optional
 //!   pre-pass from the paper's Figure 4 flow chart.
 //!

@@ -202,36 +202,31 @@ impl FaultPlan {
     }
 }
 
+/// Delay before the first retry, in virtual milliseconds.
+const BASE_DELAY_MS: u64 = 10;
+/// Ceiling on any single delay, in virtual milliseconds.
+const MAX_DELAY_MS: u64 = 1_000;
+
 /// Bounded exponential backoff for retried dataplane operations. All
 /// delays are virtual (see [`VirtualClock`]); attempt `k` (0-based)
-/// waits `min(base_delay_ms << k, max_delay_ms)` before retrying.
+/// waits `min(10 << k, 1000)` ms before retrying.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (first try included).
     pub max_attempts: u32,
-    /// Delay before the first retry, in virtual milliseconds.
-    pub base_delay_ms: u64,
-    /// Ceiling on any single delay, in virtual milliseconds.
-    pub max_delay_ms: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_delay_ms: 10,
-            max_delay_ms: 1_000,
-        }
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
 impl RetryPolicy {
     /// The backoff delay after failed attempt `attempt` (0-based).
     pub fn delay_ms(&self, attempt: u32) -> u64 {
-        let shifted = self
-            .base_delay_ms
-            .saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
-        shifted.min(self.max_delay_ms)
+        let shifted = BASE_DELAY_MS.saturating_mul(1u64.checked_shl(attempt).unwrap_or(u64::MAX));
+        shifted.min(MAX_DELAY_MS)
     }
 }
 
@@ -500,15 +495,11 @@ fault install-reject s1 3
 
     #[test]
     fn backoff_is_bounded_exponential() {
-        let retry = RetryPolicy {
-            max_attempts: 6,
-            base_delay_ms: 10,
-            max_delay_ms: 70,
-        };
-        let delays: Vec<u64> = (0..6).map(|a| retry.delay_ms(a)).collect();
-        assert_eq!(delays, vec![10, 20, 40, 70, 70, 70]);
+        let retry = RetryPolicy::default();
+        let delays: Vec<u64> = (0..9).map(|a| retry.delay_ms(a)).collect();
+        assert_eq!(delays, vec![10, 20, 40, 80, 160, 320, 640, 1_000, 1_000]);
         // Huge attempt numbers saturate instead of overflowing.
-        assert_eq!(retry.delay_ms(200), 70);
+        assert_eq!(retry.delay_ms(200), 1_000);
     }
 
     #[test]

@@ -593,14 +593,6 @@ impl Controller {
             .sum()
     }
 
-    /// Toggles the delegation rung, so one deployment can be run with
-    /// and without delegation (`examples/fault_tolerance.rs`). Disabling
-    /// does not tear down active delegations; they unwind through the
-    /// normal lift rounds.
-    pub fn set_delegation_enabled(&mut self, enabled: bool) {
-        self.options.delegation.enabled = enabled;
-    }
-
     /// Current virtual time in milliseconds (advanced only by retry
     /// backoff, never by wall time — replays are deterministic).
     pub fn virtual_time_ms(&self) -> u64 {

@@ -365,10 +365,7 @@ fn transient_rejects_are_retried_through() {
 fn persistent_rejects_quarantine_and_replace() {
     let options = CtrlOptions {
         quarantine_after: 2,
-        retry: RetryPolicy {
-            max_attempts: 2,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_attempts: 2 },
         ..fault_options("fault install-reject s0 10000")
     };
     let mut ctrl = linear_controller(10, options);
@@ -398,10 +395,7 @@ fn unplaceable_ingress_goes_safe_mode_and_lifts() {
     topo.set_uniform_capacity(10);
     let options = CtrlOptions {
         quarantine_after: 1,
-        retry: RetryPolicy {
-            max_attempts: 1,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_attempts: 1 },
         ..fault_options("fault install-reject s0 1")
     };
     let mut ctrl = Controller::new(topo, options);

@@ -141,13 +141,6 @@ pub struct SolverStats {
 }
 
 impl SolverStats {
-    /// Total search effort: decisions plus conflicts plus propagations.
-    /// A deterministic single-number cost proxy for telemetry (wall time
-    /// is not reproducible across runs; this is).
-    pub fn search_steps(&self) -> u64 {
-        self.decisions + self.conflicts + self.propagations
-    }
-
     /// Learnt clauses currently alive (learned minus deleted).
     pub fn learnt_live(&self) -> u64 {
         self.learnt_clauses - self.learnt_deleted

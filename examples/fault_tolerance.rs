@@ -16,7 +16,7 @@
 //!
 //! Run with: `cargo run --release --example fault_tolerance`
 
-use flowplace::ctrl::{parse_fault_schedule, FaultPlan, RetryPolicy};
+use flowplace::ctrl::{parse_fault_schedule, DelegationConfig, FaultPlan, RetryPolicy};
 use flowplace::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -42,10 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             schedule,
             ..FaultPlan::default()
         },
-        retry: RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        },
+        retry: RetryPolicy { max_attempts: 3 },
         quarantine_after: 2,
         ..CtrlOptions::default()
     };
@@ -144,8 +141,11 @@ capacity s0 0
         delegated.safe_mode_ingresses()
     );
 
-    let mut baseline = Controller::new(topo, CtrlOptions::default());
-    baseline.set_delegation_enabled(false);
+    let without = CtrlOptions {
+        delegation: DelegationConfig { enabled: false },
+        ..CtrlOptions::default()
+    };
+    let mut baseline = Controller::new(topo, without);
     baseline.replay_trace(trace)?;
     println!(
         "without it:    safe-mode (drop-all) ingresses {:?}",

@@ -563,7 +563,6 @@ fn ctrl_replay_inner(args: &[String]) -> Result<ExitCode, String> {
         faults,
         retry: RetryPolicy {
             max_attempts: get_u32(&flags, "retries", 4)?,
-            ..RetryPolicy::default()
         },
         quarantine_after: get_u32(&flags, "quarantine-after", 3)?,
         ..CtrlOptions::default()

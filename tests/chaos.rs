@@ -119,7 +119,6 @@ fn chaos_never_breaks_fail_closed() {
             faults: rand_plan(&mut rng, seed),
             retry: RetryPolicy {
                 max_attempts: rng.gen_range(1..4u32),
-                ..RetryPolicy::default()
             },
             quarantine_after: rng.gen_range(1..4u32),
             ..CtrlOptions::default()

@@ -3,8 +3,8 @@
 use std::time::{Duration, Instant};
 
 use flowplace_core::{
-    incremental, verify, DependencyEncoding, MergeLinking, Objective, PlacementOptions,
-    PlacerEngine, RulePlacer, SolveStatus,
+    incremental, par, verify, DependencyEncoding, MergeLinking, Objective, PlacementOptions,
+    PlacerEngine, SolveStatus,
 };
 use flowplace_milp::MipOptions;
 use flowplace_rng::StdRng;
@@ -79,7 +79,7 @@ pub fn run_point(
 ) -> SolveRow {
     let instance = build_instance(cfg);
     let t = Instant::now();
-    let outcome = RulePlacer::new(options.clone()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(&instance, Objective::TotalRules, options, None);
     let elapsed = t.elapsed();
     if verify_solutions {
         if let Some(p) = &outcome.placement {
@@ -212,7 +212,7 @@ pub fn exp3_merging(quick: bool) -> Vec<MergeRow> {
                 options.merging = merging;
                 let instance = build_instance(&cfg);
                 let t = Instant::now();
-                let outcome = RulePlacer::new(options).place(&instance, Objective::TotalRules);
+                let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
                 let elapsed = t.elapsed();
                 let placement = outcome.placement;
                 if !quick {
@@ -295,7 +295,7 @@ pub fn exp5_incremental(quick: bool) -> Vec<IncRow> {
     };
     let instance = build_instance(&base_cfg);
     let t0 = Instant::now();
-    let outcome = RulePlacer::new(options.clone()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
     let full_solve = t0.elapsed();
     let placement = outcome.placement.expect("base configuration is feasible");
 
@@ -419,7 +419,7 @@ pub fn exp6_sharing(quick: bool) -> Vec<SharingRow> {
             seed: 19,
         };
         let instance = build_instance(&cfg);
-        let outcome = RulePlacer::new(options.clone()).place(&instance, Objective::TotalRules);
+        let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
         if let Some(p) = outcome.placement {
             rows.push(SharingRow {
                 paths: cfg.total_paths(),
@@ -432,14 +432,13 @@ pub fn exp6_sharing(quick: bool) -> Vec<SharingRow> {
     rows
 }
 
-/// Ablation A1: the three Equation 1 encodings on one instance family.
+/// Ablation A1: the two Equation 1 encodings on one instance family.
 pub fn ablate_dependency(quick: bool) -> Vec<SolveRow> {
     let ns: &[usize] = if quick { &[8] } else { &[20, 40, 60] };
     let mut rows = Vec::new();
     for &n in ns {
         for (name, dep) in [
             ("pairwise", DependencyEncoding::Pairwise),
-            ("aggregated", DependencyEncoding::Aggregated),
             ("lazy", DependencyEncoding::Lazy),
         ] {
             let cfg = ScenarioConfig {
@@ -586,7 +585,7 @@ mod tests {
     #[test]
     fn quick_ablations_cover_all_arms() {
         let dep = ablate_dependency(true);
-        assert_eq!(dep.len(), 3);
+        assert_eq!(dep.len(), 2);
         let sat = ablate_sat_vs_ilp(true);
         assert_eq!(sat.len(), 2);
         for (rows, arms) in [

@@ -4,8 +4,8 @@
 //! switch `k`, named `v_i_j_k`.
 //!
 //! * **Rule dependency** (Eq. 1): `v_{i,u,k} ≥ v_{i,w,k}` for every
-//!   dependency edge `u → w` and candidate switch `k`, in one of three
-//!   forms (see [`DependencyEncoding`]).
+//!   dependency edge `u → w` and candidate switch `k`, as rows up front
+//!   or generated lazily (see [`DependencyEncoding`]).
 //! * **Path dependency** (Eq. 2, per-path form): `Σ_{k∈p} v_{i,w,k} ≥ 1`
 //!   for every DROP rule `w` sliced into path `p`.
 //! * **Switch capacity** (Eq. 3): at most `C_k` rules per switch, with
@@ -26,17 +26,15 @@ use crate::walk::{walk, Lowering, Sites};
 use crate::{Instance, Objective};
 
 /// How Equation 1 (`v_u ≥ v_w` per dependency edge per switch) enters the
-/// model. All three yield the same integer solutions; they differ in model
-/// size and LP-relaxation tightness (an ablation in the benchmark suite).
+/// model. Both yield the same integer solutions; the lazy form adds only
+/// the rows a candidate solution violates (ablation A1 of the
+/// reproduction).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum DependencyEncoding {
-    /// One row per `(permit, drop, switch)` triple — the tightest LP
-    /// relaxation, quadratically many rows.
+    /// One row per `(permit, drop, switch)` triple, the paper's Eq. 1 —
+    /// quadratically many rows.
     #[default]
     Pairwise,
-    /// One row `Σ_u v_u ≥ |D(w)|·v_w` per `(drop, switch)` — linearly
-    /// many rows, weaker relaxation.
-    Aggregated,
     /// No rows up front; violated pairwise rows are generated by a lazy
     /// callback when the solver reaches an integral candidate.
     Lazy,
@@ -109,20 +107,15 @@ impl Lowering for IlpLowering<'_> {
     fn depend(&mut self, at: (EntryPortId, RuleId, SwitchId), drop: u32, permits: &[u32]) {
         let (ingress, rule, s) = at;
         let key = format!("{}_{}_{}", ingress.0, rule.0, s.0);
-        let (model, vw, mut row) = (&mut self.model, VarId(drop as usize), sum(permits, 1.0));
-        self.dep_pairs.extend(row.iter().map(|&(vu, _)| (vu, vw)));
-        match self.options.dependency {
-            DependencyEncoding::Pairwise => {
-                for (vu, _) in row {
-                    let pair = vec![(vu, 1.0), (vw, -1.0)];
-                    model.add_constraint(format!("dep_{key}"), pair, Cmp::Ge, 0.0);
-                }
+        let vw = VarId(drop as usize);
+        let permits = permits.iter().map(|&v| VarId(v as usize));
+        self.dep_pairs.extend(permits.clone().map(|vu| (vu, vw)));
+        if self.options.dependency == DependencyEncoding::Pairwise {
+            for vu in permits {
+                let pair = vec![(vu, 1.0), (vw, -1.0)];
+                self.model
+                    .add_constraint(format!("dep_{key}"), pair, Cmp::Ge, 0.0);
             }
-            DependencyEncoding::Aggregated => {
-                row.push((vw, -(permits.len() as f64)));
-                model.add_constraint(format!("adep_{key}"), row, Cmp::Ge, 0.0);
-            }
-            DependencyEncoding::Lazy => {}
         }
     }
 
@@ -328,11 +321,7 @@ mod tests {
     fn all_encodings_agree() {
         let inst = figure3();
         let mut objectives = Vec::new();
-        for dep in [
-            DependencyEncoding::Pairwise,
-            DependencyEncoding::Aggregated,
-            DependencyEncoding::Lazy,
-        ] {
+        for dep in [DependencyEncoding::Pairwise, DependencyEncoding::Lazy] {
             let enc = IlpEncoding::build(
                 &inst,
                 &Objective::TotalRules,
@@ -352,7 +341,6 @@ mod tests {
             objectives.push(out.solution().unwrap().objective);
         }
         assert!((objectives[0] - objectives[1]).abs() < 1e-6);
-        assert!((objectives[0] - objectives[2]).abs() < 1e-6);
     }
 
     #[test]

@@ -93,9 +93,9 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
         PlacerEngine::Ilp => 0,
         PlacerEngine::Sat => 1,
     });
+    // Retired `Aggregated` was 1.
     h.byte(match options.dependency {
         crate::DependencyEncoding::Pairwise => 0,
-        crate::DependencyEncoding::Aggregated => 1,
         crate::DependencyEncoding::Lazy => 2,
     });
     h.bool(options.merging);
@@ -139,18 +139,10 @@ fn fingerprint_options(options: &PlacementOptions, objective: &Objective) -> Fin
     // CDCL options steer the SAT search (and thus which model a SAT solve
     // returns), so they are part of what a solve is.
     h.bool(options.sat.db_reduction);
-    match objective {
-        Objective::TotalRules => h.byte(0),
-        Objective::DistanceWeighted => h.byte(1),
-        Objective::WeightedSwitches(w) => {
-            h.byte(2);
-            h.usize(w.len());
-            for (s, c) in w {
-                h.usize(s.0);
-                h.f64(*c);
-            }
-        }
-    }
+    h.byte(match objective {
+        Objective::TotalRules => 0,
+        Objective::DistanceWeighted => 1,
+    });
     Fingerprint(h.finish())
 }
 

@@ -16,8 +16,7 @@
 //!   ingress's routes.
 //!   Restriction is conservative: the sub-problem can be infeasible even
 //!   when a from-scratch solve is not; the caller can always fall back.
-//! * **Large scale**: re-run [`RulePlacer::place`](crate::RulePlacer::place)
-//!   from scratch.
+//! * **Large scale**: re-run [`par::solve`] from scratch.
 //!
 //! Every operation hands back the edited instance whether or not it
 //! found a placement, so the caller escalates on that instance.
@@ -374,7 +373,6 @@ pub fn modify_rule(
 mod tests {
     use super::*;
     use crate::verify::verify_placement;
-    use crate::RulePlacer;
     use flowplace_acl::{Action, Ternary};
     use flowplace_topo::{SwitchId, Topology};
 
@@ -395,10 +393,14 @@ mod tests {
         let q0 = Policy::from_ordered(vec![(t("11**"), Action::Permit), (t("1***"), Action::Drop)])
             .unwrap();
         let inst = Instance::new(topo, routes, vec![(EntryPortId(0), q0)]).unwrap();
-        let placement = RulePlacer::new(PlacementOptions::default())
-            .place(&inst, Objective::TotalRules)
-            .placement
-            .unwrap();
+        let placement = par::solve(
+            &inst,
+            Objective::TotalRules,
+            &PlacementOptions::default(),
+            None,
+        )
+        .placement
+        .unwrap();
         (inst, placement)
     }
 

@@ -38,7 +38,7 @@
 //!
 //! ```
 //! use flowplace_acl::{Action, Policy, Ternary};
-//! use flowplace_core::{Instance, Objective, PlacementOptions, RulePlacer};
+//! use flowplace_core::{par, Instance, Objective, PlacementOptions};
 //! use flowplace_routing::{Route, RouteSet};
 //! use flowplace_topo::{EntryPortId, Topology};
 //!
@@ -57,8 +57,7 @@
 //!     (Ternary::parse("1***")?, Action::Drop),
 //! ])?;
 //! let instance = Instance::new(topo, routes, vec![(EntryPortId(0), policy)])?;
-//! let outcome = RulePlacer::new(PlacementOptions::default())
-//!     .place(&instance, Objective::TotalRules);
+//! let outcome = par::solve(&instance, Objective::TotalRules, &PlacementOptions::default(), None);
 //! let placement = outcome.placement.expect("feasible");
 //! assert_eq!(placement.total_rules(), 2); // the DROP and its PERMIT shield
 //! # Ok(())
@@ -95,5 +94,5 @@ pub use instance::{Instance, InstanceError};
 pub use objective::Objective;
 pub use placement::{
     DependencyEncoding, Placement, PlacementOptions, PlacementOutcome, PlacementStats,
-    PlacerEngine, RulePlacer, SolveStatus,
+    PlacerEngine, SolveStatus,
 };

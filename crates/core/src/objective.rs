@@ -1,13 +1,11 @@
 //! Objective functions for the placement ILP (§IV-A4 of the paper).
 
-use std::collections::BTreeMap;
-
 use flowplace_topo::{EntryPortId, SwitchId};
 
 use crate::Instance;
 
 /// What the ILP minimizes.
-#[derive(Clone, Debug, PartialEq, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Objective {
     /// Total number of rules placed in the network (the paper's primary
     /// objective — maximizes slack for future rules).
@@ -17,9 +15,6 @@ pub enum Objective {
     /// the ingress, pushing DROP rules upstream to minimize the traffic
     /// that dropped packets consume before dying.
     DistanceWeighted,
-    /// Per-switch weights (e.g. to spare specific switches); a placement
-    /// on switch `s` costs `weights[s]`, defaulting to 1.0 when absent.
-    WeightedSwitches(BTreeMap<SwitchId, f64>),
 }
 
 impl Objective {
@@ -35,7 +30,6 @@ impl Objective {
                 let loc = instance.routes().loc(ingress, s).unwrap_or(0);
                 1.0 + loc as f64
             }
-            Objective::WeightedSwitches(w) => w.get(&s).copied().unwrap_or(1.0),
         }
     }
 }
@@ -74,13 +68,5 @@ mod tests {
         assert_eq!(o.coefficient(&inst, EntryPortId(0), SwitchId(0)), 1.0);
         assert_eq!(o.coefficient(&inst, EntryPortId(0), SwitchId(1)), 2.0);
         assert_eq!(o.coefficient(&inst, EntryPortId(0), SwitchId(2)), 3.0);
-    }
-
-    #[test]
-    fn weighted_switches_default_one() {
-        let inst = instance();
-        let o = Objective::WeightedSwitches([(SwitchId(1), 5.0)].into());
-        assert_eq!(o.coefficient(&inst, EntryPortId(0), SwitchId(1)), 5.0);
-        assert_eq!(o.coefficient(&inst, EntryPortId(0), SwitchId(0)), 1.0);
     }
 }

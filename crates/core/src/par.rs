@@ -108,9 +108,11 @@ fn record_solve_metrics(obs: &Obs, engine: PlacerEngine, outcome: &PlacementOutc
 }
 
 /// Runs the staged pipeline: dependency graphs, candidates, then the
-/// solve by `options.engine`. This is the one solve entry point —
-/// [`crate::RulePlacer::place`] and the [`crate::incremental`]
-/// sub-solves all call it.
+/// solve by `options.engine`, minimizing `objective` (the SAT engine
+/// ignores it and returns any feasible placement). This is the one solve
+/// entry point: whole-instance solves and the [`crate::incremental`]
+/// sub-solves all call it. Infeasibility is reported via
+/// [`PlacementOutcome::status`].
 ///
 /// With `obs`, the pipeline records a `"pipeline"` span with one child
 /// per stage (`pipeline.depgraphs`, `pipeline.candidates`,

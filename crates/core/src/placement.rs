@@ -1,4 +1,5 @@
-//! Placements and the high-level placement facade.
+//! Placements, solve options and outcomes, and the two engine arms of
+//! [`crate::par::solve`].
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -266,7 +267,7 @@ pub struct PlacementStats {
     pub sat: Option<flowplace_pbsat::SolverStats>,
 }
 
-/// The result of [`RulePlacer::place`].
+/// The result of [`crate::par::solve`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct PlacementOutcome {
     /// The placement, when one was found.
@@ -279,7 +280,7 @@ pub struct PlacementOutcome {
     pub stats: PlacementStats,
 }
 
-/// Options for [`RulePlacer`].
+/// Options for [`crate::par::solve`].
 #[derive(Clone, Debug, Default)]
 pub struct PlacementOptions {
     /// Engine selection (ILP optimizing, or SAT feasibility-only).
@@ -297,35 +298,6 @@ pub struct PlacementOptions {
     /// CDCL search options for the SAT engine (learnt-DB reduction, on
     /// by default).
     pub sat: flowplace_pbsat::SolverOptions,
-}
-
-/// High-level facade: encode, solve, decode.
-///
-/// See the crate-level example.
-#[derive(Clone, Debug, Default)]
-pub struct RulePlacer {
-    options: PlacementOptions,
-}
-
-impl RulePlacer {
-    /// Creates a placer with the given options.
-    pub fn new(options: PlacementOptions) -> Self {
-        RulePlacer { options }
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &PlacementOptions {
-        &self.options
-    }
-
-    /// Solves the placement problem for `instance` minimizing `objective`
-    /// (the SAT engine ignores the objective and returns any feasible
-    /// placement): the unobserved [`crate::par::solve`]. Callers holding
-    /// a telemetry sink call that directly. Infeasibility is reported via
-    /// [`PlacementOutcome::status`].
-    pub fn place(&self, instance: &Instance, objective: Objective) -> PlacementOutcome {
-        crate::par::solve(instance, objective, &self.options, None)
-    }
 }
 
 /// ILP solve over already-built candidates: the ILP arm of stage 3 of

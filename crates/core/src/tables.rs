@@ -632,18 +632,18 @@ mod tests {
     /// in the graph's order.
     #[test]
     fn merge_free_switches_emit_the_constraint_order() {
-        use crate::placement::{PlacementOptions, RulePlacer};
-        use crate::Objective;
+        use crate::{par, Objective, PlacementOptions};
         let mut rng = StdRng::seed_from_u64(0x7AB1E5);
         let (mut free, mut merged) = (0, 0);
         for merging in [false, true] {
-            let placer = RulePlacer::new(PlacementOptions {
+            let options = PlacementOptions {
                 merging,
                 ..PlacementOptions::default()
-            });
+            };
             for case in 0..32 {
                 let inst = random_instance(&mut rng);
-                let Some(p) = placer.place(&inst, Objective::TotalRules).placement else {
+                let Some(p) = par::solve(&inst, Objective::TotalRules, &options, None).placement
+                else {
                     continue;
                 };
                 let tables = emit_tables(&inst, &p).unwrap();

@@ -35,7 +35,7 @@
 //!
 //! A route's check reads exactly its policy, its flow slice, its hops,
 //! and on each hop the entries *tagged with its ingress*, in table order
-//! ([`evaluate_route_batch`] reads nothing else: §IV-A5 tags isolate
+//! (the batched route walk reads nothing else: §IV-A5 tags isolate
 //! each policy's rules inside a shared switch). The deterministic part of
 //! the packet set — per-rule corners and pairwise intersections,
 //! quadratic in policy size — is a pure function of those inputs, so
@@ -178,9 +178,15 @@ impl SliceIndex {
     }
 }
 
-/// Batched [`evaluate_route`]: classifies all packets against each hop's
-/// table at once, returning per-packet actions identical to the scalar
-/// walk. A packet is DROPped iff some switch on the route first-matches
+/// Live batches smaller than this are scanned, not classified, on a
+/// hop whose classifier is not built yet: building one (its tuple-space
+/// layout carries a 4 KB elimination table) costs more than scanning a
+/// few packets, which is all a memo-held route replays.
+const SCAN_BELOW: usize = 64;
+
+/// Batched [`evaluate_route`] over an indexed table set: classifies all
+/// packets against each hop's table at once, returning per-packet
+/// actions identical to the scalar walk. A packet is DROPped iff some switch on the route first-matches
 /// it to a DROP entry for this route's ingress tag; a PERMIT match keeps
 /// the packet live for later hops (a downstream DROP still wins),
 /// exactly as in the scalar semantics.
@@ -193,21 +199,6 @@ impl SliceIndex {
 /// answer for a packet is the first matching cube, whatever its layout
 /// and whatever batch the packet arrives in, so both give the same
 /// verdicts.
-pub fn evaluate_route_batch(
-    tables: &[SwitchTable],
-    route: &Route,
-    packets: &[Packet],
-) -> Vec<Action> {
-    evaluate_indexed(&SliceIndex::new(tables), route, packets)
-}
-
-/// Live batches smaller than this are scanned, not classified, on a
-/// hop whose classifier is not built yet: building one (its tuple-space
-/// layout carries a 4 KB elimination table) costs more than scanning a
-/// few packets, which is all a memo-held route replays.
-const SCAN_BELOW: usize = 64;
-
-/// [`evaluate_route_batch`] over an indexed table set.
 fn evaluate_indexed(slices: &SliceIndex, route: &Route, packets: &[Packet]) -> Vec<Action> {
     let mut verdicts = vec![Action::Permit; packets.len()];
     // Indices of packets not yet dropped.
@@ -815,12 +806,12 @@ mod tests {
         for placement in &placements {
             let tables = emit_tables(&inst, placement).unwrap();
             for route in inst.routes().iter() {
-                let batched = evaluate_route_batch(&tables, route, &packets);
+                let batched = evaluate_indexed(&SliceIndex::new(&tables), route, &packets);
                 for (p, got) in packets.iter().zip(&batched) {
                     assert_eq!(*got, evaluate_route(&tables, route, p));
                 }
                 // Empty batches are a no-op.
-                assert!(evaluate_route_batch(&tables, route, &[]).is_empty());
+                assert!(evaluate_indexed(&SliceIndex::new(&tables), route, &[]).is_empty());
             }
         }
     }
@@ -887,7 +878,10 @@ mod tests {
             for (chunk, want) in packets.chunks(16).zip(scalar.chunks(16)) {
                 assert_eq!(evaluate_indexed(&slices, route, chunk), want);
             }
-            assert_eq!(evaluate_route_batch(&tables, route, &packets), scalar);
+            assert_eq!(
+                evaluate_indexed(&SliceIndex::new(&tables), route, &packets),
+                scalar
+            );
         }
     }
 
@@ -1218,7 +1212,7 @@ mod tests {
     /// disjoint flows. The solver places both policies under a capacity
     /// that spreads each over its hops; `None` if it finds no placement.
     fn two_route_deployment(seed: u64, sliced: bool) -> Option<(Instance, Vec<SwitchTable>)> {
-        use crate::placement::{PlacementOptions, PlacerEngine, RulePlacer};
+        use crate::{par, PlacementOptions, PlacerEngine};
         let mut topo = Topology::star(4);
         topo.set_uniform_capacity(10);
         let flows = [t("****0***"), t("****1***")];
@@ -1234,13 +1228,11 @@ mod tests {
             .map(|l| (EntryPortId(l), firewall(8, 16, seed, l as u64)))
             .collect();
         let inst = Instance::new(topo, routes, policies).unwrap();
-        let placer = RulePlacer::new(PlacementOptions {
+        let options = PlacementOptions {
             engine: PlacerEngine::Sat,
             ..PlacementOptions::default()
-        });
-        let placement = placer
-            .place(&inst, crate::Objective::TotalRules)
-            .placement?;
+        };
+        let placement = par::solve(&inst, crate::Objective::TotalRules, &options, None).placement?;
         let tables = emit_tables(&inst, &placement).unwrap();
         Some((inst, tables))
     }

@@ -73,7 +73,7 @@ impl Controller {
                     placement,
                     vec![(*ingress, policy.clone(), routes.clone())],
                     options,
-                    self.options.objective.clone(),
+                    self.options.objective,
                 ),
             ),
             Event::Reroute { ingress, routes } => (
@@ -85,7 +85,7 @@ impl Controller {
                     *ingress,
                     routes.clone(),
                     options,
-                    self.options.objective.clone(),
+                    self.options.objective,
                 ),
             ),
             Event::CapacityChange { switch, capacity } => {
@@ -134,7 +134,7 @@ impl Controller {
     fn full_solve(&self, instance: &Instance) -> Result<Placement, String> {
         let outcome = par::solve(
             instance,
-            self.options.objective.clone(),
+            self.options.objective,
             &self.options.placement,
             self.obs.as_ref(),
         );
@@ -284,7 +284,7 @@ impl Controller {
             placement,
             targets,
             &self.options.placement,
-            self.options.objective.clone(),
+            self.options.objective,
         )
         .ok()?;
         Some((out.instance, out.placement?))

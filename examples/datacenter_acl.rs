@@ -51,13 +51,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let instance = Instance::new(topo, routes, policies)?;
 
     for (label, merging) in [("without merging", false), ("with merging", true)] {
-        let placer = RulePlacer::new(PlacementOptions {
+        let options = PlacementOptions {
             merging,
             greedy_warm_start: true,
             ..PlacementOptions::default()
-        });
+        };
         let t = Instant::now();
-        let outcome = placer.place(&instance, Objective::TotalRules);
+        let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
         let took = t.elapsed();
         match &outcome.placement {
             None => println!("{label}: {}", outcome.status),

@@ -81,11 +81,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let instance = Instance::new(topo, routes, policies)?;
-    let placer = RulePlacer::new(PlacementOptions {
+    let options = PlacementOptions {
         greedy_warm_start: true,
         ..PlacementOptions::default()
-    });
-    let outcome = placer.place(&instance, Objective::TotalRules);
+    };
+    let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
     match outcome.placement {
         None => println!("{}", outcome.status),
         Some(p) => {

@@ -40,9 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         greedy_warm_start: true,
         ..PlacementOptions::default()
     };
-    let placer = RulePlacer::new(options.clone());
     let t = Instant::now();
-    let outcome = placer.place(&instance, Objective::TotalRules);
+    let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
     let took = t.elapsed();
     let placement = outcome.placement.expect("initial configuration feasible");
     println!(

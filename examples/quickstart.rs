@@ -39,9 +39,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let instance = Instance::new(topo, routes, vec![(l1, policy)])?;
     println!("{instance}");
 
-    let placer = RulePlacer::new(PlacementOptions::default());
     let t = std::time::Instant::now();
-    let outcome = placer.place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &PlacementOptions::default(),
+        None,
+    );
     println!(
         "solve: {} in {:?} ({} vars, {} rows, {} nodes)",
         outcome.status,

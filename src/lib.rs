@@ -28,8 +28,9 @@
 //! * [`traffic`] — deterministic Zipf-skewed flow-arrival generation
 //!   driving the TCAM rule-caching tier.
 //!
-//! The most common entry points are re-exported at the root:
-//! [`Instance`], [`RulePlacer`], [`PlacementOptions`], [`Objective`].
+//! The most common types are re-exported at the root: [`Instance`],
+//! [`PlacementOptions`], [`Objective`]. One function solves an instance:
+//! [`core::par::solve`], in the prelude as `par::solve`.
 //!
 //! ```
 //! use flowplace::prelude::*;
@@ -48,8 +49,7 @@
 //!     (Ternary::parse("0***")?, Action::Drop),
 //! ])?;
 //! let instance = Instance::new(topo, routes, vec![(EntryPortId(0), policy)])?;
-//! let outcome =
-//!     RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
+//! let outcome = par::solve(&instance, Objective::TotalRules, &PlacementOptions::default(), None);
 //! assert!(outcome.placement.is_some());
 //! # Ok(())
 //! # }
@@ -72,15 +72,15 @@ pub use flowplace_traffic as traffic;
 
 pub use flowplace_core::{
     DependencyEncoding, Instance, Objective, Placement, PlacementOptions, PlacementOutcome,
-    PlacerEngine, RulePlacer, SolveStatus,
+    PlacerEngine, SolveStatus,
 };
 
 /// Convenient glob-import of the types most programs need.
 pub mod prelude {
     pub use flowplace_acl::{Action, Packet, Policy, Rule, RuleId, Ternary};
     pub use flowplace_core::{
-        DependencyEncoding, Instance, Objective, Placement, PlacementOptions, PlacementOutcome,
-        PlacerEngine, RulePlacer, SolveStatus,
+        par, DependencyEncoding, Instance, Objective, Placement, PlacementOptions,
+        PlacementOutcome, PlacerEngine, SolveStatus,
     };
     pub use flowplace_ctrl::{Controller, CtrlOptions, CtrlStats, Event, Tier};
     pub use flowplace_obs::Obs;

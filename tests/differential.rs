@@ -153,9 +153,7 @@ fn check_fail_closed(cfg: &Config, engine: &str) -> Result<(), String> {
                 },
                 ..serial_options()
             };
-            RulePlacer::new(options)
-                .place(&instance, Objective::TotalRules)
-                .placement
+            par::solve(&instance, Objective::TotalRules, &options, None).placement
         }
         other => unreachable!("unknown engine {other}"),
     };
@@ -200,7 +198,7 @@ fn glucose_solve(cfg: &Config, db_reduction: bool) -> SatSolve {
         ..serial_options()
     };
     options.sat.db_reduction = db_reduction;
-    let out = RulePlacer::new(options).place(&instance, Objective::TotalRules);
+    let out = par::solve(&instance, Objective::TotalRules, &options, None);
     let stats = out.stats.sat.expect("SAT engine reports solver stats");
     (out.placement, out.status, out.objective, stats)
 }
@@ -278,7 +276,7 @@ fn both_encodings_are_pinned() {
                 merging,
                 ..PlacementOptions::default()
             };
-            let outcome = RulePlacer::new(options).place(&instance, Objective::TotalRules);
+            let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
             h.bytes(format!("{outcome:?}").as_bytes());
         }
     }
@@ -299,8 +297,7 @@ fn corpus_is_nontrivial() {
     let feasible = configs
         .iter()
         .filter(|c| {
-            RulePlacer::new(serial_options())
-                .place(&c.build(), Objective::TotalRules)
+            par::solve(&c.build(), Objective::TotalRules, &serial_options(), None)
                 .placement
                 .is_some()
         })

@@ -45,12 +45,12 @@ fn options(engine: PlacerEngine, merging: bool, dep: DependencyEncoding) -> Plac
 #[test]
 fn ilp_placement_verifies_on_fat_tree() {
     let instance = small_fat_tree_instance(6, 10, 0, 60, 42);
-    let outcome = RulePlacer::new(options(
-        PlacerEngine::Ilp,
-        false,
-        DependencyEncoding::Pairwise,
-    ))
-    .place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Ilp, false, DependencyEncoding::Pairwise),
+        None,
+    );
     assert_eq!(outcome.status, SolveStatus::Optimal);
     let placement = outcome.placement.unwrap();
     verify::verify_placement(&instance, &placement, 128, 1).expect("semantics preserved");
@@ -59,12 +59,12 @@ fn ilp_placement_verifies_on_fat_tree() {
 #[test]
 fn sat_placement_verifies_on_fat_tree() {
     let instance = small_fat_tree_instance(6, 10, 0, 60, 42);
-    let outcome = RulePlacer::new(options(
-        PlacerEngine::Sat,
-        false,
-        DependencyEncoding::Pairwise,
-    ))
-    .place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Sat, false, DependencyEncoding::Pairwise),
+        None,
+    );
     assert_eq!(outcome.status, SolveStatus::Feasible);
     let placement = outcome.placement.unwrap();
     verify::verify_placement(&instance, &placement, 128, 2).expect("semantics preserved");
@@ -74,27 +74,34 @@ fn sat_placement_verifies_on_fat_tree() {
 fn all_dependency_encodings_reach_same_objective() {
     let instance = small_fat_tree_instance(5, 8, 0, 25, 7);
     let mut objectives = Vec::new();
-    for dep in [
-        DependencyEncoding::Pairwise,
-        DependencyEncoding::Aggregated,
-        DependencyEncoding::Lazy,
-    ] {
-        let outcome = RulePlacer::new(options(PlacerEngine::Ilp, false, dep))
-            .place(&instance, Objective::TotalRules);
+    for dep in [DependencyEncoding::Pairwise, DependencyEncoding::Lazy] {
+        let outcome = par::solve(
+            &instance,
+            Objective::TotalRules,
+            &options(PlacerEngine::Ilp, false, dep),
+            None,
+        );
         assert_eq!(outcome.status, SolveStatus::Optimal, "encoding {dep:?}");
         objectives.push(outcome.objective.unwrap());
     }
     assert!((objectives[0] - objectives[1]).abs() < 1e-6);
-    assert!((objectives[0] - objectives[2]).abs() < 1e-6);
 }
 
 #[test]
 fn merging_never_increases_total_rules_and_verifies() {
     let instance = small_fat_tree_instance(6, 8, 4, 40, 9);
-    let plain = RulePlacer::new(options(PlacerEngine::Ilp, false, DependencyEncoding::Lazy))
-        .place(&instance, Objective::TotalRules);
-    let merged = RulePlacer::new(options(PlacerEngine::Ilp, true, DependencyEncoding::Lazy))
-        .place(&instance, Objective::TotalRules);
+    let plain = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Ilp, false, DependencyEncoding::Lazy),
+        None,
+    );
+    let merged = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Ilp, true, DependencyEncoding::Lazy),
+        None,
+    );
     let p0 = plain.placement.expect("plain feasible");
     let p1 = merged.placement.expect("merged feasible");
     assert!(
@@ -112,18 +119,18 @@ fn sat_and_ilp_agree_on_feasibility() {
     // on feasible vs infeasible at every point.
     for capacity in [2usize, 4, 8, 16, 48] {
         let instance = small_fat_tree_instance(4, 8, 0, capacity, 11);
-        let ilp = RulePlacer::new(options(
-            PlacerEngine::Ilp,
-            false,
-            DependencyEncoding::Pairwise,
-        ))
-        .place(&instance, Objective::TotalRules);
-        let sat = RulePlacer::new(options(
-            PlacerEngine::Sat,
-            false,
-            DependencyEncoding::Pairwise,
-        ))
-        .place(&instance, Objective::TotalRules);
+        let ilp = par::solve(
+            &instance,
+            Objective::TotalRules,
+            &options(PlacerEngine::Ilp, false, DependencyEncoding::Pairwise),
+            None,
+        );
+        let sat = par::solve(
+            &instance,
+            Objective::TotalRules,
+            &options(PlacerEngine::Sat, false, DependencyEncoding::Pairwise),
+            None,
+        );
         let ilp_feasible = ilp.placement.is_some();
         let sat_feasible = sat.placement.is_some();
         assert_eq!(
@@ -136,8 +143,12 @@ fn sat_and_ilp_agree_on_feasibility() {
 #[test]
 fn emitted_tables_respect_capacity() {
     let instance = small_fat_tree_instance(6, 12, 2, 30, 17);
-    let outcome = RulePlacer::new(options(PlacerEngine::Ilp, true, DependencyEncoding::Lazy))
-        .place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Ilp, true, DependencyEncoding::Lazy),
+        None,
+    );
     let Some(placement) = outcome.placement else {
         panic!("expected feasible at capacity 30");
     };
@@ -160,20 +171,20 @@ fn emitted_tables_respect_capacity() {
 #[test]
 fn distance_weighted_prefers_upstream() {
     let instance = small_fat_tree_instance(4, 8, 0, 200, 23);
-    let total = RulePlacer::new(options(
-        PlacerEngine::Ilp,
-        false,
-        DependencyEncoding::Pairwise,
-    ))
-    .place(&instance, Objective::TotalRules)
+    let total = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Ilp, false, DependencyEncoding::Pairwise),
+        None,
+    )
     .placement
     .unwrap();
-    let upstream = RulePlacer::new(options(
-        PlacerEngine::Ilp,
-        false,
-        DependencyEncoding::Pairwise,
-    ))
-    .place(&instance, Objective::DistanceWeighted)
+    let upstream = par::solve(
+        &instance,
+        Objective::DistanceWeighted,
+        &options(PlacerEngine::Ilp, false, DependencyEncoding::Pairwise),
+        None,
+    )
     .placement
     .unwrap();
     // Mean hop distance of placed rules must not increase.
@@ -210,8 +221,12 @@ fn redundancy_removal_pre_pass_preserves_outcome_feasibility() {
         reduced,
     )
     .unwrap();
-    let outcome = RulePlacer::new(options(PlacerEngine::Ilp, false, DependencyEncoding::Lazy))
-        .place(&reduced_instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &reduced_instance,
+        Objective::TotalRules,
+        &options(PlacerEngine::Ilp, false, DependencyEncoding::Lazy),
+        None,
+    );
     let placement = outcome.placement.expect("reduced instance feasible");
     verify::verify_placement(&reduced_instance, &placement, 128, 5).expect("verified");
     // And the deployment of the reduced policy equals the original
@@ -241,8 +256,12 @@ fn placement_over_full_ecmp_path_set_verifies() {
     ])
     .unwrap();
     let instance = Instance::new(topo, routes, vec![(EntryPortId(0), policy)]).unwrap();
-    let outcome =
-        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &PlacementOptions::default(),
+        None,
+    );
     let p = outcome.placement.expect("feasible");
     // The shared ingress edge switch covers all four paths with one pair.
     assert_eq!(p.total_rules(), 2);

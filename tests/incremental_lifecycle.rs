@@ -48,7 +48,7 @@ fn lifecycle_with_rolling_updates() {
         policies.push((ingress, generator.policy(12, i as u64)));
     }
     let mut instance = Instance::new(topo, routes, policies).unwrap();
-    let outcome = RulePlacer::new(options()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(&instance, Objective::TotalRules, &options(), None);
     let mut placement = outcome.placement.expect("day 0 feasible");
     verify::verify_placement(&instance, &placement, 64, 100).unwrap();
     assert_capacity_respected(&instance, &placement);

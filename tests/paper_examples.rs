@@ -35,8 +35,12 @@ fn figure3(capacity: usize) -> (Instance, EntryPortId) {
 #[test]
 fn figure3_loose_capacity_shares_everything() {
     let (instance, _) = figure3(10);
-    let outcome =
-        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &PlacementOptions::default(),
+        None,
+    );
     let p = outcome.placement.unwrap();
     assert_eq!(p.total_rules(), 3, "everything fits on the shared prefix");
     verify::verify_placement(&instance, &p, 256, 0).unwrap();
@@ -62,8 +66,12 @@ fn figure3_capacity_one_replicates_r13_like_the_paper() {
         instance.policies().map(|(l, q)| (l, q.clone())).collect(),
     )
     .unwrap();
-    let outcome =
-        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &PlacementOptions::default(),
+        None,
+    );
     let p = outcome.placement.expect("feasible");
     // r13 (RuleId(2)) must appear on both branches: once for the s3 path
     // and once for the s4/s5 path (it cannot fit on shared s1/s2 next to
@@ -77,8 +85,12 @@ fn figure3_capacity_one_replicates_r13_like_the_paper() {
 #[test]
 fn figure3_distance_weighted_places_at_ingress() {
     let (instance, l1) = figure3(10);
-    let outcome =
-        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::DistanceWeighted);
+    let outcome = par::solve(
+        &instance,
+        Objective::DistanceWeighted,
+        &PlacementOptions::default(),
+        None,
+    );
     let p = outcome.placement.unwrap();
     for r in 0..3 {
         assert_eq!(
@@ -118,8 +130,12 @@ fn figure6_path_slicing_drops_irrelevant_rules() {
     ])
     .unwrap();
     let instance = Instance::new(topo, routes, vec![(l0, policy)]).unwrap();
-    let outcome =
-        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &PlacementOptions::default(),
+        None,
+    );
     let p = outcome.placement.unwrap();
     // Optimal: rule 3 once at the shared ingress, rules 1 and 2 once
     // each (anywhere on their own route) = 3 entries; without slicing it
@@ -148,8 +164,12 @@ fn tag_isolation_between_policies() {
     let q0 = Policy::from_ordered(vec![(Ternary::parse("1***").unwrap(), Action::Drop)]).unwrap();
     let q1 = Policy::from_rules(vec![]).unwrap();
     let instance = Instance::new(topo, routes, vec![(l0, q0), (l1, q1)]).unwrap();
-    let outcome =
-        RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
+    let outcome = par::solve(
+        &instance,
+        Objective::TotalRules,
+        &PlacementOptions::default(),
+        None,
+    );
     let p = outcome.placement.unwrap();
     let tables = tables::emit_tables(&instance, &p).unwrap();
     let pkt = Packet::from_bits(0b1010, 4);

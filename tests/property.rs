@@ -305,8 +305,12 @@ fn any_feasible_ilp_placement_verifies() {
     let mut rng = StdRng::seed_from_u64(0x333);
     for case in 0..32 {
         let instance = rand_instance(&mut rng);
-        let placer = RulePlacer::new(PlacementOptions::default());
-        let outcome = placer.place(&instance, Objective::TotalRules);
+        let outcome = par::solve(
+            &instance,
+            Objective::TotalRules,
+            &PlacementOptions::default(),
+            None,
+        );
         if let Some(p) = outcome.placement {
             // Exhaustive: a pass is a proof over the full packet space.
             let result = verify::verify_placement_exhaustive(&instance, &p);
@@ -320,11 +324,11 @@ fn any_feasible_sat_placement_verifies() {
     let mut rng = StdRng::seed_from_u64(0x444);
     for case in 0..32 {
         let instance = rand_instance(&mut rng);
-        let placer = RulePlacer::new(PlacementOptions {
+        let options = PlacementOptions {
             engine: PlacerEngine::Sat,
             ..PlacementOptions::default()
-        });
-        let outcome = placer.place(&instance, Objective::TotalRules);
+        };
+        let outcome = par::solve(&instance, Objective::TotalRules, &options, None);
         if let Some(p) = outcome.placement {
             let result = verify::verify_placement(&instance, &p, 64, 98);
             assert!(result.is_ok(), "case {case}: violation: {:?}", result.err());
@@ -337,13 +341,21 @@ fn merged_placement_verifies_and_never_costs_more() {
     let mut rng = StdRng::seed_from_u64(0x555);
     for case in 0..32 {
         let instance = rand_instance(&mut rng);
-        let plain =
-            RulePlacer::new(PlacementOptions::default()).place(&instance, Objective::TotalRules);
-        let merged = RulePlacer::new(PlacementOptions {
-            merging: true,
-            ..PlacementOptions::default()
-        })
-        .place(&instance, Objective::TotalRules);
+        let plain = par::solve(
+            &instance,
+            Objective::TotalRules,
+            &PlacementOptions::default(),
+            None,
+        );
+        let merged = par::solve(
+            &instance,
+            Objective::TotalRules,
+            &PlacementOptions {
+                merging: true,
+                ..PlacementOptions::default()
+            },
+            None,
+        );
         match (plain.placement, merged.placement) {
             (Some(p0), Some(p1)) => {
                 assert!(p1.total_rules() <= p0.total_rules(), "case {case}");
@@ -374,11 +386,15 @@ fn emitted_entries_are_never_reserved() {
         let mut rng = StdRng::seed_from_u64(seed);
         for case in 0..32 {
             let instance = rand_instance(&mut rng);
-            let outcome = RulePlacer::new(PlacementOptions {
-                merging,
-                ..PlacementOptions::default()
-            })
-            .place(&instance, Objective::TotalRules);
+            let outcome = par::solve(
+                &instance,
+                Objective::TotalRules,
+                &PlacementOptions {
+                    merging,
+                    ..PlacementOptions::default()
+                },
+                None,
+            );
             let Some(p) = outcome.placement else {
                 continue;
             };
@@ -403,8 +419,12 @@ fn greedy_placement_verifies_when_it_succeeds() {
             let result = verify::verify_placement(&instance, &p, 64, 95);
             assert!(result.is_ok(), "case {case}: violation: {:?}", result.err());
             // Greedy success implies the exact engines also find solutions.
-            let ilp = RulePlacer::new(PlacementOptions::default())
-                .place(&instance, Objective::TotalRules);
+            let ilp = par::solve(
+                &instance,
+                Objective::TotalRules,
+                &PlacementOptions::default(),
+                None,
+            );
             assert!(
                 ilp.placement.is_some(),
                 "case {case}: ILP missed a greedy-feasible instance"
@@ -824,7 +844,7 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
     };
     for case in 0..64 {
         let inst = rand_instance(&mut rng);
-        let placed = RulePlacer::new(options.clone()).place(&inst, Objective::TotalRules);
+        let placed = par::solve(&inst, Objective::TotalRules, &options, None);
         let placement = placed.placement.unwrap_or_default();
         let hub = SwitchId(0);
         let leaf = |l: EntryPortId| inst.topology().entry_port(l).switch;

@@ -278,8 +278,8 @@ fn session_solves_are_deterministic_and_verified() {
             // A re-solve of the final instance repeats field for field:
             // effort statistics included, and nothing in it is a clock
             // reading.
-            let (options, objective) = (&ctrl.options().placement, &ctrl.options().objective);
-            let solve = || par::solve(ctrl.instance(), objective.clone(), options, None);
+            let (options, objective) = (&ctrl.options().placement, ctrl.options().objective);
+            let solve = || par::solve(ctrl.instance(), objective, options, None);
             let outcome = solve();
             assert_eq!(solve(), outcome, "{arm} seed {seed}");
             let proven = matches!(

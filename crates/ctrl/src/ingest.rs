@@ -105,7 +105,14 @@ impl Controller {
                 }
                 Event::Rollback => match self.epochs.rollback() {
                     Some(snap) => {
+                        // Policies, routes and placement come from the
+                        // snapshot; capacities are the hardware's, so
+                        // every switch keeps the one it has now.
+                        let capacities = instance.topology().capacities();
                         instance = snap.instance;
+                        for (s, capacity) in capacities.into_iter().enumerate() {
+                            instance.set_capacity(SwitchId(s), capacity);
+                        }
                         placement = snap.placement;
                         self.stats.rollbacks += 1;
                         EventOutcome::RolledBack {

@@ -370,9 +370,7 @@ impl Controller {
         {
             return None;
         }
-        // Runs between commits, so outages are zeroed here.
         let mut inst = instance.clone();
-        self.enforce_outage_capacities(&mut inst);
         inst.set_capacity(switch, capacity);
         let mut p = placement.clone();
         // Victims: ingresses with entries on the shrunk switch, minus

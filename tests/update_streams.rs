@@ -430,10 +430,9 @@ fn every_event_kind_reaches_every_rung_with_the_same_edit() {
     }
 }
 
-/// A rollback to a checkpoint taken before a switch failed restores the
-/// dead switch's pre-outage capacity into the working instance until
-/// the epoch's commit zeroes it again, so a shrink in that epoch that the
-/// dispatch ladder rejects reaches the delegation rescue with it. On a
+/// A rollback to a checkpoint taken before a switch failed keeps the
+/// dead switch at zero capacity, so a shrink in that epoch that the
+/// dispatch ladder rejects reaches the delegation rescue without it. On a
 /// star, ten drops of l0 ride s1-s0-s2 (capacities 5, 5, 3) and stay
 /// on s1 + s0 when s2 dies. Shrinking the hub to 0 after the rollback
 /// leaves s1 + s2 = 8 on route, so dispatch rejects it; the delegate s3
@@ -490,5 +489,34 @@ fn rescue_after_a_rollback_across_an_outage_counts_the_outage() {
         "{outcomes:?}"
     );
     assert_eq!(ctrl.stats().delegated_ok, 0);
+    ctrl.fail_closed_audit().expect("fail-closed audit");
+}
+
+/// A rollback restores policies, routes and placement, never the
+/// hardware: rolled back across a recovery, the recovered switch keeps
+/// the capacity it came back with. Here s1 fails, a checkpoint is taken
+/// during the outage, s1 recovers, and the rollback returns to that
+/// checkpoint; s1 must stay in service at its full capacity.
+#[test]
+fn rollback_across_a_recovery_keeps_the_recovered_capacity() {
+    let mut topo = Topology::linear(3);
+    topo.set_uniform_capacity(5);
+    let mut ctrl = Controller::new(
+        topo,
+        CtrlOptions {
+            batch_size: 1,
+            ..CtrlOptions::default()
+        },
+    );
+    let reports = ctrl
+        .replay_trace(
+            "install-policy l0 via l1:s0-s1-s2 rules 10**:drop:2,****:permit:1\n\
+             switch-fail s1\ncheckpoint\nswitch-recover s1\nrollback\nsolve\n",
+        )
+        .expect("trace parses");
+    assert_eq!(reports.len(), 6);
+    assert!(ctrl.out_of_service().is_empty());
+    assert_eq!(ctrl.instance().topology().capacities(), [5, 5, 5]);
+    assert_eq!(ctrl.dataplane().switch(SwitchId(1)).capacity(), 5);
     ctrl.fail_closed_audit().expect("fail-closed audit");
 }

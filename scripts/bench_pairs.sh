@@ -26,8 +26,12 @@
 # BENCHMARK.json (a share of the revision's median), `-` otherwise.
 # `throughput_events_s` is better higher, every other end-to-end metric
 # lower (as in BENCHMARK.json). Quartiles interpolate linearly between
-# order statistics. The directories are removed on
-# exit. Not part of `make ci`: a run takes minutes per workload.
+# order statistics. A last row, `failed/attempted`, gives each side's
+# failed operations over attempted ones, summed over its runs, with the
+# verdict `worse` when the working tree's share is the larger. The
+# script exits 1 after the tables if any run printed `"correct": false`.
+# The directories are removed on exit. Not part of `make ci`: a run
+# takes minutes per workload.
 set -euo pipefail
 
 usage() {
@@ -85,6 +89,14 @@ run() {
         $1 == w && ($2 in wanted) { print $2, s, $3, p }
         $1 == w && $2 == "throughput_events_s" { printf "  %s: %s %s\n", s, $3, $4 > "/dev/stderr" }
     ' >>"$results"
+    # The result object: `{"correct": ..., "attempted": N, "failed": N, ...}`.
+    printf '%s\n' "$out" | awk -v s="$side" -v flag="$work/incorrect" '
+        function field(name) { return match($0, "\"" name "\": [a-z0-9]+") ? substr($0, RSTART + length(name) + 4, RLENGTH - length(name) - 4) : "" }
+        /^\{"correct": / {
+            if (field("correct") != "true") { printf "  %s: \"correct\": %s\n", s, field("correct") > "/dev/stderr"; printf "" > flag }
+            print s, field("attempted"), field("failed")
+        }
+    ' >>"$results.ops"
 }
 
 summarize() {
@@ -139,12 +151,22 @@ summarize() {
         n = split(order, names, " ")
         for (i = 1; i <= n; i++) if (names[i] in line) print line[names[i]]
     }'
+    awk '
+        { attempted[$1] += $2; failed[$1] += $3 }
+        function share(side) { return attempted[side] ? failed[side] / attempted[side] : 0 }
+        function shown(side) { return sprintf("%.0f/%.0f = %.6g", failed[side], attempted[side], share(side)) }
+        END {
+            printf "%-20s %-34s %-34s %8s  %-3s  %5s  %s\n", "failed/attempted", shown("base"), shown("change"),
+                (share("base") ? sprintf("%.3fx", share("change") / share("base")) : "-"), "-", "-",
+                (share("change") > share("base") ? "worse" : "-")
+        }' "$results.ops"
 }
 
 for workload in "${workloads[@]}"; do
     for seed in "${seeds[@]}"; do
         results="$work/results-$workload-$seed.txt"
         : >"$results"
+        : >"$results.ops"
         for ((i = 1; i <= pairs; i++)); do
             echo "$workload, seed $seed: pair $i/$pairs" >&2
             if ((i % 2)); then
@@ -159,3 +181,7 @@ for workload in "${workloads[@]}"; do
         echo
     done
 done
+if [ -e "$work/incorrect" ]; then
+    echo "error: a run printed \"correct\": false" >&2
+    exit 1
+fi

@@ -105,16 +105,15 @@ impl Lowering for IlpLowering<'_> {
     }
 
     fn depend(&mut self, at: (EntryPortId, RuleId, SwitchId), drop: u32, permits: &[u32]) {
-        let (ingress, rule, s) = at;
-        let key = format!("{}_{}_{}", ingress.0, rule.0, s.0);
         let vw = VarId(drop as usize);
         let permits = permits.iter().map(|&v| VarId(v as usize));
         self.dep_pairs.extend(permits.clone().map(|vu| (vu, vw)));
         if self.options.dependency == DependencyEncoding::Pairwise {
+            let (ingress, rule, s) = at;
+            let name = format!("dep_{}_{}_{}", ingress.0, rule.0, s.0);
             for vu in permits {
                 let pair = vec![(vu, 1.0), (vw, -1.0)];
-                self.model
-                    .add_constraint(format!("dep_{key}"), pair, Cmp::Ge, 0.0);
+                self.model.add_constraint(name.clone(), pair, Cmp::Ge, 0.0);
             }
         }
     }

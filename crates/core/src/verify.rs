@@ -186,10 +186,10 @@ const SCAN_BELOW: usize = 64;
 
 /// Batched [`evaluate_route`] over an indexed table set: classifies all
 /// packets against each hop's table at once, returning per-packet
-/// actions identical to the scalar walk. A packet is DROPped iff some switch on the route first-matches
-/// it to a DROP entry for this route's ingress tag; a PERMIT match keeps
-/// the packet live for later hops (a downstream DROP still wins),
-/// exactly as in the scalar semantics.
+/// actions identical to the scalar walk. A packet is DROPped iff some
+/// switch on the route first-matches it to a DROP entry for this route's
+/// ingress tag; a PERMIT match keeps the packet live for later hops (a
+/// downstream DROP still wins), exactly as in the scalar semantics.
 ///
 /// A hop with fewer than 64 live packets is answered by a plain
 /// first-match scan of that hop's entries, with the width-and-mask test

@@ -23,7 +23,11 @@
 # better, and a verdict: `gain` when it did in at least 9 of 10 pairs
 # and its median is better than the revision's by more than that range,
 # `worse` when its median is worse by more than the metric's `bound` in
-# BENCHMARK.json (a share of the revision's median), `-` otherwise.
+# BENCHMARK.json (a share of the revision's median), `unresolved` when
+# neither holds and the revision's interquartile range is itself wider
+# than that bound, so the runs cannot tell a change within the bound
+# from none (unless every working-tree run is better than every
+# revision run), `-` otherwise.
 # `throughput_events_s` is better higher, every other end-to-end metric
 # lower (as in BENCHMARK.json). Quartiles interpolate linearly between
 # order statistics. A last row, `failed/attempted`, gives each side's
@@ -127,7 +131,7 @@ summarize() {
         sorted[$2, count[$2]++] = $3
         by_pair[$2, $4] = $3
     }
-    function report(   won, i, b, c, higher, mb, mc, iqr, better, verdict) {
+    function report(   won, i, b, c, higher, mb, mc, iqr, better, apart, verdict) {
         higher = (metric == "throughput_events_s")
         won = 0
         for (i = 1; i <= pairs; i++) {
@@ -137,9 +141,13 @@ summarize() {
         mb = quantile("base", 0.5); mc = quantile("change", 0.5)
         iqr = quantile("base", 0.75) - quantile("base", 0.25)
         better = higher ? mc - mb : mb - mc
+        # Every change run better than every base run (runs sort ascending).
+        apart = higher ? sorted["change", 0] > sorted["base", count["base"] - 1] \
+                       : sorted["change", count["change"] - 1] < sorted["base", 0]
         verdict = "-"
         if (10 * won >= 9 * pairs && better > iqr) verdict = "gain"
         else if ((metric in bound) && -better > bound[metric] * mb) verdict = "worse"
+        else if ((metric in bound) && iqr > bound[metric] * mb && !apart) verdict = "unresolved"
         line[metric] = sprintf("%-20s %-34s %-34s %7.3fx  %-3s  %5s  %s", metric, quartiles("base"),
             quartiles("change"), (mb == 0 ? 0 : mc / mb), ((mc - mb > iqr || mb - mc > iqr) ? "yes" : "no"),
             won "/" pairs, verdict)

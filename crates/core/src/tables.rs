@@ -27,6 +27,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use flowplace_acl::{Action, RuleId, Ternary};
 use flowplace_topo::{EntryPortId, SwitchId};
@@ -34,18 +35,137 @@ use flowplace_topo::{EntryPortId, SwitchId};
 use crate::placement::Placement;
 use crate::Instance;
 
+/// The sorted, distinct ingress tags of one [`TableEntry`] (§IV-A5).
+///
+/// Every entry but a §IV-B merged one carries exactly one tag, so one
+/// tag is held inline and only two or more are boxed: emitting,
+/// diffing, installing and caching an ordinary entry allocate nothing
+/// for it. Equality, order, hashing and `Debug` all go through the
+/// sorted sequence, exactly as for the `BTreeSet<EntryPortId>` of the
+/// same tags: [`table_order`] and every dump built on it do not depend
+/// on the representation.
+#[derive(Clone)]
+pub struct Tags(TagsRepr);
+
+/// `One` iff there is exactly one tag, else `Many`, sorted and
+/// distinct (an empty box allocates nothing).
+#[derive(Clone)]
+enum TagsRepr {
+    One(EntryPortId),
+    Many(Box<[EntryPortId]>),
+}
+
+impl Tags {
+    /// The tag set of an ordinary entry: just `ingress`.
+    pub fn one(ingress: EntryPortId) -> Tags {
+        Tags(TagsRepr::One(ingress))
+    }
+
+    fn as_slice(&self) -> &[EntryPortId] {
+        match &self.0 {
+            TagsRepr::One(tag) => std::slice::from_ref(tag),
+            TagsRepr::Many(tags) => tags,
+        }
+    }
+
+    /// The tags in ascending order.
+    pub fn iter(&self) -> std::slice::Iter<'_, EntryPortId> {
+        self.as_slice().iter()
+    }
+
+    /// Number of tags.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// True if there are no tags.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// True if `tag` is one of the tags.
+    pub fn contains(&self, tag: &EntryPortId) -> bool {
+        self.as_slice().binary_search(tag).is_ok()
+    }
+
+    /// True if the two sets share no tag.
+    pub fn is_disjoint(&self, other: &Tags) -> bool {
+        !self.iter().any(|t| other.contains(t))
+    }
+}
+
+impl FromIterator<EntryPortId> for Tags {
+    /// Sorts and deduplicates, like collecting into a `BTreeSet`.
+    fn from_iter<I: IntoIterator<Item = EntryPortId>>(iter: I) -> Tags {
+        let mut tags: Vec<EntryPortId> = iter.into_iter().collect();
+        tags.sort_unstable();
+        tags.dedup();
+        match tags[..] {
+            [tag] => Tags::one(tag),
+            _ => Tags(TagsRepr::Many(tags.into_boxed_slice())),
+        }
+    }
+}
+
+impl<const N: usize> From<[EntryPortId; N]> for Tags {
+    fn from(tags: [EntryPortId; N]) -> Tags {
+        tags.into_iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for &'a Tags {
+    type Item = &'a EntryPortId;
+    type IntoIter = std::slice::Iter<'a, EntryPortId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq for Tags {
+    fn eq(&self, other: &Tags) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for Tags {}
+
+impl PartialOrd for Tags {
+    fn partial_cmp(&self, other: &Tags) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Tags {
+    fn cmp(&self, other: &Tags) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for Tags {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for Tags {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
+    }
+}
+
 /// One tagged TCAM entry: what the emitter writes, the dataplane
 /// deploys and the cache tier holds. Identity is the full tuple — two
 /// entries that differ only in priority are distinct dataplane state —
 /// and the derived `Ord` compares `(priority, tags, match_field,
-/// action)` in that order.
+/// action)` in that order, `tags` as their sorted sequence.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TableEntry {
     /// Table priority (larger wins), assigned by the emitter.
     pub priority: u32,
     /// The ingress policies this entry applies to (≥ 2 for merged rules;
     /// §IV-D disjointness).
-    pub tags: BTreeSet<EntryPortId>,
+    pub tags: Tags,
     /// The header match field.
     pub match_field: Ternary,
     /// PERMIT or DROP.
@@ -59,7 +179,7 @@ impl TableEntry {
     pub fn safe_mode_fence(ingress: EntryPortId, width: u32) -> TableEntry {
         TableEntry {
             priority: u32::MAX,
-            tags: BTreeSet::from([ingress]),
+            tags: Tags::one(ingress),
             match_field: Ternary::any(width),
             action: Action::Drop,
         }
@@ -71,7 +191,7 @@ impl TableEntry {
     pub fn delegation_stub(ingress: EntryPortId, width: u32) -> TableEntry {
         TableEntry {
             priority: 0,
-            tags: BTreeSet::from([ingress]),
+            tags: Tags::one(ingress),
             match_field: Ternary::any(width),
             action: Action::Permit,
         }
@@ -234,7 +354,7 @@ pub fn emit_tables(
         for &s in switches {
             let entry = TableEntry {
                 priority: 0,
-                tags: [ingress].into(),
+                tags: Tags::one(ingress),
                 match_field: *r.match_field(),
                 action: r.action(),
             };
@@ -547,7 +667,7 @@ mod tests {
         let tables = emit_tables(&inst, &p).unwrap();
         let top = &tables[0].entries()[0];
         assert_eq!((top.match_field, top.action), (t("10**"), Action::Permit));
-        assert_eq!(tables[0].entries()[1].tags, BTreeSet::from([a, b]));
+        assert_eq!(tables[0].entries()[1].tags, Tags::from([a, b]));
     }
 
     /// What the constraint graph is fed on every switch: merged entries
@@ -668,6 +788,85 @@ mod tests {
             }
         }
         assert!(free > 0 && merged > 0, "{free} merge-free, {merged} merged");
+    }
+
+    /// [`Tags`] against the `BTreeSet<EntryPortId>` it stands in for,
+    /// on seeded random sets of 0–4 tags drawn with repeats: the same
+    /// order, equality, hash, `Debug`, entry `Display`, `contains`,
+    /// `len`, `is_disjoint` and iteration, and the same [`table_order`]
+    /// over random entry vectors.
+    #[test]
+    fn tags_behave_like_the_btreeset_they_replace() {
+        use std::collections::hash_map::DefaultHasher;
+        fn hash(x: &impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        fn draw(rng: &mut StdRng) -> (Tags, BTreeSet<EntryPortId>) {
+            let tags: Vec<EntryPortId> = (0..rng.gen_range(0..=4usize))
+                .map(|_| EntryPortId(rng.gen_range(0..6usize)))
+                .collect();
+            (tags.iter().copied().collect(), tags.into_iter().collect())
+        }
+        let mut rng = StdRng::seed_from_u64(0x7A65);
+        for case in 0..2000 {
+            let ((ta, sa), (tb, sb)) = (draw(&mut rng), draw(&mut rng));
+            let why = format!("case {case}: {sa:?} vs {sb:?}");
+            assert!(ta.iter().eq(&sa) && (&ta).into_iter().eq(&sa), "{why}");
+            assert_eq!(ta.len(), sa.len(), "{why}");
+            assert_eq!(ta.is_empty(), sa.is_empty(), "{why}");
+            assert_eq!(format!("{ta:?}"), format!("{sa:?}"), "{why}");
+            assert_eq!(ta.cmp(&tb), sa.cmp(&sb), "{why}");
+            assert_eq!(ta.partial_cmp(&tb), sa.partial_cmp(&sb), "{why}");
+            assert_eq!(ta == tb, sa == sb, "{why}");
+            assert_eq!(hash(&ta), hash(&sa), "{why}");
+            if ta == tb {
+                assert_eq!(hash(&ta), hash(&tb), "{why}");
+            }
+            assert_eq!(ta.is_disjoint(&tb), sa.is_disjoint(&sb), "{why}");
+            for tag in (0..6).map(EntryPortId) {
+                assert_eq!(ta.contains(&tag), sa.contains(&tag), "{why}, {tag}");
+            }
+            let entry = TableEntry {
+                priority: 7,
+                tags: ta,
+                match_field: t("1*0*"),
+                action: Action::Drop,
+            };
+            let listed: Vec<String> = sa.iter().map(ToString::to_string).collect();
+            let want = format!("[7] tags={{{}}} 1*0* DROP", listed.join(","));
+            assert_eq!(entry.to_string(), want, "{why}");
+        }
+        // Entry vectors with many ties, so the tags often decide.
+        for case in 0..300 {
+            let entries: Vec<(TableEntry, BTreeSet<EntryPortId>)> = (0..rng.gen_range(0..12))
+                .map(|_| {
+                    let (tags, set) = draw(&mut rng);
+                    let match_field = Ternary::new(2, rng.gen_range(0..4u128), 0);
+                    let action = [Action::Drop, Action::Permit][rng.gen_range(0..2usize)];
+                    let priority = rng.gen_range(0..3u32);
+                    let entry = TableEntry {
+                        priority,
+                        tags,
+                        match_field,
+                        action,
+                    };
+                    (entry, set)
+                })
+                .collect();
+            let mut by_tags: Vec<usize> = (0..entries.len()).collect();
+            by_tags.sort_by(|&i, &j| table_order(&entries[i].0, &entries[j].0));
+            let key = |(e, set): &(TableEntry, BTreeSet<EntryPortId>)| {
+                (e.priority, set.clone(), e.match_field, e.action)
+            };
+            let mut by_set: Vec<usize> = (0..entries.len()).collect();
+            by_set.sort_by(|&i, &j| {
+                let (a, b) = (key(&entries[i]), key(&entries[j]));
+                b.0.cmp(&a.0).then_with(|| a.cmp(&b))
+            });
+            assert_eq!(by_tags, by_set, "case {case}");
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::fmt;
 
 use flowplace_acl::classify::BatchClassifier;
 use flowplace_acl::{Action, Packet};
-use flowplace_core::tables::{table_order, SwitchTable, TableEntry};
+use flowplace_core::tables::{table_order, SwitchTable, TableEntry, Tags};
 use flowplace_fasthash::FnvHashMap;
 use flowplace_topo::{EntryPortId, SwitchId};
 
@@ -297,7 +297,7 @@ pub struct RuleCache {
 /// means disjoint header spaces, never an overlap).
 fn overlaps(a: &TableEntry, b: &TableEntry) -> bool {
     a.match_field.width() == b.match_field.width()
-        && a.tags.iter().any(|t| b.tags.contains(t))
+        && !a.tags.is_disjoint(&b.tags)
         && a.match_field.intersects(&b.match_field)
 }
 
@@ -617,7 +617,7 @@ impl RuleCache {
                 widths.sort_unstable();
                 widths.dedup();
                 for width in widths {
-                    let tags: BTreeSet<EntryPortId> = table
+                    let tags: Tags = table
                         .slots
                         .iter()
                         .filter(|x| x.entry.match_field.width() == width)

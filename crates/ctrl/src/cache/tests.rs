@@ -1,11 +1,10 @@
 use super::*;
 use flowplace_acl::Ternary;
-use std::collections::BTreeSet as Set;
 
 fn entry(priority: u32, bits: &str, action: Action) -> TableEntry {
     TableEntry {
         priority,
-        tags: Set::from([EntryPortId(0)]),
+        tags: Tags::one(EntryPortId(0)),
         match_field: Ternary::parse(bits).unwrap(),
         action,
     }
@@ -310,9 +309,9 @@ fn batched_matcher_agrees_with_linear_slot_scan() {
     // the old `tags ∧ width ∧ matches` linear scan picked.
     let mut c = cache(8, CachePolicy::Lru);
     let mut e3 = entry(3, "1***", Action::Drop);
-    e3.tags = Set::from([EntryPortId(1)]);
+    e3.tags = Tags::one(EntryPortId(1));
     let mut e0 = entry(0, "**", Action::Drop); // width 2: never matches width-4 packets
-    e0.tags = Set::from([EntryPortId(0), EntryPortId(1)]);
+    e0.tags = Tags::from([EntryPortId(0), EntryPortId(1)]);
     c.set_target(&[vec![
         entry(2, "10**", Action::Drop),
         entry(1, "****", Action::Permit),

@@ -487,14 +487,15 @@ impl DataPlane {
 mod tests {
     use super::*;
     use flowplace_acl::{Action, Ternary};
+    use flowplace_core::tables::Tags;
     use flowplace_rng::{Rng, StdRng};
     use flowplace_topo::EntryPortId;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeMap;
 
     fn entry(priority: u32, bits: &str, action: Action) -> TableEntry {
         TableEntry {
             priority,
-            tags: BTreeSet::from([EntryPortId(0)]),
+            tags: Tags::one(EntryPortId(0)),
             match_field: Ternary::parse(bits).unwrap(),
             action,
         }

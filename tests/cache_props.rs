@@ -14,11 +14,9 @@
 //! * **determinism** — the same seed replays byte-identically: flow
 //!   reports, cache residency dump, and dataplane dump.
 
-use std::collections::BTreeSet;
-
 use flowplace::acl::{Action, Policy, Rule, Ternary};
 use flowplace::classbench::{Generator, Profile};
-use flowplace::core::tables::TableEntry;
+use flowplace::core::tables::{TableEntry, Tags};
 use flowplace::ctrl::{CacheConfig, CachePolicy, Controller, CtrlOptions};
 use flowplace::prelude::*;
 use flowplace::traffic::{generate, TrafficConfig};
@@ -125,7 +123,7 @@ fn eviction_is_dependency_safe_for_32_seeds() {
 fn shield_entry(priority: u32, bits: &str, action: Action) -> TableEntry {
     TableEntry {
         priority,
-        tags: BTreeSet::from([EntryPortId(0)]),
+        tags: Tags::one(EntryPortId(0)),
         match_field: Ternary::parse(bits).unwrap(),
         action,
     }

@@ -909,12 +909,11 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
 /// commit check refuses, with the same error.
 #[test]
 fn op_by_op_apply_is_the_staged_transaction() {
-    use flowplace::core::tables::TableEntry;
+    use flowplace::core::tables::{TableEntry, Tags};
     use flowplace::ctrl::DataPlane;
-    use std::collections::BTreeSet;
 
     fn rand_entry(rng: &mut StdRng) -> TableEntry {
-        let tags = BTreeSet::from([EntryPortId(rng.gen_range(0..2usize))]);
+        let tags = Tags::one(EntryPortId(rng.gen_range(0..2usize)));
         let (priority, match_field, action) = match rng.gen_range(0..8u32) {
             0 => (u32::MAX, Ternary::new(WIDTH, 0, 0), Action::Drop),
             1 => (0, Ternary::new(WIDTH, 0, 0), Action::Permit),

@@ -4,8 +4,11 @@
 //! replay is byte-for-byte deterministic.
 
 use flowplace::core::tables::emit_tables;
-use flowplace::ctrl::{parse_trace, Controller, CtrlOptions, CtrlStats, EpochReport, Tier};
+use flowplace::ctrl::{
+    parse_trace, CacheConfig, Controller, CtrlOptions, CtrlStats, EpochReport, Tier,
+};
 use flowplace::prelude::*;
+use flowplace::traffic::{generate, TrafficConfig};
 
 const TRACE: &str = include_str!("../traces/controller_demo.trace");
 
@@ -134,27 +137,67 @@ fn tiny_batches_commit_more_epochs_but_converge_identically() {
     );
 }
 
+/// Appended to the demo trace by the merging test: both tenants take
+/// the same DROP, which a §IV-B merging re-solve can install once.
+const SHARED_RULE: &str = "add-rule l0 011110 drop 30\nadd-rule l1 011110 drop 30\nsolve\n";
+
 /// Op-by-op installs keep each TCAM in the emitter's order: after every
-/// epoch of the fault-free demo replay (cache tier off), each switch's
-/// deployed entries equal the tables emitted from the committed
-/// placement, element for element.
+/// epoch of the fault-free demo replay, each switch's deployed entries
+/// equal the tables emitted from the committed placement, element for
+/// element, and the cache tier's audits pass. Once as the CLI runs it
+/// (merging and cache tier off), once with §IV-B merging and the cache
+/// tier on, where the closing re-solve installs [`SHARED_RULE`] as one
+/// entry tagged with both ingresses and a flow stream then runs
+/// through the cache that holds it.
 #[test]
 fn installs_leave_every_table_in_emitter_order() {
-    let mut ctrl = fresh_controller();
-    for event in parse_trace(TRACE).expect("demo trace parses") {
-        ctrl.submit(event).expect("queue has room");
-    }
-    let mut epochs = 0;
-    while ctrl.run_epoch().expect("epoch commits").is_some() {
-        epochs += 1;
-        let tables = emit_tables(ctrl.instance(), ctrl.placement()).expect("tables emit");
-        for (s, table) in tables.iter().enumerate() {
-            assert_eq!(
-                ctrl.dataplane().switch(SwitchId(s)).entries(),
-                table.entries(),
-                "epoch {epochs}: s{s} differs from the emitted table"
-            );
+    let merging_and_cache = CtrlOptions {
+        placement: PlacementOptions {
+            merging: true,
+            ..PlacementOptions::default()
+        },
+        cache: CacheConfig {
+            enabled: true,
+            capacity: 8,
+            ..CacheConfig::default()
+        },
+        ..CtrlOptions::default()
+    };
+    for options in [CtrlOptions::default(), merging_and_cache] {
+        let merging = options.placement.merging;
+        let mut topo = Topology::linear(4);
+        topo.set_uniform_capacity(16);
+        let mut ctrl = Controller::new(topo, options);
+        for event in parse_trace(&format!("{TRACE}{SHARED_RULE}")).expect("trace parses") {
+            ctrl.submit(event).expect("queue has room");
         }
+        let (mut epochs, mut multi_tag) = (0, 0);
+        while ctrl.run_epoch().expect("epoch commits").is_some() {
+            epochs += 1;
+            let why = format!("merging {merging}, epoch {epochs}");
+            let tables = emit_tables(ctrl.instance(), ctrl.placement()).expect("tables emit");
+            for (s, table) in tables.iter().enumerate() {
+                let installed = ctrl.dataplane().switch(SwitchId(s)).entries();
+                assert_eq!(
+                    installed,
+                    table.entries(),
+                    "{why}: s{s} differs from the emitted table"
+                );
+                multi_tag += installed.iter().filter(|e| e.tags.len() >= 2).count();
+            }
+            ctrl.cache().audit().expect(&why);
+            ctrl.cache_fail_closed_audit().expect(&why);
+        }
+        assert!(epochs >= 7, "merging {merging}: only {epochs} epochs ran");
+        let flows = generate(&TrafficConfig {
+            seed: 5,
+            ingresses: 2,
+            width: 6,
+            ..TrafficConfig::default()
+        });
+        ctrl.process_flows(&flows);
+        ctrl.cache().audit().expect("after the flows");
+        ctrl.cache_fail_closed_audit().expect("after the flows");
+        assert_eq!(multi_tag > 0, merging, "{multi_tag} multi-tag entries");
     }
-    assert!(epochs >= 7, "only {epochs} epochs ran");
 }

@@ -22,9 +22,9 @@ impl Controller {
     }
 
     /// Swaps in a new cache-tier configuration: residency restarts cold
-    /// against the currently deployed tables. Lets one solved
-    /// deployment be swept across capacities and policies (the cache
-    /// benchmark) without paying the solve again.
+    /// against the currently deployed tables, without paying the solve
+    /// again. The benchmark's `flows-1k` workload restarts its cache
+    /// this way before each flow pass.
     pub fn set_cache_config(&mut self, config: CacheConfig) {
         self.options.cache = config.clone();
         self.cache = RuleCache::new(config, self.dataplane.switch_count());

@@ -1,13 +1,13 @@
-//! Regression: a fresh persistent session is indistinguishable from a
-//! one-shot solve.
+//! Regression: [`Solver::solve_with_assumptions`] with an empty
+//! assumption set is indistinguishable from [`Solver::solve`].
 //!
-//! The warm controller path keeps a persistent solver session alive and
-//! drives it through [`Solver::solve_with_assumptions`] with an empty
-//! assumption set when nothing is pinned. That call must be a perfect
-//! stand-in for [`Solver::solve`]: same verdict, same model bytes, and
-//! the exported formula must not drift between the two construction
-//! paths. A divergence here would make warm re-solves silently disagree
-//! with the cold path the differential oracle checks against.
+//! On the same formula the two calls must give the same verdict and
+//! the same model bytes, and the exported formula must not drift
+//! between the two construction paths. A planned objective descent
+//! (solve once, then tighten a bound on the same solver through
+//! `solve_with_assumptions`) starts from that call, so a divergence
+//! here would make its first step disagree with the plain solve the
+//! differential oracle checks against.
 
 use flowplace_pbsat::{Lit, SatResult, Solver};
 

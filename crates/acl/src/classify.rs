@@ -35,7 +35,7 @@
 //! widths instead). This lets the same kernel serve the controller cache,
 //! whose lookup path checks widths explicitly.
 
-use flowplace_fasthash::FnvHashMap;
+use flowplace_fasthash::WordHashMap;
 
 use crate::{Packet, Ternary};
 
@@ -113,7 +113,7 @@ fn build_tuple_layout(cubes: &[Ternary]) -> Option<TupleLayout> {
         return None;
     }
     // Probe-only map (never iterated): group id per (width, care) mask.
-    let mut by_mask: FnvHashMap<(u32, u128), usize> = FnvHashMap::default();
+    let mut by_mask: WordHashMap<(u32, u128), usize> = WordHashMap::default();
     let mut keys: Vec<GroupKey> = Vec::new();
     let mut tables: Vec<Vec<(u128, u32)>> = Vec::new();
     for (i, c) in cubes.iter().enumerate() {

@@ -5,9 +5,11 @@
 //! — policies, routes, capacities, options and objective
 //! ([`fingerprint_instance`]). Fingerprints are pure functions of the
 //! problem data — no addresses, no iteration-order dependence — so they
-//! are stable across processes and replays. The commit-time verify keys
-//! its route memo with them ([`crate::verify::VerifiedRoutes`]), and a
-//! benchmark can pin its generated inputs with them.
+//! are stable across processes and replays, and a benchmark can pin its
+//! generated inputs with them. They are byte-wise FNV-1a, frozen so
+//! that pins hold; nothing hashed only in process uses them (the
+//! verified-route memo keys its routes with the word hasher of
+//! `flowplace-fasthash`, see [`crate::verify::VerifiedRoutes`]).
 
 use flowplace_acl::Policy;
 use flowplace_topo::EntryPortId;
@@ -22,10 +24,11 @@ use crate::{Instance, Objective, PlacerEngine};
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub struct Fingerprint(pub u64);
 
-/// Incremental FNV-1a hasher over canonical little-endian words — the
-/// shared implementation from `flowplace-fasthash`, re-aliased so the
-/// fingerprint functions below read the same as ever. `finish` returns
-/// the raw `u64`; wrap it in [`Fingerprint`] at the call site.
+/// Incremental byte-wise FNV-1a hasher over canonical little-endian
+/// serializations — the shared implementation from `flowplace-fasthash`,
+/// re-aliased so the fingerprint functions below read the same as ever.
+/// `finish` returns the raw `u64`; wrap it in [`Fingerprint`] at the
+/// call site.
 type Fnv = flowplace_fasthash::Fnv64;
 
 /// Fingerprint of one policy: width plus `(care, value, action,
@@ -71,7 +74,7 @@ fn fingerprint_ingress(instance: &Instance, ingress: EntryPortId) -> Fingerprint
 
 /// Absorbs a route's flow slice: a presence byte, then width, care and
 /// value.
-pub(crate) fn hash_flow(h: &mut Fnv, flow: &Option<flowplace_acl::Ternary>) {
+fn hash_flow(h: &mut Fnv, flow: &Option<flowplace_acl::Ternary>) {
     match flow {
         None => h.bool(false),
         Some(t) => {

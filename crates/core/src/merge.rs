@@ -24,7 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use flowplace_fasthash::FnvHashMap;
+use flowplace_fasthash::WordHashMap;
 
 use flowplace_acl::{Action, Policy, Rule, RuleId, Ternary};
 use flowplace_topo::{EntryPortId, SwitchId};
@@ -72,7 +72,7 @@ pub fn find_merge_groups(instance: &Instance, candidates: &CandidateMap) -> Vec<
     // (FNV); group emission order is semantic, so the buckets are sorted
     // by key before iteration (the DESIGN.md §16 hasher policy).
     type BucketKey = (SwitchId, Ternary, Action);
-    let mut buckets: FnvHashMap<BucketKey, Vec<(EntryPortId, RuleId)>> = FnvHashMap::default();
+    let mut buckets: WordHashMap<BucketKey, Vec<(EntryPortId, RuleId)>> = WordHashMap::default();
     for (&(ingress, rule_id), entry) in candidates {
         let rule = instance
             .policy(ingress)

@@ -52,8 +52,9 @@
 
 use std::cell::OnceCell;
 use std::fmt;
+use std::hash::Hasher;
 
-use flowplace_fasthash::{Fnv64, FnvHashMap, FnvHashSet};
+use flowplace_fasthash::{WordHashMap, WordHashSet, WordHasher};
 use flowplace_rng::{Rng, StdRng};
 
 use flowplace_acl::classify::BatchClassifier;
@@ -61,7 +62,6 @@ use flowplace_acl::{Action, Packet, Ternary};
 use flowplace_routing::Route;
 use flowplace_topo::{EntryPortId, SwitchId};
 
-use crate::fingerprint::{fingerprint_policy, hash_flow};
 use crate::placement::Placement;
 use crate::tables::{emit_tables, SwitchTable, TableError};
 use crate::Instance;
@@ -141,8 +141,8 @@ pub fn evaluate_route(tables: &[SwitchTable], route: &Route, packet: &Packet) ->
 struct Slice {
     cubes: Vec<Ternary>,
     actions: Vec<Action>,
-    /// The slice's content hash as [`route_keys`] feeds it in.
-    hash: Fnv64,
+    /// The slice's content digest as [`route_keys`] feeds it in.
+    hash: WordHasher,
     /// Built for the first batch of [`SCAN_BELOW`] or more live packets,
     /// then shared by every later batch of the sweep on this slice.
     classifier: OnceCell<BatchClassifier>,
@@ -151,11 +151,11 @@ struct Slice {
 /// Every `(switch, ingress tag)` slice of a table set, indexed in one
 /// pass over the tables. A sweep builds one and reads it for both the
 /// route keys and the packet replay.
-struct SliceIndex(FnvHashMap<(usize, EntryPortId), Slice>);
+struct SliceIndex(WordHashMap<(usize, EntryPortId), Slice>);
 
 impl SliceIndex {
     fn new(tables: &[SwitchTable]) -> Self {
-        let mut slices: FnvHashMap<(usize, EntryPortId), Slice> = FnvHashMap::default();
+        let mut slices: WordHashMap<(usize, EntryPortId), Slice> = WordHashMap::default();
         for (s, table) in tables.iter().enumerate() {
             for e in table.entries() {
                 for &tag in &e.tags {
@@ -163,10 +163,10 @@ impl SliceIndex {
                     slice.cubes.push(e.match_field);
                     slice.actions.push(e.action);
                     let h = &mut slice.hash;
-                    h.u64(u64::from(e.match_field.width()));
-                    h.u128(e.match_field.care());
-                    h.u128(e.match_field.value());
-                    h.bool(e.action.is_drop());
+                    h.write_u32(e.match_field.width());
+                    h.write_u128(e.match_field.care());
+                    h.write_u128(e.match_field.value());
+                    h.write_u8(u8::from(e.action.is_drop()));
                 }
             }
         }
@@ -277,7 +277,7 @@ pub enum VerifyMode {
 fn deterministic_packets(policy: &flowplace_acl::Policy, flow: Option<&Ternary>) -> Vec<Packet> {
     let rules = policy.rules();
     let mut packets: Vec<Packet> = Vec::with_capacity(4 * rules.len());
-    let mut seen: FnvHashSet<Packet> = FnvHashSet::default();
+    let mut seen: WordHashSet<Packet> = WordHashSet::default();
     seen.reserve(4 * rules.len());
     let mut corners = |m: &Ternary| {
         let m = match flow {
@@ -321,7 +321,7 @@ struct Judged {
 /// first route checked in full with that key and replayed by every later
 /// one. Probe-only, never iterated.
 #[derive(Default)]
-struct JudgedSets(FnvHashMap<(EntryPortId, Option<Ternary>), Judged>);
+struct JudgedSets(WordHashMap<(EntryPortId, Option<Ternary>), Judged>);
 
 impl JudgedSets {
     fn get(&mut self, policy: &flowplace_acl::Policy, route: &Route) -> &Judged {
@@ -473,31 +473,55 @@ fn verify_tables_scoped(
     Ok(())
 }
 
+/// The word digest of a policy: its width and length, then per rule in
+/// priority order its id, care, value, action and priority.
+fn policy_key(policy: &flowplace_acl::Policy) -> u64 {
+    let mut h = WordHasher::default();
+    h.write_u32(policy.width());
+    h.write_usize(policy.len());
+    for (id, rule) in policy.iter() {
+        h.write_usize(id.0);
+        h.write_u128(rule.match_field().care());
+        h.write_u128(rule.match_field().value());
+        h.write_u8(u8::from(rule.action().is_drop()));
+        h.write_u32(rule.priority());
+    }
+    h.finish()
+}
+
 /// The content key of every route's verification inputs, in route
-/// order: [`fingerprint_policy`] of the ingress policy, the ingress, the
-/// flow slice, the hop sequence, and per hop the ordered `(width, care,
-/// value, is_drop)` of that switch's entries whose tags contain the
-/// ingress. Priorities are left out (renumbering a switch keeps
-/// first-match order), and so are other tenants' entries and the
-/// egress: the check reads neither.
+/// order: [`policy_key`] of the ingress policy, the ingress, the flow
+/// slice (presence, then width, care and value), the hop sequence, and
+/// per hop the ordered `(width, care, value, is_drop)` of that switch's
+/// entries whose tags contain the ingress. Priorities of entries are
+/// left out (renumbering a switch keeps first-match order), and so are
+/// other tenants' entries and the egress: the check reads neither.
 fn route_keys(instance: &Instance, slices: &SliceIndex) -> Vec<u64> {
-    let policies: FnvHashMap<EntryPortId, u64> = instance
+    let policies: WordHashMap<EntryPortId, u64> = instance
         .policies()
-        .map(|(l, q)| (l, fingerprint_policy(q).0))
+        .map(|(l, q)| (l, policy_key(q)))
         .collect();
     instance
         .routes()
         .iter()
         .map(|route| {
-            let mut h = Fnv64::new();
-            h.u64(policies[&route.ingress]);
-            h.usize(route.ingress.0);
-            hash_flow(&mut h, &route.flow);
-            h.usize(route.switches.len());
+            let mut h = WordHasher::default();
+            h.write_u64(policies[&route.ingress]);
+            h.write_usize(route.ingress.0);
+            match &route.flow {
+                None => h.write_u8(0),
+                Some(t) => {
+                    h.write_u8(1);
+                    h.write_u32(t.width());
+                    h.write_u128(t.care());
+                    h.write_u128(t.value());
+                }
+            }
+            h.write_usize(route.switches.len());
             for &s in &route.switches {
-                h.usize(s.0);
+                h.write_usize(s.0);
                 let slice = slices.get(s, route.ingress).map(|slice| slice.hash);
-                h.u64(slice.unwrap_or_default().finish());
+                h.write_u64(slice.unwrap_or_default().finish());
             }
             h.finish()
         })
@@ -511,7 +535,7 @@ fn route_keys(instance: &Instance, slices: &SliceIndex) -> Vec<u64> {
 /// empty: the first sweep verifies every route in full.
 #[derive(Clone, Debug, Default)]
 pub struct VerifiedRoutes {
-    keys: FnvHashSet<u64>,
+    keys: WordHashSet<u64>,
     routes_full: u64,
     routes_skipped: u64,
 }
@@ -1152,7 +1176,7 @@ mod tests {
                         route.flow = *flow;
                         let why = format!("width {width}, seed {seed}, l{l}, flow {flow:?}");
                         let reference = reference_route_packets(policy, &route, 0, &mut rng);
-                        let mut first = FnvHashSet::default();
+                        let mut first = WordHashSet::default();
                         let want: Vec<Packet> = (reference.iter().copied())
                             .filter(|p| first.insert(*p))
                             .collect();
@@ -1160,7 +1184,7 @@ mod tests {
                         assert_eq!(got.packets, want, "{why}");
                         let judged: Vec<Action> = want.iter().map(|p| policy.evaluate(p)).collect();
                         assert_eq!(got.expected, judged, "{why}");
-                        let unique: FnvHashSet<Packet> = got.packets.iter().copied().collect();
+                        let unique: WordHashSet<Packet> = got.packets.iter().copied().collect();
                         assert_eq!(unique.len(), got.packets.len(), "{why}: repeated packet");
                         listed += reference.len();
                         distinct += want.len();
@@ -1508,5 +1532,86 @@ mod tests {
             .expect("still correct");
         assert_eq!(memo.routes_skipped(), 2, "A's routes must ride the memo");
         check(&warm, &seen, &grown, &regrown).expect("still correct");
+    }
+
+    /// Each field a route key reads, changed alone, moves the key of a
+    /// route that reads it and no key of the other tenant: a policy
+    /// rule's care, value, action and priority; a tagged entry's width,
+    /// care, value and action; the route's flow, a hop id and the hop
+    /// count.
+    #[test]
+    fn route_keys_follow_every_field_they_read() {
+        let (inst, placement) = shared_switch_deployment();
+        let tables = emit_tables(&inst, &placement).unwrap();
+        let keys =
+            |inst: &Instance, tables: &[SwitchTable]| route_keys(inst, &SliceIndex::new(tables));
+        let base = keys(&inst, &tables);
+        // Routes 0 and 1 are A's, 2 and 3 B's. Every mutation below
+        // reaches A's route 0.
+        let moved = |why: &str, got: Vec<u64>| {
+            assert_ne!(got[0], base[0], "{why}: A's route key did not move");
+            assert_eq!(got[2..], base[2..], "{why}: B's route keys moved");
+        };
+        // On every field below bit 3 is cared and bit 0 is not, so
+        // `care | 1` widens the care alone and `value ^ 8` flips one
+        // cared value bit alone.
+        let care = |m: Ternary| Ternary::new(m.width(), m.care() | 1, m.value());
+        let value = |m: Ternary| Ternary::new(m.width(), m.care(), m.value() ^ 8);
+
+        // A's first rule (`11**` PERMIT, priority 3); ids and order kept.
+        let a = inst.policy(A).unwrap();
+        let r = *a.rule(RuleId(0));
+        let (m, action, priority) = (*r.match_field(), r.action(), r.priority());
+        for (why, rule) in [
+            ("rule care", Rule::new(care(m), action, priority)),
+            ("rule value", Rule::new(value(m), action, priority)),
+            ("rule action", Rule::new(m, action.opposite(), priority)),
+            ("rule priority", Rule::new(m, action, priority + 5)),
+        ] {
+            let mut rules = a.rules().to_vec();
+            rules[0] = rule;
+            let policy = Policy::from_rules(rules).unwrap();
+            moved(
+                why,
+                keys(&rebuilt(&inst, A, policy, inst.routes().clone()), &tables),
+            );
+        }
+
+        // An entry on s2 tagged with A alone: route 0 crosses s2, and so
+        // do both of B's routes, whose slice there excludes it.
+        let i = tables[2]
+            .entries()
+            .iter()
+            .position(|e| e.tags.len() == 1 && e.tags.contains(&A));
+        let i = i.expect("A has an entry of its own on s2");
+        let m = tables[2].entries()[i].match_field;
+        let wider = Ternary::new(m.width() + 1, m.care(), m.value());
+        for (why, field, flip) in [
+            ("entry width", wider, false),
+            ("entry care", care(m), false),
+            ("entry value", value(m), false),
+            ("entry action", m, true),
+        ] {
+            let mut entries = tables[2].entries().to_vec();
+            entries[i].match_field = field;
+            if flip {
+                entries[i].action = entries[i].action.opposite();
+            }
+            let mut mutated = tables.clone();
+            mutated[2] = SwitchTable::from_entries(entries);
+            moved(why, keys(&inst, &mutated));
+        }
+
+        // A's route 0 (s1-s0-s2): a flow slice, the last hop moved to s3,
+        // the last hop dropped.
+        let route0 = |edit: &dyn Fn(&mut Route)| {
+            let mut routes: Vec<Route> = inst.routes().iter().cloned().collect();
+            edit(&mut routes[0]);
+            let mutated = rebuilt(&inst, A, a.clone(), RouteSet::from_routes(routes));
+            keys(&mutated, &tables)
+        };
+        moved("route flow", route0(&|r| r.flow = Some(t("1***"))));
+        moved("hop id", route0(&|r| r.switches[2] = SwitchId(3)));
+        moved("hop count", route0(&|r| r.switches.truncate(2)));
     }
 }

@@ -12,7 +12,7 @@
 use std::collections::BTreeMap;
 
 use flowplace_acl::RuleId;
-use flowplace_fasthash::FnvHashSet;
+use flowplace_fasthash::WordHashSet;
 use flowplace_routing::RouteId;
 use flowplace_topo::{EntryPortId, SwitchId};
 
@@ -120,7 +120,7 @@ pub(crate) fn walk(
 
     // Eq. 2 / 7. Membership-only dedup (never iterated), so the
     // unordered FNV set is safe here.
-    let mut seen: FnvHashSet<Vec<u32>> = FnvHashSet::default();
+    let mut seen: WordHashSet<Vec<u32>> = WordHashSet::default();
     for (ingress, policy) in instance.policies() {
         for rid in instance.routes().paths_from(ingress) {
             let route = instance.routes().route(rid);

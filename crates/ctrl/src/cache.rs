@@ -53,7 +53,7 @@ use std::fmt;
 use flowplace_acl::classify::BatchClassifier;
 use flowplace_acl::{Action, Packet};
 use flowplace_core::tables::{table_order, SwitchTable, TableEntry, Tags};
-use flowplace_fasthash::FnvHashMap;
+use flowplace_fasthash::WordHashMap;
 use flowplace_topo::{EntryPortId, SwitchId};
 
 /// Pluggable eviction policy.
@@ -232,14 +232,14 @@ struct CacheTable {
     /// (never iterated), so the unordered FNV hasher is safe; the match
     /// data is immutable between target commits, so the matchers never
     /// go stale.
-    matchers: FnvHashMap<EntryPortId, TagMatcher>,
+    matchers: WordHashMap<EntryPortId, TagMatcher>,
 }
 
 impl CacheTable {
     /// Builds the per-tag matchers from the (already sorted) slots.
     fn from_slots(slots: Vec<Slot>) -> CacheTable {
-        let mut grouped: FnvHashMap<EntryPortId, (Vec<flowplace_acl::Ternary>, Vec<u32>)> =
-            FnvHashMap::default();
+        let mut grouped: WordHashMap<EntryPortId, (Vec<flowplace_acl::Ternary>, Vec<u32>)> =
+            WordHashMap::default();
         for (i, slot) in slots.iter().enumerate() {
             for &tag in &slot.entry.tags {
                 let (cubes, idx) = grouped.entry(tag).or_default();
@@ -348,7 +348,7 @@ impl RuleCache {
             // occurrence wins on duplicate entries, matching the linear
             // `find` this replaces; the map is probe-only, so the
             // unordered FNV hasher cannot leak order anywhere.
-            let mut prev_by_entry: FnvHashMap<&TableEntry, &Slot> = FnvHashMap::default();
+            let mut prev_by_entry: WordHashMap<&TableEntry, &Slot> = WordHashMap::default();
             if let Some(t) = old {
                 for s in &t.slots {
                     prev_by_entry.entry(&s.entry).or_insert(s);

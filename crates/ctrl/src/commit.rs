@@ -47,7 +47,7 @@ use std::collections::BTreeSet;
 use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
 use flowplace_core::verify::{self, VerifyMode};
 use flowplace_core::{Instance, Placement};
-use flowplace_fasthash::FnvHashSet;
+use flowplace_fasthash::WordHashSet;
 use flowplace_routing::Route;
 use flowplace_topo::{EntryPortId, SwitchId};
 
@@ -108,7 +108,7 @@ impl Controller {
         }
         let width = |l: EntryPortId| instance.policy(l).map_or(1, |p| p.width()).max(1);
         // Membership-only dedup (never iterated): unordered FNV set.
-        let mut fenced: FnvHashSet<(SwitchId, EntryPortId)> = FnvHashSet::default();
+        let mut fenced: WordHashSet<(SwitchId, EntryPortId)> = WordHashSet::default();
         for route in instance.routes().iter() {
             if !self.faults.safe_mode.contains(&route.ingress) {
                 continue;

@@ -1,7 +1,7 @@
 //! The TCAM-as-cache tier's flow path: flow streams, miss batches,
 //! cache resync and the cache's fail-closed audit.
 
-use flowplace_fasthash::FnvHashMap;
+use flowplace_fasthash::WordHashMap;
 use flowplace_routing::RouteId;
 use flowplace_topo::{EntryPortId, SwitchId};
 use flowplace_traffic::FlowEvent;
@@ -87,7 +87,7 @@ impl Controller {
         let mut punts_since_flush: u64 = 0;
         // Each ingress's routes in route order, listed once: no flow
         // changes the instance.
-        let mut paths_from: FnvHashMap<EntryPortId, Vec<RouteId>> = FnvHashMap::default();
+        let mut paths_from: WordHashMap<EntryPortId, Vec<RouteId>> = WordHashMap::default();
         for (id, route) in self.instance.routes().iter_with_ids() {
             paths_from.entry(route.ingress).or_default().push(id);
         }

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Library sources must not print, read the wall clock, or spawn threads.
+# Library sources must not print, read the wall clock, spawn threads, or
+# hash with anything but the two hashers of flowplace-fasthash.
 #
 # All output from library crates goes through flowplace-obs (spans +
 # metrics on a deterministic virtual clock) or a caller-provided Write
@@ -51,3 +52,23 @@ if [ -n "$threads" ]; then
     exit 1
 fi
 echo "no threads in library sources"
+
+# Nor hash outside the hasher policy (DESIGN.md §16): an unordered map
+# or set is a `WordHashMap` / `WordHashSet`, never a std `HashMap` /
+# `HashSet` (whose default SipHash is seeded per process and slower on
+# these keys), and byte-wise FNV-1a (`Fnv64`) serves only the persisted
+# fingerprints of crates/core/src/fingerprint.rs. crates/fasthash, which
+# defines both, and the exemptions above are left out.
+hashers=$( { grep -RnE '\bHash(Map|Set)\b' crates/*/src src/lib.rs \
+        | grep -vE '^crates/(bench|fasthash)/|^crates/[^/]+/src/bin/' || true
+    grep -RnE '\bFnv64\b' crates/*/src src/lib.rs \
+        | grep -vE '^crates/(bench|fasthash)/|^crates/[^/]+/src/bin/|^crates/core/src/fingerprint\.rs:' || true
+} )
+
+if [ -n "$hashers" ]; then
+    echo "FAIL: hashers outside the policy in library sources:" >&2
+    echo "$hashers" >&2
+    echo "Key in-process maps with WordHashMap/WordHashSet; keep Fnv64 to core::fingerprint." >&2
+    exit 1
+fi
+echo "no std-hashed maps or stray Fnv64 in library sources"

@@ -52,7 +52,7 @@
 
 use std::cell::OnceCell;
 use std::fmt;
-use std::hash::Hasher;
+use std::hash::{Hash, Hasher};
 
 use flowplace_fasthash::{WordHashMap, WordHashSet, WordHasher};
 use flowplace_rng::{Rng, StdRng};
@@ -162,11 +162,9 @@ impl SliceIndex {
                     let slice = slices.entry((s, tag)).or_default();
                     slice.cubes.push(e.match_field);
                     slice.actions.push(e.action);
-                    let h = &mut slice.hash;
-                    h.write_u32(e.match_field.width());
-                    h.write_u128(e.match_field.care());
-                    h.write_u128(e.match_field.value());
-                    h.write_u8(u8::from(e.action.is_drop()));
+                    // Width, care and value, then the action.
+                    e.match_field.hash(&mut slice.hash);
+                    e.action.hash(&mut slice.hash);
                 }
             }
         }
@@ -492,7 +490,7 @@ fn policy_key(policy: &flowplace_acl::Policy) -> u64 {
 /// The content key of every route's verification inputs, in route
 /// order: [`policy_key`] of the ingress policy, the ingress, the flow
 /// slice (presence, then width, care and value), the hop sequence, and
-/// per hop the ordered `(width, care, value, is_drop)` of that switch's
+/// per hop the ordered `(width, care, value, action)` of that switch's
 /// entries whose tags contain the ingress. Priorities of entries are
 /// left out (renumbering a switch keeps first-match order), and so are
 /// other tenants' entries and the egress: the check reads neither.
@@ -508,15 +506,7 @@ fn route_keys(instance: &Instance, slices: &SliceIndex) -> Vec<u64> {
             let mut h = WordHasher::default();
             h.write_u64(policies[&route.ingress]);
             h.write_usize(route.ingress.0);
-            match &route.flow {
-                None => h.write_u8(0),
-                Some(t) => {
-                    h.write_u8(1);
-                    h.write_u32(t.width());
-                    h.write_u128(t.care());
-                    h.write_u128(t.value());
-                }
-            }
+            route.flow.hash(&mut h);
             h.write_usize(route.switches.len());
             for &s in &route.switches {
                 h.write_usize(s.0);

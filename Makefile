@@ -24,7 +24,8 @@ clippy:
 
 ## no-raw-print: library sources must route output through flowplace-obs
 ## or a Write sink, never raw print macros (binaries are exempt), read
-## no wall clock and spawn no thread.
+## no wall clock, spawn no thread, and hash only through flowplace-fasthash
+## (no std HashMap/HashSet; Fnv64 only in core::fingerprint).
 no-raw-print:
 	./scripts/no_raw_print.sh
 

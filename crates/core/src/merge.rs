@@ -69,7 +69,7 @@ impl fmt::Display for MergeGroup {
 pub fn find_merge_groups(instance: &Instance, candidates: &CandidateMap) -> Vec<MergeGroup> {
     // Bucket candidate rules by (switch, match, action). The bucket map
     // is insert-hot and probed per candidate×switch, so it is unordered
-    // (FNV); group emission order is semantic, so the buckets are sorted
+    // (word-hashed); group emission order is semantic, so the buckets are sorted
     // by key before iteration (the DESIGN.md §16 hasher policy).
     type BucketKey = (SwitchId, Ternary, Action);
     let mut buckets: WordHashMap<BucketKey, Vec<(EntryPortId, RuleId)>> = WordHashMap::default();

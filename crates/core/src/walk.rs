@@ -119,7 +119,7 @@ pub(crate) fn walk(
         .collect();
 
     // Eq. 2 / 7. Membership-only dedup (never iterated), so the
-    // unordered FNV set is safe here.
+    // unordered word-hashed set is safe here.
     let mut seen: WordHashSet<Vec<u32>> = WordHashSet::default();
     for (ingress, policy) in instance.policies() {
         for rid in instance.routes().paths_from(ingress) {

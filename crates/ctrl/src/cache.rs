@@ -229,7 +229,7 @@ struct TagMatcher {
 struct CacheTable {
     slots: Vec<Slot>,
     /// Per-ingress-tag batched matchers over the slots. Probe-only map
-    /// (never iterated), so the unordered FNV hasher is safe; the match
+    /// (never iterated), so the unordered word hasher is safe; the match
     /// data is immutable between target commits, so the matchers never
     /// go stale.
     matchers: WordHashMap<EntryPortId, TagMatcher>,
@@ -347,7 +347,7 @@ impl RuleCache {
             // is O(1) instead of a scan per target entry. First
             // occurrence wins on duplicate entries, matching the linear
             // `find` this replaces; the map is probe-only, so the
-            // unordered FNV hasher cannot leak order anywhere.
+            // unordered word hasher cannot leak order anywhere.
             let mut prev_by_entry: WordHashMap<&TableEntry, &Slot> = WordHashMap::default();
             if let Some(t) = old {
                 for s in &t.slots {

@@ -107,7 +107,7 @@ impl Controller {
             target[s.0] = self.dataplane.switch(*s).entries().to_vec();
         }
         let width = |l: EntryPortId| instance.policy(l).map_or(1, |p| p.width()).max(1);
-        // Membership-only dedup (never iterated): unordered FNV set.
+        // Membership-only dedup (never iterated): unordered word-hashed set.
         let mut fenced: WordHashSet<(SwitchId, EntryPortId)> = WordHashSet::default();
         for route in instance.routes().iter() {
             if !self.faults.safe_mode.contains(&route.ingress) {

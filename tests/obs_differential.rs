@@ -103,7 +103,7 @@ fn demo_dumps_round_trip_and_match_committed_metrics() {
 
 /// The committed telemetry artifacts pin the dump bytes across
 /// refactors of the hot-path data structures: swapping the controller's
-/// internal hash maps (e.g. SipHash -> shared FNV) must not reorder a
+/// internal hash maps (e.g. SipHash -> FNV -> the word hasher) must not reorder a
 /// single span or metrics line. A diff here means an iteration-order
 /// dependence leaked into telemetry — a determinism bug to fix, not an
 /// artifact to regenerate.

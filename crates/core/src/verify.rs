@@ -35,7 +35,7 @@
 //!
 //! A route's check reads exactly its policy, its flow slice, its hops,
 //! and on each hop the entries *tagged with its ingress*, in table order
-//! (the batched route walk reads nothing else: §IV-A5 tags isolate
+//! (the route walk reads nothing else: §IV-A5 tags isolate
 //! each policy's rules inside a shared switch). The deterministic part of
 //! the packet set — per-rule corners and pairwise intersections,
 //! quadratic in policy size — is a pure function of those inputs, so
@@ -50,14 +50,12 @@
 //! or a fault-driven re-placement a route's key simply is or is not in
 //! the set.
 
-use std::cell::OnceCell;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use flowplace_fasthash::{WordHashMap, WordHashSet, WordHasher};
 use flowplace_rng::{Rng, StdRng};
 
-use flowplace_acl::classify::BatchClassifier;
 use flowplace_acl::{Action, Packet, Ternary};
 use flowplace_routing::Route;
 use flowplace_topo::{EntryPortId, SwitchId};
@@ -143,14 +141,11 @@ struct Slice {
     actions: Vec<Action>,
     /// The slice's content digest as [`route_keys`] feeds it in.
     hash: WordHasher,
-    /// Built for the first batch of [`SCAN_BELOW`] or more live packets,
-    /// then shared by every later batch of the sweep on this slice.
-    classifier: OnceCell<BatchClassifier>,
 }
 
 /// Every `(switch, ingress tag)` slice of a table set, indexed in one
 /// pass over the tables. A sweep builds one and reads it for both the
-/// route keys and the packet replay.
+/// route keys and the packet walk.
 struct SliceIndex(WordHashMap<(usize, EntryPortId), Slice>);
 
 impl SliceIndex {
@@ -174,77 +169,31 @@ impl SliceIndex {
     fn get(&self, switch: SwitchId, ingress: EntryPortId) -> Option<&Slice> {
         self.0.get(&(switch.0, ingress))
     }
+
+    /// The slices `route` reads, hop by hop: a hop holding no entry
+    /// tagged with the route's ingress has none and is left out.
+    fn hops<'a>(&'a self, route: &'a Route) -> impl Iterator<Item = &'a Slice> + 'a {
+        route
+            .switches
+            .iter()
+            .filter_map(|&s| self.get(s, route.ingress))
+    }
 }
 
-/// Live batches smaller than this are scanned, not classified, on a
-/// hop whose classifier is not built yet: building one (its tuple-space
-/// layout carries a 4 KB elimination table) costs more than scanning a
-/// few packets, which is all a memo-held route replays.
-const SCAN_BELOW: usize = 64;
-
-/// Batched [`evaluate_route`] over an indexed table set: classifies all
-/// packets against each hop's table at once, returning per-packet
-/// actions identical to the scalar walk. A packet is DROPped iff some
-/// switch on the route first-matches it to a DROP entry for this route's
-/// ingress tag; a PERMIT match keeps the packet live for later hops (a
-/// downstream DROP still wins), exactly as in the scalar semantics.
-///
-/// A hop with fewer than 64 live packets is answered by a plain
-/// first-match scan of that hop's entries, with the width-and-mask test
-/// of [`BatchClassifier`]'s linear path; a larger batch builds the
-/// structure-of-arrays classifier ([`flowplace_acl::classify`]) and, in
-/// a sweep, every later batch on that hop reuses it. A classifier's
-/// answer for a packet is the first matching cube, whatever its layout
-/// and whatever batch the packet arrives in, so both give the same
-/// verdicts.
-fn evaluate_indexed(slices: &SliceIndex, route: &Route, packets: &[Packet]) -> Vec<Action> {
-    let mut verdicts = vec![Action::Permit; packets.len()];
-    // Indices of packets not yet dropped.
-    let mut live: Vec<u32> = (0..packets.len() as u32).collect();
-    let mut batch: Vec<Packet> = Vec::new();
-    let mut matches: Vec<Option<usize>> = Vec::new();
-    let mut worklist: Vec<u32> = Vec::new();
-    for &s in &route.switches {
-        if live.is_empty() {
-            break;
+/// [`evaluate_route`] over a route's indexed hop slices: on each hop the
+/// first cube of the packet's width whose cared bits agree with it
+/// decides, and a DROP ends the walk; a PERMIT or no match goes on to
+/// the next hop.
+fn walk(hops: &[&Slice], packet: &Packet) -> Action {
+    let (bits, w) = (packet.bits(), packet.width());
+    let matches = |c: &Ternary| c.width() == w && (bits ^ c.value()) & c.care() == 0;
+    for slice in hops {
+        let hit = slice.cubes.iter().position(matches);
+        if hit.is_some_and(|i| slice.actions[i] == Action::Drop) {
+            return Action::Drop;
         }
-        let Some(slice) = slices.get(s, route.ingress) else {
-            continue;
-        };
-        let actions = &slice.actions;
-        match slice.classifier.get() {
-            None if live.len() < SCAN_BELOW => {
-                matches.clear();
-                matches.extend(live.iter().map(|&i| {
-                    let p = &packets[i as usize];
-                    let (bits, w) = (p.bits(), p.width());
-                    (slice.cubes.iter())
-                        .position(|c| c.width() == w && (bits ^ c.value()) & c.care() == 0)
-                }));
-            }
-            _ => {
-                let classifier = slice
-                    .classifier
-                    .get_or_init(|| BatchClassifier::new(&slice.cubes));
-                batch.clear();
-                batch.extend(live.iter().map(|&i| packets[i as usize]));
-                classifier.classify_into(&batch, &mut matches, &mut worklist);
-            }
-        }
-        let mut j = 0;
-        live.retain(|&i| {
-            let m = matches[j];
-            j += 1;
-            match m {
-                Some(ci) if actions[ci] == Action::Drop => {
-                    verdicts[i as usize] = Action::Drop;
-                    false
-                }
-                _ => true,
-            }
-        });
     }
-    verdicts
+    Action::Permit
 }
 
 /// How strictly [`verify_tables`] compares deployment with policy.
@@ -414,7 +363,9 @@ pub fn verify_tables(
 /// A route checked in full replays its policy's [`deterministic_packets`]
 /// for its flow, then its own random packets. The deterministic set and
 /// the policy's verdicts on it are built once per `(ingress, flow)` in a
-/// sweep and shared by every route with that key.
+/// sweep and shared by every route with that key. The route's hop slices
+/// are looked up once, then each packet is walked through them
+/// ([`walk`]) in draw order and judged as it goes.
 fn verify_tables_scoped(
     instance: &Instance,
     slices: &SliceIndex,
@@ -426,6 +377,7 @@ fn verify_tables_scoped(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut judged = JudgedSets::default();
     let mut packets: Vec<Packet> = Vec::new();
+    let mut hops: Vec<&Slice> = Vec::new();
     for (index, route) in instance.routes().iter().enumerate() {
         let policy = instance
             .policy(route.ingress)
@@ -442,11 +394,10 @@ fn verify_tables_scoped(
             continue;
         }
         let shared_expected = shared.map_or(&[][..], |j| j.expected.as_slice());
-        // Batched replay: one kernel pass per hop instead of a scalar
-        // table scan per packet. Violations are still reported for the
-        // first offending packet in draw order.
-        let actuals = evaluate_indexed(slices, route, &packets);
-        for (i, (&packet, actual)) in packets.iter().zip(actuals).enumerate() {
+        hops.clear();
+        hops.extend(slices.hops(route));
+        for (i, &packet) in packets.iter().enumerate() {
+            let actual = walk(&hops, &packet);
             let expected = match shared_expected.get(i) {
                 Some(&e) => e,
                 None => policy.evaluate(&packet),
@@ -796,10 +747,17 @@ mod tests {
         assert!(verify_placement_exhaustive(&inst, &bad).is_err());
     }
 
+    /// [`walk`] over each of `packets`, the route's hop slices looked up
+    /// once.
+    fn walk_all(slices: &SliceIndex, route: &Route, packets: &[Packet]) -> Vec<Action> {
+        let hops: Vec<&Slice> = slices.hops(route).collect();
+        packets.iter().map(|p| walk(&hops, p)).collect()
+    }
+
     #[test]
-    fn batched_route_evaluation_matches_scalar_exhaustively() {
-        // Every 4-bit packet through several placements: the batched
-        // kernel path must agree with the scalar per-packet walk.
+    fn walk_matches_scalar_exhaustively() {
+        // Every 4-bit packet through several placements: the walk over
+        // the indexed slices must agree with the scalar per-packet walk.
         let inst = chain_instance();
         let placements = [
             {
@@ -820,22 +778,20 @@ mod tests {
         for placement in &placements {
             let tables = emit_tables(&inst, placement).unwrap();
             for route in inst.routes().iter() {
-                let batched = evaluate_indexed(&SliceIndex::new(&tables), route, &packets);
-                for (p, got) in packets.iter().zip(&batched) {
+                let walked = walk_all(&SliceIndex::new(&tables), route, &packets);
+                for (p, got) in packets.iter().zip(&walked) {
                     assert_eq!(*got, evaluate_route(&tables, route, p));
                 }
-                // Empty batches are a no-op.
-                assert!(evaluate_indexed(&SliceIndex::new(&tables), route, &[]).is_empty());
             }
         }
     }
 
-    /// Every 8-bit packet through 20-rule prefix tables, in batches below
-    /// and above [`SCAN_BELOW`] and with the classifier built or not: the
-    /// scan, the linear classifier and the grouped tuple-space one must
-    /// each agree with the scalar walk.
+    /// Every 8-bit packet through 20-rule prefix tables — all on one hop,
+    /// or eight PERMITs upstream and everything again on the last hop —
+    /// in batches of several sizes over one index and over a fresh one:
+    /// the walk must agree with the scalar `evaluate_route`.
     #[test]
-    fn scan_and_classifier_paths_match_scalar_exhaustively() {
+    fn walk_matches_scalar_on_prefix_tables_exhaustively() {
         let mut specs = Vec::new();
         for b in 0..8u128 {
             specs.push((Ternary::new(8, 0b1111_1100, b << 2), Action::Permit)); // /6
@@ -867,35 +823,21 @@ mod tests {
             split.place(EntryPortId(0), RuleId(r), SwitchId(2));
         }
         let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
-        for placement in [&all_on_s1, &split] {
+        for (placement, slice_lens) in [(&all_on_s1, &[20][..]), (&split, &[8, 20])] {
             let tables = emit_tables(&inst, placement).unwrap();
             let scalar: Vec<Action> = (packets.iter())
                 .map(|p| evaluate_route(&tables, route, p))
                 .collect();
             assert!(scalar.contains(&Action::Drop) && scalar.contains(&Action::Permit));
             let slices = SliceIndex::new(&tables);
-            let last = slices.get(SwitchId(2), EntryPortId(0));
-            let big = slices.get(SwitchId(1), EntryPortId(0)).or(last).unwrap();
-            assert!(big.cubes.len() >= 16 && BatchClassifier::new(&big.cubes).is_grouped());
-            // Batches below the threshold on a fresh index: every hop
-            // scans.
-            let small = SCAN_BELOW - 1;
-            for (chunk, want) in packets.chunks(small).zip(scalar.chunks(small)) {
-                assert_eq!(evaluate_indexed(&slices, route, chunk), want);
+            let lens: Vec<usize> = slices.hops(route).map(|s| s.cubes.len()).collect();
+            assert_eq!(lens, slice_lens);
+            for size in [1, 16, 63, 64, 256] {
+                for (chunk, want) in packets.chunks(size).zip(scalar.chunks(size)) {
+                    assert_eq!(walk_all(&slices, route, chunk), want, "batches of {size}");
+                }
             }
-            assert!(slices.0.values().all(|s| s.classifier.get().is_none()));
-            // One batch of all 256 builds the classifiers (`split`'s
-            // upstream slice is too small to group: the linear layout)...
-            assert_eq!(evaluate_indexed(&slices, route, &packets), scalar);
-            assert!(big.classifier.get().is_some());
-            // ...which small batches then reuse.
-            for (chunk, want) in packets.chunks(16).zip(scalar.chunks(16)) {
-                assert_eq!(evaluate_indexed(&slices, route, chunk), want);
-            }
-            assert_eq!(
-                evaluate_indexed(&SliceIndex::new(&tables), route, &packets),
-                scalar
-            );
+            assert_eq!(walk_all(&SliceIndex::new(&tables), route, &packets), scalar);
         }
     }
 

@@ -1,24 +1,18 @@
-//! Batched first-match packet classification.
+//! First-match classification of one packet against a fixed
+//! priority-ordered rule list.
 //!
 //! The scalar matching path — [`Ternary::matches`] in a priority-ordered
-//! scan — is exact but does one cube probe per packet per cube. The
-//! verifier's sampled no-false-negative checks and the controller's TCAM
-//! cache both classify *many* packets against the *same* rule list, so
-//! this module amortises the scan:
+//! scan — is exact but probes every cube for every packet. The
+//! controller's TCAM cache asks the same rule list (one switch's entries
+//! for one ingress tag) about packet after packet, so [`BatchClassifier`]
+//! lays the list out once and answers
+//! [`first_match`](BatchClassifier::first_match) from one of two layouts:
 //!
-//! * Cubes are stored structure-of-arrays ([`BatchClassifier`]): the
-//!   `care`/`value` masks sit in separate contiguous vectors, so the
-//!   inner loop streams two `u128` arrays instead of chasing struct
-//!   fields.
-//! * Classification keeps a worklist of still-unmatched packets and
-//!   exits as soon as it empties — matched packets are never re-probed
-//!   by lower-priority cubes.
-//! * Before scanning the worklist, each cube is tested against OR/AND
-//!   aggregates of the live packet bits: if a cared-1 bit is 0 in every
-//!   live packet (or a cared-0 bit is 1 in every live packet) the cube
-//!   can match nothing and the whole scan is skipped in O(1).
+//! * A structure-of-arrays scan: the `care`/`value` masks sit in separate
+//!   contiguous vectors, so the loop streams two `u128` arrays instead of
+//!   chasing struct fields.
 //! * Rule lists whose cubes cluster on few distinct care masks — the
-//!   shape ClassBench-style prefix rules produce — switch to a grouped
+//!   shape ClassBench-style prefix rules produce — take a grouped
 //!   *tuple-space* layout: cubes sharing a `(width, care)` mask collapse
 //!   into one sorted value table, so a packet is classified with one
 //!   masked binary search per distinct mask instead of one probe per
@@ -32,8 +26,8 @@
 //! Semantics are identical to the scalar scan with one deliberate
 //! widening: a cube whose width differs from the packet's width simply
 //! does not match (the scalar [`Ternary::matches`] `debug_assert`s equal
-//! widths instead). This lets the same kernel serve the controller cache,
-//! whose lookup path checks widths explicitly.
+//! widths instead). This lets the cache, whose tables may mix widths,
+//! use it without checking widths itself.
 
 use flowplace_fasthash::WordHashMap;
 
@@ -237,7 +231,10 @@ fn tuple_first_match(layout: &TupleLayout, packet: &Packet) -> Option<usize> {
     }
 }
 
-/// A priority-ordered rule list laid out for batched matching.
+/// A priority-ordered rule list laid out for repeated first-match
+/// lookups. The name dates from when it also classified whole batches;
+/// the system benchmark's shadow matcher (`benchmark/src/shadow.rs`)
+/// still names it.
 ///
 /// Index `i` of the constructor's cube slice becomes verdict `Some(i)`;
 /// lower indices win, mirroring first-match semantics everywhere else in
@@ -253,12 +250,11 @@ fn tuple_first_match(layout: &TupleLayout, packet: &Packet) -> Option<usize> {
 ///     Ternary::parse("10**")?,
 ///     Ternary::parse("1***")?,
 /// ]);
-/// let verdicts = classifier.classify(&[
-///     Packet::from_bits(0b1011, 4), // first cube wins
-///     Packet::from_bits(0b1111, 4), // falls to the second
-///     Packet::from_bits(0b0000, 4), // matches nothing
-/// ]);
-/// assert_eq!(verdicts, vec![Some(0), Some(1), None]);
+/// // The first cube wins; a packet it misses falls to the second.
+/// assert_eq!(classifier.first_match(&Packet::from_bits(0b1011, 4)), Some(0));
+/// assert_eq!(classifier.first_match(&Packet::from_bits(0b1111, 4)), Some(1));
+/// // Matches nothing.
+/// assert_eq!(classifier.first_match(&Packet::from_bits(0b0000, 4)), None);
 /// # Ok(())
 /// # }
 /// ```
@@ -267,9 +263,6 @@ pub struct BatchClassifier {
     care: Vec<u128>,
     value: Vec<u128>,
     widths: Vec<u32>,
-    /// Set when every cube shares one width — the common case, and the
-    /// precondition for the aggregate prune.
-    uniform_width: Option<u32>,
     /// Tuple-space layout, present when the cube list clusters on few
     /// distinct care masks (see [`build_tuple_layout`]).
     tuple: Option<TupleLayout>,
@@ -279,36 +272,12 @@ impl BatchClassifier {
     /// Builds a classifier over `cubes` in priority order (index 0 is the
     /// highest priority).
     pub fn new(cubes: &[Ternary]) -> Self {
-        let mut care = Vec::with_capacity(cubes.len());
-        let mut value = Vec::with_capacity(cubes.len());
-        let mut widths = Vec::with_capacity(cubes.len());
-        for c in cubes {
-            care.push(c.care());
-            value.push(c.value());
-            widths.push(c.width());
-        }
-        let uniform_width = match widths.first() {
-            Some(&w) if widths.iter().all(|&x| x == w) => Some(w),
-            _ => None,
-        };
-        let tuple = build_tuple_layout(cubes);
         BatchClassifier {
-            care,
-            value,
-            widths,
-            uniform_width,
-            tuple,
+            care: cubes.iter().map(Ternary::care).collect(),
+            value: cubes.iter().map(Ternary::value).collect(),
+            widths: cubes.iter().map(Ternary::width).collect(),
+            tuple: build_tuple_layout(cubes),
         }
-    }
-
-    /// Number of cubes in the classifier.
-    pub fn len(&self) -> usize {
-        self.care.len()
-    }
-
-    /// True if the classifier holds no cubes (every packet misses).
-    pub fn is_empty(&self) -> bool {
-        self.care.is_empty()
     }
 
     /// True when the cube list clustered on few enough distinct care
@@ -318,121 +287,18 @@ impl BatchClassifier {
         self.tuple.is_some()
     }
 
-    /// Index of the highest-priority cube matching `packet`. The
-    /// single-packet entry point used by the controller cache's lookup
-    /// path: one masked binary search per distinct care mask in the
-    /// grouped layout, a structure-of-arrays scan otherwise.
+    /// Index of the highest-priority cube matching `packet`, or `None` on
+    /// a total miss: one masked binary search per distinct care mask in
+    /// the grouped layout, a structure-of-arrays scan otherwise.
     pub fn first_match(&self, packet: &Packet) -> Option<usize> {
         if let Some(layout) = &self.tuple {
             return tuple_first_match(layout, packet);
         }
-        self.linear_first_match(packet)
-    }
-
-    fn linear_first_match(&self, packet: &Packet) -> Option<usize> {
         let bits = packet.bits();
         let w = packet.width();
         (0..self.care.len())
             .find(|&i| self.widths[i] == w && (bits ^ self.value[i]) & self.care[i] == 0)
     }
-
-    /// Classifies every packet, returning for each the index of its
-    /// highest-priority matching cube (or `None` on a total miss).
-    pub fn classify(&self, packets: &[Packet]) -> Vec<Option<usize>> {
-        let mut verdicts = Vec::new();
-        let mut worklist = Vec::new();
-        self.classify_into(packets, &mut verdicts, &mut worklist);
-        verdicts
-    }
-
-    /// [`classify`](Self::classify) writing through caller-owned buffers
-    /// so a loop over many batches reuses the allocations. `verdicts` is
-    /// cleared and refilled; `worklist` is internal scratch.
-    pub fn classify_into(
-        &self,
-        packets: &[Packet],
-        verdicts: &mut Vec<Option<usize>>,
-        worklist: &mut Vec<u32>,
-    ) {
-        verdicts.clear();
-        verdicts.resize(packets.len(), None);
-        worklist.clear();
-        if packets.is_empty() || self.is_empty() {
-            return;
-        }
-        if let Some(layout) = &self.tuple {
-            for (v, p) in verdicts.iter_mut().zip(packets) {
-                *v = tuple_first_match(layout, p);
-            }
-            return;
-        }
-        worklist.extend(0..packets.len() as u32);
-
-        // Aggregate live-packet bits for the O(1) cube prune. Only
-        // meaningful when every packet and cube share one width.
-        let packets_uniform = {
-            let w = packets[0].width();
-            packets.iter().all(|p| p.width() == w).then_some(w)
-        };
-        let prune_width = match (self.uniform_width, packets_uniform) {
-            (Some(cw), Some(pw)) if cw == pw => Some(cw),
-            _ => None,
-        };
-        let (mut or_bits, mut and_bits) = aggregate(packets, worklist);
-        let mut aggregated_at = worklist.len();
-
-        for ci in 0..self.care.len() {
-            if worklist.is_empty() {
-                return; // early exit: every packet already matched
-            }
-            let care = self.care[ci];
-            let value = self.value[ci];
-            if let Some(w) = prune_width {
-                if self.widths[ci] != w {
-                    continue;
-                }
-                // A cared-1 bit that is 0 in every live packet, or a
-                // cared-0 bit that is 1 in every live packet, rules the
-                // cube out for the whole batch.
-                if value & care & !or_bits != 0 {
-                    continue;
-                }
-                if !value & care & and_bits != 0 {
-                    continue;
-                }
-            }
-            let cw = self.widths[ci];
-            worklist.retain(|&i| {
-                let p = &packets[i as usize];
-                let hit = p.width() == cw && (p.bits() ^ value) & care == 0;
-                if hit {
-                    verdicts[i as usize] = Some(ci);
-                }
-                !hit
-            });
-            // Stale aggregates stay sound (removals only shrink the OR
-            // and grow the AND, so a stale prune fires less often, never
-            // wrongly), so refresh only once the live set has halved —
-            // the total refresh cost is then O(batch), not O(cubes ×
-            // batch).
-            if worklist.len() * 2 <= aggregated_at {
-                (or_bits, and_bits) = aggregate(packets, worklist);
-                aggregated_at = worklist.len();
-            }
-        }
-    }
-}
-
-/// OR / AND of the bits of the packets named by `worklist`.
-fn aggregate(packets: &[Packet], worklist: &[u32]) -> (u128, u128) {
-    let mut or_bits = 0u128;
-    let mut and_bits = u128::MAX;
-    for &i in worklist {
-        let b = packets[i as usize].bits();
-        or_bits |= b;
-        and_bits &= b;
-    }
-    (or_bits, and_bits)
 }
 
 #[cfg(test)]
@@ -451,12 +317,16 @@ mod tests {
             .collect()
     }
 
+    /// [`BatchClassifier::first_match`] of each packet.
+    fn first_matches(classifier: &BatchClassifier, packets: &[Packet]) -> Vec<Option<usize>> {
+        packets.iter().map(|p| classifier.first_match(p)).collect()
+    }
+
     #[test]
-    fn empty_batch_and_empty_cubes() {
-        assert!(BatchClassifier::new(&[t("1*")]).classify(&[]).is_empty());
-        let p = [Packet::from_bits(0b10, 2)];
-        assert_eq!(BatchClassifier::new(&[]).classify(&p), vec![None]);
-        assert!(BatchClassifier::new(&[]).is_empty());
+    fn empty_cube_list_misses() {
+        let p = Packet::from_bits(0b10, 2);
+        assert_eq!(BatchClassifier::new(&[]).first_match(&p), None);
+        assert!(!BatchClassifier::new(&[]).is_grouped());
     }
 
     #[test]
@@ -468,7 +338,7 @@ mod tests {
             Packet::from_bits(0b0000, 4),
         ];
         assert_eq!(
-            BatchClassifier::new(&cubes).classify(&packets),
+            first_matches(&BatchClassifier::new(&cubes), &packets),
             vec![Some(0), Some(1), None]
         );
     }
@@ -477,7 +347,7 @@ mod tests {
     fn all_wildcard_cube_matches_everything_first() {
         let cubes = [t("****"), t("1***")];
         let packets: Vec<Packet> = (0..16).map(|b| Packet::from_bits(b, 4)).collect();
-        let got = BatchClassifier::new(&cubes).classify(&packets);
+        let got = first_matches(&BatchClassifier::new(&cubes), &packets);
         assert!(got.iter().all(|v| *v == Some(0)));
     }
 
@@ -486,15 +356,15 @@ mod tests {
         let cubes = [t("1*")];
         let packets = [Packet::from_bits(0b101, 3), Packet::from_bits(0b10, 2)];
         assert_eq!(
-            BatchClassifier::new(&cubes).classify(&packets),
+            first_matches(&BatchClassifier::new(&cubes), &packets),
             vec![None, Some(0)]
         );
     }
 
     #[test]
     fn exhaustive_width8_equivalence_with_scalar() {
-        // Every 8-bit packet against a structured cube list: the batch
-        // kernel must agree with the scalar priority scan everywhere.
+        // Every 8-bit packet against a structured cube list: the
+        // classifier must agree with the scalar priority scan everywhere.
         let cubes = [
             t("1010****"),
             t("10******"),
@@ -504,7 +374,7 @@ mod tests {
         ];
         let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
         assert_eq!(
-            BatchClassifier::new(&cubes).classify(&packets),
+            first_matches(&BatchClassifier::new(&cubes), &packets),
             scalar(&packets, &cubes)
         );
     }
@@ -512,41 +382,12 @@ mod tests {
     #[test]
     fn exhaustive_width8_no_default_cube() {
         // Without a trailing all-wildcard cube some packets miss; the
-        // kernel must report None exactly where the scalar scan does.
+        // classifier must report None exactly where the scalar scan does.
         let cubes = [t("11******"), t("**00****"), t("*******1")];
         let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
-        let got = BatchClassifier::new(&cubes).classify(&packets);
+        let got = first_matches(&BatchClassifier::new(&cubes), &packets);
         assert_eq!(got, scalar(&packets, &cubes));
         assert!(got.iter().any(|v| v.is_none()));
-    }
-
-    #[test]
-    fn first_match_agrees_with_batch() {
-        let cubes = [t("1010****"), t("10******"), t("*****111")];
-        let classifier = BatchClassifier::new(&cubes);
-        for b in 0..256u128 {
-            let p = Packet::from_bits(b, 8);
-            assert_eq!(
-                classifier.first_match(&p),
-                BatchClassifier::new(&cubes).classify(&[p])[0]
-            );
-        }
-    }
-
-    #[test]
-    fn classify_into_reuses_buffers() {
-        let classifier = BatchClassifier::new(&[t("1***"), t("****")]);
-        let mut verdicts = Vec::new();
-        let mut worklist = Vec::new();
-        for round in 0..3 {
-            let packets: Vec<Packet> = (0..8).map(|b| Packet::from_bits(b + round, 4)).collect();
-            classifier.classify_into(&packets, &mut verdicts, &mut worklist);
-            let want: Vec<Option<usize>> = packets
-                .iter()
-                .map(|p| [t("1***"), t("****")].iter().position(|c| c.matches(p)))
-                .collect();
-            assert_eq!(verdicts, want);
-        }
     }
 
     /// 32 prefix-style cubes over 4 distinct masks: enough sharing to
@@ -572,13 +413,10 @@ mod tests {
             "shared prefix masks must activate the tuple-space layout"
         );
         let packets: Vec<Packet> = (0..256).map(|b| Packet::from_bits(b, 8)).collect();
-        assert_eq!(classifier.classify(&packets), scalar(&packets, &cubes));
-        for p in &packets {
-            assert_eq!(
-                classifier.first_match(p),
-                cubes.iter().position(|c| c.matches(p))
-            );
-        }
+        assert_eq!(
+            first_matches(&classifier, &packets),
+            scalar(&packets, &cubes)
+        );
     }
 
     #[test]
@@ -589,7 +427,7 @@ mod tests {
         let classifier = BatchClassifier::new(&cubes);
         assert!(classifier.is_grouped());
         let packets = [Packet::from_bits(0b101, 3), Packet::from_bits(0, 8)];
-        assert_eq!(classifier.classify(&packets), vec![None, Some(0)]);
+        assert_eq!(first_matches(&classifier, &packets), vec![None, Some(0)]);
     }
 
     #[test]
@@ -650,7 +488,7 @@ mod tests {
                 "seed {seed}: pooled masks must activate grouping"
             );
             assert_eq!(
-                classifier.classify(&packets),
+                first_matches(&classifier, &packets),
                 scalar(&packets, &cubes),
                 "seed {seed} diverged (width {width}, {} cubes, {} packets)",
                 cubes.len(),
@@ -706,7 +544,7 @@ mod tests {
                 .map(|_| Packet::from_bits((next() as u128) & mask, width))
                 .collect();
             assert_eq!(
-                BatchClassifier::new(&cubes).classify(&packets),
+                first_matches(&BatchClassifier::new(&cubes), &packets),
                 scalar(&packets, &cubes),
                 "seed {seed} diverged (width {width}, {} cubes, {} packets)",
                 cubes.len(),

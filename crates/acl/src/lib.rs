@@ -13,9 +13,11 @@
 //! * [`CubeList`] — a union of ternary cubes supporting exact set
 //!   difference, used for redundancy analysis.
 //! * [`thread_arena_stats`] — counters of the per-thread scratch-buffer
-//!   pool behind the cube algebra (steady-state epochs allocate ~zero).
-//! * [`classify`] — a batched first-match classification kernel
-//!   ([`classify::BatchClassifier`]) with a structure-of-arrays layout.
+//!   pool behind the cube algebra (redundancy removal reuses its buffers
+//!   across the sharp splits of one run).
+//! * [`classify`] — single-packet first-match lookup over a fixed rule
+//!   list ([`classify::BatchClassifier`]), the controller cache's
+//!   per-tag matcher.
 //! * [`redundancy`] — exact (all-match) redundancy removal, the optional
 //!   pre-pass from the paper's Figure 4 flow chart.
 //!

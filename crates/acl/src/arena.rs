@@ -2,12 +2,17 @@
 //!
 //! The exact set operations in [`crate::CubeList`] are built on one
 //! primitive — the TCAM "sharp" split, which rewrites a cube list into a
-//! fresh buffer. Under redundancy removal and candidate rebuilds that
-//! primitive runs millions of times per epoch, and a fresh `Vec` per call
-//! dominates the allocator profile. [`CubeArena`] pools the scratch
-//! buffers so steady-state epochs allocate ~zero: a buffer is taken from
-//! the pool, used for one operation, cleared, and returned with its
-//! capacity intact.
+//! fresh buffer. Redundancy removal ([`crate::redundancy`]) runs it for
+//! every rule pair it subtracts, and a fresh `Vec` per call would make
+//! the allocator the cost. [`CubeArena`] pools the scratch buffers: a buffer
+//! is taken from the pool, used for one operation, cleared, and returned
+//! with its capacity intact, so after the first few operations of a run
+//! the pool serves every buffer.
+//!
+//! Nothing on the placement or controller path calls the cube algebra:
+//! redundancy removal is reached from `flowplace audit` and from library
+//! callers, so the `acl.arena.*` gauges read 0 on the system benchmark's
+//! workloads.
 //!
 //! There is one arena per thread, behind every `CubeList` operation
 //! (see [`crate::CubeList::subtract`]); callers never hold one. Its

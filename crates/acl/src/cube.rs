@@ -120,9 +120,8 @@ impl CubeList {
     /// Removes every packet of `other` from the set. Scratch comes from
     /// the thread-local arena.
     pub fn subtract_all(&mut self, other: &CubeList) {
-        // One scratch buffer swapped back and forth across the loop —
-        // this runs hot under candidate rebuilds, and a fresh Vec per
-        // subtracted cube showed up as allocator churn.
+        // One scratch buffer swapped back and forth across the loop,
+        // not a fresh Vec per subtracted cube.
         with_thread_arena(|arena| {
             let mut scratch = arena.take();
             for cube in &other.cubes {

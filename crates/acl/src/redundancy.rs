@@ -16,8 +16,8 @@
 //!   is the first match would receive the same action from the rules below
 //!   it (or the default PERMIT), so removing it changes nothing.
 //!
-//! The cube algebra here is the hottest allocation site in an epoch, so
-//! the pass is arena-backed: one `region`/`rest` pair of [`CubeList`]s is
+//! Every sharp split writes a fresh cube list, so the pass is
+//! arena-backed: one `region`/`rest` pair of [`CubeList`]s is
 //! re-seeded per rule (keeping its backing storage) and all sharp-split
 //! scratch comes from the thread's cube arena, so the pool stays warm
 //! from one policy to the next ([`crate::thread_arena_stats`]).

@@ -211,11 +211,11 @@ struct Slot {
     children: Vec<usize>,
 }
 
-/// Structure-of-arrays matcher for one ingress tag's slots, built once
-/// per [`RuleCache::set_target`]. Cubes keep slot order, so the kernel's
-/// first match is exactly the first matching slot carrying this tag; the
-/// kernel's width check mirrors the explicit width probe the scalar scan
-/// performed.
+/// Single-packet matcher for one ingress tag's slots, built once per
+/// [`RuleCache::set_target`] (a scan, or tuple-space groups; see
+/// [`flowplace_acl::classify`]). Cubes keep slot order, so its first
+/// match is the first matching slot carrying this tag; a cube of another
+/// width misses, as in a slot scan.
 #[derive(Clone, Debug)]
 struct TagMatcher {
     classifier: BatchClassifier,
@@ -228,7 +228,7 @@ struct TagMatcher {
 #[derive(Clone, Debug, Default)]
 struct CacheTable {
     slots: Vec<Slot>,
-    /// Per-ingress-tag batched matchers over the slots. Probe-only map
+    /// Per-ingress-tag matchers over the slots. Probe-only map
     /// (never iterated), so the unordered word hasher is safe; the match
     /// data is immutable between target commits, so the matchers never
     /// go stale.
@@ -262,9 +262,9 @@ impl CacheTable {
         CacheTable { slots, matchers }
     }
 
-    /// Index of the first slot matching `packet` for `ingress` — the
-    /// batched-kernel replacement for the linear
-    /// `tags.contains && width == && matches` scan.
+    /// Index of the first slot matching `packet` for `ingress`: the slot
+    /// the linear `tags.contains && width == && matches` scan would find,
+    /// answered by the tag's matcher.
     fn first_match(&self, ingress: EntryPortId, packet: &Packet) -> Option<usize> {
         let m = self.matchers.get(&ingress)?;
         m.classifier

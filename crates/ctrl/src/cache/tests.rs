@@ -10,6 +10,10 @@ fn entry(priority: u32, bits: &str, action: Action) -> TableEntry {
     }
 }
 
+fn t(bits: &str) -> Ternary {
+    Ternary::parse(bits).unwrap()
+}
+
 fn packet(bits: &str) -> Packet {
     let mut v = 0u128;
     for c in bits.chars() {
@@ -318,6 +322,8 @@ fn batched_matcher_agrees_with_linear_slot_scan() {
         e3,
         e0,
     ]]);
+    let matcher = &c.tables[0].matchers[&EntryPortId(0)];
+    assert!(!matcher.classifier.is_grouped());
     let slots: Vec<TableEntry> = c.tables[0].slots.iter().map(|x| x.entry.clone()).collect();
     for ingress in [EntryPortId(0), EntryPortId(1), EntryPortId(7)] {
         for bits in 0..16u128 {
@@ -331,6 +337,64 @@ fn batched_matcher_agrees_with_linear_slot_scan() {
                 c.tables[0].first_match(ingress, &p),
                 want,
                 "ingress {ingress:?} packet {bits:04b}"
+            );
+        }
+    }
+}
+
+/// The tuple-space layout behind a tag with 16 or more shared-prefix
+/// entries: with a shadowed duplicate, a width-mismatched entry, a
+/// two-tag entry and a foreign ingress, the grouped matcher must pick
+/// exactly the slot the tagged linear scan picks.
+#[test]
+fn grouped_matcher_agrees_with_linear_slot_scan() {
+    let (l0, l1) = (EntryPortId(0), EntryPortId(1));
+    let own = |m: Ternary, action| (m, action, Tags::one(l0));
+    let mut fields = vec![own(t("1***"), Action::Drop)]; // width 4
+    for b in 0..8u128 {
+        fields.push(own(Ternary::new(8, 0b1111_1100, b << 3), Action::Permit)); // /6
+    }
+    for b in 0..8u128 {
+        let action = if b % 3 == 0 {
+            Action::Permit
+        } else {
+            Action::Drop
+        };
+        fields.push(own(Ternary::new(8, 0b1110_0000, b << 5), action)); // /3
+    }
+    fields.push((t("1011****"), Action::Permit, Tags::from([l0, l1])));
+    for b in 0..4u128 {
+        fields.push(own(Ternary::new(8, 0b1100_0000, b << 6), Action::Drop)); // /2
+    }
+    // Shadowed by the first /3 (`000*****`, PERMIT) and of the opposite
+    // action: it must never win.
+    fields.push(own(t("000*****"), Action::Drop));
+    fields.push((t("0*******"), Action::Drop, Tags::one(l1)));
+    let n = fields.len() as u32;
+    let target: Vec<TableEntry> = (fields.into_iter().enumerate())
+        .map(|(i, (match_field, action, tags))| TableEntry {
+            priority: n - i as u32,
+            tags,
+            match_field,
+            action,
+        })
+        .collect();
+    let mut c = cache(8, CachePolicy::Lru);
+    c.set_target(&[target]);
+    assert!(c.tables[0].matchers[&l0].classifier.is_grouped());
+    let slots: Vec<TableEntry> = c.tables[0].slots.iter().map(|x| x.entry.clone()).collect();
+    for ingress in [l0, l1, EntryPortId(7)] {
+        for bits in 0..256u128 {
+            let p = Packet::from_bits(bits, 8);
+            let want = slots.iter().position(|e| {
+                e.tags.contains(&ingress)
+                    && e.match_field.width() == p.width()
+                    && e.match_field.matches(&p)
+            });
+            assert_eq!(
+                c.tables[0].first_match(ingress, &p),
+                want,
+                "ingress {ingress:?} packet {bits:08b}"
             );
         }
     }

@@ -16,7 +16,8 @@
 # per seed in the order given, runs PAIRS pairs (default 10) of
 # `flowplace-benchmark --workload WORKLOAD --seed SEED --seconds SECONDS`
 # (defaults 1 and 3), alternating which side runs first, and prints one
-# table per (workload, seed): per
+# table per (workload, seed), headed by REV's short hash and the working
+# tree's `git describe --always --dirty`: per
 # end-to-end metric each side's median and quartiles, the ratio of the
 # medians, whether the medians lie further apart than the revision's
 # interquartile range, in how many pairs the working tree did strictly
@@ -63,6 +64,10 @@ if ! git rev-parse --verify --quiet "$rev^{commit}" >/dev/null; then
     exit 2
 fi
 
+# The working tree as `git describe` names it (`-dirty`: uncommitted
+# edits), printed in each table header.
+tree=$(git describe --always --dirty)
+
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 mkdir "$work/base" "$work/change"
@@ -105,7 +110,7 @@ run() {
 
 summarize() {
     local workload=$1 seed=$2 results=$3
-    echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree (change)"
+    echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree at $tree (change)"
     sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" -v bounds="$bounds" '
     BEGIN {
         n = split(bounds, kv, " ")

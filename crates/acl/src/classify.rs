@@ -500,8 +500,8 @@ mod tests {
     #[test]
     fn seeded_property_equivalence_32_seeds() {
         // Deterministic xorshift-style generator: random cube lists and
-        // packet batches across 32 seeds, compared against the scalar
-        // oracle. Covers empty batches, all-wildcard cubes, and priority
+        // packets across 32 seeds, compared against the scalar oracle.
+        // Covers empty cube lists, all-wildcard cubes, and priority
         // shadowing (duplicated/overlapping cubes).
         let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
         let mut next = move || {

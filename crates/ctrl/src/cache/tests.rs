@@ -307,7 +307,7 @@ fn safe_mode_entries_are_pinned_and_exempt() {
 }
 
 #[test]
-fn batched_matcher_agrees_with_linear_slot_scan() {
+fn linear_matcher_agrees_with_linear_slot_scan() {
     // Mixed tags, overlapping matches, a width-mismatched entry, and
     // a foreign ingress: the SoA matcher must pick exactly the slot
     // the old `tags ∧ width ∧ matches` linear scan picked.

@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use flowplace_acl::Policy;
 use flowplace_routing::{Route, RouteSet};
@@ -56,11 +57,15 @@ impl std::error::Error for InstanceError {}
 /// firewall `{Q_i}` (one prioritized policy per ingress).
 ///
 /// Construct with [`Instance::new`], which validates cross-references.
+///
+/// Copy-on-write: a clone shares the topology, the routes and every
+/// policy, and an edit copies only the part it changes, so a §IV-E
+/// working copy that edits one policy costs that policy.
 #[derive(Clone, Debug)]
 pub struct Instance {
-    topology: Topology,
-    routes: RouteSet,
-    policies: BTreeMap<EntryPortId, Policy>,
+    topology: Arc<Topology>,
+    routes: Arc<RouteSet>,
+    policies: BTreeMap<EntryPortId, Arc<Policy>>,
 }
 
 impl Instance {
@@ -97,19 +102,24 @@ impl Instance {
                     Some(_) => {}
                 }
             }
-            if map.insert(l, q).is_some() {
+            if map.insert(l, Arc::new(q)).is_some() {
                 return Err(InstanceError::DuplicatePolicy(l));
             }
         }
-        let instance = Instance {
-            topology,
-            routes,
+        Instance {
+            topology: Arc::new(topology),
+            routes: Arc::new(routes),
             policies: map,
-        };
-        for route in instance.routes.iter() {
-            instance.check_route(route)?;
         }
-        Ok(instance)
+        .checked()
+    }
+
+    /// `self` if every route is valid, else the first route's error.
+    fn checked(self) -> Result<Self, InstanceError> {
+        for route in self.routes.iter() {
+            self.check_route(route)?;
+        }
+        Ok(self)
     }
 
     /// A route is valid when its ingress carries a policy and every
@@ -135,7 +145,7 @@ impl Instance {
     /// Panics if `switch` is out of range, as
     /// [`Topology::set_capacity`] does.
     pub fn set_capacity(&mut self, switch: SwitchId, capacity: usize) {
-        self.topology.set_capacity(switch, capacity);
+        Arc::make_mut(&mut self.topology).set_capacity(switch, capacity);
     }
 
     /// Attaches `policy` to `ingress`, replacing the one it holds.
@@ -163,7 +173,7 @@ impl Instance {
                 });
             }
         }
-        self.policies.insert(ingress, policy);
+        self.policies.insert(ingress, Arc::new(policy));
         Ok(())
     }
 
@@ -187,9 +197,9 @@ impl Instance {
             }
             self.check_route(route)?;
         }
-        let old = self.routes.paths_from(ingress);
-        self.routes.remove_routes(&old);
-        self.routes.extend(routes);
+        let all = Arc::make_mut(&mut self.routes);
+        all.remove_routes(&all.paths_from(ingress));
+        all.extend(routes);
         Ok(())
     }
 
@@ -205,12 +215,12 @@ impl Instance {
 
     /// The policy attached to an ingress, if any.
     pub fn policy(&self, ingress: EntryPortId) -> Option<&Policy> {
-        self.policies.get(&ingress)
+        self.policies.get(&ingress).map(|q| &**q)
     }
 
     /// Iterates over `(ingress, policy)` pairs in ingress order.
     pub fn policies(&self) -> impl Iterator<Item = (EntryPortId, &Policy)> {
-        self.policies.iter().map(|(l, q)| (*l, q))
+        self.policies.iter().map(|(l, q)| (*l, &**q))
     }
 
     /// Number of attached policies.
@@ -221,21 +231,23 @@ impl Instance {
     /// Total rules across all policies (the paper's quantity `A`, against
     /// which duplication overhead is measured).
     pub fn total_policy_rules(&self) -> usize {
-        self.policies.values().map(Policy::len).sum()
+        self.policies.values().map(|q| q.len()).sum()
     }
 
     /// Replaces the route set (used by incremental deployment when routes
-    /// change). The new routes are validated against existing policies.
+    /// change). The new routes are validated against existing policies;
+    /// the result shares the topology and the policies with `self`.
     ///
     /// # Errors
     ///
     /// Same as [`Instance::new`].
     pub fn with_routes(&self, routes: RouteSet) -> Result<Instance, InstanceError> {
-        Instance::new(
-            self.topology.clone(),
-            routes,
-            self.policies.iter().map(|(l, q)| (*l, q.clone())).collect(),
-        )
+        Instance {
+            topology: Arc::clone(&self.topology),
+            routes: Arc::new(routes),
+            policies: self.policies.clone(),
+        }
+        .checked()
     }
 }
 
@@ -335,5 +347,38 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, InstanceError::MixedWidths { .. }));
+    }
+
+    /// The copy-on-write contract the controller's per-event working
+    /// copies rely on: after a clone and a one-policy edit, the topology,
+    /// the routes and every other policy are still shared.
+    #[test]
+    fn clone_then_edit_copies_one_policy() {
+        let route = |l: usize| Route::new(EntryPortId(l), EntryPortId(0), vec![SwitchId(l + 1)]);
+        let routes = RouteSet::from_routes((0..4).map(route).collect());
+        let policies = (0..4).map(|l| (EntryPortId(l), policy())).collect();
+        let inst = Instance::new(Topology::star(4), routes, policies).unwrap();
+        let mut edited = inst.clone();
+        edited.set_policy(EntryPortId(2), policy()).unwrap();
+        assert!(Arc::ptr_eq(&inst.topology, &edited.topology));
+        assert!(Arc::ptr_eq(&inst.routes, &edited.routes));
+        for l in 0..4 {
+            let same = Arc::ptr_eq(
+                &inst.policies[&EntryPortId(l)],
+                &edited.policies[&EntryPortId(l)],
+            );
+            assert_eq!(same, l != 2, "l{l}");
+        }
+        let rerouted = inst
+            .with_routes(RouteSet::from_routes(vec![route(1)]))
+            .unwrap();
+        assert!(Arc::ptr_eq(&inst.topology, &rerouted.topology));
+        assert!((0..4).all(|l| Arc::ptr_eq(
+            &inst.policies[&EntryPortId(l)],
+            &rerouted.policies[&EntryPortId(l)]
+        )));
+        edited.set_capacity(SwitchId(0), 7);
+        assert!(!Arc::ptr_eq(&inst.topology, &edited.topology));
+        assert_eq!(inst.topology().capacities()[0], usize::MAX);
     }
 }

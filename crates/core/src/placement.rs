@@ -19,9 +19,36 @@ use crate::{Instance, Objective};
 
 pub use crate::encode_ilp::DependencyEncoding;
 
-/// One ingress's share of a [`Placement`], keyed by the full
-/// `(ingress, rule)` so the per-ingress maps chain into one ordered map.
-type IngressRules = BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>;
+/// One ingress's share of a [`Placement`]: its rules keyed by the full
+/// `(ingress, rule)` so the per-ingress maps chain into one ordered map,
+/// and how many of its entries sit on each switch, kept in step with
+/// the map so a switch load never walks it. `==` compares the map only;
+/// the counts follow from it.
+#[derive(Clone, Default)]
+struct IngressRules {
+    rules: BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>,
+    load: Vec<usize>,
+}
+
+impl IngressRules {
+    /// Places `key` on `s`, counting the entry if it is new.
+    fn insert(&mut self, key: (EntryPortId, RuleId), s: SwitchId) {
+        if self.rules.entry(key).or_default().insert(s) {
+            if self.load.len() <= s.0 {
+                self.load.resize(s.0 + 1, 0);
+            }
+            self.load[s.0] += 1;
+        }
+    }
+}
+
+impl PartialEq for IngressRules {
+    fn eq(&self, other: &Self) -> bool {
+        self.rules == other.rules
+    }
+}
+
+impl Eq for IngressRules {}
 
 /// A solved mapping from rules to switches.
 ///
@@ -47,8 +74,7 @@ impl Placement {
 
     /// Records rule `rule` of `ingress` on switch `s`.
     pub fn place(&mut self, ingress: EntryPortId, rule: RuleId, s: SwitchId) {
-        let rules = Arc::make_mut(self.placed.entry(ingress).or_default());
-        rules.entry((ingress, rule)).or_default().insert(s);
+        Arc::make_mut(self.placed.entry(ingress).or_default()).insert((ingress, rule), s);
     }
 
     /// Records that a merge group is realized (all members placed on its
@@ -62,7 +88,7 @@ impl Placement {
         static EMPTY: BTreeSet<SwitchId> = BTreeSet::new();
         let rules = self.placed.get(&ingress);
         rules
-            .and_then(|m| m.get(&(ingress, rule)))
+            .and_then(|m| m.rules.get(&(ingress, rule)))
             .unwrap_or(&EMPTY)
     }
 
@@ -73,7 +99,7 @@ impl Placement {
 
     /// Iterates over `((ingress, rule), switches)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&(EntryPortId, RuleId), &BTreeSet<SwitchId>)> {
-        self.placed.values().flat_map(|m| m.iter())
+        self.placed.values().flat_map(|m| m.rules.iter())
     }
 
     /// The realized merge groups.
@@ -85,7 +111,7 @@ impl Placement {
     /// pair counts one, except merged groups which share a single entry
     /// (the paper's quantity `B`).
     pub fn total_rules(&self) -> usize {
-        let raw: usize = self.iter().map(|(_, switches)| switches.len()).sum();
+        let raw: usize = self.placed.values().flat_map(|m| &m.load).sum();
         let saved: usize = self.merged.iter().map(|g| g.members.len() - 1).sum();
         raw - saved
     }
@@ -93,9 +119,9 @@ impl Placement {
     /// TCAM entries consumed on each switch of `instance`'s topology.
     pub fn per_switch_load(&self, instance: &Instance) -> Vec<usize> {
         let mut load = vec![0usize; instance.topology().switch_count()];
-        for (_, switches) in self.iter() {
-            for s in switches {
-                load[s.0] += 1;
+        for m in self.placed.values() {
+            for (s, &n) in m.load.iter().enumerate().filter(|(_, &n)| n > 0) {
+                load[s] += n;
             }
         }
         for g in &self.merged {
@@ -137,13 +163,16 @@ impl Placement {
         map: impl Fn(RuleId) -> Option<RuleId>,
     ) {
         if let Entry::Occupied(mut entry) = self.placed.entry(ingress) {
-            let rules = Arc::make_mut(entry.get_mut());
-            for ((l, r), switches) in rules.split_off(&(ingress, from)) {
-                if let Some(r) = map(r) {
-                    rules.insert((l, r), switches);
+            let ingress_rules = Arc::make_mut(entry.get_mut());
+            for ((l, r), switches) in ingress_rules.rules.split_off(&(ingress, from)) {
+                match map(r) {
+                    Some(r) => {
+                        ingress_rules.rules.insert((l, r), switches);
+                    }
+                    None => switches.iter().for_each(|s| ingress_rules.load[s.0] -= 1),
                 }
             }
-            if rules.is_empty() {
+            if ingress_rules.rules.is_empty() {
                 entry.remove();
             }
         }
@@ -169,9 +198,11 @@ impl Placement {
                     entry.insert(theirs);
                 }
                 Entry::Occupied(mut entry) => {
-                    let rules = Arc::make_mut(entry.get_mut());
-                    for (key, switches) in Arc::unwrap_or_clone(theirs) {
-                        rules.entry(key).or_default().extend(switches);
+                    let ingress_rules = Arc::make_mut(entry.get_mut());
+                    for (key, switches) in Arc::unwrap_or_clone(theirs).rules {
+                        switches
+                            .into_iter()
+                            .for_each(|s| ingress_rules.insert(key, s));
                     }
                 }
             }

@@ -203,12 +203,14 @@ impl Controller {
             }
         }
         let mut affected = torn.clone();
-        for ((ingress, _), switches) in placement.iter() {
-            if switches
-                .iter()
-                .any(|s| self.faults.unmanageable.contains_key(s))
-            {
-                affected.insert(*ingress);
+        if !self.faults.unmanageable.is_empty() {
+            for ((ingress, _), switches) in placement.iter() {
+                if switches
+                    .iter()
+                    .any(|s| self.faults.unmanageable.contains_key(s))
+                {
+                    affected.insert(*ingress);
+                }
             }
         }
         // Invariant: a safe-mode ingress has no placed entries (a
@@ -221,12 +223,14 @@ impl Controller {
         // must re-place before the commit check would reject the epoch.
         let load = placement.per_switch_load(instance);
         let capacities = instance.topology().capacities();
-        for ((ingress, _), switches) in placement.iter() {
-            if switches
-                .iter()
-                .any(|s| load.get(s.0).copied().unwrap_or(0) > capacities[s.0])
-            {
-                affected.insert(*ingress);
+        if load.iter().zip(&capacities).any(|(l, c)| l > c) {
+            for ((ingress, _), switches) in placement.iter() {
+                if switches
+                    .iter()
+                    .any(|s| load.get(s.0).copied().unwrap_or(0) > capacities[s.0])
+                {
+                    affected.insert(*ingress);
+                }
             }
         }
         if lift {

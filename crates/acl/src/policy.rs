@@ -193,8 +193,7 @@ impl Policy {
     ///
     /// Panics if `id` is out of range.
     pub fn without_rule(&self, id: RuleId) -> Policy {
-        let mut rules = self.rules.clone();
-        rules.remove(id.0);
+        let rules = [&self.rules[..id.0], &self.rules[id.0 + 1..]].concat();
         Policy {
             rules,
             width: self.width,
@@ -207,7 +206,8 @@ impl Policy {
     ///
     /// Same as [`Policy::from_rules`].
     pub fn with_rule(&self, rule: Rule) -> Result<Policy, PolicyError> {
-        let mut rules = self.rules.clone();
+        let mut rules = Vec::with_capacity(self.rules.len() + 1);
+        rules.extend_from_slice(&self.rules);
         rules.push(rule);
         Policy::from_rules(rules)
     }

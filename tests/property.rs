@@ -12,8 +12,9 @@
 //! * the model's edit methods equal the whole-model rebuilds they
 //!   replaced, and the named §IV-E operations are those edits in front
 //!   of the one restricted re-solve;
-//! * the copy-on-write `Placement` reads as one flat map under any
-//!   sequence of its edits, and a clone never sees a later edit;
+//! * the copy-on-write `Placement` and `Instance` read as their flat
+//!   models under any sequence of their edits, and a clone never sees a
+//!   later edit;
 //! * a table diff sent op by op is the staged transaction;
 //! * emitted tables never hold a reserved-bank entry.
 //!
@@ -644,6 +645,142 @@ mod flat {
     }
 }
 
+/// The flat model an [`Instance`] must behave as: every part owned
+/// outright. Its derived `Debug` is the text `Instance`'s own must print.
+mod flat_instance {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    #[derive(Clone, Debug)]
+    pub struct Instance {
+        pub topology: Topology,
+        pub routes: RouteSet,
+        pub policies: BTreeMap<EntryPortId, Policy>,
+    }
+
+    impl Instance {
+        /// What [`Instance::new`](super::Instance::new) makes of the model.
+        pub fn rebuild(&self) -> Result<super::Instance, InstanceError> {
+            let policies = self.policies.iter().map(|(l, q)| (*l, q.clone()));
+            let routes = self.routes.clone();
+            super::Instance::new(self.topology.clone(), routes, policies.collect())
+        }
+    }
+}
+
+/// Asserts that `p` reads exactly as the flat model `m` through every
+/// accessor and its `Debug` text.
+fn assert_instance_reads_as(p: &Instance, m: &flat_instance::Instance, what: &str) {
+    let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
+    assert_eq!(
+        debug(p.topology()),
+        debug(&m.topology),
+        "{what}: topology()"
+    );
+    assert_eq!(debug(p.routes()), debug(&m.routes), "{what}: routes()");
+    for l in (0..=m.topology.entry_port_count()).map(EntryPortId) {
+        let want = m.policies.get(&l);
+        assert_eq!(debug(&p.policy(l)), debug(&want), "{what}: policy({l})");
+    }
+    let got: Vec<_> = p.policies().map(|(l, q)| (l, q.clone())).collect();
+    let want: Vec<_> = m.policies.iter().map(|(l, q)| (*l, q.clone())).collect();
+    assert_eq!(debug(&got), debug(&want), "{what}: policies()");
+    let rules: usize = m.policies.values().map(Policy::len).sum();
+    assert_eq!(p.total_policy_rules(), rules, "{what}: total_policy_rules");
+    assert_eq!(format!("{p:?}"), format!("{m:?}"), "{what}: Debug");
+    assert_eq!(format!("{p:#?}"), format!("{m:#?}"), "{what}: pretty Debug");
+}
+
+/// Model-based check of the copy-on-write [`Instance`]: seeded random
+/// sequences of its edits against the flat model, with a clone taken
+/// before every edit that must not see it. An edit is accepted exactly
+/// when [`Instance::new`] accepts the edited model.
+#[test]
+fn instance_behaves_as_the_flat_instance() {
+    let mut rng = StdRng::seed_from_u64(0x1A57);
+    let narrow = Policy::from_ordered(vec![(Ternary::new(4, 0, 0), Action::Drop)]).unwrap();
+    for case in 0..32 {
+        let mut p = rand_instance(&mut rng);
+        let mut m = flat_instance::Instance {
+            topology: p.topology().clone(),
+            routes: p.routes().clone(),
+            policies: p.policies().map(|(l, q)| (l, q.clone())).collect(),
+        };
+        let ports = m.topology.entry_port_count();
+        let switches = m.topology.switch_count();
+        // A one-hop route from `l`; one in ten visits a switch the
+        // topology lacks.
+        let route = |rng: &mut StdRng, l: EntryPortId| {
+            let s = if rng.gen_bool(0.1) {
+                switches
+            } else {
+                rng.gen_range(0..switches)
+            };
+            Route::new(l, EntryPortId(0), vec![SwitchId(s)])
+        };
+        for step in 0..24 {
+            let before = (p.clone(), m.clone());
+            let mut edited = m.clone();
+            let (op, got) = match rng.gen_range(0..4u32) {
+                0 => {
+                    let s = SwitchId(rng.gen_range(0..switches));
+                    let capacity = rng.gen_range(0..20usize);
+                    p.set_capacity(s, capacity);
+                    edited.topology.set_capacity(s, capacity);
+                    ("set_capacity", Ok(()))
+                }
+                1 => {
+                    // Now and then an unknown ingress or a width the
+                    // others do not share.
+                    let l = EntryPortId(rng.gen_range(0..=ports));
+                    let q = if rng.gen_bool(0.1) {
+                        narrow.clone()
+                    } else {
+                        rand_policy(&mut rng, 6)
+                    };
+                    edited.policies.insert(l, q.clone());
+                    ("set_policy", p.set_policy(l, q))
+                }
+                2 => {
+                    // The egress port holds no policy until one is set.
+                    let l = EntryPortId(rng.gen_range(0..ports));
+                    let n = rng.gen_range(0..3usize);
+                    let routes: Vec<Route> = (0..n).map(|_| route(&mut rng, l)).collect();
+                    let kept = m.routes.iter().filter(|r| r.ingress != l);
+                    edited.routes = kept.chain(&routes).cloned().collect();
+                    ("set_routes_from", p.set_routes_from(l, routes))
+                }
+                _ => {
+                    let ingresses: Vec<EntryPortId> = m.policies.keys().copied().collect();
+                    let routes: RouteSet = (0..rng.gen_range(0..4usize))
+                        .map(|_| {
+                            let l = if rng.gen_bool(0.9) {
+                                ingresses[rng.gen_range(0..ingresses.len())]
+                            } else {
+                                EntryPortId(ports - 1)
+                            };
+                            route(&mut rng, l)
+                        })
+                        .collect();
+                    edited.routes = routes.clone();
+                    let got = p.with_routes(routes).map(|rerouted| p = rerouted);
+                    let want = edited.rebuild().err();
+                    let what = format!("case {case} step {step} with_routes");
+                    assert_eq!(got.clone().err(), want, "{what}: error");
+                    ("with_routes", got)
+                }
+            };
+            let what = format!("case {case} step {step} {op}");
+            assert_eq!(got.is_ok(), edited.rebuild().is_ok(), "{what}: accepted");
+            if got.is_ok() {
+                m = edited;
+            }
+            assert_instance_reads_as(&p, &m, &what);
+            assert_instance_reads_as(&before.0, &before.1, &format!("{what}: clone"));
+        }
+    }
+}
+
 /// Asserts that `p` reads exactly as the flat model `m` through every
 /// accessor, its `==` and its `Debug` text.
 fn assert_reads_as(p: &Placement, m: &flat::Placement, instance: &Instance, what: &str) {
@@ -709,7 +846,9 @@ fn rand_merge(rng: &mut StdRng, m: &flat::Placement) -> Option<MergeGroup> {
 /// before every edit that must not see it.
 #[test]
 fn placement_behaves_as_the_flat_map() {
-    let mut topo = Topology::star(3);
+    // Six switches, of which the edits touch four: per-ingress counts
+    // stop short of the topology, each at its own length.
+    let mut topo = Topology::star(5);
     topo.set_uniform_capacity(64);
     let instance = Instance::new(topo, RouteSet::new(), Vec::new()).expect("valid instance");
     let mut rng = StdRng::seed_from_u64(0xC0C0);

@@ -9,8 +9,8 @@
 //! * native pseudo-Boolean constraints `Σ wᵢ·litᵢ ≤ k` with counter-based
 //!   propagation (weighted occurrence lists, an O(1) skip for rows with
 //!   slack) and clausal reasons expanded only on demand,
-//! * VSIDS-style variable activity over an indexed decision heap, and
-//!   phase saving,
+//! * VSIDS-style variable activity over a two-tier decision order (a
+//!   heap, then a bitset of the variables at 0), and phase saving,
 //! * LBD (glue) scoring of learnt clauses with periodic learnt-DB
 //!   reduction (glue and locked clauses are never deleted),
 //! * recursive clause minimization of every learnt clause,
@@ -44,6 +44,7 @@
 #![warn(unreachable_pub)]
 
 mod heap;
+mod list;
 mod lit;
 pub mod opb;
 mod pb;

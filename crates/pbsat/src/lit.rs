@@ -21,13 +21,15 @@ impl fmt::Display for Var {
 pub struct Lit(u32);
 
 impl Lit {
-    /// The positive literal of `v`.
+    /// The positive literal of `v`, which must be below `2^31`.
     pub fn positive(v: Var) -> Lit {
+        debug_assert!(v.0 < 1 << 31, "variable {v} has no literal index");
         Lit(v.0 << 1)
     }
 
-    /// The negative literal of `v`.
+    /// The negative literal of `v`, which must be below `2^31`.
     pub fn negative(v: Var) -> Lit {
+        debug_assert!(v.0 < 1 << 31, "variable {v} has no literal index");
         Lit((v.0 << 1) | 1)
     }
 
@@ -86,6 +88,21 @@ mod tests {
         assert_eq!(!p, n);
         assert_eq!(!!p, p);
         assert_eq!(Lit::from_index(p.index()), p);
+    }
+
+    #[test]
+    fn the_highest_variable_keeps_distinct_literals() {
+        let top = Var((1 << 31) - 1);
+        assert_eq!(Lit::negative(top).index(), u32::MAX as usize);
+        assert_eq!(Lit::positive(top).var(), top);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "has no literal index")]
+    fn a_variable_past_2_31_has_no_literal() {
+        // `1 << 31` shifted into a u32 would be `Var(0)`'s literal.
+        Lit::positive(Var(1 << 31));
     }
 
     #[test]

@@ -19,15 +19,17 @@
 //!
 //! A solve costs time in proportion to the assignments it makes:
 //!
-//! * decisions pop an indexed binary heap (`heap.rs`) keyed
-//!   `(activity desc, index asc)` — the first maximum a linear scan
-//!   would find — dropping assigned variables lazily; backtracking
-//!   re-inserts, bumping sifts up, and the `1e100` rescale re-heapifies;
+//! * decisions pop a heap of the variables of positive activity, then a
+//!   bitset of those at 0 (`heap.rs`), in the order a linear first-maximum
+//!   scan gives, dropping assigned variables lazily; backtracking
+//!   re-inserts, bumping sifts up, and the `1e100` rescale re-sorts;
 //! * clauses live in one literal arena, and a binary clause's watch
 //!   entries carry its other literal, so propagating it never reads
 //!   the arena;
 //! * each literal's PB occurrence list carries its weight, so assigning
 //!   or unassigning it updates every row sum without a term search;
+//! * watch lists keep two entries inline and PB occurrence lists one
+//!   (`list.rs`), so most literals allocate neither;
 //! * a PB row whose slack covers its heaviest term forces nothing and is
 //!   skipped without a scan;
 //! * a PB-forced literal records only `Reason::Pb(row)`; its clause —
@@ -44,6 +46,7 @@
 use std::fmt;
 
 use crate::heap::VarHeap;
+use crate::list::InlineList;
 use crate::pb::PbConstraint;
 use crate::{Lit, Var};
 
@@ -192,11 +195,30 @@ impl Clause {
 
 /// A watch-list entry. A binary clause's carries its other literal, so
 /// propagation decides the clause without reading the arena.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Watch {
     clause: u32,
-    other: Option<Lit>,
+    /// The other literal's index, or [`NO_OTHER`] for a longer clause.
+    other: u32,
 }
+
+/// Below every literal index: there are at most [`MAX_VARS`] variables.
+const NO_OTHER: u32 = u32::MAX;
+const MAX_VARS: usize = (1 << 31) - 1;
+
+impl Watch {
+    fn other(self) -> Option<Lit> {
+        (self.other != NO_OTHER).then(|| Lit::from_index(self.other as usize))
+    }
+}
+
+/// A literal's watches and `(PB row, weight)` occurrences. Each list
+/// must stay no larger than the `Vec` it replaced: a wider one slows
+/// `new_var` and the solver's drop more than it saves.
+type Watches = InlineList<Watch, 2>;
+type PbOccs = InlineList<(usize, u64), 1>;
+const _: () = assert!(std::mem::size_of::<Watches>() <= std::mem::size_of::<Vec<Watch>>());
+const _: () = assert!(std::mem::size_of::<PbOccs>() <= std::mem::size_of::<Vec<(usize, u64)>>());
 
 #[derive(Clone, Debug)]
 struct PbState {
@@ -269,13 +291,13 @@ pub struct Solver {
     /// watches.
     arena: Vec<Lit>,
     /// `watches[l.index()]` = clauses currently watching literal `l`.
-    watches: Vec<Vec<Watch>>,
+    watches: Vec<Watches>,
     /// Reused by [`Solver::add_clause`] to simplify a clause into.
     scratch: Vec<Lit>,
     pbs: Vec<PbState>,
     /// `pb_occ[l.index()]` = `(constraint, weight of l in it)` for every
     /// PB constraint containing literal `l`.
-    pb_occ: Vec<Vec<(usize, u64)>>,
+    pb_occ: Vec<PbOccs>,
     assign: Vec<LBool>,
     level: Vec<u32>,
     reason: Vec<Reason>,
@@ -346,13 +368,19 @@ impl Solver {
     }
 
     /// Adds a fresh variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `2^31 − 1` variables, where literal indices would no
+    /// longer fit in a `u32`.
     pub fn new_var(&mut self) -> Var {
+        assert!(self.nvars < MAX_VARS, "at most 2^31 - 1 variables");
         let v = Var(self.nvars as u32);
         self.nvars += 1;
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
-        self.pb_occ.push(Vec::new());
-        self.pb_occ.push(Vec::new());
+        self.watches.push(Watches::default());
+        self.watches.push(Watches::default());
+        self.pb_occ.push(PbOccs::default());
+        self.pb_occ.push(PbOccs::default());
         self.assign.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(Reason::None);
@@ -469,9 +497,10 @@ impl Solver {
             lbd,
         });
         self.arena.extend_from_slice(lits);
-        let clause = ci as u32;
+        let clause = u32::try_from(ci).expect("clause indices fit in u32");
         for (l, other) in [(lits[0], lits[1]), (lits[1], lits[0])] {
-            let other = (lits.len() == 2).then_some(other);
+            let other = (lits.len() == 2).then(|| other.index() as u32);
+            let other = other.unwrap_or(NO_OTHER);
             self.watches[l.index()].push(Watch { clause, other });
         }
         ci
@@ -626,7 +655,7 @@ impl Solver {
         self.trail.push(l);
         self.stats.propagations += 1;
         // PB bookkeeping: l just became true.
-        for &(pi, w) in &self.pb_occ[l.index()] {
+        for &(pi, w) in self.pb_occ[l.index()].iter() {
             self.pbs[pi].sum_true += w;
         }
     }
@@ -642,9 +671,9 @@ impl Solver {
             let false_lit = !p;
             let mut i = 0;
             'clauses: while i < self.watches[false_lit.index()].len() {
-                let Watch { clause, other } = self.watches[false_lit.index()][i];
-                let ci = clause as usize;
-                if let Some(other) = other {
+                let watch = self.watches[false_lit.index()][i];
+                let ci = watch.clause as usize;
+                if let Some(other) = watch.other() {
                     // A binary `[other, false_lit]` has no replacement
                     // watch. Only `export_formula`, run before any search,
                     // reads its order, so only level 0 swaps it.
@@ -744,7 +773,7 @@ impl Solver {
             self.phase[v] = self.assign[v] == LBool::True;
             self.assign[v] = LBool::Undef;
             self.reason[v] = Reason::None;
-            for &(pi, w) in &self.pb_occ[l.index()] {
+            for &(pi, w) in self.pb_occ[l.index()].iter() {
                 self.pbs[pi].sum_true -= w;
             }
         }
@@ -1786,13 +1815,13 @@ mod tests {
     fn assert_watches(s: &Solver) {
         let mut count = vec![0; s.clauses.len()];
         for (li, list) in s.watches.iter().enumerate() {
-            for w in list {
+            for w in list.iter() {
                 let c = s.clauses[w.clause as usize];
                 let lits = &s.arena[c.range()];
                 let at = (lits[..2].iter())
                     .position(|&l| l == Lit::from_index(li))
                     .expect("watched by one of its first two literals");
-                assert_eq!(w.other, (c.len == 2).then_some(lits[1 - at]));
+                assert_eq!(w.other(), (c.len == 2).then_some(lits[1 - at]));
                 count[w.clause as usize] += 1;
             }
         }
@@ -1909,6 +1938,14 @@ mod tests {
             assert_eq!(s.solve_with_assumptions(&hole_5_out), SatResult::Unsat);
         }
         assert_watches(&s);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 2^31 - 1 variables")]
+    fn new_var_stops_short_of_2_31() {
+        let mut s = Solver::new();
+        s.nvars = MAX_VARS;
+        s.new_var();
     }
 
     #[test]

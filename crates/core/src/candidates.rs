@@ -6,7 +6,7 @@
 //! places beside it, copied from the graph stage 1 built, so no encoder
 //! builds a graph of its own.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use flowplace_acl::RuleId;
 use flowplace_topo::{EntryPortId, SwitchId};
@@ -18,8 +18,8 @@ use crate::Instance;
 /// One rule's entry in a [`CandidateMap`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Candidates {
-    /// The switches the rule may be placed on.
-    pub switches: BTreeSet<SwitchId>,
+    /// Switches the rule may be placed on, sorted ascending, no duplicates.
+    pub switches: Vec<SwitchId>,
     /// For a DROP rule, the PERMIT rules that must sit wherever it does
     /// ([`DependencyGraph::permits_required_by`]); empty for a PERMIT.
     pub permits: Vec<RuleId>,
@@ -57,30 +57,39 @@ pub(crate) fn candidates_for_ingress(
     for rid in instance.routes().paths_from(ingress) {
         let route = instance.routes().route(rid);
         for w in slicing::sliced_drop_rules(policy, route) {
-            map.entry(w)
-                .or_default()
-                .switches
-                .extend(route.switches.iter().copied());
+            union_into(&mut map.entry(w).or_default().switches, &route.switches);
         }
     }
-    // PERMIT rules: union of their dependents' candidate switches.
+    // PERMIT rules: union of their dependents' candidate switches. No
+    // PERMIT is a DROP, so the two maps share no key.
+    let mut permits: BTreeMap<RuleId, Candidates> = BTreeMap::new();
     for w in policy.drop_rules() {
         let Some(drop) = map.get_mut(&w) else {
             continue; // drop rule sliced out of every route
         };
-        let permits = graph.permits_required_by(w);
-        drop.permits = permits.to_vec();
-        let w_switches = drop.switches.clone();
-        for &u in permits {
-            map.entry(u).or_default().switches.extend(&w_switches);
+        drop.permits = graph.permits_required_by(w).to_vec();
+        for &u in &drop.permits {
+            union_into(&mut permits.entry(u).or_default().switches, &drop.switches);
         }
     }
+    map.append(&mut permits);
     map
+}
+
+/// Adds each of `switches` to the sorted, duplicate-free `into`.
+fn union_into(into: &mut Vec<SwitchId>, switches: &[SwitchId]) {
+    for &s in switches {
+        if let Err(at) = into.binary_search(&s) {
+            into.insert(at, s);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use flowplace_acl::{Action, Policy, Ternary};
     use flowplace_routing::{Route, RouteSet};
     use flowplace_topo::Topology;
@@ -106,7 +115,7 @@ mod tests {
         .unwrap();
         let inst = Instance::new(topo, routes, vec![(EntryPortId(0), policy)]).unwrap();
         let cand = build_candidates(&inst);
-        let all: BTreeSet<SwitchId> = [SwitchId(0), SwitchId(1), SwitchId(2)].into();
+        let all = [SwitchId(0), SwitchId(1), SwitchId(2)];
         assert_eq!(cand[&(EntryPortId(0), RuleId(1))].switches, all);
         assert_eq!(cand[&(EntryPortId(0), RuleId(0))].switches, all);
         // The DROP carries its dependency list; the PERMIT carries none.
@@ -162,5 +171,107 @@ mod tests {
         let permits = &cand[&(EntryPortId(0), RuleId(0))].switches;
         assert!(permits.contains(&SwitchId(2)));
         assert!(permits.contains(&SwitchId(3)));
+    }
+
+    /// The `BTreeSet` construction the sorted lists replaced: per rule,
+    /// its switch set and dependency list.
+    fn reference(
+        instance: &Instance,
+        ingress: EntryPortId,
+        graph: &DependencyGraph,
+    ) -> BTreeMap<RuleId, (BTreeSet<SwitchId>, Vec<RuleId>)> {
+        let policy = instance.policy(ingress).unwrap();
+        let mut map: BTreeMap<RuleId, (BTreeSet<SwitchId>, Vec<RuleId>)> = BTreeMap::new();
+        for rid in instance.routes().paths_from(ingress) {
+            let route = instance.routes().route(rid);
+            for w in slicing::sliced_drop_rules(policy, route) {
+                map.entry(w)
+                    .or_default()
+                    .0
+                    .extend(route.switches.iter().copied());
+            }
+        }
+        for w in policy.drop_rules() {
+            let Some(drop) = map.get_mut(&w) else {
+                continue;
+            };
+            let permits = graph.permits_required_by(w);
+            drop.1 = permits.to_vec();
+            let w_switches = drop.0.clone();
+            for &u in permits {
+                map.entry(u).or_default().0.extend(&w_switches);
+            }
+        }
+        map
+    }
+
+    /// Seeded instances on `star(5)`: two or three tenants, two to four
+    /// routes each (some flow-sliced, some to the same egress), 4-bit
+    /// policies dense enough that PERMITs serve several DROPs and some
+    /// DROPs miss every route's flow. The map equals the reference, and
+    /// every list is sorted with no duplicates.
+    #[test]
+    fn sorted_lists_equal_the_btreeset_construction() {
+        use flowplace_rng::{Rng, StdRng};
+        let mut rng = StdRng::seed_from_u64(0xCA4D_5E75);
+        let cube =
+            |rng: &mut StdRng| Ternary::new(4, rng.gen_range(0u128..16), rng.gen_range(0u128..16));
+        let (mut shared_permits, mut sliced_out, mut flows) = (0, 0, 0);
+        for case in 0..64 {
+            let mut routes = RouteSet::new();
+            let mut policies = Vec::new();
+            for i in 0..rng.gen_range(2..=3usize) {
+                let l = EntryPortId(i);
+                for _ in 0..rng.gen_range(2..=4) {
+                    let e = (i + rng.gen_range(1..5usize)) % 5;
+                    let hops = vec![SwitchId(i + 1), SwitchId(0), SwitchId(e + 1)];
+                    let mut route = Route::new(l, EntryPortId(e), hops);
+                    if rng.gen_bool(0.5) {
+                        route = route.with_flow(cube(&mut rng));
+                        flows += 1;
+                    }
+                    routes.push(route);
+                }
+                let specs = (0..rng.gen_range(3..=9))
+                    .map(|_| {
+                        let action = [Action::Permit, Action::Drop][rng.gen_range(0..2usize)];
+                        (cube(&mut rng), action)
+                    })
+                    .collect();
+                policies.push((l, Policy::from_ordered(specs).unwrap()));
+            }
+            let inst = Instance::new(Topology::star(5), routes, policies).unwrap();
+            let graphs = crate::par::build_depgraphs(&inst, 1);
+            let cand = build_candidates(&inst);
+            let mut want = BTreeMap::new();
+            for (&ingress, graph) in &graphs {
+                let policy = inst.policy(ingress).unwrap();
+                let entries = reference(&inst, ingress, graph);
+                sliced_out += policy
+                    .drop_rules()
+                    .filter(|w| !entries.contains_key(w))
+                    .count();
+                let mut dependents = BTreeMap::<RuleId, usize>::new();
+                for (_, permits) in entries.values() {
+                    permits
+                        .iter()
+                        .for_each(|&u| *dependents.entry(u).or_default() += 1);
+                }
+                shared_permits += dependents.values().filter(|&&n| n > 1).count();
+                want.extend(entries.into_iter().map(|(r, e)| ((ingress, r), e)));
+            }
+            assert!(cand.keys().eq(want.keys()), "case {case}: rule sets differ");
+            for (key, entry) in &cand {
+                let (switches, permits) = &want[key];
+                assert!(
+                    entry.switches.windows(2).all(|p| p[0] < p[1]),
+                    "case {case} {key:?}: {:?} not sorted and distinct",
+                    entry.switches
+                );
+                assert!(entry.switches.iter().eq(switches), "case {case} {key:?}");
+                assert_eq!(&entry.permits, permits, "case {case} {key:?}");
+            }
+        }
+        assert!(shared_permits > 0 && sliced_out > 0 && flows > 0);
     }
 }

@@ -41,6 +41,13 @@ impl VarHeap {
         self.insert(v, act);
     }
 
+    /// Reserves room for `vars` more variables.
+    pub(crate) fn reserve(&mut self, vars: usize) {
+        self.pos.reserve(vars);
+        self.zeros
+            .reserve((self.pos.len() + vars).div_ceil(64) - self.zeros.len());
+    }
+
     pub(crate) fn contains(&self, v: usize) -> bool {
         self.pos[v] != ABSENT
     }

@@ -61,7 +61,7 @@ fn first_duplicate(vars: impl Iterator<Item = Var>) -> Option<Var> {
 
 /// A snapshot of a formula for export: clauses plus PB constraints over
 /// `num_vars` variables.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Formula {
     /// Number of variables.
     pub num_vars: usize,

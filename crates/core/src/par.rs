@@ -43,13 +43,13 @@ pub fn build_candidates_par(
     graphs: &BTreeMap<EntryPortId, DependencyGraph>,
     _threads: usize,
 ) -> CandidateMap {
-    let mut map = CandidateMap::new();
-    for (&ingress, graph) in graphs {
-        for (rule, entry) in candidates_for_ingress(instance, ingress, graph) {
-            map.insert((ingress, rule), entry);
-        }
-    }
-    map
+    // Ingress by ingress, rule by rule: already in key order, so the map
+    // is built in one pass.
+    let entries = graphs.iter().flat_map(|(&ingress, graph)| {
+        let per_rule = candidates_for_ingress(instance, ingress, graph).into_iter();
+        per_rule.map(move |(rule, entry)| ((ingress, rule), entry))
+    });
+    entries.collect()
 }
 
 /// The `provenance` label of a solve's span and metrics: the engine that

@@ -35,6 +35,13 @@
 # failed operations over attempted ones, summed over its runs, with the
 # verdict `worse` when the working tree's share is the larger. The
 # script exits 1 after the tables if any run printed `"correct": false`.
+#
+# When the working tree equals REV (no difference from it and no
+# untracked file), both sides build the same code and each table header
+# says `A/A control`: whatever such a table reads comes from the builds'
+# layout and the machine, not from the code. Run against HEAD on a
+# clean tree beside a change's pairs to see how large that noise is on
+# each workload before reading a verdict.
 # The directories are removed on exit. Not part of `make ci`: a run
 # takes minutes per workload.
 set -euo pipefail
@@ -67,6 +74,10 @@ fi
 # The working tree as `git describe` names it (`-dirty`: uncommitted
 # edits), printed in each table header.
 tree=$(git describe --always --dirty)
+control=
+if git diff --quiet "$rev" -- && [ -z "$(git ls-files --others --exclude-standard)" ]; then
+    control=", A/A control (the working tree equals the revision)"
+fi
 
 work=$(mktemp -d "${TMPDIR:-/tmp}/bench_pairs.XXXXXX")
 trap 'rm -rf "$work"' EXIT
@@ -110,7 +121,7 @@ run() {
 
 summarize() {
     local workload=$1 seed=$2 results=$3
-    echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree at $tree (change)"
+    echo "$workload, seed $seed, $pairs pairs of --seconds $seconds: $(git rev-parse --short "$rev") (base) vs the working tree at $tree (change)$control"
     sort -k1,1 -k2,2 -k3,3g "$results" | awk -v order="$metrics" -v pairs="$pairs" -v bounds="$bounds" '
     BEGIN {
         n = split(bounds, kv, " ")

@@ -66,7 +66,7 @@ pub(crate) fn candidates_for_ingress(
     let mut present = vec![false; policy.len()];
     let mut mask = vec![0u64; words];
     // DROP rules: switches of every route the rule is sliced into.
-    for rid in instance.routes().paths_from(ingress) {
+    for &rid in instance.routes().paths_from(ingress) {
         let route = instance.routes().route(rid);
         mask.fill(0);
         for s in &route.switches {
@@ -213,7 +213,7 @@ mod tests {
     ) -> BTreeMap<RuleId, (BTreeSet<SwitchId>, Vec<RuleId>)> {
         let policy = instance.policy(ingress).unwrap();
         let mut map: BTreeMap<RuleId, (BTreeSet<SwitchId>, Vec<RuleId>)> = BTreeMap::new();
-        for rid in instance.routes().paths_from(ingress) {
+        for &rid in instance.routes().paths_from(ingress) {
             let route = instance.routes().route(rid);
             for w in slicing::sliced_drop_rules(policy, route) {
                 map.entry(w)

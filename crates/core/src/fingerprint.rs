@@ -60,7 +60,7 @@ fn fingerprint_ingress(instance: &Instance, ingress: EntryPortId) -> Fingerprint
     h.u64(policy_fp.0);
     let paths = instance.routes().paths_from(ingress);
     h.usize(paths.len());
-    for rid in paths {
+    for &rid in paths {
         let route = instance.routes().route(rid);
         h.usize(route.egress.0);
         h.usize(route.switches.len());

@@ -45,9 +45,9 @@ pub fn place_policy(
 ) -> Option<()> {
     let policy = instance.policy(ingress)?;
     let graph = DependencyGraph::build(policy);
-    for rid in instance.routes().paths_from(ingress) {
-        let route = instance.routes().route(rid).clone();
-        for w in slicing::sliced_drop_rules(policy, &route) {
+    for &rid in instance.routes().paths_from(ingress) {
+        let route = instance.routes().route(rid);
+        for w in slicing::sliced_drop_rules(policy, route) {
             if let Some(only) = only_rule {
                 if w != only {
                     continue;

@@ -118,6 +118,7 @@ fn restricted(
     for &l in ingresses {
         frozen.remove_ingress(l);
     }
+    // Whole set in `routes()` order: the walk's rows, and so the search, follow it.
     let sub_routes: RouteSet = instance
         .routes()
         .iter()

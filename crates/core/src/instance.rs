@@ -197,9 +197,7 @@ impl Instance {
             }
             self.check_route(route)?;
         }
-        let all = Arc::make_mut(&mut self.routes);
-        all.remove_routes(&all.paths_from(ingress));
-        all.extend(routes);
+        Arc::make_mut(&mut self.routes).replace_ingress(ingress, routes);
         Ok(())
     }
 

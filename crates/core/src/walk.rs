@@ -186,7 +186,7 @@ fn cover(instance: &Instance, sites: &Sites, engine: &mut impl Lowering) {
     let mut lits: Vec<u32> = Vec::new();
     let mut row: Vec<u32> = Vec::new();
     for (ingress, policy) in instance.policies() {
-        for rid in instance.routes().paths_from(ingress) {
+        for &rid in instance.routes().paths_from(ingress) {
             let route = instance.routes().route(rid);
             for w in slicing::sliced_drop_rules(policy, route) {
                 let Some(c) = sites.candidate(ingress, w) else {

@@ -109,6 +109,7 @@ impl Controller {
         let width = |l: EntryPortId| instance.policy(l).map_or(1, |p| p.width()).max(1);
         // Membership-only dedup (never iterated): unordered word-hashed set.
         let mut fenced: WordHashSet<(SwitchId, EntryPortId)> = WordHashSet::default();
+        // Whole set in `routes()` order: fences sharing a switch keep that order.
         for route in instance.routes().iter() {
             if !self.faults.safe_mode.contains(&route.ingress) {
                 continue;

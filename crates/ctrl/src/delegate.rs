@@ -100,17 +100,14 @@ pub(crate) fn plan_delegation(
     usable: &dyn Fn(SwitchId) -> bool,
     spare: &dyn Fn(SwitchId) -> bool,
 ) -> Option<Delegation> {
-    let routes: Vec<&Route> = instance
-        .routes()
-        .iter()
-        .filter(|r| r.ingress == ingress)
-        .collect();
-    if routes.is_empty() {
+    let routes = instance.routes();
+    let paths = routes.paths_from(ingress);
+    if paths.is_empty() {
         return None;
     }
-    let on_route: BTreeSet<SwitchId> = routes
+    let on_route: BTreeSet<SwitchId> = paths
         .iter()
-        .flat_map(|r| r.switches.iter().copied())
+        .flat_map(|&id| routes.route(id).switches.iter().copied())
         .collect();
     let topology = instance.topology();
     let mut candidates: BTreeSet<SwitchId> = BTreeSet::new();
@@ -126,8 +123,9 @@ pub(crate) fn plan_delegation(
     }
     for delegate in candidates {
         let mut anchors = BTreeSet::new();
-        let reachable = routes.iter().all(|r| {
-            match r
+        let reachable = paths.iter().all(|&id| {
+            match routes
+                .route(id)
                 .switches
                 .iter()
                 .copied()
@@ -157,6 +155,7 @@ pub(crate) fn detour_instance(
     delegation: &Delegation,
 ) -> Option<Instance> {
     let mut changed = false;
+    // Whole set in `routes()` order: the rebuilt set keeps every route in place.
     let routes: Vec<Route> = instance
         .routes()
         .iter()
@@ -191,6 +190,7 @@ pub(crate) fn restore_instance(
     ingress: EntryPortId,
     delegate: SwitchId,
 ) -> Instance {
+    // Whole set in `routes()` order: the rebuilt set keeps every route in place.
     let routes: Vec<Route> = instance
         .routes()
         .iter()

@@ -1,9 +1,7 @@
 //! The TCAM-as-cache tier's flow path: flow streams, miss batches,
 //! cache resync and the cache's fail-closed audit.
 
-use flowplace_fasthash::WordHashMap;
-use flowplace_routing::RouteId;
-use flowplace_topo::{EntryPortId, SwitchId};
+use flowplace_topo::SwitchId;
 use flowplace_traffic::FlowEvent;
 
 use crate::{CacheConfig, CacheLookup, Controller, FlowReport, RuleCache};
@@ -85,12 +83,6 @@ impl Controller {
         };
         let mut pending: Vec<(SwitchId, usize)> = Vec::new();
         let mut punts_since_flush: u64 = 0;
-        // Each ingress's routes in route order, listed once: no flow
-        // changes the instance.
-        let mut paths_from: WordHashMap<EntryPortId, Vec<RouteId>> = WordHashMap::default();
-        for (id, route) in self.instance.routes().iter_with_ids() {
-            paths_from.entry(route.ingress).or_default().push(id);
-        }
         // The picked route's switches, copied out so the loop below can
         // borrow the controller mutably; one buffer for the whole call.
         let mut hops: Vec<SwitchId> = Vec::new();
@@ -99,13 +91,15 @@ impl Controller {
             if delta > 0 {
                 self.faults.clock.advance(delta);
             }
-            let Some(paths) = paths_from.get(&ev.ingress) else {
+            let routes = self.instance.routes();
+            let paths = routes.paths_from(ev.ingress);
+            if paths.is_empty() {
                 report.unrouted += 1;
                 continue;
-            };
+            }
             let pick = (ev.packet.bits() % paths.len() as u128) as usize;
             hops.clear();
-            hops.extend_from_slice(&self.instance.routes().route(paths[pick]).switches);
+            hops.extend_from_slice(&routes.route(paths[pick]).switches);
             if !hops.iter().all(|&s| self.dataplane.is_online(s)) {
                 report.unrouted += 1;
                 continue;

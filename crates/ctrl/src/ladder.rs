@@ -181,10 +181,11 @@ impl Controller {
                 || d.anchors
                     .iter()
                     .any(|a| self.faults.unmanageable.contains_key(a));
-            let detached = !instance
-                .routes()
+            let routes = instance.routes();
+            let detached = !routes
+                .paths_from(l)
                 .iter()
-                .any(|r| r.ingress == l && r.contains(d.delegate));
+                .any(|&id| routes.route(id).contains(d.delegate));
             if faulted || detached || self.faults.safe_mode.contains(&l) {
                 *instance = delegate::restore_instance(instance, l, d.delegate);
                 self.faults.delegations.remove(&l);

@@ -125,6 +125,38 @@ fn flows_warm_the_cache_and_audits_stay_green() {
 }
 
 #[test]
+fn flows_from_an_ingress_without_routes_are_unrouted() {
+    let mut ctrl = cached_controller();
+    let flow = |l: usize| flowplace_traffic::FlowEvent {
+        at_ms: 0,
+        ingress: EntryPortId(l),
+        packet: flowplace_acl::Packet::from_bits(0b1000, 4),
+    };
+    // `10**` drops at the first hop: one lookup.
+    let routed = ctrl.process_flows(&[flow(0)]);
+    assert_eq!((routed.unrouted, routed.lookups), (0, 1), "{routed:?}");
+    let unrouted = |ctrl: &mut Controller, l: usize, what: &str| {
+        let before = *ctrl.cache().counters();
+        let report = ctrl.process_flows(&[flow(l)]);
+        assert_eq!(
+            (report.flows, report.unrouted),
+            (1, 1),
+            "{what}: {report:?}"
+        );
+        assert_eq!(*ctrl.cache().counters(), before, "{what}: cache untouched");
+    };
+    unrouted(&mut ctrl, 1, "l1 never had a route");
+    ctrl.submit(Event::Reroute {
+        ingress: EntryPortId(0),
+        routes: Vec::new(),
+    })
+    .unwrap();
+    ctrl.run_to_idle().unwrap();
+    assert_eq!(ctrl.instance().routes().paths_from(EntryPortId(0)), []);
+    unrouted(&mut ctrl, 0, "l0 rerouted onto no route");
+}
+
+#[test]
 fn cache_survives_epoch_resync() {
     let mut ctrl = cached_controller();
     let flows = flowplace_traffic::generate(&flowplace_traffic::TrafficConfig {

@@ -7,7 +7,6 @@
 //! routes, mirroring the paper's Figure 6 example.
 
 use flowplace_acl::Ternary;
-use flowplace_topo::EntryPortId;
 
 use crate::RouteSet;
 
@@ -37,17 +36,13 @@ pub fn assign_destination_flows(routes: &mut RouteSet, width: u32, dst_bits: u32
     } else {
         (1u128 << dst_bits) - 1
     };
-    let ids: Vec<_> = routes.iter_with_ids().map(|(id, _)| id).collect();
-    let updated: Vec<_> = ids
-        .into_iter()
-        .map(|id| {
-            let r = routes.route(id).clone();
-            let EntryPortId(e) = r.egress;
-            let value = (e as u128) & care;
-            r.with_flow(Ternary::new(width, care, value))
+    *routes = routes
+        .iter()
+        .map(|r| {
+            let value = (r.egress.0 as u128) & care;
+            r.clone().with_flow(Ternary::new(width, care, value))
         })
         .collect();
-    *routes = updated.into_iter().collect();
 }
 
 #[cfg(test)]
@@ -55,7 +50,7 @@ mod tests {
     use super::*;
     use crate::Route;
     use flowplace_acl::Packet;
-    use flowplace_topo::SwitchId;
+    use flowplace_topo::{EntryPortId, SwitchId};
 
     #[test]
     fn flows_identify_egress() {

@@ -1,6 +1,5 @@
 //! Routes and route sets.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use flowplace_acl::Ternary;
@@ -75,14 +74,18 @@ impl fmt::Display for Route {
     }
 }
 
-/// The full routing input to rule placement: every path, indexed by the
-/// ingress whose policy governs it.
+/// The full routing input to rule placement: every path in one ordered
+/// list, and beside it the ids of each ingress's paths in that order.
 ///
-/// In the paper's notation, `paths_from(l_i)` is `P_i` and
-/// `reachable_switches(l_i)` is `S_i = ⋃_j p_{i,j}`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// In the paper's notation, `paths_from(l_i)` is `P_i` and `loc(l_i, s_k)`
+/// is `loc(s_k, P_i)`. `==` and `Debug` read the route list alone: the
+/// per-ingress lists follow from it.
+#[derive(Clone, Default)]
 pub struct RouteSet {
     routes: Vec<Route>,
+    /// `by_ingress[l]`: the ids of the routes from `l`, ascending. Indexed
+    /// by port number, up to the largest ingress a route was added for.
+    by_ingress: Vec<Vec<RouteId>>,
 }
 
 impl RouteSet {
@@ -93,13 +96,25 @@ impl RouteSet {
 
     /// Creates a route set from a list of routes.
     pub fn from_routes(routes: Vec<Route>) -> Self {
-        RouteSet { routes }
+        routes.into_iter().collect()
+    }
+
+    /// Lists the routes from position `start` on under their ingresses.
+    fn index_from(&mut self, start: usize) {
+        for (i, r) in self.routes.iter().enumerate().skip(start) {
+            let l = r.ingress.0;
+            if l >= self.by_ingress.len() {
+                self.by_ingress.resize_with(l + 1, Vec::new);
+            }
+            self.by_ingress[l].push(RouteId(i));
+        }
     }
 
     /// Adds a route, returning its id.
     pub fn push(&mut self, route: Route) -> RouteId {
         let id = RouteId(self.routes.len());
         self.routes.push(route);
+        self.index_from(id.0);
         id
     }
 
@@ -132,74 +147,64 @@ impl RouteSet {
         self.routes.iter().enumerate().map(|(i, r)| (RouteId(i), r))
     }
 
-    /// The ids of all routes originating at `ingress` (`P_i`).
-    pub fn paths_from(&self, ingress: EntryPortId) -> Vec<RouteId> {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.ingress == ingress)
-            .map(|(i, _)| RouteId(i))
-            .collect()
-    }
-
-    /// All ingresses that have at least one route, in ascending order.
-    pub fn ingresses(&self) -> Vec<EntryPortId> {
-        let set: BTreeSet<EntryPortId> = self.routes.iter().map(|r| r.ingress).collect();
-        set.into_iter().collect()
-    }
-
-    /// The switches reachable from `ingress` over its paths (`S_i`),
-    /// in ascending order.
-    pub fn reachable_switches(&self, ingress: EntryPortId) -> Vec<SwitchId> {
-        let set: BTreeSet<SwitchId> = self
-            .routes
-            .iter()
-            .filter(|r| r.ingress == ingress)
-            .flat_map(|r| r.switches.iter().copied())
-            .collect();
-        set.into_iter().collect()
+    /// The ids of all routes originating at `ingress` (`P_i`), ascending;
+    /// empty for an ingress with no route.
+    pub fn paths_from(&self, ingress: EntryPortId) -> &[RouteId] {
+        self.by_ingress.get(ingress.0).map_or(&[], Vec::as_slice)
     }
 
     /// Minimum hop distance from `ingress` to `switch` over this ingress's
     /// paths: the paper's `loc(s_k, P_i)` used by the distance-weighted
     /// objective. Returns `None` if no path from `ingress` visits `switch`.
     pub fn loc(&self, ingress: EntryPortId, switch: SwitchId) -> Option<usize> {
-        self.routes
+        self.paths_from(ingress)
             .iter()
-            .filter(|r| r.ingress == ingress)
-            .filter_map(|r| r.position_of(switch))
+            .filter_map(|&id| self.route(id).position_of(switch))
             .min()
     }
 
-    /// Removes all routes with the given ids, returning the removed routes.
-    /// Remaining routes are re-indexed (ids are not stable across removal).
-    pub fn remove_routes(&mut self, ids: &[RouteId]) -> Vec<Route> {
-        let drop: BTreeSet<usize> = ids.iter().map(|r| r.0).collect();
-        let mut removed = Vec::with_capacity(drop.len());
-        let mut kept = Vec::with_capacity(self.routes.len() - drop.len());
-        for (i, r) in self.routes.drain(..).enumerate() {
-            if drop.contains(&i) {
-                removed.push(r);
-            } else {
-                kept.push(r);
-            }
+    /// Replaces every route of `ingress` with `routes`: the other routes
+    /// keep their order (and are re-numbered past the removed ones), and
+    /// `routes` go after them in the order given.
+    pub fn replace_ingress(&mut self, ingress: EntryPortId, routes: Vec<Route>) {
+        if !self.paths_from(ingress).is_empty() {
+            self.routes.retain(|r| r.ingress != ingress);
+            self.by_ingress.iter_mut().for_each(Vec::clear);
+            self.index_from(0);
         }
-        self.routes = kept;
-        removed
+        self.extend(routes);
+    }
+}
+
+impl PartialEq for RouteSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.routes == other.routes
+    }
+}
+
+impl Eq for RouteSet {}
+
+impl fmt::Debug for RouteSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RouteSet")
+            .field("routes", &self.routes)
+            .finish()
     }
 }
 
 impl FromIterator<Route> for RouteSet {
     fn from_iter<I: IntoIterator<Item = Route>>(iter: I) -> Self {
-        RouteSet {
-            routes: iter.into_iter().collect(),
-        }
+        let mut set = RouteSet::new();
+        set.extend(iter);
+        set
     }
 }
 
 impl Extend<Route> for RouteSet {
     fn extend<I: IntoIterator<Item = Route>>(&mut self, iter: I) {
+        let start = self.routes.len();
         self.routes.extend(iter);
+        self.index_from(start);
     }
 }
 
@@ -219,23 +224,12 @@ mod tests {
     fn paths_from_filters_by_ingress() {
         let rs = RouteSet::from_routes(vec![
             route(0, 1, &[0, 1, 2]),
-            route(0, 2, &[0, 1, 3]),
             route(1, 0, &[2, 1, 0]),
+            route(0, 2, &[0, 1, 3]),
         ]);
-        assert_eq!(rs.paths_from(EntryPortId(0)), vec![RouteId(0), RouteId(1)]);
-        assert_eq!(rs.paths_from(EntryPortId(1)), vec![RouteId(2)]);
-        assert_eq!(rs.ingresses(), vec![EntryPortId(0), EntryPortId(1)]);
-    }
-
-    #[test]
-    fn reachable_switches_is_union() {
-        let rs = RouteSet::from_routes(vec![route(0, 1, &[0, 1, 2]), route(0, 2, &[0, 1, 3])]);
-        let s: Vec<usize> = rs
-            .reachable_switches(EntryPortId(0))
-            .into_iter()
-            .map(|s| s.0)
-            .collect();
-        assert_eq!(s, vec![0, 1, 2, 3]);
+        assert_eq!(rs.paths_from(EntryPortId(0)), [RouteId(0), RouteId(2)]);
+        assert_eq!(rs.paths_from(EntryPortId(1)), [RouteId(1)]);
+        assert_eq!(rs.paths_from(EntryPortId(7)), []);
     }
 
     #[test]
@@ -247,17 +241,17 @@ mod tests {
     }
 
     #[test]
-    fn remove_routes_reindexes() {
+    fn replace_ingress_appends_after_the_rest() {
         let mut rs = RouteSet::from_routes(vec![
             route(0, 1, &[0]),
             route(1, 2, &[1]),
             route(2, 3, &[2]),
         ]);
-        let removed = rs.remove_routes(&[RouteId(1)]);
-        assert_eq!(removed.len(), 1);
-        assert_eq!(removed[0].ingress, EntryPortId(1));
-        assert_eq!(rs.len(), 2);
-        assert_eq!(rs.route(RouteId(1)).ingress, EntryPortId(2));
+        rs.replace_ingress(EntryPortId(1), vec![route(1, 0, &[3]), route(1, 2, &[4])]);
+        let order: Vec<_> = rs.iter().map(|r| r.switches[0].0).collect();
+        assert_eq!(order, [0, 2, 3, 4]);
+        assert_eq!(rs.paths_from(EntryPortId(1)), [RouteId(2), RouteId(3)]);
+        assert_eq!(rs.paths_from(EntryPortId(2)), [RouteId(1)]);
     }
 
     #[test]

@@ -681,6 +681,14 @@ fn assert_instance_reads_as(p: &Instance, m: &flat_instance::Instance, what: &st
     for l in (0..=m.topology.entry_port_count()).map(EntryPortId) {
         let want = m.policies.get(&l);
         assert_eq!(debug(&p.policy(l)), debug(&want), "{what}: policy({l})");
+        let want: Vec<RouteId> = m
+            .routes
+            .iter_with_ids()
+            .filter(|(_, r)| r.ingress == l)
+            .map(|(id, _)| id)
+            .collect();
+        let got = p.routes().paths_from(l);
+        assert_eq!(got, &want[..], "{what}: paths_from({l})");
     }
     let got: Vec<_> = p.policies().map(|(l, q)| (l, q.clone())).collect();
     let want: Vec<_> = m.policies.iter().map(|(l, q)| (*l, q.clone())).collect();

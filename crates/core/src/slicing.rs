@@ -6,32 +6,35 @@
 //! Figure 6 optimization. Routes without a descriptor conservatively keep
 //! the whole policy.
 
-use flowplace_acl::{Policy, RuleId};
+use flowplace_acl::{Policy, Rule, RuleId};
 use flowplace_routing::Route;
 
-/// The rules of `policy` that must be considered for `route`: all rules if
-/// the route has no flow descriptor, otherwise exactly those whose match
-/// field intersects the flow.
-///
-/// Returned ascending by rule id (i.e. descending priority).
-pub fn sliced_rules(policy: &Policy, route: &Route) -> Vec<RuleId> {
-    match &route.flow {
-        None => policy.iter().map(|(id, _)| id).collect(),
-        Some(flow) => policy
-            .iter()
-            .filter(|(_, r)| r.match_field().intersects(flow))
-            .map(|(id, _)| id)
-            .collect(),
-    }
+/// Whether `rule` must be considered on `route`: always if the route has
+/// no flow descriptor, otherwise exactly when its match field intersects
+/// the flow.
+pub fn on_route(rule: &Rule, route: &Route) -> bool {
+    route.flow.is_none_or(|f| rule.match_field().intersects(&f))
+}
+
+/// The rules of `policy` that must be considered for `route` (those
+/// [`on_route`]), ascending by rule id (i.e. descending priority).
+pub fn sliced_rules<'a>(policy: &'a Policy, route: &'a Route) -> impl Iterator<Item = RuleId> + 'a {
+    policy
+        .iter()
+        .filter(|(_, r)| on_route(r, route))
+        .map(|(id, _)| id)
 }
 
 /// The DROP rules of `policy` that must be covered on `route`
-/// (the sliced subset of [`Policy::drop_rules`]).
-pub fn sliced_drop_rules(policy: &Policy, route: &Route) -> Vec<RuleId> {
-    sliced_rules(policy, route)
-        .into_iter()
-        .filter(|id| policy.rule(*id).action().is_drop())
-        .collect()
+/// (the sliced subset of [`Policy::drop_rules`]), ascending by rule id.
+pub fn sliced_drop_rules<'a>(
+    policy: &'a Policy,
+    route: &'a Route,
+) -> impl Iterator<Item = RuleId> + 'a {
+    policy
+        .iter()
+        .filter(|(_, r)| r.action().is_drop() && on_route(r, route))
+        .map(|(id, _)| id)
 }
 
 #[cfg(test)]
@@ -62,7 +65,7 @@ mod tests {
     #[test]
     fn no_flow_keeps_everything() {
         let p = pol();
-        let ids = sliced_rules(&p, &route(None));
+        let ids: Vec<_> = sliced_rules(&p, &route(None)).collect();
         assert_eq!(ids, vec![RuleId(0), RuleId(1), RuleId(2)]);
     }
 
@@ -70,16 +73,16 @@ mod tests {
     fn flow_filters_disjoint_rules() {
         let p = pol();
         // Route carries only dst=01 packets.
-        let ids = sliced_rules(&p, &route(Some("**01")));
+        let ids: Vec<_> = sliced_rules(&p, &route(Some("**01"))).collect();
         assert_eq!(ids, vec![RuleId(0), RuleId(2)]);
-        let other = sliced_rules(&p, &route(Some("**10")));
+        let other: Vec<_> = sliced_rules(&p, &route(Some("**10"))).collect();
         assert_eq!(other, vec![RuleId(1), RuleId(2)]);
     }
 
     #[test]
     fn sliced_drops_only() {
         let p = pol();
-        let ids = sliced_drop_rules(&p, &route(Some("**01")));
+        let ids: Vec<_> = sliced_drop_rules(&p, &route(Some("**01"))).collect();
         assert_eq!(ids, vec![RuleId(0)]);
     }
 }

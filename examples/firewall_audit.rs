@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for f in flows {
         let flow = Ternary::parse(&format!("************{f}"))?;
         let route = Route::new(EntryPortId(0), EntryPortId(1), vec![SwitchId(0)]).with_flow(flow);
-        let kept = slicing::sliced_rules(&policy, &route).len();
+        let kept = slicing::sliced_rules(&policy, &route).count();
         println!(
             "  flow dst={f}: {kept}/{} rules needed ({:.0}% sliced away)",
             policy.len(),

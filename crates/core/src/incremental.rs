@@ -228,8 +228,9 @@ pub fn replace_ingresses(
 
 /// Adds one rule to an existing policy and places it with the ingress-
 /// first greedy heuristic against spare capacity (§IV-E small-scale
-/// update). Existing placements are untouched; the new rule's PERMIT
-/// shields are co-placed where needed.
+/// update, [`greedy::place_rule`]). Existing placements are untouched: a
+/// new DROP brings its missing PERMIT shields, a new PERMIT is co-placed
+/// with the placed DROPs it shields.
 ///
 /// Returns `SolveStatus::Infeasible` (with `placement: None`) when the
 /// greedy heuristic cannot fit the rule — the caller should escalate to
@@ -265,47 +266,12 @@ pub fn add_rule_greedy(
     result.renumber(ingress, new_id, |r| Some(RuleId(r.0 + 1)));
 
     let mut remaining = spare_capacities(&updated, &result);
-    let status = if rule.action().is_drop() {
-        match greedy::place_policy(&updated, ingress, &mut remaining, &mut result, Some(new_id)) {
-            Some(()) => SolveStatus::Feasible,
-            None => SolveStatus::Infeasible,
-        }
+    let placement =
+        greedy::place_rule(&updated, ingress, new_id, &mut remaining, &mut result).map(|()| result);
+    let status = if placement.is_some() {
+        SolveStatus::Feasible
     } else {
-        // A new PERMIT rule must shield every already-placed overlapping
-        // lower-priority DROP; co-place it on those switches.
-        let new_policy = updated.policy(ingress).expect("set_policy attached it");
-        let graph = crate::depgraph::DependencyGraph::build(new_policy);
-        let mut needed: Vec<SwitchId> = Vec::new();
-        for (w, r) in new_policy.iter() {
-            if r.action().is_drop() && graph.permits_required_by(w).contains(&new_id) {
-                needed.extend(result.switches_of(ingress, w).iter().copied());
-            }
-        }
-        needed.sort_unstable();
-        needed.dedup();
-        let mut ok = true;
-        for s in needed {
-            if result.is_placed(ingress, new_id, s) {
-                continue;
-            }
-            if remaining[s.0] == 0 {
-                ok = false;
-                break;
-            }
-            remaining[s.0] -= 1;
-            result.place(ingress, new_id, s);
-        }
-        if ok {
-            SolveStatus::Feasible
-        } else {
-            SolveStatus::Infeasible
-        }
-    };
-
-    let placement = if status == SolveStatus::Feasible {
-        Some(result)
-    } else {
-        None
+        SolveStatus::Infeasible
     };
     Ok(IncrementalOutcome {
         instance: updated,

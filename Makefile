@@ -3,15 +3,16 @@
 
 CARGO ?= cargo
 
-.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all timing-guard benchmark-smoke obs-smoke replay-demo chaos loc bench-pairs clean
+.PHONY: all ci fmt fmt-check clippy no-raw-print doc build test test-all examples timing-guard benchmark-smoke obs-smoke replay-demo chaos loc bench-pairs clean
 
 all: ci
 
 ## ci: the gating steps of .github/workflows/ci.yml, in its order —
 ## format check, clippy, print hygiene, doc links, tier-1 tests under
-## the timing guard, every crate's tests, the benchmark smoke run, the
-## pinned obs dumps, the pinned demo and chaos replay outputs.
-ci: fmt-check clippy no-raw-print doc timing-guard test-all benchmark-smoke obs-smoke replay-demo chaos
+## the timing guard, every crate's tests, the examples, the benchmark
+## smoke run, the pinned obs dumps, the pinned demo and chaos replay
+## outputs.
+ci: fmt-check clippy no-raw-print doc timing-guard test-all examples benchmark-smoke obs-smoke replay-demo chaos
 
 fmt:
 	$(CARGO) fmt --all
@@ -44,6 +45,15 @@ test: build
 ## test-all: every crate in the workspace.
 test-all:
 	$(CARGO) test -q --offline --workspace
+
+## examples: run every program in examples/ (release build); several
+## assert or `expect` their results, so one that exits non-zero fails
+## the target.
+examples:
+	@for e in examples/*.rs; do \
+		echo "== example $$(basename $$e .rs)"; \
+		$(CARGO) run --release --offline --quiet --example $$(basename $$e .rs) || exit 1; \
+	done
 
 ## timing-guard: tier-1 tests under the 2x wall-clock budget
 ## (scripts/test_timing_baseline.txt) — what CI runs.

@@ -1,29 +1,8 @@
 //! Unions of ternary cubes with exact set operations.
 
-use std::cell::RefCell;
 use std::fmt;
 
-use crate::arena::CubeArena;
 use crate::{Packet, Ternary};
-
-thread_local! {
-    /// Pool behind [`CubeList::subtract`] and friends, so every caller
-    /// amortises scratch allocations without threading an arena through
-    /// its signature.
-    static THREAD_ARENA: RefCell<CubeArena> = RefCell::new(CubeArena::new());
-}
-
-/// Runs `f` with this thread's scratch pool. Each [`CubeList`] operation
-/// borrows it for its own duration, so `f` must not call another one.
-fn with_thread_arena<R>(f: impl FnOnce(&mut CubeArena) -> R) -> R {
-    THREAD_ARENA.with(|a| f(&mut a.borrow_mut()))
-}
-
-/// Snapshot of the thread-local arena's counters, for observability
-/// gauges and the benchmark's `acl.arena.*` metrics.
-pub fn thread_arena_stats() -> crate::ArenaStats {
-    with_thread_arena(|a| a.stats())
-}
 
 /// A set of packets represented as a union of pairwise-disjoint ternary
 /// cubes, supporting exact difference, intersection, and coverage queries.
@@ -32,9 +11,9 @@ pub fn thread_arena_stats() -> crate::ArenaStats {
 /// paper's redundancy-removal pre-pass (refs [7–9]); it powers the exact
 /// all-match redundancy analysis in [`crate::redundancy`].
 ///
-/// The mutating operations need scratch buffers for the TCAM "sharp"
-/// split; they borrow a thread-local pool, so steady-state loops
-/// allocate ~zero ([`thread_arena_stats`] has the counters).
+/// Each operation writes the TCAM "sharp" split into scratch buffers of
+/// its own and keeps nothing between calls; redundancy removal
+/// ([`crate::redundancy`]) hands one buffer to all of its splits instead.
 ///
 /// # Example
 ///
@@ -96,20 +75,15 @@ impl CubeList {
     }
 
     /// Removes every packet of `cube` from the set (the TCAM "sharp"
-    /// operation, applied cube-wise). Scratch comes from the thread-local
-    /// arena.
+    /// operation, applied cube-wise).
     pub fn subtract(&mut self, cube: &Ternary) {
-        with_thread_arena(|arena| {
-            let mut scratch = arena.take();
-            self.subtract_with(cube, &mut scratch);
-            arena.put(scratch);
-        });
+        self.subtract_with(cube, &mut Vec::new());
     }
 
     /// [`subtract`](Self::subtract) writing through a caller-owned scratch
     /// buffer, so a loop over many cubes reuses one allocation. After the
     /// call `scratch` holds the previous cube list's (cleared) storage.
-    fn subtract_with(&mut self, cube: &Ternary, scratch: &mut Vec<Ternary>) {
+    pub(crate) fn subtract_with(&mut self, cube: &Ternary, scratch: &mut Vec<Ternary>) {
         scratch.clear();
         for c in self.cubes.drain(..) {
             sharp_into(&c, cube, scratch);
@@ -117,21 +91,17 @@ impl CubeList {
         std::mem::swap(&mut self.cubes, scratch);
     }
 
-    /// Removes every packet of `other` from the set. Scratch comes from
-    /// the thread-local arena.
+    /// Removes every packet of `other` from the set.
     pub fn subtract_all(&mut self, other: &CubeList) {
         // One scratch buffer swapped back and forth across the loop,
         // not a fresh Vec per subtracted cube.
-        with_thread_arena(|arena| {
-            let mut scratch = arena.take();
-            for cube in &other.cubes {
-                self.subtract_with(cube, &mut scratch);
-                if self.cubes.is_empty() {
-                    break;
-                }
+        let mut scratch = Vec::new();
+        for cube in &other.cubes {
+            self.subtract_with(cube, &mut scratch);
+            if self.cubes.is_empty() {
+                break;
             }
-            arena.put(scratch);
-        });
+        }
     }
 
     /// The subset of this set that intersects `cube`, as a new set.
@@ -154,55 +124,32 @@ impl CubeList {
         self.cubes.iter().all(|c| !c.intersects(cube))
     }
 
-    /// True if every packet of `cube` is in the set. Scratch comes from
-    /// the thread-local arena.
+    /// True if every packet of `cube` is in the set.
     pub fn contains_cube(&self, cube: &Ternary) -> bool {
-        // cube ⊆ self  ⇔  cube \ self = ∅. Ping-pong between two pooled
-        // buffers instead of re-taking the remainder vector per fragment,
-        // which reallocated on every iteration.
-        with_thread_arena(|arena| {
-            let mut cur = arena.take();
-            let mut next = arena.take();
-            cur.push(*cube);
-            for c in &self.cubes {
-                next.clear();
-                for r in cur.drain(..) {
-                    sharp_into(&r, c, &mut next);
-                }
-                std::mem::swap(&mut cur, &mut next);
-                if cur.is_empty() {
-                    break;
-                }
+        // cube ⊆ self  ⇔  cube \ self = ∅.
+        let mut rest = CubeList::from_cube(*cube);
+        let mut scratch = Vec::new();
+        for c in &self.cubes {
+            rest.subtract_with(c, &mut scratch);
+            if rest.is_empty() {
+                break;
             }
-            let contained = cur.is_empty();
-            arena.put(cur);
-            arena.put(next);
-            contained
-        })
+        }
+        rest.is_empty()
     }
 
     /// Adds `cube` to the set, keeping cubes disjoint by inserting only the
-    /// part of `cube` not already covered. Scratch comes from the
-    /// thread-local arena.
+    /// part of `cube` not already covered.
     pub fn insert(&mut self, cube: &Ternary) {
-        with_thread_arena(|arena| {
-            let mut fresh = arena.take();
-            let mut scratch = arena.take();
-            fresh.push(*cube);
-            for existing in &self.cubes {
-                scratch.clear();
-                for f in fresh.drain(..) {
-                    sharp_into(&f, existing, &mut scratch);
-                }
-                std::mem::swap(&mut fresh, &mut scratch);
-                if fresh.is_empty() {
-                    break;
-                }
+        let mut fresh = CubeList::from_cube(*cube);
+        let mut scratch = Vec::new();
+        for existing in &self.cubes {
+            fresh.subtract_with(existing, &mut scratch);
+            if fresh.is_empty() {
+                return;
             }
-            self.cubes.append(&mut fresh);
-            arena.put(fresh);
-            arena.put(scratch);
-        });
+        }
+        self.cubes.append(&mut fresh.cubes);
     }
 }
 
@@ -229,8 +176,6 @@ impl FromIterator<Ternary> for CubeList {
 
 impl Extend<Ternary> for CubeList {
     fn extend<I: IntoIterator<Item = Ternary>>(&mut self, iter: I) {
-        // One borrow per cube, never across `iter.next()`: the iterator
-        // may itself run cube algebra on this thread.
         for c in iter {
             self.insert(&c);
         }
@@ -400,29 +345,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_reuses_buffers_in_steady_state() {
-        let mut s = CubeList::new();
-        let round = |s: &mut CubeList| {
-            s.reset_to_cube(t("****"));
-            s.subtract(&t("10**"));
-            s.subtract_all(&CubeList::from_cube(t("0***")));
-            assert!(s.contains_cube(&t("111*")));
-        };
-        round(&mut s);
-        let warm = thread_arena_stats();
-        for _ in 0..100 {
-            round(&mut s);
-        }
-        // Steady state: the warm pool serves every further request.
-        let after = thread_arena_stats();
-        assert_eq!(
-            after.allocations, warm.allocations,
-            "steady-state loop created fresh buffers: {after:?}"
-        );
-        assert!(after.reuse_hits - warm.reuse_hits >= 400);
-    }
-
-    #[test]
     fn reset_to_cube_keeps_capacity() {
         let mut s = CubeList::from_cube(t("****"));
         s.subtract(&t("1010"));
@@ -431,14 +353,5 @@ mod tests {
         s.reset_to_cube(t("****"));
         assert_eq!(s.cubes().len(), 1);
         assert!(s.cubes.capacity() >= cap);
-    }
-
-    #[test]
-    fn thread_arena_stats_accumulate() {
-        let before = thread_arena_stats();
-        let mut s = CubeList::from_cube(t("****"));
-        s.subtract(&t("10**"));
-        let after = thread_arena_stats();
-        assert!(after.allocations + after.reuse_hits > before.allocations + before.reuse_hits);
     }
 }

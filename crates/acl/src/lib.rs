@@ -11,10 +11,8 @@
 //! * [`Policy`] — a strictly prioritized rule list with first-match
 //!   semantics and a default-PERMIT fallthrough.
 //! * [`CubeList`] — a union of ternary cubes supporting exact set
-//!   difference, used for redundancy analysis.
-//! * [`thread_arena_stats`] — counters of the per-thread scratch-buffer
-//!   pool behind the cube algebra (redundancy removal reuses its buffers
-//!   across the sharp splits of one run).
+//!   difference, used for redundancy analysis. It keeps no state between
+//!   calls.
 //! * [`classify`] — single-packet first-match lookup over a fixed rule
 //!   list ([`classify::BatchClassifier`]), the controller cache's
 //!   per-tag matcher.
@@ -46,7 +44,6 @@
 pub mod classify;
 pub mod fivetuple;
 
-mod arena;
 mod cube;
 mod packet;
 mod policy;
@@ -55,9 +52,24 @@ mod rule;
 mod ternary;
 pub mod textfmt;
 
-pub use arena::ArenaStats;
-pub use cube::{thread_arena_stats, CubeList};
+pub use cube::CubeList;
 pub use packet::Packet;
 pub use policy::{Policy, PolicyError, PolicyId};
 pub use rule::{Action, Rule, RuleId};
 pub use ternary::{ParseTernaryError, Ternary, MAX_WIDTH};
+
+/// Always zero: the cube algebra keeps no buffer pool. Only the system
+/// benchmark's `acl.arena.*` rows read it; ROADMAP item 1a deletes it
+/// with them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ArenaStats {
+    /// Always 0.
+    pub allocations: u64,
+    /// Always 0.
+    pub reuse_hits: u64,
+}
+
+/// Always [`ArenaStats::default`]; see [`ArenaStats`].
+pub fn thread_arena_stats() -> ArenaStats {
+    ArenaStats::default()
+}

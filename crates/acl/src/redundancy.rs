@@ -16,13 +16,12 @@
 //!   is the first match would receive the same action from the rules below
 //!   it (or the default PERMIT), so removing it changes nothing.
 //!
-//! Every sharp split writes a fresh cube list, so the pass is
-//! arena-backed: one `region`/`rest` pair of [`CubeList`]s is
-//! re-seeded per rule (keeping its backing storage) and all sharp-split
-//! scratch comes from the thread's cube arena, so the pool stays warm
-//! from one policy to the next ([`crate::thread_arena_stats`]).
+//! Every sharp split writes a fresh cube list, so the pass owns its
+//! storage: one `region`/`rest` pair of [`CubeList`]s is re-seeded per
+//! rule (keeping its backing storage) and one scratch buffer takes every
+//! sharp split, so the fixpoint loop allocates only while they grow.
 
-use crate::{Action, CubeList, Policy, Rule, RuleId};
+use crate::{Action, CubeList, Policy, Rule, RuleId, Ternary};
 
 /// Why a rule was removed by [`remove_redundant`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -79,12 +78,14 @@ impl RemovalReport {
 pub fn remove_redundant(policy: &Policy) -> RemovalReport {
     let mut current = policy.clone();
     let mut all_removed: Vec<(RuleId, Rule, RedundancyKind)> = Vec::new();
-    // One region/rest pair re-seeded per rule across every pass, so the
-    // fixpoint loop reuses the same cube storage throughout.
+    // One region/rest pair re-seeded per rule across every pass, and one
+    // sharp-split scratch buffer, so the fixpoint loop reuses the same
+    // cube storage throughout.
     let mut region = CubeList::new();
     let mut rest = CubeList::new();
+    let mut scratch = Vec::new();
     loop {
-        let pass = remove_redundant_pass(&current, &mut region, &mut rest);
+        let pass = remove_redundant_pass(&current, &mut region, &mut rest, &mut scratch);
         let done = pass.removed.is_empty();
         // Report removed rules by their ids in the *original* policy.
         for (_, rule, kind) in pass.removed {
@@ -112,6 +113,7 @@ fn remove_redundant_pass(
     policy: &Policy,
     region: &mut CubeList,
     rest: &mut CubeList,
+    scratch: &mut Vec<Ternary>,
 ) -> RemovalReport {
     let mut removed = Vec::new();
     // Indices (into the original descending-priority order) of rules kept.
@@ -124,7 +126,7 @@ fn remove_redundant_pass(
         // among the rules kept above it.
         region.reset_to_cube(*rule.match_field());
         for &k in &kept {
-            region.subtract(rules[k].match_field());
+            region.subtract_with(rules[k].match_field(), scratch);
             if region.is_empty() {
                 break;
             }
@@ -133,7 +135,7 @@ fn remove_redundant_pass(
             removed.push((RuleId(i), *rule, RedundancyKind::Shadowed));
             continue;
         }
-        if falls_through_to_same_action(region, rule.action(), &rules[i + 1..], rest) {
+        if falls_through_to_same_action(region, rule.action(), &rules[i + 1..], rest, scratch) {
             removed.push((RuleId(i), *rule, RedundancyKind::Masked));
             continue;
         }
@@ -148,13 +150,14 @@ fn remove_redundant_pass(
 /// True if every packet in `region` receives `action` from the first
 /// matching rule in `below` (or the default PERMIT when none matches).
 ///
-/// `rest` is caller-owned working storage (overwritten, contents
-/// unspecified on return) so repeated calls reuse one cube buffer.
+/// `rest` and `scratch` are caller-owned working storage (overwritten,
+/// contents unspecified on return) so repeated calls reuse their buffers.
 fn falls_through_to_same_action(
     region: &CubeList,
     action: Action,
     below: &[Rule],
     rest: &mut CubeList,
+    scratch: &mut Vec<Ternary>,
 ) -> bool {
     rest.clone_from(region);
     for lower in below {
@@ -167,7 +170,7 @@ fn falls_through_to_same_action(
             if lower.action() != action {
                 return false;
             }
-            rest.subtract(lower.match_field());
+            rest.subtract_with(lower.match_field(), scratch);
         }
     }
     // Whatever remains falls through to the default PERMIT.
@@ -177,7 +180,6 @@ fn falls_through_to_same_action(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Ternary;
 
     fn t(s: &str) -> Ternary {
         Ternary::parse(s).unwrap()
@@ -302,29 +304,5 @@ mod tests {
         let r = remove_redundant(&p);
         assert!(r.policy.is_empty());
         assert!(r.removed.is_empty());
-    }
-
-    #[test]
-    fn second_removal_allocates_nothing_new() {
-        let p = pol(vec![
-            ("111*", Action::Drop),
-            ("11**", Action::Drop),
-            ("1***", Action::Drop),
-            ("0***", Action::Permit),
-            ("00**", Action::Permit),
-        ]);
-        let before = crate::thread_arena_stats();
-        let first = remove_redundant(&p);
-        let warm = crate::thread_arena_stats();
-        // The pool is bounded: a handful of buffers serve the whole
-        // fixpoint, everything else is reuse.
-        assert!(warm.reuse_hits > before.reuse_hits);
-        assert!(
-            warm.allocations - before.allocations <= 4,
-            "redundancy pass over-allocated: {warm:?}"
-        );
-        let second = remove_redundant(&p);
-        assert_eq!(first.policy.rules(), second.policy.rules());
-        assert_eq!(crate::thread_arena_stats().allocations, warm.allocations);
     }
 }

@@ -11,9 +11,14 @@
 //! 1. **Cube difference is exact**: after subtracting cubes `B₁..Bₖ`
 //!    from `A`, the cube list contains exactly the packets of
 //!    `A \ (B₁ ∪ … ∪ Bₖ)`, and its reported cardinality matches.
-//! 2. **`Rule::overlaps` is symmetric and exact**: it returns true iff
+//! 2. **Every `CubeList` operation matches a packet-set model**: lists
+//!    built by `insert` or `collect` hold exactly the union of their
+//!    cubes, as pairwise-disjoint cubes with the right cardinality, and
+//!    `contains_cube`, `intersection_with_cube` and `subtract_all` agree
+//!    with the same operations on plain packet sets.
+//! 3. **`Rule::overlaps` is symmetric and exact**: it returns true iff
 //!    some packet matches both rules, in either argument order.
-//! 3. **Redundancy removal preserves packet semantics**: the reduced
+//! 4. **Redundancy removal preserves packet semantics**: the reduced
 //!    policy gives every packet the same first-match decision, and a
 //!    second pass removes nothing (the fixpoint claim).
 
@@ -93,6 +98,111 @@ fn cube_difference_is_exact() {
             }
         }
     }
+}
+
+/// A cube with each bit cared for with probability 1/4, so a handful of
+/// them overlap often and cover each other's fragments.
+fn wide_cube(rng: &mut StdRng) -> Ternary {
+    let care = rng.gen::<u64>() as u128 & rng.gen::<u64>() as u128 & wmask();
+    let value = rng.gen::<u64>() as u128 & care;
+    Ternary::new(WIDTH, care, value)
+}
+
+/// The packet-set model of a cube: one flag per packet of the width.
+fn model_of(cube: &Ternary) -> Vec<bool> {
+    all_packets().map(|p| cube.matches(&p)).collect()
+}
+
+/// Checks `list` against `model` on all 256 packets, its cardinality,
+/// and that its cubes are pairwise disjoint.
+fn assert_matches_model(list: &CubeList, model: &[bool], what: &str) {
+    for (p, &want) in all_packets().zip(model) {
+        assert_eq!(
+            list.contains_packet(&p),
+            want,
+            "{what}: packet {p} in {list}"
+        );
+    }
+    let want = model.iter().filter(|&&m| m).count() as u128;
+    assert_eq!(list.cardinality(), want, "{what}: cardinality of {list}");
+    let cubes = list.cubes();
+    for (i, x) in cubes.iter().enumerate() {
+        for y in &cubes[i + 1..] {
+            assert!(
+                !x.intersects(y),
+                "{what}: cubes {x} and {y} of {list} overlap"
+            );
+        }
+    }
+}
+
+/// A random list of up to five wide cubes, built by `insert` or by
+/// `collect`, with its packet-set model.
+fn random_list(rng: &mut StdRng) -> (CubeList, Vec<bool>, Vec<Ternary>) {
+    let cubes: Vec<Ternary> = (0..rng.gen_range(0usize..6))
+        .map(|_| wide_cube(rng))
+        .collect();
+    let list = if rng.gen_bool(0.5) {
+        cubes.iter().copied().collect()
+    } else {
+        let mut list = CubeList::new();
+        for c in &cubes {
+            list.insert(c);
+        }
+        list
+    };
+    let mut model = vec![false; 1 << WIDTH];
+    for c in &cubes {
+        for (m, hit) in model.iter_mut().zip(model_of(c)) {
+            *m |= hit;
+        }
+    }
+    (list, model, cubes)
+}
+
+#[test]
+fn cube_list_operations_match_a_packet_set_model() {
+    let mut rng = StdRng::seed_from_u64(0x0C0B_E115);
+    let (mut contained, mut not_contained, mut emptied) = (0, 0, 0);
+    for case in 0..CASES {
+        let (list, model, members) = random_list(&mut rng);
+        assert_matches_model(&list, &model, &format!("case {case}: {members:?}"));
+
+        // Each inserted cube is contained; random cubes mostly are not.
+        let probes: Vec<Ternary> = (members.iter().copied())
+            .chain((0..4).map(|_| random_cube(&mut rng)))
+            .collect();
+        for c in &probes {
+            let cube = model_of(c);
+            let want = cube.iter().zip(&model).all(|(&p, &m)| !p || m);
+            assert_eq!(
+                list.contains_cube(c),
+                want,
+                "case {case}: contains_cube({c}) on {list}"
+            );
+            if want {
+                contained += 1;
+            } else {
+                not_contained += 1;
+            }
+            let meet: Vec<bool> = cube.iter().zip(&model).map(|(&p, &m)| p && m).collect();
+            let what = format!("case {case}: {list} intersected with {c}");
+            assert_matches_model(&list.intersection_with_cube(c), &meet, &what);
+        }
+
+        let (other, other_model, _) = random_list(&mut rng);
+        let mut diff = list.clone();
+        diff.subtract_all(&other);
+        let want: Vec<bool> = (model.iter().zip(&other_model))
+            .map(|(&m, &o)| m && !o)
+            .collect();
+        emptied += usize::from(!list.is_empty() && diff.is_empty());
+        let what = format!("case {case}: {list} minus {other}");
+        assert_matches_model(&diff, &want, &what);
+    }
+    // Guard against a vacuous corpus: both answers of `contains_cube`
+    // and a `subtract_all` that empties the list must all occur.
+    assert!(contained > 0 && not_contained > 0 && emptied > 0);
 }
 
 #[test]

@@ -68,7 +68,6 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-pub mod arena_obs;
 pub mod candidates;
 pub mod depgraph;
 pub mod encode_ilp;

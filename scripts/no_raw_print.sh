@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Library sources must not print, read the wall clock, spawn threads, or
-# hash with anything but the two hashers of flowplace-fasthash.
+# Library sources must not print, read the wall clock, spawn threads,
+# keep per-thread or mutable global state, or hash with anything but the
+# two hashers of flowplace-fasthash.
 #
 # All output from library crates goes through flowplace-obs (spans +
 # metrics on a deterministic virtual clock) or a caller-provided Write
@@ -52,6 +53,21 @@ if [ -n "$threads" ]; then
     exit 1
 fi
 echo "no threads in library sources"
+
+# Nor keep state between calls in a `thread_local!` or a `static mut`:
+# what such state feeds depends on whatever ran earlier on the calling
+# thread, not on the call's inputs. Exemptions as above.
+state=$(grep -RnE 'thread_local!|static mut\b' crates/*/src \
+    | grep -vE '^crates/bench/|^crates/[^/]+/src/bin/' \
+    || true)
+
+if [ -n "$state" ]; then
+    echo "FAIL: per-thread or global mutable state in library sources:" >&2
+    echo "$state" >&2
+    echo "Keep working storage in a value the caller owns." >&2
+    exit 1
+fi
+echo "no per-thread or global mutable state in library sources"
 
 # Nor hash outside the hasher policy (DESIGN.md §16): an unordered map
 # or set is a `WordHashMap` / `WordHashSet`, never a std `HashMap` /

@@ -53,7 +53,6 @@ place flags:
 
 audit flags:
   --dot FILE           write the dependency graph in Graphviz DOT
-  --metrics-out FILE   write the metrics dump (incl. arena.* gauges)
 
 gen-policy flags:
   --rules N            rule count                                [20]
@@ -136,7 +135,7 @@ fn main() -> ExitCode {
 /// the default it was meant to override.
 const PLACE_FLAGS: &str = "topo capacity ingresses paths rules policy-file seed merging engine \
     objective iteration-limit verify tables export-lp trace-out metrics-out";
-const AUDIT_FLAGS: &str = "dot metrics-out";
+const AUDIT_FLAGS: &str = "dot";
 const GEN_POLICY_FLAGS: &str = "rules width seed profile";
 const CTRL_REPLAY_FLAGS: &str = "topo capacity batch verbose faults fault-seed \
     reject-rate crash-rate recover-rate retries quarantine-after trace-out metrics-out cache \
@@ -473,8 +472,6 @@ fn audit_inner(args: &[String]) -> Result<(), String> {
     let policy = textfmt::parse_policy(&text).map_err(|e| format!("{path}: {e}"))?;
     println!("{path}: {} rules", policy.len());
 
-    let obs = obs_requested(&flags);
-    let before = flowplace::acl::thread_arena_stats();
     let report = redundancy::remove_redundant(&policy);
     println!(
         "redundant rules: {} ({} kept)",
@@ -484,13 +481,6 @@ fn audit_inner(args: &[String]) -> Result<(), String> {
     for (id, rule, kind) in &report.removed {
         println!("  {id} {rule} ({kind:?})");
     }
-    if let Some(obs) = obs.as_ref() {
-        let mut stats = flowplace::acl::thread_arena_stats();
-        stats.allocations -= before.allocations;
-        stats.reuse_hits -= before.reuse_hits;
-        flowplace::core::arena_obs::record_arena_gauges(obs, "redundancy", stats);
-    }
-    write_obs_outputs(&flags, obs.as_ref())?;
 
     let graph = DependencyGraph::build(&report.policy);
     println!("{graph}");

@@ -132,7 +132,10 @@ impl Placement {
 
     /// Duplication overhead `(B − A)/A` (§V Experiment 3): how many more
     /// entries the network holds compared to the sum of policy sizes `A`.
-    /// Negative values mean merging saved more than duplication cost.
+    /// It goes negative when fewer entries are installed than the
+    /// policies hold: rules that are never placed (PERMITs that no DROP
+    /// needs as a shield, rules sliced off every route) count in `A` but
+    /// not in `B`. Merging lowers the figure too.
     pub fn duplication_overhead(&self, instance: &Instance) -> f64 {
         let a = instance.total_policy_rules() as f64;
         if a == 0.0 {

@@ -272,59 +272,36 @@ impl DataPlane {
     /// Applies a diff as one atomic transaction: every install lands
     /// before any delete, per-switch peak occupancy is recorded, and the
     /// final state must respect capacities. The transaction is *staged*
-    /// — all mutations happen on a shadow copy of the tables and are
-    /// swapped in only after every operation and the commit check
-    /// succeed, so a failure can never leave the dataplane half-applied.
+    /// — the ops run through [`DataPlane::install`] and
+    /// [`DataPlane::remove`] on a copy of the dataplane, which is swapped
+    /// in only after every operation and the commit check succeed, so a
+    /// failure can never leave the dataplane half-applied.
     ///
     /// # Errors
     ///
     /// See [`DataPlaneError`]. On error the deployed state is untouched.
     pub fn apply(&mut self, diff: &RuleDiff) -> Result<ApplyReport, DataPlaneError> {
-        let mut staged = self.switches.clone();
-        let report = Self::apply_staged(&mut staged, diff)?;
-        self.switches = staged;
-        Ok(report)
-    }
-
-    fn apply_staged(
-        switches: &mut [SwitchTcam],
-        diff: &RuleDiff,
-    ) -> Result<ApplyReport, DataPlaneError> {
+        let mut staged = self.clone();
         // Phase 1: install everything (make-before-break).
         for (s, e) in &diff.install {
-            let tcam = switches
-                .get_mut(s.0)
-                .ok_or(DataPlaneError::UnknownSwitch(*s))?;
-            if !tcam.online {
-                return Err(DataPlaneError::SwitchDown(*s));
-            }
-            tcam.entries.push(e.clone());
+            staged.install(*s, e)?;
         }
-        let peak_occupancy = switches.iter().map(|t| t.entries.len()).max().unwrap_or(0);
+        let peak_occupancy = staged
+            .switches
+            .iter()
+            .map(|t| t.entries.len())
+            .max()
+            .unwrap_or(0);
         // Phase 2: delete the obsolete entries.
         for (s, e) in &diff.remove {
-            let tcam = switches
-                .get_mut(s.0)
-                .ok_or(DataPlaneError::UnknownSwitch(*s))?;
-            if !tcam.online {
-                return Err(DataPlaneError::SwitchDown(*s));
-            }
-            let Some(pos) = tcam.entries.iter().position(|x| x == e) else {
-                return Err(DataPlaneError::MissingEntry {
-                    switch: *s,
-                    entry: e.to_string(),
-                });
-            };
-            tcam.entries.remove(pos);
+            staged.remove(*s, e)?;
         }
         // Commit check: the final state must fit.
         Self::check_capacities(
-            switches.iter().map(|t| t.entries.as_slice()),
-            switches.iter().map(|t| t.capacity),
+            staged.switches.iter().map(|t| t.entries.as_slice()),
+            staged.switches.iter().map(|t| t.capacity),
         )?;
-        for tcam in switches.iter_mut() {
-            tcam.entries.sort_by(table_order);
-        }
+        *self = staged;
         Ok(ApplyReport {
             installed: diff.install.len(),
             removed: diff.remove.len(),

@@ -221,6 +221,13 @@ impl Instance {
         self.policies.iter().map(|(l, q)| (*l, &**q))
     }
 
+    /// Every policy's shared `Arc`, in ingress order. A policy is never
+    /// mutated in place (an edit attaches a new `Arc`), so two equal
+    /// pointers mean equal content while either is held.
+    pub(crate) fn policy_arcs(&self) -> impl Iterator<Item = (EntryPortId, &Arc<Policy>)> {
+        self.policies.iter().map(|(l, q)| (*l, q))
+    }
+
     /// Number of attached policies.
     pub fn policy_count(&self) -> usize {
         self.policies.len()

@@ -25,9 +25,9 @@ pub use crate::encode_ilp::DependencyEncoding;
 /// the map so a switch load never walks it. `==` compares the map only;
 /// the counts follow from it.
 #[derive(Clone, Default)]
-struct IngressRules {
-    rules: BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>,
-    load: Vec<usize>,
+pub(crate) struct IngressRules {
+    pub(crate) rules: BTreeMap<(EntryPortId, RuleId), BTreeSet<SwitchId>>,
+    pub(crate) load: Vec<usize>,
 }
 
 impl IngressRules {
@@ -100,6 +100,18 @@ impl Placement {
     /// Iterates over `((ingress, rule), switches)` entries.
     pub fn iter(&self) -> impl Iterator<Item = (&(EntryPortId, RuleId), &BTreeSet<SwitchId>)> {
         self.placed.values().flat_map(|m| m.rules.iter())
+    }
+
+    /// Every ingress's share, in ingress order. A share is never
+    /// mutated while anything else holds a clone of its `Arc`, so two
+    /// equal pointers mean equal content.
+    pub(crate) fn shares(&self) -> impl Iterator<Item = (EntryPortId, &Arc<IngressRules>)> {
+        self.placed.iter().map(|(l, m)| (*l, m))
+    }
+
+    /// The share of `ingress`, if it has a placed rule.
+    pub(crate) fn share(&self, ingress: EntryPortId) -> Option<&Arc<IngressRules>> {
+        self.placed.get(&ingress)
     }
 
     /// The realized merge groups.

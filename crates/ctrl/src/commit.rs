@@ -9,13 +9,17 @@
 //! check the target against Eq. 3 capacity, and send the table diff to
 //! the dataplane op by op with make-before-break semantics — installs
 //! land before deletes, so the §IV-A no-false-negative guarantee holds
-//! during the transition. The controller remembers which routes its last
-//! passing verify covered
-//! ([`VerifiedRoutes`](flowplace_core::verify::VerifiedRoutes)), so a
-//! verify pays the full packet set only for routes whose policy, hops or
-//! tagged table entries changed; the verdict is that of the full sweep. With nothing
-//! fenced and no op failing, every fault-tolerance step below is a
-//! no-op and the first round converges.
+//! during the transition. The controller keeps the runs of its last
+//! emit ([`Emitter`](flowplace_core::tables::Emitter)), so an emit
+//! rebuilds only the ingresses whose policy or placement share moved,
+//! whatever moved them, and hands verify each table slice and its digest
+//! without a re-index. It remembers which routes its last passing verify
+//! covered ([`VerifiedRoutes`](flowplace_core::verify::VerifiedRoutes)),
+//! so a verify pays the full packet set only for routes whose policy,
+//! hops or tagged table entries changed; the verdict is that of the full
+//! sweep. The diff still compares every switch's target with its
+//! installed entries. With nothing fenced and no op failing, every
+//! fault-tolerance step below is a no-op and the first round converges.
 //!
 //! - An ingress whose tables fail verification fails **closed**, alone:
 //!   it enters safe mode (below) and the rest of the epoch commits. An
@@ -44,7 +48,7 @@
 
 use std::collections::BTreeSet;
 
-use flowplace_core::tables::{emit_tables, SwitchTable, TableEntry};
+use flowplace_core::tables::{SwitchTable, TableEntry};
 use flowplace_core::verify::{self, VerifyMode};
 use flowplace_core::{Instance, Placement};
 use flowplace_fasthash::WordHashSet;
@@ -173,22 +177,22 @@ impl Controller {
             self.degrade(instance, placement, rounds == 1);
             // Emit once per verify iteration; the tables that pass are
             // the ones the target is built from.
-            let tables = loop {
+            let emission = loop {
                 let safe_mode = &self.faults.safe_mode;
-                let verdict = emit_tables(instance, placement)
+                let verdict = (self.emitter.emit(instance, placement))
                     .map_err(verify::VerifyError::from)
-                    .and_then(|tables| {
+                    .and_then(|emission| {
                         self.verified.verify(
                             instance,
-                            &tables,
+                            &emission,
                             self.options.verify_packets,
                             epoch,
                             |r| !safe_mode.contains(&r.ingress),
                         )?;
-                        Ok(tables)
+                        Ok(emission)
                     });
                 match verdict {
-                    Ok(tables) => break tables,
+                    Ok(emission) => break emission,
                     Err(verify::VerifyError::Violation(v)) => {
                         self.stats.verify_failures += 1;
                         self.enter_safe_mode(v.ingress, placement);
@@ -202,7 +206,7 @@ impl Controller {
                     }
                 }
             };
-            let target = self.build_target(instance, &tables);
+            let target = self.build_target(instance, emission.tables());
             let mut capacities = instance.topology().capacities();
             for (s, outage) in &self.faults.unmanageable {
                 // A switch that froze mid-transaction may hold

@@ -36,6 +36,7 @@ mod tests;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
+use flowplace_core::tables::Emitter;
 use flowplace_core::verify::VerifiedRoutes;
 use flowplace_core::{Instance, Objective, Placement, PlacementOptions};
 use flowplace_obs::{Obs, SpanId};
@@ -398,6 +399,8 @@ pub struct Controller {
     obs: Option<Obs>,
     /// The routes the last passing commit-time verify covered.
     verified: VerifiedRoutes,
+    /// The runs of the last commit-time emit, per ingress.
+    emitter: Emitter,
 }
 
 /// Snapshots retained for rollback.
@@ -431,6 +434,7 @@ impl Controller {
             stats: CtrlStats::default(),
             obs: None,
             verified: VerifiedRoutes::default(),
+            emitter: Emitter::default(),
         }
     }
 
@@ -483,6 +487,21 @@ impl Controller {
     /// export is byte-pinned).
     pub fn verified_routes(&self) -> &VerifiedRoutes {
         &self.verified
+    }
+
+    /// The emitter of the commit-time tables, with its rebuilt-ingress
+    /// and digested-slice counts (kept out of [`CtrlStats`], whose
+    /// export is byte-pinned).
+    pub fn emitter(&self) -> &Emitter {
+        &self.emitter
+    }
+
+    /// Drops the emitter's runs, so the next commit builds every
+    /// ingress's from scratch. The tables, verdicts and every other
+    /// observable stay what they would have been: runs are reused only
+    /// on content they equal.
+    pub fn reset_emitter(&mut self) {
+        self.emitter = Emitter::default();
     }
 
     /// Attaches an observability context: epoch/event/commit spans and

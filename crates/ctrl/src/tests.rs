@@ -1,5 +1,5 @@
 use super::*;
-use flowplace_acl::{Action, Policy, Rule, Ternary};
+use flowplace_acl::{Action, Policy, Rule, RuleId, Ternary};
 use flowplace_routing::Route;
 use flowplace_topo::SwitchId;
 
@@ -71,6 +71,59 @@ fn install_then_add_rule_greedy() {
     assert!(ctrl.dataplane().total_occupancy() >= 2);
     assert_eq!(ctrl.stats().verify_failures, 0);
     ctrl.cache_fail_closed_audit().unwrap();
+}
+
+/// The emitter's cost follows the change: a bring-up builds every
+/// ingress's runs, and a one-rule add or remove rebuilds one ingress's,
+/// digesting one slice per switch that holds its entries.
+#[test]
+fn one_rule_epochs_rebuild_one_ingress() {
+    let mut topo = Topology::star(4);
+    topo.set_uniform_capacity(16);
+    let (ls, leaf) = (|l: usize| EntryPortId(l), |l: usize| SwitchId(l + 1));
+    let routes = (0..3).map(|l| {
+        let far = (l + 2) % 4;
+        Route::new(ls(l), ls(far), vec![leaf(l), SwitchId(0), leaf(far)])
+    });
+    let policies = (0..3).map(|l| {
+        let mut rules: Vec<Rule> = (0..5)
+            .map(|i| Rule::new(t(&format!("{:04b}", 3 * i + l)), Action::Drop, i as u32 + 2))
+            .collect();
+        rules.push(Rule::new(t("****"), Action::Permit, 1));
+        (ls(l), Policy::from_rules(rules).unwrap())
+    });
+    let instance = Instance::new(topo, routes.collect(), policies.collect()).unwrap();
+    let mut ctrl = Controller::with_instance(instance, CtrlOptions::default()).unwrap();
+    let holding = |ctrl: &Controller, l: EntryPortId| {
+        let dp = ctrl.dataplane();
+        let tcams = (0..dp.switch_count()).map(|s| dp.switch(SwitchId(s)));
+        tcams
+            .filter(|tcam| tcam.entries().iter().any(|e| e.tags.contains(&l)))
+            .count() as u64
+    };
+    let emitter = ctrl.emitter();
+    assert_eq!(emitter.ingresses_rebuilt(), 3);
+    let slices: u64 = (0..3).map(|l| holding(&ctrl, ls(l))).sum();
+    assert_eq!(emitter.slices_digested(), slices);
+    let add = Event::AddRule {
+        ingress: ls(1),
+        rule: Rule::new(t("1111"), Action::Drop, 20),
+    };
+    let remove = Event::RemoveRule {
+        ingress: ls(1),
+        rule: RuleId(0),
+    };
+    for event in [add, remove] {
+        let emitter = ctrl.emitter();
+        let before = (emitter.ingresses_rebuilt(), emitter.slices_digested());
+        ctrl.submit(event).unwrap();
+        let reports = ctrl.run_to_idle().unwrap();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].tiers(), vec![Tier::Greedy]);
+        let emitter = ctrl.emitter();
+        assert_eq!(emitter.ingresses_rebuilt() - before.0, 1);
+        assert_eq!(emitter.slices_digested() - before.1, holding(&ctrl, ls(1)));
+    }
 }
 
 #[test]

@@ -15,9 +15,12 @@
 //!
 //! The ladder is written once: the first tier is the event's own §IV-E
 //! operation, which hands back the edited instance whether or not it
-//! placed it, and the two re-solves below run on that instance. A
-//! policy install or a reroute starts at the restricted tier — that
-//! *is* its §IV-E operation.
+//! placed it, and the two re-solves below run on that instance. Only a
+//! policy install starts at the restricted tier — that *is* its §IV-E
+//! operation. A reroute starts at the greedy tier: it keeps the
+//! deployed placement when that already serves the new routes, and
+//! otherwise falls to the restricted re-solve of the rerouted ingress,
+//! which is the paper's restricted routing-change operation.
 
 use std::collections::BTreeSet;
 
@@ -78,15 +81,8 @@ impl Controller {
             ),
             Event::Reroute { ingress, routes } => (
                 *ingress,
-                Tier::Restricted,
-                incremental::reroute_policy(
-                    instance,
-                    placement,
-                    *ingress,
-                    routes.clone(),
-                    options,
-                    self.options.objective,
-                ),
+                Tier::Greedy,
+                incremental::reroute_greedy(instance, placement, *ingress, routes.clone()),
             ),
             Event::CapacityChange { switch, capacity } => {
                 if switch.0 >= instance.topology().switch_count() {
@@ -118,7 +114,8 @@ impl Controller {
         }
         if first == Tier::Greedy {
             // The original placement serves: the re-solve discards this
-            // ingress's entries, the only ones the edit renumbered.
+            // ingress's entries, the only ones the edit renumbered or
+            // rerouted.
             if let Some((i, p)) = self.restricted(&out.instance, placement, &[ingress]) {
                 return Ok((i, p, Tier::Restricted));
             }

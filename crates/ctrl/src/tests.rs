@@ -126,6 +126,74 @@ fn one_rule_epochs_rebuild_one_ingress() {
     }
 }
 
+/// A star controller (hub s0, ingress `li` on leaf `s(i+1)`) with the
+/// [`install`] policy of l0 deployed over s1-s0-s3; `capacities`
+/// (`s0..=s3`) leave its one DROP a single switch to sit on.
+fn star_with_l0(capacities: [usize; 4]) -> Controller {
+    let mut topo = Topology::star(3);
+    for (s, capacity) in capacities.into_iter().enumerate() {
+        topo.set_capacity(SwitchId(s), capacity);
+    }
+    let mut ctrl = Controller::new(topo, CtrlOptions::default());
+    ctrl.submit(install(0, 2, &[1, 0, 3])).unwrap();
+    ctrl.run_to_idle().unwrap();
+    ctrl
+}
+
+/// l0 rerouted onto s1-s0-s2.
+fn reroute_l0_via_s2() -> Event {
+    let hops = vec![SwitchId(1), SwitchId(0), SwitchId(2)];
+    Event::Reroute {
+        ingress: EntryPortId(0),
+        routes: vec![Route::new(EntryPortId(0), EntryPortId(1), hops)],
+    }
+}
+
+/// The hub holds l0's DROP and stays on the new route: the reroute
+/// settles at the greedy tier, keeps the placement, rebuilds no
+/// emitter run and writes no TCAM entry.
+#[test]
+fn a_covered_reroute_commits_without_a_tcam_write() {
+    let mut ctrl = star_with_l0([4, 0, 4, 0]);
+    let (placement, before) = (ctrl.placement().clone(), ctrl.stats().clone());
+    let rebuilt = ctrl.emitter().ingresses_rebuilt();
+    ctrl.submit(reroute_l0_via_s2()).unwrap();
+    let reports = ctrl.run_to_idle().unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].tiers(), vec![Tier::Greedy]);
+    assert_eq!((reports[0].installed, reports[0].removed), (0, 0));
+    assert_eq!(ctrl.stats().greedy_ok, before.greedy_ok + 1);
+    assert_eq!(ctrl.stats().restricted_ok, before.restricted_ok);
+    assert_eq!(ctrl.placement(), &placement);
+    assert_eq!(ctrl.emitter().ingresses_rebuilt(), rebuilt);
+    let routes = ctrl.instance().routes();
+    let [id] = routes.paths_from(EntryPortId(0)) else {
+        panic!("l0 has one route");
+    };
+    assert!(
+        routes.route(*id).contains(SwitchId(2)),
+        "the reroute committed"
+    );
+    assert_eq!(ctrl.stats().verify_failures, 0);
+}
+
+/// The egress leaf s3 holds l0's DROP and leaves the routes: the
+/// greedy tier declines and the restricted re-solve moves it to s2.
+#[test]
+fn an_uncovered_reroute_lands_on_the_restricted_tier() {
+    let mut ctrl = star_with_l0([0, 0, 4, 4]);
+    let held = |ctrl: &Controller| ctrl.placement().iter().next().map(|(_, sw)| sw.clone());
+    assert_eq!(held(&ctrl), Some([SwitchId(3)].into()));
+    let before = ctrl.stats().clone();
+    ctrl.submit(reroute_l0_via_s2()).unwrap();
+    let reports = ctrl.run_to_idle().unwrap();
+    assert_eq!(reports[0].tiers(), vec![Tier::Restricted]);
+    assert_eq!((reports[0].installed, reports[0].removed), (1, 1));
+    assert_eq!(ctrl.stats().greedy_ok, before.greedy_ok);
+    assert_eq!(held(&ctrl), Some([SwitchId(2)].into()));
+    assert_eq!(ctrl.stats().verify_failures, 0);
+}
+
 #[test]
 fn batching_coalesces_to_one_diff() {
     let mut ctrl = small_controller(16);

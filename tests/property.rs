@@ -12,6 +12,8 @@
 //! * the model's edit methods equal the whole-model rebuilds they
 //!   replaced, and the named §IV-E operations are those edits in front
 //!   of the one restricted re-solve;
+//! * a reroute's greedy tier keeps only placements that verify, and the
+//!   restricted re-solve it skips never places more entries;
 //! * the copy-on-write `Placement` and `Instance` read as their flat
 //!   models under any sequence of their edits, and a clone never sees a
 //!   later edit;
@@ -1044,6 +1046,107 @@ fn named_medium_operations_are_an_edit_then_the_restricted_resolve() {
         );
         same(case, out.unwrap(), want.unwrap());
     }
+}
+
+/// The greedy tier of a routing change keeps the deployed placement
+/// only where it is a correct placement of the rerouted instance. Over
+/// chains of random reroutes — flow-sliced routes, now and then a
+/// switch shrunk, the first placement solved with merging on in half
+/// the cases — every placement `reroute_greedy` keeps is the input,
+/// passes the exhaustive verifier on the edited instance, holds entries
+/// of the rerouted ingress only on its new routes and within capacity —
+/// so its share solves the restricted sub-problem — and is never smaller
+/// than the restricted re-solve it stands in for. Both outcomes occur;
+/// the largest gap between the two is printed.
+#[test]
+fn reroute_greedy_keeps_only_correct_placements() {
+    let mut rng = StdRng::seed_from_u64(0x4E40);
+    let options = PlacementOptions::default();
+    let (mut kept, mut declined, mut gap) = (0, 0, 0);
+    for case in 0..64 {
+        let mut inst = rand_instance(&mut rng);
+        let first = PlacementOptions {
+            merging: rng.gen_bool(0.5),
+            ..options.clone()
+        };
+        let solved = par::solve(&inst, Objective::TotalRules, &first, None);
+        let Some(mut placement) = solved.placement else {
+            continue;
+        };
+        let ports = inst.topology().entry_port_count();
+        for step in 0..4 {
+            let at = format!("case {case} step {step}");
+            if rng.gen_bool(0.25) {
+                let s = SwitchId(rng.gen_range(0..inst.topology().switch_count()));
+                inst.set_capacity(s, rng.gen_range(0..=inst.topology().capacity(s)));
+            }
+            let l = EntryPortId(rng.gen_range(0..inst.policy_count()));
+            let leaf = |p: EntryPortId| inst.topology().entry_port(p).switch;
+            let routes: Vec<Route> = (0..rng.gen_range(0..=2usize))
+                .map(|_| {
+                    let e = EntryPortId(rng.gen_range(0..ports));
+                    let mut hops = vec![leaf(l), SwitchId(0)];
+                    if e != l {
+                        hops.push(leaf(e));
+                    }
+                    let route = Route::new(l, e, hops);
+                    if rng.gen_bool(0.3) {
+                        route.with_flow(rand_ternary(&mut rng))
+                    } else {
+                        route
+                    }
+                })
+                .collect();
+            let out = incremental::reroute_greedy(&inst, &placement, l, routes).unwrap();
+            inst = out.instance;
+            let resolved = incremental::replace_ingresses(
+                &inst,
+                &placement,
+                &[l],
+                &options,
+                Objective::TotalRules,
+            )
+            .unwrap();
+            let Some(p) = out.placement else {
+                declined += 1;
+                let full = || par::solve(&inst, Objective::TotalRules, &options, None);
+                match resolved.placement.or_else(|| full().placement) {
+                    Some(next) => placement = next,
+                    None => break,
+                }
+                continue;
+            };
+            kept += 1;
+            assert_eq!(p, placement, "{at}: the kept placement moved");
+            verify::verify_placement_exhaustive(&inst, &p)
+                .unwrap_or_else(|e| panic!("{at}: kept placement fails verify: {e}"));
+            // The kept share fits the restricted sub-problem: on the new
+            // routes, within capacity.
+            let (routes, load) = (inst.routes(), p.per_switch_load(&inst));
+            for ((_, _), held) in p.iter().filter(|((m, _), _)| *m == l) {
+                for &s in held {
+                    let on_route = routes.paths_from(l).iter();
+                    assert!(
+                        on_route.map(|&id| routes.route(id)).any(|r| r.contains(s)),
+                        "{at}: {l} kept an entry on {s}, off its routes"
+                    );
+                    let capacity = inst.topology().capacity(s);
+                    assert!(load[s.0] <= capacity, "{at}: {s} over capacity");
+                }
+            }
+            assert_eq!(resolved.status, SolveStatus::Optimal, "{at}");
+            let resolved = resolved.placement.expect("optimal");
+            assert!(
+                resolved.total_rules() <= p.total_rules(),
+                "{at}: the re-solve placed {} entries, the kept placement {}",
+                resolved.total_rules(),
+                p.total_rules()
+            );
+            gap = gap.max(p.total_rules() - resolved.total_rules());
+        }
+    }
+    assert!(kept > 0 && declined > 0, "kept {kept}, declined {declined}");
+    eprintln!("reroute_greedy: kept {kept}, declined {declined}, largest gap {gap} entries");
 }
 
 /// The controller sends a diff op by op; `DataPlane::apply` is the same

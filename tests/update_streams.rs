@@ -416,7 +416,7 @@ fn every_event_kind_reaches_every_rung_with_the_same_edit() {
         ("add-rule", &all[..]),
         ("modify-rule", &all[..]),
         ("install-policy", &all[1..]),
-        ("reroute", &all[1..]),
+        ("reroute", &all[..]),
         ("capacity", &[Tier::Greedy, Tier::Full][..]),
         ("remove-rule", &all[..1]),
     ];

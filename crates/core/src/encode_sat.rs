@@ -200,10 +200,10 @@ mod tests {
         let mut enc = SatEncoding::build(&chain(3), false);
         let p = enc.solve().expect("satisfiable");
         // The drop rules are covered somewhere on the path.
-        assert!(!p.switches_of(EntryPortId(0), RuleId(1)).is_empty());
-        assert!(!p.switches_of(EntryPortId(0), RuleId(2)).is_empty());
+        assert!(p.switches_of(EntryPortId(0), RuleId(1)).next().is_some());
+        assert!(p.switches_of(EntryPortId(0), RuleId(2)).next().is_some());
         // Dependency: wherever drop r1 sits, permit r0 sits too.
-        for &s in p.switches_of(EntryPortId(0), RuleId(1)).clone().iter() {
+        for s in p.switches_of(EntryPortId(0), RuleId(1)) {
             assert!(p.is_placed(EntryPortId(0), RuleId(0), s));
         }
     }

@@ -69,7 +69,6 @@ pub fn place_rule(
     let mut needed: Vec<SwitchId> = (rule.0 + 1..rules.len())
         .filter(|&w| rules[w].action().is_drop() && added.overlaps(&rules[w]))
         .flat_map(|w| placement.switches_of(ingress, RuleId(w)))
-        .copied()
         .filter(|&s| !placement.is_placed(ingress, rule, s))
         .collect();
     needed.sort_unstable();
@@ -148,7 +147,7 @@ mod tests {
         // All three rules (drop 1 + its permit shield + drop 2) at s0.
         for r in 0..3 {
             let s = p.switches_of(EntryPortId(0), RuleId(r));
-            assert_eq!(s.iter().copied().collect::<Vec<_>>(), vec![SwitchId(0)]);
+            assert_eq!(s.collect::<Vec<_>>(), vec![SwitchId(0)]);
         }
     }
 
@@ -262,7 +261,7 @@ mod tests {
         let mut needed: Vec<SwitchId> = Vec::new();
         for (w, r) in policy.iter() {
             if r.action().is_drop() && graph.permits_required_by(w).contains(&rule) {
-                needed.extend(placement.switches_of(ingress, w).iter().copied());
+                needed.extend(placement.switches_of(ingress, w));
             }
         }
         needed.sort_unstable();
@@ -355,10 +354,13 @@ mod tests {
                 }
                 // Only the DROP's shields sit below its id.
                 let shield_added = if action.is_drop() {
-                    (0..id.0)
-                        .any(|u| want.switches_of(l, RuleId(u)) != before.switches_of(l, RuleId(u)))
+                    (0..id.0).any(|u| {
+                        !want
+                            .switches_of(l, RuleId(u))
+                            .eq(before.switches_of(l, RuleId(u)))
+                    })
                 } else {
-                    !want.switches_of(l, id).is_empty()
+                    want.switches_of(l, id).next().is_some()
                 };
                 shielded += usize::from(shield_added);
                 (inst, placement) = (next, want);

@@ -270,8 +270,7 @@ fn serves(instance: &Instance, placement: &Placement, ingress: EntryPortId) -> b
     let paths = routes.paths_from(ingress);
     if let Some(share) = placement.share(ingress) {
         let load = placement.per_switch_load(instance);
-        let held = share.load.iter().enumerate().filter(|(_, &n)| n > 0);
-        for s in held.map(|(s, _)| SwitchId(s)) {
+        for &s in share.switches() {
             let on_route = paths.iter().any(|&id| routes.route(id).contains(s));
             if !on_route || load[s.0] > topology.capacity(s) {
                 return false;
@@ -283,11 +282,10 @@ fn serves(instance: &Instance, placement: &Placement, ingress: EntryPortId) -> b
     paths.iter().all(|&id| {
         let route = routes.route(id);
         slicing::sliced_drop_rules(policy, route).all(|w| {
-            let held = placement.switches_of(ingress, w);
             let mut holding = route
                 .switches
                 .iter()
-                .filter(|s| held.contains(s))
+                .filter(|&&s| placement.is_placed(ingress, w, s))
                 .peekable();
             if holding.peek().is_none() {
                 return false;
@@ -574,9 +572,9 @@ mod tests {
         // route s1-s0-s3; zero whichever switches it used and re-place.
         let used: Vec<SwitchId> = (0..4)
             .map(SwitchId)
-            .filter(|&s| {
-                p.iter()
-                    .any(|((l, _), sw)| *l == EntryPortId(0) && sw.contains(&s))
+            .filter(|s| {
+                p.held_switches()
+                    .any(|(l, held)| l == EntryPortId(0) && held.contains(s))
             })
             .collect();
         assert!(!used.is_empty());
@@ -596,7 +594,7 @@ mod tests {
         let q = out.placement.unwrap();
         for ((_, _), switches) in q.iter() {
             for s in switches {
-                assert!(!used.contains(s), "rule still on zeroed {s}");
+                assert!(!used.contains(&s), "rule still on zeroed {s}");
             }
         }
         verify_placement(&out.instance, &q, 64, 11).expect("re-placed placement correct");

@@ -27,19 +27,19 @@
 //!
 //! # Runs
 //!
-//! An [`Emitter`] keeps, per ingress, the *runs* it last emitted: the
-//! ingress's rule ids on each switch, in policy order, one `u32` per
-//! entry, each run with the digest of its slice. On a merge-free switch
-//! an ingress's run is one contiguous stretch of the table, and the
-//! table is the runs in ingress order. The runs are keyed by the `Arc`
-//! identity of the ingress's policy and placement share, so a commit
-//! after a one-rule update rebuilds one ingress's runs and assembles
-//! the tables from the rest as they are. [`emit_tables`] is a fresh
-//! emitter's first emit. The [`Emission`] carries, beside the tables,
-//! where each `(switch, ingress)` slice lies and its digest, which
-//! [`crate::verify::VerifiedRoutes`] reads instead of re-indexing the
-//! tables; a table set not emitted here (the dataplane's actual
-//! contents) is scanned for them.
+//! A [`Placement`] holds each ingress's share as *runs*: the ingress's
+//! rule ids on each switch, in policy order, one `u32` per entry. An
+//! [`Emitter`] keeps, per ingress, the digest of each run's slice. On a
+//! merge-free switch an ingress's run is one contiguous stretch of the
+//! table, and the table is the runs in ingress order. The digests are
+//! keyed by the `Arc` identity of the ingress's policy and placement
+//! share, so a commit after a one-rule update re-digests one ingress's
+//! runs and assembles the tables from the rest as they are.
+//! [`emit_tables`] is a fresh emitter's first emit. The [`Emission`]
+//! carries, beside the tables, where each `(switch, ingress)` slice
+//! lies and its digest, which [`crate::verify::VerifiedRoutes`] reads
+//! instead of re-indexing the tables; a table set not emitted here (the
+//! dataplane's actual contents) is scanned for them.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -283,6 +283,11 @@ impl SwitchTable {
         &self.entries
     }
 
+    /// The entries in descending priority order, dropping the table.
+    pub fn into_entries(self) -> Vec<TableEntry> {
+        self.entries
+    }
+
     /// Number of TCAM entries consumed.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -352,17 +357,18 @@ pub fn emit_tables(
 
 /// The table emitter a controller keeps across commits.
 ///
-/// For each ingress it holds the runs it last emitted: per switch, the
-/// ids of the ingress's rules placed there in policy order, each run with
-/// the digest of its slice, and the ingress's [policy
-/// key](crate::verify::VerifiedRoutes). They are keyed by the `Arc`
+/// The runs it emits are the placement share's own: per switch, the ids
+/// of the ingress's rules placed there in policy order. For each
+/// ingress it holds the digest of each run's slice and the ingress's
+/// [policy key](crate::verify::VerifiedRoutes), keyed by the `Arc`
 /// identity of the ingress's policy in the [`Instance`] and of its share
-/// of the [`Placement`], and hold clones of both. Both are
+/// of the [`Placement`], and holds clones of both. Both are
 /// copy-on-write: an edit to a shared `Arc` makes a new one, so while
 /// the emitter holds a clone an equal pointer means equal content. An
-/// emit rebuilds the runs of the ingresses whose pointers moved —
+/// emit re-digests the runs of the ingresses whose pointers moved —
 /// whatever moved them: an event, degradation, safe mode, a rollback —
-/// and assembles every table from the runs. A clone shares every run.
+/// and assembles every table from the runs. A clone shares every
+/// digest.
 #[derive(Clone, Default)]
 pub struct Emitter {
     ingresses: BTreeMap<EntryPortId, Arc<IngressRuns>>,
@@ -370,85 +376,47 @@ pub struct Emitter {
     slices_digested: u64,
 }
 
-/// One ingress's runs and what they were built from.
+/// One ingress's run digests and what they were built from. The runs
+/// themselves are the share's.
 struct IngressRuns {
     policy: Arc<Policy>,
     share: Option<Arc<IngressRules>>,
     policy_key: u64,
-    /// Rule ids, run after run.
-    ids: Vec<u32>,
-    /// In switch order; a run's ids end at `end`, where the next begins.
-    runs: Vec<Run>,
-}
-
-/// One ingress's rules on one switch.
-struct Run {
-    switch: SwitchId,
-    end: u32,
-    /// The slice digest of the run's entries (see [`slice_digest`]).
-    digest: u64,
+    /// The [`slice_digest`] of each of the share's runs, in switch order.
+    digests: Vec<u64>,
 }
 
 impl IngressRuns {
-    /// Buckets the share's rules by switch, keeping policy order within
-    /// each bucket, and digests each bucket. `policy_key` is the key of
+    /// Digests each run of the share. `policy_key` is the key of
     /// `policy` when already known.
     fn build(
         policy: &Arc<Policy>,
         share: Option<&Arc<IngressRules>>,
         policy_key: Option<u64>,
     ) -> IngressRuns {
-        let (mut ids, mut runs) = (Vec::new(), Vec::new());
-        if let Some(share) = share {
-            runs.reserve_exact(share.load.iter().filter(|&&n| n > 0).count());
-            let mut next: Vec<u32> = Vec::with_capacity(share.load.len());
-            let mut end = 0;
-            for (s, &n) in share.load.iter().enumerate() {
-                next.push(end);
-                if n > 0 {
-                    end += n as u32;
-                    let switch = SwitchId(s);
-                    runs.push(Run {
-                        switch,
-                        end,
-                        digest: 0,
-                    });
-                }
-            }
-            ids = vec![0; end as usize];
-            for (&(_, rule), switches) in &share.rules {
-                for s in switches {
-                    ids[next[s.0] as usize] = rule.0 as u32;
-                    next[s.0] += 1;
-                }
-            }
-            let mut lo = 0;
-            for run in &mut runs {
-                let rules = ids[lo..run.end as usize].iter();
-                let rules = rules.map(|&id| policy.rule(RuleId(id as usize)));
-                run.digest = slice_digest(rules.map(|r| (r.match_field(), r.action())));
-                lo = run.end as usize;
-            }
-        }
+        let runs = share.into_iter().flat_map(|share| share.runs());
+        let digests = runs.map(|(_, ids)| {
+            let rules = ids.iter().map(|&id| policy.rule(RuleId(id as usize)));
+            slice_digest(rules.map(|r| (r.match_field(), r.action())))
+        });
         IngressRuns {
             policy: Arc::clone(policy),
             share: share.cloned(),
             policy_key: policy_key.unwrap_or_else(|| crate::verify::policy_key(policy)),
-            ids,
-            runs,
+            digests: digests.collect(),
         }
     }
 
-    /// Each run with its rule ids, in switch order.
-    fn runs(&self) -> impl Iterator<Item = (&Run, &[u32])> {
-        let ends = self.runs.iter().map(|r| r.end as usize);
-        let starts = std::iter::once(0).chain(ends.clone());
-        (self.runs.iter().zip(starts.zip(ends))).map(|(r, (lo, hi))| (r, &self.ids[lo..hi]))
+    /// Each run's switch, rule ids and digest, in switch order.
+    fn runs(&self) -> impl Iterator<Item = (SwitchId, &[u32], u64)> {
+        let runs = self.share.iter().flat_map(|share| share.runs());
+        runs.zip(&self.digests)
+            .map(|((s, ids), &digest)| (s, ids, digest))
     }
 }
 
 impl Emitter {
-    /// Emits one table per switch (indexed by `SwitchId`), rebuilding
+    /// Emits one table per switch (indexed by `SwitchId`), re-digesting
     /// only the runs of ingresses whose policy or placement share moved
     /// since the last emit. The tables are those of [`emit_tables`].
     ///
@@ -479,7 +447,7 @@ impl Emitter {
             }
             let runs = IngressRuns::build(policy, share, same_policy.map(|c| c.policy_key));
             self.ingresses_rebuilt += 1;
-            self.slices_digested += runs.runs.len() as u64;
+            self.slices_digested += runs.digests.len() as u64;
             self.ingresses.insert(l, Arc::new(runs));
         }
         let emitted = self.assemble(instance, placement);
@@ -517,8 +485,8 @@ impl Emitter {
         }
         let mut sizes = vec![0; n];
         let mut runs = 0;
-        for (run, ids) in self.ingresses.values().flat_map(|c| c.runs()) {
-            sizes[run.switch.0] += ids.len();
+        for (s, ids, _) in self.ingresses.values().flat_map(|c| c.runs()) {
+            sizes[s.0] += ids.len();
             runs += 1;
         }
         let mut tables: Vec<Vec<TableEntry>> =
@@ -530,8 +498,7 @@ impl Emitter {
         // as they come (the module docs say why that is its constraint
         // order); a merged one drafts them for the graph.
         for (&l, cached) in &self.ingresses {
-            for (run, ids) in cached.runs() {
-                let s = run.switch;
+            for (s, ids, digest) in cached.runs() {
                 let rules = ids.iter().map(|&id| RuleId(id as usize));
                 let entry = |r: RuleId| {
                     let rule = cached.policy.rule(r);
@@ -546,7 +513,7 @@ impl Emitter {
                     None => {
                         let (lo, hi) = (tables[s.0].len(), tables[s.0].len() + ids.len());
                         tables[s.0].extend(rules.map(entry));
-                        slices.push_run(l, s, lo..hi, run.digest);
+                        slices.push_run(l, s, lo..hi, digest);
                     }
                     Some(drafts) => {
                         let kept = rules.filter(|&r| !absorbed.contains(&(l, r, s)));
@@ -593,14 +560,14 @@ impl Emitter {
         })
     }
 
-    /// Ingresses whose runs were built, summed over emits: every ingress
+    /// Ingresses whose runs were digested, summed over emits: every ingress
     /// on the first, then one per ingress whose policy or placement
     /// share moved.
     pub fn ingresses_rebuilt(&self) -> u64 {
         self.ingresses_rebuilt
     }
 
-    /// Slices digested, summed over emits: one per run built, and one per
+    /// Slices digested, summed over emits: one per run digested, and one per
     /// `(switch, ingress)` slice of a switch holding a merged entry,
     /// whose slices are scanned on every emit.
     pub fn slices_digested(&self) -> u64 {
@@ -1114,9 +1081,9 @@ mod tests {
                 contributors: g.members.clone(),
             });
         }
-        for (&(l, r), switches) in p.iter() {
+        for ((l, r), switches) in p.iter() {
             let rule = inst.policy(l).unwrap().rule(r);
-            for &s in switches {
+            for s in switches {
                 let absorbs = |g: &MergeGroup| g.switch == s && g.members.contains(&(l, r));
                 if p.merge_groups().iter().any(absorbs) {
                     continue;

@@ -144,11 +144,19 @@ impl Sites {
 
     /// The placement a solution describes, given each variable's value.
     pub(crate) fn decode(&self, value: impl Fn(u32) -> bool) -> Placement {
-        let mut placement = Placement::new();
-        for (c, &(ingress, rule)) in self.keys.iter().enumerate() {
-            for &(s, _) in self.slice(c).iter().filter(|&&(_, v)| value(v)) {
-                placement.place(ingress, rule, s);
-            }
+        let (mut placement, value) = (Placement::new(), &value);
+        let mut c = 0;
+        while c < self.keys.len() {
+            // The ingress's candidates are keys `c..end`, in rule order.
+            let ingress = self.keys[c].0;
+            let end = c + self.keys[c..].partition_point(|&(l, _)| l == ingress);
+            let entries = (c..end).flat_map(move |c| {
+                let (rule, on) = (self.keys[c].1, self.slice(c).iter());
+                on.filter(move |&&(_, v)| value(v))
+                    .map(move |&(s, _)| (rule, s))
+            });
+            placement.place_share(ingress, entries);
+            c = end;
         }
         for (_, group) in self.merges.iter().filter(|&&(vm, _)| value(vm)) {
             placement.record_merge(group.clone());
@@ -161,9 +169,11 @@ impl Sites {
     /// a site that is not a candidate.
     pub(crate) fn encode(&self, placement: &Placement) -> Option<Vec<bool>> {
         let mut values = vec![false; self.count() + self.merges.len()];
-        for (&(ingress, rule), switches) in placement.iter() {
-            for &s in switches {
-                values[self.site(ingress, rule, s)? as usize] = true;
+        for (ingress, share) in placement.shares() {
+            for (s, ids) in share.runs() {
+                for &id in ids {
+                    values[self.site(ingress, RuleId(id as usize), s)? as usize] = true;
+                }
             }
         }
         for (vm, group) in &self.merges {

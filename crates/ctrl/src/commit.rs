@@ -48,7 +48,7 @@
 
 use std::collections::BTreeSet;
 
-use flowplace_core::tables::{SwitchTable, TableEntry};
+use flowplace_core::tables::{Emission, SwitchTable, TableEntry};
 use flowplace_core::verify::{self, VerifyMode};
 use flowplace_core::{Instance, Placement};
 use flowplace_fasthash::WordHashSet;
@@ -98,14 +98,16 @@ impl Controller {
     }
 
     /// Builds the dataplane target from the working placement's emitted
-    /// (and verified) `tables` under the current outages: out-of-service
+    /// (and verified) tables under the current outages, moving the
+    /// entries out of `emission` rather than copying them: out-of-service
     /// switches keep their actual contents (no ops can reach them) and
     /// every safe-mode ingress gets a maximum-priority drop-all fence at
     /// the first manageable switch of each of its routes. A route with
     /// no manageable switch is fenced at the controller-owned entry port
     /// instead (no TCAM entry).
-    fn build_target(&self, instance: &Instance, tables: &[SwitchTable]) -> Vec<Vec<TableEntry>> {
-        let mut target = DataPlane::target_from_tables(tables);
+    fn build_target(&self, instance: &Instance, emission: Emission) -> Vec<Vec<TableEntry>> {
+        let tables = emission.into_tables().into_iter();
+        let mut target: Vec<Vec<TableEntry>> = tables.map(SwitchTable::into_entries).collect();
         target.resize(self.dataplane.switch_count(), Vec::new());
         for s in self.faults.unmanageable.keys() {
             target[s.0] = self.dataplane.switch(*s).entries().to_vec();
@@ -206,7 +208,7 @@ impl Controller {
                     }
                 }
             };
-            let target = self.build_target(instance, emission.tables());
+            let target = self.build_target(instance, emission);
             let mut capacities = instance.topology().capacities();
             for (s, outage) in &self.faults.unmanageable {
                 // A switch that froze mid-transaction may hold

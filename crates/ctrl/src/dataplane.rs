@@ -345,7 +345,10 @@ impl DataPlane {
         if !tcam.online {
             return Err(DataPlaneError::SwitchDown(s));
         }
-        let Some(pos) = tcam.entries.iter().position(|x| x == e) else {
+        // The table is kept in `table_order`, a total order consistent
+        // with `==`, so a binary search finds the entry itself.
+        debug_assert!(tcam.entries.is_sorted_by(|a, b| table_order(a, b).is_le()));
+        let Ok(pos) = tcam.entries.binary_search_by(|x| table_order(x, e)) else {
             return Err(DataPlaneError::MissingEntry {
                 switch: s,
                 entry: e.to_string(),
@@ -512,6 +515,46 @@ mod tests {
         ];
         dp.apply(&dp.diff_to(&target).unwrap()).unwrap();
         (dp, target)
+    }
+
+    /// `remove` finds its entry by binary search: among entries of one
+    /// priority side by side, it takes out exactly the one named, and
+    /// an entry the table lacks is an error with the table untouched.
+    #[test]
+    fn remove_takes_the_named_entry_among_equal_priorities() {
+        let mut dp = DataPlane::new(vec![16]);
+        let s = SwitchId(0);
+        let mut tagged = entry(2, "1***", Action::Drop);
+        tagged.tags = Tags::one(EntryPortId(1));
+        let same: Vec<TableEntry> = vec![
+            entry(2, "0***", Action::Drop),
+            entry(2, "1***", Action::Drop),
+            entry(2, "1***", Action::Permit),
+            tagged,
+            entry(2, "10**", Action::Drop),
+        ];
+        let all: Vec<TableEntry> = (same.iter().cloned())
+            .chain([
+                entry(3, "1***", Action::Drop),
+                entry(1, "1***", Action::Drop),
+            ])
+            .collect();
+        for e in &all {
+            dp.install(s, e).unwrap();
+        }
+        for gone in &all {
+            let mut dp = dp.clone();
+            dp.remove(s, gone).unwrap();
+            let mut want = all.clone();
+            want.retain(|e| e != gone);
+            want.sort_by(table_order);
+            assert_eq!(dp.switch(s).entries(), &want[..], "removing {gone}");
+        }
+        let missing = entry(2, "11**", Action::Drop);
+        let mut kept = dp.clone();
+        let err = kept.remove(s, &missing).unwrap_err();
+        assert!(matches!(err, DataPlaneError::MissingEntry { .. }));
+        assert_eq!(kept.switch(s).entries(), dp.switch(s).entries());
     }
 
     #[test]

@@ -211,9 +211,8 @@ pub(crate) fn restore_instance(
 /// Whether `placement` puts any rule of `ingress` on `delegate` — a
 /// detour the solution ignores is rolled back unrecorded.
 pub(crate) fn uses(placement: &Placement, ingress: EntryPortId, delegate: SwitchId) -> bool {
-    placement
-        .iter()
-        .any(|((l, _), switches)| *l == ingress && switches.contains(&delegate))
+    let mut held = placement.held_switches();
+    held.any(|(l, switches)| l == ingress && switches.contains(&delegate))
 }
 
 #[cfg(test)]

@@ -202,12 +202,12 @@ impl Controller {
         }
         let mut affected = torn.clone();
         if !self.faults.unmanageable.is_empty() {
-            for ((ingress, _), switches) in placement.iter() {
-                if switches
+            for (ingress, held) in placement.held_switches() {
+                if held
                     .iter()
                     .any(|s| self.faults.unmanageable.contains_key(s))
                 {
-                    affected.insert(*ingress);
+                    affected.insert(ingress);
                 }
             }
         }
@@ -222,12 +222,9 @@ impl Controller {
         let load = placement.per_switch_load(instance);
         let capacities = instance.topology().capacities();
         if load.iter().zip(&capacities).any(|(l, c)| l > c) {
-            for ((ingress, _), switches) in placement.iter() {
-                if switches
-                    .iter()
-                    .any(|s| load.get(s.0).copied().unwrap_or(0) > capacities[s.0])
-                {
-                    affected.insert(*ingress);
+            for (ingress, held) in placement.held_switches() {
+                if held.iter().any(|s| load[s.0] > capacities[s.0]) {
+                    affected.insert(ingress);
                 }
             }
         }
@@ -378,9 +375,9 @@ impl Controller {
         // Victims: ingresses with entries on the shrunk switch, minus
         // the already-delegated (their detours are live in `inst`).
         let victims: BTreeSet<EntryPortId> = p
-            .iter()
-            .filter(|(_, sw)| sw.contains(&switch))
-            .map(|((l, _), _)| *l)
+            .held_switches()
+            .filter(|(_, held)| held.contains(&switch))
+            .map(|(l, _)| l)
             .filter(|l| !self.faults.delegations.contains_key(l))
             .collect();
         if victims.is_empty() {

@@ -604,9 +604,9 @@ impl Controller {
             .delegations
             .iter()
             .map(|(l, d)| {
-                self.placement
-                    .iter()
-                    .filter(|((pl, _), switches)| pl == l && switches.contains(&d.delegate))
+                let entries = self.placement.iter().filter(|((pl, _), _)| pl == l);
+                entries
+                    .filter(|(_, sw)| sw.clone().any(|s| s == d.delegate))
                     .count()
             })
             .sum()

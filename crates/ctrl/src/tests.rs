@@ -182,8 +182,13 @@ fn a_covered_reroute_commits_without_a_tcam_write() {
 #[test]
 fn an_uncovered_reroute_lands_on_the_restricted_tier() {
     let mut ctrl = star_with_l0([0, 0, 4, 4]);
-    let held = |ctrl: &Controller| ctrl.placement().iter().next().map(|(_, sw)| sw.clone());
-    assert_eq!(held(&ctrl), Some([SwitchId(3)].into()));
+    let held = |ctrl: &Controller| {
+        ctrl.placement()
+            .held_switches()
+            .next()
+            .map(|(_, sw)| sw.to_vec())
+    };
+    assert_eq!(held(&ctrl), Some(vec![SwitchId(3)]));
     let before = ctrl.stats().clone();
     ctrl.submit(reroute_l0_via_s2()).unwrap();
     let reports = ctrl.run_to_idle().unwrap();
@@ -915,7 +920,7 @@ fn ignored_detours_roll_back_unrecorded() {
         ctrl.submit(event).unwrap();
         ctrl.run_to_idle().unwrap();
         assert_eq!(l0_routes(&ctrl), before, "l0's detour is rolled back");
-        assert!(ctrl.placement().iter().any(|((l, _), _)| *l == l0));
+        assert!(ctrl.placement().held_switches().any(|(l, _)| l == l0));
         assert_eq!(ctrl.safe_mode_ingresses(), safe);
         let recorded: Vec<_> = ctrl
             .delegations()

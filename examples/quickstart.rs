@@ -62,8 +62,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for ((ingress, rule), switches) in placement.iter() {
         let names: Vec<String> = switches
-            .iter()
-            .map(|s| instance.topology().switch(*s).name.clone())
+            .map(|s| instance.topology().switch(s).name.clone())
             .collect();
         println!("  {ingress} {rule} -> {}", names.join(", "));
     }

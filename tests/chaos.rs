@@ -685,7 +685,7 @@ fn placement_slice(
     ctrl.placement()
         .iter()
         .filter(|((l, _), _)| *l == ingress)
-        .map(|((_, r), switches)| (*r, switches.clone()))
+        .map(|((_, r), switches)| (r, switches.collect()))
         .collect()
 }
 

@@ -192,8 +192,8 @@ fn distance_weighted_prefers_upstream() {
         let mut sum = 0usize;
         let mut count = 0usize;
         for ((ingress, _), switches) in p.iter() {
-            for &s in switches {
-                sum += instance.routes().loc(*ingress, s).unwrap_or(0);
+            for s in switches {
+                sum += instance.routes().loc(ingress, s).unwrap_or(0);
                 count += 1;
             }
         }

@@ -540,10 +540,10 @@ fn renumber_by_rebuild(
     map: impl Fn(RuleId) -> Option<RuleId>,
 ) -> Placement {
     let mut shifted = Placement::new();
-    for (&(l, r), switches) in placement.iter() {
+    for ((l, r), switches) in placement.iter() {
         let nr = if l == ingress { map(r) } else { Some(r) };
         let Some(nr) = nr else { continue };
-        for &s in switches {
+        for s in switches {
             shifted.place(l, nr, s);
         }
     }
@@ -794,7 +794,7 @@ fn instance_behaves_as_the_flat_instance() {
 /// Asserts that `p` reads exactly as the flat model `m` through every
 /// accessor, its `==` and its `Debug` text.
 fn assert_reads_as(p: &Placement, m: &flat::Placement, instance: &Instance, what: &str) {
-    let got: Vec<_> = p.iter().map(|(k, v)| (*k, v.clone())).collect();
+    let got: Vec<_> = p.iter().map(|(k, v)| (k, v.collect())).collect();
     let want: Vec<_> = m.placed.iter().map(|(k, v)| (*k, v.clone())).collect();
     assert_eq!(got, want, "{what}: iter()");
     assert_eq!(p.merge_groups(), &m.merged[..], "{what}: merge groups");
@@ -812,7 +812,16 @@ fn assert_reads_as(p: &Placement, m: &flat::Placement, instance: &Instance, what
     for l in (0..5).map(EntryPortId) {
         for r in (0..16).map(RuleId) {
             let want = m.placed.get(&(l, r)).cloned().unwrap_or_default();
-            assert_eq!(p.switches_of(l, r), &want, "{what}: switches_of({l}, {r})");
+            let got: std::collections::BTreeSet<_> = p.switches_of(l, r).collect();
+            assert_eq!(got, want, "{what}: switches_of({l}, {r})");
+            for s in (0..instance.topology().switch_count()).map(SwitchId) {
+                let placed = want.contains(&s);
+                assert_eq!(
+                    p.is_placed(l, r, s),
+                    placed,
+                    "{what}: is_placed({l}, {r}, {s})"
+                );
+            }
         }
     }
     // Built afresh from the model: an ingress whose every rule was
@@ -878,12 +887,17 @@ fn placement_behaves_as_the_flat_map() {
                 }
                 4 | 5 => {
                     // Shift (an insertion at `k`) or drop (a removal of
-                    // `k`), as the greedy add and remove renumber.
-                    let drop = rng.gen_bool(0.5);
-                    let map = move |r: RuleId| match (drop, r == k) {
-                        (true, true) => None,
-                        (true, false) => Some(RuleId(r.0 - 1)),
-                        (false, _) => Some(RuleId(r.0 + 1)),
+                    // `k`), as the greedy add and remove renumber, or a
+                    // map that is not monotone: it reverses `k..=top`,
+                    // which holds every placed rule of `l` from `k` up.
+                    let kind = rng.gen_range(0..3u32);
+                    let rules = m.placed.keys().filter(|&&(il, _)| il == l);
+                    let top = rules.map(|&(_, r)| r.0).max().unwrap_or(0).max(k.0);
+                    let map = move |r: RuleId| match (kind, r == k) {
+                        (0, true) => None,
+                        (0, false) => Some(RuleId(r.0 - 1)),
+                        (1, _) => Some(RuleId(r.0 + 1)),
+                        _ => Some(RuleId(k.0 + top - r.0)),
                     };
                     p.renumber(l, k, map);
                     let moved = |(il, r): (EntryPortId, RuleId)| {
@@ -906,11 +920,7 @@ fn placement_behaves_as_the_flat_map() {
                             Some(g)
                         })
                         .collect();
-                    if drop {
-                        "renumber (drop)"
-                    } else {
-                        "renumber (shift)"
-                    }
+                    ["renumber (drop)", "renumber (shift)", "renumber (reverse)"][kind as usize]
                 }
                 6 => {
                     p.remove_ingress(l);
@@ -1124,7 +1134,7 @@ fn reroute_greedy_keeps_only_correct_placements() {
             // routes, within capacity.
             let (routes, load) = (inst.routes(), p.per_switch_load(&inst));
             for ((_, _), held) in p.iter().filter(|((m, _), _)| *m == l) {
-                for &s in held {
+                for s in held {
                     let on_route = routes.paths_from(l).iter();
                     assert!(
                         on_route.map(|&id| routes.route(id)).any(|r| r.contains(s)),

@@ -406,7 +406,7 @@ fn every_event_kind_reaches_every_rung_with_the_same_edit() {
     let first = install_on(0, [0b0000, 0b1111], (0..3).map(SwitchId).collect());
     settle(&mut tight, &mut twin, first, "hand-built l0").expect("not a capacity change");
     let (_, held) = tight.placement().iter().next().expect("l0 is placed");
-    let second = install_on(1, [0b0101, 0b1010], vec![*held.iter().next().unwrap()]);
+    let second = install_on(1, [0b0101, 0b1010], vec![held.min().unwrap()]);
     let outcome = settle(&mut tight, &mut twin, second, "hand-built l1").unwrap();
     assert_eq!(outcome, EventOutcome::Applied(Tier::Full));
     tally("install-policy", &outcome);

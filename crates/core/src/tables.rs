@@ -22,8 +22,15 @@
 //! rules in strictly descending priority with `RuleId` = index. So each
 //! ingress's chain runs over consecutive entries in index order, and the
 //! lowest-index-first topological sort of disjoint chains like that is
-//! the identity: the table is its entries as they came, numbered
-//! `total − pos`, the same bytes the graph would give.
+//! the identity: the table is its entries as they came.
+//!
+//! # Priorities
+//!
+//! On a merge-free switch an entry's priority is `(0xFFFE − ingress) <<
+//! 16 | rank`, its rank counting from 1 at the bottom of its `(ingress,
+//! switch)` run. So an edit renumbers only the entries above it in its
+//! own run, and every other TCAM entry and cache slot keeps its number.
+//! A switch that holds a merged entry is numbered `total − pos`.
 //!
 //! # Runs
 //!
@@ -236,7 +243,8 @@ impl TableEntry {
     /// a delegation redirect stub): exempt from the capacity check and
     /// surviving capacity revocations, so the controller's fail-closed
     /// fallbacks can never themselves be infeasible. [`emit_tables`]
-    /// never yields one: its priorities run `1..=total`.
+    /// never yields one: its priorities lie strictly between 0 and
+    /// `u32::MAX` (see the [module docs](self#priorities)).
     pub fn is_reserved(&self) -> bool {
         self.is_safe_mode() || self.is_delegation_stub()
     }
@@ -324,6 +332,9 @@ pub enum TableError {
     /// The priority constraints on a switch are cyclic (merge
     /// cycle-breaking should make this impossible).
     CircularPriority(SwitchId),
+    /// An ingress id above `0xFFFE`, or a run of more than `0xFFFF`
+    /// entries, on a merge-free switch: past the priority bands.
+    PriorityBand(EntryPortId, SwitchId, usize),
 }
 
 impl fmt::Display for TableError {
@@ -332,8 +343,24 @@ impl fmt::Display for TableError {
             TableError::CircularPriority(s) => {
                 write!(f, "circular priority constraints on {s}")
             }
+            TableError::PriorityBand(l, s, len) => {
+                write!(
+                    f,
+                    "{len} entries of {l} on {s} fall outside the priority bands"
+                )
+            }
         }
     }
+}
+
+/// The band of `l`'s run of `len` entries on merge-free switch `s`; its
+/// entries are `band | rank`, rank `len` down to 1. A lower ingress has a
+/// higher band, and no number is the reserved 0 or `u32::MAX`.
+fn priority_band(l: EntryPortId, s: SwitchId, len: usize) -> Result<u32, TableError> {
+    if l.0 > 0xFFFE || len > 0xFFFF {
+        return Err(TableError::PriorityBand(l, s, len));
+    }
+    Ok((0xFFFE - l.0 as u32) << 16)
 }
 
 impl std::error::Error for TableError {}
@@ -345,7 +372,8 @@ impl std::error::Error for TableError {}
 ///
 /// Returns [`TableError::CircularPriority`] if the per-policy order
 /// constraints cannot be linearized — which [`crate::merge`]'s
-/// cycle-breaking is designed to prevent.
+/// cycle-breaking is designed to prevent — and
+/// [`TableError::PriorityBand`] if a run does not fit its priority band.
 pub fn emit_tables(
     instance: &Instance,
     placement: &Placement,
@@ -458,8 +486,9 @@ impl Emitter {
     }
 
     /// The tables from the current runs. A switch that holds a merged
-    /// entry goes through [`constraint_order`] and has its slices found
-    /// by a scan; on every other switch each ingress's run is one slice.
+    /// entry goes through [`constraint_order`], is numbered `total − pos`
+    /// and has its slices found by a scan; on every other switch each
+    /// ingress's run is one slice, numbered in its [`priority_band`].
     fn assemble(
         &mut self,
         instance: &Instance,
@@ -500,10 +529,10 @@ impl Emitter {
         for (&l, cached) in &self.ingresses {
             for (s, ids, digest) in cached.runs() {
                 let rules = ids.iter().map(|&id| RuleId(id as usize));
-                let entry = |r: RuleId| {
+                let entry = |r: RuleId, priority| {
                     let rule = cached.policy.rule(r);
                     TableEntry {
-                        priority: 0,
+                        priority,
                         tags: Tags::one(l),
                         match_field: *rule.match_field(),
                         action: rule.action(),
@@ -511,14 +540,16 @@ impl Emitter {
                 };
                 match merged.get_mut(s.0).and_then(Option::as_mut) {
                     None => {
+                        let band = priority_band(l, s, ids.len())?;
+                        let ranks = (1..=ids.len() as u32).rev();
                         let (lo, hi) = (tables[s.0].len(), tables[s.0].len() + ids.len());
-                        tables[s.0].extend(rules.map(entry));
+                        tables[s.0].extend(rules.zip(ranks).map(|(r, k)| entry(r, band | k)));
                         slices.push_run(l, s, lo..hi, digest);
                     }
                     Some(drafts) => {
                         let kept = rules.filter(|&r| !absorbed.contains(&(l, r, s)));
                         drafts.extend(kept.map(|r| Draft {
-                            entry: entry(r),
+                            entry: entry(r, 0),
                             contributors: vec![(l, r)],
                         }));
                     }
@@ -531,22 +562,19 @@ impl Emitter {
                 .ok_or(TableError::CircularPriority(SwitchId(si)))?;
             let mut slots: Vec<Option<TableEntry>> =
                 drafts.into_iter().map(|d| Some(d.entry)).collect();
-            tables[si] = order
-                .iter()
-                .map(|&ei| slots[ei].take().expect("the sort visits each draft once"))
+            let total = order.len() as u32;
+            tables[si] = (order.iter().zip((1..=total).rev()))
+                .map(|(&ei, priority)| TableEntry {
+                    priority,
+                    ..slots[ei].take().expect("the sort visits each draft once")
+                })
                 .collect();
             self.slices_digested += slices.scan(SwitchId(si), &tables[si]) as u64;
         }
         slices.finish();
         let tables = tables
             .into_iter()
-            .map(|mut entries| {
-                let total = entries.len() as u32;
-                for (pos, e) in entries.iter_mut().enumerate() {
-                    e.priority = total - pos as u32;
-                }
-                SwitchTable { entries }
-            })
+            .map(|entries| SwitchTable { entries })
             .collect();
         let policy_keys = self
             .ingresses
@@ -1138,7 +1166,8 @@ mod tests {
     /// On every merge-free switch of 32 seeded solved instances, merging
     /// off and on, the constraint graph's order is the identity the fast
     /// path assumes, and on every switch the emitted table is the drafts
-    /// in the graph's order.
+    /// in the graph's order: numbered in per-ingress bands on a
+    /// merge-free switch, `total − pos` on a merged one.
     #[test]
     fn merge_free_switches_emit_the_constraint_order() {
         use crate::{par, Objective, PlacementOptions};
@@ -1159,16 +1188,28 @@ mod tests {
                 for (s, drafts) in all_drafts(&inst, &p).into_iter().enumerate() {
                     let why = format!("merging {merging}, case {case}, s{s}");
                     let order = constraint_order(&inst, &drafts).expect(&why);
-                    if p.merge_groups().iter().any(|g| g.switch.0 == s) {
+                    let is_merged = p.merge_groups().iter().any(|g| g.switch.0 == s);
+                    if is_merged {
                         merged += 1;
                     } else {
                         assert!(order.iter().copied().eq(0..drafts.len()), "{why}");
                         free += 1;
                     }
                     let total = drafts.len() as u32;
+                    let band_priority = |pos: usize| {
+                        let tags = &drafts[order[pos]].entry.tags;
+                        let below = order[pos + 1..].iter();
+                        let rank = 1 + below.filter(|&&j| drafts[j].entry.tags == *tags).count();
+                        let l = tags.iter().next().unwrap().0 as u32;
+                        (0xFFFE - l) << 16 | rank as u32
+                    };
                     let want: Vec<TableEntry> = (order.iter().enumerate())
                         .map(|(pos, &i)| TableEntry {
-                            priority: total - pos as u32,
+                            priority: if is_merged {
+                                total - pos as u32
+                            } else {
+                                band_priority(pos)
+                            },
                             ..drafts[i].entry.clone()
                         })
                         .collect();
@@ -1177,6 +1218,31 @@ mod tests {
             }
         }
         assert!(free > 0 && merged > 0, "{free} merge-free, {merged} merged");
+    }
+
+    /// The bands span ingress ids `0..=0xFFFE` and runs of up to
+    /// `0xFFFF` entries, from 1 to `0xFFFE_FFFF`; past either edge the
+    /// run is refused, not wrapped.
+    #[test]
+    fn priority_bands_refuse_what_they_cannot_number() {
+        let s = SwitchId(3);
+        let top = priority_band(EntryPortId(0), s, 0xFFFF).unwrap();
+        assert_eq!(top | 0xFFFF, 0xFFFE_FFFF);
+        assert_eq!(priority_band(EntryPortId(0xFFFE), s, 1).unwrap() | 1, 1);
+        assert!(priority_band(EntryPortId(1), s, 1).unwrap() < top);
+        let refused = |l: usize, len: usize| TableError::PriorityBand(EntryPortId(l), s, len);
+        assert_eq!(
+            priority_band(EntryPortId(0xFFFF), s, 1),
+            Err(refused(0xFFFF, 1))
+        );
+        assert_eq!(
+            priority_band(EntryPortId(0), s, 0x1_0000),
+            Err(refused(0, 0x1_0000))
+        );
+        assert_eq!(
+            refused(7, 0x1_0000).to_string(),
+            "65536 entries of l7 on s3 fall outside the priority bands"
+        );
     }
 
     /// [`Tags`] against the `BTreeSet<EntryPortId>` it stands in for,

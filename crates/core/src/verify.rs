@@ -1483,17 +1483,18 @@ mod tests {
         assert!(check(&warm, &seen, &mutated, &tables).is_err());
 
         // What a per-switch table fingerprint could not skip: B inserts a
-        // rule on s2, which A's first route crosses. Every priority on s2
-        // renumbers, A's entries included — and A's routes still ride.
+        // rule on s0, the merged switch every route crosses. A merged
+        // switch is numbered `total − pos`, so A's entries there renumber
+        // — and A's routes still ride.
         let lowest = Rule::new(t("0010"), Action::Drop, 0);
         let b_grown = inst.policy(B).unwrap().with_rule(lowest).unwrap();
         let grown = rebuilt(&inst, B, b_grown, inst.routes().clone());
         let mut placement = placement;
-        placement.place(B, RuleId(3), SwitchId(2));
+        placement.place(B, RuleId(3), SwitchId(0));
         let regrown = emit_tables(&grown, &placement).unwrap();
         let a_priorities = |tables: &[SwitchTable]| -> Vec<u32> {
-            let on_s2 = tables[2].entries().iter().filter(|e| e.tags.contains(&A));
-            on_s2.map(|e| e.priority).collect()
+            let on_s0 = tables[0].entries().iter().filter(|e| e.tags.contains(&A));
+            on_s0.map(|e| e.priority).collect()
         };
         assert_ne!(a_priorities(&tables), a_priorities(&regrown));
         let mut memo = warm.clone();

@@ -126,6 +126,84 @@ fn one_rule_epochs_rebuild_one_ingress() {
     }
 }
 
+/// An epoch that adds a rule above l1's top rule and removes l2's top
+/// rule writes, on each switch, exactly the entries whose placement
+/// changed there: no entry of any ingress is rewritten only to
+/// renumber it.
+#[test]
+fn a_top_of_run_epoch_writes_only_the_placement_delta() {
+    use flowplace_core::tables::TableEntry;
+
+    let mut topo = Topology::star(4);
+    topo.set_uniform_capacity(16);
+    let (ls, leaf) = (|l: usize| EntryPortId(l), |l: usize| SwitchId(l + 1));
+    let routes = (0..3).map(|l| {
+        let far = (l + 2) % 4;
+        Route::new(ls(l), ls(far), vec![leaf(l), SwitchId(0), leaf(far)])
+    });
+    let policies = (0..3).map(|l| {
+        let mut rules: Vec<Rule> = (0..5)
+            .map(|i| Rule::new(t(&format!("{:04b}", 3 * i + l)), Action::Drop, i as u32 + 2))
+            .collect();
+        rules.push(Rule::new(t("****"), Action::Permit, 1));
+        (ls(l), Policy::from_rules(rules).unwrap())
+    });
+    let instance = Instance::new(topo, routes.collect(), policies.collect()).unwrap();
+    let mut ctrl = Controller::with_instance(instance, CtrlOptions::default()).unwrap();
+    // Per switch, the placed (ingress, match, action) entries, counted.
+    type Placed = BTreeMap<(EntryPortId, String, Action), i64>;
+    let placed = |ctrl: &Controller| -> Vec<Placed> {
+        let mut on = vec![Placed::new(); ctrl.dataplane().switch_count()];
+        for ((l, r), switches) in ctrl.placement().iter() {
+            let rule = ctrl.instance().policy(l).unwrap().rule(r);
+            for s in switches {
+                let key = (l, rule.match_field().to_string(), rule.action());
+                *on[s.0].entry(key).or_default() += 1;
+            }
+        }
+        on
+    };
+    let (before, dataplane) = (placed(&ctrl), ctrl.dataplane().clone());
+    ctrl.submit(Event::AddRule {
+        ingress: ls(1),
+        rule: Rule::new(t("1111"), Action::Drop, 20),
+    })
+    .unwrap();
+    ctrl.submit(Event::RemoveRule {
+        ingress: ls(2),
+        rule: RuleId(0),
+    })
+    .unwrap();
+    let reports = ctrl.run_to_idle().unwrap();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].tiers(), vec![Tier::Greedy, Tier::Greedy]);
+    let after = placed(&ctrl);
+    let dp = ctrl.dataplane();
+    let target: Vec<Vec<TableEntry>> = (0..dp.switch_count())
+        .map(|s| dp.switch(SwitchId(s)).entries().to_vec())
+        .collect();
+    let diff = dataplane.diff_to(&target).unwrap();
+    let mut delta_total = 0;
+    for (s, (b, a)) in before.iter().zip(&after).enumerate() {
+        let keys = b.keys().chain(a.keys());
+        let count = |m: &Placed, k| m.get(k).copied().unwrap_or(0);
+        let delta: i64 = keys
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .map(|k| (count(a, k) - count(b, k)).abs())
+            .sum();
+        let on_s = |ops: &[(SwitchId, TableEntry)]| ops.iter().filter(|(x, _)| x.0 == s).count();
+        let ops = on_s(&diff.install) + on_s(&diff.remove);
+        assert_eq!(ops as i64, delta, "s{s}: {diff:?}");
+        delta_total += delta;
+    }
+    assert!(delta_total >= 2, "the epoch placed and removed something");
+    assert_eq!(
+        (reports[0].installed + reports[0].removed) as i64,
+        delta_total
+    );
+}
+
 /// A star controller (hub s0, ingress `li` on leaf `s(i+1)`) with the
 /// [`install`] policy of l0 deployed over s1-s0-s3; `capacities`
 /// (`s0..=s3`) leave its one DROP a single switch to sit on.

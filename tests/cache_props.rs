@@ -266,3 +266,54 @@ fn same_seed_replays_byte_identically() {
         assert_eq!(a.3, b.3, "seed {seed}: stats diverged");
     }
 }
+
+/// The resident dump lines of the entries not tagged `l`, per switch.
+fn resident_lines_of_others(dump: &str, l: EntryPortId) -> Vec<(String, String)> {
+    let (mut switch, mut lines) = (String::new(), Vec::new());
+    let tag = format!("tags={{{l}}}");
+    for line in dump.lines() {
+        if let Some(header) = line.strip_prefix('s') {
+            switch = header.split(' ').next().unwrap_or_default().to_string();
+        } else if line.starts_with("  [R]") && !line.contains(&tag) {
+            lines.push((switch.clone(), line.to_string()));
+        }
+    }
+    lines
+}
+
+/// Residency is keyed on the whole entry, priority included, so a commit
+/// keeps an entry resident only if it keeps its number. After a one-rule
+/// epoch on l1 (an add above its top rule, then a removal of a middle
+/// rule) every resident entry of l0 is still resident, byte for byte.
+#[test]
+fn a_one_rule_epoch_keeps_the_other_ingresses_resident() {
+    let l1 = EntryPortId(1);
+    let mut kept = 0;
+    for seed in 0..8u64 {
+        let mut ctrl = build_controller(seed, CachePolicy::Lru, 30);
+        ctrl.process_flows(&generate(&traffic(seed)));
+        let policy = ctrl.instance().policy(l1).unwrap().clone();
+        let top = policy.rules()[0].priority();
+        let edits = [
+            Event::AddRule {
+                ingress: l1,
+                rule: Rule::new(Ternary::parse("1*1*0*1*").unwrap(), Action::Drop, top + 1),
+            },
+            Event::RemoveRule {
+                ingress: l1,
+                rule: RuleId(2),
+            },
+        ];
+        for event in edits {
+            let why = format!("seed {seed}: {event:?}");
+            let before = resident_lines_of_others(&ctrl.cache().dump(), l1);
+            ctrl.submit(event).expect("queue has room");
+            ctrl.run_to_idle().expect("epoch commits");
+            let after = resident_lines_of_others(&ctrl.cache().dump(), l1);
+            assert_eq!(before, after, "{why}\n{}", ctrl.cache().dump());
+            ctrl.cache().audit().expect("invariant holds");
+            kept += after.len();
+        }
+    }
+    assert!(kept > 0, "nothing of l0 was ever resident");
+}

@@ -377,14 +377,24 @@ fn merged_placement_verifies_and_never_costs_more() {
     }
 }
 
-/// `emit_tables` numbers each switch's entries `1..=len`, so it never
-/// yields a priority-0 or `u32::MAX` entry: nothing it emits can pass
-/// for a safe-mode fence or a delegation stub. Drawn from the ILP
-/// (plain) and merging generator seeds above.
+/// The priority band formula, restated here as the oracle: an entry of
+/// ingress `l` that has `k` entries of its own ingress below it on a
+/// merge-free switch is numbered `(0xFFFE − l) << 16 | (k + 1)`.
+fn band_priority(l: EntryPortId, below_in_run: usize) -> u32 {
+    ((0xFFFE - l.0 as u32) << 16) | (below_in_run as u32 + 1)
+}
+
+/// Every emitted table's priorities strictly descend and none is
+/// reserved (0 or `u32::MAX`): nothing `emit_tables` yields can pass for
+/// a safe-mode fence or a delegation stub. On a merge-free switch each
+/// entry carries its ingress's band and its rank from the bottom of its
+/// run; on a switch holding a merged entry they run `len` down to 1.
+/// Drawn from the ILP (plain) and merging generator seeds above.
 #[test]
 fn emitted_entries_are_never_reserved() {
     use flowplace::core::tables::emit_tables;
 
+    let mut merged_switches = 0;
     for (seed, merging) in [(0x333, false), (0x555, true)] {
         let mut rng = StdRng::seed_from_u64(seed);
         for case in 0..32 {
@@ -402,15 +412,114 @@ fn emitted_entries_are_never_reserved() {
                 continue;
             };
             for (s, table) in emit_tables(&instance, &p).unwrap().iter().enumerate() {
-                for e in table.entries() {
+                let entries = table.entries();
+                let is_merged = p.merge_groups().iter().any(|g| g.switch == SwitchId(s));
+                merged_switches += usize::from(is_merged);
+                for (pos, e) in entries.iter().enumerate() {
+                    let why = format!("seed {seed:#x} case {case}: s{s} emitted {e}");
                     assert!(
-                        (1..=table.len() as u32).contains(&e.priority) && !e.is_reserved(),
-                        "seed {seed:#x} case {case}: s{s} emitted {e}"
+                        !e.is_reserved() && e.priority != 0 && e.priority != u32::MAX,
+                        "{why}"
                     );
+                    if let Some(next) = entries.get(pos + 1) {
+                        assert!(e.priority > next.priority, "{why} above {next}");
+                    }
+                    let want = if is_merged {
+                        (entries.len() - pos) as u32
+                    } else {
+                        let l = *e.tags.iter().next().unwrap();
+                        assert_eq!(e.tags.len(), 1, "{why}");
+                        let below = entries[pos + 1..].iter();
+                        band_priority(l, below.filter(|x| x.tags.contains(&l)).count())
+                    };
+                    assert_eq!(e.priority, want, "{why}");
                 }
             }
         }
     }
+    assert!(merged_switches > 0, "no merged switch drawn");
+}
+
+/// Over random merge-free instances, a one-rule greedy add or a rule
+/// removal on one ingress leaves every entry of every other ingress in
+/// `emit_tables` byte-identical, priority included, and on each switch
+/// the edited ingress's entries below the edit keep their numbers: an
+/// edit renumbers only the entries above it in its own run.
+#[test]
+fn one_rule_edits_renumber_only_above_them_in_their_run() {
+    use flowplace::core::tables::{emit_tables, SwitchTable, TableEntry};
+
+    let mut rng = StdRng::seed_from_u64(0xBA2D);
+    let (mut adds, mut removes, mut kept_below) = (0, 0, 0);
+    for case in 0..64 {
+        // Priorities 4 apart, so an added rule can land between any two.
+        let drawn = rand_instance(&mut rng);
+        let spread = drawn.policies().map(|(l, q)| {
+            let rules = q
+                .rules()
+                .iter()
+                .map(|r| r.with_priority(4 * r.priority() + 4));
+            (l, Policy::from_rules(rules.collect()).unwrap())
+        });
+        let topology = drawn.topology().clone();
+        let instance = Instance::new(topology, drawn.routes().clone(), spread.collect()).unwrap();
+        let options = PlacementOptions::default();
+        let solved = par::solve(&instance, Objective::TotalRules, &options, None);
+        let Some(p) = solved.placement else {
+            continue;
+        };
+        let l = EntryPortId(rng.gen_range(0..instance.policies().count()));
+        let len = instance.policy(l).unwrap().len();
+        let edited = if len > 0 && rng.gen_bool(0.5) {
+            removes += 1;
+            incremental::remove_rule(&instance, &p, l, RuleId(rng.gen_range(0..len)))
+        } else {
+            adds += 1;
+            let priority = 4 * rng.gen_range(0..=len as u32 + 1) + 2;
+            let rule = Rule::new(rand_ternary(&mut rng), rand_action(&mut rng), priority);
+            incremental::add_rule_greedy(&instance, &p, l, rule)
+        };
+        let IncrementalOutcome {
+            instance: next,
+            placement: Some(q),
+            ..
+        } = edited.unwrap()
+        else {
+            continue;
+        };
+        let before = emit_tables(&instance, &p).unwrap();
+        let after = emit_tables(&next, &q).unwrap();
+        let of = |t: &SwitchTable, mine: bool| -> Vec<TableEntry> {
+            let entries = t.entries().iter();
+            entries
+                .filter(|e| e.tags.contains(&l) == mine)
+                .cloned()
+                .collect()
+        };
+        for (s, (b, a)) in before.iter().zip(&after).enumerate() {
+            assert_eq!(of(b, false), of(a, false), "case {case}: s{s}, edit on {l}");
+            let (b, a) = (of(b, true), of(a, true));
+            let same = |(x, y): (&TableEntry, &TableEntry)| {
+                (x.match_field, x.action) == (y.match_field, y.action)
+            };
+            let below = b
+                .iter()
+                .rev()
+                .zip(a.iter().rev())
+                .take_while(|&xy| same(xy));
+            let below = below.count();
+            assert_eq!(
+                b[b.len() - below..],
+                a[a.len() - below..],
+                "case {case}: s{s}, {l}'s entries below its edit"
+            );
+            kept_below += below;
+        }
+    }
+    assert!(
+        adds > 8 && removes > 8 && kept_below > 0,
+        "{adds} adds, {removes} removes, {kept_below} kept below"
+    );
 }
 
 #[test]

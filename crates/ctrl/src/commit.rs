@@ -8,10 +8,11 @@
 //! verify them against the golden model ([`flowplace_core::verify`]),
 //! check the target against Eq. 3 capacity, and send the table diff to
 //! the dataplane op by op with make-before-break semantics — installs
-//! land before deletes, so the §IV-A no-false-negative guarantee holds
-//! during the transition. The controller keeps the runs of its last
-//! emit ([`Emitter`](flowplace_core::tables::Emitter)), so an emit
-//! rebuilds only the ingresses whose policy or placement share moved,
+//! land before deletes (see [`DataPlane::diff_to`] for the order within
+//! each and what it guarantees mid-transition). The controller keeps
+//! the runs of its last emit
+//! ([`Emitter`](flowplace_core::tables::Emitter)), so an emit rebuilds
+//! only the ingresses whose policy or placement share moved,
 //! whatever moved them, and hands verify each table slice and its digest
 //! without a re-index. It remembers which routes its last passing verify
 //! covered ([`VerifiedRoutes`](flowplace_core::verify::VerifiedRoutes)),

@@ -3,10 +3,14 @@
 //! Each epoch the controller emits the *target* tables for the new
 //! placement, diffs them against what is deployed, and sends the
 //! [`RuleDiff`] in diff order: all installs land before any delete
-//! (make-before-break), so the no-false-negative guarantee of §IV-A
-//! holds at every instant of the transition — a packet that should be
-//! dropped is never permitted because its DROP rule (or a shield above
-//! it) was momentarily absent. The price is transient occupancy above
+//! (make-before-break), installs top down and deletes bottom up on each
+//! switch, so a packet that should be dropped is not permitted because
+//! its DROP rule was momentarily absent, nor dropped because a shield
+//! above it was. `tests/transitions.rs` checks every op of one-event
+//! epochs: each packet keeps the old or the new policy's verdict. A
+//! batch of several edits is not covered: a shield can land on one
+//! switch before the DROP that takes over on another. The price is
+//! transient occupancy above
 //! the committed load, which the dataplane tracks as `peak_occupancy`;
 //! only the *final* state must respect each switch's capacity. The
 //! controller sends the ops one by one ([`DataPlane::install`] /
@@ -228,9 +232,12 @@ impl DataPlane {
     /// [`table_order`] — is skipped with one slice comparison; equal
     /// sequences are equal multisets, so it adds no op either way.
     /// Any other switch merges its installed entries with its target
-    /// sorted into [`table_order`], so its installs and removes come in
-    /// table order and each install lands at the end of
-    /// [`DataPlane::install`]'s table.
+    /// sorted into [`table_order`]. Its installs come in table order, so
+    /// an entry lands only after every new entry above it (a DROP after
+    /// the PERMITs that shield it), and its removes in reverse table
+    /// order, so an entry leaves only after every old entry below it (a
+    /// shield after the DROPs it shields). `tests/transitions.rs` checks
+    /// every intermediate state of such a diff, sent installs first.
     ///
     /// # Errors
     ///
@@ -250,6 +257,7 @@ impl DataPlane {
             let mut want: Vec<&TableEntry> = want.iter().collect();
             want.sort_by(|a, b| table_order(a, b));
             let have = &tcam.entries;
+            let first_remove = diff.remove.len();
             let (mut w, mut h) = (0, 0);
             while w < want.len() || h < have.len() {
                 let order = match (want.get(w), have.get(h)) {
@@ -265,6 +273,7 @@ impl DataPlane {
                 w += usize::from(order.is_le());
                 h += usize::from(order.is_ge());
             }
+            diff.remove[first_remove..].reverse();
         }
         Ok(diff)
     }
@@ -794,13 +803,16 @@ mod tests {
             let target: Vec<Vec<TableEntry>> =
                 (0..rng.gen_range(0..4)).map(|_| table(&mut rng)).collect();
             let diff = dp.diff_to(&target).unwrap();
-            for ops in [&diff.install, &diff.remove] {
+            // Installs top down, removes bottom up, switch by switch.
+            for (ops, up) in [(&diff.install, false), (&diff.remove, true)] {
                 for pair in ops.windows(2) {
                     let ((s, a), (t, b)) = (&pair[0], &pair[1]);
-                    assert!(
-                        s < t || (s == t && table_order(a, b).is_le()),
-                        "case {case}"
-                    );
+                    let order = if up {
+                        table_order(b, a)
+                    } else {
+                        table_order(a, b)
+                    };
+                    assert!(s < t || (s == t && order.is_le()), "case {case}");
                 }
             }
             let reference = counting_diff(&dp, &target);

@@ -10,13 +10,13 @@
 //! epochs: each packet keeps the old or the new policy's verdict. A
 //! batch of several edits is not covered: a shield can land on one
 //! switch before the DROP that takes over on another. The price is
-//! transient occupancy above
-//! the committed load, which the dataplane tracks as `peak_occupancy`;
-//! only the *final* state must respect each switch's capacity. The
-//! controller sends the ops one by one ([`DataPlane::install`] /
-//! [`DataPlane::remove`]) once [`DataPlane::check_capacities`] has
-//! passed the target; [`DataPlane::apply`] is the same transition as one
-//! staged transaction, the reference the op-by-op form is tested against.
+//! transient occupancy above the committed load, which the dataplane
+//! tracks as `peak_occupancy`; only the *final* state must respect each
+//! switch's capacity. The controller sends the ops one by one
+//! ([`DataPlane::install`] / [`DataPlane::remove`]) once
+//! [`DataPlane::check_capacities`] has passed the target;
+//! [`DataPlane::apply`] is the same transition as one staged
+//! transaction, the reference the op-by-op form is tested against.
 //!
 //! Switches can also *fail*: [`DataPlane::crash`] takes a switch down
 //! (it stops forwarding and its TCAM is lost) and [`DataPlane::restore`]

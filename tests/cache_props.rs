@@ -1,6 +1,6 @@
 //! Property suite for the TCAM rule-caching tier.
 //!
-//! Three guarantees, each exercised across a seeded sweep:
+//! Four guarantees, each exercised across a seeded sweep:
 //!
 //! * **dependency safety** — whatever a Zipf flow stream makes the
 //!   cache do (inserts, closure pulls, cascaded evictions, miss-batch
@@ -12,7 +12,9 @@
 //!   shield *without* the cascade (the bug class a naive cache ships)
 //!   must trip both audits;
 //! * **determinism** — the same seed replays byte-identically: flow
-//!   reports, cache residency dump, and dataplane dump.
+//!   reports, cache residency dump, and dataplane dump;
+//! * **residency survives a commit** — a one-rule epoch on one ingress
+//!   leaves every other ingress's resident entries resident.
 
 use flowplace::acl::{Action, Policy, Rule, Ternary};
 use flowplace::classbench::{Generator, Profile};

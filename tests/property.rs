@@ -18,7 +18,9 @@
 //!   models under any sequence of their edits, and a clone never sees a
 //!   later edit;
 //! * a table diff sent op by op is the staged transaction;
-//! * emitted tables never hold a reserved-bank entry.
+//! * emitted tables never hold a reserved-bank entry, and are numbered in
+//!   per-ingress bands, so a one-rule edit renumbers only the entries
+//!   above it in its own run.
 //!
 //! Each test draws a fixed number of cases from a fixed-seed
 //! [`StdRng`], so runs are deterministic; failure messages carry the

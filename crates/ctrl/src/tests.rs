@@ -151,13 +151,13 @@ fn a_top_of_run_epoch_writes_only_the_placement_delta() {
     let instance = Instance::new(topo, routes.collect(), policies.collect()).unwrap();
     let mut ctrl = Controller::with_instance(instance, CtrlOptions::default()).unwrap();
     // Per switch, the placed (ingress, match, action) entries, counted.
-    type Placed = BTreeMap<(EntryPortId, String, Action), i64>;
+    type Placed = BTreeMap<(EntryPortId, Ternary, Action), i64>;
     let placed = |ctrl: &Controller| -> Vec<Placed> {
         let mut on = vec![Placed::new(); ctrl.dataplane().switch_count()];
         for ((l, r), switches) in ctrl.placement().iter() {
             let rule = ctrl.instance().policy(l).unwrap().rule(r);
             for s in switches {
-                let key = (l, rule.match_field().to_string(), rule.action());
+                let key = (l, *rule.match_field(), rule.action());
                 *on[s.0].entry(key).or_default() += 1;
             }
         }
